@@ -7,7 +7,6 @@
 //	qsys-bench -bench [-bench-out BENCH_PR5.json] [-bench-baseline prev.json]
 //	           [-bench-rounds N] [-bench-experiments=false] [-bench-budget N]
 //	           [-bench-routing N] [-bench-parallel N] [-bench-saturation N]
-//	           [-batch-rows N] [-bench-batch-sweep]
 //	           [-bench-gate-wall-speedup X] [-bench-gate-max-ns-ratio X]
 //	qsys-bench [-cpuprofile cpu.out] [-memprofile mem.out] ...
 //
@@ -51,8 +50,6 @@ func main() {
 	benchParallel := flag.Int("bench-parallel", 0, "worker count of the serial-vs-parallel executor profile (0 = default; negative skips the profile)")
 	benchFleet := flag.Int("bench-fleet", 0, "shard-slot count of the single-vs-multi-process fleet parity profile (0 = default; negative skips the profile)")
 	benchSaturation := flag.Int("bench-saturation", 0, "arrival count of the open-loop overload-control profile (0 = default; negative skips the profile)")
-	batchRows := flag.Int("batch-rows", 0, "executor mini-batch row target for the serving profile (0 = engine default, 1 = exact per-row path); digests and counters are identical at any value")
-	benchBatchSweep := flag.Bool("bench-batch-sweep", false, "add the batch-size sweep profile: the serving workload at batch targets 1/8/64/256, gating batch=1 byte-identical")
 	benchGateWallSpeedup := flag.Float64("bench-gate-wall-speedup", 0, "CI gate: exit nonzero unless the parallel profile's multi-topic wall speedup reaches this factor (0 disables)")
 	benchGateMaxNSRatio := flag.Float64("bench-gate-max-ns-ratio", 0, "CI gate: exit nonzero when serving ns/row exceeds baseline times this ratio (needs -bench-baseline; 1.0 = no regression allowed; 0 disables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -102,8 +99,6 @@ func main() {
 			ParallelWorkers:    *benchParallel,
 			FleetShards:        *benchFleet,
 			SaturationRequests: *benchSaturation,
-			BatchRows:          *batchRows,
-			BatchSweep:         *benchBatchSweep,
 		}
 		gates := benchGates{wallSpeedup: *benchGateWallSpeedup, maxNSRatio: *benchGateMaxNSRatio}
 		if err := runBench(*benchOut, *benchBaseline, *benchPR, cfg, gates); err != nil {

@@ -67,10 +67,6 @@ import (
 	"repro/internal/workload"
 )
 
-// batchRows carries -batch-rows into every in-process service.Config built
-// by this command (closed-loop and open-loop paths share it).
-var batchRows int
-
 func main() {
 	wl := flag.String("workload", "gus", "workload: bio, gus, pfam")
 	instance := flag.Int("instance", 1, "GUS instance (1-4)")
@@ -100,9 +96,7 @@ func main() {
 	adaptiveWindow := flag.Bool("adaptive-window", false, "in-process admission: replace the fixed batch window with the queue/latency control loop")
 	maxInFlight := flag.Int("max-inflight", 0, "in-process admission: bound concurrently executing merges per shard; excess stays queued (0 = unbounded)")
 	userPerRequest := flag.Bool("user-per-request", false, "with -users 1: name a fresh user per request, pinning each request's scoring coefficients independently of arrival interleaving — makes adigest comparable between closed-loop and open-loop runs even when Poisson arrivals overlap")
-	batchRowsOpt := flag.Int("batch-rows", 0, "in-process executor mini-batch target: join outputs flow downstream in chunks of at most this many rows (0 = engine default 64, 1 = exact per-row path); results are identical at any value")
 	flag.Parse()
-	batchRows = *batchRowsOpt
 
 	adm := admission.Config{
 		UserRate:       *userRate,
@@ -282,7 +276,6 @@ func run(wl string, instance int, window time.Duration, users, requests, k, batc
 		BatchSize:    batch,
 		Shards:       shards,
 		Workers:      workers,
-		BatchRows:    batchRows,
 		Router:       routerMode,
 		MemoryBudget: budget,
 		EvictPolicy:  policy,
@@ -620,7 +613,6 @@ func runOpenLoop(cfg openLoopConfig) {
 			BatchSize:    cfg.batch,
 			Shards:       cfg.shards,
 			Workers:      cfg.workers,
-			BatchRows:    batchRows,
 			Router:       cfg.router,
 			MemoryBudget: cfg.budget,
 			EvictPolicy:  cfg.policy,

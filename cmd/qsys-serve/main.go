@@ -86,7 +86,6 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "admission: per-search latency budget; a search past it is canceled mid-merge and shed non-retryably (0 = off)")
 	adaptiveWindow := flag.Bool("adaptive-window", false, "admission: replace the fixed batch window with a control loop over queue depth and recent latency (bounded by -window)")
 	maxInFlight := flag.Int("max-inflight", 0, "admission: bound concurrently executing merges per shard so deadline shedding can trim the queue while admitted searches still finish in budget (0 = unbounded)")
-	batchRows := flag.Int("batch-rows", 0, "executor mini-batch target: join outputs flow downstream in columnar chunks of at most this many rows (0 = engine default 64, 1 = exact per-row path); result digests and work counters are identical at any value")
 	redispatch := flag.Bool("redispatch", false, "front-end mode: resubmit a search to another healthy shard after confirming its shard crashed with the query in flight (process gone, or journaled as a recovered abort by the restart)")
 	flag.Parse()
 
@@ -162,7 +161,6 @@ func main() {
 			BatchSize:    *batch,
 			Shards:       *shards,
 			Workers:      *workers,
-			BatchRows:    *batchRows,
 			Router:       *routerMode,
 			MemoryBudget: *budget,
 			EvictPolicy:  *policy,

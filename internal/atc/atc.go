@@ -103,10 +103,6 @@ type ATC struct {
 	// bound (SetDriveBound; tests only).
 	driveBound int
 
-	// batchRows, when nonzero, overrides every exec's mini-batch target
-	// (SetBatchRows); 0 leaves operator.DefaultBatchRows in effect.
-	batchRows int
-
 	// ledger, when bound, accounts every exec's and endpoint's resident
 	// state incrementally (§6.3); spill, when bound, is the disk tier evicted
 	// segments serialize to and revival restores from. Both are bound once by
@@ -149,17 +145,6 @@ func New(g *plangraph.Graph, env *operator.Env, fleet *remotedb.Fleet) *ATC {
 func (a *ATC) BindState(ledger *state.Ledger, spill *state.Spill) {
 	a.ledger = ledger
 	a.spill = spill
-}
-
-// SetBatchRows sets the executor's mini-batch target for every current and
-// future exec (n <= 1 disables batching — the exact per-row engine; 0
-// restores the default). Purely a grouping knob: digests and work counters
-// are byte-identical at any value.
-func (a *ATC) SetBatchRows(n int) {
-	a.batchRows = n
-	for _, x := range a.execs {
-		x.SetBatchRows(n)
-	}
 }
 
 // Epoch returns the current epoch (§6.2's logical timestamp).
@@ -243,9 +228,6 @@ func (a *ATC) Exec(n *plangraph.Node) (*operator.NodeExec, error) {
 	x := operator.NewNodeExec(n)
 	if a.ledger != nil {
 		x.SetAccount(a.ledger.NewAccount(n.Key))
-	}
-	if a.batchRows != 0 {
-		x.SetBatchRows(a.batchRows)
 	}
 	switch n.Kind {
 	case plangraph.SourceStream:

@@ -37,7 +37,7 @@ func (m *MergeState) Footprint() []string {
 // already past). Importers call it with the source engine's epoch at export so
 // every migrated row's stamp is strictly historical here — the next graft's
 // BumpEpoch exceeds all imported stamps, keeping the §6.2 historical/live
-// classification and joinFrom's epoch-based duplicate guard intact without
+// classification and joinSeeds' epoch-based duplicate guard intact without
 // rewriting stamps (relative order between imported rows must survive).
 func (a *ATC) AdvanceEpochTo(e int) {
 	if e > a.epoch {

@@ -63,13 +63,11 @@ type parallelState struct {
 
 // parStats accumulates scheduling statistics for the serving stats surface.
 type parStats struct {
-	rounds       atomic.Int64
-	parRounds    atomic.Int64
-	stolenRounds atomic.Int64
-	stolenMerges atomic.Int64
-	busyNS       atomic.Int64
-	wallNS       atomic.Int64
-	compHist     metrics.SizeHist
+	rounds    atomic.Int64
+	parRounds atomic.Int64
+	busyNS    atomic.Int64
+	wallNS    atomic.Int64
+	compHist  metrics.SizeHist
 }
 
 // ParallelStats reports the executor's scheduling behaviour for one shard.
@@ -86,13 +84,6 @@ type ParallelStats struct {
 	BusyNS      int64
 	WallNS      int64
 	Utilization float64
-	// StolenRounds counts rounds scheduled at merge granularity: fewer live
-	// components than workers, so a dominating component's per-merge work was
-	// split across the idle workers (dependency-ordered wherever footprints
-	// intersect, so the rows that flow are unchanged). StolenMerges totals
-	// the merges those rounds dispatched.
-	StolenRounds int64
-	StolenMerges int64
 	// Components is the distribution of per-round component counts — the
 	// round-parallelism histogram (Dist[k] = rounds that had k components).
 	Components metrics.SizeStats
@@ -150,8 +141,6 @@ func (a *ATC) ParallelStats() ParallelStats {
 		Workers:        a.par.workers,
 		Rounds:         a.par.stats.rounds.Load(),
 		ParallelRounds: a.par.stats.parRounds.Load(),
-		StolenRounds:   a.par.stats.stolenRounds.Load(),
-		StolenMerges:   a.par.stats.stolenMerges.Load(),
 		BusyNS:         a.par.stats.busyNS.Load(),
 		WallNS:         a.par.stats.wallNS.Load(),
 		Components:     a.par.stats.compHist.Snapshot(),
@@ -273,18 +262,6 @@ func (a *ATC) runRoundParallel() bool {
 	p.stats.rounds.Add(1)
 	p.stats.compHist.Observe(len(comps))
 
-	merges := 0
-	for _, c := range comps {
-		merges += len(c)
-	}
-	if len(comps) >= 1 && len(comps) < p.workers && merges > len(comps) {
-		// Fewer components than workers but more merges than components: the
-		// per-component barrier would leave workers idle while a dominating
-		// component drives its merges one by one. Steal at merge granularity
-		// instead.
-		return a.runRoundStealing(comps, merges)
-	}
-
 	if len(comps) <= 1 {
 		// Zero or one component: no cross-component concurrency to exploit
 		// this round. Drive on the caller (per-node delay models stay in
@@ -337,120 +314,6 @@ func (a *ATC) runRoundParallel() bool {
 		}
 	}
 	p.stats.parRounds.Add(1)
-	p.stats.wallNS.Add(int64(time.Since(roundStart))) //qsys:allow wallclock: wall busy/round stats for observability only; merge order and digests ride the virtual clock
-
-	live := a.active[:0]
-	for _, m := range a.active {
-		if !m.Done {
-			live = append(live, m)
-		}
-	}
-	a.compactActive(live)
-	return len(a.active) > 0
-}
-
-// mergeTask is one merge's slice of a stolen round. deps are the earlier
-// tasks (admission order, same component) whose footprints intersect this
-// merge's; done closes after end is recorded, so a dependent always observes
-// its dependencies' end times.
-type mergeTask struct {
-	m    *MergeState
-	deps []*mergeTask
-	done chan struct{}
-	end  time.Duration
-}
-
-// runRoundStealing is the merge-granularity round: component-aware work
-// stealing for graphs whose component count cannot fill the pool.
-//
-// Correctness rests on the same footprint index the component partition is
-// built from. Two merges can interact only through plan nodes both footprints
-// contain, so each task depends on every earlier merge (admission order,
-// necessarily in its own component — cross-component footprints never
-// intersect) that shares a node with it. Dependency order restricted to any
-// shared node is then exactly the serial round's admission order: the rows
-// that flow, every per-node RNG draw sequence, and therefore result digests
-// and work counters are unchanged. Merges that share nothing directly —
-// members of one component connected only transitively — may genuinely
-// overlap, which is the stolen parallelism.
-//
-// Each merge runs on a private virtual-clock fork starting at
-// max(round start, its dependencies' end times); the barrier folds the ends
-// into the global clock in fixed admission order. The round's virtual
-// makespan can therefore undercut the component-serial schedule (disjoint
-// merges overlap instead of queueing) — the timeline feeds only latency
-// surfaces, never row flow or eviction (whose LastUse is an integer epoch).
-//
-// Deadlock-freedom: tasks enter the FIFO pool in admission order, so a
-// task's dependencies are always dequeued before it. The earliest unfinished
-// dequeued task has all dependencies finished (an unfinished dependency
-// would itself be an earlier unfinished dequeued task), so some worker can
-// always progress; blocked workers never exceed workers-1.
-func (a *ATC) runRoundStealing(comps [][]*MergeState, merges int) bool {
-	p := a.par
-	roundStart := time.Now() //qsys:allow wallclock: wall busy/round stats for observability only; merge order and digests ride the virtual clock
-	now := a.Env.Clock.Now()
-	_, virtual := a.Env.Clock.(*simclock.Virtual)
-
-	tasks := make([]*mergeTask, 0, merges)
-	for _, comp := range comps {
-		lastByKey := map[string]*mergeTask{}
-		for _, m := range comp {
-			t := &mergeTask{m: m, done: make(chan struct{})}
-			depSeen := map[*mergeTask]bool{}
-			for _, k := range m.nodeKeys {
-				// Chaining through the key's latest earlier toucher is
-				// enough: intermediate touchers depend on older ones
-				// transitively, so per-node order is total.
-				if prev := lastByKey[k]; prev != nil && !depSeen[prev] {
-					depSeen[prev] = true
-					t.deps = append(t.deps, prev)
-				}
-				lastByKey[k] = t
-			}
-			tasks = append(tasks, t)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for _, t := range tasks {
-		t := t
-		wg.Add(1)
-		p.pool.submit(func() {
-			defer wg.Done()
-			defer close(t.done)
-			start := now
-			for _, d := range t.deps {
-				<-d.done
-				if d.end > start {
-					start = d.end
-				}
-			}
-			t0 := time.Now() //qsys:allow wallclock: wall busy/round stats for observability only; merge order and digests ride the virtual clock
-			env := a.Env
-			var clk *simclock.Virtual
-			if virtual {
-				clk = simclock.NewVirtual(start)
-				env = a.Env.ForComponent(clk)
-			}
-			if !t.m.Done {
-				a.driveMerge(t.m, env)
-			}
-			p.stats.busyNS.Add(int64(time.Since(t0))) //qsys:allow wallclock: wall busy/round stats for observability only; merge order and digests ride the virtual clock
-			if clk != nil {
-				t.end = clk.Now()
-			}
-		})
-	}
-	wg.Wait()
-	if virtual {
-		for _, t := range tasks {
-			a.Env.Clock.AdvanceTo(t.end)
-		}
-	}
-	p.stats.parRounds.Add(1)
-	p.stats.stolenRounds.Add(1)
-	p.stats.stolenMerges.Add(int64(merges))
 	p.stats.wallNS.Add(int64(time.Since(roundStart))) //qsys:allow wallclock: wall busy/round stats for observability only; merge order and digests ride the virtual clock
 
 	live := a.active[:0]

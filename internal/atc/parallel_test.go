@@ -22,6 +22,7 @@ import (
 	"repro/internal/scoring"
 	"repro/internal/simclock"
 	"repro/internal/tuple"
+	"repro/internal/workload"
 )
 
 // multiHarness builds nStars independent star databases (A<i> ⋈ B<i> ⋈ C<i>)
@@ -87,13 +88,20 @@ func newMultiHarness(t *testing.T, seed uint64, nStars, workers int) *multiHarne
 		cat.AddRelation("db", relC)
 	}
 
+	return newHarnessOver(t, remotedb.NewFleet(remotedb.New(store)), cat, seed, workers)
+}
+
+// newHarnessOver wires one engine over the given sources at the given worker
+// count.
+func newHarnessOver(t *testing.T, fleet *remotedb.Fleet, cat *catalog.Catalog, seed uint64, workers int) *multiHarness {
+	t.Helper()
 	env := &operator.Env{
 		Clock:   simclock.NewVirtual(0),
 		Delays:  simclock.DefaultDelays(dist.New(seed + 9)),
 		Metrics: &metrics.Counters{},
 	}
 	graph := plangraph.New("")
-	ctrl := atc.New(graph, env, remotedb.NewFleet(remotedb.New(store)))
+	ctrl := atc.New(graph, env, fleet)
 	mgr := qsm.New(graph, ctrl, cat, costmodel.New(cat, costmodel.DefaultParams()), qsm.ShareAll)
 	mgr.Unit = qsm.UnitUQ
 	if workers > 1 {
@@ -314,62 +322,94 @@ func runAll(t *testing.T, h *multiHarness) map[string]string {
 }
 
 // TestParallelRoundsMatchSerial is the engine-level determinism gate: the
-// same workload — mixed disjoint and shared topics, two admission waves —
+// same workload, two admission waves with the second grafting mid-execution,
 // must produce identical per-query results and identical content counters at
 // workers 1, 2 and 4. The two parallel runs must additionally agree on the
 // virtual-time buckets (their per-node delay discipline is identical).
+//
+// "stars" mixes disjoint and shared topics, so rounds hold several
+// components. "overlap" poses the Bio workload's overlapping topics, which
+// collapse into one component: many merges over shared streams, each stream
+// row cascading into joins that belong to other merges, including merges
+// whose own footprint the reading merge does not touch. Under -race it is
+// the gate that no scheduler runs two merges of one component side by side.
 func TestParallelRoundsMatchSerial(t *testing.T) {
-	wave1 := func() []*cq.UQ {
-		return []*cq.UQ{
-			uqOn("U1", 6, 0), uqOn("U2", 6, 1), uqOn("U3", 5, 2),
-			uqOn("U4", 5, 0), uqOn("U5", 4, 3), uqOn("U6", 4, 1, 2),
-		}
-	}
-	wave2 := func() []*cq.UQ {
-		return []*cq.UQ{uqOn("U7", 5, 2), uqOn("U8", 6, 3), uqOn("U9", 4, 0)}
-	}
 	type outcome struct {
 		results map[string]string
 		content [8]int64
 		snap    metrics.Snapshot
 	}
-	runAt := func(workers int) outcome {
-		h := newMultiHarness(t, 42, 4, workers)
-		h.admit(t, wave1()...)
-		// Partial progress, then a second wave grafts mid-execution.
-		for i := 0; i < 40; i++ {
-			h.ctrl.RunRound()
-		}
-		h.admit(t, wave2()...)
+	finish := func(h *multiHarness) outcome {
 		res := runAll(t, h)
 		snap := h.env.Metrics.Snapshot()
 		return outcome{results: res, content: contentCounters(snap), snap: snap}
 	}
-
-	serial := runAt(1)
-	par2 := runAt(2)
-	par4 := runAt(4)
-
-	for id, want := range serial.results {
-		if par2.results[id] != want {
-			t.Fatalf("workers=2: %s results differ from serial:\n%s\nvs\n%s", id, par2.results[id], want)
+	suites := []struct {
+		name   string
+		merges int
+		runAt  func(workers int) outcome
+	}{
+		{"stars", 9, func(workers int) outcome {
+			h := newMultiHarness(t, 42, 4, workers)
+			h.admit(t, uqOn("U1", 6, 0), uqOn("U2", 6, 1), uqOn("U3", 5, 2),
+				uqOn("U4", 5, 0), uqOn("U5", 4, 3), uqOn("U6", 4, 1, 2))
+			for i := 0; i < 40; i++ {
+				h.ctrl.RunRound()
+			}
+			h.admit(t, uqOn("U7", 5, 2), uqOn("U8", 6, 3), uqOn("U9", 4, 0))
+			return finish(h)
+		}},
+		{"overlap", 24, func(workers int) outcome {
+			// A fresh workload per run: no run inherits another's
+			// materialised source views.
+			w, err := workload.Bio()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := newHarnessOver(t, w.Fleet, w.Catalog, 42, workers)
+			topics := [][]string{
+				{"metabolism", "protein"}, {"metabolism", "gene"}, {"membrane", "protein"},
+				{"plasma membrane", "protein"}, {"membrane", "gene"}, {"metabolism", "gene", "protein"},
+			}
+			for n := 0; n < 24; n++ {
+				// Eight users (one scoring model each) over six topics, a
+				// wave of four admitted every 30 rounds.
+				uq, err := workload.BioUQ(w, fmt.Sprintf("U%d", n), topics[(n/4+n%4*5)%len(topics)], 5, uint64(n%8)+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.admit(t, uq)
+				if n%4 == 3 {
+					for i := 0; i < 30; i++ {
+						h.ctrl.RunRound()
+					}
+					if got := len(h.ctrl.ComponentIDs()); got != 1 {
+						t.Fatalf("overlap suite: %d components after %d admissions, want 1", got, n+1)
+					}
+				}
+			}
+			return finish(h)
+		}},
+	}
+	for _, suite := range suites {
+		serial, par2, par4 := suite.runAt(1), suite.runAt(2), suite.runAt(4)
+		if len(serial.results) != suite.merges {
+			t.Fatalf("%s: expected %d merges, got %d", suite.name, suite.merges, len(serial.results))
 		}
-		if par4.results[id] != want {
-			t.Fatalf("workers=4: %s results differ from serial:\n%s\nvs\n%s", id, par4.results[id], want)
+		for id, want := range serial.results {
+			if par2.results[id] != want {
+				t.Fatalf("%s workers=2: %s results differ from serial:\n%s\nvs\n%s", suite.name, id, par2.results[id], want)
+			}
+			if par4.results[id] != want {
+				t.Fatalf("%s workers=4: %s results differ from serial:\n%s\nvs\n%s", suite.name, id, par4.results[id], want)
+			}
 		}
-	}
-	if par2.content != serial.content || par4.content != serial.content {
-		t.Fatalf("content counters differ: serial=%v w2=%v w4=%v", serial.content, par2.content, par4.content)
-	}
-	if par2.snap != par4.snap {
-		t.Fatalf("parallel runs disagree on full snapshots:\n%+v\nvs\n%+v", par2.snap, par4.snap)
-	}
-	ps := 0
-	for range serial.results {
-		ps++
-	}
-	if ps != 9 {
-		t.Fatalf("expected 9 merges, got %d", ps)
+		if par2.content != serial.content || par4.content != serial.content {
+			t.Fatalf("%s: content counters differ: serial=%v w2=%v w4=%v", suite.name, serial.content, par2.content, par4.content)
+		}
+		if par2.snap != par4.snap {
+			t.Fatalf("%s: parallel runs disagree on full snapshots:\n%+v\nvs\n%+v", suite.name, par2.snap, par4.snap)
+		}
 	}
 }
 

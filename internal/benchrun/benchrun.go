@@ -75,14 +75,6 @@ type Config struct {
 	// wrong answers, goodput holds, served p99 bounded by the deadline).
 	// 0 skips the profile.
 	SaturationRequests int `json:"saturation_requests,omitempty"`
-	// BatchRows overrides the executor's mini-batch row target for the
-	// serving run (0 = engine default; 1 = exact per-row path). Digests and
-	// counters are identical at any value, so this knob only moves cost.
-	BatchRows int `json:"batch_rows,omitempty"`
-	// BatchSweep adds the batch-size sweep profile: the serving workload
-	// re-measured at each BatchSweepSizes target, with the batch=1 per-row
-	// run pinned byte-identical to every batched run.
-	BatchSweep bool `json:"batch_sweep,omitempty"`
 }
 
 // Defaults fills zero fields with the canonical trajectory configuration.
@@ -239,7 +231,6 @@ type Point struct {
 	Config      Config             `json:"config"`
 	Serving     Serving            `json:"serving"`
 	Experiments []Experiment       `json:"experiments,omitempty"`
-	Batch       *BatchProfile      `json:"batch_sweep,omitempty"`
 	Budget      *BudgetProfile     `json:"budget,omitempty"`
 	Routing     *RoutingProfile    `json:"routing,omitempty"`
 	Parallel    *ParallelProfile   `json:"parallel,omitempty"`
@@ -289,10 +280,6 @@ func runServingWith(cfg Config, override service.Config) (*Serving, *service.Sta
 	if err != nil {
 		return nil, nil, err
 	}
-	batchRows := override.BatchRows
-	if batchRows == 0 {
-		batchRows = cfg.BatchRows
-	}
 	svc := service.New(w, service.Config{
 		Seed:   cfg.Seed,
 		K:      cfg.K,
@@ -311,9 +298,6 @@ func runServingWith(cfg Config, override service.Config) (*Serving, *service.Sta
 		MemoryBudget: override.MemoryBudget,
 		EvictPolicy:  override.EvictPolicy,
 		SpillDir:     override.SpillDir,
-		// The executor batch target: the override (batch-sweep runs) wins,
-		// then the config knob, then the engine default.
-		BatchRows: batchRows,
 	})
 	defer svc.Close()
 
@@ -426,13 +410,6 @@ func Run(cfg Config) (*Point, error) {
 		}
 		p.Experiments = exps
 	}
-	if cfg.BatchSweep {
-		sweep, err := RunBatchSweep(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.Batch = sweep
-	}
 	if cfg.BudgetRows > 0 {
 		budget, err := RunBudget(cfg)
 		if err != nil {
@@ -541,9 +518,6 @@ func (r *Report) Summary() string {
 			b.NSPerRow, b.AllocsPerRow, 100*r.Delta.NSPerRow, 100*r.Delta.AllocsPerRow)
 		s += fmt.Sprintf("semantics: counters_equal=%v result_digest_equal=%v experiment_digests_equal=%v\n",
 			r.Delta.CountersEqual, r.Delta.DigestsEqual, r.Delta.ExperimentsSame)
-	}
-	if r.Current.Batch != nil {
-		s += r.Current.Batch.Summary()
 	}
 	if r.Current.Budget != nil {
 		s += r.Current.Budget.Summary()

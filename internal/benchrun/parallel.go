@@ -55,10 +55,6 @@ type ParallelRun struct {
 	// serial (-workers 1) run, which never computes components.
 	MaxRoundComponents int64   `json:"max_round_components,omitempty"`
 	Utilization        float64 `json:"utilization,omitempty"`
-	// StolenMerges counts merges executed by the component-aware
-	// work-stealing scheduler (rounds with fewer components than workers);
-	// zero when every round had enough components to keep the pool busy.
-	StolenMerges int64 `json:"stolen_merges,omitempty"`
 }
 
 // ParallelProfile is the intra-shard parallel-executor comparison checked
@@ -183,7 +179,7 @@ func runParallelWorkload(cfg Config, topics [][]string, workers int) (ParallelRu
 	if err != nil {
 		return ParallelRun{}, err
 	}
-	p := core.NewPipeline(w.Fleet, w.Catalog, core.Options{Mode: qsm.ShareAll, Seed: cfg.Seed, BatchRows: cfg.BatchRows})
+	p := core.NewPipeline(w.Fleet, w.Catalog, core.Options{Mode: qsm.ShareAll, Seed: cfg.Seed})
 	p.Manager.Unit = qsm.UnitUQ
 	if workers > 1 {
 		p.ATC.EnableParallel(workers, cfg.Seed)
@@ -238,7 +234,6 @@ func runParallelWorkload(cfg Config, topics [][]string, workers int) (ParallelRu
 	if ps := p.ATC.ParallelStats(); ps.Workers > 0 {
 		run.MaxRoundComponents = ps.Components.Max
 		run.Utilization = ps.Utilization
-		run.StolenMerges = ps.StolenMerges
 	}
 	return run, nil
 }

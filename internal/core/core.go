@@ -61,11 +61,6 @@ type Options struct {
 	ChargeOptimizer bool
 	// CostParams prices the cost model; zero value uses defaults.
 	CostParams costmodel.Params
-	// BatchRows is the executor's mini-batch target (0 = the default
-	// operator.DefaultBatchRows; <=1 selects the exact per-row engine).
-	// Batch size never changes results — digests and work counters are
-	// byte-identical at any setting.
-	BatchRows int
 }
 
 // NewPipeline wires a fresh middleware thread over the fleet. The catalog is
@@ -85,9 +80,6 @@ func NewPipeline(fleet *remotedb.Fleet, cat *catalog.Catalog, opts Options) *Pip
 	}
 	graph := plangraph.New("")
 	controller := atc.New(graph, env, fleet)
-	if opts.BatchRows != 0 {
-		controller.SetBatchRows(opts.BatchRows)
-	}
 	fork := cat.Fork()
 	params := opts.CostParams
 	if params == (costmodel.Params{}) {

@@ -2,7 +2,9 @@ package operator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cq"
@@ -109,31 +111,28 @@ func newChainFixture(t testing.TB, seed uint64, nA, nB, nC, keys int) *chainFixt
 	return fx
 }
 
-// runInterleaved feeds A and B arrivals alternately. When invalidate is set,
-// every compiled plan is discarded before each arrival, so each probe runs on
-// a freshly compiled plan — the reference the cached path must match.
-func (fx *chainFixture) runInterleaved(invalidate bool) {
-	n := len(fx.rowsA)
-	if len(fx.rowsB) > n {
-		n = len(fx.rowsB)
+// runInterleaved feeds A and B arrivals alternately, one row at a time. When
+// invalidate is set, every compiled plan is discarded before each arrival, so
+// each probe runs on a freshly compiled plan — the reference the cached path
+// must match.
+func (fx *chainFixture) runInterleaved(invalidate bool) { fx.runChunks(1, 1, invalidate) }
+
+// runChunks feeds A and B arrivals alternately, turns rows of A then turns
+// rows of B, each turn handed to ArriveBatch in chunks of the given size.
+func (fx *chainFixture) runChunks(turn, chunk int, invalidate bool) {
+	feed := func(rows []*tuple.Row, edge *plangraph.Edge) {
+		for lo := 0; lo < len(rows); lo += chunk {
+			if invalidate {
+				for j := range fx.x.plans {
+					fx.x.plans[j] = nil
+				}
+			}
+			fx.x.ArriveBatch(fx.env, rows[lo:min(lo+chunk, len(rows))], edge, 1)
+		}
 	}
-	for i := 0; i < n; i++ {
-		if invalidate {
-			for j := range fx.x.plans {
-				fx.x.plans[j] = nil
-			}
-		}
-		if i < len(fx.rowsA) {
-			fx.x.Arrive(fx.env, fx.rowsA[i], fx.edgeA, 1)
-		}
-		if invalidate {
-			for j := range fx.x.plans {
-				fx.x.plans[j] = nil
-			}
-		}
-		if i < len(fx.rowsB) {
-			fx.x.Arrive(fx.env, fx.rowsB[i], fx.edgeB, 1)
-		}
+	for lo := 0; lo < max(len(fx.rowsA), len(fx.rowsB)); lo += turn {
+		feed(fx.rowsA[min(lo, len(fx.rowsA)):min(lo+turn, len(fx.rowsA))], fx.edgeA)
+		feed(fx.rowsB[min(lo, len(fx.rowsB)):min(lo+turn, len(fx.rowsB))], fx.edgeB)
 	}
 }
 
@@ -268,16 +267,33 @@ func TestProbePlanMatchesDirectDerivation(t *testing.T) {
 	check("warm")
 }
 
-// TestJoinResultsMatchBruteForce checks the m-join's output against an
-// exhaustive nested-loop join of the same data.
-func TestJoinResultsMatchBruteForce(t *testing.T) {
-	fx := newChainFixture(t, 7, 80, 80, 40, 8)
-	fx.runInterleaved(false)
+// logValues renders the join results' column values in delivery order: a
+// form comparable across fixtures built from one seed (identities are not —
+// they carry a process-wide tuple sequence number).
+func logValues(l *Log) []string {
+	out := make([]string, l.Len())
+	for i := range out {
+		var b strings.Builder
+		for _, t := range l.Row(i).Parts() {
+			for c := 0; c < t.Schema().NumCols(); c++ {
+				b.WriteString(t.Val(c).Key())
+				b.WriteByte('|')
+			}
+		}
+		out[i] = b.String()
+	}
+	return out
+}
 
+// checkBruteForce compares the join node's log against an exhaustive
+// nested-loop join of A, the given middle relation (B, or A again when the
+// fixture was fed as a self-join) and C.
+func (fx *chainFixture) checkBruteForce(t *testing.T, when string, relB *relationdb.Relation) {
+	t.Helper()
 	want := map[string]int{}
 	total := 0
 	for _, ta := range fx.relA.Rows() {
-		for _, tb := range fx.relB.Rows() {
+		for _, tb := range relB.Rows() {
 			if !ta.Val(1).Equal(tb.Val(0)) {
 				continue
 			}
@@ -294,7 +310,7 @@ func TestJoinResultsMatchBruteForce(t *testing.T) {
 	}
 	got := logIdentities(fx.x.Log)
 	if len(got) != total {
-		t.Fatalf("delivered %d results, brute force found %d", len(got), total)
+		t.Fatalf("%s: delivered %d results, brute force found %d", when, len(got), total)
 	}
 	seen := map[string]int{}
 	for _, id := range got {
@@ -302,8 +318,64 @@ func TestJoinResultsMatchBruteForce(t *testing.T) {
 	}
 	for id, n := range want {
 		if seen[id] != n {
-			t.Fatalf("identity %q delivered %d times, want %d", id, seen[id], n)
+			t.Fatalf("%s: identity %q delivered %d times, want %d", when, id, seen[id], n)
 		}
+	}
+}
+
+// TestJoinResultsMatchBruteForce checks the m-join's output against an
+// exhaustive nested-loop join of the same data, fed in chunks that straddle
+// the chunk target and the adaptEvery recompile boundary, and through a
+// two-consumer fan-out node. Chunking only groups work: the same arrivals
+// handed over one row at a time must deliver the same rows in the same
+// order at the same work counters.
+func TestJoinResultsMatchBruteForce(t *testing.T) {
+	const nA, nB, nC, keys = 260, 260, 40, 12
+	run := func(turn, chunk int) ([]string, metrics.Snapshot) {
+		when := fmt.Sprintf("turn=%d chunk=%d", turn, chunk)
+		fx := newChainFixture(t, 7, nA, nB, nC, keys)
+		fx.runChunks(turn, chunk, false)
+		fx.checkBruteForce(t, when, fx.relB)
+		work := fx.env.Metrics.Snapshot()
+		work.BatchFlushes, work.BatchRowsFlushed, work.BatchFullFlushes = 0, 0, 0 // grouping, not work
+		return logValues(fx.x.Log), work
+	}
+	for _, chunk := range []int{1, 63, 64, 65, 200} {
+		order, work := run(chunk, chunk)
+		wantOrder, wantWork := run(chunk, 1)
+		if !slices.Equal(order, wantOrder) {
+			t.Fatalf("chunk=%d: delivery order differs from the row-at-a-time run", chunk)
+		}
+		if work != wantWork {
+			t.Fatalf("chunk=%d: work counters differ from the row-at-a-time run:\n%+v\n%+v", chunk, work, wantWork)
+		}
+	}
+
+	// Fan-out: one source feeding two inputs of the join (a self-join of A).
+	// Each row must land on the first input and then the second before the
+	// next row lands on either, whatever the chunk handed to DeliverBatch —
+	// delivering the chunk whole to one input and then the other would find
+	// the same pairs from the other side, in another order.
+	fan, ref := newChainFixture(t, 7, nA, nB, nC, keys), newChainFixture(t, 7, nA, nB, nC, keys)
+	src := NewNodeExec(fan.edgeA.From)
+	src.AddConsumer(fan.edgeA, fan.x)
+	src.AddConsumer(fan.edgeB, fan.x)
+	for lo := 0; lo < nA; lo += 65 {
+		src.DeliverBatch(fan.env, fan.rowsA[lo:min(lo+65, nA)], 1)
+	}
+	for i := range ref.rowsA {
+		ref.x.ArriveBatch(ref.env, ref.rowsA[i:i+1], ref.edgeA, 1)
+		ref.x.ArriveBatch(ref.env, ref.rowsA[i:i+1], ref.edgeB, 1)
+	}
+	if src.Log.Len() != nA {
+		t.Fatalf("fan-out source logged %d rows, want %d", src.Log.Len(), nA)
+	}
+	fan.checkBruteForce(t, "fan-out", fan.relA)
+	if !slices.Equal(logValues(fan.x.Log), logValues(ref.x.Log)) {
+		t.Fatal("fan-out: delivery order differs from the row-at-a-time run")
+	}
+	if got, want := fan.env.Metrics.Snapshot(), ref.env.Metrics.Snapshot(); got != want {
+		t.Fatalf("fan-out: work counters differ from the row-at-a-time run:\n%+v\n%+v", got, want)
 	}
 }
 
@@ -488,7 +560,7 @@ func TestIdentitySetMaintainedIncrementally(t *testing.T) {
 
 // BenchmarkArrive measures the full per-tuple arrival path (translate,
 // insert, compiled probe plan, verify, merge, deliver to log) on the mixed
-// stored/remote three-input join.
+// stored/remote three-input join, one-row chunks.
 func BenchmarkArrive(b *testing.B) {
 	const batch = 512
 	b.ReportAllocs()

@@ -53,10 +53,9 @@ type NodeExec struct {
 	candOff         []int
 	seedBuf         [][]*tuple.Tuple
 
-	// batchRows is the executor's mini-batch target: DeliverBatch flushes
-	// downstream in chunks of at most batchRows rows. <=1 selects the exact
-	// per-row delivery path.
-	batchRows int
+	// oneRow is ReadOne's reusable one-row chunk, so a stream read enters
+	// DeliverBatch without a per-row allocation.
+	oneRow [1]*tuple.Row
 	// vecPool free-lists node-arity part vectors recycled from consumed
 	// intermediate join frontiers; vecAccounted is how many pooled vectors
 	// the ledger's scratch dimension currently reflects. Pooled vectors are
@@ -133,9 +132,9 @@ type probeStep struct {
 // adaptEvery is how many arrivals pass between probe-order recomputations.
 const adaptEvery = 64
 
-// DefaultBatchRows is the default mini-batch target of the batched executor:
-// join outputs are delivered downstream in chunks of at most this many rows.
-const DefaultBatchRows = 64
+// chunkRows is the executor's mini-batch target: a node's output rows are
+// delivered downstream in chunks of at most this many rows.
+const chunkRows = 64
 
 // maxPooledVecs caps a node's part-vector free list so idle nodes do not pin
 // unbounded tuple references between flushes.
@@ -145,10 +144,9 @@ const maxPooledVecs = 256
 // the caller (the executor knows the database fleet).
 func NewNodeExec(n *plangraph.Node) *NodeExec {
 	x := &NodeExec{
-		Node:      n,
-		Log:       &Log{},
-		stats:     map[[2]int]*probeStat{},
-		batchRows: DefaultBatchRows,
+		Node:  n,
+		Log:   &Log{},
+		stats: map[[2]int]*probeStat{},
 	}
 	if n.Kind == plangraph.Join {
 		x.preds = n.Expr.JoinPreds()
@@ -299,66 +297,31 @@ func (x *NodeExec) ReadOne(env *Env, epoch int) bool {
 		return false
 	}
 	env.ChargeStreamRead(x.Node.Key)
-	x.Deliver(env, r, epoch)
+	x.oneRow[0] = r
+	x.DeliverBatch(env, x.oneRow[:], epoch)
 	return true
 }
 
-// Deliver logs an output row and pipelines it downstream: into every
-// consumer m-join (which may cascade) and every endpoint sink.
-func (x *NodeExec) Deliver(env *Env, r *tuple.Row, epoch int) {
-	x.Log.Append(r, epoch)
-	for _, s := range x.sinks {
-		s.Offer(env, r)
-	}
-	for _, c := range x.consumers {
-		c.target.Arrive(env, r, c.edge, epoch)
-	}
-}
-
-// SetBatchRows sets the mini-batch target (n <= 1 disables batching and
-// restores the exact per-row path; 0 keeps the default). Batch size never
-// changes results: every chunk boundary is also a point the per-row path
-// passes through, so digests and work counters are byte-identical at any
-// setting.
-func (x *NodeExec) SetBatchRows(n int) {
-	switch {
-	case n == 0:
-		x.batchRows = DefaultBatchRows
-	case n < 1:
-		x.batchRows = 1
-	default:
-		x.batchRows = n
-	}
-}
-
-// BatchRows returns the node's effective mini-batch target.
-func (x *NodeExec) BatchRows() int { return x.batchRows }
-
-// DeliverBatch logs a node's output rows and pipelines them downstream in
-// mini-batches of at most batchRows rows. The serial contract is preserved
-// exactly: rows are logged and offered to sinks in production order, and a
-// chunk is fully cascaded before the next chunk is logged. Nodes with more
-// than one consumer fall back to per-row delivery — the split operator's
-// cross-consumer interleave (consumer A sees row i before consumer B, and B
-// sees row i before A sees row i+1) is observable in downstream adaptation
-// stats, and the batch contract is byte-identical digests AND counters.
+// DeliverBatch logs a node's output rows and pipelines them downstream — into
+// every endpoint sink and every consumer m-join (which may cascade) — in
+// chunks of at most chunkRows rows. Rows are logged and offered to sinks in
+// production order, and a chunk is fully cascaded before the next chunk is
+// logged. A node with more than one consumer delivers one-row chunks: the
+// split operator's cross-consumer interleave (consumer A sees row i before
+// consumer B, and B sees row i before A sees row i+1) is observable in
+// downstream adaptation stats, so it is kept row-at-a-time. One-row chunks
+// (those, and every stream read) group nothing and are not counted as batch
+// flushes, which keeps the per-tuple path free of the counters' atomics.
 func (x *NodeExec) DeliverBatch(env *Env, rows []*tuple.Row, epoch int) {
-	if len(rows) == 0 {
-		return
+	step := chunkRows
+	if len(x.consumers) > 1 {
+		step = 1
 	}
-	if len(rows) == 1 || x.batchRows <= 1 || len(x.consumers) > 1 {
-		for _, r := range rows {
-			x.Deliver(env, r, epoch)
+	for lo := 0; lo < len(rows); lo += step {
+		chunk := rows[lo:min(lo+step, len(rows))]
+		if len(chunk) > 1 {
+			env.Metrics.AddBatchFlush(len(chunk), len(chunk) == chunkRows)
 		}
-		return
-	}
-	for lo := 0; lo < len(rows); lo += x.batchRows {
-		hi := lo + x.batchRows
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		chunk := rows[lo:hi]
-		env.Metrics.AddBatchFlush(len(chunk), len(chunk) == x.batchRows)
 		x.Log.AppendBatch(chunk, epoch)
 		for _, s := range x.sinks {
 			for _, r := range chunk {
@@ -371,41 +334,16 @@ func (x *NodeExec) DeliverBatch(env *Env, rows []*tuple.Row, epoch int) {
 	}
 }
 
-// Arrive handles a row landing on one input of a join node: it is translated
-// into node space, inserted into the input's access module, and probed
-// against the other modules following the adaptive probe sequence; complete
-// join results are delivered downstream (fully pipelined, §4.1).
-func (x *NodeExec) Arrive(env *Env, r *tuple.Row, edge *plangraph.Edge, epoch int) {
-	if x.Node.Kind != plangraph.Join {
-		panic("operator: Arrive on non-join node " + x.Node.Key)
-	}
-	idx := edge.InputIdx
-	parts := x.translate(r, edge.AtomMap)
-	x.modules[idx].Insert(parts, epoch)
-	env.Metrics.AddJoinInsert()
-	env.ChargeJoin()
-	x.arrivals[idx]++
-	if x.arrivals[idx]%adaptEvery == 1 {
-		x.plans[idx] = nil // recompile lazily from fresh stats
-	}
-	x.DeliverBatch(env, x.joinFrom(env, idx, parts, MaxEpochLive), epoch)
-}
-
-// ArriveBatch handles a mini-batch of rows landing on one input of a join
-// node. It replays the serial contract exactly — rows are inserted in
-// production order, the probe plan recompiles at the same arrival counts,
-// per-step fanout stats reach the same totals — but executes each compiled
-// probeStep once over the whole surviving frontier instead of once per row.
-// The batch splits at adaptation boundaries so a recompile sees exactly the
-// stats the per-row path would have seen; inserting a sub-batch ahead of its
-// cascades is safe because cascades never probe the driving input's module.
+// ArriveBatch handles a chunk of rows landing on one input of a join node:
+// each is translated into node space and inserted into the input's access
+// module, then the chunk is probed against the other modules following the
+// adaptive probe sequence — each compiled probeStep once over the whole
+// surviving frontier — and the complete join results are delivered
+// downstream (fully pipelined, §4.1). The chunk splits at adaptation
+// boundaries so a recompile sees exactly the stats of every earlier row's
+// cascade; inserting a sub-batch ahead of its cascades is safe because
+// cascades never probe the driving input's module.
 func (x *NodeExec) ArriveBatch(env *Env, rows []*tuple.Row, edge *plangraph.Edge, epoch int) {
-	if len(rows) == 1 || x.batchRows <= 1 {
-		for _, r := range rows {
-			x.Arrive(env, r, edge, epoch)
-		}
-		return
-	}
 	if x.Node.Kind != plangraph.Join {
 		panic("operator: ArriveBatch on non-join node " + x.Node.Key)
 	}
@@ -439,23 +377,16 @@ func (x *NodeExec) ArriveBatch(env *Env, rows []*tuple.Row, edge *plangraph.Edge
 	}
 }
 
-// joinFrom extends a newly arrived partial row across all other inputs,
-// returning the complete join results (the single-seed form of joinSeeds).
-func (x *NodeExec) joinFrom(env *Env, drive int, parts []*tuple.Tuple, maxEpoch int) []*tuple.Row {
-	x.seedBuf = append(x.seedBuf[:0], parts)
-	return x.joinSeeds(env, drive, x.seedBuf, maxEpoch)
-}
-
 // joinSeeds extends a mini-batch of newly arrived partial rows across all
-// other inputs, returning the complete join results in exactly the order the
-// per-seed serial path produces them: the frontier is step-major, and within
-// every step partials are probed in frontier order, so each seed's finished
-// descendants precede the next seed's at every step — the output sequence is
-// the concatenation of the per-seed outputs. maxEpoch restricts which stored
-// rows participate (MaxEpochLive for live arrivals; the graft epoch during
-// state recovery, §6.2). Intermediate frontiers live in per-node scratch
-// buffers and consumed intermediate part vectors are recycled through the
-// node's free list; only the returned rows keep their vectors.
+// other inputs, returning the complete join results seed by seed: the
+// frontier is step-major, and within every step partials are probed in
+// frontier order, so each seed's finished descendants precede the next
+// seed's at every step — the output sequence is the concatenation of the
+// per-seed outputs. maxEpoch restricts which stored rows participate
+// (MaxEpochLive for live arrivals; the graft epoch during state recovery,
+// §6.2). Intermediate frontiers live in per-node scratch buffers and consumed
+// intermediate part vectors are recycled through the node's free list; only
+// the returned rows keep their vectors.
 func (x *NodeExec) joinSeeds(env *Env, drive int, seeds [][]*tuple.Tuple, maxEpoch int) []*tuple.Row {
 	if len(seeds) == 0 {
 		return nil
@@ -870,34 +801,20 @@ func (x *NodeExec) RecoverHistory(env *Env, e int) int {
 		return 0
 	}
 	have := x.Log.IdentitySet()
+	// Replay the driving module's pre-epoch rows as one seed batch; the
+	// replay charges are hoisted ahead of the (order-insensitive) cascade
+	// charges.
+	seeds := x.seedBuf[:0]
+	x.modules[drive].EachBefore(e, func(pr partialRow) {
+		env.Metrics.AddReplayTuple()
+		env.ChargeJoin()
+		seeds = append(seeds, pr.parts)
+	})
+	x.seedBuf = seeds
 	var results []*tuple.Row
-	if x.batchRows <= 1 {
-		x.modules[drive].EachBefore(e, func(pr partialRow) {
-			env.Metrics.AddReplayTuple()
-			env.ChargeJoin()
-			for _, out := range x.joinFrom(env, drive, pr.parts, e) {
-				if have.Add(out) {
-					results = append(results, out)
-				}
-			}
-		})
-	} else {
-		// Replay the driving module's pre-epoch rows as one seed batch: the
-		// step-major frontier yields exactly the per-seed serial output
-		// order, and the replay charges are hoisted ahead of the
-		// (order-insensitive) cascade charges, so counters and virtual time
-		// match the per-row path.
-		seeds := x.seedBuf[:0]
-		x.modules[drive].EachBefore(e, func(pr partialRow) {
-			env.Metrics.AddReplayTuple()
-			env.ChargeJoin()
-			seeds = append(seeds, pr.parts)
-		})
-		x.seedBuf = seeds
-		for _, out := range x.joinSeeds(env, drive, seeds, e) {
-			if have.Add(out) {
-				results = append(results, out)
-			}
+	for _, out := range x.joinSeeds(env, drive, seeds, e) {
+		if have.Add(out) {
+			results = append(results, out)
 		}
 	}
 	sort.SliceStable(results, func(i, j int) bool {

@@ -13,10 +13,9 @@ import (
 	"repro/internal/workload"
 )
 
-// TestBatchedExecutorUnderChurn drives the batched executor (small -batch-rows
-// so flush boundaries are frequent) across parallel shards with concurrent
-// users, short-deadline cancellations racing mid-batch delivery, and a memory
-// budget forcing evictions between rounds. Cancellation can park a node while
+// TestBatchedExecutorUnderChurn drives the batched executor across parallel
+// shards with concurrent users, short-deadline cancellations racing mid-batch
+// delivery, and a memory budget forcing evictions between rounds. Cancellation can park a node while
 // its output batch is in flight and eviction can unlink the nodes a pooled
 // scratch row came from, so both ledger dimensions — retained state and
 // pooled scratch — must still balance against their O(graph) audits, and
@@ -35,10 +34,8 @@ func TestBatchedExecutorUnderChurn(t *testing.T) {
 		Workers:     4,
 		BatchWindow: 2 * time.Millisecond,
 		BatchSize:   3,
-		// Small enough that the budget evicts and the executor flushes
-		// partial batches constantly.
+		// Small enough that the budget evicts constantly.
 		MemoryBudget: 800,
-		BatchRows:    8,
 	})
 
 	var pool [][]string
@@ -88,7 +85,7 @@ func TestBatchedExecutorUnderChurn(t *testing.T) {
 		t.Fatalf("no search completed (failed=%d)", failed)
 	}
 	if st.Service.ExecBatchFlushes == 0 {
-		t.Fatal("executor never flushed a batch — churn ran on the per-row path")
+		t.Fatal("executor never flushed a multi-row chunk")
 	}
 	for _, sh := range st.Shards {
 		if sh.StateRows != sh.StateRowsAudit {

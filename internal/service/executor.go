@@ -14,17 +14,13 @@ import (
 	"repro/internal/admission"
 	"repro/internal/atc"
 	"repro/internal/batcher"
-	"repro/internal/catalog"
-	"repro/internal/costmodel"
+	"repro/internal/core"
 	"repro/internal/cq"
-	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/mqo"
 	"repro/internal/operator"
-	"repro/internal/plangraph"
 	"repro/internal/qsm"
 	"repro/internal/recovery"
-	"repro/internal/simclock"
 	"repro/internal/state"
 	"repro/internal/workload"
 )
@@ -61,11 +57,9 @@ type shard struct {
 	svc *metrics.Service
 	arb *state.Arbiter
 
-	env   *operator.Env
-	graph *plangraph.Graph
-	ctrl  *atc.ATC
-	mgr   *qsm.Manager
-	cat   *catalog.Catalog
+	env  *operator.Env
+	ctrl *atc.ATC
+	mgr  *qsm.Manager
 
 	// pending is the current admission window in arrival order; windowStart
 	// is the wall arrival of pending[0]; waiters holds admitted, unfinished
@@ -136,22 +130,18 @@ func newShard(id int, w *workload.Workload, cfg Config, svc *metrics.Service, ar
 	// eid is the shard's engine identity: equal to id in-process, offset in a
 	// distributed fleet so shard process i reproduces in-process shard i.
 	eid := cfg.ShardIDOffset + id
-	rng := dist.New(cfg.Seed + uint64(eid)*7919 + 1)
-	var clock simclock.Clock
-	if cfg.RealTime {
-		clock = simclock.NewReal()
-	} else {
-		clock = simclock.NewVirtual(0)
-	}
-	env := &operator.Env{Clock: clock, Delays: simclock.DefaultDelays(rng), Metrics: &metrics.Counters{}}
+	// The shard's seed salt keeps everything seeded different across shards.
+	seed := cfg.Seed + uint64(eid)*7919
+	p := core.NewPipeline(w.Fleet, w.Catalog, core.Options{
+		Mode:         qsm.ShareAll,
+		Seed:         seed,
+		MemoryBudget: cfg.MemoryBudget,
+		RealTime:     cfg.RealTime,
+	})
+	env, ctrl, mgr := p.Env, p.ATC, p.Manager
 	if svc != nil {
 		env.Metrics.TeeBatch(&svc.ExecBatch, &svc.ExecBatchFlushes, &svc.ExecBatchFull)
 	}
-	graph := plangraph.New("")
-	ctrl := atc.New(graph, env, w.Fleet)
-	cat := w.Catalog.Fork()
-	mgr := qsm.New(graph, ctrl, cat, costmodel.New(cat, costmodel.DefaultParams()), qsm.ShareAll)
-	mgr.MemoryBudget = cfg.MemoryBudget
 	policy, err := state.ParsePolicy(cfg.EvictPolicy)
 	if err != nil {
 		panic("service: " + err.Error())
@@ -172,14 +162,9 @@ func newShard(id int, w *workload.Workload, cfg Config, svc *metrics.Service, ar
 	if !cfg.JointOptimize {
 		mgr.Unit = qsm.UnitUQ
 	}
-	if cfg.BatchRows != 0 {
-		ctrl.SetBatchRows(cfg.BatchRows)
-	}
 	if cfg.Workers > 1 {
-		// Component-scheduled parallel rounds inside this shard. The seed
-		// salt matches the shard's RNG derivation so per-node delay models
-		// differ across shards like everything else seeded does.
-		ctrl.EnableParallel(cfg.Workers, cfg.Seed+uint64(eid)*7919+2)
+		// Component-scheduled parallel rounds inside this shard.
+		ctrl.EnableParallel(cfg.Workers, seed+2)
 	}
 	sh := &shard{
 		id:       id,
@@ -187,10 +172,8 @@ func newShard(id int, w *workload.Workload, cfg Config, svc *metrics.Service, ar
 		svc:      svc,
 		arb:      arb,
 		env:      env,
-		graph:    graph,
 		ctrl:     ctrl,
 		mgr:      mgr,
-		cat:      cat,
 		waiters:  map[string]*request{},
 		submitCh: make(chan *request, cfg.MaxQueue),
 		statsCh:  make(chan chan ShardStats),
@@ -630,7 +613,7 @@ func (sh *shard) snapshot() ShardStats {
 	ss := ShardStats{
 		Shard:             sh.id,
 		Work:              sh.env.Metrics.Snapshot(),
-		Graph:             sh.graph.Stats(),
+		Graph:             sh.ctrl.Graph.Stats(),
 		StateRows:         sh.mgr.StateSize(),
 		StateRowsAudit:    sh.mgr.AuditStateSize(),
 		ScratchRows:       sh.mgr.ScratchSize(),

@@ -83,6 +83,7 @@ func TestParallelExecutorUnderChurn(t *testing.T) {
 	if completed == 0 {
 		t.Fatalf("no search completed (failed=%d)", failed)
 	}
+	rounds := int64(0)
 	for _, sh := range st.Shards {
 		if sh.StateRows != sh.StateRowsAudit {
 			t.Fatalf("shard %d ledger %d != audit %d — accounting corrupted under parallel rounds",
@@ -91,9 +92,12 @@ func TestParallelExecutorUnderChurn(t *testing.T) {
 		if sh.Parallel.Workers != 4 {
 			t.Fatalf("shard %d parallel workers = %d, want 4", sh.Shard, sh.Parallel.Workers)
 		}
-		if sh.Parallel.Rounds == 0 {
-			t.Fatalf("shard %d recorded no scheduling rounds", sh.Shard)
-		}
+		rounds += sh.Parallel.Rounds
+	}
+	// The affinity router may legitimately place every topic on one shard,
+	// so rounds are required of the service, not of each shard.
+	if rounds == 0 {
+		t.Fatal("no shard recorded a scheduling round")
 	}
 
 	svc.Close()

@@ -115,17 +115,12 @@ type Config struct {
 	// plan graph's independent components (connected subgraphs — searches
 	// that transitively share any node or stream stay in one component) are
 	// driven concurrently on this many workers, with a barrier per
-	// scheduling round. Result digests and work counters are byte-identical
-	// at any worker count; 1 runs the serial engine exactly. 0 defaults to
-	// GOMAXPROCS.
+	// scheduling round. A graph that is one component — the usual shape
+	// when searches overlap — has nothing to run side by side: its round is
+	// driven serially on the executor goroutine whatever the worker count.
+	// Result digests and work counters are byte-identical at any worker
+	// count; 1 runs the serial engine exactly. 0 defaults to GOMAXPROCS.
 	Workers int
-	// BatchRows is the executor's mini-batch target: join outputs flow
-	// downstream in chunks of at most this many rows, with one compiled
-	// probe step executed per batch instead of per row. 0 keeps the engine
-	// default (operator.DefaultBatchRows, 64); <=1 selects the exact
-	// per-row path. Purely a grouping knob — result digests and work
-	// counters are byte-identical at any setting.
-	BatchRows int
 	// Router selects shard placement: "affinity" (default) routes each query
 	// to the shard whose decaying resident keyword set it overlaps most —
 	// §6.1's cluster-affinity idea at serving scale, with a fixed-hash
