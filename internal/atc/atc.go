@@ -557,6 +557,14 @@ func (a *ATC) UnlinkCQ(cqID string) {
 	a.park(at.node)
 }
 
+// Attached returns how many conjunctive queries currently have an endpoint
+// sink wired to the graph. Served-and-forgotten queries must not linger here.
+func (a *ATC) Attached() int {
+	a.structMu.Lock()
+	defer a.structMu.Unlock()
+	return len(a.attach)
+}
+
 // SinkStateRows reports the resident state of all attached rank-merge
 // endpoints — buffered candidates plus duplicate-set entries — for the §6.3
 // memory accounting. Unlinked CQs have already released both.

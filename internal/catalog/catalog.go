@@ -274,6 +274,18 @@ func (c *Catalog) RecordExprCard(key string, card float64) {
 	c.mu.Unlock()
 }
 
+// ObservedCard returns the cardinality an execution recorded for the
+// expression, and whether one was recorded. Together with StreamedSoFar it is
+// everything EstimateCard and the cost model read from the catalog's
+// execution feedback for a key, so a cached optimizer decision can check
+// that what it was computed under still holds.
+func (c *Catalog) ObservedCard(key string) (float64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	card, ok := c.exprCard[key]
+	return card, ok
+}
+
 // MaxScoreOf returns the maximum score of the named relation (neutral when
 // unknown), used to initialise thresholds (§6.2).
 func (c *Catalog) MaxScoreOf(rel string) float64 {

@@ -90,6 +90,12 @@ func TestEstimateCardObservationWins(t *testing.T) {
 	if got := c.EstimateCard(e); got != 42 {
 		t.Errorf("observed card ignored: %v (estimate was %v)", got, est)
 	}
+	if card, ok := c.ObservedCard(e.Key()); !ok || card != 42 {
+		t.Errorf("ObservedCard = %v, %v after an observation of 42", card, ok)
+	}
+	if _, ok := c.Fork().ObservedCard(e.Key()); ok {
+		t.Error("a fork sees its parent's observation")
+	}
 }
 
 func TestEstimateCacheConsistent(t *testing.T) {

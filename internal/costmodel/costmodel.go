@@ -11,7 +11,6 @@ package costmodel
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/cq"
@@ -68,39 +67,24 @@ type Input struct {
 	Uses map[string]*cq.ExprOccurrence
 }
 
-// Model prices assignments against a catalog. It memoises each query's full
-// expression (canonicalization is costly and BestPlan calls the cost function
-// exponentially often). The memo is lock-protected: under the parallel
-// executor, one admission optimizes its independent query groups
-// concurrently against the one shared model (the memo is keyed by CQ id, so
-// concurrent fills are distinct entries and the cache stays deterministic).
+// Model prices assignments against a catalog. It holds no per-query state:
+// a long-lived model prices an unbounded stream of queries, so anything
+// memoized per query lives on the query itself (cq.CQ.FullExpr) and dies
+// with it.
 type Model struct {
 	Cat    *catalog.Catalog
 	Params Params
-
-	mu       sync.RWMutex
-	fullExpr map[string]*cq.Expr // by CQ id
 }
 
 // New builds a cost model.
 func New(cat *catalog.Catalog, p Params) *Model {
-	return &Model{Cat: cat, Params: p, fullExpr: map[string]*cq.Expr{}}
+	return &Model{Cat: cat, Params: p}
 }
 
-// FullExpr returns (and caches) the canonical expression of a whole query.
-func (m *Model) FullExpr(q *cq.CQ) *cq.Expr {
-	m.mu.RLock()
-	e, ok := m.fullExpr[q.ID]
-	m.mu.RUnlock()
-	if ok {
-		return e
-	}
-	e, _ = q.SubExpr(allIdx(len(q.Atoms)))
-	m.mu.Lock()
-	m.fullExpr[q.ID] = e
-	m.mu.Unlock()
-	return e
-}
+// FullExpr returns the canonical expression of a whole query (memoized on
+// the query: canonicalization is costly and BestPlan calls the cost function
+// exponentially often).
+func (m *Model) FullExpr(q *cq.CQ) *cq.Expr { return q.FullExpr() }
 
 // ChooseMode applies §5.1.1's streaming rule: relations (or pushed-down
 // expressions) without scoring attributes are probed rather than streamed —
@@ -162,14 +146,6 @@ func (m *Model) StreamDepth(e *cq.Expr, uses map[string]*cq.ExprOccurrence, k in
 		}
 	}
 	return math.Min(depth, card)
-}
-
-func allIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // StreamRebuildCost estimates what re-deriving an evicted stream source's

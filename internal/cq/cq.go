@@ -91,10 +91,13 @@ type CQ struct {
 
 	// SubExpr memo (see expr.go). subMu guards it: admission-side group
 	// optimization may canonicalize one query's subexpressions from several
-	// goroutines.
+	// goroutines. full and bodyKey memoize FullExpr and BodyKey under the same
+	// lock.
 	subMu   sync.Mutex
 	subMemo map[string]subEntry
 	subKey  []byte
+	full    *Expr
+	bodyKey string
 }
 
 // Clone returns a copy sharing the atoms, model and head vars but none of

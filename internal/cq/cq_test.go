@@ -165,6 +165,40 @@ func TestSubExprDistinguishesJoinShape(t *testing.T) {
 	}
 }
 
+// BodyKey is positional where Expr.Key is canonical: renaming variables keeps
+// it, while a different atom order, join column or selection constant — any
+// of which would make another query's atom indexes mean something else —
+// changes it.
+func TestBodyKeyPositionalIdentity(t *testing.T) {
+	base := chainCQ("q1", 3)
+	renamed := &CQ{ID: "other", Atoms: []*Atom{
+		{Rel: "A", DB: "db", Args: []Term{V(70), V(50)}},
+		{Rel: "B", DB: "db", Args: []Term{V(50), V(9)}},
+		{Rel: "C", DB: "db", Args: []Term{V(9), V(1)}},
+	}, Model: scoring.Discover(3)}
+	if base.BodyKey() != renamed.BodyKey() {
+		t.Fatalf("variable renaming changed the body key:\n%s\n%s", base.BodyKey(), renamed.BodyKey())
+	}
+	reordered := &CQ{ID: "q1", Atoms: []*Atom{base.Atoms[1], base.Atoms[0], base.Atoms[2]}, Model: base.Model}
+	rejoined := chainCQ("q1", 3)
+	rejoined.Atoms[2] = &Atom{Rel: "C", DB: "db", Args: []Term{V(3), V(2)}}
+	selected := chainCQ("q1", 3)
+	selected.Atoms[2] = &Atom{Rel: "C", DB: "db", Args: []Term{V(2), C(tuple.Int(7))}}
+	elsewhere := chainCQ("q1", 3)
+	elsewhere.Atoms[0] = &Atom{Rel: "A", DB: "db2", Args: []Term{V(0), V(1)}}
+	for name, q := range map[string]*CQ{"atom order": reordered, "join column": rejoined, "constant": selected, "database": elsewhere} {
+		if q.BodyKey() == base.BodyKey() {
+			t.Errorf("a different %s kept the body key %s", name, q.BodyKey())
+		}
+	}
+	if e, _ := reordered.SubExpr([]int{0, 1, 2}); e.Key() != base.FullExpr().Key() {
+		t.Error("FullExpr is not the canonical whole-body expression")
+	}
+	if base.FullExpr() != base.FullExpr() {
+		t.Error("FullExpr not memoized")
+	}
+}
+
 // Property: canonicalization is invariant under random variable renaming and
 // atom permutation of random connected queries.
 func TestCanonicalizeInvariance(t *testing.T) {

@@ -138,6 +138,38 @@ func (q *CQ) SubExpr(idxs []int) (*Expr, []int) {
 	return expr, append([]int(nil), mapping...)
 }
 
+// FullExpr returns the canonical expression of the whole query body. It is
+// memoized on the query: the cost model asks for it at every leaf of the plan
+// search.
+func (q *CQ) FullExpr() *Expr {
+	q.subMu.Lock()
+	e := q.full
+	q.subMu.Unlock()
+	if e == nil {
+		e, _ = q.SubExpr(allIdx(len(q.Atoms)))
+		q.subMu.Lock()
+		q.full = e
+		q.subMu.Unlock()
+	}
+	return e
+}
+
+// BodyKey renders the query body in its own atom order with variables renamed
+// in first-occurrence order. Unlike Expr.Key it is not isomorphism-invariant
+// across atom orders: two queries have equal BodyKeys exactly when their atoms
+// agree position by position up to variable renaming, which is what lets an
+// input assignment computed for one be reused for the other with its atom
+// indexes unchanged (the optimizer's canonical group order and the state
+// manager's plan cache key both build on it).
+func (q *CQ) BodyKey() string {
+	q.subMu.Lock()
+	defer q.subMu.Unlock()
+	if q.bodyKey == "" {
+		q.bodyKey = renderOrdered(q.Atoms, allIdx(len(q.Atoms)))
+	}
+	return q.bodyKey
+}
+
 // subEntry is one memoized SubExpr result.
 type subEntry struct {
 	expr    *Expr

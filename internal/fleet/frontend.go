@@ -201,8 +201,12 @@ func (f *Frontend) Search(ctx context.Context, user string, keywords []string, k
 	}
 }
 
-// redispatchProbeTimeout bounds the crash-confirmation probes.
-const redispatchProbeTimeout = 2 * time.Second
+// redispatchProbeTimeout bounds the crash-confirmation probes;
+// redispatchProbeRetry paces the repeats of an inconclusive one.
+const (
+	redispatchProbeTimeout = 2 * time.Second
+	redispatchProbeRetry   = 20 * time.Millisecond
+)
 
 // transportFailure reports whether err is a raw transport error with no HTTP
 // response behind it — the connection died mid-request, so the shard may have
@@ -222,11 +226,33 @@ func transportFailure(err error) bool {
 // answers health and does not report the query aborted — returns false and
 // the original error is surfaced, preserving the strict no-double-execution
 // rule for mere packet loss.
+//
+// One health probe can be inconclusive: a SIGKILLed process keeps its listen
+// queue open for a moment while the kernel tears it down, so a probe sent in
+// that window connects and is then reset (a read error, not a dial error),
+// and an open circuit breaker answers without touching the network at all.
+// Neither proves the shard alive or dead, so the probe repeats until it gets
+// a verdict — the dial is refused, or the shard answers — within
+// redispatchProbeTimeout.
 func (f *Frontend) confirmAborted(ctx context.Context, sh int, uqID string) bool {
 	pctx, cancel := context.WithTimeout(ctx, redispatchProbeTimeout)
 	defer cancel()
-	if _, err := f.backends[sh].Health(pctx); err != nil {
-		return connectFailure(err)
+	for {
+		_, err := f.backends[sh].Health(pctx)
+		if err == nil {
+			break
+		}
+		if connectFailure(err) {
+			return true
+		}
+		if !transportFailure(err) && !errors.Is(err, ErrCircuitOpen) {
+			return false // the shard answered (or the probe timed out): no verdict of death
+		}
+		select {
+		case <-time.After(redispatchProbeRetry):
+		case <-pctx.Done():
+			return false
+		}
 	}
 	rv, err := f.backends[sh].Recovered(pctx)
 	if err != nil {

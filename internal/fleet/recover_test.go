@@ -28,6 +28,10 @@ type crashMode int
 const (
 	// crashDead: the process is gone — health probes fail at the dial.
 	crashDead crashMode = iota
+	// crashDying: the process is being torn down — the first health probe
+	// still connects to its closing listen queue and is reset mid-read; the
+	// ones after it are refused at the dial.
+	crashDying
 	// crashJournaled: the process restarted and its admission journal lists
 	// the query as a recovered abort.
 	crashJournaled
@@ -45,6 +49,7 @@ type crashState struct {
 
 	mu      sync.Mutex
 	crashed int // index of the backend that crashed; -1 until the first search
+	probes  int // health probes the crashed backend has answered
 }
 
 type crashyBackend struct {
@@ -69,11 +74,20 @@ func (b *crashyBackend) Search(ctx context.Context, uq *cq.UQ) (*fleet.ResultVie
 func (b *crashyBackend) Health(ctx context.Context) (fleet.HealthView, error) {
 	b.st.mu.Lock()
 	crashed := b.st.crashed == b.idx
+	if crashed {
+		b.st.probes++
+	}
+	probes := b.st.probes
 	b.st.mu.Unlock()
 	if !crashed {
 		return fleet.HealthView{Healthy: true, State: "ready"}, nil
 	}
 	switch b.st.mode {
+	case crashDying:
+		if probes == 1 {
+			return fleet.HealthView{}, &net.OpError{Op: "read", Net: "tcp", Err: fmt.Errorf("connection reset by peer")}
+		}
+		fallthrough
 	case crashDead:
 		return fleet.HealthView{}, &net.OpError{Op: "dial", Net: "tcp", Err: fmt.Errorf("connection refused")}
 	case crashJournaled:
@@ -146,6 +160,7 @@ func TestRedispatchAfterConfirmedCrash(t *testing.T) {
 		want bool // search answered via re-dispatch
 	}{
 		{"process-dead", crashDead, true},
+		{"process-dying", crashDying, true},
 		{"journaled-abort", crashJournaled, true},
 		{"alive-unjournaled", crashAliveUnjournaled, false},
 	} {
@@ -317,9 +332,12 @@ func TestKillRecoverDigestIdentical(t *testing.T) {
 
 	call := 0
 	served := make([]int, 2)
-	wave := func(name string) {
+	wave := func(name string, before func(i int)) {
 		t.Helper()
-		for _, kw := range fleetTopics {
+		for i, kw := range fleetTopics {
+			if before != nil {
+				before(i)
+			}
 			view, err := fr.Search(context.Background(), "rec", kw, 10)
 			if err != nil {
 				t.Fatalf("%s call %d %v: %v", name, call, kw, err)
@@ -337,7 +355,7 @@ func TestKillRecoverDigestIdentical(t *testing.T) {
 	// (150ms) durably captures it before the kill. Kill the shard that
 	// actually served queries — the affinity router may pin every topic to
 	// one shard, and killing an empty shard would test nothing.
-	wave("pre-fault")
+	wave("pre-fault", nil)
 	time.Sleep(500 * time.Millisecond)
 	victim := 0
 	if served[1] > served[0] {
@@ -347,13 +365,18 @@ func TestKillRecoverDigestIdentical(t *testing.T) {
 	// SIGKILL the victim while wave 2 is in flight: queries racing the kill
 	// are either re-dispatched (crash confirmed) or routed around (connection
 	// refused), and every answer that comes back must still match control.
+	// The kill is released by the wave's own progress, not by a timer — a
+	// whole wave of warm searches is shorter than any delay worth sleeping
+	// for — so it always lands with searches still to come.
 	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		time.Sleep(20 * time.Millisecond)
-		procs[victim].Kill() //nolint:errcheck
-	}()
-	wave("mid-fault")
+	wave("mid-fault", func(i int) {
+		if i == 1 {
+			go func() {
+				defer close(killed)
+				procs[victim].Kill() //nolint:errcheck
+			}()
+		}
+	})
 	<-killed
 
 	// Warm restart over the same recover dir: the shard must come back
@@ -387,5 +410,5 @@ func TestKillRecoverDigestIdentical(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	wave("post-recovery")
+	wave("post-recovery", nil)
 }

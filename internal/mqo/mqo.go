@@ -88,9 +88,27 @@ type candidate struct {
 	uses map[string]*cq.ExprOccurrence
 	gain float64
 	// bits is the consuming-query set as a bitset over the searcher's
-	// lexicographic CQ ordering: the restriction step and the memo key both
+	// canonical CQ ordering: the restriction step and the memo key both
 	// reduce to word operations instead of per-call map iteration.
 	bits []uint64
+}
+
+// CanonicalOrder returns the batch sorted by query body (cq.CQ.BodyKey), the
+// id breaking ties between identical bodies only. Optimize processes its
+// group in this order, which makes the assignment a function of the *set* of
+// query structures: neither the caller's order nor how the ids happen to
+// rank can change which plan is found. That is the property a plan cache
+// keyed on the structures needs (qsm), since every arrival of a recurring
+// user query carries fresh ids in a freshly ranked order.
+func CanonicalOrder(qs []*cq.CQ) []*cq.CQ {
+	out := append([]*cq.CQ(nil), qs...)
+	sort.SliceStable(out, func(i, j int) bool {
+		if bi, bj := out[i].BodyKey(), out[j].BodyKey(); bi != bj {
+			return bi < bj
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
 }
 
 // Optimize runs multi-query optimization over the batch.
@@ -99,6 +117,7 @@ func Optimize(qs []*cq.CQ, cm *costmodel.Model, cfg Config) (*Result, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("mqo: empty query batch")
 	}
+	qs = CanonicalOrder(qs)
 	memo := andor.New()
 	for _, q := range qs {
 		if err := q.Validate(); err != nil {
@@ -107,18 +126,14 @@ func Optimize(qs []*cq.CQ, cm *costmodel.Model, cfg Config) (*Result, error) {
 		memo.AddQuery(q, cfg.MaxCandidateAtoms)
 	}
 	cands := collectCandidates(qs, memo, cm, cfg)
-	// CQs are ordered lexicographically by id: the bit position doubles as
-	// the completion-time use order (the paper's deterministic tie-break).
-	cqIDs := make([]string, 0, len(qs))
-	for _, q := range qs {
-		cqIDs = append(cqIDs, q.ID)
+	// A query's bit position is its place in the canonical order, which
+	// doubles as the completion-time use order (the paper's deterministic
+	// tie-break).
+	cqOrd := make(map[string]int, len(qs))
+	for i, q := range qs {
+		cqOrd[q.ID] = i
 	}
-	sort.Strings(cqIDs)
-	cqOrd := make(map[string]int, len(cqIDs))
-	for i, id := range cqIDs {
-		cqOrd[id] = i
-	}
-	words := (len(cqIDs) + 63) / 64
+	words := (len(qs) + 63) / 64
 	origByIdx := make([]*candidate, len(cands))
 	for i, c := range cands {
 		c.idx = i
@@ -144,23 +159,19 @@ func Optimize(qs []*cq.CQ, cm *costmodel.Model, cfg Config) (*Result, error) {
 		qs:        qs,
 		cm:        cm,
 		cfg:       cfg,
-		cqIDs:     cqIDs,
-		cqOrd:     cqOrd,
 		words:     words,
 		origByIdx: origByIdx,
 		overlap:   overlap,
 		memo:      map[string]searchResult{},
 		budget:    cfg.SearchNodeBudget,
-		qOrd:      make([]int, len(qs)),
-		covered:   make([][]bool, len(cqIDs)),
+		covered:   make([][]bool, len(qs)),
 		singles:   make([][]singleUse, len(qs)),
 
 		inputsScratch: map[string]*costmodel.Input{},
 		costScratch:   costmodel.NewScratch(),
 	}
 	for i, q := range qs {
-		s.qOrd[i] = cqOrd[q.ID]
-		s.covered[s.qOrd[i]] = make([]bool, len(q.Atoms))
+		s.covered[i] = make([]bool, len(q.Atoms))
 		s.singles[i] = make([]singleUse, len(q.Atoms))
 	}
 	// chosen's backing array is preallocated to the deepest possible DFS path
@@ -310,14 +321,6 @@ func exprAllScored(e *cq.Expr, cm *costmodel.Model) bool {
 	return true
 }
 
-func allIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 // --- BestPlan (Algorithm 1) --------------------------------------------------
 
 type searchResult struct {
@@ -326,11 +329,9 @@ type searchResult struct {
 }
 
 type searcher struct {
-	qs    []*cq.CQ
-	cm    *costmodel.Model
-	cfg   Config
-	cqIDs []string // lexicographic; bit position = index here
-	cqOrd map[string]int
+	qs  []*cq.CQ // canonical order; bit position = index here
+	cm  *costmodel.Model
+	cfg Config
 	// words is the bitset width in 64-bit words.
 	words int
 	// origByIdx recovers each candidate's full occurrence map from its
@@ -357,11 +358,10 @@ type searcher struct {
 	candPool    []*candidate
 	candPoolPos int
 
-	// qOrd maps each position in qs to its lexicographic ordinal; covered is
-	// the completion scratch (covered[ord][atom]), reset per complete call;
-	// singles caches each query's single-atom completion inputs — complete
-	// runs at every search leaf and re-derives the same coverage rows.
-	qOrd    []int
+	// covered is the completion scratch (covered[ord][atom]), reset per
+	// complete call; singles caches each query's single-atom completion
+	// inputs — complete runs at every search leaf and re-derives the same
+	// coverage rows.
 	covered [][]bool
 	singles [][]singleUse
 
@@ -490,14 +490,14 @@ func (s *searcher) stateKey(chosen []*candidate) []byte {
 	return buf
 }
 
-// eachUse calls fn for the candidate's surviving consumers in lexicographic
-// CQ-id order, recovering occurrence pointers from the original candidate.
+// eachUse calls fn for the candidate's surviving consumers in canonical CQ
+// order, recovering occurrence pointers from the original candidate.
 func (s *searcher) eachUse(c *candidate, fn func(ord int, occ *cq.ExprOccurrence)) {
 	orig := s.origByIdx[c.idx]
 	for w, word := range c.bits {
 		for word != 0 {
 			ord := w*64 + bits.TrailingZeros64(word)
-			fn(ord, orig.uses[s.cqIDs[ord]])
+			fn(ord, orig.uses[s.qs[ord].ID])
 			word &= word - 1
 		}
 	}
@@ -542,7 +542,7 @@ func (s *searcher) complete(chosen []*candidate) searchResult {
 			in = &costmodel.Input{Expr: e, DB: e.SingleDB(), Uses: map[string]*cq.ExprOccurrence{}}
 			inputs[e.Key()] = in
 		}
-		in.Uses[s.cqIDs[ord]] = occ
+		in.Uses[s.qs[ord].ID] = occ
 		for _, ai := range occ.AtomOf {
 			cov[ai] = true
 		}
@@ -554,13 +554,12 @@ func (s *searcher) complete(chosen []*candidate) searchResult {
 		})
 	}
 	// Completion with single-atom inputs.
-	for qi, q := range s.qs {
-		ord := s.qOrd[qi]
+	for ord, q := range s.qs {
 		for ai := range q.Atoms {
 			if covered[ord][ai] {
 				continue
 			}
-			su := s.singleUseOf(qi, ai)
+			su := s.singleUseOf(ord, ai)
 			addUse(su.expr, ord, su.occ)
 		}
 	}

@@ -1,6 +1,9 @@
 package mqo
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -15,12 +18,20 @@ import (
 // fixture builds relations R0..Rn-1 (chained by shared keys) plus a catalog.
 func fixture(t *testing.T, nRels int, cardBase int) *costmodel.Model {
 	t.Helper()
+	return fixtureScored(t, nRels, cardBase, func(int) bool { return true })
+}
+
+// fixtureScored is fixture with a choice of which relations carry a scoring
+// attribute; the others are probed (§5.1.1), which brings the
+// every-query-needs-a-stream repair of plan completion into play.
+func fixtureScored(t *testing.T, nRels int, cardBase int, scored func(i int) bool) *costmodel.Model {
+	t.Helper()
 	cat := catalog.New()
 	for i := 0; i < nRels; i++ {
 		s := tuple.NewSchema(rel(i),
 			tuple.Column{Name: "a", Type: tuple.KindInt},
 			tuple.Column{Name: "b", Type: tuple.KindInt},
-			tuple.Column{Name: "score", Type: tuple.KindFloat, Score: true},
+			tuple.Column{Name: "score", Type: tuple.KindFloat, Score: scored(i)},
 		)
 		rng := dist.New(uint64(i) + 5)
 		var rows []*tuple.Tuple
@@ -111,6 +122,89 @@ func TestOptimizeValidityProperty(t *testing.T) {
 		}
 		if err := Validate(qs, res.Inputs); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// assignmentModuloIDs renders a result with every consumer named by its
+// query body instead of its id, so two results render equal exactly when they
+// are the same assignment up to renaming the queries.
+func assignmentModuloIDs(res *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "cost=%v candidates=%d nodes=%d\n", res.Cost, res.CandidateCount, res.SearchNodes)
+	for _, in := range res.Inputs {
+		var uses []string
+		for _, occ := range in.Uses {
+			uses = append(uses, fmt.Sprintf("%s%v", occ.CQ.BodyKey(), occ.AtomOf))
+		}
+		sort.Strings(uses)
+		fmt.Fprintf(&b, "%s %v %s <- %s\n", in.Expr.Key(), in.Mode, in.DB, strings.Join(uses, " | "))
+	}
+	return b.String()
+}
+
+// Property: the assignment is a function of the set of query structures.
+// Posing the same bodies in another order under other ids — ids whose
+// lexicographic ranking differs, as every fresh arrival of a recurring user
+// query does — returns the same assignment modulo ids, at the same cost and
+// after the same search. Half the relations are score-less so completion's
+// stream repair, which visits queries in order and mutates shared inputs, is
+// exercised; some batches hold the same body twice.
+func TestOptimizePermutationInvariant(t *testing.T) {
+	cm := fixtureScored(t, 8, 250, func(i int) bool { return i%2 == 0 })
+	rng := dist.New(4)
+	for trial := 0; trial < 40; trial++ {
+		type body struct{ start, n int }
+		bodies := make([]body, 2+rng.Intn(4))
+		for i := range bodies {
+			bodies[i] = body{rng.Intn(4), 2 + rng.Intn(4)}
+			if i > 0 && rng.Intn(5) == 0 {
+				bodies[i] = bodies[i-1]
+			}
+		}
+		if trial%3 == 0 {
+			// Buffered prefixes make the plans depend on catalog feedback too.
+			e, _ := chain("probe", rng.Intn(4), 2).SubExpr([]int{0, 1})
+			cm.Cat.RecordStreamed(e.Key(), 50+rng.Intn(200))
+		}
+		cfg := Config{MaxCandidates: 6, SearchNodeBudget: 5000}
+		build := func(order []int, ids []string) []*cq.CQ {
+			qs := make([]*cq.CQ, len(order))
+			for i, bi := range order {
+				qs[i] = chain(ids[bi], bodies[bi].start, bodies[bi].n)
+			}
+			return qs
+		}
+		order := make([]int, len(bodies))
+		ids := make([]string, len(bodies))
+		for i := range bodies {
+			order[i] = i
+			ids[i] = fmt.Sprintf("UQ1.CQ%d", i+1)
+		}
+		base, err := Optimize(build(order, ids), cm, cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := assignmentModuloIDs(base)
+		for variant := 0; variant < 4; variant++ {
+			for i := len(order) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				order[i], order[j] = order[j], order[i]
+			}
+			for i := range ids {
+				ids[i] = fmt.Sprintf("UQ%d.CQ%d", 2+variant, rng.Intn(1000)*10+i) // unique, ranked at random
+			}
+			qs := build(order, ids)
+			res, err := Optimize(qs, cm, cfg)
+			if err != nil {
+				t.Fatalf("trial %d variant %d: %v", trial, variant, err)
+			}
+			if err := Validate(qs, res.Inputs); err != nil {
+				t.Fatalf("trial %d variant %d: %v", trial, variant, err)
+			}
+			if got := assignmentModuloIDs(res); got != want {
+				t.Fatalf("trial %d variant %d: order %v ids %v gives\n%s\nthe base order gives\n%s", trial, variant, order, ids, got, want)
+			}
 		}
 	}
 }

@@ -1,0 +1,302 @@
+package qsm
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/batcher"
+	"repro/internal/cq"
+	"repro/internal/mqo"
+	"repro/internal/operator"
+	"repro/internal/plangraph"
+	"repro/internal/scoring"
+	"repro/internal/tuple"
+)
+
+// cacheSuite is the recurring user query of the plan cache tests, rebuilt
+// with fresh ids (and fresh *cq.CQ objects) at every arrival the way the
+// front desk does.
+func cacheSuite(n int) *cq.UQ {
+	id := fmt.Sprintf("U%d", n)
+	return &cq.UQ{ID: id, K: 10, CQs: []*cq.CQ{
+		internalChainQ(id+".CQ1", "A", "B"),
+		internalChainQ(id+".CQ2", "A", "B", "C"),
+	}}
+}
+
+// planOnce sends one arrival of the recurring query through the cache.
+func planOnce(t *testing.T, m *Manager, n int) (hit bool) {
+	t.Helper()
+	report := &AdmitReport{}
+	out := m.optimizeGroups([]optGroup{{qs: cacheSuite(n).CQs}}, mqo.Config{K: 10}, report)
+	if out[0].err != nil {
+		t.Fatal(out[0].err)
+	}
+	if report.PlanCacheHits+report.PlanCacheMisses != 1 {
+		t.Fatalf("one group reported hits=%d misses=%d", report.PlanCacheHits, report.PlanCacheMisses)
+	}
+	return report.PlanCacheHits == 1
+}
+
+// streamedKey returns the expression key of a stream source the catalog
+// prices as partly buffered.
+func streamedKey(t *testing.T, m *Manager) string {
+	t.Helper()
+	for _, n := range m.Graph.Nodes() {
+		if n.Kind == plangraph.SourceStream && m.Cat.StreamedSoFar(n.Expr.Key()) > 0 {
+			return n.Expr.Key()
+		}
+	}
+	t.Fatal("no stream with a buffered prefix")
+	return ""
+}
+
+// TestPlanCacheInvalidation walks every way the catalog feedback behind a
+// cached decision can change and requires the next lookup to be a miss that
+// found a stale entry — and the one after it, under the now-settled catalog,
+// to be a hit again. A spill eviction keeps the prefix accounting, so it must
+// leave the entry valid.
+func TestPlanCacheInvalidation(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spill bool
+		event func(t *testing.T, m *Manager, env *operator.Env)
+		stale bool
+	}{
+		{"section 6.1 feedback", false, func(t *testing.T, m *Manager, env *operator.Env) {
+			// A deeper query reads further into the shared streams; SyncCatalog
+			// raises their buffered prefixes.
+			uq := cacheSuite(100)
+			uq.K = 150
+			runInternalUQ(t, m, env, uq)
+		}, true},
+		{"discard eviction", false, func(t *testing.T, m *Manager, env *operator.Env) {
+			m.MemoryBudget = 1
+			m.EnforceBudget(m.ATC.Epoch())
+			m.MemoryBudget = 0
+			if m.Evictions() == 0 {
+				t.Fatal("nothing evicted")
+			}
+		}, true},
+		{"spill eviction", true, func(t *testing.T, m *Manager, env *operator.Env) {
+			m.MemoryBudget = 1
+			m.EnforceBudget(m.ATC.Epoch())
+			m.MemoryBudget = 0
+			if m.Evictions() == 0 || env.Metrics.Snapshot().SpillSegsWritten == 0 {
+				t.Fatal("nothing spilled")
+			}
+		}, false},
+		{"spill segment lost", false, func(t *testing.T, m *Manager, env *operator.Env) {
+			m.ATC.SpillLost(streamedKey(t, m))
+		}, true},
+		{"topic export", false, func(t *testing.T, m *Manager, env *operator.Env) {
+			if exp := m.ExportNodes(nil); len(exp.Segments) == 0 {
+				t.Fatal("nothing exported")
+			}
+		}, true},
+		{"topic import", false, func(t *testing.T, m *Manager, env *operator.Env) {
+			exp := m.ExportNodes(nil)
+			planOnce(t, m, 200) // settle on the post-export catalog
+			if !planOnce(t, m, 201) {
+				t.Fatal("no hit between export and import")
+			}
+			if installed, _, _ := m.ImportSegments(exp); installed == 0 {
+				t.Fatal("nothing imported")
+			}
+		}, true},
+		{"observed cardinality", false, func(t *testing.T, m *Manager, env *operator.Env) {
+			m.Cat.RecordExprCard(streamedKey(t, m), 7)
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, env := internalRig(t)
+			if tc.spill {
+				if err := m.EnableSpill(t.TempDir(), m.DefaultResolver()); err != nil {
+					t.Fatal(err)
+				}
+				defer m.State.Close() //nolint:errcheck
+			}
+			runInternalUQ(t, m, env, cacheSuite(1))
+			m.ATC.Forget("U1")
+			planOnce(t, m, 2)
+			if !planOnce(t, m, 3) {
+				t.Fatal("the repeat of a planned query under an unchanged catalog missed")
+			}
+
+			tc.event(t, m, env)
+
+			before := m.PlanCacheStats()
+			hit := planOnce(t, m, 4)
+			after := m.PlanCacheStats()
+			if tc.stale {
+				if hit || after.Stale != before.Stale+1 {
+					t.Fatalf("lookup after the event: hit=%v stale %d -> %d; want a miss on a stale entry", hit, before.Stale, after.Stale)
+				}
+				if !planOnce(t, m, 5) {
+					t.Fatal("the replanned entry did not serve the next arrival")
+				}
+			} else if !hit || after.Stale != before.Stale {
+				t.Fatalf("lookup after the event: hit=%v stale %d -> %d; want a hit", hit, before.Stale, after.Stale)
+			}
+			if after.Hits+after.Misses != before.Hits+before.Misses+1 {
+				t.Fatalf("stats %+v -> %+v: one lookup must count once", before, after)
+			}
+		})
+	}
+}
+
+// TestPlanCacheLRUBound plans more distinct groups than the cap holds: the
+// cache never grows past it, the coldest entries go first, and a lookup
+// refreshes its entry's recency.
+func TestPlanCacheLRUBound(t *testing.T) {
+	m, _ := internalRig(t)
+	// Distinct bodies: the same join under a different selection constant.
+	group := func(i int) []*cq.CQ {
+		q := internalChainQ(fmt.Sprintf("q%d", i), "A", "B")
+		q.Atoms[1].Args[2] = cq.C(tuple.Int(int64(i)))
+		q.Model = scoring.QSystem(0, []float64{1, 1})
+		return []*cq.CQ{q}
+	}
+	plan := func(i int) bool {
+		report := &AdmitReport{}
+		if out := m.optimizeGroups([]optGroup{{qs: group(i)}}, mqo.Config{}, report); out[0].err != nil {
+			t.Fatal(out[0].err)
+		}
+		return report.PlanCacheHits == 1
+	}
+	total := planCacheCap + 40
+	for i := 0; i < total; i++ {
+		if plan(i) {
+			t.Fatalf("first arrival of group %d hit", i)
+		}
+		if i == planCacheCap-1 && !plan(0) {
+			t.Fatal("group 0 fell out before the cache was full")
+		}
+		if n := m.PlanCacheStats().Entries; n > planCacheCap {
+			t.Fatalf("after %d groups the cache holds %d entries, cap %d", i+1, n, planCacheCap)
+		}
+	}
+	if n := m.PlanCacheStats().Entries; n != planCacheCap {
+		t.Fatalf("cache holds %d entries, want the cap %d", n, planCacheCap)
+	}
+	if !plan(total - 1) {
+		t.Fatal("the most recent group missed")
+	}
+	if !plan(0) {
+		t.Fatal("group 0 was refreshed when the cache filled, yet fell out before 40 colder entries")
+	}
+	if plan(1) {
+		t.Fatal("group 1, the coldest entry, survived 40 evictions")
+	}
+}
+
+// TestPlanCacheBatchDedup admits one batch holding the same user query twice
+// (plus a different one): the equal-key groups pay for one search between
+// them, and the report still carries one candidate count per group.
+func TestPlanCacheBatchDedup(t *testing.T) {
+	m, env := internalRig(t)
+	m.Unit = UnitUQ
+	lone, err := mqo.Optimize(cacheSuite(0).CQs, m.CM, mqo.Config{K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := &cq.UQ{ID: "U9", K: 10, CQs: []*cq.CQ{internalChainQ("U9.CQ1", "C", "D")}}
+	otherAlone, err := mqo.Optimize(other.CQs, m.CM, mqo.Config{K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := []batcher.Submission{
+		{At: env.Clock.Now(), UQ: cacheSuite(1)},
+		{At: env.Clock.Now(), UQ: other},
+		{At: env.Clock.Now(), UQ: cacheSuite(2)},
+	}
+	rep, err := m.Admit(subs, mqo.Config{K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PlanCacheMisses != 2 || rep.PlanCacheHits != 1 {
+		t.Fatalf("batch of two equal groups and one other: misses=%d hits=%d, want 2 and 1", rep.PlanCacheMisses, rep.PlanCacheHits)
+	}
+	if want := lone.SearchNodes + otherAlone.SearchNodes; rep.SearchNodes != want {
+		t.Fatalf("SearchNodes = %d, want the two searches run (%d)", rep.SearchNodes, want)
+	}
+	if want := fmt.Sprint([]int{lone.CandidateCount, otherAlone.CandidateCount, lone.CandidateCount}); fmt.Sprint(rep.CandidatesPerGroup) != want {
+		t.Fatalf("CandidatesPerGroup = %v, want %s", rep.CandidatesPerGroup, want)
+	}
+	for m.ATC.RunRound() {
+	}
+	a, b := m.ATC.MergeByUQ("U1").RM.Results(), m.ATC.MergeByUQ("U2").RM.Results()
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("the deduplicated twins returned %d and %d answers", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Score != b[i].Score || a[i].Row.Identity() != b[i].Row.Identity() {
+			t.Fatalf("answer %d differs between the twins", i)
+		}
+	}
+}
+
+// TestPlanCacheParallelAdmission runs the optimizer's worker fan-out around
+// the cache (Workers 4, ten groups in one batch: distinct queries, in-batch
+// twins, then the whole batch again as hits) and checks the answers against
+// the serial engine. Its value is under -race: lookups and inserts must stay
+// outside the fan-out, and the searches inside it must share nothing mutable.
+func TestPlanCacheParallelAdmission(t *testing.T) {
+	bodies := [][][]string{
+		{{"A", "B"}, {"A", "B", "C"}},
+		{{"B", "C"}},
+		{{"C", "D"}, {"B", "C", "D"}},
+		{{"A", "B", "C", "D"}},
+		{{"A", "B"}},
+		{{"B", "C"}, {"C", "D"}},
+	}
+	batch := func(env *operator.Env, round int) []batcher.Submission {
+		var subs []batcher.Submission
+		for i := 0; i < 10; i++ {
+			id := fmt.Sprintf("R%dU%d", round, i)
+			uq := &cq.UQ{ID: id, K: 10}
+			for j, rels := range bodies[i%len(bodies)] {
+				uq.CQs = append(uq.CQs, internalChainQ(fmt.Sprintf("%s.CQ%d", id, j+1), rels...))
+			}
+			subs = append(subs, batcher.Submission{At: env.Clock.Now(), UQ: uq})
+		}
+		return subs
+	}
+	run := func(workers int) (answers []string, reports []*AdmitReport) {
+		m, env := internalRig(t)
+		m.Unit = UnitUQ
+		if workers > 1 {
+			m.ATC.EnableParallel(workers, 17)
+			defer m.ATC.Close()
+		}
+		for round := 0; round < 2; round++ {
+			subs := batch(env, round)
+			rep, err := m.Admit(subs, mqo.Config{K: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports = append(reports, rep)
+			for m.ATC.RunRound() {
+			}
+			m.SyncCatalog()
+			for _, s := range subs {
+				for _, r := range m.ATC.MergeByUQ(s.UQ.ID).RM.Results() {
+					answers = append(answers, fmt.Sprintf("%s %v %s", s.UQ.ID, r.Score, r.Row.Identity()))
+				}
+				m.ATC.Forget(s.UQ.ID)
+			}
+		}
+		return answers, reports
+	}
+	serial, _ := run(1)
+	parallel, reports := run(4)
+	if len(serial) == 0 || fmt.Sprint(serial) != fmt.Sprint(parallel) {
+		t.Fatalf("answers at Workers 4 differ from the serial engine (%d vs %d rows)", len(parallel), len(serial))
+	}
+	if r := reports[0]; r.PlanCacheMisses != len(bodies) || r.PlanCacheHits != 10-len(bodies) {
+		t.Fatalf("cold batch: misses=%d hits=%d, want %d searches for 10 groups", r.PlanCacheMisses, r.PlanCacheHits, len(bodies))
+	}
+	if len(reports[0].CandidatesPerGroup) != 10 || len(reports[1].CandidatesPerGroup) != 10 {
+		t.Fatalf("CandidatesPerGroup lengths %d, %d; want one entry per group", len(reports[0].CandidatesPerGroup), len(reports[1].CandidatesPerGroup))
+	}
+}

@@ -101,6 +101,9 @@ type Manager struct {
 	State *state.Manager
 
 	lastUse map[*plangraph.Node]int // node -> last epoch referenced
+	// plans caches optimizer decisions across admissions (plancache.go); it
+	// lives exactly as long as the catalog fork its read sets refer to.
+	plans *planCache
 }
 
 // New creates a manager, wiring a fresh execution-state subsystem (ledger +
@@ -109,6 +112,7 @@ func New(g *plangraph.Graph, a *atc.ATC, cat *catalog.Catalog, cm *costmodel.Mod
 	m := &Manager{Graph: g, ATC: a, Cat: cat, CM: cm, Mode: mode,
 		State:   state.NewManager(),
 		lastUse: map[*plangraph.Node]int{},
+		plans:   newPlanCache(),
 	}
 	a.BindState(m.State.Ledger, nil)
 	// A spilled stream keeps its buffered-prefix accounting (evict); if the
@@ -158,17 +162,26 @@ func (m *Manager) DefaultResolver() state.TupleResolver {
 // Evictions returns how many state objects were evicted (§6.3).
 func (m *Manager) Evictions() int { return m.State.Evictions() }
 
+// PlanCacheStats reports the plan cache's cumulative traffic and size.
+func (m *Manager) PlanCacheStats() PlanCacheStats { return m.plans.snapshot() }
+
 // AdmitReport summarises one admission.
 type AdmitReport struct {
 	Epoch int
-	// OptimizeWall is the real time spent in multi-query optimization; it is
-	// also charged to the graph's virtual clock (the paper's timings include
-	// optimization, §7.4).
+	// OptimizeWall is the real time spent in multi-query optimization — plan
+	// cache lookups and inserts plus the summed searches; it is also charged
+	// to the graph's virtual clock (the paper's timings include optimization,
+	// §7.4).
 	OptimizeWall time.Duration
-	// CandidatesPerGroup records Figure 11's x-axis per optimization group.
+	// CandidatesPerGroup records Figure 11's x-axis per optimization group
+	// (one entry per group, served from the plan cache or searched).
 	CandidatesPerGroup []int
-	// SearchNodes sums BestPlan invocations.
+	// SearchNodes sums BestPlan invocations of the searches actually run.
 	SearchNodes int
+	// PlanCacheHits and PlanCacheMisses partition the batch's optimization
+	// groups: served from the plan cache, or paid for with a search.
+	PlanCacheHits   int
+	PlanCacheMisses int
 	// Recovered counts historical rows recovered for the new queries.
 	Recovered int64
 }
@@ -326,38 +339,88 @@ type optResult struct {
 	err error
 }
 
-// optimizeGroups runs multi-query optimization for every group, bounded by
-// the controller's worker count (serial when the parallel executor is off or
-// there is only one group), and folds the search statistics into the report
-// in group order.
+// optimizeGroups produces every group's input assignment: from the plan cache
+// where an entry's read set still matches the catalog, by mqo.Optimize
+// otherwise — the searches bounded by the controller's worker count (serial
+// when the parallel executor is off or one search is left), equal-key groups
+// of one batch sharing a single search. Lookups run before the fan-out and
+// inserts after it, so the cache needs no lock and every read set records the
+// catalog the search ran under. Statistics fold into the report in group
+// order.
 func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *AdmitReport) []optResult {
 	out := make([]optResult, len(groups))
 	walls := make([]time.Duration, len(groups))
-	workers := m.ATC.Workers()
-	if workers > 1 && len(groups) > 1 {
+	orders := make([][]*cq.CQ, len(groups))
+	keys := make([]planKey, len(groups))
+	entries := make([]*planEntry, len(groups))
+	keyCfg := cfg.Defaults()
+
+	start := time.Now()            //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
+	searching := map[planKey]int{} // key -> the group of this batch that searches it
+	var search, follow []int
+	for i, g := range groups {
+		orders[i] = mqo.CanonicalOrder(g.qs)
+		keys[i] = planKeyOf(orders[i], keyCfg)
+		if e := m.plans.lookup(keys[i], m.Cat); e != nil {
+			out[i] = bindPlan(e, orders[i])
+			report.PlanCacheHits++
+		} else if _, dup := searching[keys[i]]; dup {
+			follow = append(follow, i)
+		} else {
+			searching[keys[i]] = i
+			search = append(search, i)
+		}
+	}
+	report.OptimizeWall += time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
+
+	run := func(i int) {
+		start := time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
+		res, err := mqo.Optimize(orders[i], m.CM, cfg)
+		walls[i] = time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
+		out[i] = optResult{res: res, err: err}
+	}
+	if workers := m.ATC.Workers(); workers > 1 && len(search) > 1 {
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for i := range groups {
+		for _, i := range search {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				start := time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
-				res, err := mqo.Optimize(groups[i].qs, m.CM, cfg)
-				walls[i] = time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
-				out[i] = optResult{res: res, err: err}
+				run(i)
 			}(i)
 		}
 		wg.Wait()
 	} else {
-		for i := range groups {
-			start := time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
-			res, err := mqo.Optimize(groups[i].qs, m.CM, cfg)
-			walls[i] = time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
-			out[i] = optResult{res: res, err: err}
+		for _, i := range search {
+			run(i)
 		}
 	}
+
+	start = time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
+	for _, i := range search {
+		report.PlanCacheMisses++
+		if out[i].err == nil {
+			entries[i] = newPlanEntry(keys[i], orders[i], out[i].res, m.Cat)
+			m.plans.insert(entries[i])
+		}
+	}
+	report.OptimizeWall += time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
+	for _, i := range follow {
+		if e := entries[searching[keys[i]]]; e != nil {
+			out[i] = bindPlan(e, orders[i])
+			report.PlanCacheHits++
+			continue
+		}
+		// The search this group waited on failed on something outside the
+		// key (a query's scoring model); this group gets its own verdict.
+		run(i)
+		report.PlanCacheMisses++
+	}
+	m.plans.stats.Hits += int64(report.PlanCacheHits)
+	m.plans.stats.Misses += int64(report.PlanCacheMisses)
+
 	for i := range groups {
 		report.OptimizeWall += walls[i]
 		if out[i].res != nil {
@@ -366,6 +429,18 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 		}
 	}
 	return out
+}
+
+// bindPlan serves a group from a cache entry, after the per-query validation
+// mqo.Optimize opens with (the key covers a query's body, not its scoring
+// model).
+func bindPlan(e *planEntry, order []*cq.CQ) optResult {
+	for _, q := range order {
+		if err := q.Validate(); err != nil {
+			return optResult{err: err}
+		}
+	}
+	return optResult{res: e.bind(order)}
 }
 
 // groups splits the batch into optimization units per the sharing mode.

@@ -623,6 +623,7 @@ func (sh *shard) snapshot() ShardStats {
 		Evictions:         sh.mgr.Evictions(),
 		EvictionsByPolicy: sh.mgr.State.EvictionsByPolicy(),
 		Parallel:          sh.ctrl.ParallelStats(),
+		PlanCache:         sh.mgr.PlanCacheStats(),
 		Now:               sh.env.Clock.Now(),
 	}
 	if sp := sh.mgr.State.Spill(); sp != nil {

@@ -45,6 +45,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/metrics"
 	"repro/internal/plangraph"
+	"repro/internal/qsm"
 	"repro/internal/recovery"
 	"repro/internal/state"
 	"repro/internal/tuple"
@@ -271,6 +272,10 @@ type ShardStats struct {
 	EvictionsByPolicy map[string]int
 	// Spill reports the shard's disk-tier traffic (zero when disabled).
 	Spill state.SpillStats
+	// PlanCache reports the optimizer work shared across admissions: groups
+	// served from a cached plan (Hits) or searched (Misses, of which Stale
+	// found an entry the catalog feedback had outdated), and the cache size.
+	PlanCache qsm.PlanCacheStats
 	// Now is the shard's engine-clock time.
 	Now time.Duration
 }

@@ -253,6 +253,7 @@ func (s *System) Stats() SessionStats {
 		Graph:     s.graph.Stats(),
 		StateRows: s.manager.StateSize(),
 		Evictions: s.manager.Evictions(),
+		PlanCache: s.manager.PlanCacheStats(),
 		Now:       s.env.Clock.Now(),
 	}
 }
@@ -263,12 +264,16 @@ type SessionStats struct {
 	Graph     plangraph.Stats
 	StateRows int
 	Evictions int
+	// PlanCache counts the searches whose optimizer work was shared with an
+	// earlier one (hits) against those that ran the plan search (misses).
+	PlanCache qsm.PlanCacheStats
 	Now       time.Duration
 }
 
 // String renders the stats compactly.
 func (st SessionStats) String() string {
-	return fmt.Sprintf("t=%v stream=%d probes=%d (cached %d) results=%d | graph: %d sources, %d m-joins, %d splits | state=%d rows (%d evictions)",
+	return fmt.Sprintf("t=%v stream=%d probes=%d (cached %d) results=%d | graph: %d sources, %d m-joins, %d splits | state=%d rows (%d evictions) | plan cache: %d hits, %d misses (%d stale), %d entries",
 		st.Now.Round(time.Millisecond), st.Work.StreamTuples, st.Work.ProbeCalls, st.Work.ProbeCacheHits,
-		st.Work.ResultsEmitted, st.Graph.Sources, st.Graph.Joins, st.Graph.Splits, st.StateRows, st.Evictions)
+		st.Work.ResultsEmitted, st.Graph.Sources, st.Graph.Joins, st.Graph.Splits, st.StateRows, st.Evictions,
+		st.PlanCache.Hits, st.PlanCache.Misses, st.PlanCache.Stale, st.PlanCache.Entries)
 }
