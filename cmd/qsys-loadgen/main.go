@@ -457,9 +457,9 @@ func postSearch(client *http.Client, target string, body []byte) (*fleet.ResultV
 }
 
 // overlapPool interleaves each base search with its overlapping topic
-// variants (workload.OverlapVariants — the same rules the benchrun routing
-// profile measures, so CI's loadgen comparison and BENCH_PR4's routing
-// block exercise one workload).
+// variants (workload.OverlapVariants — the same rules the service package's
+// hash-vs-affinity test searches, so CI's loadgen comparison and that test
+// exercise one workload).
 func overlapPool(pool [][]string) [][]string {
 	out := make([][]string, 0, 3*len(pool))
 	for _, base := range pool {

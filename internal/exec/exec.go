@@ -16,20 +16,18 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/atc"
 	"repro/internal/batcher"
 	"repro/internal/catalog"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/cq"
-	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/mqo"
 	"repro/internal/operator"
 	"repro/internal/plangraph"
 	"repro/internal/qsm"
 	"repro/internal/remotedb"
-	"repro/internal/simclock"
 )
 
 // Strategy selects the sharing configuration (§7.1).
@@ -71,7 +69,8 @@ type Options struct {
 	BatchWindow time.Duration
 	// Opt configures the multi-query optimizer.
 	Opt mqo.Config
-	// CostParams prices the cost model (defaults match the delay model).
+	// CostParams prices the cost model; zero value uses the defaults, which
+	// match the delay model.
 	CostParams costmodel.Params
 	// Cluster tunes §6.1 clustering (StrategyCL).
 	Cluster cluster.Config
@@ -79,8 +78,6 @@ type Options struct {
 	MemoryBudget int
 	// Seed drives the delay distributions.
 	Seed uint64
-	// Delays overrides the §7 delay model when non-nil.
-	Delays func(rng *dist.RNG) *simclock.DelayModel
 	// ChargeOptimizer controls whether measured optimization wall time is
 	// added to the virtual clock (the paper's timings include it, §7.4).
 	// Disable for bit-deterministic latency tests.
@@ -94,12 +91,6 @@ func (o Options) Defaults() Options {
 	}
 	if o.BatchWindow == 0 {
 		o.BatchWindow = 6 * time.Second
-	}
-	if o.CostParams == (costmodel.Params{}) {
-		o.CostParams = costmodel.DefaultParams()
-	}
-	if o.Delays == nil {
-		o.Delays = simclock.DefaultDelays
 	}
 	return o
 }
@@ -250,19 +241,15 @@ func shareMode(s Strategy) qsm.ShareMode {
 // release time: response times are measured from release, as a query cannot
 // start before its batch is handed to the optimizer.
 func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []batcher.Batch, opts Options) (*GroupReport, []*UQReport, []OptSample, error) {
-	rng := dist.New(opts.Seed + uint64(gi)*7919 + 1)
-	env := &operator.Env{
-		Clock:   simclock.NewVirtual(0),
-		Delays:  opts.Delays(rng),
-		Metrics: &metrics.Counters{},
-	}
-	graph := plangraph.New("")
-	controller := atc.New(graph, env, fleet)
-	groupCat := cat.Fork()
-	cm := costmodel.New(groupCat, opts.CostParams)
-	manager := qsm.New(graph, controller, groupCat, cm, shareMode(opts.Strategy))
-	manager.MemoryBudget = opts.MemoryBudget
-	manager.ChargeOptimizer = opts.ChargeOptimizer
+	// Each graph is its own pipeline with its own delay stream.
+	p := core.NewPipeline(fleet, cat, core.Options{
+		Mode:            shareMode(opts.Strategy),
+		Seed:            opts.Seed + uint64(gi)*7919,
+		MemoryBudget:    opts.MemoryBudget,
+		ChargeOptimizer: opts.ChargeOptimizer,
+		CostParams:      opts.CostParams,
+	})
+	env, controller, manager := p.Env, p.ATC, p.Manager
 
 	var optSamples []OptSample
 	for _, batch := range batches {
@@ -325,7 +312,7 @@ func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []bat
 	gr := &GroupReport{
 		GroupID:   gi,
 		Metrics:   env.Metrics.Snapshot(),
-		Stats:     graph.Stats(),
+		Stats:     p.Graph.Stats(),
 		Evictions: manager.Evictions(),
 		StateRows: manager.StateSize(),
 	}

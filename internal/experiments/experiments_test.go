@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -9,6 +12,34 @@ import (
 
 func testCfg() Config {
 	return Config{Instances: []int{1}, Seeds: []uint64{1}}.Defaults()
+}
+
+// frozenOutput pins each §7 driver's Format() at testCfg: everything in it
+// (counts, virtual-clock seconds) is seeded, so an engine change that moves a
+// digest changed which rows flow or when, not just what they cost. Re-record
+// one only with the reason it moved.
+var frozenOutput = map[string]string{
+	"table4": "dec2777745eee4e0d78c41bae8830967b3dd5ad285b92ff3d13ffb8ed41868bc",
+	"fig7":   "817bea41fea61ac0ca8c884d12e25467340bd8633d0ff8653ea32c2c6879120f",
+	"fig8":   "e8716da792f5d1b9116456a69be645ee75391ffb863c2f07feaffdb8cfd158a8",
+	"fig9":   "70f414d6989852b47550e9c3ef5617683da1f8d64c498eb03267a7cdd90da0c2",
+	"fig10":  "ee687e019b3e67c91c4f4d82f9f7e3e66051c18974d3cd179fd49a05beac8380",
+	"fig11":  "ae0fb03a73a700434368c6cb0ed436069d59f275c11707f76b8ce3d05fd6ad15",
+	"fig12":  "3f6f4db0acb041d70584484768b6e0046e0c5877e53c920dea0f47cb3176d2b0",
+}
+
+// durationToken matches rendered time.Duration values ("16.29ms", "1.52s")
+// together with their column padding (the padding width tracks the rendered
+// length). Figure 11 reports measured optimization wall time — the one
+// real-time column in otherwise virtual-clock output — so the digest masks it.
+var durationToken = regexp.MustCompile(`[ \t]*\d+(\.\d+)?(ns|µs|ms|m|h|s)\b`)
+
+func checkFrozen(t *testing.T, name, formatted string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(durationToken.ReplaceAllString(formatted, " <dur>")))
+	if got := hex.EncodeToString(sum[:]); got != frozenOutput[name] {
+		t.Errorf("%s output digest %s, frozen %s", name, got, frozenOutput[name])
+	}
 }
 
 // TestTable4Shape: far fewer conjunctive queries execute than are generated
@@ -29,6 +60,7 @@ func TestTable4Shape(t *testing.T) {
 	if !strings.Contains(res.Format(), "Table 4") {
 		t.Error("format broken")
 	}
+	checkFrozen(t, "table4", res.Format())
 }
 
 // TestFigure7Shape: ATC-UQ ≤ ATC-CQ on average; ATC-CL is the best shared
@@ -38,6 +70,7 @@ func TestFigure7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFrozen(t, "fig7", res.Format())
 	var sum [4]float64
 	fullWins := 0
 	for i := 0; i < 15; i++ {
@@ -72,6 +105,7 @@ func TestFigure8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFrozen(t, "fig8", res.Format())
 	for _, s := range Strategies {
 		f := res.Fractions[s]
 		total := f[0] + f[1] + f[2]
@@ -101,6 +135,7 @@ func TestFigure9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFrozen(t, "fig9", res.Format())
 	var single, batch float64
 	for i := 0; i < 15; i++ {
 		if res.SingleOpt[i] < 0 || res.BatchOpt[i] < 0 {
@@ -128,6 +163,7 @@ func TestFigure10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFrozen(t, "fig10", res.Format())
 	cq15 := res.Tuples15[exec.StrategyCQ]
 	uq15 := res.Tuples15[exec.StrategyUQ]
 	full15 := res.Tuples15[exec.StrategyFull]
@@ -150,6 +186,7 @@ func TestFigure11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFrozen(t, "fig11", res.Format())
 	if len(res.Samples) == 0 {
 		t.Fatal("no optimizer samples")
 	}
@@ -174,6 +211,7 @@ func TestFigure12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFrozen(t, "fig12", res.Format())
 	if res.Clusters <= 1 || res.Clusters >= 15 {
 		t.Errorf("ATC-CL used %d plan graphs; the paper found a handful", res.Clusters)
 	}

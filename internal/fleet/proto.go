@@ -232,11 +232,11 @@ func ViewOf(res *service.Result) *ResultView {
 	return v
 }
 
-// DigestView writes the view into a result digest with byte-for-byte the
-// format benchrun applies to in-process results: "id|[kw kw]|n\n" then per
-// answer "rank|score|query|" followed by each tuple's qualified identity and
-// '&'. A multi-process run therefore digests identically to the
-// single-process run it must match.
+// DigestView writes the view into a result digest. This function owns the
+// format: "id|[kw kw]|n\n" then per answer "rank|score|query|" followed by
+// each tuple's qualified identity and '&'. A view is built the same way from
+// an in-process result and from a wire response, so a multi-process run
+// digests identically to the single-process run it must match.
 func DigestView(h hash.Hash, v *ResultView) {
 	fmt.Fprintf(h, "%s|%v|%d\n", v.ID, v.Keywords, len(v.Answers))
 	for _, a := range v.Answers {
@@ -276,7 +276,8 @@ func DigestAnswers(h hash.Hash, v *ResultView) {
 // the front-end must not route searches yet), or "draining". CheckpointGen
 // is the newest durable checkpoint generation (0 = none / recovery
 // disabled); RecoveredAborts counts the queries the admission journal proved
-// in flight at the last crash.
+// in flight at the last crash; JournalErrors counts failed writes to that
+// journal since start.
 type HealthView struct {
 	Healthy         bool   `json:"healthy"`
 	Draining        bool   `json:"draining"`
@@ -284,6 +285,7 @@ type HealthView struct {
 	State           string `json:"state,omitempty"`
 	CheckpointGen   int    `json:"checkpoint_gen,omitempty"`
 	RecoveredAborts int    `json:"recovered_aborts,omitempty"`
+	JournalErrors   int64  `json:"journal_errors,omitempty"`
 }
 
 // RecoveredView lists the queries a restarted shard's admission journal

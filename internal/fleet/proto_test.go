@@ -96,7 +96,7 @@ func TestDecodeRejectsBrokenQuery(t *testing.T) {
 
 // TestDigestViewMatchesResultBytes pins the parity-critical invariant: the
 // digest of a wire view equals the digest of the in-process result it came
-// from, byte for byte, in the exact format benchrun uses.
+// from, byte for byte, in the format DigestView documents.
 func TestDigestViewMatchesResultBytes(t *testing.T) {
 	w, err := workload.Bio()
 	if err != nil {
@@ -112,8 +112,7 @@ func TestDigestViewMatchesResultBytes(t *testing.T) {
 		t.Fatal("no answers to digest")
 	}
 
-	// Reference bytes straight from the result, replicating
-	// benchrun.digestResult's format.
+	// Reference bytes straight from the result, not through a view.
 	var want bytes.Buffer
 	fmt.Fprintf(&want, "%s|%v|%d\n", res.ID, res.Keywords, len(res.Answers))
 	for _, a := range res.Answers {

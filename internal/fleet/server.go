@@ -167,6 +167,7 @@ func (s *ShardServer) handleHealth(rw http.ResponseWriter, req *http.Request) {
 		State:           st,
 		CheckpointGen:   rs.Generation,
 		RecoveredAborts: rs.JournaledAborts,
+		JournalErrors:   rs.JournalErrors,
 	})
 }
 

@@ -290,4 +290,8 @@ type StatsSnapshot struct {
 	SegmentsRecovered  int64 `json:"segments_recovered"`
 	SegmentsDropped    int64 `json:"segments_dropped"`
 	JournaledAborts    int   `json:"journaled_aborts"`
+	// JournalErrors counts admission-journal writes that failed (admit, done
+	// or checkpoint compaction). Admission stays best-effort past one, so a
+	// nonzero count means a crash may under-report its in-flight set.
+	JournalErrors int64 `json:"journal_errors"`
 }

@@ -488,13 +488,14 @@ func (sh *shard) admit(batch []*request) {
 		// merge the journal does not know about could silently vanish in a
 		// crash and violate the no-double-execution retry contract. A failed
 		// journal write only widens what a restart re-derives — never admits
-		// untracked work silently wrong, so it is best-effort here.
+		// untracked work silently wrong, so it is best-effort here, counted
+		// in RecoveryStats().JournalErrors.
 		recs := make([]recovery.QueryRecord, len(batch))
 		for i, r := range batch {
 			recs[i] = queryRecord(r)
 			r.journaled = true
 		}
-		sh.jnl.Admit(recs)
+		sh.countJournalErr(sh.jnl.Admit(recs))
 	}
 	if _, err := sh.mgr.Admit(subs, mqo.Config{K: maxK}); err != nil {
 		// Admit may have registered merges for earlier batch members before
@@ -572,7 +573,7 @@ func (sh *shard) respond(r *request, res *Result, err error) {
 		// Every settlement of an admitted query — success, cancel, shed,
 		// abort — closes its journal entry: a merge that reached the engine
 		// and was settled is no longer a crash casualty.
-		sh.jnl.Done(r.uq.ID)
+		sh.countJournalErr(sh.jnl.Done(r.uq.ID))
 	}
 	r.resp <- response{res: res, err: err}
 }

@@ -42,3 +42,32 @@ func TestNonConvergentMergeFailsSearchResponse(t *testing.T) {
 		t.Fatal("recovered search returned no answers")
 	}
 }
+
+// TestJournalFailureCountedAndServed: the admission journal is best-effort —
+// a journal whose file is gone from under it (full or failing disk) must not
+// refuse the search, but every failed write must show in RecoveryStats.
+func TestJournalFailureCountedAndServed(t *testing.T) {
+	w, err := workload.Bio()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(w, Config{K: 5, Shards: 1, BatchWindow: 0, CheckpointDir: t.TempDir()})
+	defer svc.Close()
+
+	kw := []string{"protein", "metabolism"}
+	if _, err := svc.Search(context.Background(), "u", kw, 5); err != nil {
+		t.Fatal(err)
+	}
+	if n := svc.RecoveryStats().JournalErrors; n != 0 {
+		t.Fatalf("healthy journal counted %d errors", n)
+	}
+	sh := svc.shards[0]
+	sh.exec(func() { sh.jnl.Close() })
+	res, err := svc.Search(context.Background(), "u", kw, 5)
+	if err != nil || len(res.Answers) == 0 {
+		t.Fatalf("search over a failed journal: %v", err)
+	}
+	if n := svc.RecoveryStats().JournalErrors; n == 0 {
+		t.Fatal("failed journal writes were not counted")
+	}
+}

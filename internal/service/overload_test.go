@@ -2,12 +2,18 @@ package service_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/fleet"
 	"repro/internal/service"
+	"repro/internal/workload"
 )
 
 // TestUserRateShed: with a per-user admission rate of ~1 query/sec and burst
@@ -198,4 +204,93 @@ func TestAdaptiveWindowServes(t *testing.T) {
 			t.Errorf("search %d: %v", i, err)
 		}
 	}
+}
+
+// TestOverloadNeverServesWrongAnswer is the degradation contract: overload
+// may cost answers (sheds), never wrong ones. A sequential control run over
+// the GUS suite fixes each arrival's answers; then the same arrivals are
+// fired all at once at a service that admits one merge at a time behind a
+// queue of eight. It must shed some, serve some, and every answer it serves
+// must equal its control.
+func TestOverloadNeverServesWrongAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two runs of the GUS suite x 3")
+	}
+	const k = 50
+	// A fresh workload per run: the loaded run inherits none of the
+	// control's materialised source views.
+	start := func(adm admission.Config) (*service.Service, [][]string) {
+		w, err := workload.GUS(1, workload.GUSScaleDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pool [][]string
+		for _, sub := range w.Submissions {
+			pool = append(pool, sub.UQ.Keywords)
+		}
+		return service.New(w, service.Config{
+			Seed: 1, K: k, Shards: 1, Workers: 1, BatchWindow: 0, Admission: adm,
+		}), pool
+	}
+	// One user per arrival: the expander seeds a user's coefficient RNG from
+	// the name alone, so arrival i draws the same coefficients whether the
+	// run is sequential or racing — which is what makes the per-arrival
+	// comparison exact. Answers only (UQ numbering stripped): a loaded run
+	// that shed some arrivals numbers the rest differently.
+	search := func(svc *service.Service, pool [][]string, i int) (string, error) {
+		res, err := svc.Search(context.Background(), fmt.Sprintf("arrival-%d", i), pool[i%len(pool)], k)
+		if err != nil {
+			return "", err
+		}
+		h := sha256.New()
+		fleet.DigestAnswers(h, fleet.ViewOf(res))
+		return hex.EncodeToString(h.Sum(nil)), nil
+	}
+
+	svc, pool := start(admission.Config{})
+	control := make([]string, 3*len(pool))
+	for i := range control {
+		var err error
+		if control[i], err = search(svc, pool, i); err != nil {
+			t.Fatalf("control arrival %d: %v", i, err)
+		}
+	}
+	svc.Close() //nolint:errcheck
+
+	svc, pool = start(admission.Config{MaxPending: 8, MaxInFlight: 1, Deadline: 5 * time.Second})
+	defer svc.Close() //nolint:errcheck
+	got := make([]string, len(control))
+	errs := make([]error, len(control))
+	var wg sync.WaitGroup
+	for i := range control {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = search(svc, pool, i)
+		}(i)
+	}
+	wg.Wait()
+
+	served, shed := 0, 0
+	for i, err := range errs {
+		var se *admission.ShedError
+		switch {
+		case err == nil:
+			served++
+			if got[i] != control[i] {
+				t.Errorf("arrival %d served under overload differs from its unloaded control", i)
+			}
+		case errors.As(err, &se):
+			shed++
+		default:
+			t.Errorf("arrival %d: %v", i, err)
+		}
+	}
+	if served == 0 {
+		t.Error("overloaded service served nothing (collapse)")
+	}
+	if shed == 0 {
+		t.Error("overloaded service shed nothing (admission control inert)")
+	}
+	t.Logf("%d arrivals: served %d, shed %d", len(control), served, shed)
 }

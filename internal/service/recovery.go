@@ -32,6 +32,16 @@ type recStats struct {
 	segsWritten   atomic.Int64
 	segsRecovered atomic.Int64
 	segsDropped   atomic.Int64
+	journalErrs   atomic.Int64 // failed journal admit / done / rewrite calls
+}
+
+// countJournalErr counts a failed admission-journal write. The journal is
+// best-effort (see shard.admit), so the error is not returned — but a full
+// or failing disk must be visible in /stats and /rpc/health.
+func (sh *shard) countJournalErr(err error) {
+	if err != nil {
+		sh.rec.journalErrs.Add(1)
+	}
 }
 
 // CheckpointReport summarises one published checkpoint generation.
@@ -86,7 +96,7 @@ func (s *Service) Checkpoint(shard int) (*CheckpointReport, error) {
 			inflight = append(inflight, queryRecord(r))
 		}
 		sort.Slice(inflight, func(i, j int) bool { return inflight[i].ID < inflight[j].ID })
-		sh.jnl.Rewrite(inflight)
+		sh.countJournalErr(sh.jnl.Rewrite(inflight))
 		exp = e
 	})
 	if rep.Skipped {
@@ -168,6 +178,7 @@ func (s *Service) RecoveryStats() recovery.StatsSnapshot {
 		st.SegmentsRecovered += sh.rec.segsRecovered.Load()
 		st.SegmentsDropped += sh.rec.segsDropped.Load()
 		st.JournaledAborts += len(sh.recovered)
+		st.JournalErrors += sh.rec.journalErrs.Load()
 	}
 	return st
 }

@@ -2,6 +2,8 @@ package service_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/workload"
 )
 
 // TestSearchCanonicalVariantsShareShard pins the sharing contract end to
@@ -75,6 +78,65 @@ func TestAffinityRoutesOverlappingTopicsTogether(t *testing.T) {
 	if st.Work.ReplayTuples == 0 {
 		t.Error("co-located overlapping searches replayed nothing")
 	}
+}
+
+// TestAffinityReadsFewerStreamTuplesThanHash is the §6.1 placement claim at
+// serving scale: every multi-keyword GUS suite query is one topic, searched
+// as its base set and then as each of its workload.OverlapVariants, on two
+// shards. Placement moves work, not answers — hash and affinity must digest
+// identically — and co-locating a topic's variants must turn the cross-shard
+// sharing misses the fixed hash records into replays, so affinity reads
+// strictly fewer source-stream tuples.
+func TestAffinityReadsFewerStreamTuplesThanHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two sequential runs of the GUS suite x 3 variants")
+	}
+	run := func(mode string) (string, service.Stats) {
+		// A fresh workload per mode: neither run inherits the other's
+		// materialised source views.
+		w, err := workload.GUS(1, workload.GUSScaleDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var topics [][][]string
+		for _, sub := range w.Submissions {
+			if v := workload.OverlapVariants(sub.UQ.Keywords); v != nil {
+				topics = append(topics, append([][]string{sub.UQ.Keywords}, v...))
+			}
+		}
+		if len(topics) == 0 {
+			t.Fatal("workload has no multi-keyword suite queries")
+		}
+		// Serial engine, sequential window-free admission: every search
+		// sees the same history in both modes.
+		svc := service.New(w, service.Config{
+			Seed: 1, K: 50, Shards: 2, Router: mode, Workers: 1, BatchWindow: 0,
+		})
+		defer svc.Close() //nolint:errcheck
+		h := sha256.New()
+		// The base pass seeds each topic's resident shard; the variant
+		// passes are the overlapping searches whose placement is under test.
+		for variant := 0; variant < 3; variant++ {
+			for _, tp := range topics {
+				digestSearch(t, h, svc, "router-user", tp[variant], 50)
+			}
+		}
+		return hex.EncodeToString(h.Sum(nil)), svc.Stats()
+	}
+	hashDigest, hash := run(service.RouterHash)
+	affDigest, aff := run(service.RouterAffinity)
+	if affDigest != hashDigest {
+		t.Fatalf("affinity digest %s != hash digest %s", affDigest, hashDigest)
+	}
+	if hash.Router.SharingMisses == 0 {
+		t.Fatal("hash routing missed no sharing on the overlapping-topic workload; the comparison is vacuous")
+	}
+	if aff.Work.StreamTuples >= hash.Work.StreamTuples {
+		t.Fatalf("affinity read %d stream tuples, hash %d — placement saved nothing",
+			aff.Work.StreamTuples, hash.Work.StreamTuples)
+	}
+	t.Logf("stream tuples: hash %d (%d sharing misses), affinity %d",
+		hash.Work.StreamTuples, hash.Router.SharingMisses, aff.Work.StreamTuples)
 }
 
 // TestUserCoefficientsStableAcrossArrivalOrder pins the expand-seeding

@@ -87,8 +87,9 @@ func (w *Workload) Prefix(n int) *Workload {
 }
 
 // OverlapVariants derives the overlapping topic variants of a multi-keyword
-// search, the workload shard placement is measured on (benchrun's routing
-// profile and loadgen's -overlap pool share these rules): the set minus its
+// search, the workload shard placement is measured on (loadgen's -overlap
+// pool, the benchmark's pools and the service package's hash-vs-affinity
+// test share these rules): the set minus its
 // last keyword — textually different but heavily overlapping — and the set
 // with a case-folded duplicate of its first keyword — canonically identical
 // to the base, which pre-canonicalization routers scattered. Variants of one

@@ -32,21 +32,15 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/atc"
 	"repro/internal/batcher"
 	"repro/internal/candidates"
-	"repro/internal/catalog"
-	"repro/internal/costmodel"
+	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/mqo"
-	"repro/internal/operator"
 	"repro/internal/plangraph"
 	"repro/internal/qsm"
-	"repro/internal/remotedb"
-	"repro/internal/schemagraph"
-	"repro/internal/simclock"
 	"repro/internal/tuple"
 )
 
@@ -86,15 +80,8 @@ const (
 // shared plan graph whose operators and state persist across searches, like
 // the paper's continuously running middleware.
 type System struct {
-	fleet  *remotedb.Fleet
-	cat    *catalog.Catalog
-	schema *schemagraph.Graph
 	genCfg candidates.Config
-
-	env     *operator.Env
-	graph   *plangraph.Graph
-	atc     *atc.ATC
-	manager *qsm.Manager
+	pipe   *core.Pipeline
 
 	users  map[string]*dist.RNG
 	nextUQ int
@@ -111,20 +98,13 @@ func NewSystem(w *Workload, cfg Config) *System {
 	if cfg.MaxCQs == 0 {
 		cfg.MaxCQs = 20
 	}
-	rng := dist.New(cfg.Seed + 1)
-	var clock simclock.Clock
-	if cfg.RealTime {
-		clock = simclock.NewReal()
-	} else {
-		clock = simclock.NewVirtual(0)
-	}
-	env := &operator.Env{Clock: clock, Delays: simclock.DefaultDelays(rng), Metrics: &metrics.Counters{}}
-	graph := plangraph.New("")
-	controller := atc.New(graph, env, w.Fleet)
-	cat := w.Catalog.Fork()
-	manager := qsm.New(graph, controller, cat, costmodel.New(cat, costmodel.DefaultParams()), qsm.ShareAll)
-	manager.MemoryBudget = cfg.MemoryBudget
-	manager.ChargeOptimizer = cfg.ChargeOptimizer
+	pipe := core.NewPipeline(w.Fleet, w.Catalog, core.Options{
+		Mode:            qsm.ShareAll,
+		Seed:            cfg.Seed,
+		MemoryBudget:    cfg.MemoryBudget,
+		RealTime:        cfg.RealTime,
+		ChargeOptimizer: cfg.ChargeOptimizer,
+	})
 
 	// Ad hoc searches expand the way the workload's bundled suite was built
 	// (w.Gen — path lengths, match fan-out); session config overrides the CQ
@@ -139,18 +119,7 @@ func NewSystem(w *Workload, cfg Config) *System {
 	case ModelBANKS:
 		genCfg.Family = candidates.FamilyBANKS
 	}
-	return &System{
-		fleet:   w.Fleet,
-		cat:     cat,
-		schema:  w.Schema,
-		genCfg:  genCfg,
-		env:     env,
-		graph:   graph,
-		atc:     controller,
-		manager: manager,
-		users:   map[string]*dist.RNG{},
-		cfg:     cfg,
-	}
+	return &System{genCfg: genCfg, pipe: pipe, users: map[string]*dist.RNG{}, cfg: cfg}
 }
 
 // Answer is one top-k result of a search.
@@ -210,22 +179,22 @@ func (s *System) Search(user string, keywords []string, k int) (*SearchResult, e
 // Submit admits a pre-generated user query (advanced use: custom candidate
 // networks or scoring models) and runs it to completion.
 func (s *System) Submit(uq *cq.UQ) (*SearchResult, error) {
-	arrival := s.env.Clock.Now()
-	_, err := s.manager.Admit([]batcher.Submission{{At: arrival, UQ: uq}}, mqo.Config{K: uq.K})
+	arrival := s.pipe.Env.Clock.Now()
+	_, err := s.pipe.Manager.Admit([]batcher.Submission{{At: arrival, UQ: uq}}, mqo.Config{K: uq.K})
 	if err != nil {
 		return nil, err
 	}
-	merge := s.atc.MergeByUQ(uq.ID)
+	merge := s.pipe.ATC.MergeByUQ(uq.ID)
 	if merge == nil {
 		return nil, fmt.Errorf("qsys: submitted query %s not registered", uq.ID)
 	}
 	for !merge.Done {
-		s.atc.RunRound()
+		s.pipe.ATC.RunRound()
 	}
 	if merge.Err != nil {
 		return nil, fmt.Errorf("qsys: query %s failed: %w", uq.ID, merge.Err)
 	}
-	s.manager.SyncCatalog()
+	s.pipe.Manager.SyncCatalog()
 	res := &SearchResult{
 		ID:                uq.ID,
 		Keywords:          uq.Keywords,
@@ -249,12 +218,12 @@ func (s *System) Submit(uq *cq.UQ) (*SearchResult, error) {
 // shape.
 func (s *System) Stats() SessionStats {
 	return SessionStats{
-		Work:      s.env.Metrics.Snapshot(),
-		Graph:     s.graph.Stats(),
-		StateRows: s.manager.StateSize(),
-		Evictions: s.manager.Evictions(),
-		PlanCache: s.manager.PlanCacheStats(),
-		Now:       s.env.Clock.Now(),
+		Work:      s.pipe.Env.Metrics.Snapshot(),
+		Graph:     s.pipe.Graph.Stats(),
+		StateRows: s.pipe.Manager.StateSize(),
+		Evictions: s.pipe.Manager.Evictions(),
+		PlanCache: s.pipe.Manager.PlanCacheStats(),
+		Now:       s.pipe.Env.Clock.Now(),
 	}
 }
 
