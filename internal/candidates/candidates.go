@@ -90,44 +90,122 @@ func (c Config) Defaults() Config {
 // per-user Zipfian coefficients on the scoring function (§7: "coefficients on
 // the score functions for the various user queries were drawn from a Zipfian
 // distribution"); pass a fixed-seed RNG per user for reproducibility.
+//
+// Generation is two steps. NewSkeleton derives everything that depends on the
+// keywords and the schema graph alone; Instantiate attaches one arrival's
+// coefficients. A caller that sees a keyword set again (Cache) repeats only
+// the second.
 func Generate(cfg Config, uqID string, keywords []string, k int, userRNG *dist.RNG) (*cq.UQ, error) {
+	sk := NewSkeleton(cfg, keywords)
+	return sk.Instantiate(uqID, keywords, k, sk.Draw(userRNG))
+}
+
+// Skeleton is the coefficient-free part of one keyword sequence's expansion:
+// its join trees in generation order, each already converted to a query body
+// (atoms, head vars) with the edge-cost and authority sums its scoring model
+// will need — or the reason there are none. It is a function of the
+// lower-cased keyword sequence, the defaulted Config and the schema graph at
+// one generation, and is immutable once built, so any number of arrivals may
+// instantiate it at once.
+type Skeleton struct {
+	cfg Config
+	// gen is the schema graph's generation the skeleton was derived at.
+	gen uint64
+	// missing is the index of the first keyword that matches nothing, or -1.
+	missing int
+	// nets holds every join tree in the order the generator visits them,
+	// including the ones it drops: their coefficients are drawn all the same.
+	nets []network
+	// draws is the number of coefficients one arrival consumes; kept the
+	// number of nets that yield a query.
+	draws, kept int
+}
+
+// network is one join tree of a skeleton.
+type network struct {
+	// body carries the tree's Atoms, HeadVars and canonical-form memo; every
+	// arrival's query is an Instance of it. It is nil for a tree that yields
+	// no query: its body failed cq.Validate, or an earlier tree has the same
+	// canonical form.
+	body *cq.CQ
+	// draws is how many coefficients the tree consumes (one per relation).
+	draws int
+	// edgeCost and authority are the tree's summed edge costs and node
+	// authorities, the static inputs of the scoring model.
+	edgeCost, authority float64
+}
+
+// NewSkeleton runs the coefficient-free steps of generation (1 to 3 of the
+// package comment) for a keyword sequence.
+func NewSkeleton(cfg Config, keywords []string) *Skeleton {
 	cfg = cfg.Defaults()
+	// Read first: a mutation that lands while the skeleton is being derived
+	// then leaves it stale, never current.
+	s := &Skeleton{cfg: cfg, gen: cfg.Graph.Generation(), missing: -1}
 	if len(keywords) == 0 {
-		return nil, fmt.Errorf("candidates: empty keyword query")
+		return s
 	}
 	matchSets := make([][]schemagraph.Match, len(keywords))
 	for i, kw := range keywords {
 		ms := cfg.Graph.Lookup(kw)
 		if len(ms) == 0 {
-			return nil, fmt.Errorf("candidates: keyword %q matches nothing", kw)
+			s.missing = i
+			return s
 		}
 		if len(ms) > cfg.MatchesPerKeyword {
 			ms = ms[:cfg.MatchesPerKeyword]
 		}
 		matchSets[i] = ms
 	}
-	// Per-user scoring coefficients: Zipfian ranks mapped into (0.5, 1].
-	coefZipf := dist.NewZipf(userRNG, 8, 1.0)
-	coefFor := func() float64 { return 1.0 - 0.5*float64(coefZipf.Next())/8.0 }
-
 	seen := map[string]bool{}
-	var generated []*cq.CQ
 	for _, combo := range combinations(matchSets) {
-		trees := buildTrees(cfg, combo)
-		for _, tr := range trees {
-			q := treeToCQ(cfg, tr, combo, uqID, len(generated), coefFor)
-			if q == nil {
+		for _, tr := range buildTrees(cfg, combo) {
+			n, ok := treeToNetwork(cfg, tr, combo)
+			if !ok {
 				continue
 			}
-			expr, _ := q.SubExpr(allIndexes(len(q.Atoms)))
-			if seen[expr.Key()] {
-				continue
+			if n.body != nil {
+				if key := n.body.FullExpr().Key(); seen[key] {
+					n.body = nil
+				} else {
+					seen[key] = true
+					s.kept++
+				}
 			}
-			seen[expr.Key()] = true
-			generated = append(generated, q)
+			s.draws += n.draws
+			s.nets = append(s.nets, n)
 		}
 	}
-	if len(generated) == 0 {
+	return s
+}
+
+// coefRanks is the rank table of the per-user scoring coefficients: Zipfian
+// over 8 ranks, mapped into (0.5, 1] by Draw.
+var coefRanks = dist.NewZipf(nil, 8, 1.0)
+
+// Draw draws the coefficients one arrival of the skeleton consumes from the
+// user's generator, in generation order. It is the only step of an expansion
+// that touches per-user state.
+func (s *Skeleton) Draw(userRNG *dist.RNG) []float64 {
+	coefs := make([]float64, s.draws)
+	for i := range coefs {
+		coefs[i] = 1.0 - 0.5*float64(coefRanks.Draw(userRNG))/8.0
+	}
+	return coefs
+}
+
+// Instantiate builds one arrival's user query (step 4 of the package
+// comment): a fresh cq.CQ and scoring model per surviving tree, ranked by
+// U(C), truncated to MaxCQs and numbered. keywords is the arrival's spelling
+// of the sequence the skeleton was built for (it is echoed in the query and
+// in error text) and coefs is what Draw returned for the arrival.
+func (s *Skeleton) Instantiate(uqID string, keywords []string, k int, coefs []float64) (*cq.UQ, error) {
+	switch {
+	case len(keywords) == 0:
+		return nil, fmt.Errorf("candidates: empty keyword query")
+	case s.missing >= 0:
+		return nil, fmt.Errorf("candidates: keyword %q matches nothing", keywords[s.missing])
+	case s.kept == 0:
 		return nil, fmt.Errorf("candidates: no candidate network connects %v", keywords)
 	}
 	// Rank by nonincreasing score upper bound U(C) (§3).
@@ -135,13 +213,22 @@ func Generate(cfg Config, uqID string, keywords []string, k int, userRNG *dist.R
 		q *cq.CQ
 		u float64
 	}
-	rs := make([]ranked, len(generated))
-	for i, q := range generated {
-		rs[i] = ranked{q, UpperBound(cfg.Catalog, q)}
+	rs := make([]ranked, 0, s.kept)
+	for _, n := range s.nets {
+		weights := coefs[:n.draws]
+		coefs = coefs[n.draws:]
+		if n.body == nil {
+			continue
+		}
+		q := n.body.Instance("", uqID, s.model(n, weights))
+		if err := q.Validate(); err != nil {
+			return nil, fmt.Errorf("candidates: %w", err)
+		}
+		rs = append(rs, ranked{q, UpperBound(s.cfg.Catalog, q)})
 	}
 	sort.SliceStable(rs, func(i, j int) bool { return rs[i].u > rs[j].u })
-	if len(rs) > cfg.MaxCQs {
-		rs = rs[:cfg.MaxCQs]
+	if len(rs) > s.cfg.MaxCQs {
+		rs = rs[:s.cfg.MaxCQs]
 	}
 	out := make([]*cq.CQ, len(rs))
 	for i, r := range rs {
@@ -149,6 +236,22 @@ func Generate(cfg Config, uqID string, keywords []string, k int, userRNG *dist.R
 		out[i].ID = fmt.Sprintf("%s.CQ%d", uqID, i+1)
 	}
 	return &cq.UQ{ID: uqID, Keywords: keywords, K: k, CQs: out}, nil
+}
+
+// model builds a tree's scoring model under one arrival's weights.
+func (s *Skeleton) model(n network, weights []float64) *scoring.Model {
+	switch s.cfg.Family {
+	case FamilyDiscover:
+		m := scoring.Discover(len(weights))
+		for i := range m.Weights {
+			m.Weights[i] *= weights[i]
+		}
+		return m
+	case FamilyBANKS:
+		return scoring.BANKS(0.8, weights, 1/(1+n.edgeCost))
+	default:
+		return scoring.QSystem(n.edgeCost+n.authority, weights)
+	}
 }
 
 // UpperBound computes U(C): the query's score with every atom at its
@@ -159,14 +262,6 @@ func UpperBound(cat *catalog.Catalog, q *cq.CQ) float64 {
 		maxima[i] = cat.MaxScoreOf(a.Rel)
 	}
 	return q.Model.MaxScore(maxima)
-}
-
-func allIndexes(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // combinations enumerates one match per keyword (cartesian product, in
@@ -329,19 +424,20 @@ func pathSig(p []*schemagraph.Edge) string {
 	return sig
 }
 
-// treeToCQ converts a join tree into a conjunctive query with its scoring
-// model.
-func treeToCQ(cfg Config, t *tree, combo []schemagraph.Match, uqID string, ordinal int, coefFor func() float64) *cq.CQ {
+// treeToNetwork converts a join tree into a query body with the static
+// inputs of its scoring model. ok is false for a tree over a relation the
+// graph does not know, which consumes no coefficients.
+func treeToNetwork(cfg Config, t *tree, combo []schemagraph.Match) (n network, ok bool) {
 	// Assign each relation a contiguous variable block; unify across edges.
 	varBase := map[string]int{}
 	next := 0
 	for _, r := range t.rels {
-		n := cfg.Graph.Node(r)
-		if n == nil {
-			return nil
+		node := cfg.Graph.Node(r)
+		if node == nil {
+			return network{}, false
 		}
 		varBase[r] = next
-		next += n.Schema.NumCols()
+		next += node.Schema.NumCols()
 	}
 	parent := make([]int, next)
 	for i := range parent {
@@ -371,18 +467,11 @@ func treeToCQ(cfg Config, t *tree, combo []schemagraph.Match, uqID string, ordin
 		selections[m.Rel][m.Col] = tuple.String(m.Term)
 	}
 	atoms := make([]*cq.Atom, len(t.rels))
-	weights := make([]float64, len(t.rels))
-	edgeCostSum := t.cost
-	staticMatch := 1.0
-	for _, m := range combo {
-		if m.Exact {
-			staticMatch *= m.Score
-		}
-	}
+	n = network{draws: len(t.rels), edgeCost: t.cost}
 	var headVars []int
 	for i, r := range t.rels {
-		n := cfg.Graph.Node(r)
-		args := make([]cq.Term, n.Schema.NumCols())
+		node := cfg.Graph.Node(r)
+		args := make([]cq.Term, node.Schema.NumCols())
 		for ci := range args {
 			if cv, ok := selections[r][ci]; ok {
 				args[ci] = cq.C(cv)
@@ -390,37 +479,17 @@ func treeToCQ(cfg Config, t *tree, combo []schemagraph.Match, uqID string, ordin
 			}
 			args[ci] = cq.V(find(varBase[r] + ci))
 		}
-		atoms[i] = &cq.Atom{Rel: r, DB: n.DB, Args: args}
-		weights[i] = coefFor()
-		if kc := n.Schema.KeyCol(); kc >= 0 && !args[kc].IsConst() {
+		atoms[i] = &cq.Atom{Rel: r, DB: node.DB, Args: args}
+		n.authority += node.Authority
+		if kc := node.Schema.KeyCol(); kc >= 0 && !args[kc].IsConst() {
 			headVars = append(headVars, args[kc].Var)
 		}
 	}
-	var model *scoring.Model
-	switch cfg.Family {
-	case FamilyDiscover:
-		model = scoring.Discover(len(atoms))
-		for i := range model.Weights {
-			model.Weights[i] *= weights[i]
-		}
-	case FamilyBANKS:
-		model = scoring.BANKS(0.8, weights, 1/(1+edgeCostSum))
-	default:
-		authSum := 0.0
-		for _, r := range t.rels {
-			authSum += cfg.Graph.Node(r).Authority
-		}
-		model = scoring.QSystem(edgeCostSum+authSum, weights)
+	body := &cq.CQ{Atoms: atoms, HeadVars: headVars}
+	// Everything cq.Validate checks beyond the model's arity is a property of
+	// the body, so a placeholder model decides it for every arrival.
+	if body.Instance("", "", scoring.Discover(len(atoms))).Validate() == nil {
+		n.body = body
 	}
-	q := &cq.CQ{
-		ID:       fmt.Sprintf("%s.cand%d", uqID, ordinal),
-		UQID:     uqID,
-		Atoms:    atoms,
-		Model:    model,
-		HeadVars: headVars,
-	}
-	if err := q.Validate(); err != nil {
-		return nil
-	}
-	return q
+	return n, true
 }

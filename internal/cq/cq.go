@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/scoring"
 	"repro/internal/tuple"
@@ -80,8 +81,11 @@ type CQ struct {
 	ID string
 	// UQID names the user query this CQ helps answer.
 	UQID string
-	// Atoms is the query body. Treat it as immutable once any subexpression
-	// has been extracted: SubExpr memoizes canonical forms per index set.
+	// Atoms is the query body. It is read-only once the query is built: the
+	// slice and every atom in it may be shared with other queries (Clone,
+	// Instance) and with the canonical forms memoized from it. Nothing writes
+	// q.Atoms[i] or an atom's Args[i] after construction; only a constructor
+	// that still owns the query alone (fleet's wire decoder) appends.
 	Atoms []*Atom
 	// Model scores result rows; Model.Arity() == len(Atoms).
 	Model *scoring.Model
@@ -89,22 +93,51 @@ type CQ struct {
 	// returns whole rows so any head can be projected afterwards).
 	HeadVars []int
 
-	// SubExpr memo (see expr.go). subMu guards it: admission-side group
-	// optimization may canonicalize one query's subexpressions from several
-	// goroutines. full and bodyKey memoize FullExpr and BodyKey under the same
-	// lock.
-	subMu   sync.Mutex
-	subMemo map[string]subEntry
-	subKey  []byte
+	// memo holds the canonical forms derived from Atoms (see expr.go). It is
+	// created on first use and shared by the queries Instance mints.
+	memo atomic.Pointer[body]
+}
+
+// body is the canonical-form memo of one Atoms slice: SubExpr results per
+// index sequence, FullExpr and BodyKey. Every query sharing the slice through
+// Instance shares the body, so a canonical form one arrival of a candidate
+// network computed is found by the next. mu guards it: admission-side group
+// optimization canonicalizes one query's subexpressions from several
+// goroutines, and a front desk instantiates queries over a body a shard is
+// admitting.
+type body struct {
+	mu      sync.Mutex
+	sub     map[string]subEntry
+	subKey  []byte // scratch for the sub lookup key
 	full    *Expr
 	bodyKey string
 }
 
+// sharedBody returns the query's memo, creating it on first use.
+func (q *CQ) sharedBody() *body {
+	if b := q.memo.Load(); b != nil {
+		return b
+	}
+	q.memo.CompareAndSwap(nil, &body{})
+	return q.memo.Load()
+}
+
 // Clone returns a copy sharing the atoms, model and head vars but none of
 // the memo state — the way to duplicate a query (a value copy would copy the
-// memo's mutex).
+// memo pointer's no-copy guard) and to time canonicalization from cold.
 func (q *CQ) Clone() *CQ {
 	return &CQ{ID: q.ID, UQID: q.UQID, Atoms: q.Atoms, Model: q.Model, HeadVars: q.HeadVars}
+}
+
+// Instance returns a new query over q's body — the Atoms slice, the head
+// vars and the canonical-form memo are shared, not copied — under its own
+// id and scoring model. It is how one candidate network serves many
+// arrivals: the body is a function of the keywords and the schema, the model
+// of who asks.
+func (q *CQ) Instance(id, uqID string, model *scoring.Model) *CQ {
+	n := &CQ{ID: id, UQID: uqID, Atoms: q.Atoms, Model: model, HeadVars: q.HeadVars}
+	n.memo.Store(q.sharedBody())
+	return n
 }
 
 // Validate checks internal consistency (arity of model, var usage).

@@ -1,6 +1,8 @@
 package cq
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -360,4 +362,79 @@ func TestUQFields(t *testing.T) {
 	if uq.K != 10 || len(uq.CQs) != 1 {
 		t.Error("UQ fields")
 	}
+}
+
+// Instance mints queries over one body: the Atoms slice, the head vars and
+// the canonical-form memo are shared, so a form one instance computed is the
+// very Expr the next finds. Clone shares the atoms and nothing of the memo.
+func TestInstanceSharesBodyCloneDoesNot(t *testing.T) {
+	tmpl := chainCQ("tmpl", 4)
+	tmpl.HeadVars = []int{0, 3}
+	a := tmpl.Instance("UQ1.CQ1", "UQ1", scoring.Discover(4))
+	b := tmpl.Instance("UQ2.CQ1", "UQ2", scoring.QSystem(0.5, []float64{1, 1, 1, 1}))
+	if a.ID != "UQ1.CQ1" || a.UQID != "UQ1" || b.Model.Label != "qsystem" || a.Model == b.Model {
+		t.Fatalf("instances do not carry their own identity and model: %v / %v", a, b)
+	}
+	if &a.Atoms[0] != &tmpl.Atoms[0] || &b.HeadVars[0] != &tmpl.HeadVars[0] {
+		t.Error("Instance copied the body")
+	}
+	ea, ma := a.SubExpr([]int{1, 2})
+	eb, mb := b.SubExpr([]int{1, 2})
+	if ea != eb {
+		t.Error("second instance re-derived a subexpression the first had canonicalized")
+	}
+	ma[0] = -1
+	if mb[0] == -1 {
+		t.Error("SubExpr mappings alias each other across instances")
+	}
+	if a.FullExpr() != b.FullExpr() || a.FullExpr() != tmpl.FullExpr() {
+		t.Error("FullExpr not shared across instances")
+	}
+	if a.BodyKey() != b.BodyKey() {
+		t.Error("BodyKey differs across instances")
+	}
+
+	c := a.Clone()
+	if ec, _ := c.SubExpr([]int{1, 2}); ec == ea {
+		t.Error("Clone kept the memo")
+	} else if ec.Key() != ea.Key() {
+		t.Errorf("clone canonicalizes differently: %s vs %s", ec.Key(), ea.Key())
+	}
+}
+
+// A body is reached from several goroutines at once — the front desk hands a
+// new instance to a client while a shard admits an earlier one — so every
+// memo access must be ordered. Run under -race.
+func TestSharedBodyConcurrentUse(t *testing.T) {
+	tmpl := chainCQ("tmpl", 6)
+	subsets := tmpl.ConnectedSubsets(4)
+	want := map[string]string{}
+	ref := tmpl.Clone()
+	for _, idxs := range subsets {
+		e, _ := ref.SubExpr(idxs)
+		want[fmt.Sprint(idxs)] = e.Key()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				q := tmpl.Instance(fmt.Sprintf("g%d.%d", g, round), "UQ", scoring.Discover(6))
+				for i := range subsets {
+					idxs := subsets[(i+g*7)%len(subsets)]
+					e, mapping := q.SubExpr(idxs)
+					if e.Key() != want[fmt.Sprint(idxs)] || len(mapping) != len(idxs) {
+						t.Errorf("goroutine %d: SubExpr(%v) = %s", g, idxs, e.Key())
+						return
+					}
+				}
+				if q.FullExpr().Arity() != 6 || q.BodyKey() == "" {
+					t.Errorf("goroutine %d: bad full expression", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

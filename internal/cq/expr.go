@@ -103,11 +103,12 @@ func (e *Expr) String() string { return e.key }
 // position back to its index in q.Atoms, so consumers can translate rows and
 // scores between the shared expression's order and the query's order.
 //
-// Results are memoized per query: canonicalization is the optimizer's hottest
-// call (AND-OR enumeration, plan completion, factorization and the cost model
-// all extract the same subexpressions of the same queries), and the canonical
-// form of a fixed index sequence never changes. The returned mapping is a
-// fresh copy on every call; the Expr is shared and immutable.
+// Results are memoized per body (shared by the queries Instance mints from
+// one another): canonicalization is the optimizer's hottest call (AND-OR
+// enumeration, plan completion, factorization and the cost model all extract
+// the same subexpressions of the same queries), and the canonical form of a
+// fixed index sequence never changes. The returned mapping is a fresh copy on
+// every call; the Expr is shared and immutable.
 func (q *CQ) SubExpr(idxs []int) (*Expr, []int) {
 	if len(q.Atoms) > 255 {
 		atoms := make([]*Atom, len(idxs))
@@ -116,14 +117,15 @@ func (q *CQ) SubExpr(idxs []int) (*Expr, []int) {
 		}
 		return canonSub(q, atoms, idxs)
 	}
-	q.subMu.Lock()
-	defer q.subMu.Unlock()
-	key := q.subKey[:0]
+	b := q.sharedBody()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	key := b.subKey[:0]
 	for _, ai := range idxs {
 		key = append(key, byte(ai))
 	}
-	q.subKey = key
-	if ent, ok := q.subMemo[string(key)]; ok {
+	b.subKey = key
+	if ent, ok := b.sub[string(key)]; ok {
 		return ent.expr, append([]int(nil), ent.mapping...)
 	}
 	atoms := make([]*Atom, len(idxs))
@@ -131,10 +133,10 @@ func (q *CQ) SubExpr(idxs []int) (*Expr, []int) {
 		atoms[i] = q.Atoms[ai]
 	}
 	expr, mapping := canonSub(q, atoms, idxs)
-	if q.subMemo == nil {
-		q.subMemo = make(map[string]subEntry)
+	if b.sub == nil {
+		b.sub = make(map[string]subEntry)
 	}
-	q.subMemo[string(key)] = subEntry{expr: expr, mapping: mapping}
+	b.sub[string(key)] = subEntry{expr: expr, mapping: mapping}
 	return expr, append([]int(nil), mapping...)
 }
 
@@ -142,14 +144,15 @@ func (q *CQ) SubExpr(idxs []int) (*Expr, []int) {
 // memoized on the query: the cost model asks for it at every leaf of the plan
 // search.
 func (q *CQ) FullExpr() *Expr {
-	q.subMu.Lock()
-	e := q.full
-	q.subMu.Unlock()
+	b := q.sharedBody()
+	b.mu.Lock()
+	e := b.full
+	b.mu.Unlock()
 	if e == nil {
 		e, _ = q.SubExpr(allIdx(len(q.Atoms)))
-		q.subMu.Lock()
-		q.full = e
-		q.subMu.Unlock()
+		b.mu.Lock()
+		b.full = e
+		b.mu.Unlock()
 	}
 	return e
 }
@@ -162,12 +165,13 @@ func (q *CQ) FullExpr() *Expr {
 // indexes unchanged (the optimizer's canonical group order and the state
 // manager's plan cache key both build on it).
 func (q *CQ) BodyKey() string {
-	q.subMu.Lock()
-	defer q.subMu.Unlock()
-	if q.bodyKey == "" {
-		q.bodyKey = renderOrdered(q.Atoms, allIdx(len(q.Atoms)))
+	b := q.sharedBody()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.bodyKey == "" {
+		b.bodyKey = renderOrdered(q.Atoms, allIdx(len(q.Atoms)))
 	}
-	return q.bodyKey
+	return b.bodyKey
 }
 
 // subEntry is one memoized SubExpr result.

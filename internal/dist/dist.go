@@ -65,8 +65,12 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 }
 
 // Next draws the next rank.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
+func (z *Zipf) Next() int { return z.Draw(z.rng) }
+
+// Draw draws the next rank from rng in place of the sampler's own generator,
+// so one table (NewZipf with a nil generator) can serve many generators.
+func (z *Zipf) Draw(rng *RNG) int {
+	u := rng.Float64()
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -391,7 +391,7 @@ func (f *Frontend) Healthz(ctx context.Context) HealthzView {
 // Stats aggregates the fleet: front-end request counters and placement plus
 // the sum of every reachable shard's engine counters.
 func (f *Frontend) Stats(ctx context.Context) service.Stats {
-	st := service.Stats{Service: f.svc.Snapshot(), Router: f.placer.Stats()}
+	st := service.Stats{Service: f.svc.Snapshot(), Router: f.placer.Stats(), ExpandCache: f.exp.CacheStats()}
 	for i, b := range f.backends {
 		bs, err := b.Stats(ctx)
 		if err != nil {

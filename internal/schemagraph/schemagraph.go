@@ -45,10 +45,14 @@ type Edge struct {
 type Graph struct {
 	mu    sync.RWMutex
 	nodes map[string]*Node
-	adj   map[string][]*Edge
+	// adj holds each relation's outgoing edges in EdgesFrom's order.
+	adj map[string][]*Edge
 
-	// inverted maps lower-cased keyword -> matches.
+	// inverted maps lower-cased keyword -> matches, in Lookup's order.
 	inverted map[string][]Match
+
+	// gen counts the mutations (AddNode, AddEdge, IndexTerm) so far.
+	gen uint64
 }
 
 // Match is one keyword-to-relation match with its IR-style similarity score
@@ -84,6 +88,7 @@ func (g *Graph) AddNode(n *Node) {
 		panic(fmt.Sprintf("schemagraph: duplicate node %q", n.Rel))
 	}
 	g.nodes[n.Rel] = n
+	g.gen++
 }
 
 // AddEdge registers a join relationship; both endpoints must exist.
@@ -93,9 +98,53 @@ func (g *Graph) AddEdge(e *Edge) {
 	if g.nodes[e.From] == nil || g.nodes[e.To] == nil {
 		panic(fmt.Sprintf("schemagraph: edge %s-%s references unknown node", e.From, e.To))
 	}
-	g.adj[e.From] = append(g.adj[e.From], e)
+	g.adj[e.From] = insertSorted(g.adj[e.From], e, edgeBefore)
 	rev := &Edge{From: e.To, To: e.From, FromCol: e.ToCol, ToCol: e.FromCol, Cost: e.Cost}
-	g.adj[e.To] = append(g.adj[e.To], rev)
+	g.adj[e.To] = insertSorted(g.adj[e.To], rev, edgeBefore)
+	g.gen++
+}
+
+// Generation counts the graph's mutations so far (AddNode, AddEdge,
+// IndexTerm). Anything derived from the graph — a cached candidate-network
+// skeleton — is current exactly while the generation it was derived at is.
+func (g *Graph) Generation() uint64 {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.gen
+}
+
+// insertSorted returns a new slice holding s and v in before's order, with v
+// after every element it ties with. The insert copies, so a slice a reader
+// got from EdgesFrom or Lookup never changes under it.
+func insertSorted[T any](s []T, v T, before func(a, b T) bool) []T {
+	i := sort.Search(len(s), func(i int) bool { return before(v, s[i]) })
+	out := make([]T, 0, len(s)+1)
+	out = append(out, s[:i]...)
+	out = append(out, v)
+	return append(out, s[i:]...)
+}
+
+// edgeBefore orders one relation's outgoing edges: by target, then columns.
+func edgeBefore(a, b *Edge) bool {
+	if a.To != b.To {
+		return a.To < b.To
+	}
+	if a.FromCol != b.FromCol {
+		return a.FromCol < b.FromCol
+	}
+	return a.ToCol < b.ToCol
+}
+
+// matchBefore orders one keyword's matches: best score first, then relation
+// and column.
+func matchBefore(a, b Match) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if a.Rel != b.Rel {
+		return a.Rel < b.Rel
+	}
+	return a.Col < b.Col
 }
 
 // Node returns the named node, or nil.
@@ -117,21 +166,13 @@ func (g *Graph) Nodes() []string {
 	return names
 }
 
-// EdgesFrom returns the outgoing edges of rel (deterministically ordered).
+// EdgesFrom returns the outgoing edges of rel ordered by target relation,
+// then from-column, then to-column; edges that tie on all three keep the
+// order they were added in. The result is the graph's own slice: read-only.
 func (g *Graph) EdgesFrom(rel string) []*Edge {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	edges := append([]*Edge(nil), g.adj[rel]...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].To != edges[j].To {
-			return edges[i].To < edges[j].To
-		}
-		if edges[i].FromCol != edges[j].FromCol {
-			return edges[i].FromCol < edges[j].FromCol
-		}
-		return edges[i].ToCol < edges[j].ToCol
-	})
-	return edges
+	return g.adj[rel]
 }
 
 // NumEdges returns the number of (undirected) edges.
@@ -150,24 +191,18 @@ func (g *Graph) IndexTerm(term string, m Match) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	m.Term = term
-	g.inverted[strings.ToLower(term)] = append(g.inverted[strings.ToLower(term)], m)
+	key := strings.ToLower(term)
+	g.inverted[key] = insertSorted(g.inverted[key], m, matchBefore)
+	g.gen++
 }
 
-// Lookup returns the matches for a keyword, best score first.
+// Lookup returns the matches for a keyword (case-insensitive), best score
+// first, then by relation and column; matches that tie on all three keep the
+// order they were indexed in. The result is the graph's own slice: read-only.
 func (g *Graph) Lookup(keyword string) []Match {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	ms := append([]Match(nil), g.inverted[strings.ToLower(keyword)]...)
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Score != ms[j].Score {
-			return ms[i].Score > ms[j].Score
-		}
-		if ms[i].Rel != ms[j].Rel {
-			return ms[i].Rel < ms[j].Rel
-		}
-		return ms[i].Col < ms[j].Col
-	})
-	return ms
+	return g.inverted[strings.ToLower(keyword)]
 }
 
 // Terms returns all indexed keywords, sorted (used by workload generators to

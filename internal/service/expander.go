@@ -19,13 +19,25 @@ import (
 // whoever expands must see the whole request stream. A single-process
 // service embeds one; a distributed front-end owns one and ships the
 // expanded UQs to shard processes, whose engines never expand anything.
+//
+// Expand is safe for concurrent use and serializes only what must be: the
+// candidate networks of a keyword set come from the expansion cache (or are
+// derived) before the lock is taken, and the arrival's queries are built
+// after it is released.
 type Expander struct {
 	genCfg candidates.Config
 	seed   uint64
 	k      int
+	// cache holds the coefficient-free skeleton of each recently expanded
+	// keyword sequence. It belongs to the expander and dies with it.
+	cache *candidates.Cache
 
-	mu     sync.Mutex
-	users  map[string]*dist.RNG
+	// mu guards the per-user draw sequences and the UQ counter.
+	mu sync.Mutex
+	// users holds each user's generator by value: the splitmix state is one
+	// word and is the whole of the user's coefficient sequence, so it can be
+	// neither shared nor dropped without changing answers.
+	users  map[string]dist.RNG
 	nextUQ int
 }
 
@@ -41,17 +53,20 @@ func NewExpander(w *workload.Workload, cfg Config) *Expander {
 	if cfg.MaxCQs > 0 {
 		genCfg.MaxCQs = cfg.MaxCQs
 	}
-	return &Expander{genCfg: genCfg, seed: cfg.Seed, k: cfg.K, users: map[string]*dist.RNG{}}
+	return &Expander{
+		genCfg: genCfg, seed: cfg.Seed, k: cfg.K,
+		cache: candidates.NewCache(), users: map[string]dist.RNG{},
+	}
 }
 
-// Expand generates the user query under the front-desk lock. k <= 0 uses the
-// configured default.
+// Expand generates the user query. k <= 0 uses the configured default.
 func (e *Expander) Expand(user string, keywords []string, k int) (*cq.UQ, error) {
 	if k <= 0 {
 		k = e.k
 	}
+	sk := e.cache.Skeleton(e.genCfg, keywords)
+
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	rng, ok := e.users[user]
 	if !ok {
 		// The seed is a function of the user's name alone: a user's scoring
@@ -59,10 +74,16 @@ func (e *Expander) Expand(user string, keywords []string, k int) (*cq.UQ, error)
 		// the users happened to arrive in.
 		h := fnv.New64a()
 		h.Write([]byte(user))
-		rng = dist.New(e.seed + 1000 + h.Sum64()*77)
-		e.users[user] = rng
+		rng = *dist.New(e.seed + 1000 + h.Sum64()*77)
 	}
+	coefs := sk.Draw(&rng)
+	e.users[user] = rng
 	e.nextUQ++
-	id := fmt.Sprintf("UQ%d", e.nextUQ)
-	return candidates.Generate(e.genCfg, id, keywords, k, rng)
+	n := e.nextUQ
+	e.mu.Unlock()
+
+	return sk.Instantiate(fmt.Sprintf("UQ%d", n), keywords, k, coefs)
 }
+
+// CacheStats reports the expansion cache's cumulative traffic and size.
+func (e *Expander) CacheStats() candidates.CacheStats { return e.cache.Stats() }

@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/atc"
+	"repro/internal/candidates"
 	"repro/internal/cq"
 	"repro/internal/metrics"
 	"repro/internal/plangraph"
@@ -229,6 +230,11 @@ type Stats struct {
 	// Router reports the shard-placement decisions and each shard's decaying
 	// resident keyword set.
 	Router RouterStats
+	// ExpandCache reports the front desk's expansion work shared across
+	// arrivals: searches whose candidate networks were found already derived
+	// (Hits) or were derived (Misses, of which Stale found an entry a schema
+	// graph mutation had outdated), and the cache size.
+	ExpandCache candidates.CacheStats
 	// Shared splits every row the engines processed by where it came from:
 	// retained memory state, the spill tier on disk, or a fresh source read.
 	Shared SharedSplit
@@ -483,7 +489,7 @@ func (s *Service) route(keywords []string) int {
 // Stats snapshots the service. Engine-side numbers are fetched through each
 // shard's executor so no lock is needed on the single-threaded engine state.
 func (s *Service) Stats() Stats {
-	st := Stats{Service: s.svc.Snapshot(), Router: s.router.stats()}
+	st := Stats{Service: s.svc.Snapshot(), Router: s.router.stats(), ExpandCache: s.exp.CacheStats()}
 	for _, sh := range s.shards {
 		ss := sh.stats()
 		st.Shards = append(st.Shards, ss)

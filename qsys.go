@@ -82,6 +82,8 @@ const (
 type System struct {
 	genCfg candidates.Config
 	pipe   *core.Pipeline
+	// expansions holds the candidate networks of recently posed keyword sets.
+	expansions *candidates.Cache
 
 	users  map[string]*dist.RNG
 	nextUQ int
@@ -119,7 +121,7 @@ func NewSystem(w *Workload, cfg Config) *System {
 	case ModelBANKS:
 		genCfg.Family = candidates.FamilyBANKS
 	}
-	return &System{genCfg: genCfg, pipe: pipe, users: map[string]*dist.RNG{}, cfg: cfg}
+	return &System{genCfg: genCfg, pipe: pipe, expansions: candidates.NewCache(), users: map[string]*dist.RNG{}, cfg: cfg}
 }
 
 // Answer is one top-k result of a search.
@@ -169,7 +171,8 @@ func (s *System) Search(user string, keywords []string, k int) (*SearchResult, e
 	}
 	s.nextUQ++
 	id := fmt.Sprintf("UQ%d", s.nextUQ)
-	uq, err := candidates.Generate(s.genCfg, id, keywords, k, userRNG)
+	sk := s.expansions.Skeleton(s.genCfg, keywords)
+	uq, err := sk.Instantiate(id, keywords, k, sk.Draw(userRNG))
 	if err != nil {
 		return nil, err
 	}
@@ -218,12 +221,13 @@ func (s *System) Submit(uq *cq.UQ) (*SearchResult, error) {
 // shape.
 func (s *System) Stats() SessionStats {
 	return SessionStats{
-		Work:      s.pipe.Env.Metrics.Snapshot(),
-		Graph:     s.pipe.Graph.Stats(),
-		StateRows: s.pipe.Manager.StateSize(),
-		Evictions: s.pipe.Manager.Evictions(),
-		PlanCache: s.pipe.Manager.PlanCacheStats(),
-		Now:       s.pipe.Env.Clock.Now(),
+		Work:        s.pipe.Env.Metrics.Snapshot(),
+		Graph:       s.pipe.Graph.Stats(),
+		StateRows:   s.pipe.Manager.StateSize(),
+		Evictions:   s.pipe.Manager.Evictions(),
+		PlanCache:   s.pipe.Manager.PlanCacheStats(),
+		ExpandCache: s.expansions.Stats(),
+		Now:         s.pipe.Env.Clock.Now(),
 	}
 }
 
@@ -236,13 +240,18 @@ type SessionStats struct {
 	// PlanCache counts the searches whose optimizer work was shared with an
 	// earlier one (hits) against those that ran the plan search (misses).
 	PlanCache qsm.PlanCacheStats
-	Now       time.Duration
+	// ExpandCache counts the searches whose candidate networks an earlier
+	// search of the same keywords had already derived (hits) against those
+	// that derived them (misses).
+	ExpandCache candidates.CacheStats
+	Now         time.Duration
 }
 
 // String renders the stats compactly.
 func (st SessionStats) String() string {
-	return fmt.Sprintf("t=%v stream=%d probes=%d (cached %d) results=%d | graph: %d sources, %d m-joins, %d splits | state=%d rows (%d evictions) | plan cache: %d hits, %d misses (%d stale), %d entries",
+	return fmt.Sprintf("t=%v stream=%d probes=%d (cached %d) results=%d | graph: %d sources, %d m-joins, %d splits | state=%d rows (%d evictions) | plan cache: %d hits, %d misses (%d stale), %d entries | expand cache: %d hits, %d misses (%d stale), %d entries",
 		st.Now.Round(time.Millisecond), st.Work.StreamTuples, st.Work.ProbeCalls, st.Work.ProbeCacheHits,
 		st.Work.ResultsEmitted, st.Graph.Sources, st.Graph.Joins, st.Graph.Splits, st.StateRows, st.Evictions,
-		st.PlanCache.Hits, st.PlanCache.Misses, st.PlanCache.Stale, st.PlanCache.Entries)
+		st.PlanCache.Hits, st.PlanCache.Misses, st.PlanCache.Stale, st.PlanCache.Entries,
+		st.ExpandCache.Hits, st.ExpandCache.Misses, st.ExpandCache.Stale, st.ExpandCache.Entries)
 }
