@@ -16,14 +16,8 @@
 //	qsys-loadgen [-workload bio|gus|pfam] [-instance 1]
 //	             [-users 8] [-requests 12] [-k 20] [-memory-budget 500]
 //	             [-evict-policy lru|benefit] [-spill-dir DIR]
-//	             [-windows 0,25ms] [-batch 5] [-shards 1] [-workers 0]
+//	             [-windows 0,25ms] [-batch 5] [-shards 1]
 //	             [-seed 1] [-router affinity|hash] [-overlap]
-//
-// -workers sizes each shard's intra-shard parallel executor (1 = serial
-// engine, 0 = GOMAXPROCS): independent plan-graph components — unrelated
-// topics resident in one shard — execute their scheduling rounds on
-// concurrent workers. Each run reports the executor's round-parallelism
-// distribution and pool utilization per shard.
 //
 // With -spill-dir set, evicted plan segments spill to disk and revivals read
 // them back as local I/O; the report splits retained-state hits into memory
@@ -76,7 +70,6 @@ func main() {
 	windows := flag.String("windows", "0,25ms", "comma-separated admission windows to compare")
 	batch := flag.Int("batch", 5, "admission batch size trigger")
 	shards := flag.Int("shards", 1, "engine shards")
-	workers := flag.Int("workers", 0, "per-shard parallel-executor workers (1 = serial engine, 0 = GOMAXPROCS)")
 	routerMode := flag.String("router", "affinity", "shard placement: affinity (route by overlap with each shard's resident keywords, hash fallback) or hash (fixed keyword hash)")
 	overlap := flag.Bool("overlap", false, "augment the keyword pool with overlapping topic variants (drop-last and case-folded-duplicate of each suite query) — the workload shard placement is measured on")
 	seed := flag.Uint64("seed", 1, "workload draw seed")
@@ -119,7 +112,7 @@ func main() {
 			userPerRequest: *userPerRequest,
 			deadline:       *deadline, adm: adm,
 			window: firstWindow(*windows), batch: *batch, shards: *shards,
-			workers: *workers, router: *routerMode, budget: *budget, policy: *policy,
+			router: *routerMode, budget: *budget, policy: *policy,
 		})
 		return
 	}
@@ -177,7 +170,7 @@ func main() {
 
 	multiShard := *shards > 1
 	for _, span := range spans {
-		rep, err := run(*wl, *instance, span, *users, *requests, *k, *batch, *shards, *workers, *budget, *seed, *policy, *spillDir, *routerMode, *overlap)
+		rep, err := run(*wl, *instance, span, *users, *requests, *k, *batch, *shards, *budget, *seed, *policy, *spillDir, *routerMode, *overlap)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -203,15 +196,6 @@ func main() {
 			}
 			fmt.Printf("  router[%v]: mode=%s decisions=%d affinity=%d hash=%d missRate=%.2f kwSets=%v\n",
 				span, rt.Mode, rt.Decisions, rt.AffinityHits, rt.HashRoutes, rt.MissRate, kws)
-		}
-		for _, sh := range rep.stats.Shards {
-			ps := sh.Parallel
-			if ps.Workers == 0 || ps.Rounds == 0 {
-				continue
-			}
-			fmt.Printf("  parallel[%v] shard %d: workers=%d rounds=%d parallel=%d comps(mean=%.1f max=%d) util=%.2f\n",
-				span, sh.Shard, ps.Workers, ps.Rounds, ps.ParallelRounds,
-				ps.Components.Mean, ps.Components.Max, ps.Utilization)
 		}
 		if eb := rep.stats.Service.ExecBatch; eb.Count > 0 {
 			fmt.Printf("  batch[%v]: flushes=%d rows/flush(mean=%.1f max=%d) full=%d partial=%d\n",
@@ -251,7 +235,7 @@ func (r *report) p(q float64) time.Duration {
 	return r.latencies[i].Round(time.Microsecond)
 }
 
-func run(wl string, instance int, window time.Duration, users, requests, k, batch, shards, workers, budget int, seed uint64, policy, spillDir, routerMode string, overlap bool) (*report, error) {
+func run(wl string, instance int, window time.Duration, users, requests, k, batch, shards, budget int, seed uint64, policy, spillDir, routerMode string, overlap bool) (*report, error) {
 	// A fresh workload per run keeps the comparison honest: no run inherits
 	// another's materialised source views.
 	w, err := workload.ByName(wl, instance)
@@ -275,7 +259,6 @@ func run(wl string, instance int, window time.Duration, users, requests, k, batc
 		BatchWindow:  window,
 		BatchSize:    batch,
 		Shards:       shards,
-		Workers:      workers,
 		Router:       routerMode,
 		MemoryBudget: budget,
 		EvictPolicy:  policy,
@@ -522,13 +505,12 @@ type openLoopConfig struct {
 	deadline       time.Duration
 	adm            admission.Config
 	// in-process service shape
-	window  time.Duration
-	batch   int
-	shards  int
-	workers int
-	router  string
-	budget  int
-	policy  string
+	window time.Duration
+	batch  int
+	shards int
+	router string
+	budget int
+	policy string
 }
 
 // arrivalOutcome records one arrival's fate. Exactly one of ok/shed/err holds.
@@ -612,7 +594,6 @@ func runOpenLoop(cfg openLoopConfig) {
 			BatchWindow:  cfg.window,
 			BatchSize:    cfg.batch,
 			Shards:       cfg.shards,
-			Workers:      cfg.workers,
 			Router:       cfg.router,
 			MemoryBudget: cfg.budget,
 			EvictPolicy:  cfg.policy,

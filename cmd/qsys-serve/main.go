@@ -16,7 +16,7 @@
 // Usage:
 //
 //	qsys-serve [-addr :8080] [-workload bio|gus|pfam] [-instance 1]
-//	           [-window 25ms] [-batch 5] [-shards 1] [-workers 0]
+//	           [-window 25ms] [-batch 5] [-shards 1]
 //	           [-router affinity|hash] [-k 50] [-memory-budget 0]
 //	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
 //	           [-fleet URL,URL,...] [-probe-interval 2s] [-rehome-factor 0]
@@ -68,7 +68,6 @@ func main() {
 	window := flag.Duration("window", 25*time.Millisecond, "admission batch window (0 = admit immediately)")
 	batch := flag.Int("batch", 5, "admission batch size trigger (negative = window only)")
 	shards := flag.Int("shards", 1, "independent engine shards (single-process mode)")
-	workers := flag.Int("workers", 0, "per-shard parallel-executor workers: independent plan-graph components run concurrently (1 = serial engine, 0 = GOMAXPROCS); result digests are identical at any worker count")
 	routerMode := flag.String("router", "affinity", "shard placement: affinity (route by overlap with each shard's resident keywords, hash fallback) or hash (fixed keyword hash)")
 	k := flag.Int("k", 50, "default answers per search")
 	seed := flag.Uint64("seed", 1, "deterministic delay/scoring seed (must match the shard processes' in front-end mode)")
@@ -160,7 +159,6 @@ func main() {
 			BatchWindow:  *window,
 			BatchSize:    *batch,
 			Shards:       *shards,
-			Workers:      *workers,
 			Router:       *routerMode,
 			MemoryBudget: *budget,
 			EvictPolicy:  *policy,
@@ -177,8 +175,8 @@ func main() {
 				log.Printf("qsys-serve: close: %v", err)
 			}
 		}
-		log.Printf("qsys-serve: workload %s (window=%v batch=%d shards=%d workers=%d router=%s)",
-			w.Name, *window, *batch, *shards, *workers, *routerMode)
+		log.Printf("qsys-serve: workload %s (window=%v batch=%d shards=%d router=%s)",
+			w.Name, *window, *batch, *shards, *routerMode)
 	}
 
 	mux := http.NewServeMux()
@@ -223,8 +221,8 @@ func main() {
 		enc.SetIndent("", "  ")
 		enc.Encode(hz) //nolint:errcheck
 	})
-	// Standard Go profiling endpoints, so parallel-executor wins and
-	// contention are inspectable with `go tool pprof` against a live server.
+	// Standard Go profiling endpoints, so where a live server spends its
+	// shard goroutines' time is inspectable with `go tool pprof`.
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)

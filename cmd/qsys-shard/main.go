@@ -12,7 +12,7 @@
 //
 //	qsys-shard [-addr :8091] [-shard-id 0] [-workload bio|gus|pfam]
 //	           [-instance 1] [-seed 1] [-window 25ms] [-batch 5]
-//	           [-workers 0] [-k 50] [-memory-budget 0]
+//	           [-k 50] [-memory-budget 0]
 //	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
 //	           [-max-pending 0] [-deadline 0] [-adaptive-window]
 //	           [-drain-deadline 0] [-recover-dir DIR] [-checkpoint-interval 5s]
@@ -68,7 +68,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "deterministic delay/scoring seed (must match the front-end's)")
 	window := flag.Duration("window", 25*time.Millisecond, "admission batch window (0 = admit immediately)")
 	batch := flag.Int("batch", 5, "admission batch size trigger (negative = window only)")
-	workers := flag.Int("workers", 0, "parallel-executor workers (1 = serial engine, 0 = GOMAXPROCS)")
 	k := flag.Int("k", 50, "default answers per search")
 	budget := flag.Int("memory-budget", 0, "retained-state budget in rows (0 = unbounded)")
 	flag.IntVar(budget, "budget", 0, "alias for -memory-budget")
@@ -111,7 +110,6 @@ func main() {
 		BatchSize:     *batch,
 		Shards:        1,
 		ShardIDOffset: *shardID,
-		Workers:       *workers,
 		MemoryBudget:  *budget,
 		EvictPolicy:   *policy,
 		SpillDir:      *spillDir,
@@ -142,8 +140,8 @@ func main() {
 
 	server := &http.Server{Addr: *addr, Handler: shard.Handler()}
 	go func() {
-		log.Printf("qsys-shard: slot %d, workload %s on %s (window=%v batch=%d workers=%d)",
-			*shardID, w.Name, *addr, *window, *batch, *workers)
+		log.Printf("qsys-shard: slot %d, workload %s on %s (window=%v batch=%d)",
+			*shardID, w.Name, *addr, *window, *batch)
 		if err := server.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)
 		}

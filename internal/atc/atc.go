@@ -16,7 +16,6 @@ package atc
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/operator"
@@ -52,8 +51,7 @@ type MergeState struct {
 	// sound because a registered rank-merge is never extended (the state
 	// manager builds a fresh merge per user query; operator.AddEntry has no
 	// engine caller), and unlinking only ever shrinks what a merge touches.
-	// Merges whose footprints intersect — transitively — share runtime state
-	// and form one scheduling component; see components.go.
+	// Topic migration reads it; see migrate.go.
 	nodeKeys []string
 }
 
@@ -66,7 +64,9 @@ type attachment struct {
 	sink *operator.EndpointSink
 }
 
-// ATC coordinates one plan graph.
+// ATC coordinates one plan graph. It is not safe for concurrent use: one
+// goroutine drives a controller, and an engine wanting more cores runs more
+// controllers (the serving layer's shards, the paper's ATC-CL).
 type ATC struct {
 	Graph *plangraph.Graph
 	Env   *operator.Env
@@ -81,23 +81,6 @@ type ATC struct {
 	active []*MergeState
 	byUQ   map[string]*MergeState // user-query id -> merge state
 	attach map[string]attachment  // by CQ id
-
-	// structMu guards the controller's shared structural maps (attach, the
-	// graph's endpoint map) against concurrent unlinks from the parallel
-	// executor's workers. Cross-component unlinks touch distinct keys, so
-	// mutual exclusion preserves determinism; intra-component order is the
-	// serial order by construction.
-	structMu sync.Mutex
-
-	// comps is the cached component partition of the active merges; dirty
-	// marks it stale (merges admitted, finished or forgotten). components.go.
-	comps     [][]*MergeState
-	compDirty bool
-
-	// par, when set, is the intra-shard parallel executor (EnableParallel):
-	// worker pool, per-source-node delay models, pre-opened streams,
-	// scheduling statistics. nil runs the serial engine byte-for-byte.
-	par *parallelState
 
 	// driveBound, when positive, overrides the defensive per-round step
 	// bound (SetDriveBound; tests only).
@@ -147,6 +130,12 @@ func (a *ATC) BindState(ledger *state.Ledger, spill *state.Spill) {
 	a.spill = spill
 }
 
+// Close releases nothing: a controller owns no goroutines or files (the
+// state manager closes the spill tier).
+//
+// Deprecated: kept only because the benchmark module calls it.
+func (a *ATC) Close() {}
+
 // Epoch returns the current epoch (§6.2's logical timestamp).
 func (a *ATC) Epoch() int { return a.epoch }
 
@@ -163,13 +152,12 @@ func (a *ATC) Merges() []*MergeState { return a.merges }
 func (a *ATC) MergeByUQ(uqID string) *MergeState { return a.byUQ[uqID] }
 
 // AddMerge registers a user query's rank-merge and captures its plan-graph
-// footprint for component scheduling.
+// footprint for topic migration.
 func (a *ATC) AddMerge(rm *operator.RankMerge, arrival time.Duration) *MergeState {
 	m := &MergeState{RM: rm, Arrival: arrival, nodeKeys: a.mergeFootprint(rm)}
 	a.merges = append(a.merges, m)
 	a.active = append(a.active, m)
 	a.byUQ[rm.UQ.ID] = m
-	a.compDirty = true
 	return m
 }
 
@@ -185,7 +173,6 @@ func (a *ATC) CancelMerge(uqID string) {
 	m.Done = true
 	m.Canceled = true
 	m.Finished = a.Env.Clock.Now()
-	a.compDirty = true
 	for _, e := range m.RM.Entries {
 		a.UnlinkCQ(e.CQ.ID)
 	}
@@ -215,7 +202,6 @@ func (a *ATC) Forget(uqID string) {
 			break
 		}
 	}
-	a.compDirty = true
 }
 
 // Exec returns (creating on demand) the runtime state for a plan node,
@@ -231,17 +217,13 @@ func (a *ATC) Exec(n *plangraph.Node) (*operator.NodeExec, error) {
 	}
 	switch n.Kind {
 	case plangraph.SourceStream:
-		st := a.takePreopened(n)
-		if st == nil {
-			db, err := a.Fleet.DB(n.DB)
-			if err != nil {
-				return nil, err
-			}
-			var err2 error
-			st, err2 = source.OpenStream(db, n.Expr)
-			if err2 != nil {
-				return nil, err2
-			}
+		db, err := a.Fleet.DB(n.DB)
+		if err != nil {
+			return nil, err
+		}
+		st, err := source.OpenStream(db, n.Expr)
+		if err != nil {
+			return nil, err
 		}
 		x.Stream = st
 		a.restoreStream(n, x)
@@ -519,34 +501,18 @@ func (a *ATC) modulesCurrent(x *operator.NodeExec) bool {
 // AttachCQ wires a conjunctive query's endpoint sink to its terminal node.
 func (a *ATC) AttachCQ(cqID string, node *operator.NodeExec, sink *operator.EndpointSink) {
 	node.AddSink(sink)
-	a.structMu.Lock()
 	a.attach[cqID] = attachment{node: node, sink: sink}
-	a.structMu.Unlock()
-}
-
-// detachEndpoint atomically claims a CQ's attachment and removes its graph
-// endpoint. The mutex makes concurrent unlinks from different scheduling
-// components safe; they operate on distinct keys, so locking changes no
-// outcome, only prevents the map races.
-func (a *ATC) detachEndpoint(cqID string) (attachment, bool) {
-	a.structMu.Lock()
-	defer a.structMu.Unlock()
-	at, ok := a.attach[cqID]
-	if !ok {
-		return attachment{}, false
-	}
-	delete(a.attach, cqID)
-	a.Graph.RemoveEndpoint(cqID)
-	return at, true
 }
 
 // UnlinkCQ detaches a finished or pruned conjunctive query (§6.3) and parks
 // the plan segment that fed only it.
 func (a *ATC) UnlinkCQ(cqID string) {
-	at, ok := a.detachEndpoint(cqID)
+	at, ok := a.attach[cqID]
 	if !ok {
 		return
 	}
+	delete(a.attach, cqID)
+	a.Graph.RemoveEndpoint(cqID)
 	at.node.RemoveSink(at.sink)
 	// The detached sink receives no further offers: close its ledger account
 	// (remaining buffered candidates stay eligible for emission but are no
@@ -559,18 +525,12 @@ func (a *ATC) UnlinkCQ(cqID string) {
 
 // Attached returns how many conjunctive queries currently have an endpoint
 // sink wired to the graph. Served-and-forgotten queries must not linger here.
-func (a *ATC) Attached() int {
-	a.structMu.Lock()
-	defer a.structMu.Unlock()
-	return len(a.attach)
-}
+func (a *ATC) Attached() int { return len(a.attach) }
 
 // SinkStateRows reports the resident state of all attached rank-merge
 // endpoints — buffered candidates plus duplicate-set entries — for the §6.3
 // memory accounting. Unlinked CQs have already released both.
 func (a *ATC) SinkStateRows() int {
-	a.structMu.Lock()
-	defer a.structMu.Unlock()
 	n := 0
 	for _, at := range a.attach {
 		n += at.sink.Entry.BufferLen() + at.sink.Entry.SeenLen()
@@ -606,49 +566,24 @@ func (a *ATC) park(x *operator.NodeExec) {
 // stream once per round "has the same outcome as a voting strategy where the
 // input stream with the highest number of tuple requests gets read the most"
 // and prevents source starvation (§4.2). It reports whether any merge is
-// still unfinished.
-//
-// With the parallel executor enabled (EnableParallel) the round is
-// component-scheduled: the active merges partition into connected components
-// of the shared plan graph, each component's merges advance in admission
-// order on a worker, and a barrier closes the round. Components share no
-// runtime state, so the rows that flow — and therefore result digests and
-// work counters — are identical at any worker count.
+// still unfinished. Merges advance in admission order.
 func (a *ATC) RunRound() bool {
-	if a.par != nil && a.par.workers > 1 {
-		return a.runRoundParallel()
-	}
-	return a.serialRound()
-}
-
-// serialRound drives every active merge on the calling goroutine against
-// the global environment — the serial engine's round, also used by the
-// parallel executor when the graph holds a single component.
-func (a *ATC) serialRound() bool {
 	live := a.active[:0]
 	for _, m := range a.active {
 		if m.Done {
 			continue
 		}
-		a.driveMerge(m, a.Env)
+		a.driveMerge(m)
 		if !m.Done {
 			live = append(live, m)
 		}
 	}
-	a.compactActive(live)
-	return len(a.active) > 0
-}
-
-// compactActive installs the surviving merges, zeroing the tail for GC and
-// invalidating the component cache when anything finished.
-func (a *ATC) compactActive(live []*MergeState) {
-	if len(live) != len(a.active) {
-		a.compDirty = true
-	}
+	// Zero the compacted tail so finished merges can be collected.
 	for i := len(live); i < len(a.active); i++ {
 		a.active[i] = nil
 	}
 	a.active = live
+	return len(a.active) > 0
 }
 
 // driveMergeMaxSteps defensively bounds one merge's scheduling round.
@@ -666,26 +601,26 @@ func (a *ATC) driveLimit() int {
 	return driveMergeMaxSteps
 }
 
-// driveMerge advances one rank-merge until it reads a tuple or finishes,
-// charging work to env (the global environment in serial mode, the
-// component's environment under the parallel executor). A round that does
-// not converge — or an operator panic — fails the merge instead of taking
-// down the process: the error lands in MergeState.Err and the serving layer
-// returns it as a failed search.
-func (a *ATC) driveMerge(m *MergeState, env *operator.Env) {
-	if err := a.advanceMerge(m, env); err != nil {
-		a.failMerge(m, env, err)
+// driveMerge advances one rank-merge until it reads a tuple or finishes. A
+// round that does not converge — or an operator panic — fails the merge
+// instead of taking down the process: the error lands in MergeState.Err and
+// the serving layer returns it as a failed search.
+func (a *ATC) driveMerge(m *MergeState) {
+	if err := a.advanceMerge(m); err != nil {
+		a.failMerge(m, err)
 	}
 }
 
 // advanceMerge is driveMerge's happy path; it converts panics from the
-// operator stack into errors so a poisoned query cannot kill a worker.
-func (a *ATC) advanceMerge(m *MergeState, env *operator.Env) (err error) {
+// operator stack into errors so a poisoned query cannot kill the goroutine
+// driving the controller.
+func (a *ATC) advanceMerge(m *MergeState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("atc: driving %s: panic: %v", m.RM.UQ.ID, r)
 		}
 	}()
+	env := a.Env
 	limit := a.driveLimit()
 	for i := 0; i < limit; i++ {
 		step := m.RM.Advance(env)
@@ -716,12 +651,12 @@ func (a *ATC) advanceMerge(m *MergeState, env *operator.Env) (err error) {
 
 // failMerge marks a merge failed and parks whatever of its plan segments can
 // still be detached cleanly.
-func (a *ATC) failMerge(m *MergeState, env *operator.Env, err error) {
+func (a *ATC) failMerge(m *MergeState, err error) {
 	m.Err = err
 	m.Done = true
-	m.Finished = env.Clock.Now()
+	m.Finished = a.Env.Clock.Now()
 	// Best-effort unlink: the failure may have left operator state
-	// inconsistent, and cleanup must not re-panic the worker. Each entry is
+	// inconsistent, and cleanup must not re-panic. Each entry is
 	// recovered individually so one poisoned segment cannot strand the
 	// remaining entries' attachments, sinks and ledger accounts.
 	for _, e := range m.RM.Entries {

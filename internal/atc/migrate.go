@@ -13,7 +13,9 @@ import (
 // the exact revival paths — restoreStream / restoreJoin — that consume disk
 // segments, behind the exact consistency gate. A staged segment that fails
 // the gate is dropped and the node re-derives its state by source replay;
-// migration can waste work, never fabricate it.
+// migration can waste work, never fabricate it. Which segments a topic owns
+// is read off its merges' footprints: the plan-graph nodes each merge can
+// touch, captured once at admission.
 
 // maxStaged bounds the staged-segment table; a runaway migrator degrades to
 // dropped handoffs (source replay) rather than unbounded memory.
@@ -24,6 +26,47 @@ const maxStaged = 4096
 type stagedSeg struct {
 	snap  *state.NodeSnapshot
 	bytes int
+}
+
+// mergeFootprint walks the plan segments feeding a rank-merge and returns
+// the keys of every node its execution can touch: the input-edge closure of
+// each CQ's terminal node, plus each entry's threshold-group sources (always
+// inside that closure for well-formed plans; included defensively).
+func (a *ATC) mergeFootprint(rm *operator.RankMerge) []string {
+	seen := map[*plangraph.Node]bool{}
+	var keys []string
+	var walk func(n *plangraph.Node)
+	walk = func(n *plangraph.Node) {
+		if n == nil || seen[n] {
+			return
+		}
+		seen[n] = true
+		keys = append(keys, n.Key)
+		for _, e := range n.Inputs {
+			walk(e.From)
+		}
+	}
+	for _, e := range rm.Entries {
+		if at, ok := a.attach[e.CQ.ID]; ok {
+			walk(at.node.Node)
+		}
+	}
+	for _, e := range rm.Entries {
+		for _, g := range e.Groups {
+			walk(g.Source.Node)
+		}
+	}
+	return keys
+}
+
+// MergeNodeKeys returns a copy of a merge's captured footprint (tests and
+// diagnostics), or nil for an unknown user query.
+func (a *ATC) MergeNodeKeys(uqID string) []string {
+	m := a.byUQ[uqID]
+	if m == nil {
+		return nil
+	}
+	return m.Footprint()
 }
 
 // Footprint returns the merge's plan-graph node keys (captured at admission,

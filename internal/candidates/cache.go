@@ -84,11 +84,11 @@ func (c *Cache) Skeleton(cfg Config, keywords []string) *Skeleton {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		e := el.Value.(*cacheEntry)
-		if e.sk.gen == gen {
+		if sk := e.sk; sk.gen == gen {
 			c.stats.Hits++
 			c.lru.MoveToFront(el)
 			c.mu.Unlock()
-			return e.sk
+			return sk
 		}
 		c.stats.Stale++
 		c.lru.Remove(el)

@@ -33,7 +33,7 @@ func newShardHTTP(t *testing.T, slot int, seed uint64) (*httptest.Server, *fleet
 	}
 	svc := service.New(w, service.Config{
 		Seed: seed, K: 10, Shards: 1, ShardIDOffset: slot,
-		Workers: 1, BatchWindow: 0,
+		BatchWindow: 0,
 	})
 	ss := fleet.NewShardServer(svc)
 	srv := httptest.NewServer(ss.Handler())
@@ -79,7 +79,7 @@ func TestFleetDigestParityHTTP(t *testing.T) {
 	}
 	single := service.New(w, service.Config{
 		Seed: seed, K: 10, Shards: 2, Router: service.RouterAffinity,
-		Workers: 1, BatchWindow: 0,
+		BatchWindow: 0,
 	})
 	defer single.Close() //nolint:errcheck
 	hSingle := sha256.New()

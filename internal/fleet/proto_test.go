@@ -102,7 +102,7 @@ func TestDigestViewMatchesResultBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := service.New(w, service.Config{Seed: 3, K: 10, Workers: 1})
+	svc := service.New(w, service.Config{Seed: 3, K: 10})
 	defer svc.Close() //nolint:errcheck
 	res, err := svc.Search(context.Background(), "alice", []string{"metabolism", "protein"}, 10)
 	if err != nil {

@@ -229,7 +229,7 @@ func startShardProc(t *testing.T, bin, addr string, slot int, dir string) *chaos
 	t.Helper()
 	p, err := chaos.StartProc(bin, []string{
 		"-addr", addr, "-shard-id", fmt.Sprint(slot), "-seed", "11",
-		"-window", "0s", "-workers", "1", "-k", "10",
+		"-window", "0s", "-k", "10",
 		"-recover-dir", dir, "-checkpoint-interval", "150ms",
 	}, nil)
 	if err != nil {
@@ -285,7 +285,7 @@ func TestKillRecoverDigestIdentical(t *testing.T) {
 	}
 	single := service.New(w, service.Config{
 		Seed: 11, K: 10, Shards: 2, Router: service.RouterAffinity,
-		Workers: 1, BatchWindow: 0,
+		BatchWindow: 0,
 	})
 	var control []string
 	for wave := 0; wave < waves; wave++ {

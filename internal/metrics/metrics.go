@@ -10,9 +10,10 @@ import (
 	"time"
 )
 
-// Counters aggregates execution work for one plan graph (one ATC). All
-// methods are safe for concurrent use; experiment harnesses snapshot and sum
-// counters across graphs.
+// Counters aggregates execution work for one plan graph (one ATC). One
+// goroutine drives the engine that writes them, but all methods are safe for
+// concurrent use, so the serving layer's /stats and the experiment harnesses
+// may snapshot and sum counters across graphs from other goroutines.
 type Counters struct {
 	streamTimeNS int64
 	probeTimeNS  int64

@@ -15,55 +15,23 @@ import (
 
 // Env is the execution context shared by all operators of one plan graph:
 // one ATC thread, one clock, one delay model, one counter set.
-//
-// Under the intra-shard parallel executor each plan-graph component is driven
-// with its own Env fork (ForComponent): the counters stay shared (they are
-// atomic, and their values are order-independent sums), while the clock is
-// component-local for the duration of a round so concurrent components never
-// serialize through one timeline. Remote-operation delays then come from
-// per-source-node delay models (DelayFor) instead of the engine-wide RNG, so
-// the delay charged for the i'th read of a source is a pure function of
-// (node, i) — independent of how rounds interleave across workers.
 type Env struct {
 	Clock   simclock.Clock
 	Delays  *simclock.DelayModel
 	Metrics *metrics.Counters
-
-	// DelayFor, when set, resolves the delay model for a source node's remote
-	// operations by the node's plan-graph key. The ATC installs it when the
-	// parallel executor is enabled; nil (the default) draws every delay from
-	// the shared Delays model, byte-for-byte the serial engine's behaviour.
-	DelayFor func(nodeKey string) *simclock.DelayModel
 }
 
-// ForComponent forks the environment for one component's scheduling round:
-// same counters, same delay resolution, private clock.
-func (e *Env) ForComponent(clock simclock.Clock) *Env {
-	return &Env{Clock: clock, Delays: e.Delays, Metrics: e.Metrics, DelayFor: e.DelayFor}
-}
-
-// delaysFor resolves the delay model charged for a source node's operations.
-func (e *Env) delaysFor(nodeKey string) *simclock.DelayModel {
-	if e.DelayFor != nil {
-		if dm := e.DelayFor(nodeKey); dm != nil {
-			return dm
-		}
-	}
-	return e.Delays
-}
-
-// ChargeStreamRead advances the clock by one streaming-read delay of the
-// given stream-source node.
-func (e *Env) ChargeStreamRead(nodeKey string) {
-	d := e.delaysFor(nodeKey).StreamRead()
+// ChargeStreamRead advances the clock by one streaming-read delay.
+func (e *Env) ChargeStreamRead() {
+	d := e.Delays.StreamRead()
 	e.Clock.Advance(d)
 	e.Metrics.AddStreamRead(d)
 }
 
-// ChargeRemoteProbe advances the clock by one remote-probe delay of the given
-// probe-source node; n is the number of tuples the probe returned.
-func (e *Env) ChargeRemoteProbe(nodeKey string, n int) {
-	d := e.delaysFor(nodeKey).RemoteProbe()
+// ChargeRemoteProbe advances the clock by one remote-probe delay; n is the
+// number of tuples the probe returned.
+func (e *Env) ChargeRemoteProbe(n int) {
+	d := e.Delays.RemoteProbe()
 	e.Clock.Advance(d)
 	e.Metrics.AddProbe(d, n)
 }

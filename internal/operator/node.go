@@ -84,9 +84,7 @@ type NodeExec struct {
 
 	// HistoryComplete marks that the node's log reflects every row derivable
 	// from its inputs' logs; parking clears it. It is ATC bookkeeping kept on
-	// the exec so it lives and dies with the node's runtime state — and so
-	// the parallel executor's workers, which only ever touch nodes of their
-	// own plan-graph component, never share a map of it.
+	// the exec so it lives and dies with the node's runtime state.
 	HistoryComplete bool
 }
 
@@ -296,7 +294,7 @@ func (x *NodeExec) ReadOne(env *Env, epoch int) bool {
 	if r == nil {
 		return false
 	}
-	env.ChargeStreamRead(x.Node.Key)
+	env.ChargeStreamRead()
 	x.oneRow[0] = r
 	x.DeliverBatch(env, x.oneRow[:], epoch)
 	return true
@@ -548,7 +546,7 @@ func (x *NodeExec) probeModule(env *Env, st *probeStep, p []*tuple.Tuple, maxEpo
 			env.Metrics.AddProbeCacheHit()
 			env.ChargeJoin()
 		} else {
-			env.ChargeRemoteProbe(st.edge.From.Key, len(rows))
+			env.ChargeRemoteProbe(len(rows))
 		}
 		for _, r := range rows {
 			ok := true

@@ -236,12 +236,11 @@ func TestPlanCacheBatchDedup(t *testing.T) {
 	}
 }
 
-// TestPlanCacheParallelAdmission runs the optimizer's worker fan-out around
-// the cache (Workers 4, ten groups in one batch: distinct queries, in-batch
-// twins, then the whole batch again as hits) and checks the answers against
-// the serial engine. Its value is under -race: lookups and inserts must stay
-// outside the fan-out, and the searches inside it must share nothing mutable.
-func TestPlanCacheParallelAdmission(t *testing.T) {
+// TestPlanCacheTenGroupBatch admits ten groups in one batch — six distinct
+// bodies and four in-batch twins — and then the same ten again: the cold
+// batch pays for exactly the six searches, every group of both batches
+// reports once, and each twin returns its original's answers.
+func TestPlanCacheTenGroupBatch(t *testing.T) {
 	bodies := [][][]string{
 		{{"A", "B"}, {"A", "B", "C"}},
 		{{"B", "C"}},
@@ -250,53 +249,55 @@ func TestPlanCacheParallelAdmission(t *testing.T) {
 		{{"A", "B"}},
 		{{"B", "C"}, {"C", "D"}},
 	}
-	batch := func(env *operator.Env, round int) []batcher.Submission {
+	userQuery := func(id string, body [][]string) *cq.UQ {
+		uq := &cq.UQ{ID: id, K: 10}
+		for j, rels := range body {
+			uq.CQs = append(uq.CQs, internalChainQ(fmt.Sprintf("%s.CQ%d", id, j+1), rels...))
+		}
+		return uq
+	}
+	m, env := internalRig(t)
+	m.Unit = UnitUQ
+	searchNodes := 0
+	for i, body := range bodies {
+		lone, err := mqo.Optimize(userQuery(fmt.Sprintf("L%d", i), body).CQs, m.CM, mqo.Config{K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		searchNodes += lone.SearchNodes
+	}
+	for round := 0; round < 2; round++ {
 		var subs []batcher.Submission
 		for i := 0; i < 10; i++ {
-			id := fmt.Sprintf("R%dU%d", round, i)
-			uq := &cq.UQ{ID: id, K: 10}
-			for j, rels := range bodies[i%len(bodies)] {
-				uq.CQs = append(uq.CQs, internalChainQ(fmt.Sprintf("%s.CQ%d", id, j+1), rels...))
-			}
+			uq := userQuery(fmt.Sprintf("R%dU%d", round, i), bodies[i%len(bodies)])
 			subs = append(subs, batcher.Submission{At: env.Clock.Now(), UQ: uq})
 		}
-		return subs
-	}
-	run := func(workers int) (answers []string, reports []*AdmitReport) {
-		m, env := internalRig(t)
-		m.Unit = UnitUQ
-		if workers > 1 {
-			m.ATC.EnableParallel(workers, 17)
-			defer m.ATC.Close()
+		rep, err := m.Admit(subs, mqo.Config{K: 10})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for round := 0; round < 2; round++ {
-			subs := batch(env, round)
-			rep, err := m.Admit(subs, mqo.Config{K: 10})
-			if err != nil {
-				t.Fatal(err)
+		if round == 0 && (rep.PlanCacheMisses != len(bodies) || rep.PlanCacheHits != 10-len(bodies) || rep.SearchNodes != searchNodes) {
+			t.Fatalf("cold batch: misses=%d hits=%d search nodes=%d; want %d searches for 10 groups, %d nodes",
+				rep.PlanCacheMisses, rep.PlanCacheHits, rep.SearchNodes, len(bodies), searchNodes)
+		}
+		if rep.PlanCacheHits+rep.PlanCacheMisses != 10 || len(rep.CandidatesPerGroup) != 10 {
+			t.Fatalf("batch %d: hits=%d misses=%d, %d candidate counts; want one of each per group",
+				round, rep.PlanCacheHits, rep.PlanCacheMisses, len(rep.CandidatesPerGroup))
+		}
+		for m.ATC.RunRound() {
+		}
+		m.SyncCatalog()
+		answers := make([]string, len(subs))
+		for i, s := range subs {
+			for _, r := range m.ATC.MergeByUQ(s.UQ.ID).RM.Results() {
+				answers[i] += fmt.Sprintf("%v %s\n", r.Score, r.Row.Identity())
 			}
-			reports = append(reports, rep)
-			for m.ATC.RunRound() {
-			}
-			m.SyncCatalog()
-			for _, s := range subs {
-				for _, r := range m.ATC.MergeByUQ(s.UQ.ID).RM.Results() {
-					answers = append(answers, fmt.Sprintf("%s %v %s", s.UQ.ID, r.Score, r.Row.Identity()))
-				}
-				m.ATC.Forget(s.UQ.ID)
+			m.ATC.Forget(s.UQ.ID)
+		}
+		for i := len(bodies); i < len(subs); i++ {
+			if answers[i] == "" || answers[i] != answers[i-len(bodies)] {
+				t.Fatalf("batch %d: twin %d's answers differ from group %d's", round, i, i-len(bodies))
 			}
 		}
-		return answers, reports
-	}
-	serial, _ := run(1)
-	parallel, reports := run(4)
-	if len(serial) == 0 || fmt.Sprint(serial) != fmt.Sprint(parallel) {
-		t.Fatalf("answers at Workers 4 differ from the serial engine (%d vs %d rows)", len(parallel), len(serial))
-	}
-	if r := reports[0]; r.PlanCacheMisses != len(bodies) || r.PlanCacheHits != 10-len(bodies) {
-		t.Fatalf("cold batch: misses=%d hits=%d, want %d searches for 10 groups", r.PlanCacheMisses, r.PlanCacheHits, len(bodies))
-	}
-	if len(reports[0].CandidatesPerGroup) != 10 || len(reports[1].CandidatesPerGroup) != 10 {
-		t.Fatalf("CandidatesPerGroup lengths %d, %d; want one entry per group", len(reports[0].CandidatesPerGroup), len(reports[1].CandidatesPerGroup))
 	}
 }

@@ -11,7 +11,6 @@ package qsm
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/tuple"
@@ -209,13 +208,6 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (*AdmitReport
 	}
 	inputsByCQ := map[string][]cqInput{}
 
-	// Optimize the groups — concurrently when the controller runs the
-	// parallel executor. Each group's search is a pure function of the
-	// catalog and its own queries (under UnitUQ the groups are independent
-	// user queries), so the results are identical to the serial pass; only
-	// grafting below mutates the shared graph, and it stays serial, in
-	// group order. OptimizeWall remains the summed search cost — the same
-	// quantity the serial engine reports.
 	optResults := m.optimizeGroups(groups, cfg, report)
 
 	for gi, g := range groups {
@@ -253,26 +245,6 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (*AdmitReport
 	// The paper includes optimization time in measured response times.
 	if m.ChargeOptimizer {
 		m.ATC.Env.Clock.Advance(report.OptimizeWall)
-	}
-
-	// Open the batch's cold remote streams concurrently before grafting
-	// (parallel controllers only; a no-op otherwise). Opening materialises
-	// independent pushed-down expressions at their databases, so a cold
-	// multi-source admission need not pay the round trips one after another.
-	// The node list is built in submission order so failures are
-	// deterministic.
-	var preopen []*plangraph.Node
-	for _, sub := range subs {
-		for _, q := range sub.UQ.CQs {
-			for _, in := range inputsByCQ[q.ID] {
-				if in.mode == costmodel.Stream {
-					preopen = append(preopen, in.node)
-				}
-			}
-		}
-	}
-	if err := m.ATC.PreopenStreams(preopen); err != nil {
-		return nil, err
 	}
 
 	// Graft each user query: revive terminal nodes (recovering history),
@@ -341,15 +313,12 @@ type optResult struct {
 
 // optimizeGroups produces every group's input assignment: from the plan cache
 // where an entry's read set still matches the catalog, by mqo.Optimize
-// otherwise — the searches bounded by the controller's worker count (serial
-// when the parallel executor is off or one search is left), equal-key groups
-// of one batch sharing a single search. Lookups run before the fan-out and
-// inserts after it, so the cache needs no lock and every read set records the
-// catalog the search ran under. Statistics fold into the report in group
-// order.
+// otherwise, equal-key groups of one batch sharing a single search. Every
+// lookup runs before the first search and every insert after the last, so a
+// batch's hits do not depend on what its own searches evict. Statistics fold
+// into the report in group order.
 func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *AdmitReport) []optResult {
 	out := make([]optResult, len(groups))
-	walls := make([]time.Duration, len(groups))
 	orders := make([][]*cq.CQ, len(groups))
 	keys := make([]planKey, len(groups))
 	entries := make([]*planEntry, len(groups))
@@ -376,26 +345,11 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 	run := func(i int) {
 		start := time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
 		res, err := mqo.Optimize(orders[i], m.CM, cfg)
-		walls[i] = time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
+		report.OptimizeWall += time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
 		out[i] = optResult{res: res, err: err}
 	}
-	if workers := m.ATC.Workers(); workers > 1 && len(search) > 1 {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, i := range search {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				run(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for _, i := range search {
-			run(i)
-		}
+	for _, i := range search {
+		run(i)
 	}
 
 	start = time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
@@ -422,7 +376,6 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 	m.plans.stats.Misses += int64(report.PlanCacheMisses)
 
 	for i := range groups {
-		report.OptimizeWall += walls[i]
 		if out[i].res != nil {
 			report.CandidatesPerGroup = append(report.CandidatesPerGroup, out[i].res.CandidateCount)
 			report.SearchNodes += out[i].res.SearchNodes

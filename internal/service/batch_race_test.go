@@ -31,7 +31,6 @@ func TestBatchedExecutorUnderChurn(t *testing.T) {
 		K:           10,
 		Seed:        13,
 		Shards:      2,
-		Workers:     4,
 		BatchWindow: 2 * time.Millisecond,
 		BatchSize:   3,
 		// Small enough that the budget evicts constantly.

@@ -162,10 +162,6 @@ func newShard(id int, w *workload.Workload, cfg Config, svc *metrics.Service, ar
 	if !cfg.JointOptimize {
 		mgr.Unit = qsm.UnitUQ
 	}
-	if cfg.Workers > 1 {
-		// Component-scheduled parallel rounds inside this shard.
-		ctrl.EnableParallel(cfg.Workers, seed+2)
-	}
 	sh := &shard{
 		id:       id,
 		cfg:      cfg,
@@ -623,7 +619,6 @@ func (sh *shard) snapshot() ShardStats {
 		Budget:            budget,
 		Evictions:         sh.mgr.Evictions(),
 		EvictionsByPolicy: sh.mgr.State.EvictionsByPolicy(),
-		Parallel:          sh.ctrl.ParallelStats(),
 		PlanCache:         sh.mgr.PlanCacheStats(),
 		Now:               sh.env.Clock.Now(),
 	}

@@ -250,7 +250,7 @@ func TestExpandWhileShardAdmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := service.Config{K: 5, Shards: 1, Workers: 1}
+	cfg := service.Config{K: 5, Shards: 1}
 	svc, exp := service.New(w, cfg), service.NewExpander(w, cfg)
 	defer svc.Close()
 	const clients, searches = 3, 12

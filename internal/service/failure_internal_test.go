@@ -18,12 +18,12 @@ func TestNonConvergentMergeFailsSearchResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(w, Config{K: 8, Seed: 3, Shards: 1, Workers: 2, BatchWindow: 0})
+	svc := New(w, Config{K: 8, Seed: 3, Shards: 1, BatchWindow: 0})
 	defer svc.Close()
 
 	kw := w.Submissions[0].UQ.Keywords
 	// Cripple the bound before any request: every round then trips the
-	// non-convergence error inside a pool worker.
+	// non-convergence error on the executor goroutine.
 	svc.shards[0].ctrl.SetDriveBound(1)
 	if _, err := svc.Search(context.Background(), "u", kw, 8); err == nil {
 		t.Fatal("crippled engine answered a search successfully")

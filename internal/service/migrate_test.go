@@ -41,7 +41,7 @@ func TestMigrateTopicZeroExtraStreamTuples(t *testing.T) {
 		}
 		svc := service.New(w, service.Config{
 			Seed: 7, K: 10, Shards: 2, Router: service.RouterAffinity,
-			Workers: 1, BatchWindow: 0,
+			BatchWindow: 0,
 		})
 		defer svc.Close() //nolint:errcheck
 
@@ -100,7 +100,7 @@ func TestImportRejectsCorruptSegments(t *testing.T) {
 		}
 		svc := service.New(w, service.Config{
 			Seed: 7, K: 10, Shards: 2, Router: service.RouterAffinity,
-			Workers: 1, BatchWindow: 0,
+			BatchWindow: 0,
 		})
 		defer svc.Close() //nolint:errcheck
 
@@ -162,7 +162,7 @@ func TestCrossInstanceImportGateReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 		return service.New(w, service.Config{
-			Seed: 7, K: 10, Shards: 1, Workers: 1, BatchWindow: 0,
+			Seed: 7, K: 10, Shards: 1, BatchWindow: 0,
 		})
 	}
 
@@ -218,7 +218,6 @@ func TestMigrationRacingEviction(t *testing.T) {
 		K:            10,
 		Seed:         17,
 		Shards:       2,
-		Workers:      2,
 		BatchWindow:  2 * time.Millisecond,
 		BatchSize:    3,
 		MemoryBudget: 800,

@@ -229,7 +229,7 @@ func TestOverloadNeverServesWrongAnswer(t *testing.T) {
 			pool = append(pool, sub.UQ.Keywords)
 		}
 		return service.New(w, service.Config{
-			Seed: 1, K: k, Shards: 1, Workers: 1, BatchWindow: 0, Admission: adm,
+			Seed: 1, K: k, Shards: 1, BatchWindow: 0, Admission: adm,
 		}), pool
 	}
 	// One user per arrival: the expander seeds a user's coefficient RNG from

@@ -110,7 +110,7 @@ func TestAffinityReadsFewerStreamTuplesThanHash(t *testing.T) {
 		// Serial engine, sequential window-free admission: every search
 		// sees the same history in both modes.
 		svc := service.New(w, service.Config{
-			Seed: 1, K: 50, Shards: 2, Router: mode, Workers: 1, BatchWindow: 0,
+			Seed: 1, K: 50, Shards: 2, Router: mode, BatchWindow: 0,
 		})
 		defer svc.Close() //nolint:errcheck
 		h := sha256.New()

@@ -36,12 +36,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/atc"
 	"repro/internal/candidates"
 	"repro/internal/cq"
 	"repro/internal/metrics"
@@ -111,17 +109,13 @@ type Config struct {
 
 	// Shards is the number of independent engines (plan graph + executor
 	// goroutine). Related searches share a graph while unrelated ones run in
-	// parallel; Router selects how queries are placed. Default 1.
+	// parallel; Router selects how queries are placed. Default 1. Shards is
+	// how a service uses more than one core: each engine is single-threaded.
 	Shards int
-	// Workers sizes each shard's intra-shard parallel executor: the shared
-	// plan graph's independent components (connected subgraphs — searches
-	// that transitively share any node or stream stay in one component) are
-	// driven concurrently on this many workers, with a barrier per
-	// scheduling round. A graph that is one component — the usual shape
-	// when searches overlap — has nothing to run side by side: its round is
-	// driven serially on the executor goroutine whatever the worker count.
-	// Result digests and work counters are byte-identical at any worker
-	// count; 1 runs the serial engine exactly. 0 defaults to GOMAXPROCS.
+	// Workers is ignored: every shard runs one serial engine.
+	//
+	// Deprecated: the intra-shard component executor it sized ran no faster
+	// than the serial engine; use Shards for cores.
 	Workers int
 	// Router selects shard placement: "affinity" (default) routes each query
 	// to the shard whose decaying resident keyword set it overlaps most —
@@ -135,7 +129,7 @@ type Config struct {
 	// expires. Default 1024.
 	MaxQueue int
 	// ShardIDOffset offsets the engine identity of this service's shards:
-	// shard i seeds its RNGs (engine, delays, parallel executor) as engine
+	// shard i seeds its RNGs (engine, delays) as engine
 	// ShardIDOffset+i. A shard *process* serving slot i of a distributed
 	// fleet runs Shards=1 with ShardIDOffset=i, which makes its engine
 	// byte-identical to shard i of a single-process service with the same
@@ -173,9 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024
@@ -270,10 +261,6 @@ type ShardStats struct {
 	// Budget is the shard's current arbitrated allotment (0 = unbounded).
 	Budget    int
 	Evictions int
-	// Parallel reports the shard's intra-shard executor: worker count, pool
-	// utilization over parallel rounds, and the round-parallelism histogram
-	// (how many independent plan-graph components each round drove).
-	Parallel atc.ParallelStats
 	// EvictionsByPolicy splits evictions by the policy that chose them.
 	EvictionsByPolicy map[string]int
 	// Spill reports the shard's disk-tier traffic (zero when disabled).
@@ -525,11 +512,10 @@ func (s *Service) Close() error {
 	var errs []error
 	for _, sh := range s.shards {
 		<-sh.doneCh
-		// The executor has exited; release the shard's parallel workers and
-		// reclaim its spill segments so no run leaves goroutines or disk
-		// state behind. The checkpoint directory, unlike the spill tier, is
-		// deliberately NOT removed — it must outlive the process.
-		sh.ctrl.Close()
+		// The executor has exited; reclaim the shard's spill segments so no
+		// run leaves disk state behind. The checkpoint directory, unlike the
+		// spill tier, is deliberately NOT removed — it must outlive the
+		// process.
 		if err := sh.mgr.State.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("service: shard %d state teardown: %w", sh.id, err))
 		}

@@ -128,16 +128,6 @@ func DefaultDelays(rng *dist.RNG) *DelayModel {
 	}
 }
 
-// WithRNG copies the model's cost constants onto a private RNG. The parallel
-// executor derives one model per source node this way: delay draws become a
-// pure function of (node, operation ordinal), independent of how scheduling
-// rounds interleave across workers.
-func (m *DelayModel) WithRNG(rng *dist.RNG) *DelayModel {
-	c := *m
-	c.rng = rng
-	return &c
-}
-
 // poisson draws a Poisson-distributed duration with the given mean, at 100 µs
 // granularity so small means still vary (mean 2 ms → Poisson(20) ticks).
 func (m *DelayModel) poisson(mean time.Duration) time.Duration {

@@ -31,12 +31,10 @@ import "sync/atomic"
 // StateSize() rescan of the pre-subsystem eviction loop: structures call
 // Account.Add as rows arrive and leave, and Total is a running sum.
 //
-// The ledger-wide aggregates are atomic: under the intra-shard parallel
-// executor, workers driving disjoint plan-graph components register deltas
-// into the one shared ledger concurrently. Each Account itself stays owned
-// by exactly one component (structures never span components), so only the
-// cross-account sums need to be concurrency-safe — and atomic addition is
-// order-independent, which keeps Total deterministic at any worker count.
+// The ledger-wide aggregates are atomic so they can be read from any
+// goroutine while the engine goroutine writes them: the stats surface reads
+// Total and Scratch, and the memory-budget arbiter apportions a global
+// budget from every shard's Total.
 type Ledger struct {
 	total    atomic.Int64
 	accounts atomic.Int64
@@ -90,8 +88,7 @@ func (l *Ledger) NewAccount(label string) *Account {
 // Release closes an account: its rows leave the total and all further Adds
 // on it are ignored. Releasing nil or an already-released account is a
 // no-op, so eviction racing cancellation cannot double-release. Like Add,
-// Release must come from the account's owning component (or from the
-// executor between rounds).
+// Release must come from the engine goroutine.
 func (l *Ledger) Release(a *Account) {
 	if l == nil || a == nil || a.dead {
 		return
@@ -105,9 +102,8 @@ func (l *Ledger) Release(a *Account) {
 // Account is one structure's running row count within a ledger. All methods
 // are safe on a nil receiver: operator structures created outside an engine
 // (unit tests, ad hoc use) simply go unaccounted. An account's own fields
-// are deliberately not atomic — every account belongs to exactly one
-// plan-graph component, and the parallel executor's round barrier orders a
-// component's writes before any other goroutine reads them.
+// are not atomic: only the engine goroutine that owns the account reads or
+// writes them.
 type Account struct {
 	ledger  *Ledger
 	label   string

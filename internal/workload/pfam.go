@@ -144,10 +144,12 @@ func Pfam(scale PfamScale) (*Workload, error) {
 	for i := range rels {
 		r := rels[i]
 		schema := tuple.NewSchema(r.name, r.cols...)
-		dataRNG := dist.New(pfamSeed*31 + uint64(i)*101)
+		dataSeed := pfamSeed*31 + uint64(i)*101
 		relRef := r
+		// The loader seeds its own RNG, so shards racing on a relation's
+		// first access each materialise the same rows.
 		store[r.db].PutLazy(r.name, func() *relationdb.Relation {
-			return materialisePfam(relRef, schema, dataRNG, keyRange, edges)
+			return materialisePfam(relRef, schema, dist.New(dataSeed), keyRange, edges)
 		})
 		dist := make([]float64, len(r.cols))
 		for ci := range dist {

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/relationdb"
 )
 
 func TestBioWorkloadShape(t *testing.T) {
@@ -155,6 +158,45 @@ func TestPfamWorkloadShape(t *testing.T) {
 	st, err := w.Catalog.Relation("protein")
 	if err != nil || st.HasScore {
 		t.Error("protein should be score-less")
+	}
+}
+
+// TestPfamConcurrentFirstAccess: goroutines racing on the first access of a
+// lazy Pfam relation must each see the rows a lone access materialises.
+func TestPfamConcurrentFirstAccess(t *testing.T) {
+	const rel = "pfam2interpro"
+	ref, err := Pfam(PfamScaleDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Fleet.MustDB("pfam").Store().MustRelation(rel)
+	w, err := Pfam(PfamScaleDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := w.Fleet.MustDB("pfam").Store()
+	got := make([]*relationdb.Relation, 4)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = store.MustRelation(rel)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, r := range got {
+		if r.Cardinality() != want.Cardinality() {
+			t.Fatalf("goroutine %d: %d rows, want %d", i, r.Cardinality(), want.Cardinality())
+		}
+		for j := 0; j < r.Cardinality(); j++ {
+			if r.Row(j).Identity() != want.Row(j).Identity() {
+				t.Fatalf("goroutine %d: row %d is %s, want %s", i, j, r.Row(j).Identity(), want.Row(j).Identity())
+			}
+		}
 	}
 }
 
