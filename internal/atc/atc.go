@@ -15,6 +15,7 @@ package atc
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -85,6 +86,9 @@ type ATC struct {
 	// driveBound, when positive, overrides the defensive per-round step
 	// bound (SetDriveBound; tests only).
 	driveBound int
+	// quantum, when positive, overrides readQuantum (tests only, through
+	// export_test.go).
+	quantum int
 
 	// ledger, when bound, accounts every exec's and endpoint's resident
 	// state incrementally (§6.3); spill, when bound, is the disk tier evicted
@@ -560,20 +564,41 @@ func (a *ATC) park(x *operator.NodeExec) {
 	}
 }
 
-// RunRound performs one round-robin pass (§4.2): every unfinished rank-merge
-// advances — emitting and activating freely — until it either performs one
-// (blocking) source read or finishes. Reading from each operator's preferred
-// stream once per round "has the same outcome as a voting strategy where the
-// input stream with the highest number of tuple requests gets read the most"
-// and prevents source starvation (§4.2). It reports whether any merge is
-// still unfinished. Merges advance in admission order.
-func (a *ATC) RunRound() bool {
+// RunRound performs one round-robin pass (§4.2) with no horizon; see
+// RunRoundUntil.
+func (a *ATC) RunRound() bool { return a.RunRoundUntil(noHorizon) }
+
+// noHorizon is the horizon of a round the caller does not need to stop at
+// any virtual instant.
+const noHorizon = time.Duration(math.MaxInt64)
+
+// RunRoundUntil performs one round-robin pass (§4.2): every unfinished
+// rank-merge advances — emitting and activating freely — until it either
+// performs one (blocking) source read or finishes. Reading from each
+// operator's preferred stream once per round "has the same outcome as a
+// voting strategy where the input stream with the highest number of tuple
+// requests gets read the most" and prevents source starvation (§4.2). It
+// reports whether any merge is still unfinished. Merges advance in admission
+// order.
+//
+// A merge that is alone in the round keeps reading, up to readQuantum reads,
+// while the virtual clock is before horizon: with no other merge to starve,
+// a round of Q reads is the same sequence of Advance and ReadOne calls as Q
+// rounds of one, so answers, their stamps and the source work are unchanged
+// and only the caller regains control less often. The horizon lets a caller
+// that must act at a virtual instant (a batch release) stop where one-read
+// rounds would have stopped.
+func (a *ATC) RunRoundUntil(horizon time.Duration) bool {
+	quantum := 1
+	if len(a.active) == 1 {
+		quantum = a.readQuantum()
+	}
 	live := a.active[:0]
 	for _, m := range a.active {
 		if m.Done {
 			continue
 		}
-		a.driveMerge(m)
+		a.driveMerge(m, quantum, horizon)
 		if !m.Done {
 			live = append(live, m)
 		}
@@ -586,8 +611,19 @@ func (a *ATC) RunRound() bool {
 	return len(a.active) > 0
 }
 
-// driveMergeMaxSteps defensively bounds one merge's scheduling round.
+// driveMergeMaxSteps defensively bounds the steps one merge takes to reach a
+// read.
 const driveMergeMaxSteps = 1 << 22
+
+// readQuantum caps the reads a lone merge performs in one round.
+const readQuantum = 64
+
+func (a *ATC) readQuantum() int {
+	if a.quantum > 0 {
+		return a.quantum
+	}
+	return readQuantum
+}
 
 // SetDriveBound overrides the defensive per-round step bound (<= 0 restores
 // the default). It exists so tests can exercise the non-convergence failure
@@ -601,12 +637,13 @@ func (a *ATC) driveLimit() int {
 	return driveMergeMaxSteps
 }
 
-// driveMerge advances one rank-merge until it reads a tuple or finishes. A
-// round that does not converge — or an operator panic — fails the merge
-// instead of taking down the process: the error lands in MergeState.Err and
-// the serving layer returns it as a failed search.
-func (a *ATC) driveMerge(m *MergeState) {
-	if err := a.advanceMerge(m); err != nil {
+// driveMerge advances one rank-merge until it has read quantum tuples, the
+// clock has reached horizon after a read, or it finishes. A round that does
+// not converge — or an operator panic — fails the merge instead of taking
+// down the process: the error lands in MergeState.Err and the serving layer
+// returns it as a failed search.
+func (a *ATC) driveMerge(m *MergeState, quantum int, horizon time.Duration) {
+	if err := a.advanceMerge(m, quantum, horizon); err != nil {
 		a.failMerge(m, err)
 	}
 }
@@ -614,7 +651,15 @@ func (a *ATC) driveMerge(m *MergeState) {
 // advanceMerge is driveMerge's happy path; it converts panics from the
 // operator stack into errors so a poisoned query cannot kill the goroutine
 // driving the controller.
-func (a *ATC) advanceMerge(m *MergeState) (err error) {
+//
+// RunRoundUntil passes a quantum above one only to a merge that is alone in
+// the round, so §4.2's one read per operator per round still holds whenever
+// another merge could be starved. Every read is preceded by RankMerge.Advance
+// and its threshold test, exactly as at the start of a fresh round, and the
+// read that reaches horizon ends the round as it would end the last one-read
+// round a caller runs before that instant: the reads, their order and the
+// virtual clock are those of quantum one-read rounds.
+func (a *ATC) advanceMerge(m *MergeState, quantum int, horizon time.Duration) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("atc: driving %s: panic: %v", m.RM.UQ.ID, r)
@@ -622,6 +667,7 @@ func (a *ATC) advanceMerge(m *MergeState) (err error) {
 	}()
 	env := a.Env
 	limit := a.driveLimit()
+	reads := 0
 	for i := 0; i < limit; i++ {
 		step := m.RM.Advance(env)
 		switch step.Kind {
@@ -640,7 +686,12 @@ func (a *ATC) advanceMerge(m *MergeState) (err error) {
 			// Bookkeeping only; continue advancing.
 		case operator.StepRead:
 			if step.Source.ReadOne(env, a.epoch) {
-				return nil // one read per merge per round
+				reads++
+				if reads >= quantum || env.Clock.Now() >= horizon {
+					return nil
+				}
+				i = -1 // the step bound is per read, as in a one-read round
+				continue
 			}
 			// Exhausted: let the merge reclassify and pick again.
 		}

@@ -411,9 +411,14 @@ func TestCancelMerge(t *testing.T) {
 	if _, err := h.mgr.Admit([]batcher.Submission{{At: 0, UQ: uq}}, mqo.Config{K: uq.K}); err != nil {
 		t.Fatal(err)
 	}
-	// A few rounds in, abandon it.
-	h.ctrl.RunRound()
-	h.ctrl.RunRound()
+	// Two reads in, abandon it. A lone merge's round reads a quantum of
+	// tuples; a horizon of the current instant ends each round at its first
+	// read, so the merge is still mid-flight when canceled.
+	h.ctrl.RunRoundUntil(h.env.Clock.Now())
+	h.ctrl.RunRoundUntil(h.env.Clock.Now())
+	if m := h.ctrl.MergeByUQ(uq.ID); m == nil || m.Done {
+		t.Fatal("merge finished before the cancel; the test would prove nothing")
+	}
 	h.ctrl.CancelMerge(uq.ID)
 	m := h.ctrl.MergeByUQ(uq.ID)
 	if m == nil || !m.Done || !m.Canceled {
@@ -447,15 +452,16 @@ func TestSinkStateAccountingAndRelease(t *testing.T) {
 	if _, err := h.mgr.Admit([]batcher.Submission{{At: 0, UQ: uq}}, mqo.Config{K: uq.K}); err != nil {
 		t.Fatal(err)
 	}
-	// Drive rounds until the entry has buffered or deduplicated something,
-	// proving the accounting sees mid-run sink state.
+	// Drive one-read rounds (a horizon of the current instant ends each
+	// round at its first read) until the entry has buffered or deduplicated
+	// something, proving the accounting sees mid-run sink state.
 	sawState := false
 	for i := 0; i < 100000; i++ {
 		if h.ctrl.SinkStateRows() > 0 {
 			sawState = true
 			break
 		}
-		if !h.ctrl.RunRound() {
+		if !h.ctrl.RunRoundUntil(h.env.Clock.Now()) {
 			break
 		}
 	}

@@ -97,23 +97,13 @@ func (p *Pipeline) Admit(subs []batcher.Submission, opt mqo.Config) (*qsm.AdmitR
 	return p.Manager.Admit(subs, opt)
 }
 
-// RunUntil drives the ATC round-robin (§4.2) until done returns true or all
-// admitted queries finish. It returns whether work remains.
-func (p *Pipeline) RunUntil(done func() bool) bool {
-	for {
-		if done != nil && done() {
-			return true
-		}
-		if !p.ATC.RunRound() {
-			p.Manager.SyncCatalog()
-			return false
-		}
+// Drain drives the ATC's rounds (§4.2) until every admitted query finishes,
+// then feeds observed statistics back to the catalog.
+func (p *Pipeline) Drain() {
+	for p.ATC.RunRound() {
 	}
+	p.Manager.SyncCatalog()
 }
-
-// Drain runs every admitted query to completion and feeds observed statistics
-// back to the catalog.
-func (p *Pipeline) Drain() { p.RunUntil(nil) }
 
 // Results returns the finished user queries' rank-merge states.
 func (p *Pipeline) Results() []*atc.MergeState { return p.ATC.Merges() }

@@ -55,23 +55,3 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Errorf("finished queries should have unlinked endpoints, %d remain", p.Graph.Stats().Endpoints)
 	}
 }
-
-func TestPipelineRunUntil(t *testing.T) {
-	w, err := workload.Bio()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := core.NewPipeline(w.Fleet, w.Catalog, core.Options{Mode: qsm.ShareAll, Seed: 3})
-	if _, err := p.Admit([]batcher.Submission{{At: 0, UQ: w.Submissions[0].UQ}}, mqo.Config{K: 10}); err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	stopped := p.RunUntil(func() bool { calls++; return calls > 3 })
-	if !stopped {
-		t.Log("pipeline finished before the stop condition — acceptable for tiny queries")
-	}
-	p.Drain()
-	if m := p.FindMerge("UQ1"); m == nil || !m.Done {
-		t.Fatal("query did not complete after Drain")
-	}
-}

@@ -253,9 +253,11 @@ func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []bat
 
 	var optSamples []OptSample
 	for _, batch := range batches {
-		// Keep executing admitted queries until the batch's release time.
+		// Keep executing admitted queries until the batch's release time. The
+		// horizon stops a lone merge's read quantum at the read that reaches
+		// it, so the batch grafts at the instant one-read rounds would.
 		for !controller.AllDone() && env.Clock.Now() < batch.ReleasedAt {
-			controller.RunRound()
+			controller.RunRoundUntil(batch.ReleasedAt)
 		}
 		if env.Clock.Now() < batch.ReleasedAt {
 			env.Clock.AdvanceTo(batch.ReleasedAt)

@@ -255,14 +255,74 @@ type partialRow struct {
 // and hash-indexed on demand by (atom position, column).
 type AccessModule struct {
 	rows []partialRow
-	// indexes maps (atom<<16|col) -> comparable value key -> row positions.
-	// Keys are tuple.IndexKey rather than formatted strings so inserts and
-	// probes do no per-call formatting or allocation.
-	indexes map[int]map[tuple.IndexKey][]int32
+	// indexes holds one chained index per (atom, col) probed so far; a
+	// module has one or two, so a linear scan finds them.
+	indexes []*chainIndex
 	// coverage lists the node atom positions this input covers.
 	coverage []int
 	// acct, when set, receives per-row size deltas for the state ledger.
 	acct *state.Account
+}
+
+// chainIndex indexes a module's rows by the value at (atom, col). Each
+// distinct value is a chain of row positions in insertion order: a map takes
+// the value to its chain id, first/last hold each chain's ends, and next,
+// parallel to the module's rows, links a row to the next row of its chain
+// (-1 ends a chain and marks rows with no part at atom). Appending to a known
+// chain is a map lookup and two int32 stores, and the maps' values hold no
+// pointers. Int values — the join keys of every bundled workload — are keyed
+// by their bits in ints, which the runtime hashes as one word; every other
+// kind goes through tuple.IndexKey in other.
+type chainIndex struct {
+	atom, col   int
+	ints        map[uint64]int32
+	other       map[tuple.IndexKey]int32
+	first, last []int32
+	next        []int32
+}
+
+func newChainIndex(atom, col, capacity int) *chainIndex {
+	return &chainIndex{
+		atom:  atom,
+		col:   col,
+		ints:  make(map[uint64]int32, capacity),
+		other: map[tuple.IndexKey]int32{},
+		next:  make([]int32, 0, capacity),
+	}
+}
+
+// chain returns the chain id of value v, if it has one.
+func (ix *chainIndex) chain(v tuple.Value) (int32, bool) {
+	if v.Kind() == tuple.KindInt {
+		c, ok := ix.ints[uint64(v.AsInt())]
+		return c, ok
+	}
+	c, ok := ix.other[v.IndexKey()]
+	return c, ok
+}
+
+// add links row pos, whose parts are given, onto its value's chain. Rows
+// must be added in position order.
+func (ix *chainIndex) add(pos int32, parts []*tuple.Tuple) {
+	ix.next = append(ix.next, -1)
+	t := parts[ix.atom]
+	if t == nil {
+		return
+	}
+	v := t.Val(ix.col)
+	if c, ok := ix.chain(v); ok {
+		ix.next[ix.last[c]] = pos
+		ix.last[c] = pos
+		return
+	}
+	c := int32(len(ix.first))
+	if v.Kind() == tuple.KindInt {
+		ix.ints[uint64(v.AsInt())] = c
+	} else {
+		ix.other[v.IndexKey()] = c
+	}
+	ix.first = append(ix.first, pos)
+	ix.last = append(ix.last, pos)
 }
 
 // SetAccount wires the module to a ledger account, crediting any rows it
@@ -274,7 +334,7 @@ func (m *AccessModule) SetAccount(a *state.Account) {
 
 // NewAccessModule creates a module covering the given node atom positions.
 func NewAccessModule(coverage []int) *AccessModule {
-	return &AccessModule{indexes: map[int]map[tuple.IndexKey][]int32{}, coverage: append([]int(nil), coverage...)}
+	return &AccessModule{coverage: append([]int(nil), coverage...)}
 }
 
 // Coverage returns the node atom positions this module covers.
@@ -289,38 +349,40 @@ func (m *AccessModule) Insert(parts []*tuple.Tuple, epoch int) {
 	pos := int32(len(m.rows))
 	m.rows = append(m.rows, partialRow{parts: parts, epoch: epoch})
 	m.acct.Add(1)
-	for ik, idx := range m.indexes {
-		atom, col := ik>>16, ik&0xffff
-		if t := parts[atom]; t != nil {
-			k := t.Val(col).IndexKey()
-			idx[k] = append(idx[k], pos)
-		}
+	for _, ix := range m.indexes {
+		ix.add(pos, parts)
 	}
 }
 
-// index returns (building on demand) the hash index for (atom, col).
-func (m *AccessModule) index(atom, col int) map[tuple.IndexKey][]int32 {
-	ik := atom<<16 | col
-	idx, ok := m.indexes[ik]
-	if !ok {
-		idx = make(map[tuple.IndexKey][]int32, len(m.rows))
-		for pos, pr := range m.rows {
-			if t := pr.parts[atom]; t != nil {
-				k := t.Val(col).IndexKey()
-				idx[k] = append(idx[k], int32(pos))
-			}
+// index returns (building on demand) the chained index for (atom, col). A
+// lazily built index links the stored rows in position order, exactly as
+// Insert would have had the index existed when they arrived.
+func (m *AccessModule) index(atom, col int) *chainIndex {
+	for _, ix := range m.indexes {
+		if ix.atom == atom && ix.col == col {
+			return ix
 		}
-		m.indexes[ik] = idx
 	}
-	return idx
+	ix := newChainIndex(atom, col, len(m.rows))
+	for pos, pr := range m.rows {
+		ix.add(int32(pos), pr.parts)
+	}
+	m.indexes = append(m.indexes, ix)
+	return ix
 }
 
 // AppendProbe appends to dst the stored rows whose (atom, col) value equals v
-// and whose epoch is strictly below maxEpoch, returning the extended slice.
-// With a warm index and sufficient dst capacity it performs no allocation —
-// the m-join hot path passes a per-node scratch buffer.
+// and whose epoch is strictly below maxEpoch, in insertion order, returning
+// the extended slice. With a warm index and sufficient dst capacity it
+// performs no allocation — the m-join hot path passes a per-node scratch
+// buffer.
 func (m *AccessModule) AppendProbe(dst []partialRow, atom, col int, v tuple.Value, maxEpoch int) []partialRow {
-	for _, pos := range m.index(atom, col)[v.IndexKey()] {
+	ix := m.index(atom, col)
+	c, ok := ix.chain(v)
+	if !ok {
+		return dst
+	}
+	for pos := ix.first[c]; pos >= 0; pos = ix.next[pos] {
 		if m.rows[pos].epoch < maxEpoch {
 			dst = append(dst, m.rows[pos])
 		}

@@ -138,3 +138,75 @@ func TestCandidateHeapOrdering(t *testing.T) {
 		t.Errorf("heap top = %v", entry.buffer[0].score)
 	}
 }
+
+// TestAccessModuleIndexMatchesScan pins the chained index to a filtered scan:
+// for random rows — some missing the indexed atom's part, epochs out of
+// order, keys of every kind including NaN and null — AppendProbe returns
+// exactly the stored rows with that key below the epoch bound, in insertion
+// order, whether the index was built before the rows arrived or after.
+func TestAccessModuleIndexMatchesScan(t *testing.T) {
+	s := tuple.NewSchema("R",
+		tuple.Column{Name: "k", Type: tuple.KindInt},
+		tuple.Column{Name: "score", Type: tuple.KindFloat, Score: true},
+	)
+	nan := math.NaN()
+	keys := []tuple.Value{
+		tuple.Int(0), tuple.Int(1), tuple.Int(-7), tuple.Float(1), tuple.Float(0.5),
+		tuple.Float(nan), tuple.Float(math.Copysign(0, -1)), tuple.Float(0),
+		tuple.String("1"), tuple.String(""), tuple.String("x"), tuple.Null(),
+	}
+	probes := append([]tuple.Value{tuple.Int(99), tuple.String("absent")}, keys...)
+	matches := func(pr partialRow, atom, col int, v tuple.Value) bool {
+		p := pr.parts[atom]
+		return p != nil && p.Val(col).IndexKey() == v.IndexKey()
+	}
+	for trial := 0; trial < 40; trial++ {
+		rng := dist.New(uint64(trial) + 1)
+		early := NewAccessModule([]int{0, 1})
+		late := NewAccessModule([]int{0, 1})
+		// The early module's indexes exist before any row arrives.
+		for atom := 0; atom < 2; atom++ {
+			for col := 0; col < 2; col++ {
+				early.AppendProbe(nil, atom, col, tuple.Int(0), MaxEpochLive)
+			}
+		}
+		n := 1 + rng.Intn(200)
+		for i := 0; i < n; i++ {
+			parts := make([]*tuple.Tuple, 2)
+			for atom := range parts {
+				if rng.Intn(4) == 0 {
+					continue // no part at this atom
+				}
+				parts[atom] = tuple.New(s, keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))])
+			}
+			epoch := rng.Intn(5)
+			early.Insert(parts, epoch)
+			late.Insert(parts, epoch)
+		}
+		for _, m := range []*AccessModule{early, late} {
+			for atom := 0; atom < 2; atom++ {
+				for col := 0; col < 2; col++ {
+					for _, v := range probes {
+						for _, maxEpoch := range []int{0, 2, 4, MaxEpochLive} {
+							var want []partialRow
+							for _, pr := range m.Scan(maxEpoch) {
+								if matches(pr, atom, col, v) {
+									want = append(want, pr)
+								}
+							}
+							got := m.AppendProbe(nil, atom, col, v, maxEpoch)
+							if len(got) != len(want) {
+								t.Fatalf("trial %d (%d,%d)=%s below %d: probe %d rows, scan %d", trial, atom, col, v.Text(), maxEpoch, len(got), len(want))
+							}
+							for i := range want {
+								if &got[i].parts[0] != &want[i].parts[0] || got[i].epoch != want[i].epoch {
+									t.Fatalf("trial %d (%d,%d)=%s below %d: row %d out of insertion order", trial, atom, col, v.Text(), maxEpoch, i)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
