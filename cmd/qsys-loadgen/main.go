@@ -1,15 +1,16 @@
-// Command qsys-loadgen drives an in-process internal/service instance with a
-// closed-loop multi-user workload and reports throughput, latency percentiles
-// and the engine's work counters per admission-window setting — the serving
-// analogue of Figure 9's SINGLE-OPT vs BATCH-OPT comparison. The default
-// state budget models production serving, where retained plan state is
-// bounded and evicted under pressure (§6.3): there, a window of 0 admits
-// every query alone and each one re-pays for evicted state, while a window
-// > 0 co-admits concurrent arrivals so they drive the same live source
-// streams — fewer total source-stream tuples at equal offered load. With
-// -budget 0 (unbounded state) the persistent shared plan graph absorbs the
-// difference: total source work becomes invariant to batching and only
-// latency and optimization amortization separate the settings.
+// Command qsys-loadgen drives an in-process fleet (fleet.NewLocal: a front
+// desk over -shards engines) with a closed-loop multi-user workload and
+// reports throughput, latency percentiles and the engines' work counters per
+// admission-window setting — the serving analogue of Figure 9's SINGLE-OPT
+// vs BATCH-OPT comparison. The default state budget models production
+// serving, where retained plan state is bounded and evicted under pressure
+// (§6.3): there, a window of 0 admits every query alone and each one re-pays
+// for evicted state, while a window > 0 co-admits concurrent arrivals so
+// they drive the same live source streams — fewer total source-stream tuples
+// at equal offered load. With -memory-budget 0 (unbounded state) the
+// persistent shared plan graph absorbs the difference: total source work
+// becomes invariant to batching and only latency and optimization
+// amortization separate the settings.
 //
 // Usage:
 //
@@ -73,17 +74,16 @@ func main() {
 	routerMode := flag.String("router", "affinity", "shard placement: affinity (route by overlap with each shard's resident keywords, hash fallback) or hash (fixed keyword hash)")
 	overlap := flag.Bool("overlap", false, "augment the keyword pool with overlapping topic variants (drop-last and case-folded-duplicate of each suite query) — the workload shard placement is measured on")
 	seed := flag.Uint64("seed", 1, "workload draw seed")
-	budget := flag.Int("memory-budget", 500, "global retained-state budget in rows, arbitrated across shards by demand (0 = unbounded)")
-	flag.IntVar(budget, "budget", 500, "alias for -memory-budget")
+	budget := flag.Int("memory-budget", 500, "retained-state budget in rows per engine (0 = unbounded)")
 	policy := flag.String("evict-policy", "lru", "eviction policy under the budget: lru or benefit")
 	spillDir := flag.String("spill-dir", "", "spill evicted plan segments to per-shard dirs under this path instead of discarding (removed on close)")
-	target := flag.String("target", "", "drive a running qsys-serve (single-process or front-end) at this base URL over HTTP instead of an in-process service; transient rejections (503, connection refused) are retried with jittered backoff and reported")
+	target := flag.String("target", "", "drive a running qsys-serve (single-process or front-end) at this base URL over HTTP instead of an in-process fleet; transient rejections (503, connection refused) are retried with jittered backoff and reported")
 	digest := flag.Bool("digest", false, "with -target: print the sha256 result digest of the run (deterministic with -users 1; the multi-process parity gate compares it across serving modes)")
 	rate := flag.Float64("rate", 0, "open-loop mode: offered arrival rate in searches/sec (Poisson arrivals from a seeded schedule, independent of completions); 0 = closed loop")
 	burst := flag.Int("burst", 1, "open-loop burstiness: arrivals come in clusters of this size at each Poisson epoch (offered rate unchanged)")
 	arrivals := flag.Int("arrivals", 0, "open-loop arrival count (0 = users*requests)")
 	deadline := flag.Duration("deadline", 0, "per-request latency budget: in-process it configures admission deadline shedding; with -target it bounds each request context")
-	maxPending := flag.Int("max-pending", 0, "in-process admission: bound each shard's queue, shedding beyond it (0 = unbounded)")
+	maxPending := flag.Int("max-pending", 0, "in-process admission: bound each engine's queue, shedding beyond it (0 = unbounded)")
 	userRate := flag.Float64("user-rate", 0, "in-process admission: per-user token-bucket rate in searches/sec (0 = off)")
 	totalRate := flag.Float64("total-rate", 0, "in-process admission: global admission rate, fair-arbitrated across active users (0 = off)")
 	adaptiveWindow := flag.Bool("adaptive-window", false, "in-process admission: replace the fixed batch window with the queue/latency control loop")
@@ -253,7 +253,7 @@ func run(wl string, instance int, window time.Duration, users, requests, k, batc
 		// Separate windows must not inherit each other's segments.
 		spillDir = filepath.Join(spillDir, fmt.Sprintf("w%d", window/time.Microsecond))
 	}
-	svc := service.New(w, service.Config{
+	fr, err := fleet.NewLocal(w, service.Config{
 		K:            k,
 		Seed:         seed,
 		BatchWindow:  window,
@@ -264,7 +264,10 @@ func run(wl string, instance int, window time.Duration, users, requests, k, batc
 		EvictPolicy:  policy,
 		SpillDir:     spillDir,
 	})
-	defer svc.Close()
+	if err != nil {
+		return nil, err
+	}
+	defer fr.Close()
 
 	var (
 		wg       sync.WaitGroup
@@ -283,7 +286,7 @@ func run(wl string, instance int, window time.Duration, users, requests, k, batc
 			for i := 0; i < requests; i++ {
 				kw := pool[zipf.Next()]
 				t0 := time.Now()
-				_, err := svc.Search(context.Background(), fmt.Sprintf("user%d", u), kw, k)
+				_, err := fr.Search(context.Background(), fmt.Sprintf("user%d", u), kw, k)
 				d := time.Since(t0)
 				mu.Lock()
 				if err != nil {
@@ -300,7 +303,7 @@ func run(wl string, instance int, window time.Duration, users, requests, k, batc
 	elapsed := time.Since(start)
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rep := &report{latencies: lats, errors: errCount, stats: svc.Stats()}
+	rep := &report{latencies: lats, errors: errCount, stats: fr.Stats(context.Background())}
 	if len(lats) > 0 {
 		rep.mean = (sum / time.Duration(len(lats))).Round(time.Microsecond)
 	}
@@ -576,7 +579,7 @@ func runOpenLoop(cfg openLoopConfig) {
 	}
 
 	var attempt func(ctx context.Context, user string, kw []string) (*fleet.ResultView, *admission.ShedError, error)
-	var svc *service.Service
+	var fr *fleet.Frontend
 	if cfg.target != "" {
 		attempt = openTargetAttempt(cfg)
 	} else {
@@ -588,7 +591,7 @@ func runOpenLoop(cfg openLoopConfig) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		svc = service.New(w, service.Config{
+		fr, err = fleet.NewLocal(w, service.Config{
 			K:            cfg.k,
 			Seed:         cfg.seed,
 			BatchWindow:  cfg.window,
@@ -599,9 +602,13 @@ func runOpenLoop(cfg openLoopConfig) {
 			EvictPolicy:  cfg.policy,
 			Admission:    cfg.adm,
 		})
-		defer svc.Close()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		defer fr.Close()
 		attempt = func(ctx context.Context, user string, kw []string) (*fleet.ResultView, *admission.ShedError, error) {
-			res, err := svc.Search(ctx, user, kw, cfg.k)
+			view, err := fr.Search(ctx, user, kw, cfg.k)
 			if err != nil {
 				var shed *admission.ShedError
 				if errors.As(err, &shed) {
@@ -609,7 +616,7 @@ func runOpenLoop(cfg openLoopConfig) {
 				}
 				return nil, nil, err
 			}
-			return fleet.ViewOf(res), nil, nil
+			return view, nil, nil
 		}
 	}
 
@@ -719,8 +726,8 @@ func runOpenLoop(cfg openLoopConfig) {
 	}
 	fmt.Printf("latency served: p50=%v p95=%v p99=%v max=%v\n",
 		rep.p(0.50), rep.p(0.95), rep.p(0.99), rep.p(1))
-	if svc != nil {
-		ss := svc.Stats().Service
+	if fr != nil {
+		ss := fr.Stats(context.Background()).Service
 		fmt.Printf("admission: shed=%d user-rate=%d queue-full=%d deadline-canceled=%d\n",
 			ss.Shed, ss.ShedUserRate, ss.ShedQueueFull, ss.DeadlineCanceled)
 	}

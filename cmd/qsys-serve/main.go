@@ -4,14 +4,14 @@
 // admission batches, multi-query-optimized together (§3) and executed over
 // shared plan graphs (§4–§6) — the paper's middleware as an online daemon.
 //
-// It serves in one of two modes:
+// Both of its modes run one fleet.Frontend — candidate expansion, rate
+// limits, shard placement (the affinity router), health-checked routing,
+// live topic migration and stats aggregation — over N engines:
 //
-//   - Single-process (default): every shard engine lives in this process.
-//   - Front-end (-fleet url,url,...): this process is the stateless tier of
-//     a distributed fleet — it owns candidate expansion, shard placement
-//     (the affinity router over remote endpoints), health-checked routing
-//     and live topic migration, while qsys-shard processes own the engines.
-//     Result digests are byte-identical across the two modes at equal seed.
+//   - Single-process (default): -shards engines live in this process.
+//   - Front-end (-fleet url,url,...): qsys-shard processes own the engines.
+//
+// Result digests are byte-identical across the two modes at equal seed.
 //
 // Usage:
 //
@@ -27,8 +27,8 @@
 // fair arbitration under a global rate (shed as retryable 503 + Retry-After),
 // a bounded per-shard queue, deadline shedding that cancels merges past the
 // budget, and an adaptive batch window driven by queue depth and recent
-// latency. In front-end mode the rate limits run at this process's front desk
-// while queue/deadline control runs inside each shard process.
+// latency. The rate limits run at this process's front desk; queue and
+// deadline control run inside each engine.
 //
 // Endpoints:
 //
@@ -71,8 +71,7 @@ func main() {
 	routerMode := flag.String("router", "affinity", "shard placement: affinity (route by overlap with each shard's resident keywords, hash fallback) or hash (fixed keyword hash)")
 	k := flag.Int("k", 50, "default answers per search")
 	seed := flag.Uint64("seed", 1, "deterministic delay/scoring seed (must match the shard processes' in front-end mode)")
-	budget := flag.Int("memory-budget", 0, "global retained-state budget in rows, arbitrated across shards by demand (0 = unbounded)")
-	flag.IntVar(budget, "budget", 0, "alias for -memory-budget")
+	budget := flag.Int("memory-budget", 0, "retained-state budget in rows per engine (0 = unbounded)")
 	policy := flag.String("evict-policy", "lru", "eviction policy under the budget: lru or benefit")
 	spillDir := flag.String("spill-dir", "", "spill evicted plan segments to per-shard dirs under this path instead of discarding (removed on shutdown)")
 	realtime := flag.Bool("realtime", false, "sleep simulated delays for real (live demo pacing)")
@@ -119,10 +118,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var (
-		api      serveAPI
-		teardown func()
-	)
+	var fr *fleet.Frontend
 	if *fleetList != "" {
 		var backends []fleet.Backend
 		fm := &metrics.Fleet{}
@@ -133,7 +129,7 @@ func main() {
 			}
 			backends = append(backends, fleet.NewClient(ep, fleet.ClientConfig{Metrics: fm}))
 		}
-		fr, err := fleet.NewFrontend(w, fleet.FrontendConfig{
+		fr, err = fleet.NewFrontend(w, fleet.FrontendConfig{
 			Service:       service.Config{K: *k, Seed: *seed, Router: *routerMode, Admission: adm},
 			ProbeInterval: *probeEvery,
 			RehomeFactor:  *rehome,
@@ -144,16 +140,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		api = &frontendAPI{fr: fr}
-		teardown = func() {
-			if err := fr.Close(); err != nil {
-				log.Printf("qsys-serve: front-end close: %v", err)
-			}
-		}
 		log.Printf("qsys-serve: front-end for %d shard endpoints (router=%s rehome=%.1f)",
 			len(backends), *routerMode, *rehome)
 	} else {
-		svc := service.New(w, service.Config{
+		fr, err = fleet.NewLocal(w, service.Config{
 			K:            *k,
 			Seed:         *seed,
 			BatchWindow:  *window,
@@ -166,14 +156,9 @@ func main() {
 			RealTime:     *realtime,
 			Admission:    adm,
 		})
-		api = &localAPI{svc: svc, shards: *shards}
-		teardown = func() {
-			// Surface the per-shard state-teardown errors Close used to
-			// swallow: a serving process must log disk problems, not leak
-			// spill segments silently.
-			if err := svc.Close(); err != nil {
-				log.Printf("qsys-serve: close: %v", err)
-			}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		log.Printf("qsys-serve: workload %s (window=%v batch=%d shards=%d router=%s)",
 			w.Name, *window, *batch, *shards, *routerMode)
@@ -193,7 +178,7 @@ func main() {
 		if in.User == "" {
 			in.User = "anonymous"
 		}
-		view, err := api.Search(req.Context(), in.User, in.Keywords, in.K)
+		view, err := fr.Search(req.Context(), in.User, in.Keywords, in.K)
 		if err != nil {
 			if shed := shedOf(err); shed != nil {
 				// Overload sheds keep their provenance end to end: reason,
@@ -209,10 +194,10 @@ func main() {
 		writeJSON(rw, view)
 	})
 	mux.HandleFunc("GET /stats", func(rw http.ResponseWriter, req *http.Request) {
-		writeJSON(rw, api.Stats(req.Context()))
+		writeJSON(rw, fr.Stats(req.Context()))
 	})
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, req *http.Request) {
-		hz := api.Healthz(req.Context())
+		hz := fr.Healthz(req.Context())
 		rw.Header().Set("Content-Type", "application/json")
 		if !hz.OK {
 			rw.WriteHeader(http.StatusServiceUnavailable)
@@ -246,65 +231,18 @@ func main() {
 	if err := server.Shutdown(shutdownCtx); err != nil {
 		log.Printf("qsys-serve: http shutdown: %v", err)
 	}
-	teardown()
+	// Surface the engines' state-teardown errors: a serving process must log
+	// disk problems, not leak spill segments silently.
+	if err := fr.Close(); err != nil {
+		log.Printf("qsys-serve: close: %v", err)
+	}
 	log.Print("qsys-serve: bye")
 }
 
-// serveAPI is what both modes expose to the HTTP handlers.
-type serveAPI interface {
-	Search(ctx context.Context, user string, keywords []string, k int) (*fleet.ResultView, error)
-	Stats(ctx context.Context) service.Stats
-	Healthz(ctx context.Context) fleet.HealthzView
-}
-
-// localAPI adapts a single-process service.
-type localAPI struct {
-	svc    *service.Service
-	shards int
-}
-
-func (a *localAPI) Search(ctx context.Context, user string, keywords []string, k int) (*fleet.ResultView, error) {
-	res, err := a.svc.Search(ctx, user, keywords, k)
-	if err != nil {
-		return nil, err
-	}
-	return fleet.ViewOf(res), nil
-}
-
-func (a *localAPI) Stats(ctx context.Context) service.Stats { return a.svc.Stats() }
-
-// Healthz reports per-shard state for the single-process mode: every shard is
-// in this process, healthy and non-draining as long as it serves, with its
-// in-flight count drawn from the service counters.
-func (a *localAPI) Healthz(ctx context.Context) fleet.HealthzView {
-	st := a.svc.Stats()
-	hz := fleet.HealthzView{OK: true}
-	for i := 0; i < a.shards; i++ {
-		hz.Shards = append(hz.Shards, fleet.ShardHealthView{
-			Shard:   i,
-			Healthy: true,
-		})
-	}
-	hz.Shards[0].InFlight = int(st.Service.InFlight)
-	return hz
-}
-
-// frontendAPI adapts the distributed front-end.
-type frontendAPI struct {
-	fr *fleet.Frontend
-}
-
-func (a *frontendAPI) Search(ctx context.Context, user string, keywords []string, k int) (*fleet.ResultView, error) {
-	return a.fr.Search(ctx, user, keywords, k)
-}
-
-func (a *frontendAPI) Stats(ctx context.Context) service.Stats { return a.fr.Stats(ctx) }
-
-func (a *frontendAPI) Healthz(ctx context.Context) fleet.HealthzView { return a.fr.Healthz(ctx) }
-
 // shedOf extracts the admission shed behind a search failure, if any: either
-// the local controller's *admission.ShedError, or a shard's shed relayed by
-// the front-end as an *fleet.RPCError that kept the reason and hint.
+// an in-process *admission.ShedError (the front desk's rate limiter, or a
+// local engine's queue), or a shard's shed relayed by the front-end as an
+// *fleet.RPCError that kept the reason and hint.
 func shedOf(err error) *admission.ShedError {
 	var shed *admission.ShedError
 	if errors.As(err, &shed) {

@@ -5,8 +5,9 @@
 // The shard admits only fully expanded user queries — candidate expansion,
 // per-user scoring coefficients and UQ ids are front-end state. -shard-id
 // sets service.Config.ShardIDOffset, which seeds the engine identically to
-// shard <id> of a single-process service with the same -seed: result digests
-// are byte-identical whether the fleet lives in one process or N.
+// engine <id> of a single-process qsys-serve -shards N with the same -seed:
+// result digests are byte-identical whether the fleet lives in one process
+// or N.
 //
 // Usage:
 //
@@ -69,8 +70,7 @@ func main() {
 	window := flag.Duration("window", 25*time.Millisecond, "admission batch window (0 = admit immediately)")
 	batch := flag.Int("batch", 5, "admission batch size trigger (negative = window only)")
 	k := flag.Int("k", 50, "default answers per search")
-	budget := flag.Int("memory-budget", 0, "retained-state budget in rows (0 = unbounded)")
-	flag.IntVar(budget, "budget", 0, "alias for -memory-budget")
+	budget := flag.Int("memory-budget", 0, "retained-state budget in rows per engine (0 = unbounded)")
 	policy := flag.String("evict-policy", "lru", "eviction policy under the budget: lru or benefit")
 	spillDir := flag.String("spill-dir", "", "spill evicted plan segments under this path instead of discarding (removed on shutdown)")
 	realtime := flag.Bool("realtime", false, "sleep simulated delays for real")

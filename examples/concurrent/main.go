@@ -1,6 +1,6 @@
 // Concurrent demonstrates genuinely concurrent keyword searches sharing one
-// plan graph through internal/service: many user goroutines pose searches at
-// the same time, the admission window groups the arrivals into batches, and
+// plan graph through one engine behind the front desk (fleet.NewLocal): many
+// user goroutines pose searches at the same time, the admission window groups the arrivals into batches, and
 // the executor drives them over shared source streams. It contrasts no
 // admission window (every query admitted alone) against a positive window
 // (concurrent arrivals co-admitted) under a bounded state budget — the
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/fleet"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -23,7 +24,7 @@ import (
 const (
 	users    = 8
 	requests = 6
-	budget   = 500 // rows of retained state per shard (§6.3 eviction)
+	budget   = 500 // rows of retained state per engine (§6.3 eviction)
 )
 
 func main() {
@@ -41,12 +42,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		svc := service.New(w, service.Config{
+		fr, err := fleet.NewLocal(w, service.Config{
 			K:            20,
 			BatchWindow:  window,
 			BatchSize:    5,
 			MemoryBudget: budget,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		var (
 			wg  sync.WaitGroup
@@ -63,7 +67,7 @@ func main() {
 				for i := 0; i < requests; i++ {
 					kw := w.Submissions[zipf.Next()].UQ.Keywords
 					t0 := time.Now()
-					res, err := svc.Search(context.Background(), fmt.Sprintf("user%d", u), kw, 20)
+					res, err := fr.Search(context.Background(), fmt.Sprintf("user%d", u), kw, 20)
 					if err != nil {
 						log.Fatalf("user %d: %v", u, err)
 					}
@@ -80,8 +84,8 @@ func main() {
 			}(u)
 		}
 		wg.Wait()
-		st := svc.Stats()
-		svc.Close()
+		st := fr.Stats(context.Background())
+		fr.Close() //nolint:errcheck // the engines hold no spill directory
 		outcomes = append(outcomes, outcome{window: window, stats: st, latency: sum / time.Duration(n)})
 	}
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -66,9 +67,10 @@ func newTestFrontend(t *testing.T, seed uint64, servers []*httptest.Server, cfg 
 	return fr
 }
 
-// TestFleetDigestParityHTTP is the tentpole invariant end to end: the same
-// seeded search sequence answered by a single 2-shard process and by a
-// front-end over two shard HTTP servers must digest byte-identically.
+// TestFleetDigestParityHTTP pins the HTTP hop end to end: the same seeded
+// search sequence answered by two engines in this process and by a front-end
+// over two shard HTTP servers must digest byte-identically — both sides run
+// the same Frontend, so only the hop and the wire codecs can differ.
 func TestFleetDigestParityHTTP(t *testing.T) {
 	const seed = 11
 
@@ -77,18 +79,21 @@ func TestFleetDigestParityHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := service.New(w, service.Config{
+	single, err := fleet.NewLocal(w, service.Config{
 		Seed: seed, K: 10, Shards: 2, Router: service.RouterAffinity,
 		BatchWindow: 0,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer single.Close() //nolint:errcheck
 	hSingle := sha256.New()
 	for _, kw := range fleetTopics {
-		res, err := single.Search(context.Background(), "parity", kw, 10)
+		view, err := single.Search(context.Background(), "parity", kw, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fleet.DigestView(hSingle, fleet.ViewOf(res))
+		fleet.DigestView(hSingle, view)
 	}
 
 	// Distributed run: two shard processes (distinct workload instances —
@@ -313,5 +318,96 @@ func TestMigrationOverRPC(t *testing.T) {
 	migrated := run(true)
 	if stay != migrated {
 		t.Fatalf("migration changed results: stay=%s migrate=%s", stay, migrated)
+	}
+}
+
+// TestFrontendStatsFoldsEngines pins the front-end's /stats over two HTTP
+// shards: every search counts once, the engines' admission batches and work
+// fold in exactly, and latency comes from the front desk's own histograms.
+func TestFrontendStatsFoldsEngines(t *testing.T) {
+	srv0, _ := newShardHTTP(t, 0, 21)
+	srv1, _ := newShardHTTP(t, 1, 21)
+	fr := newTestFrontend(t, 21, []*httptest.Server{srv0, srv1}, fleet.FrontendConfig{})
+	const n = 12
+	for i := 0; i < n; i++ {
+		if _, err := fr.Search(context.Background(), "stats", fleetTopics[i%len(fleetTopics)], 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := fr.Stats(context.Background())
+	var batches int64
+	var work metrics.Snapshot
+	for _, srv := range []*httptest.Server{srv0, srv1} {
+		c := fleet.NewClient(srv.URL, fleet.ClientConfig{})
+		ss, err := c.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches += ss.Service.Batches
+		work = work.Add(ss.Work)
+	}
+	sv := st.Service
+	if sv.Requests != n || sv.Completed != n {
+		t.Errorf("requests %d, completed %d; want %d each", sv.Requests, sv.Completed, n)
+	}
+	if sv.BatchOccupancy.Count != batches || sv.Batches != batches {
+		t.Errorf("batch occupancy count %d, batches %d; the shards released %d", sv.BatchOccupancy.Count, sv.Batches, batches)
+	}
+	if sv.WallLatency.Count != n || sv.EngineLatency.Count != n {
+		t.Errorf("latency counts wall %d, engine %d; want %d", sv.WallLatency.Count, sv.EngineLatency.Count, n)
+	}
+	if sv.ExecBatch.Count == 0 || sv.ExecBatch.Count != sv.ExecBatchFlushes {
+		t.Errorf("executor batches: %d observed, %d flushes", sv.ExecBatch.Count, sv.ExecBatchFlushes)
+	}
+	if st.Work != work {
+		t.Errorf("work %+v, the shards' sum %+v", st.Work, work)
+	}
+	if len(st.Shards) != 2 || st.Shards[1].Shard != 1 {
+		t.Errorf("per-engine detail = %+v", st.Shards)
+	}
+}
+
+// TestLocalHealthReportsEngineInFlight: a search held in one engine's open
+// admission window shows in flight on that engine's shard of /healthz and
+// on no other.
+func TestLocalHealthReportsEngineInFlight(t *testing.T) {
+	w, err := workload.Bio()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := fleet.NewLocal(w, service.Config{K: 5, Shards: 2, BatchSize: 100, BatchWindow: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *fleet.ResultView, 1)
+	go func() {
+		view, err := fr.Search(context.Background(), "held", fleetTopics[0], 5)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- view
+	}()
+	var hz fleet.HealthzView
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		hz = fr.Healthz(context.Background())
+		if hz.Shards[0].InFlight+hz.Shards[1].InFlight > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the search never reached an engine")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// Close flushes the open window, which answers the held search.
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	view := <-done
+	if view == nil {
+		t.FailNow()
+	}
+	if got, other := hz.Shards[view.Shard].InFlight, hz.Shards[1-view.Shard].InFlight; got != 1 || other != 0 {
+		t.Fatalf("healthz in flight: %d on the search's shard %d, %d on the other; want 1 and 0", got, view.Shard, other)
 	}
 }

@@ -17,9 +17,9 @@ import (
 
 // FrontendConfig tunes a front-end.
 type FrontendConfig struct {
-	// Service carries the expansion parameters (Seed, K, MaxCQs) and the
-	// Router mode; engine-side fields are ignored — the engines live in the
-	// shard processes.
+	// Service carries the expansion parameters (Seed, K, MaxCQs), the Router
+	// mode and the front-desk rate limits (Admission.UserRate, TotalRate);
+	// engine-side fields are ignored — the engines live behind the backends.
 	Service service.Config
 	// ProbeInterval is the health prober's period; 0 disables background
 	// probing (backends are then marked down only by failed searches).
@@ -49,10 +49,12 @@ type FrontendConfig struct {
 // down or already failed this request.
 var ErrNoHealthyShard = errors.New("fleet: no healthy shard")
 
-// Frontend is the stateless half of the distributed tier: it owns candidate
-// expansion (per-user scoring coefficients, UQ ids), shard placement and
-// health, but no engine state — everything it holds can be rebuilt by
-// restarting it, at the cost of re-expanding and re-routing from scratch.
+// Frontend is the front desk of every serving mode: it owns candidate
+// expansion (per-user scoring coefficients, UQ ids), rate limiting, shard
+// placement, health, migration and stats aggregation, but no engine state —
+// everything it holds can be rebuilt by restarting it, at the cost of
+// re-expanding and re-routing from scratch. Its backends are engines in this
+// process (NewLocal) or shard processes over HTTP (NewClient).
 type Frontend struct {
 	exp        *service.Expander
 	placer     *service.Placer
@@ -79,7 +81,6 @@ func NewFrontend(w *workload.Workload, cfg FrontendConfig, backends []Backend) (
 		return nil, errors.New("fleet: front-end needs at least one backend")
 	}
 	svcCfg := cfg.Service
-	svcCfg.Shards = len(backends)
 	svc := &metrics.Service{}
 	placer, err := service.NewPlacer(svcCfg.Router, len(backends), svc)
 	if err != nil {
@@ -141,7 +142,8 @@ func (f *Frontend) setDown(i int, down bool) {
 // limiter here, or a shard answering with a shed reason — is surfaced
 // without marking anything down: saturation is backpressure, not failure.
 func (f *Frontend) Search(ctx context.Context, user string, keywords []string, k int) (*ResultView, error) {
-	if shed := f.adm.Admit(user, time.Now()); shed != nil {
+	start := time.Now()
+	if shed := f.adm.Admit(user, start); shed != nil {
 		f.svc.Shed.Inc()
 		f.svc.ShedUserRate.Inc()
 		return nil, shed
@@ -167,6 +169,8 @@ func (f *Frontend) Search(ctx context.Context, user string, keywords []string, k
 		view, err := f.backends[sh].Search(ctx, uq)
 		if err == nil {
 			view.Shard = sh
+			f.svc.WallLatency.Observe(time.Since(start))
+			f.svc.EngineLatency.Observe(time.Duration(view.EngineLatencyNS))
 			f.maybeRehome(ctx, keywords)
 			return view, nil
 		}
@@ -388,8 +392,13 @@ func (f *Frontend) Healthz(ctx context.Context) HealthzView {
 	return view
 }
 
-// Stats aggregates the fleet: front-end request counters and placement plus
-// the sum of every reachable shard's engine counters.
+// Stats aggregates the fleet, counting every search once. The front desk
+// contributes what only it sees: requests, its rate-limit sheds, placement,
+// the expansion cache, and the wall and engine latency of every search it
+// answered, each from one histogram. Every reachable backend contributes its
+// engine: the lifecycle past placement (queued, in flight, completed,
+// canceled, rejected, queue-full and deadline sheds), admission and executor
+// batches, work, per-engine detail and the recovery tier.
 func (f *Frontend) Stats(ctx context.Context) service.Stats {
 	st := service.Stats{Service: f.svc.Snapshot(), Router: f.placer.Stats(), ExpandCache: f.exp.CacheStats()}
 	for i, b := range f.backends {
@@ -398,7 +407,22 @@ func (f *Frontend) Stats(ctx context.Context) service.Stats {
 			log.Printf("fleet: stats from shard %d: %v", i, err)
 			continue
 		}
+		e, sv := bs.Service, &st.Service
+		sv.InFlight += e.InFlight
+		sv.Queued += e.Queued
+		sv.Completed += e.Completed
+		sv.Canceled += e.Canceled
+		sv.Rejected += e.Rejected
+		sv.Batches += e.Batches
+		sv.Shed += e.Shed
+		sv.ShedQueueFull += e.ShedQueueFull
+		sv.DeadlineCanceled += e.DeadlineCanceled
+		sv.ExecBatchFlushes += e.ExecBatchFlushes
+		sv.ExecBatchFull += e.ExecBatchFull
+		sv.BatchOccupancy = sv.BatchOccupancy.Add(e.BatchOccupancy)
+		sv.ExecBatch = sv.ExecBatch.Add(e.ExecBatch)
 		st.Work = st.Work.Add(bs.Work)
+		st.Recovery = st.Recovery.Add(bs.Recovery)
 		for _, ss := range bs.Shards {
 			ss.Shard = i
 			st.Shards = append(st.Shards, ss)
@@ -429,9 +453,9 @@ func (f *Frontend) probeLoop(interval, timeout time.Duration) {
 	}
 }
 
-// Close stops the prober and releases the backend clients. It does not stop
-// the shard processes — the front-end is stateless and restartable under
-// them.
+// Close stops the prober and releases the backends: clients drop their
+// connections, local backends shut their engines down. It does not stop
+// shard processes — the front-end is stateless and restartable under them.
 func (f *Frontend) Close() error {
 	f.stopOnce.Do(func() { close(f.stop) })
 	f.wg.Wait()

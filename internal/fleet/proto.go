@@ -1,17 +1,18 @@
-// Package fleet is the distributed serving tier: it splits the single-process
-// service into a stateless front-end and N shard processes connected by a
-// compact HTTP/JSON RPC surface.
+// Package fleet is the serving tier: one stateless front desk (Frontend)
+// over N engines, which live in this process (NewLocal, LocalBackend) or in
+// shard processes reached over a compact HTTP/JSON RPC surface (Client,
+// ShardServer).
 //
 // The decomposition follows the determinism contract the digest-parity gate
-// pins. The front-end owns everything whose outcome depends on the *order of
-// the whole request stream* — candidate-network expansion with per-user
-// scoring coefficients, UQ id assignment, and shard placement (the PR4
-// affinity router) — and ships fully expanded user queries to shard
-// processes. A shard process owns exactly one engine (plan graph, ATC, query
-// state manager), configured with service.Config.ShardIDOffset so that its
-// RNG streams are byte-identical to the corresponding in-process shard of a
-// single-process service. Result digests are therefore byte-identical whether
-// the shards live in one process or N.
+// pins. The front desk owns everything whose outcome depends on the *order
+// of the whole request stream* — candidate-network expansion with per-user
+// scoring coefficients, UQ id assignment, and placement (the affinity
+// Placer) — and hands fully expanded user queries to its backends. Each
+// backend is exactly one engine (plan graph, ATC, query state manager),
+// seeded by service.Config.ShardIDOffset, so slot i is the same code over
+// the same seed whether NewLocal built it in this process or qsys-shard runs
+// it. Both serving modes run the same Frontend; what the parity gate still
+// proves is that the HTTP hop and the wire codecs change no answer.
 //
 // RPC surface (all JSON over POST unless noted):
 //

@@ -102,9 +102,14 @@ func TestDigestViewMatchesResultBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := service.New(w, service.Config{Seed: 3, K: 10})
+	cfg := service.Config{Seed: 3, K: 10}
+	svc := service.New(w, cfg)
 	defer svc.Close() //nolint:errcheck
-	res, err := svc.Search(context.Background(), "alice", []string{"metabolism", "protein"}, 10)
+	uq, err := service.NewExpander(w, cfg).Expand("alice", []string{"metabolism", "protein"}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.SearchUQ(context.Background(), uq)
 	if err != nil {
 		t.Fatal(err)
 	}

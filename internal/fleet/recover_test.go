@@ -272,7 +272,7 @@ func TestKillRecoverDigestIdentical(t *testing.T) {
 	}
 	bin := buildShardBin(t)
 
-	// No-fault control: the equivalent single-process 2-shard service
+	// No-fault control: the equivalent two engines in this process
 	// replaying the exact three-wave call sequence. Per-user scoring
 	// coefficients evolve per call, so the comparison is per global call
 	// index; answers are otherwise a pure function of the query and the
@@ -283,18 +283,21 @@ func TestKillRecoverDigestIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := service.New(w, service.Config{
+	single, err := fleet.NewLocal(w, service.Config{
 		Seed: 11, K: 10, Shards: 2, Router: service.RouterAffinity,
 		BatchWindow: 0,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var control []string
 	for wave := 0; wave < waves; wave++ {
 		for _, kw := range fleetTopics {
-			res, err := single.Search(context.Background(), "rec", kw, 10)
+			view, err := single.Search(context.Background(), "rec", kw, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			control = append(control, answerDigest(fleet.ViewOf(res)))
+			control = append(control, answerDigest(view))
 		}
 	}
 	if err := single.Close(); err != nil {

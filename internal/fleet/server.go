@@ -15,7 +15,7 @@ import (
 	"repro/internal/state"
 )
 
-// ShardServer exposes one in-process service as a shard of the distributed
+// ShardServer exposes one engine as a shard of the distributed
 // tier. It owns the drain lifecycle: once draining, searches are turned away
 // with a retryable 503 (they were rejected strictly before admission, so
 // resubmitting elsewhere is safe), in-flight searches run to completion, and
@@ -41,8 +41,8 @@ type ShardServer struct {
 	idle chan struct{}
 }
 
-// NewShardServer wraps a service (normally Shards=1 with the slot's
-// ShardIDOffset) for serving.
+// NewShardServer wraps an engine (service.New with the slot's ShardIDOffset)
+// for serving.
 func NewShardServer(svc *service.Service) *ShardServer {
 	return &ShardServer{svc: svc}
 }
@@ -182,7 +182,7 @@ func (s *ShardServer) handleExport(rw http.ResponseWriter, req *http.Request) {
 		writeRPCError(rw, http.StatusBadRequest, err.Error(), false)
 		return
 	}
-	exp, err := s.svc.ExportTopic(0, in.Keywords)
+	exp, err := s.svc.ExportTopic(in.Keywords)
 	if err != nil {
 		writeRPCError(rw, http.StatusUnprocessableEntity, err.Error(), false)
 		return
@@ -196,7 +196,7 @@ func (s *ShardServer) handleImport(rw http.ResponseWriter, req *http.Request) {
 		writeRPCError(rw, http.StatusBadRequest, err.Error(), false)
 		return
 	}
-	installed, dropped, rows, err := s.svc.ImportTopic(0, &exp)
+	installed, dropped, rows, err := s.svc.ImportTopic(&exp)
 	if err != nil {
 		writeRPCError(rw, http.StatusUnprocessableEntity, err.Error(), false)
 		return
@@ -264,7 +264,7 @@ func (s *ShardServer) Drain(ctx context.Context) (*state.TopicExport, error) {
 			}
 		}
 	}
-	return s.svc.ExportAll(0)
+	return s.svc.ExportAll()
 }
 
 // SetRecovering flips the warm-restart gate. A starting shard process sets it
@@ -281,7 +281,7 @@ func (s *ShardServer) SetRecovering(v bool) {
 // or partial import leaves a cold-but-correct engine that re-derives state
 // from source replay.
 func (s *ShardServer) Recover() (*service.RecoverReport, error) {
-	rep, err := s.svc.Recover(0)
+	rep, err := s.svc.Recover()
 	s.SetRecovering(false)
 	return rep, err
 }

@@ -278,3 +278,21 @@ func (s *Service) Snapshot() ServiceSnapshot {
 		EngineLatency:    s.EngineLatency.Snapshot(),
 	}
 }
+
+// Add merges two summaries of the same kind of sizes observed in different
+// places (one engine's admission batches and another's): counts and the
+// distribution add exactly, the maximum is the larger, and the mean is
+// re-weighted by count.
+func (s SizeStats) Add(o SizeStats) SizeStats {
+	out := SizeStats{Count: s.Count + o.Count, Max: max(s.Max, o.Max), Dist: map[int]int64{}}
+	if out.Count > 0 {
+		out.Mean = (s.Mean*float64(s.Count) + o.Mean*float64(o.Count)) / float64(out.Count)
+	}
+	for k, n := range s.Dist {
+		out.Dist[k] += n
+	}
+	for k, n := range o.Dist {
+		out.Dist[k] += n
+	}
+	return out
+}

@@ -85,9 +85,7 @@ type Manager struct {
 	Mode  ShareMode
 	// Unit selects joint versus per-user-query optimization under ShareAll.
 	Unit OptimizeUnit
-	// MemoryBudget bounds resident state in rows (0 = unbounded). §6.3. The
-	// serving layer overrides it per enforcement through State.SetBudgetFn
-	// (cross-shard arbitration of one global budget).
+	// MemoryBudget bounds resident state in rows (0 = unbounded). §6.3.
 	MemoryBudget int
 	// ChargeOptimizer adds measured optimization wall time to the virtual
 	// clock (the paper's response times include optimization, §7.4). Off by
@@ -497,13 +495,12 @@ func (m *Manager) AuditScratchSize() int {
 }
 
 // EnforceBudget evicts currently idle state under the active policy until
-// resident state fits the budget (§6.3). The budget is the arbitrated
-// allotment when the serving layer installed one, else MemoryBudget; 0 means
-// unbounded. Each round costs one pass over the graph to collect candidates
-// with their ledger-tracked sizes — the per-victim O(graph) StateSize
-// rescans of the pre-subsystem loop are gone.
+// resident state fits MemoryBudget (§6.3); 0 means unbounded. Each round
+// costs one pass over the graph to collect candidates with their
+// ledger-tracked sizes — the per-victim O(graph) StateSize rescans of the
+// pre-subsystem loop are gone.
 func (m *Manager) EnforceBudget(epoch int) {
-	budget := m.State.Budget(m.MemoryBudget)
+	budget := m.MemoryBudget
 	if budget <= 0 {
 		return
 	}

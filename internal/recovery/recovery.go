@@ -295,3 +295,19 @@ type StatsSnapshot struct {
 	// nonzero count means a crash may under-report its in-flight set.
 	JournalErrors int64 `json:"journal_errors"`
 }
+
+// Add merges two engines' recovery snapshots: enabled if either is, the
+// newer generation, every count summed.
+func (s StatsSnapshot) Add(o StatsSnapshot) StatsSnapshot {
+	return StatsSnapshot{
+		Enabled:            s.Enabled || o.Enabled,
+		Generation:         max(s.Generation, o.Generation),
+		CheckpointsWritten: s.CheckpointsWritten + o.CheckpointsWritten,
+		CheckpointsLoaded:  s.CheckpointsLoaded + o.CheckpointsLoaded,
+		SegmentsWritten:    s.SegmentsWritten + o.SegmentsWritten,
+		SegmentsRecovered:  s.SegmentsRecovered + o.SegmentsRecovered,
+		SegmentsDropped:    s.SegmentsDropped + o.SegmentsDropped,
+		JournaledAborts:    s.JournaledAborts + o.JournaledAborts,
+		JournalErrors:      s.JournalErrors + o.JournalErrors,
+	}
+}

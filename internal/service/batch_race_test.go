@@ -27,7 +27,7 @@ func TestBatchedExecutorUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := service.New(w, service.Config{
+	svc := newLocal(t, w, service.Config{
 		K:           10,
 		Seed:        13,
 		Shards:      2,
@@ -79,7 +79,7 @@ func TestBatchedExecutorUnderChurn(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := svc.Stats()
+	st := svc.Stats(context.Background())
 	if completed == 0 {
 		t.Fatalf("no search completed (failed=%d)", failed)
 	}

@@ -16,9 +16,9 @@ import (
 // the user's personal scoring coefficients (§2.1) — and assigns the UQ id.
 // It is the only mutable state that must live in exactly one place for a
 // deterministic run: the per-user RNGs consume workload-dependent draws, so
-// whoever expands must see the whole request stream. A single-process
-// service embeds one; a distributed front-end owns one and ships the
-// expanded UQs to shard processes, whose engines never expand anything.
+// whoever expands must see the whole request stream. The front desk
+// (fleet.Frontend) owns one and hands the expanded UQs to its engines, in
+// this process or in shard processes; engines never expand anything.
 //
 // Expand is safe for concurrent use and serializes only what must be: the
 // candidate networks of a keyword set come from the expansion cache (or are

@@ -8,24 +8,35 @@ import (
 	"repro/internal/workload"
 )
 
+// expandAndSearch poses one search the way the front desk does: expand, then
+// hand the engine the expanded query.
+func expandAndSearch(svc *Service, exp *Expander, user string, kw []string, k int) (*Result, error) {
+	uq, err := exp.Expand(user, kw, k)
+	if err != nil {
+		return nil, err
+	}
+	return svc.SearchUQ(context.Background(), uq)
+}
+
 // TestNonConvergentMergeFailsSearchResponse pins the engine-failure contract
 // end to end: a merge whose scheduling rounds exceed the drive bound must
 // come back to the caller as a failed search response — the serve process
-// and its executor goroutines survive, and lifting the bound restores
-// service on the same shard.
+// and its executor goroutine survive, and lifting the bound restores
+// service on the same engine.
 func TestNonConvergentMergeFailsSearchResponse(t *testing.T) {
 	w, err := workload.GUS(1, workload.GUSScaleDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(w, Config{K: 8, Seed: 3, Shards: 1, BatchWindow: 0})
+	cfg := Config{K: 8, Seed: 3, BatchWindow: 0}
+	svc, exp := New(w, cfg), NewExpander(w, cfg)
 	defer svc.Close()
 
 	kw := w.Submissions[0].UQ.Keywords
 	// Cripple the bound before any request: every round then trips the
 	// non-convergence error on the executor goroutine.
-	svc.shards[0].ctrl.SetDriveBound(1)
-	if _, err := svc.Search(context.Background(), "u", kw, 8); err == nil {
+	svc.ctrl.SetDriveBound(1)
+	if _, err := expandAndSearch(svc, exp, "u", kw, 8); err == nil {
 		t.Fatal("crippled engine answered a search successfully")
 	} else if !strings.Contains(err.Error(), "did not converge") {
 		t.Fatalf("search error %v, want non-convergence", err)
@@ -33,8 +44,8 @@ func TestNonConvergentMergeFailsSearchResponse(t *testing.T) {
 
 	// The executor must still be alive and serving: restore the bound
 	// through the engine's own submission path and search again.
-	svc.shards[0].ctrl.SetDriveBound(0)
-	res, err := svc.Search(context.Background(), "u", kw, 8)
+	svc.ctrl.SetDriveBound(0)
+	res, err := expandAndSearch(svc, exp, "u", kw, 8)
 	if err != nil {
 		t.Fatalf("search after recovery: %v", err)
 	}
@@ -51,19 +62,19 @@ func TestJournalFailureCountedAndServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(w, Config{K: 5, Shards: 1, BatchWindow: 0, CheckpointDir: t.TempDir()})
+	cfg := Config{K: 5, BatchWindow: 0, CheckpointDir: t.TempDir()}
+	svc, exp := New(w, cfg), NewExpander(w, cfg)
 	defer svc.Close()
 
 	kw := []string{"protein", "metabolism"}
-	if _, err := svc.Search(context.Background(), "u", kw, 5); err != nil {
+	if _, err := expandAndSearch(svc, exp, "u", kw, 5); err != nil {
 		t.Fatal(err)
 	}
 	if n := svc.RecoveryStats().JournalErrors; n != 0 {
 		t.Fatalf("healthy journal counted %d errors", n)
 	}
-	sh := svc.shards[0]
-	sh.exec(func() { sh.jnl.Close() })
-	res, err := svc.Search(context.Background(), "u", kw, 5)
+	svc.exec(func() { svc.jnl.Close() })
+	res, err := expandAndSearch(svc, exp, "u", kw, 5)
 	if err != nil || len(res.Answers) == 0 {
 		t.Fatalf("search over a failed journal: %v", err)
 	}

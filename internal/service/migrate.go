@@ -6,89 +6,36 @@ import (
 	"repro/internal/state"
 )
 
-// Live topic migration at the service layer. A topic is a canonical keyword
-// set; its plan-graph footprint (the node keys its merges touched) is
-// tracked by each shard's executor at admission, so exporting a topic means
-// exporting exactly those of its nodes that are idle and structurally
-// evictable. All engine mutation runs on the owning executor goroutine via
-// shard.exec; callers only move encoded bytes between shards.
-
-// MigrationReport summarises one topic migration.
-type MigrationReport struct {
-	// Segments/Rows are what the source shard serialized and discarded.
-	Segments int `json:"segments"`
-	Rows     int `json:"rows"`
-	// Installed/Dropped split the segments at the target: staged behind the
-	// consistency gate versus rejected (re-derived by source replay there).
-	Installed int `json:"installed"`
-	Dropped   int `json:"dropped"`
-}
+// Live topic migration at the engine. A topic is a canonical keyword set;
+// its plan-graph footprint (the node keys its merges touched) is tracked by
+// the executor at admission, so exporting a topic means exporting exactly
+// those of its nodes that are idle and structurally evictable. All engine
+// mutation runs on the executor goroutine via exec; the front desk
+// (fleet.Frontend.MigrateTopic) only moves encoded bytes between engines.
 
 // ExportTopic serializes and locally discards the retained state of a
-// topic's idle plan segments on the given shard. The export is empty (but
-// valid) when the shard holds nothing idle for the topic.
-func (s *Service) ExportTopic(shard int, keywords []string) (*state.TopicExport, error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return nil, fmt.Errorf("service: export from unknown shard %d", shard)
-	}
+// topic's idle plan segments. The export is empty (but valid) when the
+// engine holds nothing idle for the topic.
+func (s *Service) ExportTopic(keywords []string) (*state.TopicExport, error) {
 	var exp *state.TopicExport
-	sh := s.shards[shard]
-	sh.exec(func() { exp = sh.exportTopic(keywords) })
+	s.exec(func() { exp = s.exportTopic(keywords) })
 	return exp, nil
 }
 
 // ExportAll serializes and locally discards every idle plan segment the
-// given shard retains — the drain handoff of a shard process shutting down.
-func (s *Service) ExportAll(shard int) (*state.TopicExport, error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return nil, fmt.Errorf("service: export from unknown shard %d", shard)
-	}
+// engine retains — the drain handoff of a shard process shutting down.
+func (s *Service) ExportAll() (*state.TopicExport, error) {
 	var exp *state.TopicExport
-	sh := s.shards[shard]
-	sh.exec(func() { exp = sh.exportAll() })
+	s.exec(func() { exp = s.exportAll() })
 	return exp, nil
 }
 
-// ImportTopic stages a migrated export on the given shard. Returned counts
-// are ImportSegments' (installed, dropped, staged rows).
-func (s *Service) ImportTopic(shard int, exp *state.TopicExport) (installed, dropped, rows int, err error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return 0, 0, 0, fmt.Errorf("service: import into unknown shard %d", shard)
-	}
+// ImportTopic stages a migrated export behind the engine's consistency gate.
+// Returned counts are ImportSegments' (installed, dropped, staged rows).
+func (s *Service) ImportTopic(exp *state.TopicExport) (installed, dropped, rows int, err error) {
 	if exp == nil {
 		return 0, 0, 0, fmt.Errorf("service: import of nil export")
 	}
-	sh := s.shards[shard]
-	sh.exec(func() { installed, dropped, rows = sh.mgr.ImportSegments(exp) })
+	s.exec(func() { installed, dropped, rows = s.mgr.ImportSegments(exp) })
 	return installed, dropped, rows, nil
-}
-
-// MigrateTopic moves a topic's retained state from one shard to another and
-// re-pins the router so subsequent exact repeats follow it. The in-process
-// form of the distributed tier's migration RPC, and what its tests pin: a
-// topic moved mid-wave must cost zero extra source-stream tuples versus
-// staying put.
-func (s *Service) MigrateTopic(keywords []string, from, to int) (*MigrationReport, error) {
-	if from == to {
-		return nil, fmt.Errorf("service: migrate from shard %d to itself", from)
-	}
-	if to < 0 || to >= len(s.shards) {
-		return nil, fmt.Errorf("service: migrate to unknown shard %d", to)
-	}
-	exp, err := s.ExportTopic(from, keywords)
-	if err != nil {
-		return nil, err
-	}
-	installed, dropped, rows, err := s.ImportTopic(to, exp)
-	if err != nil {
-		return nil, err
-	}
-	_ = rows
-	s.router.rehome(CanonicalKeywords(keywords), from, to)
-	return &MigrationReport{
-		Segments:  len(exp.Segments),
-		Rows:      exp.Rows(),
-		Installed: installed,
-		Dropped:   dropped,
-	}, nil
 }

@@ -13,67 +13,86 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
 
-func digestSearch(t *testing.T, h hash.Hash, svc *service.Service, user string, kw []string, k int) *service.Result {
+func digestSearch(t *testing.T, h hash.Hash, fr *fleet.Frontend, user string, kw []string, k int) *fleet.ResultView {
 	t.Helper()
-	res, err := svc.Search(context.Background(), user, kw, k)
+	view, err := fr.Search(context.Background(), user, kw, k)
 	if err != nil {
 		t.Fatalf("search %v: %v", kw, err)
 	}
-	fleet.DigestView(h, fleet.ViewOf(res))
-	return res
+	fleet.DigestView(h, view)
+	return view
 }
 
-// TestMigrateTopicZeroExtraStreamTuples is the issue's acceptance probe at
-// test granularity: a topic searched, migrated to the other shard and
-// searched again must answer identically to the topic staying put AND cost
-// zero extra source-stream tuples — the state traveled, so the sources are
-// not re-read.
+// localEngines is fleet.NewLocal with the engines kept in hand, for tests
+// that move state between them directly.
+func localEngines(t *testing.T, w *workload.Workload, cfg service.Config) (*fleet.Frontend, []*service.Service) {
+	t.Helper()
+	var engines []*service.Service
+	var backends []fleet.Backend
+	for i := 0; i < max(cfg.Shards, 1); i++ {
+		ecfg := cfg
+		ecfg.Shards, ecfg.ShardIDOffset = 1, i
+		e := service.New(w, ecfg)
+		engines = append(engines, e)
+		backends = append(backends, &fleet.LocalBackend{Svc: e})
+	}
+	fr, err := fleet.NewFrontend(w, fleet.FrontendConfig{Service: cfg}, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr, engines
+}
+
+// TestMigrateTopicZeroExtraStreamTuples is the live-migration acceptance
+// probe at test granularity: a topic searched, migrated by the front desk to
+// the other engine and searched again must answer identically to the topic
+// staying put AND cost zero extra source-stream tuples — the state traveled,
+// so the sources are not re-read.
 func TestMigrateTopicZeroExtraStreamTuples(t *testing.T) {
 	topic := []string{"metabolism", "protein"}
-	run := func(migrate bool) (string, int64, *service.MigrationReport, int64) {
+	run := func(migrate bool) (string, int64, metrics.FleetSnapshot, int64) {
 		w, err := workload.Bio()
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc := service.New(w, service.Config{
+		fr := newLocal(t, w, service.Config{
 			Seed: 7, K: 10, Shards: 2, Router: service.RouterAffinity,
 			BatchWindow: 0,
 		})
-		defer svc.Close() //nolint:errcheck
+		defer fr.Close() //nolint:errcheck
 
 		h := sha256.New()
-		res := digestSearch(t, h, svc, "mig-user", topic, 10)
+		res := digestSearch(t, h, fr, "mig-user", topic, 10)
 
-		var rep *service.MigrationReport
 		home := res.Shard
 		if migrate {
-			rep, err = svc.MigrateTopic(topic, home, 1-home)
-			if err != nil {
+			if err := fr.MigrateTopic(context.Background(), topic, home, 1-home); err != nil {
 				t.Fatal(err)
 			}
 		}
 
-		res = digestSearch(t, h, svc, "mig-user", topic, 10)
+		res = digestSearch(t, h, fr, "mig-user", topic, 10)
 		if migrate && res.Shard != 1-home {
 			t.Fatalf("repeat search ran on shard %d, want rehomed shard %d", res.Shard, 1-home)
 		}
-		st := svc.Stats()
-		return hex.EncodeToString(h.Sum(nil)), st.Work.StreamTuples, rep, st.Work.MigrationRestores
+		st := fr.Stats(context.Background())
+		return hex.EncodeToString(h.Sum(nil)), st.Work.StreamTuples, fr.Metrics().Snapshot(), st.Work.MigrationRestores
 	}
 
 	stayDigest, stayStream, _, _ := run(false)
-	migDigest, migStream, rep, restores := run(true)
+	migDigest, migStream, fm, restores := run(true)
 
-	if rep.Segments == 0 {
-		t.Fatal("migration exported no segments — the topic left no idle state behind")
+	if fm.Migrations != 1 || fm.MigrationSegs == 0 {
+		t.Fatalf("migration exported no segments — the topic left no idle state behind: %+v", fm)
 	}
-	if rep.Installed != rep.Segments || rep.Dropped != 0 {
-		t.Fatalf("in-process migration: %d/%d segments installed, %d dropped — the gate should accept all of them",
-			rep.Installed, rep.Segments, rep.Dropped)
+	if fm.MigrationDrops != 0 {
+		t.Fatalf("in-process migration: %d of %d segments dropped — the gate should accept all of them",
+			fm.MigrationDrops, fm.MigrationSegs)
 	}
 	if restores == 0 {
 		t.Fatal("migrated segments were never restored — the repeat search did not consume them")
@@ -98,18 +117,18 @@ func TestImportRejectsCorruptSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc := service.New(w, service.Config{
+		fr, engines := localEngines(t, w, service.Config{
 			Seed: 7, K: 10, Shards: 2, Router: service.RouterAffinity,
 			BatchWindow: 0,
 		})
-		defer svc.Close() //nolint:errcheck
+		defer fr.Close() //nolint:errcheck
 
 		h := sha256.New()
-		res := digestSearch(t, h, svc, "gate-user", topic, 10)
+		res := digestSearch(t, h, fr, "gate-user", topic, 10)
 
 		if corrupt {
 			home := res.Shard
-			exp, err := svc.ExportTopic(home, topic)
+			exp, err := engines[home].ExportTopic(topic)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +139,7 @@ func TestImportRejectsCorruptSegments(t *testing.T) {
 				data := exp.Segments[i].Data
 				data[len(data)/2] ^= 0xff
 			}
-			installed, dropped, _, err := svc.ImportTopic(1-home, exp)
+			installed, dropped, _, err := engines[1-home].ImportTopic(exp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +147,7 @@ func TestImportRejectsCorruptSegments(t *testing.T) {
 				t.Fatalf("corrupt import: %d installed, %d dropped, want 0/%d",
 					installed, dropped, len(exp.Segments))
 			}
-			if st := svc.Stats(); st.Work.MigrationDrops < int64(len(exp.Segments)) {
+			if st := fr.Stats(context.Background()); st.Work.MigrationDrops < int64(len(exp.Segments)) {
 				t.Fatalf("MigrationDrops = %d, want >= %d", st.Work.MigrationDrops, len(exp.Segments))
 			}
 		}
@@ -136,7 +155,7 @@ func TestImportRejectsCorruptSegments(t *testing.T) {
 		// The export discarded the source copy and the import dropped the
 		// wire copy: the state is gone everywhere, and the repeat search must
 		// quietly rebuild it from the sources.
-		digestSearch(t, h, svc, "gate-user", topic, 10)
+		digestSearch(t, h, fr, "gate-user", topic, 10)
 		return hex.EncodeToString(h.Sum(nil))
 	}
 
@@ -156,23 +175,22 @@ func TestImportRejectsCorruptSegments(t *testing.T) {
 func TestCrossInstanceImportGateReplays(t *testing.T) {
 	topic := []string{"metabolism", "protein"}
 
-	newSvc := func() *service.Service {
+	newSvc := func() (*fleet.Frontend, *service.Service) {
 		w, err := workload.Bio()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return service.New(w, service.Config{
-			Seed: 7, K: 10, Shards: 1, BatchWindow: 0,
-		})
+		fr, engines := localEngines(t, w, service.Config{Seed: 7, K: 10, BatchWindow: 0})
+		return fr, engines[0]
 	}
 
 	// Source engine: search the topic, export its retained state.
-	src := newSvc()
+	src, srcEngine := newSvc()
 	defer src.Close() //nolint:errcheck
 	if _, err := src.Search(context.Background(), "xuser", topic, 10); err != nil {
 		t.Fatal(err)
 	}
-	exp, err := src.ExportTopic(0, topic)
+	exp, err := srcEngine.ExportTopic(topic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,15 +199,15 @@ func TestCrossInstanceImportGateReplays(t *testing.T) {
 	}
 
 	// Control: a fresh engine with no import at all.
-	control := newSvc()
+	control, _ := newSvc()
 	defer control.Close() //nolint:errcheck
 	hControl := sha256.New()
 	digestSearch(t, hControl, control, "xuser", topic, 10)
 
 	// Target: a fresh engine that imports the foreign export first.
-	target := newSvc()
+	target, targetEngine := newSvc()
 	defer target.Close() //nolint:errcheck
-	if _, _, _, err := target.ImportTopic(0, exp); err != nil {
+	if _, _, _, err := targetEngine.ImportTopic(exp); err != nil {
 		t.Fatal(err)
 	}
 	hTarget := sha256.New()
@@ -198,7 +216,7 @@ func TestCrossInstanceImportGateReplays(t *testing.T) {
 	if got, want := hex.EncodeToString(hTarget.Sum(nil)), hex.EncodeToString(hControl.Sum(nil)); got != want {
 		t.Fatalf("foreign import changed results: imported=%s control=%s", got, want)
 	}
-	st := target.Stats()
+	st := target.Stats(context.Background())
 	if st.Work.MigrationDrops == 0 && st.Work.MigrationRestores == 0 {
 		t.Fatal("imported segments neither restored nor dropped — the staged state was never touched")
 	}
@@ -214,7 +232,7 @@ func TestMigrationRacingEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := service.New(w, service.Config{
+	svc := newLocal(t, w, service.Config{
 		K:            10,
 		Seed:         17,
 		Shards:       2,
@@ -262,7 +280,7 @@ func TestMigrationRacingEviction(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			kw := pool[rng.Intn(len(pool))]
 			from := rng.Intn(2)
-			svc.MigrateTopic(kw, from, 1-from) //nolint:errcheck
+			svc.MigrateTopic(context.Background(), kw, from, 1-from) //nolint:errcheck
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -271,7 +289,7 @@ func TestMigrationRacingEviction(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("no search completed under migration churn")
 	}
-	st := svc.Stats()
+	st := svc.Stats(context.Background())
 	for _, sh := range st.Shards {
 		if sh.StateRows != sh.StateRowsAudit {
 			t.Fatalf("shard %d ledger %d != audit %d under migration churn",

@@ -47,14 +47,14 @@ func TestUserRateShed(t *testing.T) {
 	if _, err := s.Search(context.Background(), "bob", bioKeywords[0], 5); err != nil {
 		t.Fatalf("other user: %v", err)
 	}
-	st := s.Stats().Service
+	st := s.Stats(context.Background()).Service
 	if st.Shed != 1 || st.ShedUserRate != 1 {
 		t.Errorf("shed counters = %d/%d, want 1/1", st.Shed, st.ShedUserRate)
 	}
 }
 
 // TestQueueFullShed: with MaxPending 1 and a long admission window, a second
-// arrival finds the shard's queue full and is shed immediately instead of
+// arrival finds the engine's queue full and is shed immediately instead of
 // blocking its caller.
 func TestQueueFullShed(t *testing.T) {
 	s := newBioService(t, service.Config{
@@ -72,7 +72,7 @@ func TestQueueFullShed(t *testing.T) {
 	}()
 	// Wait until the first search occupies the queue.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Service.Queued == 0 {
+	for s.Stats(context.Background()).Service.Queued == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first search never queued")
 		}
@@ -93,7 +93,7 @@ func TestQueueFullShed(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatalf("first search: %v", err)
 	}
-	st := s.Stats().Service
+	st := s.Stats(context.Background()).Service
 	if st.ShedQueueFull != 1 {
 		t.Errorf("ShedQueueFull = %d, want 1", st.ShedQueueFull)
 	}
@@ -122,7 +122,7 @@ func TestDeadlineShed(t *testing.T) {
 	if shed.Retryable() {
 		t.Error("deadline shed must not be retryable")
 	}
-	st := s.Stats().Service
+	st := s.Stats(context.Background()).Service
 	if st.DeadlineCanceled != 1 {
 		t.Errorf("DeadlineCanceled = %d, want 1", st.DeadlineCanceled)
 	}
@@ -135,7 +135,11 @@ func TestDeadlineShed(t *testing.T) {
 // reason and reports how many requests it cut loose; the service keeps
 // serving afterwards.
 func TestAbortInFlight(t *testing.T) {
-	s := newBioService(t, service.Config{
+	w, err := workload.Bio()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, engines := localEngines(t, w, service.Config{
 		K:           5,
 		BatchSize:   8,
 		BatchWindow: time.Second,
@@ -148,18 +152,18 @@ func TestAbortInFlight(t *testing.T) {
 		got <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Service.Queued == 0 {
+	for s.Stats(context.Background()).Service.Queued == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("search never queued")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	n := s.AbortInFlight(&admission.ShedError{Reason: admission.ReasonDrain})
+	n := engines[0].AbortInFlight(&admission.ShedError{Reason: admission.ReasonDrain})
 	if n != 1 {
 		t.Errorf("aborted %d requests, want 1", n)
 	}
-	err := <-got
+	err = <-got
 	var shed *admission.ShedError
 	if !errors.As(err, &shed) || shed.Reason != admission.ReasonDrain {
 		t.Fatalf("got %v, want drain ShedError", err)
@@ -167,7 +171,7 @@ func TestAbortInFlight(t *testing.T) {
 	if shed.Retryable() {
 		t.Error("drain shed must not be retryable")
 	}
-	// The shard survives the abort and serves new work.
+	// The engine survives the abort and serves new work.
 	if _, err := s.Search(context.Background(), "bob", bioKeywords[1], 5); err != nil {
 		t.Fatalf("search after abort: %v", err)
 	}
@@ -219,7 +223,7 @@ func TestOverloadNeverServesWrongAnswer(t *testing.T) {
 	const k = 50
 	// A fresh workload per run: the loaded run inherits none of the
 	// control's materialised source views.
-	start := func(adm admission.Config) (*service.Service, [][]string) {
+	start := func(adm admission.Config) (*fleet.Frontend, [][]string) {
 		w, err := workload.GUS(1, workload.GUSScaleDefault())
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +232,7 @@ func TestOverloadNeverServesWrongAnswer(t *testing.T) {
 		for _, sub := range w.Submissions {
 			pool = append(pool, sub.UQ.Keywords)
 		}
-		return service.New(w, service.Config{
+		return newLocal(t, w, service.Config{
 			Seed: 1, K: k, Shards: 1, BatchWindow: 0, Admission: adm,
 		}), pool
 	}
@@ -237,13 +241,13 @@ func TestOverloadNeverServesWrongAnswer(t *testing.T) {
 	// run is sequential or racing — which is what makes the per-arrival
 	// comparison exact. Answers only (UQ numbering stripped): a loaded run
 	// that shed some arrivals numbers the rest differently.
-	search := func(svc *service.Service, pool [][]string, i int) (string, error) {
+	search := func(svc *fleet.Frontend, pool [][]string, i int) (string, error) {
 		res, err := svc.Search(context.Background(), fmt.Sprintf("arrival-%d", i), pool[i%len(pool)], k)
 		if err != nil {
 			return "", err
 		}
 		h := sha256.New()
-		fleet.DigestAnswers(h, fleet.ViewOf(res))
+		fleet.DigestAnswers(h, res)
 		return hex.EncodeToString(h.Sum(nil)), nil
 	}
 

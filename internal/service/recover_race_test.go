@@ -20,7 +20,7 @@ import (
 // mechanism at once: a bounded-budget spill-enabled service with a fast
 // periodic checkpoint loop, concurrent searches (half racing tight
 // deadlines), explicit checkpoints, and a live topic migration bouncing the
-// same topic between the two shards. The checkpoint capture runs on the
+// same topic between the two engines. The checkpoint capture runs on the
 // executor goroutine, so none of this may corrupt the ledger, tear a
 // manifest, or leak goroutines — the invariants the race detector watches
 // (the service suite runs under -race in CI).
@@ -32,7 +32,7 @@ func TestCheckpointRacingEvictionSpillAndMigration(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cpDir := t.TempDir()
 	fm := &metrics.Fleet{}
-	svc := service.New(w, service.Config{
+	svc, engines := localEngines(t, w, service.Config{
 		K:                  15,
 		Seed:               7,
 		Shards:             2,
@@ -69,7 +69,7 @@ func TestCheckpointRacingEvictionSpillAndMigration(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := svc.Checkpoint(i % 2); err != nil {
+			if _, err := engines[i%2].Checkpoint(); err != nil {
 				t.Errorf("checkpoint: %v", err)
 				return
 			}
@@ -91,9 +91,9 @@ func TestCheckpointRacingEvictionSpillAndMigration(t *testing.T) {
 				return
 			default:
 			}
-			exp, err := svc.ExportTopic(from, kw)
+			exp, err := engines[from].ExportTopic(kw)
 			if err == nil && len(exp.Segments) > 0 {
-				if _, _, _, err := svc.ImportTopic(to, exp); err != nil {
+				if _, _, _, err := engines[to].ImportTopic(exp); err != nil {
 					t.Errorf("import: %v", err)
 					return
 				}
@@ -138,7 +138,12 @@ func TestCheckpointRacingEvictionSpillAndMigration(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("no search completed under churn")
 	}
-	st := svc.Stats()
+	// Close first: it stops the checkpoint loops, so the counters read below
+	// can no longer move between one read and the next.
+	if err := svc.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	st := svc.Stats(context.Background())
 	for _, sh := range st.Shards {
 		if sh.StateRows != sh.StateRowsAudit {
 			t.Fatalf("shard %d ledger %d != audit %d — checkpoint capture corrupted accounting",
@@ -151,9 +156,6 @@ func TestCheckpointRacingEvictionSpillAndMigration(t *testing.T) {
 	if fm.CheckpointsWritten.Value() != st.Recovery.CheckpointsWritten {
 		t.Fatalf("fleet counter %d != recovery stats %d",
 			fm.CheckpointsWritten.Value(), st.Recovery.CheckpointsWritten)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatalf("close: %v", err)
 	}
 
 	// Every published generation must parse and verify cleanly — a torn

@@ -23,8 +23,7 @@ const (
 )
 
 // ParseRouter validates a router mode name; "" selects the default
-// (affinity). Use it to validate user input before Config reaches New,
-// which panics on unknown names.
+// (affinity). NewPlacer refuses unknown names with the same error.
 func ParseRouter(name string) (string, error) {
 	switch name {
 	case "", RouterAffinity:
@@ -68,11 +67,15 @@ func hashShard(canon []string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// router places queries on shards. Both modes maintain the affinity index —
-// in hash mode it is consulted only to estimate how much sharing the fixed
-// placement is missing — and both record every placement into it, so the
-// index always reflects what is actually resident where.
-type router struct {
+// Placer is the front desk's engine placement (§6.1's clustering at
+// serving scale): canonicalization, one decaying resident keyword set per
+// engine, and an exact-set memo. fleet.Frontend runs one over its backends,
+// whether they are engines in this process or shard processes, so a query
+// lands on the same engine index either way. Both modes maintain the
+// affinity index — in hash mode it is consulted only to estimate how much
+// sharing the fixed placement is missing — and both record every placement
+// into it, so the index always reflects what is actually resident where.
+type Placer struct {
 	mode   string
 	shards int
 	svc    *metrics.Service
@@ -81,9 +84,9 @@ type router struct {
 	mu   sync.Mutex
 	aff  *cluster.Affinity
 	tick uint64
-	// memo pins recently admitted canonical sets to their shard: an exact
+	// memo pins recently admitted canonical sets to their engine: an exact
 	// repeat's retained state lives where it last ran, which keyword-level
-	// similarity cannot see once several shards cover the same keywords.
+	// similarity cannot see once several engines cover the same keywords.
 	memo map[string]memoEntry
 }
 
@@ -117,22 +120,29 @@ const routerLoadPenalty = 0.1
 // topic equally can serve it equally).
 const routerMissTolerance = 0.05
 
-// newRouter builds a router over n shards.
-func newRouter(mode string, shards int, svc *metrics.Service) *router {
-	return &router{
-		mode:   mode,
+// NewPlacer builds a placer over n engines. mode is a Router mode name
+// (ParseRouter); svc receives the per-decision routing counters.
+func NewPlacer(mode string, shards int, svc *metrics.Service) (*Placer, error) {
+	m, err := ParseRouter(mode)
+	if err != nil {
+		return nil, err
+	}
+	return &Placer{
+		mode:   m,
 		shards: shards,
 		svc:    svc,
 		minSim: routerMinAffinity,
 		aff:    cluster.NewAffinity(shards, 0),
 		memo:   map[string]memoEntry{},
-	}
+	}, nil
 }
 
-// route picks the shard for one canonical keyword set and feeds the decision
-// back into the affinity index. Safe for concurrent use; decisions are
-// serialized so score-then-record is atomic and identical queries converge
-// on one shard.
+// Route places a keyword set and feeds the decision back into the affinity
+// index. The set is canonicalized first — folded, trimmed, empties dropped,
+// deduplicated — so surface variants of one search can never land on
+// different engines and silently re-pay remote source reads. Safe for
+// concurrent use; decisions are serialized so score-then-record is atomic and
+// identical queries converge on one engine.
 //
 // healthy, when non-nil, marks which shards may take new queries (the
 // distributed tier routes around probes-failed and draining shards): a memo
@@ -140,10 +150,11 @@ func newRouter(mode string, shards int, svc *metrics.Service) *router {
 // hash fallback scans forward to the first healthy shard. The second return
 // reports whether an unhealthy shard forced the placement away from where it
 // would otherwise have gone. With healthy nil every shard is eligible.
-func (rt *router) route(canon []string, healthy func(int) bool) (int, bool) {
+func (rt *Placer) Route(keywords []string, healthy func(int) bool) (int, bool) {
 	if rt.shards == 1 {
 		return 0, false
 	}
+	canon := CanonicalKeywords(keywords)
 	ok := func(s int) bool { return healthy == nil || healthy(s) }
 	redirected := false
 	rt.mu.Lock()
@@ -240,24 +251,26 @@ func (rt *router) route(canon []string, healthy func(int) bool) (int, bool) {
 	return chosen, redirected
 }
 
-// rehome re-pins a canonical set's exact-repeat memo to the shard its
-// retained state migrated to, and moves the matching affinity mass with it.
-// Callers invoke it after a successful topic migration; without the re-pin
-// the memo would keep sending exact repeats to the old shard, which no
-// longer holds the state.
-func (rt *router) rehome(canon []string, from, to int) {
+// CommitRehome records a completed migration: exact repeats of the keyword
+// set now route to engine to, and the matching affinity mass moves with
+// them. Without the re-pin the memo would keep sending exact repeats to the
+// old engine, which no longer holds the state.
+func (rt *Placer) CommitRehome(keywords []string, from, to int) {
+	canon := CanonicalKeywords(keywords)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.memo[strings.Join(canon, "\x00")] = memoEntry{shard: to, tick: rt.tick}
 	rt.aff.Transfer(from, to, canon)
 }
 
-// suggestRehome reports whether the canonical set's pinned shard has drifted
-// away from where the topic's admission mass now concentrates (see
-// cluster.Affinity.ShouldRehome). Only memo-pinned sets are considered: a pin
-// is the router's claim that exact repeats will keep landing on that shard,
-// which is exactly the claim a migration should follow.
-func (rt *router) suggestRehome(canon []string, factor float64) (from, to int, ok bool) {
+// SuggestRehome reports whether the keyword set's topic should migrate: it
+// is memo-pinned to engine from, yet another engine's decayed admission mass
+// on its keywords exceeds the pin's by factor (hysteresis; ≥ 2 is sensible;
+// see cluster.Affinity.ShouldRehome). Only memo-pinned sets are considered:
+// a pin is the placer's claim that exact repeats will keep landing on that
+// engine, which is exactly the claim a migration should follow.
+func (rt *Placer) SuggestRehome(keywords []string, factor float64) (from, to int, ok bool) {
+	canon := CanonicalKeywords(keywords)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	e, pinned := rt.memo[strings.Join(canon, "\x00")]
@@ -273,7 +286,7 @@ func (rt *router) suggestRehome(canon []string, factor float64) (from, to int, o
 
 // observe feeds a placement back into the affinity index and the exact-set
 // memo. Callers hold rt.mu.
-func (rt *router) observe(memoKey string, shard int, canon []string) {
+func (rt *Placer) observe(memoKey string, shard int, canon []string) {
 	rt.aff.Observe(shard, canon)
 	rt.memo[memoKey] = memoEntry{shard: shard, tick: rt.tick}
 }
@@ -307,8 +320,8 @@ type RouterShardStats struct {
 	Load     float64 `json:"load"`
 }
 
-// stats snapshots the router.
-func (rt *router) stats() RouterStats {
+// Stats snapshots the placer's routing state.
+func (rt *Placer) Stats() RouterStats {
 	st := RouterStats{
 		Mode:          rt.mode,
 		AffinityHits:  rt.svc.RouteAffinity.Value(),
@@ -325,46 +338,4 @@ func (rt *router) stats() RouterStats {
 		st.Shards = append(st.Shards, RouterShardStats{Shard: s, Keywords: rt.aff.Size(s), Load: rt.aff.Load(s)})
 	}
 	return st
-}
-
-// Placer is the shard-placement half of the service, exported for the
-// distributed serving tier: a front-end process runs the same affinity
-// router — canonicalization, decaying resident keyword sets, exact-set
-// memo — against remote shard endpoints that it runs in-process against
-// local shards, so a query lands on the same shard index either way.
-type Placer struct {
-	rt *router
-}
-
-// NewPlacer builds a placer over n shard slots. mode is a Router mode name
-// (ParseRouter); svc receives the per-decision routing counters.
-func NewPlacer(mode string, shards int, svc *metrics.Service) (*Placer, error) {
-	m, err := ParseRouter(mode)
-	if err != nil {
-		return nil, err
-	}
-	return &Placer{rt: newRouter(m, shards, svc)}, nil
-}
-
-// Route places a keyword set, skipping shards healthy reports false for
-// (nil admits all). It returns the shard index and whether an unhealthy
-// shard forced the placement away from the router's preference.
-func (p *Placer) Route(keywords []string, healthy func(int) bool) (int, bool) {
-	return p.rt.route(CanonicalKeywords(keywords), healthy)
-}
-
-// Stats snapshots the placer's routing state.
-func (p *Placer) Stats() RouterStats { return p.rt.stats() }
-
-// SuggestRehome reports whether the keyword set's topic should migrate: it
-// is memo-pinned to shard from, yet another shard's decayed admission mass
-// on its keywords exceeds the pin's by factor (hysteresis; ≥ 2 is sensible).
-func (p *Placer) SuggestRehome(keywords []string, factor float64) (from, to int, ok bool) {
-	return p.rt.suggestRehome(CanonicalKeywords(keywords), factor)
-}
-
-// CommitRehome records a completed migration: exact repeats of the keyword
-// set now route to shard to, and the matching affinity mass moves with them.
-func (p *Placer) CommitRehome(keywords []string, from, to int) {
-	p.rt.rehome(CanonicalKeywords(keywords), from, to)
 }

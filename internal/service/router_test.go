@@ -7,6 +7,15 @@ import (
 	"repro/internal/metrics"
 )
 
+func newTestPlacer(t *testing.T, mode string, shards int, svc *metrics.Service) *Placer {
+	t.Helper()
+	p, err := NewPlacer(mode, shards, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestCanonicalKeywords(t *testing.T) {
 	cases := []struct {
 		in, want []string
@@ -38,10 +47,10 @@ func TestRouteCanonicalVariantsSameShard(t *testing.T) {
 		{"apple", "apple", "apple"},
 	}
 	for _, mode := range []string{RouterHash, RouterAffinity} {
-		s := &Service{shards: make([]*shard, 7), router: newRouter(mode, 7, &metrics.Service{})}
-		want := s.route(variants[0])
+		p := newTestPlacer(t, mode, 7, &metrics.Service{})
+		want, _ := p.Route(variants[0], nil)
 		for _, kw := range variants[1:] {
-			if got := s.route(kw); got != want {
+			if got, _ := p.Route(kw, nil); got != want {
 				t.Errorf("%s router: %q routed to shard %d, %q to %d", mode, variants[0], want, kw, got)
 			}
 		}
@@ -53,9 +62,9 @@ func TestRouteCanonicalVariantsSameShard(t *testing.T) {
 // hash, and the decision counters add up.
 func TestAffinityRouterGroupsOverlap(t *testing.T) {
 	svc := &metrics.Service{}
-	rt := newRouter(RouterAffinity, 5, svc)
+	rt := newTestPlacer(t, RouterAffinity, 5, svc)
 
-	first, _ := rt.route([]string{"metabolism", "protein"}, nil)
+	first, _ := rt.Route([]string{"metabolism", "protein"}, nil)
 	if got := svc.RouteHash.Value(); got != 1 {
 		t.Fatalf("first decision should hash-fall-back (no affinity anywhere); hash routes = %d", got)
 	}
@@ -65,7 +74,7 @@ func TestAffinityRouterGroupsOverlap(t *testing.T) {
 		{"protein", "metabolism"},
 		{"gene", "protein"},
 	} {
-		if got, _ := rt.route(kw, nil); got != first {
+		if got, _ := rt.Route(kw, nil); got != first {
 			t.Errorf("%q routed to shard %d, want topic shard %d", kw, got, first)
 		}
 	}
@@ -74,11 +83,11 @@ func TestAffinityRouterGroupsOverlap(t *testing.T) {
 	}
 	// A disjoint topic has no meaningful affinity: fixed hash decides.
 	disjoint := []string{"quartz", "basalt"}
-	want := hashShard(disjoint, 5)
-	if got, _ := rt.route(disjoint, nil); got != want {
+	want := hashShard(CanonicalKeywords(disjoint), 5)
+	if got, _ := rt.Route(disjoint, nil); got != want {
 		t.Errorf("disjoint topic routed to %d, want hash shard %d", got, want)
 	}
-	st := rt.stats()
+	st := rt.Stats()
 	if st.Mode != RouterAffinity || st.Decisions != 5 || st.AffinityHits != 3 || st.HashRoutes != 2 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -95,7 +104,7 @@ func TestAffinityRouterGroupsOverlap(t *testing.T) {
 // query away from the shard that already held its topic.
 func TestHashRouterEstimatesSharingMisses(t *testing.T) {
 	svc := &metrics.Service{}
-	rt := newRouter(RouterHash, 4, svc)
+	rt := newTestPlacer(t, RouterHash, 4, svc)
 	// Find two overlapping keyword sets whose hashes disagree.
 	base := []string{"metabolism", "protein"}
 	overlapping := [][]string{
@@ -104,11 +113,11 @@ func TestHashRouterEstimatesSharingMisses(t *testing.T) {
 		{"metabolism", "plasma"},
 		{"metabolism", "kinase"},
 	}
-	home, _ := rt.route(base, nil)
+	home, _ := rt.Route(base, nil)
 	missed := false
 	for _, kw := range overlapping {
 		if hashShard(CanonicalKeywords(kw), 4) != home {
-			rt.route(kw, nil)
+			rt.Route(kw, nil)
 			missed = true
 			break
 		}
@@ -116,7 +125,7 @@ func TestHashRouterEstimatesSharingMisses(t *testing.T) {
 	if !missed {
 		t.Skip("no overlapping set hashed away from the topic shard at 4 shards")
 	}
-	st := rt.stats()
+	st := rt.Stats()
 	if st.SharingMisses != 1 || st.AffinityHits != 0 || st.HashRoutes != 2 {
 		t.Errorf("stats = %+v, want exactly one sharing miss over two hash routes", st)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -65,7 +66,7 @@ func TestAffinityRoutesOverlappingTopicsTogether(t *testing.T) {
 			t.Errorf("overlapping %q executed on shard %d, topic lives on %d", kw, res.Shard, seed.Shard)
 		}
 	}
-	st := s.Stats()
+	st := s.Stats(context.Background())
 	if st.Router.Mode != service.RouterAffinity {
 		t.Errorf("router mode = %q", st.Router.Mode)
 	}
@@ -80,51 +81,55 @@ func TestAffinityRoutesOverlappingTopicsTogether(t *testing.T) {
 	}
 }
 
+// overlapTopicRun is the two-engine overlapping-topic workload: every
+// multi-keyword GUS suite query is one topic, searched as its base set and
+// then as each of its workload.OverlapVariants, through a front desk over two
+// engines placing by mode. It returns the run's answer digest and stats.
+func overlapTopicRun(t *testing.T, mode string) (string, service.Stats) {
+	t.Helper()
+	// A fresh workload per run: no run inherits another's materialised
+	// source views.
+	w, err := workload.GUS(1, workload.GUSScaleDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var topics [][][]string
+	for _, sub := range w.Submissions {
+		if v := workload.OverlapVariants(sub.UQ.Keywords); v != nil {
+			topics = append(topics, append([][]string{sub.UQ.Keywords}, v...))
+		}
+	}
+	if len(topics) == 0 {
+		t.Fatal("workload has no multi-keyword suite queries")
+	}
+	// Serial engines, sequential window-free admission: every search sees
+	// the same history in both modes.
+	fr := newLocal(t, w, service.Config{
+		Seed: 1, K: 50, Shards: 2, Router: mode, BatchWindow: 0,
+	})
+	defer fr.Close() //nolint:errcheck
+	h := sha256.New()
+	// The base pass seeds each topic's resident engine; the variant passes
+	// are the overlapping searches whose placement is under test.
+	for variant := 0; variant < 3; variant++ {
+		for _, tp := range topics {
+			digestSearch(t, h, fr, "router-user", tp[variant], 50)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), fr.Stats(context.Background())
+}
+
 // TestAffinityReadsFewerStreamTuplesThanHash is the §6.1 placement claim at
-// serving scale: every multi-keyword GUS suite query is one topic, searched
-// as its base set and then as each of its workload.OverlapVariants, on two
-// shards. Placement moves work, not answers — hash and affinity must digest
-// identically — and co-locating a topic's variants must turn the cross-shard
-// sharing misses the fixed hash records into replays, so affinity reads
-// strictly fewer source-stream tuples.
+// serving scale, on overlapTopicRun. Placement moves work, not answers —
+// hash and affinity must digest identically — and co-locating a topic's
+// variants must turn the cross-engine sharing misses the fixed hash records
+// into replays, so affinity reads strictly fewer source-stream tuples.
 func TestAffinityReadsFewerStreamTuplesThanHash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two sequential runs of the GUS suite x 3 variants")
 	}
-	run := func(mode string) (string, service.Stats) {
-		// A fresh workload per mode: neither run inherits the other's
-		// materialised source views.
-		w, err := workload.GUS(1, workload.GUSScaleDefault())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var topics [][][]string
-		for _, sub := range w.Submissions {
-			if v := workload.OverlapVariants(sub.UQ.Keywords); v != nil {
-				topics = append(topics, append([][]string{sub.UQ.Keywords}, v...))
-			}
-		}
-		if len(topics) == 0 {
-			t.Fatal("workload has no multi-keyword suite queries")
-		}
-		// Serial engine, sequential window-free admission: every search
-		// sees the same history in both modes.
-		svc := service.New(w, service.Config{
-			Seed: 1, K: 50, Shards: 2, Router: mode, BatchWindow: 0,
-		})
-		defer svc.Close() //nolint:errcheck
-		h := sha256.New()
-		// The base pass seeds each topic's resident shard; the variant
-		// passes are the overlapping searches whose placement is under test.
-		for variant := 0; variant < 3; variant++ {
-			for _, tp := range topics {
-				digestSearch(t, h, svc, "router-user", tp[variant], 50)
-			}
-		}
-		return hex.EncodeToString(h.Sum(nil)), svc.Stats()
-	}
-	hashDigest, hash := run(service.RouterHash)
-	affDigest, aff := run(service.RouterAffinity)
+	hashDigest, hash := overlapTopicRun(t, service.RouterHash)
+	affDigest, aff := overlapTopicRun(t, service.RouterAffinity)
 	if affDigest != hashDigest {
 		t.Fatalf("affinity digest %s != hash digest %s", affDigest, hashDigest)
 	}
@@ -145,7 +150,7 @@ func TestAffinityReadsFewerStreamTuplesThanHash(t *testing.T) {
 // alice and bob in opposite order must give each user identical answers.
 func TestUserCoefficientsStableAcrossArrivalOrder(t *testing.T) {
 	kw := []string{"metabolism", "protein"}
-	search := func(s *service.Service, user string) *service.Result {
+	search := func(s *fleet.Frontend, user string) *fleet.ResultView {
 		t.Helper()
 		res, err := s.Search(context.Background(), user, kw, 10)
 		if err != nil {
@@ -165,7 +170,7 @@ func TestUserCoefficientsStableAcrossArrivalOrder(t *testing.T) {
 	aliceB := search(b, "alice")
 	b.Close()
 
-	same := func(user string, x, y *service.Result) {
+	same := func(user string, x, y *fleet.ResultView) {
 		if len(x.Answers) != len(y.Answers) {
 			t.Fatalf("%s: %d answers vs %d across arrival orders", user, len(x.Answers), len(y.Answers))
 		}
@@ -242,7 +247,7 @@ func TestAffinityRouterUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			st := s.Stats()
+			st := s.Stats(context.Background())
 			if st.Router.Decisions < lastSeen {
 				t.Errorf("routing decisions went backwards: %d after %d", st.Router.Decisions, lastSeen)
 				return
@@ -260,7 +265,7 @@ func TestAffinityRouterUnderChurn(t *testing.T) {
 	close(stop)
 	statsWG.Wait()
 
-	st := s.Stats()
+	st := s.Stats(context.Background())
 	total := int64(workers * perWorker)
 	if st.Service.Completed != total {
 		t.Errorf("completed = %d, want %d", st.Service.Completed, total)

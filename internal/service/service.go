@@ -1,21 +1,20 @@
-// Package service is the concurrent, multi-tenant serving layer of the Q
-// System reproduction: the subsystem that turns the paper's batch-oriented
-// engine into an online middleware handling simultaneously arriving keyword
-// queries — the setting the paper's batched multi-query optimization (§3) and
-// shared plan graph (§4–§6) are designed for.
+// Package service is one engine of the Q System reproduction's serving
+// layer: the subsystem that turns the paper's batch-oriented engine into an
+// online middleware admitting simultaneously arriving keyword queries — the
+// setting the paper's batched multi-query optimization (§3) and shared plan
+// graph (§4–§6) are designed for.
 //
 // Architecture (one Service):
 //
-//	Search ──► cluster-affinity router ──► shard 0: admission queue ─► executor goroutine
-//	                                   └─► shard 1: admission queue ─► executor goroutine
-//	                                   └─► …                              │
-//	           per-request response channel ◄─────────────────────────────┘
+//	SearchUQ ──► admission queue ──► executor goroutine: plan graph, ATC, qsm
+//	    ▲                                     │
+//	    └───── per-request response channel ◄─┘
 //
-// Each shard owns one complete engine — plan graph, ATC, query state manager,
+// A Service owns one complete engine — plan graph, ATC, query state manager,
 // catalog fork, clock and delay model — and a single executor goroutine that
-// is the only goroutine ever touching that engine, so the single-threaded
-// engine code needs no locks. Callers talk to shards exclusively through
-// channels: Search enqueues a request and blocks on a per-request response
+// is the only goroutine ever touching it, so the single-threaded engine code
+// needs no locks. Callers talk to it exclusively through channels: SearchUQ
+// enqueues an expanded user query and blocks on a per-request response
 // channel (honouring context cancellation and deadlines); the executor
 // collects requests into a time/size-windowed admission batch (§3's batcher,
 // online form), admits released batches through qsm.Manager.Admit — grafting
@@ -23,26 +22,30 @@
 // arrivals — and drives atc.RunRound continuously, dispatching each completed
 // rank-merge back to its waiting caller.
 //
-// Queries are routed to shards by measured overlap affinity: the router keeps
-// one decaying resident keyword set per shard (cluster.Affinity) and places
-// each canonical keyword set on the shard it overlaps most, falling back to a
-// fixed hash when no shard has meaningful affinity — the serving-layer
-// analogue of §6.1's query clustering (ATC-CL). Identical and overlapping
-// searches land on the same plan graph and share work, while disjoint topics
-// execute in parallel.
+// The front desk is not part of the engine. An Expander turns (user,
+// keywords, k) into the expanded query, and a Placer puts each canonical
+// keyword set on the engine whose decaying resident keyword set it overlaps
+// most, falling back to a fixed hash — the serving-layer analogue of §6.1's
+// query clustering (ATC-CL). internal/fleet composes them: one Frontend over
+// N engines, in this process (fleet.NewLocal) or in shard processes.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/atc"
 	"repro/internal/candidates"
+	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/metrics"
+	"repro/internal/operator"
 	"repro/internal/plangraph"
 	"repro/internal/qsm"
 	"repro/internal/recovery"
@@ -51,7 +54,7 @@ import (
 	"repro/internal/workload"
 )
 
-// ErrClosed is returned by Search once the service has begun shutting down.
+// ErrClosed is returned by SearchUQ once the service has begun shutting down.
 var ErrClosed = errors.New("service: closed")
 
 // Config tunes a Service.
@@ -63,27 +66,25 @@ type Config struct {
 	// MaxCQs overrides the workload's cap on candidate networks per search
 	// (0 keeps the workload's own setting; paper workloads use ≤20).
 	MaxCQs int
-	// MemoryBudget bounds retained middleware state in rows across the whole
-	// service (0 = unbounded). The budget is global: a demand-proportional
-	// arbiter apportions it to shards, so a hot shard holds more state than
-	// an idle one instead of every shard owning an equal island. Exceeding a
-	// shard's allotment triggers eviction under EvictPolicy (§6.3).
+	// MemoryBudget bounds the engine's retained middleware state in rows
+	// (0 = unbounded). Exceeding it triggers eviction under EvictPolicy
+	// (§6.3). It is per engine: N engines hold up to N budgets.
 	MemoryBudget int
 	// EvictPolicy selects the eviction policy: "lru" (default; the paper's
 	// least-recently-used, largest-first) or "benefit" (evict the state
 	// that is cheapest to re-derive per retained row, priced by the cost
 	// model). New panics on an unknown name — validate user input first.
 	EvictPolicy string
-	// SpillDir, when set, turns discard eviction into spill eviction: each
-	// shard serializes evicted plan segments to SpillDir/shard-<n> and
-	// revival reads them back as local I/O instead of re-paying source
-	// reads (§6.3 disk tier). The per-shard directories are removed on
+	// SpillDir, when set, turns discard eviction into spill eviction: the
+	// engine serializes evicted plan segments to SpillDir/shard-<id> (id =
+	// ShardIDOffset) and revival reads them back as local I/O instead of
+	// re-paying source reads (§6.3 disk tier). The directory is removed on
 	// Close. New panics if the directory cannot be created.
 	SpillDir string
 
-	// CheckpointDir enables the crash-recovery tier: each shard owns a
+	// CheckpointDir enables the crash-recovery tier: the engine owns a
 	// durable checkpoint store and admission journal under
-	// CheckpointDir/shard-<eid>. Unlike SpillDir the directories survive
+	// CheckpointDir/shard-<id>. Unlike SpillDir the directory survives
 	// Close — durability across process death is the point. A Service built
 	// over a directory holding a committed checkpoint stages it; Recover
 	// imports it through the consistency gate (warm restart). New panics if
@@ -107,33 +108,34 @@ type Config struct {
 	// SINGLE-OPT baseline of Figure 9.
 	BatchWindow time.Duration
 
-	// Shards is the number of independent engines (plan graph + executor
-	// goroutine). Related searches share a graph while unrelated ones run in
-	// parallel; Router selects how queries are placed. Default 1. Shards is
-	// how a service uses more than one core: each engine is single-threaded.
+	// Shards is the number of engines fleet.NewLocal builds behind one front
+	// desk, each a Service of its own. Related searches share a graph while
+	// unrelated ones run in parallel; Router selects how queries are placed.
+	// Default 1. Shards is how a process uses more than one core: each
+	// engine is single-threaded. New builds exactly one engine and panics on
+	// Shards > 1.
 	Shards int
-	// Workers is ignored: every shard runs one serial engine.
+	// Workers is ignored: every engine is serial.
 	//
 	// Deprecated: the intra-shard component executor it sized ran no faster
 	// than the serial engine; use Shards for cores.
 	Workers int
-	// Router selects shard placement: "affinity" (default) routes each query
-	// to the shard whose decaying resident keyword set it overlaps most —
-	// §6.1's cluster-affinity idea at serving scale, with a fixed-hash
-	// fallback when no shard has meaningful affinity — while "hash" always
-	// uses the hash of the canonical keyword set. New panics on an unknown
-	// name — validate user input with ParseRouter first.
+	// Router selects the front desk's placement (see Placer): "affinity"
+	// (default) routes each query to the engine whose decaying resident
+	// keyword set it overlaps most — §6.1's cluster-affinity idea at serving
+	// scale, with a fixed-hash fallback when no engine has meaningful
+	// affinity — while "hash" always uses the hash of the canonical keyword
+	// set. A lone engine ignores it.
 	Router string
-	// MaxQueue bounds each shard's submission queue; senders beyond it block
+	// MaxQueue bounds the submission queue; senders beyond it block
 	// (closed-loop backpressure) until the executor drains or their context
 	// expires. Default 1024.
 	MaxQueue int
-	// ShardIDOffset offsets the engine identity of this service's shards:
-	// shard i seeds its RNGs (engine, delays) as engine
-	// ShardIDOffset+i. A shard *process* serving slot i of a distributed
-	// fleet runs Shards=1 with ShardIDOffset=i, which makes its engine
-	// byte-identical to shard i of a single-process service with the same
-	// Seed — the invariant the multi-process digest parity gate pins.
+	// ShardIDOffset is the engine's identity: it salts the engine's RNGs
+	// (engine, delays) and names its spill and checkpoint directories.
+	// fleet.NewLocal gives engine i the offset i, and a shard process serving
+	// slot i of a distributed fleet runs with the same offset, so slot i is
+	// the same engine over the same seed in one process or in N.
 	ShardIDOffset int
 
 	// RealTime makes engine delays actually sleep (live serving); the default
@@ -141,12 +143,13 @@ type Config struct {
 	// tests use.
 	RealTime bool
 
-	// Admission configures the overload-control layer (PR7): per-user
-	// token-bucket rate limits with fair arbitration, bounded-queue shedding
-	// (MaxPending), per-request latency budgets (Deadline) that cancel
-	// merges past them, and the adaptive admission window that replaces the
-	// fixed BatchWindow with a control loop. The zero value keeps the
-	// closed-loop behavior: senders block on the shard queue, nothing sheds.
+	// Admission configures the overload-control layer: bounded-queue
+	// shedding (MaxPending), per-request latency budgets (Deadline) that
+	// cancel merges past them, and the adaptive admission window that
+	// replaces the fixed BatchWindow with a control loop, all inside the
+	// engine; the per-user token-bucket rate limits (UserRate, TotalRate)
+	// run at the front desk (fleet.Frontend). The zero value keeps the
+	// closed-loop behavior: senders block on the queue, nothing sheds.
 	Admission admission.Config
 
 	// JointOptimize runs one multi-query optimization over each whole
@@ -198,8 +201,9 @@ type Result struct {
 	// into; ExecutedNetworks how many the ATC actually activated.
 	CandidateNetworks int
 	ExecutedNetworks  int
-	// Shard is the engine the query executed on; BatchSize how many queries
-	// rode in its admission batch.
+	// Shard is the engine the query executed on (0 from a lone Service; the
+	// front desk that placed it fills the view's); BatchSize how many
+	// queries rode in its admission batch.
 	Shard     int
 	BatchSize int
 	// EngineLatency is the engine clock's admission-to-finish time (the
@@ -214,17 +218,18 @@ type Stats struct {
 	// Service holds the request-lifecycle counters, batch occupancy and
 	// latency distributions.
 	Service metrics.ServiceSnapshot
-	// Work sums execution counters across shards. Work.ReplayTuples over
+	// Work sums execution counters across engines. Work.ReplayTuples over
 	// Work.TuplesConsumed+ReplayTuples is the shared-work fraction: rows that
 	// were served from retained state instead of being re-fetched.
 	Work metrics.Snapshot
-	// Router reports the shard-placement decisions and each shard's decaying
-	// resident keyword set.
+	// Router reports the front desk's placement decisions and each engine's
+	// decaying resident keyword set (zero for a lone engine).
 	Router RouterStats
 	// ExpandCache reports the front desk's expansion work shared across
 	// arrivals: searches whose candidate networks were found already derived
 	// (Hits) or were derived (Misses, of which Stale found an entry a schema
-	// graph mutation had outdated), and the cache size.
+	// graph mutation had outdated), and the cache size. Zero for a lone
+	// engine: engines never expand.
 	ExpandCache candidates.CacheStats
 	// Shared splits every row the engines processed by where it came from:
 	// retained memory state, the spill tier on disk, or a fresh source read.
@@ -258,7 +263,7 @@ type ShardStats struct {
 	// mini-batch, with full-vs-output flush counts in the Work snapshot
 	// (BatchFullFlushes / BatchFlushes).
 	Batch metrics.SizeStats
-	// Budget is the shard's current arbitrated allotment (0 = unbounded).
+	// Budget is the engine's MemoryBudget (0 = unbounded).
 	Budget    int
 	Evictions int
 	// EvictionsByPolicy splits evictions by the policy that chose them.
@@ -301,16 +306,75 @@ func (st Stats) SharedSplit() SharedSplit {
 	return SharedSplit{MemoryHit: mem / total, DiskHit: disk / total, FreshRead: fresh / total}
 }
 
-// Service is a concurrent keyword-search service over a workload's database
-// fleet. Create with New, serve with Search from any number of goroutines,
-// stop with Close.
+// Service is one concurrent keyword-search engine over a workload's database
+// fleet. Create with New, serve expanded queries with SearchUQ from any
+// number of goroutines, stop with Close. Nothing outside the executor
+// goroutine ever touches the engine fields after New returns.
 type Service struct {
-	cfg    Config
-	svc    *metrics.Service
-	exp    *Expander
-	adm    *admission.Controller // nil unless rate limits are configured
-	shards []*shard
-	router *router
+	cfg Config
+	svc *metrics.Service
+
+	env  *operator.Env
+	ctrl *atc.ATC
+	mgr  *qsm.Manager
+
+	// pending is the current admission window in arrival order; windowStart
+	// is the wall arrival of pending[0]; waiters holds admitted, unfinished
+	// requests by UQ id. All three are executor-goroutine state (promoted to
+	// fields so drain/abort control closures can reach them).
+	pending     []*request
+	windowStart time.Time
+	waiters     map[string]*request
+
+	// depth mirrors the admission-queue occupancy (accepted but not yet
+	// admitted) for the queue-full shed check, which runs on caller
+	// goroutines and therefore cannot read pending directly.
+	depth atomic.Int64
+
+	// win, when non-nil, replaces the fixed BatchWindow with the adaptive
+	// admission window control loop. Only the executor goroutine reads it
+	// during scheduling; its own mutex makes the Observe calls safe.
+	win *admission.WindowController
+
+	// mergeEWMA tracks recent admission-to-completion time (EWMA/4), the
+	// executor's estimate of what starting one more merge costs. Deadline
+	// shedding uses it to drop queued requests that could no longer finish
+	// in budget — canceling a doomed merge mid-flight refunds nothing, so
+	// the cheap place to shed is before the engine ever sees it. Executor
+	// goroutine only.
+	mergeEWMA time.Duration
+
+	submitCh chan *request
+	statsCh  chan chan ShardStats
+	// ctrlCh delivers control closures (topic export/import, drain probes)
+	// into the executor goroutine; every select that serves statsCh serves it
+	// too, so control work interleaves between scheduling rounds and never
+	// races the engine.
+	ctrlCh chan func()
+	stopCh chan struct{}
+	doneCh chan struct{}
+
+	// topics maps a topic key (canonical keywords joined with NUL) to the
+	// plan-graph node keys its merges touched, recorded at admission from
+	// merge footprints and consumed by topic export. FIFO-bounded; executor
+	// goroutine only.
+	topics     map[string]map[string]bool
+	topicOrder []string
+
+	// Crash-recovery tier (nil/empty unless Config.CheckpointDir is set).
+	// store owns the engine's checkpoint directory; cpMu serializes its Write
+	// against the periodic loop. jnl is the admission journal, confined to
+	// the executor goroutine (Admit/Done in admit/respond, Rewrite inside
+	// the checkpoint exec closure). pendingRecover holds a loaded checkpoint
+	// until Recover imports it (executor goroutine via exec); recovered is
+	// the journal's replayed in-flight set, static after New.
+	store          *recovery.Store
+	cpMu           sync.Mutex
+	jnl            *recovery.Journal
+	pendingRecover *state.TopicExport
+	pendingGen     int
+	recovered      []recovery.QueryRecord
+	rec            recStats
 
 	// cpStop/cpDone bracket the periodic checkpoint loop (nil when no
 	// CheckpointInterval is configured).
@@ -321,29 +385,59 @@ type Service struct {
 	closed bool
 }
 
-// New builds a service over a workload and starts its shard executors.
+// New builds an engine over a workload and starts its executor. It panics
+// on Shards > 1 (fleet.NewLocal builds several engines behind one front
+// desk) and on an unknown EvictPolicy or a directory it cannot create.
 func New(w *workload.Workload, cfg Config) *Service {
 	cfg = cfg.withDefaults()
+	if cfg.Shards > 1 {
+		panic(fmt.Sprintf("service: New builds one engine, not Shards = %d (use fleet.NewLocal)", cfg.Shards))
+	}
+	id := cfg.ShardIDOffset
+	p := core.NewPipeline(w.Fleet, w.Catalog, core.Options{
+		Mode: qsm.ShareAll,
+		// The seed salt keeps every engine of a fleet seeded differently.
+		Seed:         cfg.Seed + uint64(id)*7919,
+		MemoryBudget: cfg.MemoryBudget,
+		RealTime:     cfg.RealTime,
+	})
 	s := &Service{
-		cfg: cfg,
-		svc: &metrics.Service{},
-		exp: NewExpander(w, cfg),
-		adm: admission.NewController(cfg.Admission),
+		cfg:      cfg,
+		svc:      &metrics.Service{},
+		env:      p.Env,
+		ctrl:     p.ATC,
+		mgr:      p.Manager,
+		waiters:  map[string]*request{},
+		submitCh: make(chan *request, cfg.MaxQueue),
+		statsCh:  make(chan chan ShardStats),
+		ctrlCh:   make(chan func()),
+		stopCh:   make(chan struct{}),
+		doneCh:   make(chan struct{}),
+		topics:   map[string]map[string]bool{},
 	}
-	mode, err := ParseRouter(cfg.Router)
+	s.env.Metrics.TeeBatch(&s.svc.ExecBatch, &s.svc.ExecBatchFlushes, &s.svc.ExecBatchFull)
+	policy, err := state.ParsePolicy(cfg.EvictPolicy)
 	if err != nil {
-		panic(err.Error())
+		panic("service: " + err.Error())
 	}
-	s.router = newRouter(mode, cfg.Shards, s.svc)
-	// One global budget, arbitrated across shards by demand (§6.3 at serving
-	// scale). A nil arbiter means unbounded everywhere.
-	var arb *state.Arbiter
-	if cfg.MemoryBudget > 0 {
-		arb = state.NewArbiter(cfg.MemoryBudget, cfg.Shards)
+	s.mgr.State.SetPolicy(policy)
+	if cfg.SpillDir != "" {
+		dir := filepath.Join(cfg.SpillDir, fmt.Sprintf("shard-%d", id))
+		if err := s.mgr.EnableSpill(dir, s.mgr.DefaultResolver()); err != nil {
+			panic("service: " + err.Error())
+		}
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(i, w, cfg, s.svc, arb))
+	if !cfg.JointOptimize {
+		s.mgr.Unit = qsm.UnitUQ
 	}
+	if cfg.Admission.AdaptiveWindow {
+		s.win = admission.NewWindowController(
+			cfg.Admission.WindowMin, cfg.Admission.WindowMax, cfg.Admission.Deadline)
+	}
+	if cfg.CheckpointDir != "" {
+		s.openRecovery(filepath.Join(cfg.CheckpointDir, fmt.Sprintf("shard-%d", id)))
+	}
+	go s.run()
 	if cfg.CheckpointDir != "" && cfg.CheckpointInterval > 0 {
 		s.cpStop = make(chan struct{})
 		s.cpDone = make(chan struct{})
@@ -352,49 +446,24 @@ func New(w *workload.Workload, cfg Config) *Service {
 	return s
 }
 
-// Search poses a keyword query for the given user and blocks until its top-k
-// answers are known, the context is done, or the service closes. It is safe
-// to call from many goroutines; concurrently arriving searches are batched
-// into shared admissions. Each distinct user keeps their own scoring-function
-// coefficients across calls (§2.1). k <= 0 uses the configured default.
-//
-// Under a configured admission rate the user's token bucket is consulted
-// before any expansion work is spent; a shed returns *admission.ShedError
-// (retryable — the query never reached admission) with a Retry-After hint.
-func (s *Service) Search(ctx context.Context, user string, keywords []string, k int) (*Result, error) {
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	if shed := s.adm.Admit(user, time.Now()); shed != nil {
-		s.svc.Shed.Inc()
-		s.svc.ShedUserRate.Inc()
-		return nil, shed
-	}
-	uq, err := s.exp.Expand(user, keywords, k)
-	if err != nil {
-		return nil, err
-	}
-	return s.SearchUQ(ctx, uq)
-}
-
-// SearchUQ admits an already-expanded user query, bypassing candidate
-// generation. The distributed serving tier depends on it: the front-end owns
-// expansion — per-user scoring coefficients and UQ ids are front-desk state —
-// and ships the complete UQ to a shard process, whose engine must consume
-// exactly the query the single-process engine would have, or result digests
-// diverge.
+// SearchUQ admits an expanded user query and blocks until its top-k answers
+// are known, the context is done, or the service closes. It is safe to call
+// from many goroutines; concurrently arriving queries are batched into
+// shared admissions. The front desk owns expansion — per-user scoring
+// coefficients and UQ ids depend on the whole request stream — so an engine
+// consumes exactly the query it is given, whether the front desk runs in
+// this process or ships the query over the wire.
 func (s *Service) SearchUQ(ctx context.Context, uq *cq.UQ) (*Result, error) {
 	if s.isClosed() {
 		return nil, ErrClosed
 	}
 	s.svc.Requests.Inc()
-	sh := s.shards[s.route(uq.Keywords)]
 	// Bounded-queue shed: when MaxPending is configured, an arrival that
-	// finds the shard's admission queue full is turned away immediately
-	// (retryable — it never reached admission) instead of blocking its
-	// caller into the closed loop.
+	// finds the admission queue full is turned away immediately (retryable —
+	// it never reached admission) instead of blocking its caller into the
+	// closed loop.
 	if maxp := s.cfg.Admission.MaxPending; maxp > 0 {
-		if int(sh.depth.Load())+len(sh.submitCh) >= maxp {
+		if int(s.depth.Load())+len(s.submitCh) >= maxp {
 			s.svc.Shed.Inc()
 			s.svc.ShedQueueFull.Inc()
 			return nil, &admission.ShedError{
@@ -408,9 +477,9 @@ func (s *Service) SearchUQ(ctx context.Context, uq *cq.UQ) (*Result, error) {
 		r.deadline = r.enqueued.Add(d)
 	}
 	select {
-	case sh.submitCh <- r:
+	case s.submitCh <- r:
 		s.svc.InFlight.Inc()
-	case <-sh.stopCh:
+	case <-s.stopCh:
 		s.svc.Rejected.Inc()
 		return nil, ErrClosed
 	case <-ctx.Done():
@@ -424,7 +493,7 @@ func (s *Service) SearchUQ(ctx context.Context, uq *cq.UQ) (*Result, error) {
 		// The executor notices the dead context, unlinks the query's plan
 		// segments and settles the (buffered) response channel.
 		return nil, ctx.Err()
-	case <-sh.doneCh:
+	case <-s.doneCh:
 		// Shutdown race: the send can win its select against a concurrent
 		// Close after the executor already drained and exited, stranding the
 		// request in the buffer. The executor settles everything it saw
@@ -440,16 +509,18 @@ func (s *Service) SearchUQ(ctx context.Context, uq *cq.UQ) (*Result, error) {
 	}
 }
 
-// AbortInFlight settles every queued and admitted search on every shard with
-// reason, canceling their merges and unlinking their plan segments. It is
-// the drain deadline's escape hatch: a merge that never converges (or a
-// backlog that outlives the drain budget) must not block the state handoff
-// forever. Returns how many requests were aborted.
+// InFlight reports how many searches the engine has accepted and not yet
+// answered. Cheap (one atomic read) — health probes poll it.
+func (s *Service) InFlight() int { return int(s.svc.InFlight.Value()) }
+
+// AbortInFlight settles every queued and admitted search with reason,
+// canceling their merges and unlinking their plan segments. It is the drain
+// deadline's escape hatch: a merge that never converges (or a backlog that
+// outlives the drain budget) must not block the state handoff forever.
+// Returns how many requests were aborted.
 func (s *Service) AbortInFlight(reason error) int {
 	n := 0
-	for _, sh := range s.shards {
-		sh.exec(func() { n += sh.abort(reason) })
-	}
+	s.exec(func() { n = s.abort(reason) })
 	return n
 }
 
@@ -460,38 +531,27 @@ func (s *Service) isClosed() bool {
 	return s.closed
 }
 
-// route picks the shard for a keyword set. The set is canonicalized first —
-// folded, trimmed, empties dropped, deduplicated — so surface variants of
-// one search can never land on different shards and silently re-pay remote
-// source reads; the configured router (affinity by default, fixed hash
-// otherwise) then places the canonical set.
-func (s *Service) route(keywords []string) int {
-	if len(s.shards) == 1 {
-		return 0
-	}
-	sh, _ := s.router.route(CanonicalKeywords(keywords), nil)
-	return sh
-}
-
-// Stats snapshots the service. Engine-side numbers are fetched through each
-// shard's executor so no lock is needed on the single-threaded engine state.
+// Stats snapshots the service. Engine-side numbers are fetched through the
+// executor so no lock is needed on the single-threaded engine state.
 func (s *Service) Stats() Stats {
-	st := Stats{Service: s.svc.Snapshot(), Router: s.router.stats(), ExpandCache: s.exp.CacheStats()}
-	for _, sh := range s.shards {
-		ss := sh.stats()
-		st.Shards = append(st.Shards, ss)
-		st.Work = st.Work.Add(ss.Work)
+	var ss ShardStats
+	req := make(chan ShardStats, 1)
+	select {
+	case s.statsCh <- req:
+		ss = <-req
+	case <-s.doneCh:
+		ss = s.snapshot()
 	}
+	st := Stats{Service: s.svc.Snapshot(), Work: ss.Work, Shards: []ShardStats{ss}, Recovery: s.RecoveryStats()}
 	st.Shared = st.SharedSplit()
-	st.Recovery = s.RecoveryStats()
 	return st
 }
 
 // Close stops accepting new searches, lets every enqueued and in-flight query
-// run to completion, and shuts the shard executors down. It is idempotent and
-// returns the joined per-shard state-teardown errors (spill directories that
-// failed to remove, …) — previously swallowed, now surfaced so a serving
-// process can log disk problems instead of silently leaking segments.
+// run to completion, and shuts the executor down. It is idempotent and
+// returns the state-teardown errors (a spill directory that failed to
+// remove, …) so a serving process can log disk problems instead of silently
+// leaking segments.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -500,28 +560,23 @@ func (s *Service) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// Stop the checkpoint loop before the executors: a checkpoint capture
+	// Stop the checkpoint loop before the executor: a checkpoint capture
 	// needs a live executor goroutine to run its exec closure on.
 	if s.cpStop != nil {
 		close(s.cpStop)
 		<-s.cpDone
 	}
-	for _, sh := range s.shards {
-		close(sh.stopCh)
-	}
+	close(s.stopCh)
+	<-s.doneCh
+	// The executor has exited; reclaim the spill segments so no run leaves
+	// disk state behind. The checkpoint directory, unlike the spill tier, is
+	// deliberately NOT removed — it must outlive the process.
 	var errs []error
-	for _, sh := range s.shards {
-		<-sh.doneCh
-		// The executor has exited; reclaim the shard's spill segments so no
-		// run leaves disk state behind. The checkpoint directory, unlike the
-		// spill tier, is deliberately NOT removed — it must outlive the
-		// process.
-		if err := sh.mgr.State.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("service: shard %d state teardown: %w", sh.id, err))
-		}
-		if err := sh.jnl.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("service: shard %d journal close: %w", sh.id, err))
-		}
+	if err := s.mgr.State.Close(); err != nil {
+		errs = append(errs, fmt.Errorf("service: engine %d state teardown: %w", s.cfg.ShardIDOffset, err))
+	}
+	if err := s.jnl.Close(); err != nil {
+		errs = append(errs, fmt.Errorf("service: engine %d journal close: %w", s.cfg.ShardIDOffset, err))
 	}
 	return errors.Join(errs...)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/fleet"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -23,13 +24,24 @@ var bioKeywords = [][]string{
 	{"membrane", "gene"},
 }
 
-func newBioService(t *testing.T, cfg service.Config) *service.Service {
+// newLocal builds cfg.Shards engines over w behind one front desk, the way
+// qsys-serve serves them.
+func newLocal(t *testing.T, w *workload.Workload, cfg service.Config) *fleet.Frontend {
+	t.Helper()
+	fr, err := fleet.NewLocal(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr
+}
+
+func newBioService(t *testing.T, cfg service.Config) *fleet.Frontend {
 	t.Helper()
 	w, err := workload.Bio()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return service.New(w, cfg)
+	return newLocal(t, w, cfg)
 }
 
 func TestSearchBasic(t *testing.T) {
@@ -53,7 +65,7 @@ func TestSearchBasic(t *testing.T) {
 			t.Errorf("answers not in score order at %d", i)
 		}
 	}
-	if res.WallLatency <= 0 {
+	if time.Duration(res.WallLatencyNS) <= 0 {
 		t.Error("no wall latency recorded")
 	}
 }
@@ -65,7 +77,7 @@ func TestConcurrentSearchesShareBatches(t *testing.T) {
 	const users = 24
 	var wg sync.WaitGroup
 	errs := make([]error, users)
-	results := make([]*service.Result, users)
+	results := make([]*fleet.ResultView, users)
 	for i := 0; i < users; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -83,7 +95,7 @@ func TestConcurrentSearchesShareBatches(t *testing.T) {
 			t.Errorf("user %d got no answers", i)
 		}
 	}
-	st := s.Stats()
+	st := s.Stats(context.Background())
 	if st.Service.Completed != users {
 		t.Errorf("completed = %d, want %d", st.Service.Completed, users)
 	}
@@ -110,7 +122,7 @@ func TestZeroWindowAdmitsImmediately(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("zero-window search took %v", d)
 	}
-	if got := s.Stats().Service.Batches; got != 1 {
+	if got := s.Stats(context.Background()).Service.Batches; got != 1 {
 		t.Errorf("batches = %d, want 1", got)
 	}
 }
@@ -123,8 +135,8 @@ func TestTimeoutTriggeredRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.WallLatency < 30*time.Millisecond {
-		t.Errorf("wall latency %v shorter than the 30ms admission window", res.WallLatency)
+	if time.Duration(res.WallLatencyNS) < 30*time.Millisecond {
+		t.Errorf("wall latency %v shorter than the 30ms admission window", time.Duration(res.WallLatencyNS))
 	}
 	if res.BatchSize != 1 {
 		t.Errorf("batch size = %d, want 1 (empty window released by timeout)", res.BatchSize)
@@ -136,7 +148,7 @@ func TestSizeTriggeredRelease(t *testing.T) {
 	s := newBioService(t, service.Config{K: 5, BatchSize: 3, BatchWindow: time.Hour})
 	defer s.Close()
 	var wg sync.WaitGroup
-	results := make([]*service.Result, 3)
+	results := make([]*fleet.ResultView, 3)
 	errs := make([]error, 3)
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -168,7 +180,7 @@ func TestContextCancellationWhileQueued(t *testing.T) {
 	// The executor must eventually settle the abandoned request.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := s.Stats().Service
+		st := s.Stats(context.Background()).Service
 		if st.Canceled >= 1 && st.InFlight == 0 && st.Queued == 0 {
 			break
 		}
@@ -226,7 +238,7 @@ func TestCloseFlushesPendingWindow(t *testing.T) {
 	// Wait until the request is parked in the admission window, then close:
 	// shutdown must flush and answer it, not strand it for an hour.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Service.Queued == 0 {
+	for s.Stats(context.Background()).Service.Queued == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request never reached the admission window")
 		}
@@ -272,7 +284,7 @@ func TestShardedRouting(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	st := s.Stats()
+	st := s.Stats(context.Background())
 	if len(st.Shards) != 3 {
 		t.Fatalf("shard stats = %d entries", len(st.Shards))
 	}
@@ -286,7 +298,7 @@ func TestRepeatedSearchesReuseState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	st := s.Stats(context.Background())
 	if st.Work.ReplayTuples == 0 {
 		t.Error("repeated identical searches replayed nothing — plan-state reuse broken")
 	}
@@ -318,7 +330,7 @@ func TestStatsDuringLoad(t *testing.T) {
 	}()
 	// Stats must be answerable while the executor is mid-flight.
 	for i := 0; i < 20; i++ {
-		st := s.Stats()
+		st := s.Stats(context.Background())
 		if st.Service.Requests < st.Service.Completed {
 			t.Errorf("requests %d < completed %d", st.Service.Requests, st.Service.Completed)
 		}
@@ -352,7 +364,7 @@ func TestWindowSharesSourceWork(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.K, cfg.Seed, cfg.MemoryBudget = 20, 1, 500
-		s := service.New(w, cfg)
+		s := newLocal(t, w, cfg)
 		defer s.Close()
 		pool := w.Submissions
 		var searches [users][requests][]string
@@ -386,7 +398,7 @@ func TestWindowSharesSourceWork(t *testing.T) {
 				}
 			}
 		}
-		st := s.Stats()
+		st := s.Stats(context.Background())
 		if want := int64(users * requests); st.Service.Completed != want {
 			t.Fatalf("completed %d searches, want %d", st.Service.Completed, want)
 		}

@@ -28,7 +28,7 @@ func TestCancellationRacingEvictionAndSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	spillDir := filepath.Join(t.TempDir(), "spill")
-	svc := service.New(w, service.Config{
+	svc := newLocal(t, w, service.Config{
 		K:            15,
 		Seed:         7,
 		Shards:       2,
@@ -83,7 +83,7 @@ func TestCancellationRacingEvictionAndSpill(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := svc.Stats()
+	st := svc.Stats(context.Background())
 	if completed == 0 {
 		t.Fatalf("no search completed (canceled=%d)", canceled)
 	}

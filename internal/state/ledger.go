@@ -3,7 +3,7 @@
 // memory pressure, and how to keep evicted state recoverable at local-I/O
 // cost instead of re-paying remote source reads.
 //
-// It has four parts, each usable on its own:
+// It has three parts, each usable on its own:
 //
 //   - the accounting Ledger: every retained structure (access modules, node
 //     logs, rank-merge seen-sets, endpoint buffers) holds an Account and
@@ -15,9 +15,7 @@
 //   - the Spill tier: parked plan segments serialize their epoch-stamped log
 //     and module rows to per-shard disk segments on eviction, and revival
 //     (§6.2, Algorithm 2) reads them back as cheap local I/O, falling back
-//     to source replay only when no segment exists;
-//   - the cross-shard budget Arbiter: one global row budget apportioned to
-//     shards in proportion to their demand instead of per-shard islands.
+//     to source replay only when no segment exists.
 //
 // The package is deliberately free of engine imports (operator, atc, qsm):
 // the engine registers deltas and extracts/reinstalls rows; state owns the
@@ -33,8 +31,7 @@ import "sync/atomic"
 //
 // The ledger-wide aggregates are atomic so they can be read from any
 // goroutine while the engine goroutine writes them: the stats surface reads
-// Total and Scratch, and the memory-budget arbiter apportions a global
-// budget from every shard's Total.
+// Total and Scratch.
 type Ledger struct {
 	total    atomic.Int64
 	accounts atomic.Int64

@@ -1,15 +1,14 @@
 package state
 
 // Manager bundles one engine's state subsystem: the accounting ledger, the
-// eviction policy, the optional spill tier and the budget source. The query
-// state manager (internal/qsm) owns the graph mechanics of eviction and
-// revival; this Manager owns the bookkeeping those mechanics consult.
+// eviction policy and the optional spill tier. The query state manager
+// (internal/qsm) owns the graph mechanics of eviction and revival and the
+// budget; this Manager owns the bookkeeping those mechanics consult.
 type Manager struct {
 	Ledger *Ledger
 
-	policy   Policy
-	spill    *Spill
-	budgetFn func() int
+	policy Policy
+	spill  *Spill
 
 	evictions         int
 	evictionsByPolicy map[string]int
@@ -41,19 +40,6 @@ func (m *Manager) Spill() *Spill { return m.spill }
 
 // AttachSpill installs a spill tier.
 func (m *Manager) AttachSpill(s *Spill) { m.spill = s }
-
-// SetBudgetFn installs a dynamic budget source (cross-shard arbitration);
-// nil reverts to the caller's static budget.
-func (m *Manager) SetBudgetFn(fn func() int) { m.budgetFn = fn }
-
-// Budget resolves the current budget: the dynamic source when installed,
-// otherwise fallback. 0 means unbounded.
-func (m *Manager) Budget(fallback int) int {
-	if m.budgetFn != nil {
-		return m.budgetFn()
-	}
-	return fallback
-}
 
 // NoteEviction records one eviction under the given policy name.
 func (m *Manager) NoteEviction(policy string) {

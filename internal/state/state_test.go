@@ -254,81 +254,3 @@ func TestSpillCloseRemovesDir(t *testing.T) {
 		t.Fatalf("spill dir survived Close: %v", err)
 	}
 }
-
-func TestArbiterApportionsByDemand(t *testing.T) {
-	a := NewArbiter(1000, 2)
-	// A lone active shard converges to (almost) the whole budget.
-	if got := a.Allot(0, 5000); got < 990 {
-		t.Fatalf("lone shard allotment %d", got)
-	}
-	// A second shard with equal demand splits the budget.
-	got1 := a.Allot(1, 5000)
-	got0 := a.Allot(0, 5000)
-	if got0 < 450 || got0 > 550 || got1 < 450 || got1 > 550 {
-		t.Fatalf("equal demand split %d/%d", got0, got1)
-	}
-	// Demand-weighted: the busy shard gets the lion's share.
-	a.Allot(1, 100)
-	if got := a.Allot(0, 9900); got < 900 {
-		t.Fatalf("busy shard allotment %d", got)
-	}
-	// Single-shard arbiter hands the full budget over.
-	s := NewArbiter(500, 1)
-	if got := s.Allot(0, 123); got != 500 {
-		t.Fatalf("single shard allotment %d", got)
-	}
-	// Unbounded budget disables enforcement.
-	u := NewArbiter(0, 4)
-	if got := u.Allot(2, 10); got != 0 {
-		t.Fatalf("unbounded allotment %d", got)
-	}
-}
-
-// TestArbiterSharesNeverOverCommit pins the sum-safety fix: for any demand
-// profile with budget >= shards, the shares of one snapshot must sum to the
-// budget exactly (floor division used to leak rows and the 1-row clamp used
-// to mint them on top of the pool), and every shard keeps the 1-row floor.
-func TestArbiterSharesNeverOverCommit(t *testing.T) {
-	profiles := [][]int64{
-		{0, 0, 0, 0, 0},
-		{1, 1, 1, 1, 1},
-		{5000, 0, 0, 0, 0},
-		{9999, 1, 37, 0, 12345},
-		{7, 7, 7, 6, 7},
-		{1 << 40, 3, 1 << 39, 0, 9},
-	}
-	for _, budget := range []int{5, 6, 100, 999, 2000} {
-		for _, demands := range profiles {
-			a := NewArbiter(budget, len(demands))
-			for i, d := range demands {
-				a.Allot(i, d)
-			}
-			sum, min := 0, 1<<62
-			for i := range demands {
-				sh := a.Share(i)
-				sum += sh
-				if sh < min {
-					min = sh
-				}
-			}
-			if sum != budget {
-				t.Errorf("budget=%d demands=%v: Σ shares = %d", budget, demands, sum)
-			}
-			if min < 1 {
-				t.Errorf("budget=%d demands=%v: a shard starved to %d (0 means unbounded)", budget, demands, min)
-			}
-		}
-	}
-	// Degenerate case, documented on Arbiter: with budget < shards the 1-row
-	// floor wins (an allotment of 0 would mean unbounded), so the fleet
-	// over-commits to exactly one row per shard — never more.
-	a := NewArbiter(3, 5)
-	a.Allot(0, 1000)
-	sum := 0
-	for i := 0; i < 5; i++ {
-		sum += a.Share(i)
-	}
-	if sum != 5 {
-		t.Errorf("budget<shards: Σ shares = %d, want one floor row per shard", sum)
-	}
-}
