@@ -9,8 +9,9 @@
 // backwards until a split operator (a node with other live consumers) is
 // reached — while all state (logs, modules, stream positions) is retained for
 // reuse. Reviving a parked or freshly grafted segment tops its modules up
-// from upstream logs and recovers its historical outputs (Algorithm 2's bulk
-// form; see DESIGN.md).
+// from upstream logs and, unless the segment was parked whole and missed
+// nothing, recovers its historical outputs (Algorithm 2's bulk form; see
+// DESIGN.md).
 package atc
 
 import (
@@ -89,6 +90,10 @@ type ATC struct {
 	// quantum, when positive, overrides readQuantum (tests only, through
 	// export_test.go).
 	quantum int
+	// forceRecover makes every revive re-join its history, the reference
+	// the re-bind shortcut is tested against (tests only, through
+	// export_test.go).
+	forceRecover bool
 
 	// ledger, when bound, accounts every exec's and endpoint's resident
 	// state incrementally (§6.3); spill, when bound, is the disk tier evicted
@@ -352,8 +357,16 @@ func (a *ATC) SpillNode(n *plangraph.Node) bool {
 
 // Revive brings a node fully live for the given epoch: parents are revived
 // first, each module is topped up with rows the node missed while parked (or
-// never saw, if freshly grafted), and the node's historical outputs are
-// recovered into its log. It returns the node's exec.
+// never saw, if freshly grafted), the node's historical outputs are recovered
+// into its log, and the parents are bound to it again. It returns the node's
+// exec.
+//
+// Recovery re-joins every row of the driving module, so it runs only when
+// the log can be missing a combination: the exec is new, its state was
+// restored from a spill or migration segment, or the top-up added a row. A
+// node parked with complete history whose modules gained nothing still logs
+// every combination of its module rows — parking touches neither — so it
+// is only re-bound, at no join work.
 func (a *ATC) Revive(n *plangraph.Node, epoch int) (*operator.NodeExec, error) {
 	x, err := a.Exec(n)
 	if err != nil {
@@ -363,7 +376,7 @@ func (a *ATC) Revive(n *plangraph.Node, epoch int) (*operator.NodeExec, error) {
 		// Sources are always consistent: their log mirrors their reads.
 		return x, nil
 	}
-	if x.HistoryComplete && a.modulesCurrent(x) {
+	if x.HistoryComplete && a.liveAndCurrent(x) {
 		return x, nil
 	}
 	// Parents first (recursively restoring their own spilled state), so a
@@ -381,7 +394,8 @@ func (a *ATC) Revive(n *plangraph.Node, epoch int) (*operator.NodeExec, error) {
 			return nil, err
 		}
 	}
-	a.restoreJoin(n, x)
+	restored := a.restoreJoin(n, x)
+	recover := restored || !x.HistoryComplete || a.forceRecover
 	for _, e := range n.Inputs {
 		if e.Probe {
 			continue
@@ -391,8 +405,13 @@ func (a *ATC) Revive(n *plangraph.Node, epoch int) (*operator.NodeExec, error) {
 		have := x.Module(e.InputIdx).Len()
 		rows, epochs := px.Log.RowsFrom(have)
 		x.PreloadModule(e.InputIdx, rows, epochs)
+		recover = recover || len(rows) > 0
 	}
-	x.RecoverHistory(a.Env, epoch)
+	if recover {
+		x.RecoverHistory(a.Env, epoch)
+	} else {
+		a.Env.Metrics.AddRevivalRebound()
+	}
 	// Re-establish live bindings parent -> node.
 	for _, e := range n.Inputs {
 		px := a.execs[e.From]
@@ -409,8 +428,8 @@ func (a *ATC) Revive(n *plangraph.Node, epoch int) (*operator.NodeExec, error) {
 // module rows it once fed. A mismatch (the optimizer re-partitioned the
 // expression, or a parent was discarded and restarted) drops the segment and
 // falls back to normal revival; reinstalling across it would fabricate or
-// duplicate join state.
-func (a *ATC) restoreJoin(n *plangraph.Node, x *operator.NodeExec) {
+// duplicate join state. It reports whether a segment was reinstalled.
+func (a *ATC) restoreJoin(n *plangraph.Node, x *operator.NodeExec) bool {
 	if seg, ok := a.takeStaged(n.Key); ok {
 		snap := seg.snap
 		// The gate: the node must be empty (state derived since staging makes
@@ -420,7 +439,7 @@ func (a *ATC) restoreJoin(n *plangraph.Node, x *operator.NodeExec) {
 		if x.Log.Len() > 0 || x.StateSize() > 0 || !a.joinSnapshotConsistent(n, snap) {
 			a.Env.Metrics.AddMigrationDrop()
 			a.noteSourceRevival(n.Key)
-			return
+			return false
 		}
 		delete(a.evictedKeys, n.Key)
 		for i := range snap.Modules {
@@ -429,22 +448,22 @@ func (a *ATC) restoreJoin(n *plangraph.Node, x *operator.NodeExec) {
 		x.ImportLog(snap.LogRows, snap.LogEpochs)
 		a.Env.ChargeSpillRead(snap.RowCount(), int64(seg.bytes))
 		a.Env.Metrics.AddMigrationRestore()
-		return
+		return true
 	}
 	if a.spill == nil || !a.spill.Has(n.Key) {
 		if x.Log.Len() == 0 && x.StateSize() == 0 {
 			a.noteSourceRevival(n.Key)
 		}
-		return
+		return false
 	}
 	if x.Log.Len() > 0 || x.StateSize() > 0 {
-		return // live state present; the segment is stale
+		return false // live state present; the segment is stale
 	}
 	snap, rows, bytes, err := a.spill.Take(n.Key)
 	if err != nil || snap == nil || !a.joinSnapshotConsistent(n, snap) {
 		a.spill.NoteDropped()
 		a.noteSourceRevival(n.Key)
-		return
+		return false
 	}
 	delete(a.evictedKeys, n.Key)
 	for i := range snap.Modules {
@@ -453,6 +472,7 @@ func (a *ATC) restoreJoin(n *plangraph.Node, x *operator.NodeExec) {
 	x.ImportLog(snap.LogRows, snap.LogEpochs)
 	a.Env.ChargeSpillRead(rows, bytes)
 	a.Env.Metrics.AddRevivalFromSpill()
+	return true
 }
 
 // joinSnapshotConsistent verifies a spilled join segment still matches the
@@ -489,13 +509,16 @@ func (a *ATC) joinSnapshotConsistent(n *plangraph.Node, snap *state.NodeSnapshot
 	return true
 }
 
-func (a *ATC) modulesCurrent(x *operator.NodeExec) bool {
+// liveAndCurrent reports whether every input still feeds x and every
+// streamed input's module holds its parent's whole log. Parking unbinds a node's inputs, so a
+// parked node fails this even when its history is complete.
+func (a *ATC) liveAndCurrent(x *operator.NodeExec) bool {
 	for _, e := range x.Node.Inputs {
-		if e.Probe {
-			continue
-		}
 		px, ok := a.execs[e.From]
-		if !ok || x.Module(e.InputIdx).Len() < px.Log.Len() {
+		if !ok || !px.Feeds(e) {
+			return false
+		}
+		if !e.Probe && x.Module(e.InputIdx).Len() < px.Log.Len() {
 			return false
 		}
 	}
@@ -544,12 +567,12 @@ func (a *ATC) SinkStateRows() int {
 
 // park removes execution bindings backwards from a workless node until a
 // split (a node with remaining live consumers or sinks) is reached. State is
-// retained; historyComplete is cleared so a future revive tops the node up.
+// retained, modules and log alike, so HistoryComplete keeps its meaning: a
+// future revive tops the node up and re-joins only if the top-up added rows.
 func (a *ATC) park(x *operator.NodeExec) {
 	if x.HasWork() || x.Node.Kind != plangraph.Join {
 		return
 	}
-	x.HistoryComplete = false
 	// A parked node runs no cascades until revival: hand its pooled scratch
 	// (free-listed part vectors, batch buffers) back and settle the ledger's
 	// scratch dimension so idle segments hold no hidden memory.

@@ -36,11 +36,32 @@ type harness struct {
 	mgr   *qsm.Manager
 }
 
-func newHarness(t *testing.T, seed uint64, nA, nB, nC int, withScoreless bool) *harness {
+func newHarness(t testing.TB, seed uint64, nA, nB, nC int, withScoreless bool) *harness {
+	t.Helper()
+	return newStarHarness(t, seed, nA, nB, nC, withScoreless, false)
+}
+
+// newStarHarness is newHarness with, when split is set, each relation in a
+// database of its own ("dbA", "dbB", "dbC"): no join pushes down to a
+// source, so the middleware joins the streams in m-join nodes.
+func newStarHarness(t testing.TB, seed uint64, nA, nB, nC int, withScoreless, split bool) *harness {
 	t.Helper()
 	rng := dist.New(seed)
-	store := relationdb.NewStore("db")
+	shared := relationdb.NewStore("db")
+	var dbs []*remotedb.DB
+	if !split {
+		dbs = append(dbs, remotedb.New(shared))
+	}
 	cat := catalog.New()
+	put := func(rel *relationdb.Relation) {
+		store := shared
+		if split {
+			store = relationdb.NewStore(starDB(rel.Schema().Name(), true))
+			dbs = append(dbs, remotedb.New(store))
+		}
+		store.Put(rel)
+		cat.AddRelation(store.Name(), rel)
+	}
 
 	sa := tuple.NewSchema("A",
 		tuple.Column{Name: "id", Type: tuple.KindInt, Key: true},
@@ -53,8 +74,7 @@ func newHarness(t *testing.T, seed uint64, nA, nB, nC int, withScoreless bool) *
 		rows = append(rows, tuple.New(sa, tuple.Int(int64(i)), tuple.String(terms[rng.Intn(2)]), tuple.Float(0.1+0.9*rng.Float64())))
 	}
 	relA := relationdb.NewRelation(sa, rows)
-	store.Put(relA)
-	cat.AddRelation("db", relA)
+	put(relA)
 
 	var sb *tuple.Schema
 	if withScoreless {
@@ -78,8 +98,7 @@ func newHarness(t *testing.T, seed uint64, nA, nB, nC int, withScoreless bool) *
 		rows = append(rows, tuple.New(sb, vals...))
 	}
 	relB := relationdb.NewRelation(sb, rows)
-	store.Put(relB)
-	cat.AddRelation("db", relB)
+	put(relB)
 
 	sc := tuple.NewSchema("C",
 		tuple.Column{Name: "id", Type: tuple.KindInt, Key: true},
@@ -90,8 +109,7 @@ func newHarness(t *testing.T, seed uint64, nA, nB, nC int, withScoreless bool) *
 		rows = append(rows, tuple.New(sc, tuple.Int(int64(i)), tuple.Float(0.1+0.9*rng.Float64())))
 	}
 	relC := relationdb.NewRelation(sc, rows)
-	store.Put(relC)
-	cat.AddRelation("db", relC)
+	put(relC)
 
 	env := &operator.Env{
 		Clock:   simclock.NewVirtual(0),
@@ -99,7 +117,7 @@ func newHarness(t *testing.T, seed uint64, nA, nB, nC int, withScoreless bool) *
 		Metrics: &metrics.Counters{},
 	}
 	graph := plangraph.New("")
-	ctrl := atc.New(graph, env, remotedb.NewFleet(remotedb.New(store)))
+	ctrl := atc.New(graph, env, remotedb.NewFleet(dbs...))
 	cm := costmodel.New(cat, costmodel.DefaultParams())
 	mgr := qsm.New(graph, ctrl, cat, cm, qsm.ShareAll)
 	return &harness{fleet: nil, cat: cat, env: env, graph: graph, ctrl: ctrl, mgr: mgr}
@@ -127,23 +145,19 @@ func starCQ(id string, sel string, model *scoring.Model, withScoreless bool) *cq
 	}
 }
 
+// starDB names the database a star relation lives in.
+func starDB(rel string, split bool) string {
+	if split {
+		return "db" + rel
+	}
+	return "db"
+}
+
 // run submits one UQ and drives it to completion.
 func (h *harness) run(t *testing.T, uq *cq.UQ) []operator.Result {
 	t.Helper()
-	_, err := h.mgr.Admit([]batcher.Submission{{At: h.env.Clock.Now(), UQ: uq}}, mqo.Config{K: uq.K})
-	if err != nil {
-		t.Fatalf("admit: %v", err)
-	}
-	for h.ctrl.RunRound() {
-	}
-	h.mgr.SyncCatalog()
-	for _, m := range h.ctrl.Merges() {
-		if m.RM.UQ.ID == uq.ID {
-			return m.RM.Results()
-		}
-	}
-	t.Fatal("merge not found")
-	return nil
+	h.graft(t, uq)
+	return h.finish(t, uq.ID)
 }
 
 // bruteTopK computes the reference top-k via exhaustive join + sort.

@@ -18,11 +18,18 @@ func testCfg() Config {
 // (counts, virtual-clock seconds) is seeded, so an engine change that moves a
 // digest changed which rows flow or when, not just what they cost. Re-record
 // one only with the reason it moved.
+//
+// fig7, fig8 and fig9 were last re-recorded when reviving a parked segment
+// whose modules gained no rows stopped re-joining its history: such a graft
+// now costs the virtual time grafting onto a live segment costs, nothing, so
+// the strategies that keep one graph across queries (ATC-FULL, ATC-CL,
+// BATCH-OPT and SINGLE-OPT) answer some queries sooner and spend a smaller
+// share on joins. Source tuples (fig10, fig9's totals) did not move.
 var frozenOutput = map[string]string{
 	"table4": "dec2777745eee4e0d78c41bae8830967b3dd5ad285b92ff3d13ffb8ed41868bc",
-	"fig7":   "817bea41fea61ac0ca8c884d12e25467340bd8633d0ff8653ea32c2c6879120f",
-	"fig8":   "e8716da792f5d1b9116456a69be645ee75391ffb863c2f07feaffdb8cfd158a8",
-	"fig9":   "70f414d6989852b47550e9c3ef5617683da1f8d64c498eb03267a7cdd90da0c2",
+	"fig7":   "66754b29e3675fc93956499e86abc74a8ba23823513813226c3e3d99a93af8e5",
+	"fig8":   "74ed5ad64f189225627da0d94d0af953bedfa5a767df5d0bdf47e1226395a675",
+	"fig9":   "4258fd1e1db11fb4dada1aba85118042c257a549006fd3eba2341acac4e638a2",
 	"fig10":  "ee687e019b3e67c91c4f4d82f9f7e3e66051c18974d3cd179fd49a05beac8380",
 	"fig11":  "ae0fb03a73a700434368c6cb0ed436069d59f275c11707f76b8ce3d05fd6ad15",
 	"fig12":  "3f6f4db0acb041d70584484768b6e0046e0c5877e53c920dea0f47cb3176d2b0",
@@ -76,7 +83,11 @@ func TestFigure7Shape(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		for si, s := range Strategies {
 			v := res.Seconds[s][i]
-			if v <= 0 {
+			// The graph-sharing strategies may answer a query wholly from
+			// retained state — re-binding parked segments costs no virtual
+			// time — so it completes at its admission instant.
+			reuses := s == exec.StrategyFull || s == exec.StrategyCL
+			if v < 0 || (v == 0 && !reuses) {
 				t.Fatalf("%v UQ%d latency %v", s, i+1, v)
 			}
 			sum[si] += v

@@ -28,14 +28,15 @@ type Counters struct {
 	resultsEmitted int64
 	replayTuples   int64
 
-	spillSegsOut  int64
-	spillRowsOut  int64
-	spillBytesOut int64
-	spillSegsIn   int64
-	spillRowsIn   int64
-	spillBytesIn  int64
-	revivalSpill  int64
-	revivalSource int64
+	spillSegsOut   int64
+	spillRowsOut   int64
+	spillBytesOut  int64
+	spillSegsIn    int64
+	spillRowsIn    int64
+	spillBytesIn   int64
+	revivalSpill   int64
+	revivalSource  int64
+	revivalRebound int64
 
 	migSegsOut  int64
 	migRowsOut  int64
@@ -122,6 +123,11 @@ func (c *Counters) AddRevivalFromSpill() { atomic.AddInt64(&c.revivalSpill, 1) }
 // no spill segment, so its state is re-derived by fresh source reads.
 func (c *Counters) AddRevivalFromSource() { atomic.AddInt64(&c.revivalSource, 1) }
 
+// AddRevivalRebound counts a parked join node revived by re-binding its
+// inputs alone: its log already held every combination of its module rows,
+// so no history was re-joined.
+func (c *Counters) AddRevivalRebound() { atomic.AddInt64(&c.revivalRebound, 1) }
+
 // AddMigrationOut records one plan segment exported for live migration to
 // another shard (rows serialized and handed off).
 func (c *Counters) AddMigrationOut(rows int64) {
@@ -191,6 +197,7 @@ type Snapshot struct {
 	SpillBytesRead     int64
 	RevivalsFromSpill  int64
 	RevivalsFromSource int64
+	RevivalsRebound    int64
 
 	MigrationSegsOut  int64
 	MigrationRowsOut  int64
@@ -227,6 +234,7 @@ func (c *Counters) Snapshot() Snapshot {
 		SpillBytesRead:     atomic.LoadInt64(&c.spillBytesIn),
 		RevivalsFromSpill:  atomic.LoadInt64(&c.revivalSpill),
 		RevivalsFromSource: atomic.LoadInt64(&c.revivalSource),
+		RevivalsRebound:    atomic.LoadInt64(&c.revivalRebound),
 
 		MigrationSegsOut:  atomic.LoadInt64(&c.migSegsOut),
 		MigrationRowsOut:  atomic.LoadInt64(&c.migRowsOut),
@@ -271,6 +279,7 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		SpillBytesRead:     s.SpillBytesRead + o.SpillBytesRead,
 		RevivalsFromSpill:  s.RevivalsFromSpill + o.RevivalsFromSpill,
 		RevivalsFromSource: s.RevivalsFromSource + o.RevivalsFromSource,
+		RevivalsRebound:    s.RevivalsRebound + o.RevivalsRebound,
 
 		MigrationSegsOut:  s.MigrationSegsOut + o.MigrationSegsOut,
 		MigrationRowsOut:  s.MigrationRowsOut + o.MigrationRowsOut,

@@ -82,9 +82,11 @@ type NodeExec struct {
 	// manager's budget check never rescans the graph.
 	acct *state.Account
 
-	// HistoryComplete marks that the node's log reflects every row derivable
-	// from its inputs' logs; parking clears it. It is ATC bookkeeping kept on
-	// the exec so it lives and dies with the node's runtime state.
+	// HistoryComplete marks that the node's log held every combination of
+	// its module rows when it was last revived or live. Parking keeps it (it
+	// changes neither); a revive whose top-up adds module rows recovers
+	// before relying on it. It is ATC bookkeeping kept on the exec so it
+	// lives and dies with the node's runtime state.
 	HistoryComplete bool
 }
 
@@ -223,10 +225,8 @@ func (x *NodeExec) ImportModuleRows(j int, parts [][]*tuple.Tuple, epochs []int)
 
 // AddConsumer wires a downstream join node.
 func (x *NodeExec) AddConsumer(edge *plangraph.Edge, target *NodeExec) {
-	for _, c := range x.consumers {
-		if c.edge == edge {
-			return
-		}
+	if x.Feeds(edge) {
+		return
 	}
 	x.consumers = append(x.consumers, consumerBinding{edge, target})
 }
@@ -260,6 +260,17 @@ func (x *NodeExec) RemoveConsumerEdge(e *plangraph.Edge) {
 			return
 		}
 	}
+}
+
+// Feeds reports whether the runtime binding for a structural edge is in
+// place (parking removes it).
+func (x *NodeExec) Feeds(e *plangraph.Edge) bool {
+	for _, c := range x.consumers {
+		if c.edge == e {
+			return true
+		}
+	}
+	return false
 }
 
 // HasWork reports whether anything still consumes this node's output.

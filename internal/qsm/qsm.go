@@ -179,7 +179,8 @@ type AdmitReport struct {
 	// groups: served from the plan cache, or paid for with a search.
 	PlanCacheHits   int
 	PlanCacheMisses int
-	// Recovered counts historical rows recovered for the new queries.
+	// Recovered counts the seed rows the batch's revives replayed to recover
+	// history (ReplayTuples); a re-bound parked segment replays none.
 	Recovered int64
 }
 
