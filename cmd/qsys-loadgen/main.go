@@ -19,6 +19,7 @@
 //	             [-evict-policy lru|benefit] [-spill-dir DIR]
 //	             [-windows 0,25ms] [-batch 5] [-shards 1]
 //	             [-seed 1] [-router affinity|hash] [-overlap]
+//	             [-target URL] [-digest] [-rate 0] [-burst 1] [-arrivals 0]
 //
 // With -spill-dir set, evicted plan segments spill to disk and revivals read
 // them back as local I/O; the report splits retained-state hits into memory
@@ -31,6 +32,10 @@
 // estimated sharing-miss rate, per-shard resident keyword-set sizes).
 // -overlap augments the pool with overlapping topic variants of each suite
 // query, the workload on which placement visibly moves source-side work.
+//
+// -target drives a running qsys-serve over HTTP instead, and -rate replaces
+// the closed loop with an open one. Both loops drive one searcher: the
+// in-process front desk, or one POST /search client.
 package main
 
 import (
@@ -58,138 +63,180 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fleet"
 	"repro/internal/service"
-	"repro/internal/state"
 	"repro/internal/workload"
 )
 
-func main() {
-	wl := flag.String("workload", "gus", "workload: bio, gus, pfam")
-	instance := flag.Int("instance", 1, "GUS instance (1-4)")
-	users := flag.Int("users", 8, "concurrent closed-loop users")
-	requests := flag.Int("requests", 12, "searches per user")
-	k := flag.Int("k", 20, "answers per search")
-	windows := flag.String("windows", "0,25ms", "comma-separated admission windows to compare")
-	batch := flag.Int("batch", 5, "admission batch size trigger")
-	shards := flag.Int("shards", 1, "engine shards")
-	routerMode := flag.String("router", "affinity", "shard placement: affinity (route by overlap with each shard's resident keywords, hash fallback) or hash (fixed keyword hash)")
-	overlap := flag.Bool("overlap", false, "augment the keyword pool with overlapping topic variants (drop-last and case-folded-duplicate of each suite query) — the workload shard placement is measured on")
-	seed := flag.Uint64("seed", 1, "workload draw seed")
-	budget := flag.Int("memory-budget", 500, "retained-state budget in rows per engine (0 = unbounded)")
-	policy := flag.String("evict-policy", "lru", "eviction policy under the budget: lru or benefit")
-	spillDir := flag.String("spill-dir", "", "spill evicted plan segments to per-shard dirs under this path instead of discarding (removed on close)")
-	target := flag.String("target", "", "drive a running qsys-serve (single-process or front-end) at this base URL over HTTP instead of an in-process fleet; transient rejections (503, connection refused) are retried with jittered backoff and reported")
-	digest := flag.Bool("digest", false, "with -target: print the sha256 result digest of the run (deterministic with -users 1; the multi-process parity gate compares it across serving modes)")
-	rate := flag.Float64("rate", 0, "open-loop mode: offered arrival rate in searches/sec (Poisson arrivals from a seeded schedule, independent of completions); 0 = closed loop")
-	burst := flag.Int("burst", 1, "open-loop burstiness: arrivals come in clusters of this size at each Poisson epoch (offered rate unchanged)")
-	arrivals := flag.Int("arrivals", 0, "open-loop arrival count (0 = users*requests)")
-	deadline := flag.Duration("deadline", 0, "per-request latency budget: in-process it configures admission deadline shedding; with -target it bounds each request context")
-	maxPending := flag.Int("max-pending", 0, "in-process admission: bound each engine's queue, shedding beyond it (0 = unbounded)")
-	userRate := flag.Float64("user-rate", 0, "in-process admission: per-user token-bucket rate in searches/sec (0 = off)")
-	totalRate := flag.Float64("total-rate", 0, "in-process admission: global admission rate, fair-arbitrated across active users (0 = off)")
-	adaptiveWindow := flag.Bool("adaptive-window", false, "in-process admission: replace the fixed batch window with the queue/latency control loop")
-	maxInFlight := flag.Int("max-inflight", 0, "in-process admission: bound concurrently executing merges per shard; excess stays queued (0 = unbounded)")
-	userPerRequest := flag.Bool("user-per-request", false, "with -users 1: name a fresh user per request, pinning each request's scoring coefficients independently of arrival interleaving — makes adigest comparable between closed-loop and open-loop runs even when Poisson arrivals overlap")
-	flag.Parse()
+// options are the load generator's flags: the serving flags it shares with
+// qsys-serve, and the shape of the load.
+type options struct {
+	service.Flags
+	users, requests int
+	windows         []time.Duration
+	overlap         bool
+	target          string
+	digest          bool
+	rate            float64
+	burst           int
+	arrivals        int
+	userPerRequest  bool
+}
 
-	adm := admission.Config{
-		UserRate:       *userRate,
-		TotalRate:      *totalRate,
-		MaxPending:     *maxPending,
-		Deadline:       *deadline,
-		MaxInFlight:    *maxInFlight,
-		AdaptiveWindow: *adaptiveWindow,
+func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{Flags: service.Flags{Workload: "gus", Instance: 1, Config: service.Config{
+		K: 20, Seed: 1, BatchSize: 5, Shards: 1, Router: service.RouterAffinity,
+		MemoryBudget: 500, EvictPolicy: "lru",
+	}}}
+	o.Bind(fs, service.FrontDeskFlags)
+	fs.IntVar(&o.users, "users", 8, "concurrent closed-loop users")
+	fs.IntVar(&o.requests, "requests", 12, "searches per user")
+	windows := fs.String("windows", "0,25ms", "comma-separated admission windows to compare in process (an open loop runs the first)")
+	fs.BoolVar(&o.overlap, "overlap", false, "augment the keyword pool with overlapping topic variants (drop-last and case-folded-duplicate of each suite query) — the workload shard placement is measured on")
+	fs.StringVar(&o.target, "target", "", "drive a running qsys-serve (single-process or front-end) at this base URL over HTTP instead of an in-process fleet")
+	fs.BoolVar(&o.digest, "digest", false, "print the sha256 result digest of each run (deterministic with -users 1; the multi-process parity gate compares it across serving modes)")
+	fs.Float64Var(&o.rate, "rate", 0, "open-loop mode: offered arrival rate in searches/sec (Poisson arrivals from a seeded schedule, independent of completions); 0 = closed loop")
+	fs.IntVar(&o.burst, "burst", 1, "open-loop burstiness: arrivals come in clusters of this size at each Poisson epoch (offered rate unchanged)")
+	fs.IntVar(&o.arrivals, "arrivals", 0, "open-loop arrival count (0 = users*requests)")
+	fs.BoolVar(&o.userPerRequest, "user-per-request", false, "with -users 1: name a fresh user per request, pinning each request's scoring coefficients independently of arrival interleaving — makes adigest comparable between closed-loop and open-loop runs even when Poisson arrivals overlap")
+	if err := o.Parse(args); err != nil {
+		return nil, err
 	}
-
-	if *rate > 0 {
-		n := *arrivals
-		if n <= 0 {
-			n = *users * *requests
-		}
-		runOpenLoop(openLoopConfig{
-			target: *target, wl: *wl, instance: *instance,
-			rate: *rate, burst: *burst, arrivals: n, users: *users, k: *k,
-			seed: *seed, overlap: *overlap, digest: *digest,
-			userPerRequest: *userPerRequest,
-			deadline:       *deadline, adm: adm,
-			window: firstWindow(*windows), batch: *batch, shards: *shards,
-			router: *routerMode, budget: *budget, policy: *policy,
-		})
-		return
-	}
-
-	if *target != "" {
-		runTarget(*target, *wl, *instance, *users, *requests, *k, *seed, *overlap, *digest, *userPerRequest)
-		return
-	}
-
-	if _, err := state.ParsePolicy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if _, err := service.ParseRouter(*routerMode); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *spillDir != "" {
-		if err := os.MkdirAll(*spillDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "qsys-loadgen: -spill-dir: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	var spans []time.Duration
 	for _, s := range strings.Split(*windows, ",") {
 		s = strings.TrimSpace(s)
 		if s == "" {
 			continue
 		}
-		if s == "0" {
-			spans = append(spans, 0)
-			continue
+		d := time.Duration(0)
+		if s != "0" {
+			var err error
+			if d, err = time.ParseDuration(s); err != nil {
+				return nil, fmt.Errorf("bad window %q: %v", s, err)
+			}
 		}
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad window %q: %v\n", s, err)
-			os.Exit(2)
-		}
-		spans = append(spans, d)
+		o.windows = append(o.windows, d)
 	}
-	if len(spans) == 0 {
-		fmt.Fprintln(os.Stderr, "no windows to run")
+	if len(o.windows) == 0 {
+		return nil, errors.New("no windows to run")
+	}
+	return o, nil
+}
+
+// config is the in-process fleet's configuration at one admission window,
+// which also bounds the adaptive window.
+func (o *options) config(window time.Duration) service.Config {
+	cfg := o.Config
+	cfg.BatchWindow, cfg.Admission.WindowMax = window, window
+	if cfg.SpillDir != "" {
+		// Separate windows must not inherit each other's segments.
+		cfg.SpillDir = filepath.Join(cfg.SpillDir, fmt.Sprintf("w%d", window/time.Microsecond))
+	}
+	return cfg
+}
+
+// user names the poser of user u's i-th search.
+func (o *options) user(u, i int) string {
+	if o.userPerRequest && o.users == 1 {
+		return fmt.Sprintf("u%d", i)
+	}
+	return fmt.Sprintf("user%d", u)
+}
+
+// searcher runs one search.
+type searcher func(ctx context.Context, user string, keywords []string) (*fleet.ResultView, error)
+
+// connect returns what one run drives: a fresh in-process fleet at the
+// admission window and its front desk's Search, or the HTTP client of
+// -target (fr nil).
+func (o *options) connect(window time.Duration) (search searcher, fr *fleet.Frontend, err error) {
+	if o.target != "" {
+		return httpSearcher(o.target, o.Config.K, o.Config.Admission.Deadline), nil, nil
+	}
+	// A fresh workload per run keeps the comparison honest: no run inherits
+	// another's materialised source views.
+	w, err := workload.ByName(o.Workload, o.Instance)
+	if err != nil {
+		return nil, nil, err
+	}
+	fr, err = fleet.NewLocal(w, o.config(window))
+	if err != nil {
+		return nil, nil, err
+	}
+	return func(ctx context.Context, user string, kw []string) (*fleet.ResultView, error) {
+		return fr.Search(ctx, user, kw, o.Config.K)
+	}, fr, nil
+}
+
+func main() {
+	o, err := parseOptions(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qsys-loadgen:", err)
 		os.Exit(2)
+	}
+	w, err := workload.ByName(o.Workload, o.Instance)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	pool := keywordPool(w)
+	if o.overlap {
+		pool = overlapPool(pool)
+	}
+	if o.rate > 0 {
+		os.Exit(runOpenLoop(o, pool))
+	}
+	os.Exit(runClosedLoop(o, pool))
+}
+
+// runClosedLoop runs the closed loop once against -target, or once per
+// admission window in process, prints the report and returns the exit code.
+func runClosedLoop(o *options, pool [][]string) int {
+	cfg := o.Config
+	if o.target != "" {
+		rep := closedLoop(o, pool, httpSearcher(o.target, cfg.K, cfg.Admission.Deadline))
+		fmt.Printf("target %s: %d users x %d requests, k=%d, workload=%s\n",
+			o.target, o.users, o.requests, cfg.K, o.Workload)
+		fmt.Printf("qps=%.1f errors=%d retries=%d p50=%v p95=%v p99=%v\n",
+			rep.qps(), rep.failed(), rep.retries, rep.p(0.50), rep.p(0.95), rep.p(0.99))
+		rep.printDigests()
+		if rep.failed() > 0 {
+			return 1
+		}
+		return 0
 	}
 
 	mode := "discard"
-	if *spillDir != "" {
+	if cfg.SpillDir != "" {
 		mode = "spill"
 	}
 	fmt.Printf("closed-loop load: %d users x %d requests, k=%d, batch=%d, shards=%d (router=%s), budget=%d rows (%s, policy=%s), workload=%s\n\n",
-		*users, *requests, *k, *batch, *shards, *routerMode, *budget, mode, *policy, *wl)
+		o.users, o.requests, cfg.K, cfg.BatchSize, cfg.Shards, cfg.Router, cfg.MemoryBudget, mode, cfg.EvictPolicy, o.Workload)
 	fmt.Printf("%-8s %8s %6s %9s %9s %9s %11s %11s %9s %9s %6s %7s %7s %7s %6s\n",
 		"window", "qps", "err", "p50", "p95", "p99", "streamTup", "totalTup", "replayed", "spilledR", "evict", "revSp", "revSrc", "mem/dsk", "occ")
 
-	multiShard := *shards > 1
-	for _, span := range spans {
-		rep, err := run(*wl, *instance, span, *users, *requests, *k, *batch, *shards, *budget, *seed, *policy, *spillDir, *routerMode, *overlap)
+	multiShard := cfg.Shards > 1
+	for _, span := range o.windows {
+		search, fr, err := o.connect(span)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
+		rep := closedLoop(o, pool, search)
+		stats := fr.Stats(context.Background())
+		fr.Close() //nolint:errcheck // the run's numbers are already taken
 		evictions := 0
-		for _, sh := range rep.stats.Shards {
+		for _, sh := range stats.Shards {
 			evictions += sh.Evictions
 		}
-		split := rep.stats.Shared
+		split := stats.Shared
 		fmt.Printf("%-8v %8.1f %6d %9v %9v %9v %11d %11d %9d %9d %6d %7d %7d %3.0f/%-3.0f %6.2f\n",
-			span, rep.qps, rep.errors,
+			span, rep.qps(), rep.failed(),
 			rep.p(0.50), rep.p(0.95), rep.p(0.99),
-			rep.stats.Work.StreamTuples, rep.stats.Work.TuplesConsumed(),
-			rep.stats.Work.ReplayTuples, rep.stats.Work.SpillRowsRead,
-			evictions, rep.stats.Work.RevivalsFromSpill, rep.stats.Work.RevivalsFromSource,
+			stats.Work.StreamTuples, stats.Work.TuplesConsumed(),
+			stats.Work.ReplayTuples, stats.Work.SpillRowsRead,
+			evictions, stats.Work.RevivalsFromSpill, stats.Work.RevivalsFromSource,
 			100*split.MemoryHit, 100*split.DiskHit,
-			rep.stats.Service.BatchOccupancy.Mean)
+			stats.Service.BatchOccupancy.Mean)
 		if multiShard {
-			rt := rep.stats.Router
+			rt := stats.Router
 			kws := make([]int, 0, len(rt.Shards))
 			for _, rs := range rt.Shards {
 				kws = append(kws, rs.Keywords)
@@ -197,11 +244,12 @@ func main() {
 			fmt.Printf("  router[%v]: mode=%s decisions=%d affinity=%d hash=%d missRate=%.2f kwSets=%v\n",
 				span, rt.Mode, rt.Decisions, rt.AffinityHits, rt.HashRoutes, rt.MissRate, kws)
 		}
-		if eb := rep.stats.Service.ExecBatch; eb.Count > 0 {
+		if eb := stats.Service.ExecBatch; eb.Count > 0 {
 			fmt.Printf("  batch[%v]: flushes=%d rows/flush(mean=%.1f max=%d) full=%d partial=%d\n",
 				span, eb.Count, eb.Mean, eb.Max,
-				rep.stats.Service.ExecBatchFull, eb.Count-rep.stats.Service.ExecBatchFull)
+				stats.Service.ExecBatchFull, eb.Count-stats.Service.ExecBatchFull)
 		}
+		rep.printDigests()
 	}
 	fmt.Println("\nstreamTup/totalTup: rows fetched from sources; replayed: rows served from retained memory")
 	fmt.Println("state; spilledR: rows read back from the disk tier; revSp/revSrc: evicted segments revived")
@@ -214,266 +262,299 @@ func main() {
 		fmt.Println("hash = fixed-hash placements (all of them with -router=hash); missRate = fraction of")
 		fmt.Println("decisions routed away from the shard whose resident set best covered the query.")
 	}
+	return 0
 }
 
-type report struct {
-	latencies []time.Duration // sorted
-	mean      time.Duration
-	qps       float64
-	errors    int
-	stats     service.Stats
-}
-
-func (r *report) p(q float64) time.Duration {
-	if len(r.latencies) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(r.latencies))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return r.latencies[i].Round(time.Microsecond)
-}
-
-func run(wl string, instance int, window time.Duration, users, requests, k, batch, shards, budget int, seed uint64, policy, spillDir, routerMode string, overlap bool) (*report, error) {
-	// A fresh workload per run keeps the comparison honest: no run inherits
-	// another's materialised source views.
-	w, err := workload.ByName(wl, instance)
-	if err != nil {
-		return nil, err
-	}
-	pool := keywordPool(w)
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("workload %s has no keyword suite", wl)
-	}
-	if overlap {
-		pool = overlapPool(pool)
-	}
-	if spillDir != "" {
-		// Separate windows must not inherit each other's segments.
-		spillDir = filepath.Join(spillDir, fmt.Sprintf("w%d", window/time.Microsecond))
-	}
-	fr, err := fleet.NewLocal(w, service.Config{
-		K:            k,
-		Seed:         seed,
-		BatchWindow:  window,
-		BatchSize:    batch,
-		Shards:       shards,
-		Router:       routerMode,
-		MemoryBudget: budget,
-		EvictPolicy:  policy,
-		SpillDir:     spillDir,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer fr.Close()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		lats     []time.Duration
-		sum      time.Duration
-		errCount int
-	)
+// closedLoop runs -users users, each posing -requests searches one after
+// another, drawn Zipf-weighted from the pool by a per-user seeded stream.
+func closedLoop(o *options, pool [][]string, search searcher) *report {
+	rep := newReport(o)
+	var wg sync.WaitGroup
 	start := time.Now()
-	for u := 0; u < users; u++ {
+	for u := 0; u < o.users; u++ {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			rng := dist.New(seed + uint64(u)*977 + 3)
-			zipf := dist.NewZipf(rng, len(pool), 0.8)
-			for i := 0; i < requests; i++ {
-				kw := pool[zipf.Next()]
+			zipf := dist.NewZipf(dist.New(o.Config.Seed+uint64(u)*977+3), len(pool), 0.8)
+			backoff := dist.New(o.Config.Seed + uint64(u)*977 + 4)
+			for i := 0; i < o.requests; i++ {
 				t0 := time.Now()
-				_, err := fr.Search(context.Background(), fmt.Sprintf("user%d", u), kw, k)
-				d := time.Since(t0)
-				mu.Lock()
-				if err != nil {
-					errCount++
-				} else {
-					lats = append(lats, d)
-					sum += d
-				}
-				mu.Unlock()
+				view, tries, err := withRetries(search, o.user(u, i), pool[zipf.Next()], backoff)
+				rep.record(time.Since(t0), tries, view, err)
 			}
 		}(u)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rep := &report{latencies: lats, errors: errCount, stats: fr.Stats(context.Background())}
-	if len(lats) > 0 {
-		rep.mean = (sum / time.Duration(len(lats))).Round(time.Microsecond)
-	}
-	if elapsed > 0 {
-		rep.qps = float64(len(lats)) / elapsed.Seconds()
-	}
-	return rep, nil
+	rep.wall = time.Since(start)
+	return rep
 }
 
-// targetRetries bounds resubmission of transiently rejected searches in
-// -target mode.
-const targetRetries = 5
+// maxRetries bounds how often the closed loop resubmits one search.
+const maxRetries = 5
 
-// runTarget drives a running qsys-serve over HTTP with the same seeded
-// closed-loop workload the in-process mode uses. Searches rejected before
-// admission — 503 from a draining/closed shard, connection refused from a
-// restarting one — are retried with jittered exponential backoff; any other
-// failure counts as an error, since the query may already have executed.
-func runTarget(target, wl string, instance, users, requests, k int, seed uint64, overlap, digest, userPerRequest bool) {
-	w, err := workload.ByName(wl, instance)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	pool := keywordPool(w)
-	if overlap {
-		pool = overlapPool(pool)
-	}
-	target = strings.TrimRight(target, "/")
-	client := &http.Client{Timeout: 60 * time.Second}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		lats     []time.Duration
-		errCount int
-		retries  int
-	)
-	h := sha256.New()
-	ah := sha256.New()
-	start := time.Now()
-	for u := 0; u < users; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			rng := dist.New(seed + uint64(u)*977 + 3)
-			backoffRNG := dist.New(seed + uint64(u)*977 + 4)
-			zipf := dist.NewZipf(rng, len(pool), 0.8)
-			for i := 0; i < requests; i++ {
-				kw := pool[zipf.Next()]
-				name := fmt.Sprintf("user%d", u)
-				if userPerRequest && users == 1 {
-					name = fmt.Sprintf("u%d", i)
-				}
-				t0 := time.Now()
-				view, tries, err := searchHTTP(client, target, name, kw, k, backoffRNG)
-				d := time.Since(t0)
-				mu.Lock()
-				retries += tries
-				if err != nil {
-					errCount++
-				} else {
-					lats = append(lats, d)
-					if digest {
-						fleet.DigestView(h, view)
-						if users == 1 {
-							foldAnswers(ah, view)
-						}
-					}
-				}
-				mu.Unlock()
-			}
-		}(u)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rep := &report{latencies: lats, errors: errCount}
-	qps := 0.0
-	if elapsed > 0 {
-		qps = float64(len(lats)) / elapsed.Seconds()
-	}
-	fmt.Printf("target %s: %d users x %d requests, k=%d, workload=%s\n",
-		target, users, requests, k, wl)
-	fmt.Printf("qps=%.1f errors=%d retries=%d p50=%v p95=%v p99=%v\n",
-		qps, errCount, retries, rep.p(0.50), rep.p(0.95), rep.p(0.99))
-	if digest {
-		fmt.Printf("digest=%s\n", hex.EncodeToString(h.Sum(nil)))
-		if users == 1 {
-			fmt.Printf("adigest=%s\n", hex.EncodeToString(ah.Sum(nil)))
+// withRetries runs one closed-loop search, resubmitting it with jittered
+// exponential backoff while it is turned away before admission — shed (a
+// 503 over HTTP, from a saturated, draining or closed server) or refused a
+// connection by a restarting one. Any other failure is final: the query may
+// already have executed. It returns the number of resubmissions.
+func withRetries(search searcher, user string, kw []string, rng *dist.RNG) (*fleet.ResultView, int, error) {
+	for tries := 0; ; tries++ {
+		view, err := search(context.Background(), user, kw)
+		var shed *admission.ShedError
+		var op *net.OpError
+		retry := errors.As(err, &shed) || errors.As(err, &op) && op.Op == "dial"
+		if !retry || tries == maxRetries {
+			return view, tries, err
 		}
-	}
-	if errCount > 0 {
-		os.Exit(1)
-	}
-}
-
-// searchHTTP posts one search, retrying transient pre-admission rejections.
-func searchHTTP(client *http.Client, target, user string, keywords []string, k int, rng *dist.RNG) (*fleet.ResultView, int, error) {
-	body, _ := json.Marshal(map[string]any{"user": user, "keywords": keywords, "k": k})
-	tries := 0
-	for {
-		view, retryableErr, err := postSearch(client, target, body)
-		if err == nil {
-			return view, tries, nil
-		}
-		if !retryableErr || tries >= targetRetries {
-			return nil, tries, err
-		}
-		tries++
-		base := 25 * time.Millisecond << uint(tries-1)
+		base := 25 * time.Millisecond << uint(tries)
 		time.Sleep(base + time.Duration(rng.Intn(int(base)+1)))
 	}
 }
 
-// postSearch performs one attempt. The bool reports whether the failure is
-// safely retryable: the connection was never established, or the server
-// answered 503 (serve-side pre-admission rejection).
-func postSearch(client *http.Client, target string, body []byte) (*fleet.ResultView, bool, error) {
-	resp, err := client.Post(target+"/search", "application/json", bytes.NewReader(body))
-	if err != nil {
-		var op *net.OpError
-		return nil, errors.As(err, &op) && op.Op == "dial", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		err := fmt.Errorf("search: status %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
-		return nil, resp.StatusCode == http.StatusServiceUnavailable, err
-	}
-	var view fleet.ResultView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return nil, false, err
-	}
-	return &view, false, nil
-}
-
-// overlapPool interleaves each base search with its overlapping topic
-// variants (workload.OverlapVariants — the same rules the service package's
-// hash-vs-affinity test searches, so CI's loadgen comparison and that test
-// exercise one workload).
-func overlapPool(pool [][]string) [][]string {
-	out := make([][]string, 0, 3*len(pool))
-	for _, base := range pool {
-		out = append(out, base)
-		out = append(out, workload.OverlapVariants(base)...)
-	}
-	return out
-}
-
-// firstWindow parses the first entry of the -windows list; open-loop runs
-// drive a single admission-window setting.
-func firstWindow(spec string) time.Duration {
-	for _, s := range strings.Split(spec, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
+// httpSearcher is the one HTTP client of both loops: each search is a single
+// POST /search to target, bounded by deadline when it is positive. A 503
+// comes back as the *admission.ShedError its body describes.
+func httpSearcher(target string, k int, deadline time.Duration) searcher {
+	target = strings.TrimRight(target, "/")
+	client := &http.Client{Timeout: 60 * time.Second}
+	return func(ctx context.Context, user string, kw []string) (*fleet.ResultView, error) {
+		if deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, deadline)
+			defer cancel()
 		}
-		if s == "0" {
-			return 0
-		}
-		d, err := time.ParseDuration(s)
+		body, _ := json.Marshal(map[string]any{"user": user, "keywords": kw, "k": k})
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/search", bytes.NewReader(body))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad window %q: %v\n", s, err)
-			os.Exit(2)
+			return nil, err
 		}
-		return d
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := client.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				return nil, fmt.Errorf("search: status %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+			}
+			shed := &admission.ShedError{Reason: "unavailable"}
+			var we struct {
+				Reason       string `json:"reason"`
+				RetryAfterMS int64  `json:"retry_after_ms"`
+			}
+			if json.Unmarshal(data, &we) == nil && we.Reason != "" {
+				shed.Reason = we.Reason
+				shed.RetryAfter = time.Duration(we.RetryAfterMS) * time.Millisecond
+			}
+			return nil, shed
+		}
+		var view fleet.ResultView
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+			return nil, err
+		}
+		return &view, nil
+	}
+}
+
+// runOpenLoop offers load on a fixed seeded schedule, independent of
+// completions: Poisson epochs (optionally carrying -burst arrivals each) fire
+// whether or not earlier requests finished, which is what makes saturation
+// visible — a closed loop self-throttles at capacity, an open loop keeps
+// offering and forces the server to shed. Each arrival is a single attempt:
+// retrying inside the generator would convert offered load into closed-loop
+// feedback and hide the shed rate being measured. It returns the exit code.
+func runOpenLoop(o *options, pool [][]string) int {
+	users, burst := max(o.users, 1), max(o.burst, 1)
+	n := o.arrivals
+	if n <= 0 {
+		n = o.users * o.requests
+	}
+
+	// The whole schedule is precomputed from seeded streams before the first
+	// request fires, so identical flags replay identical offered load: epoch
+	// gaps are exponential with mean burst/rate (burst arrivals per epoch
+	// keeps the offered rate at -rate while clustering it), and the keyword
+	// stream is drawn in arrival order — with one user it is byte-identical
+	// to the closed-loop user0 stream, which is what lets adigest compare
+	// across loop disciplines.
+	sched := dist.New(o.Config.Seed + 11)
+	times := make([]time.Duration, n)
+	var clock float64 // seconds
+	for i := 0; i < n; i++ {
+		if i%burst == 0 {
+			clock += -math.Log(1-sched.Float64()) / (o.rate / float64(burst))
+		}
+		times[i] = time.Duration(clock * float64(time.Second))
+	}
+	zipf := dist.NewZipf(dist.New(o.Config.Seed+3), len(pool), 0.8)
+	kws := make([][]string, n)
+	for i := range kws {
+		kws[i] = pool[zipf.Next()]
+	}
+
+	search, fr, err := o.connect(o.windows[0])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	type outcome struct {
+		lat  time.Duration
+		view *fleet.ResultView
+		err  error
+	}
+	outs := make([]outcome, n)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			time.Sleep(time.Until(start.Add(times[i])))
+			t0 := time.Now()
+			view, err := search(context.Background(), o.user(i%users, i), kws[i])
+			outs[i] = outcome{time.Since(t0), view, err}
+		}(i)
+	}
+	wg.Wait()
+	// Record in arrival order so the digests are deterministic.
+	rep := newReport(o)
+	rep.wall = time.Since(start)
+	for _, out := range outs {
+		rep.record(out.lat, 0, out.view, out.err)
+	}
+
+	where := "in-process"
+	if o.target != "" {
+		where = o.target
+	}
+	fmt.Printf("open-loop load: rate=%.1f/s burst=%d arrivals=%d users=%d k=%d workload=%s target=%s\n",
+		o.rate, burst, n, users, o.Config.K, o.Workload, where)
+	achieved := 0.0
+	if span := times[n-1]; span > 0 {
+		achieved = float64(n-1) / span.Seconds()
+	}
+	fmt.Printf("offered=%.1f/s achieved=%.1f/s wall=%v\n", o.rate, achieved, rep.wall.Round(time.Millisecond))
+	shedCount := rep.failed() - rep.errors
+	fmt.Printf("served=%d goodput=%.1f/s shed=%d (%.1f%%) errors=%d\n",
+		len(rep.lats), rep.qps(), shedCount, 100*float64(shedCount)/float64(n), rep.errors)
+	if shedCount > 0 {
+		parts := make([]string, 0, len(rep.shed))
+		for r, c := range rep.shed {
+			parts = append(parts, fmt.Sprintf("%s=%d", r, c))
+		}
+		sort.Strings(parts)
+		fmt.Printf("shed reasons: %s\n", strings.Join(parts, " "))
+	}
+	for _, e := range rep.firstErrs {
+		fmt.Printf("error: %s\n", e)
+	}
+	fmt.Printf("latency served: p50=%v p95=%v p99=%v max=%v\n",
+		rep.p(0.50), rep.p(0.95), rep.p(0.99), rep.p(1))
+	if fr != nil {
+		ss := fr.Stats(context.Background()).Service
+		fmt.Printf("admission: shed=%d user-rate=%d queue-full=%d deadline-canceled=%d\n",
+			ss.Shed, ss.ShedUserRate, ss.ShedQueueFull, ss.DeadlineCanceled)
+		fr.Close() //nolint:errcheck // the run's numbers are already taken
+	}
+	rep.printDigests()
+	if len(rep.lats) == 0 {
+		fmt.Fprintln(os.Stderr, "open-loop run served nothing")
+		return 1
 	}
 	return 0
+}
+
+// report collects one run's outcomes. record is safe for concurrent use.
+type report struct {
+	mu        sync.Mutex
+	lats      []time.Duration // served searches; sorted by p
+	shed      map[string]int  // by reason
+	errors    int
+	firstErrs []string
+	retries   int
+	// digest hashes every served view, adigest folds the answers alone
+	// (with -users 1), both in record order; nil without -digest.
+	digest, adigest hash.Hash
+	wall            time.Duration
+}
+
+func newReport(o *options) *report {
+	r := &report{shed: map[string]int{}}
+	if o.digest {
+		r.digest = sha256.New()
+		if o.users == 1 {
+			r.adigest = sha256.New()
+		}
+	}
+	return r
+}
+
+// record files one search's fate: served, shed (by the server, or by the
+// request's own deadline — the same fate seen from the other end of the
+// wire), or failed.
+func (r *report) record(lat time.Duration, tries int, view *fleet.ResultView, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.retries += tries
+	var shed *admission.ShedError
+	switch {
+	case err == nil:
+		r.lats = append(r.lats, lat)
+		if r.digest != nil {
+			fleet.DigestView(r.digest, view)
+		}
+		if r.adigest != nil {
+			foldAnswers(r.adigest, view)
+		}
+	case errors.As(err, &shed):
+		r.shed[shed.Reason]++
+	case errors.Is(err, context.DeadlineExceeded):
+		r.shed[admission.ReasonDeadline]++
+	default:
+		r.errors++
+		if len(r.firstErrs) < 3 {
+			r.firstErrs = append(r.firstErrs, err.Error())
+		}
+	}
+}
+
+// failed counts the searches that were not served.
+func (r *report) failed() int {
+	n := r.errors
+	for _, c := range r.shed {
+		n += c
+	}
+	return n
+}
+
+func (r *report) qps() float64 {
+	if r.wall <= 0 {
+		return 0
+	}
+	return float64(len(r.lats)) / r.wall.Seconds()
+}
+
+func (r *report) p(q float64) time.Duration {
+	if len(r.lats) == 0 {
+		return 0
+	}
+	sort.Slice(r.lats, func(i, j int) bool { return r.lats[i] < r.lats[j] })
+	i := int(q*float64(len(r.lats))) - 1
+	if i < 0 {
+		i = 0
+	}
+	return r.lats[i].Round(time.Microsecond)
+}
+
+func (r *report) printDigests() {
+	if r.digest != nil {
+		fmt.Printf("digest=%s\n", hex.EncodeToString(r.digest.Sum(nil)))
+	}
+	if r.adigest != nil {
+		fmt.Printf("adigest=%s\n", hex.EncodeToString(r.adigest.Sum(nil)))
+	}
 }
 
 // foldAnswers folds one served result into an answers-only run digest: the
@@ -488,299 +569,17 @@ func foldAnswers(run hash.Hash, view *fleet.ResultView) {
 	io.WriteString(run, hex.EncodeToString(sub.Sum(nil)))
 }
 
-// openLoopConfig carries one open-loop run's knobs.
-type openLoopConfig struct {
-	target   string
-	wl       string
-	instance int
-	rate     float64 // offered arrivals/sec
-	burst    int     // arrivals per Poisson epoch
-	arrivals int
-	users    int
-	k        int
-	seed     uint64
-	overlap  bool
-	digest   bool
-	// userPerRequest names a fresh user per arrival (users == 1 only), so
-	// each arrival's scoring coefficients are a function of its index alone
-	// and the adigest is independent of how concurrent arrivals interleave.
-	userPerRequest bool
-	deadline       time.Duration
-	adm            admission.Config
-	// in-process service shape
-	window time.Duration
-	batch  int
-	shards int
-	router string
-	budget int
-	policy string
-}
-
-// arrivalOutcome records one arrival's fate. Exactly one of ok/shed/err holds.
-type arrivalOutcome struct {
-	ok     bool
-	shed   bool
-	reason string // shed reason, or "" / error class
-	lat    time.Duration
-	view   *fleet.ResultView
-}
-
-// runOpenLoop offers load on a fixed seeded schedule, independent of
-// completions: Poisson epochs (optionally carrying -burst arrivals each) fire
-// whether or not earlier requests finished, which is what makes saturation
-// visible — a closed loop self-throttles at capacity, an open loop keeps
-// offering and forces the server to shed. Each arrival is a single attempt:
-// retrying inside the generator would convert offered load into closed-loop
-// feedback and hide the shed rate being measured.
-func runOpenLoop(cfg openLoopConfig) {
-	w, err := workload.ByName(cfg.wl, cfg.instance)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// overlapPool interleaves each base search with its overlapping topic
+// variants (workload.OverlapVariants — the same rules the service package's
+// hash-vs-affinity test searches, so CI's loadgen comparison and that test
+// exercise one workload).
+func overlapPool(pool [][]string) [][]string {
+	out := make([][]string, 0, 3*len(pool))
+	for _, base := range pool {
+		out = append(out, base)
+		out = append(out, workload.OverlapVariants(base)...)
 	}
-	pool := keywordPool(w)
-	if len(pool) == 0 {
-		fmt.Fprintf(os.Stderr, "workload %s has no keyword suite\n", cfg.wl)
-		os.Exit(1)
-	}
-	if cfg.overlap {
-		pool = overlapPool(pool)
-	}
-	if cfg.users < 1 {
-		cfg.users = 1
-	}
-	burst := cfg.burst
-	if burst < 1 {
-		burst = 1
-	}
-	n := cfg.arrivals
-
-	// The whole schedule is precomputed from seeded streams before the first
-	// request fires, so identical flags replay identical offered load: epoch
-	// gaps are exponential with mean burst/rate (burst arrivals per epoch
-	// keeps the offered rate at -rate while clustering it), and the keyword
-	// stream is drawn in arrival order — with one user it is byte-identical
-	// to the closed-loop user0 stream, which is what lets adigest compare
-	// across loop disciplines.
-	sched := dist.New(cfg.seed + 11)
-	times := make([]time.Duration, n)
-	var clock float64 // seconds
-	for i := 0; i < n; i++ {
-		if i%burst == 0 {
-			clock += -math.Log(1-sched.Float64()) / (cfg.rate / float64(burst))
-		}
-		times[i] = time.Duration(clock * float64(time.Second))
-	}
-	kwRNG := dist.New(cfg.seed + 3)
-	zipf := dist.NewZipf(kwRNG, len(pool), 0.8)
-	kws := make([][]string, n)
-	for i := range kws {
-		kws[i] = pool[zipf.Next()]
-	}
-
-	var attempt func(ctx context.Context, user string, kw []string) (*fleet.ResultView, *admission.ShedError, error)
-	var fr *fleet.Frontend
-	if cfg.target != "" {
-		attempt = openTargetAttempt(cfg)
-	} else {
-		if _, err := state.ParsePolicy(cfg.policy); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if _, err := service.ParseRouter(cfg.router); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fr, err = fleet.NewLocal(w, service.Config{
-			K:            cfg.k,
-			Seed:         cfg.seed,
-			BatchWindow:  cfg.window,
-			BatchSize:    cfg.batch,
-			Shards:       cfg.shards,
-			Router:       cfg.router,
-			MemoryBudget: cfg.budget,
-			EvictPolicy:  cfg.policy,
-			Admission:    cfg.adm,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer fr.Close()
-		attempt = func(ctx context.Context, user string, kw []string) (*fleet.ResultView, *admission.ShedError, error) {
-			view, err := fr.Search(ctx, user, kw, cfg.k)
-			if err != nil {
-				var shed *admission.ShedError
-				if errors.As(err, &shed) {
-					return nil, shed, nil
-				}
-				return nil, nil, err
-			}
-			return view, nil, nil
-		}
-	}
-
-	outs := make([]arrivalOutcome, n)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			time.Sleep(time.Until(start.Add(times[i])))
-			ctx := context.Background()
-			if cfg.target != "" && cfg.deadline > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-				defer cancel()
-			}
-			t0 := time.Now()
-			name := fmt.Sprintf("user%d", i%cfg.users)
-			if cfg.userPerRequest && cfg.users == 1 {
-				name = fmt.Sprintf("u%d", i)
-			}
-			view, shed, err := attempt(ctx, name, kws[i])
-			d := time.Since(t0)
-			switch {
-			case shed != nil:
-				outs[i] = arrivalOutcome{shed: true, reason: shed.Reason, lat: d}
-			case errors.Is(err, context.DeadlineExceeded):
-				// The client-side budget expired: same fate as a server-side
-				// deadline shed, observed from the other end of the wire.
-				outs[i] = arrivalOutcome{shed: true, reason: admission.ReasonDeadline, lat: d}
-			case err != nil:
-				outs[i] = arrivalOutcome{reason: err.Error(), lat: d}
-			default:
-				outs[i] = arrivalOutcome{ok: true, lat: d, view: view}
-			}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	// Aggregate in arrival order so the adigest fold is deterministic.
-	var (
-		served, shedCount, errCount int
-		lats                        []time.Duration
-		reasons                     = map[string]int{}
-		firstErrs                   []string
-	)
-	ah := sha256.New()
-	for i := range outs {
-		o := &outs[i]
-		switch {
-		case o.ok:
-			served++
-			lats = append(lats, o.lat)
-			if cfg.digest && cfg.users == 1 {
-				foldAnswers(ah, o.view)
-			}
-		case o.shed:
-			shedCount++
-			reasons[o.reason]++
-		default:
-			errCount++
-			if len(firstErrs) < 3 {
-				firstErrs = append(firstErrs, fmt.Sprintf("arrival %d: %s", i, o.reason))
-			}
-		}
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rep := &report{latencies: lats}
-
-	mode := "in-process"
-	if cfg.target != "" {
-		mode = cfg.target
-	}
-	fmt.Printf("open-loop load: rate=%.1f/s burst=%d arrivals=%d users=%d k=%d workload=%s target=%s\n",
-		cfg.rate, burst, n, cfg.users, cfg.k, cfg.wl, mode)
-	span := times[n-1]
-	achieved := 0.0
-	if span > 0 {
-		achieved = float64(n-1) / span.Seconds()
-	}
-	goodput := 0.0
-	if wall > 0 {
-		goodput = float64(served) / wall.Seconds()
-	}
-	fmt.Printf("offered=%.1f/s achieved=%.1f/s wall=%v\n", cfg.rate, achieved, wall.Round(time.Millisecond))
-	shedPct := 0.0
-	if n > 0 {
-		shedPct = 100 * float64(shedCount) / float64(n)
-	}
-	fmt.Printf("served=%d goodput=%.1f/s shed=%d (%.1f%%) errors=%d\n", served, goodput, shedCount, shedPct, errCount)
-	if len(reasons) > 0 {
-		keys := make([]string, 0, len(reasons))
-		for r := range reasons {
-			keys = append(keys, r)
-		}
-		sort.Strings(keys)
-		parts := make([]string, 0, len(keys))
-		for _, r := range keys {
-			parts = append(parts, fmt.Sprintf("%s=%d", r, reasons[r]))
-		}
-		fmt.Printf("shed reasons: %s\n", strings.Join(parts, " "))
-	}
-	for _, e := range firstErrs {
-		fmt.Printf("error: %s\n", e)
-	}
-	fmt.Printf("latency served: p50=%v p95=%v p99=%v max=%v\n",
-		rep.p(0.50), rep.p(0.95), rep.p(0.99), rep.p(1))
-	if fr != nil {
-		ss := fr.Stats(context.Background()).Service
-		fmt.Printf("admission: shed=%d user-rate=%d queue-full=%d deadline-canceled=%d\n",
-			ss.Shed, ss.ShedUserRate, ss.ShedQueueFull, ss.DeadlineCanceled)
-	}
-	if cfg.digest && cfg.users == 1 {
-		fmt.Printf("adigest=%s\n", hex.EncodeToString(ah.Sum(nil)))
-	}
-	if served == 0 {
-		fmt.Fprintln(os.Stderr, "open-loop run served nothing")
-		os.Exit(1)
-	}
-}
-
-// openTargetAttempt builds the single-attempt HTTP searcher for -target mode:
-// one POST, no retries (the generator must not convert offered load into
-// closed-loop feedback), 503 decoded into its admission shed reason.
-func openTargetAttempt(cfg openLoopConfig) func(ctx context.Context, user string, kw []string) (*fleet.ResultView, *admission.ShedError, error) {
-	target := strings.TrimRight(cfg.target, "/")
-	client := &http.Client{Timeout: 60 * time.Second}
-	return func(ctx context.Context, user string, kw []string) (*fleet.ResultView, *admission.ShedError, error) {
-		body, _ := json.Marshal(map[string]any{"user": user, "keywords": kw, "k": cfg.k})
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/search", bytes.NewReader(body))
-		if err != nil {
-			return nil, nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			shed := &admission.ShedError{Reason: "unavailable"}
-			var we struct {
-				Reason       string `json:"reason"`
-				RetryAfterMS int64  `json:"retry_after_ms"`
-			}
-			if json.Unmarshal(data, &we) == nil && we.Reason != "" {
-				shed.Reason = we.Reason
-				shed.RetryAfter = time.Duration(we.RetryAfterMS) * time.Millisecond
-			}
-			return nil, shed, nil
-		}
-		if resp.StatusCode != http.StatusOK {
-			data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			return nil, nil, fmt.Errorf("search: status %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
-		}
-		var view fleet.ResultView
-		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-			return nil, nil, err
-		}
-		return &view, nil, nil
-	}
+	return out
 }
 
 // keywordPool collects the searches the load draws from: the workload's

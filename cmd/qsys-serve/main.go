@@ -9,7 +9,9 @@
 // live topic migration and stats aggregation — over N engines:
 //
 //   - Single-process (default): -shards engines live in this process.
-//   - Front-end (-fleet url,url,...): qsys-shard processes own the engines.
+//   - Front-end (-fleet url,url,...): qsys-shard processes own the engines,
+//     and the flags that configure one (-window, -memory-budget, ...) are
+//     refused here.
 //
 // Result digests are byte-identical across the two modes at equal seed.
 //
@@ -21,7 +23,7 @@
 //	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
 //	           [-fleet URL,URL,...] [-probe-interval 2s] [-rehome-factor 0]
 //	           [-user-rate 0] [-total-rate 0] [-max-pending 0]
-//	           [-deadline 0] [-adaptive-window] [-redispatch]
+//	           [-deadline 0] [-adaptive-window] [-max-inflight 0] [-redispatch]
 //
 // The admission flags enable overload control: per-user token buckets with
 // fair arbitration under a global rate (shed as retryable 503 + Retry-After),
@@ -57,62 +59,30 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/service"
-	"repro/internal/state"
 	"repro/internal/workload"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	wl := flag.String("workload", "bio", "workload: bio, gus, pfam")
-	instance := flag.Int("instance", 1, "GUS instance (1-4)")
-	window := flag.Duration("window", 25*time.Millisecond, "admission batch window (0 = admit immediately)")
-	batch := flag.Int("batch", 5, "admission batch size trigger (negative = window only)")
-	shards := flag.Int("shards", 1, "independent engine shards (single-process mode)")
-	routerMode := flag.String("router", "affinity", "shard placement: affinity (route by overlap with each shard's resident keywords, hash fallback) or hash (fixed keyword hash)")
-	k := flag.Int("k", 50, "default answers per search")
-	seed := flag.Uint64("seed", 1, "deterministic delay/scoring seed (must match the shard processes' in front-end mode)")
-	budget := flag.Int("memory-budget", 0, "retained-state budget in rows per engine (0 = unbounded)")
-	policy := flag.String("evict-policy", "lru", "eviction policy under the budget: lru or benefit")
-	spillDir := flag.String("spill-dir", "", "spill evicted plan segments to per-shard dirs under this path instead of discarding (removed on shutdown)")
-	realtime := flag.Bool("realtime", false, "sleep simulated delays for real (live demo pacing)")
+	f := service.Flags{Addr: ":8080", Workload: "bio", Instance: 1, Config: service.Config{
+		K: 50, Seed: 1, BatchWindow: 25 * time.Millisecond, BatchSize: 5, Shards: 1,
+		Router: service.RouterAffinity, EvictPolicy: "lru",
+	}}
+	f.Bind(flag.CommandLine, service.ServerFlags|service.FrontDeskFlags)
 	fleetList := flag.String("fleet", "", "comma-separated qsys-shard endpoints; enables front-end mode (this process runs no engine)")
 	probeEvery := flag.Duration("probe-interval", 2*time.Second, "front-end health-probe period (0 disables background probing)")
 	rehome := flag.Float64("rehome-factor", 0, "front-end live-migration hysteresis: migrate a topic when another shard's affinity mass exceeds its home's by this factor (0 disables; >= 2 sensible)")
-	userRate := flag.Float64("user-rate", 0, "admission: per-user token-bucket rate in searches/sec, shed as retryable 503 + Retry-After beyond it (0 = off)")
-	totalRate := flag.Float64("total-rate", 0, "admission: global rate fair-arbitrated across active users (0 = off)")
-	maxPending := flag.Int("max-pending", 0, "admission: bound each shard's queue, shedding beyond it as retryable 503 (0 = unbounded)")
-	deadline := flag.Duration("deadline", 0, "admission: per-search latency budget; a search past it is canceled mid-merge and shed non-retryably (0 = off)")
-	adaptiveWindow := flag.Bool("adaptive-window", false, "admission: replace the fixed batch window with a control loop over queue depth and recent latency (bounded by -window)")
-	maxInFlight := flag.Int("max-inflight", 0, "admission: bound concurrently executing merges per shard so deadline shedding can trim the queue while admitted searches still finish in budget (0 = unbounded)")
 	redispatch := flag.Bool("redispatch", false, "front-end mode: resubmit a search to another healthy shard after confirming its shard crashed with the query in flight (process gone, or journaled as a recovered abort by the restart)")
-	flag.Parse()
-
-	adm := admission.Config{
-		UserRate:       *userRate,
-		TotalRate:      *totalRate,
-		MaxPending:     *maxPending,
-		Deadline:       *deadline,
-		MaxInFlight:    *maxInFlight,
-		AdaptiveWindow: *adaptiveWindow,
-		WindowMax:      *window,
-	}
-
-	if _, err := state.ParsePolicy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := f.Parse(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "qsys-serve:", err)
 		os.Exit(2)
 	}
-	if _, err := service.ParseRouter(*routerMode); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	cfg := f.Config
+	if set := f.EngineFlagsSet(); *fleetList != "" && len(set) > 0 {
+		fmt.Fprintf(os.Stderr, "qsys-serve: -fleet mode runs no engine, so it refuses engine flags: %s\n", strings.Join(set, " "))
 		os.Exit(2)
 	}
-	if *spillDir != "" {
-		if err := os.MkdirAll(*spillDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "qsys-serve: -spill-dir: %v\n", err)
-			os.Exit(2)
-		}
-	}
 
-	w, err := workload.ByName(*wl, *instance)
+	w, err := workload.ByName(f.Workload, f.Instance)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -130,7 +100,7 @@ func main() {
 			backends = append(backends, fleet.NewClient(ep, fleet.ClientConfig{Metrics: fm}))
 		}
 		fr, err = fleet.NewFrontend(w, fleet.FrontendConfig{
-			Service:       service.Config{K: *k, Seed: *seed, Router: *routerMode, Admission: adm},
+			Service:       cfg,
 			ProbeInterval: *probeEvery,
 			RehomeFactor:  *rehome,
 			Metrics:       fm,
@@ -141,27 +111,15 @@ func main() {
 			os.Exit(2)
 		}
 		log.Printf("qsys-serve: front-end for %d shard endpoints (router=%s rehome=%.1f)",
-			len(backends), *routerMode, *rehome)
+			len(backends), cfg.Router, *rehome)
 	} else {
-		fr, err = fleet.NewLocal(w, service.Config{
-			K:            *k,
-			Seed:         *seed,
-			BatchWindow:  *window,
-			BatchSize:    *batch,
-			Shards:       *shards,
-			Router:       *routerMode,
-			MemoryBudget: *budget,
-			EvictPolicy:  *policy,
-			SpillDir:     *spillDir,
-			RealTime:     *realtime,
-			Admission:    adm,
-		})
+		fr, err = fleet.NewLocal(w, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		log.Printf("qsys-serve: workload %s (window=%v batch=%d shards=%d router=%s)",
-			w.Name, *window, *batch, *shards, *routerMode)
+			w.Name, cfg.BatchWindow, cfg.BatchSize, cfg.Shards, cfg.Router)
 	}
 
 	mux := http.NewServeMux()
@@ -214,9 +172,9 @@ func main() {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 
-	server := &http.Server{Addr: *addr, Handler: mux}
+	server := &http.Server{Addr: f.Addr, Handler: mux}
 	go func() {
-		log.Printf("qsys-serve: listening on %s", *addr)
+		log.Printf("qsys-serve: listening on %s", f.Addr)
 		if err := server.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)
 		}

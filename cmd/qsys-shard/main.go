@@ -15,7 +15,7 @@
 //	           [-instance 1] [-seed 1] [-window 25ms] [-batch 5]
 //	           [-k 50] [-memory-budget 0]
 //	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
-//	           [-max-pending 0] [-deadline 0] [-adaptive-window]
+//	           [-max-pending 0] [-deadline 0] [-adaptive-window] [-max-inflight 0]
 //	           [-drain-deadline 0] [-recover-dir DIR] [-checkpoint-interval 5s]
 //
 // Endpoints:
@@ -54,115 +54,65 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/fleet"
 	"repro/internal/service"
-	"repro/internal/state"
 	"repro/internal/workload"
 )
 
 func main() {
-	addr := flag.String("addr", ":8091", "listen address")
-	shardID := flag.Int("shard-id", 0, "fleet slot this process serves: seeds the engine as shard <id> of an equivalent single-process service")
-	wl := flag.String("workload", "bio", "workload: bio, gus, pfam")
-	instance := flag.Int("instance", 1, "GUS instance (1-4)")
-	seed := flag.Uint64("seed", 1, "deterministic delay/scoring seed (must match the front-end's)")
-	window := flag.Duration("window", 25*time.Millisecond, "admission batch window (0 = admit immediately)")
-	batch := flag.Int("batch", 5, "admission batch size trigger (negative = window only)")
-	k := flag.Int("k", 50, "default answers per search")
-	budget := flag.Int("memory-budget", 0, "retained-state budget in rows per engine (0 = unbounded)")
-	policy := flag.String("evict-policy", "lru", "eviction policy under the budget: lru or benefit")
-	spillDir := flag.String("spill-dir", "", "spill evicted plan segments under this path instead of discarding (removed on shutdown)")
-	realtime := flag.Bool("realtime", false, "sleep simulated delays for real")
-	maxPending := flag.Int("max-pending", 0, "admission: bound this shard's queue, shedding beyond it as retryable 503 + Retry-After (0 = unbounded)")
-	deadline := flag.Duration("deadline", 0, "admission: per-search latency budget; a search past it is canceled mid-merge and shed non-retryably (0 = off)")
-	adaptiveWindow := flag.Bool("adaptive-window", false, "admission: replace the fixed batch window with a control loop over queue depth and recent latency (bounded by -window)")
-	maxInFlight := flag.Int("max-inflight", 0, "admission: bound concurrently executing merges so deadline shedding can trim the queue while admitted searches still finish in budget (0 = unbounded)")
+	f := service.Flags{Addr: ":8091", Workload: "bio", Instance: 1, Config: service.Config{
+		K: 50, Seed: 1, BatchWindow: 25 * time.Millisecond, BatchSize: 5,
+		EvictPolicy: "lru", CheckpointInterval: 5 * time.Second,
+	}}
+	f.Bind(flag.CommandLine, service.ServerFlags|service.ShardFlags)
 	drainDeadline := flag.Duration("drain-deadline", 0, "bound the drain's wait for in-flight searches; past it they are aborted so the state handoff completes (0 = 60s default)")
-	recoverDir := flag.String("recover-dir", "", "durable checkpoint + admission-journal directory; enables crash recovery and warm restart over the same path (survives shutdown)")
-	cpInterval := flag.Duration("checkpoint-interval", 5*time.Second, "period of the checkpoint loop under -recover-dir (0 = checkpoint only on demand)")
-	flag.Parse()
-
-	if _, err := state.ParsePolicy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := f.Parse(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "qsys-shard:", err)
 		os.Exit(2)
 	}
-	if *shardID < 0 {
-		fmt.Fprintln(os.Stderr, "qsys-shard: -shard-id must be >= 0")
-		os.Exit(2)
-	}
-	if *spillDir != "" {
-		if err := os.MkdirAll(*spillDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "qsys-shard: -spill-dir: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	cfg := f.Config
+	id := cfg.ShardIDOffset
 
-	w, err := workload.ByName(*wl, *instance)
+	w, err := workload.ByName(f.Workload, f.Instance)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	svc := service.New(w, service.Config{
-		K:             *k,
-		Seed:          *seed,
-		BatchWindow:   *window,
-		BatchSize:     *batch,
-		Shards:        1,
-		ShardIDOffset: *shardID,
-		MemoryBudget:  *budget,
-		EvictPolicy:   *policy,
-		SpillDir:      *spillDir,
-		RealTime:      *realtime,
-		CheckpointDir: *recoverDir,
-		CheckpointInterval: func() time.Duration {
-			if *recoverDir == "" {
-				return 0
-			}
-			return *cpInterval
-		}(),
-		Admission: admission.Config{
-			MaxPending:     *maxPending,
-			Deadline:       *deadline,
-			MaxInFlight:    *maxInFlight,
-			AdaptiveWindow: *adaptiveWindow,
-			WindowMax:      *window,
-		},
-	})
+	svc := service.New(w, cfg)
 	shard := fleet.NewShardServer(svc)
 	shard.DrainDeadline = *drainDeadline
-	if *recoverDir != "" {
+	if cfg.CheckpointDir != "" {
 		// Listen in the recovering state so probes observe the transition:
 		// health says "recovering" (unrouted, searches refused as retryable)
 		// until the checkpoint import lands, then flips to "ready".
 		shard.SetRecovering(true)
 	}
 
-	server := &http.Server{Addr: *addr, Handler: shard.Handler()}
+	server := &http.Server{Addr: f.Addr, Handler: shard.Handler()}
 	go func() {
 		log.Printf("qsys-shard: slot %d, workload %s on %s (window=%v batch=%d)",
-			*shardID, w.Name, *addr, *window, *batch)
+			id, w.Name, f.Addr, cfg.BatchWindow, cfg.BatchSize)
 		if err := server.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)
 		}
 	}()
 
-	if *recoverDir != "" {
+	if cfg.CheckpointDir != "" {
 		rep, err := shard.Recover()
 		if err != nil {
 			log.Printf("qsys-shard: recover: %v", err)
 		} else if rep.Generation > 0 {
 			log.Printf("qsys-shard: slot %d warm-started from checkpoint generation %d: %d segments installed, %d dropped (%d rows); %d journaled aborts",
-				*shardID, rep.Generation, rep.Installed, rep.Dropped, rep.Rows, len(svc.RecoveredAborts()))
+				id, rep.Generation, rep.Installed, rep.Dropped, rep.Rows, len(svc.RecoveredAborts()))
 		} else {
-			log.Printf("qsys-shard: slot %d cold start, checkpointing to %s every %v", *shardID, *recoverDir, *cpInterval)
+			log.Printf("qsys-shard: slot %d cold start, checkpointing to %s every %v", id, cfg.CheckpointDir, cfg.CheckpointInterval)
 		}
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	log.Printf("qsys-shard: slot %d draining", *shardID)
+	log.Printf("qsys-shard: slot %d draining", id)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 	// Drain first — new searches 503 as retryable while in-flight ones
@@ -176,5 +126,5 @@ func main() {
 	if err := svc.Close(); err != nil {
 		log.Printf("qsys-shard: state teardown: %v", err)
 	}
-	log.Printf("qsys-shard: slot %d bye", *shardID)
+	log.Printf("qsys-shard: slot %d bye", id)
 }

@@ -110,9 +110,8 @@ type Config struct {
 
 	// AdaptiveWindow replaces the fixed BatchWindow with a per-shard control
 	// loop over queue depth and recent latency (see WindowController);
-	// WindowMin/WindowMax clamp it (defaults 0 and 25ms).
+	// WindowMax bounds it (default 25ms).
 	AdaptiveWindow bool
-	WindowMin      time.Duration
 	WindowMax      time.Duration
 }
 
@@ -147,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WindowMax <= 0 {
 		c.WindowMax = 25 * time.Millisecond
-	}
-	if c.WindowMin < 0 {
-		c.WindowMin = 0
 	}
 	return c
 }

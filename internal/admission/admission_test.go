@@ -114,7 +114,7 @@ func TestShedErrorClassification(t *testing.T) {
 }
 
 func TestWindowWidensUnderQueuePressureAndDecaysIdle(t *testing.T) {
-	w := NewWindowController(0, 25*time.Millisecond, 0)
+	w := NewWindowController(25*time.Millisecond, 0)
 	if w.Window() != 0 {
 		t.Fatalf("initial window = %v, want 0", w.Window())
 	}
@@ -135,7 +135,7 @@ func TestWindowWidensUnderQueuePressureAndDecaysIdle(t *testing.T) {
 
 func TestWindowShrinksWhenLatencyNearsDeadline(t *testing.T) {
 	deadline := 100 * time.Millisecond
-	w := NewWindowController(0, 25*time.Millisecond, deadline)
+	w := NewWindowController(25*time.Millisecond, deadline)
 	for i := 0; i < 20; i++ {
 		w.ObserveQueue(40, 5)
 	}

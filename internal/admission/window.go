@@ -9,14 +9,14 @@ import (
 // control loop: under queue pressure the window widens so more concurrent
 // arrivals are co-admitted (amortizing optimization and sharing live source
 // streams), and when the queue is empty — or the observed latency tail
-// approaches the deadline budget — it shrinks back toward WindowMin so idle
+// approaches the deadline budget — it shrinks back toward zero so idle
 // traffic is not taxed with batching delay it cannot amortize.
 //
 // One controller belongs to one shard and is driven from that shard's
 // executor: ObserveQueue at every batch release, ObserveLatency at every
 // completion. Window may be read from any goroutine.
 type WindowController struct {
-	min, max time.Duration
+	max      time.Duration
 	deadline time.Duration
 
 	mu  sync.Mutex
@@ -31,13 +31,10 @@ type WindowController struct {
 // halves the window when the queue is empty at a release.
 const windowStep = time.Millisecond
 
-// NewWindowController builds a controller clamped to [min, max], starting at
-// min. deadline (0 = none) bounds the latency the widening may induce.
-func NewWindowController(min, max, deadline time.Duration) *WindowController {
-	if max < min {
-		max = min
-	}
-	return &WindowController{min: min, max: max, deadline: deadline, win: min}
+// NewWindowController builds a controller clamped to [0, max], starting at
+// 0. deadline (0 = none) bounds the latency the widening may induce.
+func NewWindowController(max, deadline time.Duration) *WindowController {
+	return &WindowController{max: max, deadline: deadline}
 }
 
 // Window returns the current admission window.
@@ -91,7 +88,7 @@ func (w *WindowController) clampLocked() {
 	if w.win > w.max {
 		w.win = w.max
 	}
-	if w.win < w.min {
-		w.win = w.min
+	if w.win < 0 {
+		w.win = 0
 	}
 }

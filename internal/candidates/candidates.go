@@ -19,6 +19,7 @@ package candidates
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"repro/internal/catalog"
@@ -182,6 +183,15 @@ func NewSkeleton(cfg Config, keywords []string) *Skeleton {
 // coefRanks is the rank table of the per-user scoring coefficients: Zipfian
 // over 8 ranks, mapped into (0.5, 1] by Draw.
 var coefRanks = dist.NewZipf(nil, 8, 1.0)
+
+// UserRNG returns the generator of a user's scoring coefficients (§2.1). It
+// is a function of the seed and the user's name alone, so a user's
+// coefficients are the same in every run, whatever users arrived before.
+func UserRNG(seed uint64, user string) *dist.RNG {
+	h := fnv.New64a()
+	h.Write([]byte(user))
+	return dist.New(seed + 1000 + h.Sum64()*77)
+}
 
 // Draw draws the coefficients one arrival of the skeleton consumes from the
 // user's generator, in generation order. It is the only step of an expansion

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -409,5 +411,30 @@ func TestLocalHealthReportsEngineInFlight(t *testing.T) {
 	}
 	if got, other := hz.Shards[view.Shard].InFlight, hz.Shards[1-view.Shard].InFlight; got != 1 || other != 0 {
 		t.Fatalf("healthz in flight: %d on the search's shard %d, %d on the other; want 1 and 0", got, view.Shard, other)
+	}
+}
+
+// TestNewLocalRejectsBadConfig: a configuration service.New would panic on
+// comes back as NewLocal's error, before any engine is built.
+func TestNewLocalRejectsBadConfig(t *testing.T) {
+	w, err := workload.Bio()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []service.Config{
+		{EvictPolicy: "bogus"},
+		{Router: "bogus"},
+		{SpillDir: filepath.Join(file, "spill")},
+		{CheckpointDir: filepath.Join(file, "recover")},
+	} {
+		fr, err := fleet.NewLocal(w, cfg)
+		if err == nil {
+			fr.Close() //nolint:errcheck
+			t.Errorf("NewLocal(%+v) returned no error", cfg)
+		}
 	}
 }

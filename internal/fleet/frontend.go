@@ -17,7 +17,7 @@ import (
 
 // FrontendConfig tunes a front-end.
 type FrontendConfig struct {
-	// Service carries the expansion parameters (Seed, K, MaxCQs), the Router
+	// Service carries the expansion parameters (Seed, K), the Router
 	// mode and the front-desk rate limits (Admission.UserRate, TotalRate);
 	// engine-side fields are ignored — the engines live behind the backends.
 	Service service.Config

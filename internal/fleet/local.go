@@ -38,9 +38,10 @@ type Backend interface {
 // engine i is service.New with Shards 1 and ShardIDOffset i, exactly what
 // qsys-shard runs for slot i — behind a Frontend of LocalBackends. The front
 // desk expands, rate-limits, places, migrates and aggregates for them.
-// Closing the Frontend closes the engines.
+// Closing the Frontend closes the engines. A configuration service.New
+// would panic on is returned as cfg.Validate's error instead.
 func NewLocal(w *workload.Workload, cfg service.Config) (*Frontend, error) {
-	if _, err := service.ParseRouter(cfg.Router); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	backends := make([]Backend, max(cfg.Shards, 1))

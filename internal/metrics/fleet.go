@@ -36,17 +36,11 @@ type Fleet struct {
 	MigrationRows  Counter
 	MigrationDrops Counter
 
-	// Crash-recovery tier. CheckpointsWritten/Loaded count checkpoint
-	// generations published and warm-restart loads; SegmentsRecovered/
-	// SegmentsDropped split a restart's segments by whether the consistency
-	// gate installed them or dropped them to source replay; Redispatches
-	// counts journaled-aborted queries the front-end resubmitted to a
-	// healthy shard after confirming the original crashed.
-	CheckpointsWritten Counter
-	CheckpointsLoaded  Counter
-	SegmentsRecovered  Counter
-	SegmentsDropped    Counter
-	Redispatches       Counter
+	// Redispatches counts journaled-aborted queries the front-end
+	// resubmitted to a healthy shard after confirming the original crashed.
+	// The shards' own recovery counters reach the front-end's stats through
+	// service.Stats.Recovery.
+	Redispatches Counter
 }
 
 // FleetSnapshot is an immutable copy of a Fleet's state.
@@ -67,11 +61,7 @@ type FleetSnapshot struct {
 	MigrationRows  int64 `json:"migration_rows"`
 	MigrationDrops int64 `json:"migration_drops"`
 
-	CheckpointsWritten int64 `json:"checkpoints_written"`
-	CheckpointsLoaded  int64 `json:"checkpoints_loaded"`
-	SegmentsRecovered  int64 `json:"segments_recovered"`
-	SegmentsDropped    int64 `json:"segments_dropped"`
-	Redispatches       int64 `json:"redispatches"`
+	Redispatches int64 `json:"redispatches"`
 }
 
 // Snapshot copies the current values.
@@ -90,11 +80,6 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 		MigrationSegs:  f.MigrationSegs.Value(),
 		MigrationRows:  f.MigrationRows.Value(),
 		MigrationDrops: f.MigrationDrops.Value(),
-
-		CheckpointsWritten: f.CheckpointsWritten.Value(),
-		CheckpointsLoaded:  f.CheckpointsLoaded.Value(),
-		SegmentsRecovered:  f.SegmentsRecovered.Value(),
-		SegmentsDropped:    f.SegmentsDropped.Value(),
-		Redispatches:       f.Redispatches.Value(),
+		Redispatches:   f.Redispatches.Value(),
 	}
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/candidates"
@@ -43,16 +42,13 @@ type Expander struct {
 
 // NewExpander builds an expander for a workload. Expansion follows the way
 // the workload's own query suite was built (path lengths, match fan-out,
-// scoring family); Config.MaxCQs overrides the candidate-network cap and
-// Config.K the default answer count.
+// scoring family, candidate-network cap); Config.K is the default answer
+// count.
 func NewExpander(w *workload.Workload, cfg Config) *Expander {
 	cfg = cfg.withDefaults()
 	genCfg := w.Gen
 	genCfg.Graph = w.Schema
 	genCfg.Catalog = w.Catalog
-	if cfg.MaxCQs > 0 {
-		genCfg.MaxCQs = cfg.MaxCQs
-	}
 	return &Expander{
 		genCfg: genCfg, seed: cfg.Seed, k: cfg.K,
 		cache: candidates.NewCache(), users: map[string]dist.RNG{},
@@ -69,12 +65,7 @@ func (e *Expander) Expand(user string, keywords []string, k int) (*cq.UQ, error)
 	e.mu.Lock()
 	rng, ok := e.users[user]
 	if !ok {
-		// The seed is a function of the user's name alone: a user's scoring
-		// coefficients (§2.1) must be the same in every run, whatever order
-		// the users happened to arrive in.
-		h := fnv.New64a()
-		h.Write([]byte(user))
-		rng = *dist.New(e.seed + 1000 + h.Sum64()*77)
+		rng = *candidates.UserRNG(e.seed, user)
 	}
 	coefs := sk.Draw(&rng)
 	e.users[user] = rng

@@ -81,10 +81,6 @@ func (s *Service) openRecovery(dir string) {
 		s.rec.generation.Store(int64(cp.Generation))
 		s.rec.loaded.Add(1)
 		s.rec.segsDropped.Add(int64(cp.Dropped))
-		if fm := s.cfg.FleetMetrics; fm != nil {
-			fm.CheckpointsLoaded.Inc()
-			fm.SegmentsDropped.Add(int64(cp.Dropped))
-		}
 	}
 	jnl, aborted, err := store.OpenJournal()
 	if err != nil {
@@ -139,9 +135,6 @@ func (s *Service) Checkpoint() (*CheckpointReport, error) {
 	s.rec.generation.Store(int64(gen))
 	s.rec.written.Add(1)
 	s.rec.segsWritten.Add(int64(len(exp.Segments)))
-	if fm := s.cfg.FleetMetrics; fm != nil {
-		fm.CheckpointsWritten.Inc()
-	}
 	return rep, nil
 }
 
@@ -163,10 +156,6 @@ func (s *Service) Recover() (*RecoverReport, error) {
 	if rep.Installed > 0 || rep.Dropped > 0 {
 		s.rec.segsRecovered.Add(int64(rep.Installed))
 		s.rec.segsDropped.Add(int64(rep.Dropped))
-		if fm := s.cfg.FleetMetrics; fm != nil {
-			fm.SegmentsRecovered.Add(int64(rep.Installed))
-			fm.SegmentsDropped.Add(int64(rep.Dropped))
-		}
 	}
 	return rep, nil
 }

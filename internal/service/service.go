@@ -57,15 +57,16 @@ import (
 // ErrClosed is returned by SearchUQ once the service has begun shutting down.
 var ErrClosed = errors.New("service: closed")
 
+// maxQueue bounds the submission queue; senders beyond it block (closed-loop
+// backpressure) until the executor drains or their context expires.
+const maxQueue = 1024
+
 // Config tunes a Service.
 type Config struct {
 	// K is the default number of answers per search (the paper uses 50).
 	K int
 	// Seed drives the deterministic delay and scoring-coefficient draws.
 	Seed uint64
-	// MaxCQs overrides the workload's cap on candidate networks per search
-	// (0 keeps the workload's own setting; paper workloads use ≤20).
-	MaxCQs int
 	// MemoryBudget bounds the engine's retained middleware state in rows
 	// (0 = unbounded). Exceeding it triggers eviction under EvictPolicy
 	// (§6.3). It is per engine: N engines hold up to N budgets.
@@ -73,7 +74,7 @@ type Config struct {
 	// EvictPolicy selects the eviction policy: "lru" (default; the paper's
 	// least-recently-used, largest-first) or "benefit" (evict the state
 	// that is cheapest to re-derive per retained row, priced by the cost
-	// model). New panics on an unknown name — validate user input first.
+	// model). New panics on an unknown name; Validate reports it.
 	EvictPolicy string
 	// SpillDir, when set, turns discard eviction into spill eviction: the
 	// engine serializes evicted plan segments to SpillDir/shard-<id> (id =
@@ -94,10 +95,6 @@ type Config struct {
 	// loop; Checkpoint can still be called explicitly). Only meaningful with
 	// CheckpointDir set.
 	CheckpointInterval time.Duration
-	// FleetMetrics, when non-nil, mirrors the recovery tier's counters
-	// (checkpoints written/loaded, segments recovered/dropped) into the
-	// fleet metrics a serving binary exports.
-	FleetMetrics *metrics.Fleet
 
 	// BatchSize releases an admission batch as soon as this many queries
 	// collect (§7.1 uses 5). 0 means the default of 5; negative disables the
@@ -127,10 +124,6 @@ type Config struct {
 	// affinity — while "hash" always uses the hash of the canonical keyword
 	// set. A lone engine ignores it.
 	Router string
-	// MaxQueue bounds the submission queue; senders beyond it block
-	// (closed-loop backpressure) until the executor drains or their context
-	// expires. Default 1024.
-	MaxQueue int
 	// ShardIDOffset is the engine's identity: it salts the engine's RNGs
 	// (engine, delays) and names its spill and checkpoint directories.
 	// fleet.NewLocal gives engine i the offset i, and a shard process serving
@@ -151,14 +144,6 @@ type Config struct {
 	// run at the front desk (fleet.Frontend). The zero value keeps the
 	// closed-loop behavior: senders block on the queue, nothing sheds.
 	Admission admission.Config
-
-	// JointOptimize runs one multi-query optimization over each whole
-	// admission batch (§5.1's BATCH-OPT) instead of the default per-query
-	// optimization into the shared graph. Joint search cost grows steeply
-	// with batch size (Figure 11); under the bounded search budget large
-	// groups lose pushdown selectivity, so the default shares structurally
-	// via the plan graph (§6.2) and optimizes per query.
-	JointOptimize bool
 }
 
 func (c Config) withDefaults() Config {
@@ -170,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 1024
 	}
 	c.Admission = c.Admission.Normalized()
 	return c
@@ -408,7 +390,7 @@ func New(w *workload.Workload, cfg Config) *Service {
 		ctrl:     p.ATC,
 		mgr:      p.Manager,
 		waiters:  map[string]*request{},
-		submitCh: make(chan *request, cfg.MaxQueue),
+		submitCh: make(chan *request, maxQueue),
 		statsCh:  make(chan chan ShardStats),
 		ctrlCh:   make(chan func()),
 		stopCh:   make(chan struct{}),
@@ -427,12 +409,11 @@ func New(w *workload.Workload, cfg Config) *Service {
 			panic("service: " + err.Error())
 		}
 	}
-	if !cfg.JointOptimize {
-		s.mgr.Unit = qsm.UnitUQ
-	}
+	// Each user query is optimized on its own; sharing between them arises
+	// in the plan graph (DESIGN.md "Optimization unit").
+	s.mgr.Unit = qsm.UnitUQ
 	if cfg.Admission.AdaptiveWindow {
-		s.win = admission.NewWindowController(
-			cfg.Admission.WindowMin, cfg.Admission.WindowMax, cfg.Admission.Deadline)
+		s.win = admission.NewWindowController(cfg.Admission.WindowMax, cfg.Admission.Deadline)
 	}
 	if cfg.CheckpointDir != "" {
 		s.openRecovery(filepath.Join(cfg.CheckpointDir, fmt.Sprintf("shard-%d", id)))

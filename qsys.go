@@ -166,7 +166,7 @@ func (s *System) Search(user string, keywords []string, k int) (*SearchResult, e
 	}
 	userRNG, ok := s.users[user]
 	if !ok {
-		userRNG = dist.New(s.cfg.Seed + 1000 + uint64(len(s.users))*77)
+		userRNG = candidates.UserRNG(s.cfg.Seed, user)
 		s.users[user] = userRNG
 	}
 	s.nextUQ++

@@ -1,6 +1,7 @@
 package qsys
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -126,5 +127,41 @@ func TestBuilderWorkload(t *testing.T) {
 	}
 	if res.Latency <= 0 {
 		t.Errorf("non-positive latency %v", res.Latency)
+	}
+}
+
+// TestUserAnswersIndependentOfArrivalOrder: a user's scoring coefficients
+// are a function of their name, so their answers do not depend on whether
+// another user searched first.
+func TestUserAnswersIndependentOfArrivalOrder(t *testing.T) {
+	search := func(others bool) *SearchResult {
+		w, err := Bio()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := NewSystem(w, Config{K: 20, Seed: 7})
+		if others {
+			if _, err := sys.Search("biologist-2", []string{"membrane", "gene"}, 20); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sys.Search("biologist-1", []string{"protein", "metabolism"}, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	alone, after := search(false), search(true)
+	if len(alone.Answers) == 0 || len(alone.Answers) != len(after.Answers) {
+		t.Fatalf("answer counts differ: alone %d, after another user %d", len(alone.Answers), len(after.Answers))
+	}
+	for i := range alone.Answers {
+		// Query names carry the session's UQ number, which the other user's
+		// search shifts; the answer is its score and its tuples.
+		a := fmt.Sprintf("%.12g %v", alone.Answers[i].Score, alone.Answers[i].Tuples)
+		b := fmt.Sprintf("%.12g %v", after.Answers[i].Score, after.Answers[i].Tuples)
+		if a != b {
+			t.Fatalf("answer %d differs:\nalone:               %s\nafter another user:  %s", i, a, b)
+		}
 	}
 }
