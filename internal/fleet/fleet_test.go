@@ -121,6 +121,31 @@ func TestFleetDigestParityHTTP(t *testing.T) {
 	}
 }
 
+// TestFleetHTTPShardsGraftDirectly runs the parity test's fleet — two shard
+// servers behind an HTTP front-end — over its topics three times. A shard
+// decodes every query body afresh, and a repeat must still be grafted from its
+// plan-cache entry's graft record rather than re-factorized.
+func TestFleetHTTPShardsGraftDirectly(t *testing.T) {
+	const seed = 11
+	srv0, _ := newShardHTTP(t, 0, seed)
+	srv1, _ := newShardHTTP(t, 1, seed)
+	fr := newTestFrontend(t, seed, []*httptest.Server{srv0, srv1}, fleet.FrontendConfig{})
+	for pass := 0; pass < 3; pass++ {
+		for _, kw := range fleetTopics {
+			if _, err := fr.Search(context.Background(), "parity", kw, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var direct int64
+	for _, sh := range fr.Stats(context.Background()).Shards {
+		direct += sh.PlanCache.DirectGrafts
+	}
+	if direct == 0 {
+		t.Fatal("no shard grafted a repeated search directly")
+	}
+}
+
 // TestDrainRejectsRetryablyAndFrontendFailsOver pins the drain contract: a
 // draining shard turns searches away as retryable 503s, and the front-end
 // routes the search to a healthy shard instead of failing it.

@@ -27,6 +27,7 @@ type Counters struct {
 	joinProbes     int64
 	resultsEmitted int64
 	replayTuples   int64
+	seededRows     int64
 
 	spillSegsOut   int64
 	spillRowsOut   int64
@@ -97,6 +98,11 @@ func (c *Counters) AddResult() { atomic.AddInt64(&c.resultsEmitted, 1) }
 // does not count toward tuples consumed — that is precisely the reuse saving
 // Figure 10 measures.
 func (c *Counters) AddReplayTuple() { atomic.AddInt64(&c.replayTuples, 1) }
+
+// AddSeededRows counts pre-epoch log rows handed to a newly attached
+// endpoint (§6.2): results the graph computed before the query arrived,
+// shared without re-deriving or re-reading them.
+func (c *Counters) AddSeededRows(n int) { atomic.AddInt64(&c.seededRows, int64(n)) }
 
 // AddSpillWrite records one evicted plan segment serialized to the disk
 // tier (§6.3 spill): rows and bytes written.
@@ -188,6 +194,7 @@ type Snapshot struct {
 	JoinProbes     int64
 	ResultsEmitted int64
 	ReplayTuples   int64
+	SeededRows     int64
 
 	SpillSegsWritten   int64
 	SpillRowsWritten   int64
@@ -225,6 +232,7 @@ func (c *Counters) Snapshot() Snapshot {
 		JoinProbes:     atomic.LoadInt64(&c.joinProbes),
 		ResultsEmitted: atomic.LoadInt64(&c.resultsEmitted),
 		ReplayTuples:   atomic.LoadInt64(&c.replayTuples),
+		SeededRows:     atomic.LoadInt64(&c.seededRows),
 
 		SpillSegsWritten:   atomic.LoadInt64(&c.spillSegsOut),
 		SpillRowsWritten:   atomic.LoadInt64(&c.spillRowsOut),
@@ -270,6 +278,7 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		JoinProbes:     s.JoinProbes + o.JoinProbes,
 		ResultsEmitted: s.ResultsEmitted + o.ResultsEmitted,
 		ReplayTuples:   s.ReplayTuples + o.ReplayTuples,
+		SeededRows:     s.SeededRows + o.SeededRows,
 
 		SpillSegsWritten:   s.SpillSegsWritten + o.SpillSegsWritten,
 		SpillRowsWritten:   s.SpillRowsWritten + o.SpillRowsWritten,

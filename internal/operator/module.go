@@ -12,10 +12,12 @@ import (
 // keyed by the row's cached 64-bit identity hash; the (rare) hash collision
 // is resolved by comparing the cached identity strings, so the set never
 // mis-identifies two distinct rows while keeping the common path free of
-// long-string hashing.
+// long-string hashing. The first identity under a hash is held inline; only
+// colliding ones go to a per-hash overflow list.
 type identSet struct {
-	buckets map[uint64][]string
-	n       int
+	first map[uint64]string
+	more  map[uint64][]string
+	n     int
 	// acct, when set, receives +1 per newly added identity — entries reach
 	// log identity sets both through Append and directly from recovery
 	// (RecoverHistory dedups via the set), so accounting lives here.
@@ -23,17 +25,21 @@ type identSet struct {
 }
 
 func newIdentSet(capacity int) *identSet {
-	return &identSet{buckets: make(map[uint64][]string, capacity)}
+	return &identSet{first: make(map[uint64]string, capacity)}
 }
 
 // Has reports whether the row's identity is in the set.
-func (s *identSet) Has(r *tuple.Row) bool {
-	b := s.buckets[r.IdentityHash()]
-	if len(b) == 0 {
+func (s *identSet) Has(r *tuple.Row) bool { return s.has(r.IdentityHash(), r.Identity()) }
+
+func (s *identSet) has(h uint64, id string) bool {
+	x, ok := s.first[h]
+	if !ok {
 		return false
 	}
-	id := r.Identity()
-	for _, x := range b {
+	if x == id {
+		return true
+	}
+	for _, x := range s.more[h] {
 		if x == id {
 			return true
 		}
@@ -42,18 +48,20 @@ func (s *identSet) Has(r *tuple.Row) bool {
 }
 
 // Add inserts the row's identity, reporting whether it was newly added.
-func (s *identSet) Add(r *tuple.Row) bool {
-	h := r.IdentityHash()
-	b := s.buckets[h]
-	if len(b) > 0 {
-		id := r.Identity()
-		for _, x := range b {
-			if x == id {
-				return false
-			}
+func (s *identSet) Add(r *tuple.Row) bool { return s.add(r.IdentityHash(), r.Identity()) }
+
+func (s *identSet) add(h uint64, id string) bool {
+	if _, ok := s.first[h]; !ok {
+		s.first[h] = id
+	} else {
+		if s.has(h, id) {
+			return false
 		}
+		if s.more == nil {
+			s.more = map[uint64][]string{}
+		}
+		s.more[h] = append(s.more[h], id)
 	}
-	s.buckets[h] = append(b, r.Identity())
 	s.n++
 	s.acct.Add(1)
 	return true
@@ -174,21 +182,6 @@ func (l *Log) EachBefore(e int, fn func(*tuple.Row)) {
 func (l *Log) Before(e int) []*tuple.Row {
 	var out []*tuple.Row
 	l.EachBefore(e, func(r *tuple.Row) { out = append(out, r) })
-	return out
-}
-
-// BeforeSorted returns the pre-epoch rows sorted by nonincreasing score
-// product (join-node logs hold rows in production order; recovery streams
-// them in score order so downstream thresholds stay correct).
-func (l *Log) BeforeSorted(e int) []*tuple.Row {
-	out := l.Before(e)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := out[i].ScoreProduct(), out[j].ScoreProduct()
-		if si != sj {
-			return si > sj
-		}
-		return out[i].Identity() < out[j].Identity()
-	})
 	return out
 }
 

@@ -2,10 +2,13 @@ package operator
 
 import (
 	"math"
-	"sort"
 	"testing"
 
+	"repro/internal/cq"
 	"repro/internal/dist"
+	"repro/internal/metrics"
+	"repro/internal/scoring"
+	"repro/internal/simclock"
 	"repro/internal/tuple"
 )
 
@@ -50,21 +53,6 @@ func TestLogEpochPartitions(t *testing.T) {
 	}
 }
 
-func TestLogBeforeSortedByProduct(t *testing.T) {
-	s := rowSchema()
-	var l Log
-	// Append out of score order (join nodes log in production order).
-	l.Append(mkRow(s, 1, 0.2), 1)
-	l.Append(mkRow(s, 2, 0.9), 1)
-	l.Append(mkRow(s, 3, 0.5), 1)
-	got := l.BeforeSorted(2)
-	if !sort.SliceIsSorted(got, func(i, j int) bool {
-		return got[i].ScoreProduct() > got[j].ScoreProduct()
-	}) {
-		t.Error("BeforeSorted not sorted")
-	}
-}
-
 func TestAccessModuleProbeAndEpochs(t *testing.T) {
 	s := rowSchema()
 	m := NewAccessModule([]int{0})
@@ -101,33 +89,16 @@ func TestAccessModuleProbeAndEpochs(t *testing.T) {
 	}
 }
 
-func TestQuickSelectDesc(t *testing.T) {
-	rng := dist.New(3)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(40)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = math.Floor(rng.Float64()*10) / 10 // duplicates likely
-		}
-		k := 1 + rng.Intn(n)
-		cp := append([]float64(nil), xs...)
-		got := quickSelectDesc(cp, k)
-		sorted := append([]float64(nil), xs...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-		if got != sorted[k-1] {
-			t.Fatalf("quickSelect(%v, %d) = %v, want %v", xs, k, got, sorted[k-1])
-		}
-	}
-}
-
 func TestCandidateHeapOrdering(t *testing.T) {
 	s := rowSchema()
-	// Exercise the heap through a minimal entry using offer.
-	entry := &CQEntry{seen: newIdentSet(0)}
-	entry.offer(mkRow(s, 1, 0.5), 0.5)
-	entry.offer(mkRow(s, 2, 0.9), 0.9)
-	entry.offer(mkRow(s, 3, 0.7), 0.7)
-	entry.offer(mkRow(s, 2, 0.9), 0.9) // duplicate
+	q := &cq.CQ{ID: "CQ1", Atoms: []*cq.Atom{{Rel: "R", Args: []cq.Term{cq.V(0), cq.V(1)}}}, Model: scoring.QSystem(0, []float64{1})}
+	entry := NewCQEntry(q, 1, []float64{1})
+	sink := NewEndpointSink(entry, []int{0})
+	env := &Env{Clock: simclock.NewVirtual(0), Delays: simclock.DefaultDelays(dist.New(1)), Metrics: &metrics.Counters{}}
+	sink.Offer(env, mkRow(s, 1, 0.5))
+	sink.Offer(env, mkRow(s, 2, 0.9))
+	sink.Offer(env, mkRow(s, 3, 0.7))
+	sink.Offer(env, mkRow(s, 2, 0.9)) // duplicate
 	if entry.Duplicates() != 1 {
 		t.Errorf("duplicates = %d", entry.Duplicates())
 	}
@@ -208,5 +179,32 @@ func TestAccessModuleIndexMatchesScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIdentSetCollisions covers identities that share a hash: each is held
+// once, found again, and counted, whether it landed inline or in overflow.
+func TestIdentSetCollisions(t *testing.T) {
+	s := newIdentSet(0)
+	for _, c := range []struct {
+		h     uint64
+		id    string
+		added bool
+	}{
+		{7, "a", true}, {7, "b", true}, {7, "a", false}, {7, "c", true},
+		{7, "b", false}, {7, "c", false}, {8, "a", true}, {8, "a", false},
+	} {
+		if got := s.add(c.h, c.id); got != c.added {
+			t.Fatalf("add(%d, %q) = %v, want %v", c.h, c.id, got, c.added)
+		}
+		if !s.has(c.h, c.id) {
+			t.Fatalf("has(%d, %q) after add = false", c.h, c.id)
+		}
+	}
+	if s.has(7, "d") || s.has(9, "a") {
+		t.Fatal("has reports an identity never added")
+	}
+	if s.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", s.Len())
 	}
 }

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 	"time"
 
@@ -178,19 +177,6 @@ func (e *CQEntry) DropSeen() {
 	e.seen = nil
 }
 
-// offer inserts a candidate result.
-func (e *CQEntry) offer(row *tuple.Row, score float64) {
-	if e.seen == nil {
-		e.seen = newIdentSet(0)
-	}
-	if !e.seen.Add(row) {
-		e.dups++
-		return
-	}
-	e.acct.Add(2) // one seen entry, one buffered candidate
-	heap.Push(&e.buffer, candidate{row: row, score: score, id: row.Identity()})
-}
-
 // EndpointSink adapts a terminal node's output into a CQ entry: rows arrive
 // in node atom order and are re-oriented into CQ atom order before scoring.
 type EndpointSink struct {
@@ -210,15 +196,46 @@ func NewEndpointSink(entry *CQEntry, atomMap []int) *EndpointSink {
 // node-order row and its CQ-order projection share one) before any
 // projection or scoring work is spent on them.
 func (s *EndpointSink) Offer(env *Env, r *tuple.Row) {
+	if s.add(r) {
+		s.Entry.acct.Add(2) // one seen entry, one buffered candidate
+		heap.Fix(&s.Entry.buffer, len(s.Entry.buffer)-1)
+	}
+}
+
+// Seed buffers every row the log holds from before epoch — results the graph
+// computed before this query arrived, reused without charging a source read
+// — walking the log in arrival order and restoring the heap once at the end.
+// That is exact: the buffer is ordered by (score, identity) and identities
+// are deduplicated, so the order rows go in cannot change the order they
+// come out.
+func (s *EndpointSink) Seed(env *Env, log *Log, epoch int) {
+	handed, added := 0, 0
+	if e := s.Entry; e.seen.Len() == 0 && len(e.buffer) == 0 {
+		e.seen = newIdentSet(log.Len())
+		e.buffer = make(candidateHeap, 0, log.Len())
+	}
+	log.EachBefore(epoch, func(r *tuple.Row) {
+		handed++
+		if s.add(r) {
+			added++
+		}
+	})
+	s.Entry.acct.Add(2 * added)
+	heap.Init(&s.Entry.buffer)
+	env.Metrics.AddSeededRows(handed)
+}
+
+// add appends one row's candidate to the buffer without restoring the heap,
+// reporting false for a duplicate.
+func (s *EndpointSink) add(r *tuple.Row) bool {
 	e := s.Entry
 	if e.seen == nil {
 		e.seen = newIdentSet(0)
 	}
 	if !e.seen.Add(r) {
 		e.dups++
-		return
+		return false
 	}
-	e.acct.Add(2) // one seen entry, one buffered candidate
 	parts := make([]*tuple.Tuple, len(s.AtomMap))
 	for ni, ci := range s.AtomMap {
 		parts[ci] = r.Part(ni)
@@ -228,7 +245,8 @@ func (s *EndpointSink) Offer(env *Env, r *tuple.Row) {
 	for i, p := range parts {
 		s.scores[i] = p.Score()
 	}
-	heap.Push(&e.buffer, candidate{row: row, score: e.CQ.Model.Score(s.scores), id: r.Identity()})
+	e.buffer = append(e.buffer, candidate{row: row, score: e.CQ.Model.Score(s.scores), id: r.Identity()})
+	return true
 }
 
 // candidate is a buffered potential answer.
@@ -423,33 +441,57 @@ func (rm *RankMerge) emit(env *Env, e *CQEntry) *Result {
 // prune deactivates active entries whose threshold can no longer reach the
 // remaining top-k slots: if (k-emitted) candidates are already buffered with
 // scores above an entry's threshold, its future results cannot matter (§6.3).
+// It counts those candidates rather than ranking them, so an emission costs
+// O(need × entries) whatever the buffers hold.
 func (rm *RankMerge) prune() []string {
 	need := rm.K - len(rm.emitted)
 	if need <= 0 {
 		return nil
 	}
-	// Collect buffered scores to find the need'th highest.
-	var scores []float64
+	buffered := 0
 	for _, e := range rm.Entries {
-		for _, c := range e.buffer {
-			scores = append(scores, c.score)
-		}
+		buffered += len(e.buffer)
 	}
-	if len(scores) < need {
+	if buffered < need {
 		return nil
 	}
-	kth := quickSelectDesc(scores, need)
 	var prunedIDs []string
 	for _, e := range rm.Entries {
 		if e.State != Active {
 			continue
 		}
-		if t := e.Threshold(); t < kth {
+		if rm.countAbove(e.Threshold(), need) >= need {
 			e.State = Pruned
 			prunedIDs = append(prunedIDs, e.CQ.ID)
 		}
 	}
 	return prunedIDs
+}
+
+// countAbove counts buffered candidates, across every entry, scoring strictly
+// above t, stopping once it reaches limit.
+func (rm *RankMerge) countAbove(t float64, limit int) int {
+	n := 0
+	for _, e := range rm.Entries {
+		if n >= limit {
+			break
+		}
+		n += e.buffer.countAbove(0, t, limit-n)
+	}
+	return n
+}
+
+// countAbove counts the candidates scoring strictly above t in the subtree
+// rooted at i, up to limit. A max-heap's subtree holds nothing above t once
+// its root does not, so the walk visits at most about twice what it counts.
+func (h candidateHeap) countAbove(i int, t float64, limit int) int {
+	if limit <= 0 || i >= len(h) || !(h[i].score > t) {
+		return 0
+	}
+	n := 1
+	n += h.countAbove(2*i+1, t, limit-n)
+	n += h.countAbove(2*i+2, t, limit-n)
+	return n
 }
 
 func (rm *RankMerge) finish() {
@@ -459,38 +501,4 @@ func (rm *RankMerge) finish() {
 			e.State = Complete
 		}
 	}
-}
-
-// quickSelectDesc returns the n'th largest value (1-based) of xs.
-func quickSelectDesc(xs []float64, n int) float64 {
-	if n < 1 || n > len(xs) {
-		panic(fmt.Sprintf("operator: quickSelect n=%d of %d", n, len(xs)))
-	}
-	lo, hi := 0, len(xs)-1
-	k := n - 1
-	for lo < hi {
-		p := xs[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] > p {
-				i++
-			}
-			for xs[j] < p {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
-	return xs[k]
 }

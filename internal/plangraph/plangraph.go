@@ -55,8 +55,6 @@ type Edge struct {
 
 // Node is one operator in the plan graph.
 type Node struct {
-	// ID is a stable creation sequence number (deterministic ordering).
-	ID int
 	// Key identifies the node: scope-prefixed canonical expression key.
 	Key string
 	// Expr is the expression the node computes; row parts align with
@@ -103,10 +101,9 @@ type Graph struct {
 	// a UQ or CQ id isolates plans (ATC-UQ / ATC-CQ baselines).
 	Scope string
 
-	nodes  map[string]*Node
-	byID   []*Node
-	ends   map[string]*Endpoint // by CQ id
-	nextID int
+	nodes map[string]*Node
+	order []*Node
+	ends  map[string]*Endpoint // by CQ id
 }
 
 // New creates an empty graph with the given sharing scope.
@@ -138,7 +135,7 @@ func (g *Graph) NodeKey(kind Kind, exprKey string) string {
 func (g *Graph) Node(key string) *Node { return g.nodes[key] }
 
 // Nodes returns all nodes in creation order.
-func (g *Graph) Nodes() []*Node { return g.byID }
+func (g *Graph) Nodes() []*Node { return g.order }
 
 // Endpoint returns the endpoint of a CQ, or nil.
 func (g *Graph) Endpoint(cqID string) *Endpoint { return g.ends[cqID] }
@@ -159,10 +156,9 @@ func (g *Graph) EnsureNode(kind Kind, expr *cq.Expr, db string) *Node {
 	if n, ok := g.nodes[key]; ok {
 		return n
 	}
-	n := &Node{ID: g.nextID, Key: key, Expr: expr, Kind: kind, DB: db}
-	g.nextID++
+	n := &Node{Key: key, Expr: expr, Kind: kind, DB: db}
 	g.nodes[key] = n
-	g.byID = append(g.byID, n)
+	g.order = append(g.order, n)
 	return n
 }
 
@@ -229,9 +225,9 @@ func (g *Graph) Detach(n *Node) {
 // detached its edges.
 func (g *Graph) RemoveNode(n *Node) {
 	delete(g.nodes, n.Key)
-	for i, x := range g.byID {
+	for i, x := range g.order {
 		if x == n {
-			g.byID = append(g.byID[:i], g.byID[i+1:]...)
+			g.order = append(g.order[:i], g.order[i+1:]...)
 			break
 		}
 	}
@@ -248,7 +244,7 @@ func (g *Graph) PruneOrphans(eligible map[*Node]bool) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, n := range append([]*Node(nil), g.byID...) {
+		for _, n := range append([]*Node(nil), g.order...) {
 			if n.Kind != Join || len(n.Consumers) > 0 || endpointNodes[n] || !eligible[n] {
 				continue
 			}
@@ -270,7 +266,7 @@ func (g *Graph) PruneOrphans(eligible map[*Node]bool) {
 // bijective onto consumer positions, every endpoint's node covering the full
 // query with matching relations, and acyclicity.
 func (g *Graph) Validate() error {
-	for _, n := range g.byID {
+	for _, n := range g.order {
 		if n.Kind == Join {
 			if len(n.Inputs) < 2 {
 				return fmt.Errorf("plangraph: join node %s has %d inputs", n.Key, len(n.Inputs))
@@ -341,7 +337,7 @@ func (g *Graph) checkAcyclic() error {
 		state[n] = 2
 		return nil
 	}
-	for _, n := range g.byID {
+	for _, n := range g.order {
 		if err := visit(n); err != nil {
 			return err
 		}
@@ -357,7 +353,7 @@ type Stats struct {
 // Stats computes summary counts.
 func (g *Graph) Stats() Stats {
 	var s Stats
-	for _, n := range g.byID {
+	for _, n := range g.order {
 		switch n.Kind {
 		case Join:
 			s.Joins++
@@ -372,11 +368,17 @@ func (g *Graph) Stats() Stats {
 	return s
 }
 
-// Dump renders the graph for debugging.
+// Dump renders the graph for debugging, naming each node by its position in
+// creation order: a build that created and pruned a transient node renders
+// the same graph as one that never created it.
 func (g *Graph) Dump() string {
+	pos := make(map[*Node]int, len(g.order))
+	for i, n := range g.order {
+		pos[n] = i
+	}
 	var b strings.Builder
-	for _, n := range g.byID {
-		fmt.Fprintf(&b, "[%d] %s %s", n.ID, n.Kind, n.Key)
+	for i, n := range g.order {
+		fmt.Fprintf(&b, "[%d] %s %s", i, n.Kind, n.Key)
 		if len(n.Inputs) > 0 {
 			b.WriteString(" <- ")
 			for i, e := range n.Inputs {
@@ -387,13 +389,13 @@ func (g *Graph) Dump() string {
 				if e.Probe {
 					tag = " (probe)"
 				}
-				fmt.Fprintf(&b, "[%d]%s", e.From.ID, tag)
+				fmt.Fprintf(&b, "[%d]%s", pos[e.From], tag)
 			}
 		}
 		b.WriteByte('\n')
 	}
 	for _, ep := range g.Endpoints() {
-		fmt.Fprintf(&b, "endpoint %s -> [%d]\n", ep.CQ.ID, ep.Node.ID)
+		fmt.Fprintf(&b, "endpoint %s -> [%d]\n", ep.CQ.ID, pos[ep.Node])
 	}
 	return b.String()
 }

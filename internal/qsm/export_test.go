@@ -19,3 +19,7 @@ func (m *Manager) PlanFor(qs []*cq.CQ, cfg mqo.Config) (res *mqo.Result, hit boo
 	out := m.optimizeGroups([]optGroup{{qs: qs}}, cfg, report)
 	return out[0].res, report.PlanCacheHits == 1, out[0].err
 }
+
+// SetForceBuild makes every graft of m run factorize.Build, as a reference
+// for the direct graft a live graft record allows.
+func SetForceBuild(m *Manager, on bool) { m.forceBuild = on }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/cq"
 	"repro/internal/mqo"
+	"repro/internal/plangraph"
 )
 
 // The plan cache shares the optimizer's own work across arrivals: keyword
@@ -21,6 +22,12 @@ import (
 // segment and a topic import all force a miss by construction, and a hit
 // returns exactly what the search would: the cache changes when a plan is
 // found, never which plan.
+//
+// An entry also remembers where its plan last went in the graph (graftRecord):
+// the plan graph is the plan cache's second half. While every node a record
+// names is still the live node under its key, factorize.Build over the same
+// assignment would find all of them and create nothing that survives, so a hit
+// re-points its queries' endpoints from the record and skips Build.
 
 // planCacheCap bounds the cache in entries (least recently used goes first).
 // An entry is a few KB — a handful of inputs and one read per AND-OR memo
@@ -39,6 +46,9 @@ type PlanCacheStats struct {
 	Stale int64
 	// Entries is the current size (at most planCacheCap).
 	Entries int
+	// DirectGrafts counts the groups grafted from an entry's graft record,
+	// without running factorize.Build.
+	DirectGrafts int64
 }
 
 // planKey identifies a group: its query bodies in canonical order and the
@@ -87,6 +97,48 @@ type planEntry struct {
 	cost       float64
 	candidates int
 	reads      []planRead
+	graft      *graftRecord
+}
+
+// graftRecord is what the entry's last factorize.Build grafted, under one
+// graph scope: per canonical position the query's terminal node and endpoint
+// atom map, and per input (in the entries' input order) its source node.
+// It holds detached nodes only to compare them by identity; their execution
+// state lives in the ATC and goes with them.
+type graftRecord struct {
+	scope     string
+	terminals []*plangraph.Node
+	atomMaps  [][]int
+	inputs    []*plangraph.Node
+}
+
+// recordGraft notes the graft factorize.Build just made for order.
+func (e *planEntry) recordGraft(g *plangraph.Graph, order []*cq.CQ, inputs []*plangraph.Node) {
+	r := &graftRecord{scope: g.Scope, inputs: inputs,
+		terminals: make([]*plangraph.Node, len(order)), atomMaps: make([][]int, len(order))}
+	for pos, q := range order {
+		ep := g.Endpoint(q.ID)
+		r.terminals[pos], r.atomMaps[pos] = ep.Node, ep.AtomMap
+	}
+	e.graft = r
+}
+
+// liveGraft returns the entry's graft record if it applies to g as it stands:
+// same scope, and every node it names still the live node under its key (a
+// node evicted and re-created since is a different node).
+func (e *planEntry) liveGraft(g *plangraph.Graph) *graftRecord {
+	r := e.graft
+	if r == nil || r.scope != g.Scope {
+		return nil
+	}
+	for _, ns := range [][]*plangraph.Node{r.terminals, r.inputs} {
+		for _, n := range ns {
+			if g.Node(n.Key) != n {
+				return nil
+			}
+		}
+	}
+	return r
 }
 
 // newPlanEntry captures a finished search: the assignment with query ids

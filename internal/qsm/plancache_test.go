@@ -2,6 +2,7 @@ package qsm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/batcher"
@@ -299,5 +300,85 @@ func TestPlanCacheTenGroupBatch(t *testing.T) {
 				t.Fatalf("batch %d: twin %d's answers differ from group %d's", round, i, i-len(bodies))
 			}
 		}
+	}
+}
+
+// TestDirectGraftNeedsLiveNodes pins the graft record's validity rule: a hit
+// grafts from the record only while every node it names is still the live
+// node under its key. A spill eviction detaches the nodes yet keeps the entry
+// fresh, so the next hit must run factorize.Build; the record that Build
+// leaves names the re-created nodes, and the old one — same keys, other
+// nodes — no longer applies.
+func TestDirectGraftNeedsLiveNodes(t *testing.T) {
+	m, env := internalRig(t)
+	if err := m.EnableSpill(t.TempDir(), m.DefaultResolver()); err != nil {
+		t.Fatal(err)
+	}
+	defer m.State.Close() //nolint:errcheck
+	n := 0
+	arrive := func() (hit, direct bool) {
+		t.Helper()
+		n++
+		before := m.PlanCacheStats()
+		uq := cacheSuite(n)
+		runInternalUQ(t, m, env, uq)
+		m.ATC.Forget(uq.ID)
+		after := m.PlanCacheStats()
+		return after.Hits > before.Hits, after.DirectGrafts > before.DirectGrafts
+	}
+	for settled := false; !settled; {
+		if n == 5 {
+			t.Fatal("no repeat was grafted directly")
+		}
+		_, settled = arrive()
+	}
+	entry := m.plans.lru.Front().Value.(*planEntry)
+	old := entry.graft
+
+	m.MemoryBudget = 1
+	m.EnforceBudget(m.ATC.Epoch())
+	m.MemoryBudget = 0
+	if entry.liveGraft(m.Graph) != nil {
+		t.Fatal("the record of evicted nodes still applies")
+	}
+	if hit, direct := arrive(); !hit || direct {
+		t.Fatalf("arrival after the eviction: hit=%v direct=%v; want a hit grafted by factorize.Build", hit, direct)
+	}
+	for _, n := range old.terminals {
+		if live := m.Graph.Node(n.Key); live == nil || live == n {
+			t.Fatalf("terminal %s was not re-created", n.Key)
+		}
+	}
+	if (&planEntry{graft: old}).liveGraft(m.Graph) != nil {
+		t.Fatal("a record of nodes since re-created under the same keys still applies")
+	}
+	if hit, direct := arrive(); !hit || !direct {
+		t.Fatalf("arrival after the rebuild: hit=%v direct=%v; want a direct graft", hit, direct)
+	}
+}
+
+// TestDirectGraftKeepsScope runs the recurring query under ATC-UQ, where
+// each user query grafts into its own scope: a plan-cache hit must still
+// build in the arrival's scope, never graft onto another query's nodes.
+func TestDirectGraftKeepsScope(t *testing.T) {
+	m, env := internalRig(t)
+	m.Mode = ShareWithinUQ
+	for n := 1; n <= 4; n++ {
+		uq := cacheSuite(n)
+		if _, err := m.Admit([]batcher.Submission{{At: env.Clock.Now(), UQ: uq}}, mqo.Config{K: uq.K}); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range uq.CQs {
+			if key := m.Graph.Endpoint(q.ID).Node.Key; !strings.HasPrefix(key, uq.ID+"::") {
+				t.Fatalf("%s ends at %s, outside its scope", q.ID, key)
+			}
+		}
+		for m.ATC.RunRound() {
+		}
+		m.SyncCatalog()
+		m.ATC.Forget(uq.ID)
+	}
+	if st := m.PlanCacheStats(); st.Hits == 0 || st.DirectGrafts != 0 {
+		t.Fatalf("plan cache %+v: want hits and no direct graft", st)
 	}
 }

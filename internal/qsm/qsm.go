@@ -101,6 +101,9 @@ type Manager struct {
 	// plans caches optimizer decisions across admissions (plancache.go); it
 	// lives exactly as long as the catalog fork its read sets refer to.
 	plans *planCache
+	// forceBuild makes every graft run factorize.Build, ignoring graft
+	// records (set only by tests, as the reference side of a differential).
+	forceBuild bool
 }
 
 // New creates a manager, wiring a fresh execution-state subsystem (ledger +
@@ -210,36 +213,25 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (*AdmitReport
 	optResults := m.optimizeGroups(groups, cfg, report)
 
 	for gi, g := range groups {
-		res := optResults[gi].res
-		if err := optResults[gi].err; err != nil {
-			return nil, fmt.Errorf("qsm: optimize %q: %w", g.scope, err)
+		r := optResults[gi]
+		if r.err != nil {
+			return nil, fmt.Errorf("qsm: optimize %q: %w", g.scope, r.err)
 		}
-		if err := mqo.Validate(g.qs, res.Inputs); err != nil {
+		if err := mqo.Validate(g.qs, r.res.Inputs); err != nil {
 			return nil, fmt.Errorf("qsm: invalid assignment for %q: %w", g.scope, err)
 		}
 		prevScope := m.Graph.Scope
 		m.Graph.Scope = g.scope
-		err := factorize.Build(m.Graph, g.qs, res.Inputs, m.Cat)
+		nodes, err := m.graft(r)
+		m.Graph.Scope = prevScope
 		if err != nil {
-			m.Graph.Scope = prevScope
 			return nil, fmt.Errorf("qsm: factorize %q: %w", g.scope, err)
 		}
-		// Capture per-CQ streaming inputs while the scope is in effect.
-		for _, in := range res.Inputs {
-			kind := plangraph.SourceStream
-			if in.Mode == costmodel.Probe {
-				kind = plangraph.SourceProbe
-			}
-			node := m.Graph.Node(m.Graph.NodeKey(kind, in.Expr.Key()))
-			if node == nil {
-				m.Graph.Scope = prevScope
-				return nil, fmt.Errorf("qsm: input node %s vanished", in.Expr.Key())
-			}
+		for i, in := range r.res.Inputs {
 			for cqID, occ := range in.Uses {
-				inputsByCQ[cqID] = append(inputsByCQ[cqID], cqInput{node: node, mode: in.Mode, occ: occ})
+				inputsByCQ[cqID] = append(inputsByCQ[cqID], cqInput{node: nodes[i], mode: in.Mode, occ: occ})
 			}
 		}
-		m.Graph.Scope = prevScope
 	}
 	// The paper includes optimization time in measured response times.
 	if m.ChargeOptimizer {
@@ -287,11 +279,7 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (*AdmitReport
 				return nil, fmt.Errorf("qsm: %s has no streaming groups", q.ID)
 			}
 			sink := operator.NewEndpointSink(entry, ep.AtomMap)
-			// Seed the entry with results the graph computed before this
-			// epoch (pure reuse; no source reads are charged).
-			for _, row := range x.Log.BeforeSorted(epoch) {
-				sink.Offer(m.ATC.Env, row)
-			}
+			sink.Seed(m.ATC.Env, x.Log, epoch)
 			m.ATC.AttachCQ(q.ID, x, sink)
 			entries = append(entries, entry)
 		}
@@ -304,10 +292,48 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (*AdmitReport
 	return report, nil
 }
 
-// optResult carries one group's optimization outcome.
+// optResult carries one group's optimization outcome: the assignment, the
+// group's queries in canonical order, and the plan-cache entry that holds the
+// assignment (nil when none does).
 type optResult struct {
-	res *mqo.Result
-	err error
+	res   *mqo.Result
+	err   error
+	order []*cq.CQ
+	entry *planEntry
+}
+
+// graft puts one group's assignment into the graph under the current scope
+// and returns each input's node, in the assignment's input order. An entry
+// whose graft record is still live only re-points its queries' endpoints;
+// otherwise factorize.Build runs — the only code that creates graph
+// structure — and the entry records what it produced.
+func (m *Manager) graft(r optResult) ([]*plangraph.Node, error) {
+	if r.entry != nil && !m.forceBuild {
+		if rec := r.entry.liveGraft(m.Graph); rec != nil {
+			for pos, q := range r.order {
+				m.Graph.SetEndpoint(q, rec.terminals[pos], rec.atomMaps[pos])
+			}
+			m.plans.stats.DirectGrafts++
+			return rec.inputs, nil
+		}
+	}
+	if err := factorize.Build(m.Graph, r.order, r.res.Inputs, m.Cat); err != nil {
+		return nil, err
+	}
+	nodes := make([]*plangraph.Node, len(r.res.Inputs))
+	for i, in := range r.res.Inputs {
+		kind := plangraph.SourceStream
+		if in.Mode == costmodel.Probe {
+			kind = plangraph.SourceProbe
+		}
+		if nodes[i] = m.Graph.Node(m.Graph.NodeKey(kind, in.Expr.Key())); nodes[i] == nil {
+			return nil, fmt.Errorf("input node %s vanished", in.Expr.Key())
+		}
+	}
+	if r.entry != nil {
+		r.entry.recordGraft(m.Graph, r.order, nodes)
+	}
+	return nodes, nil
 }
 
 // optimizeGroups produces every group's input assignment: from the plan cache
@@ -345,7 +371,7 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 		start := time.Now() //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
 		res, err := mqo.Optimize(orders[i], m.CM, cfg)
 		report.OptimizeWall += time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
-		out[i] = optResult{res: res, err: err}
+		out[i] = optResult{res: res, err: err, order: orders[i]}
 	}
 	for _, i := range search {
 		run(i)
@@ -357,6 +383,7 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 		if out[i].err == nil {
 			entries[i] = newPlanEntry(keys[i], orders[i], out[i].res, m.Cat)
 			m.plans.insert(entries[i])
+			out[i].entry = entries[i]
 		}
 	}
 	report.OptimizeWall += time.Since(start) //qsys:allow wallclock: intentional §7 semantics — the paper charges measured optimization wall time into response time (opt-in ChargeOptimizer); stats-only otherwise
@@ -392,7 +419,7 @@ func bindPlan(e *planEntry, order []*cq.CQ) optResult {
 			return optResult{err: err}
 		}
 	}
-	return optResult{res: e.bind(order)}
+	return optResult{res: e.bind(order), order: order, entry: e}
 }
 
 // groups splits the batch into optimization units per the sharing mode.

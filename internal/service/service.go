@@ -200,9 +200,9 @@ type Stats struct {
 	// Service holds the request-lifecycle counters, batch occupancy and
 	// latency distributions.
 	Service metrics.ServiceSnapshot
-	// Work sums execution counters across engines. Work.ReplayTuples over
-	// Work.TuplesConsumed+ReplayTuples is the shared-work fraction: rows that
-	// were served from retained state instead of being re-fetched.
+	// Work sums execution counters across engines; SharedSplit derives from
+	// it the share of rows served from retained state instead of being
+	// re-fetched.
 	Work metrics.Snapshot
 	// Router reports the front desk's placement decisions and each engine's
 	// decaying resident keyword set (zero for a lone engine).
@@ -260,8 +260,9 @@ type ShardStats struct {
 	Now time.Duration
 }
 
-// SharedSplit classifies processed rows by provenance: replayed from
-// retained memory state, restored from spilled segments on disk, or fetched
+// SharedSplit classifies processed rows by provenance: shared from retained
+// memory state (rows revives replayed plus pre-epoch log rows grafts seeded
+// their endpoints with), restored from spilled segments on disk, or fetched
 // fresh from the remote sources. Fractions sum to 1 when any row flowed.
 type SharedSplit struct {
 	MemoryHit float64 `json:"memory_hit"`
@@ -278,7 +279,7 @@ func (st Stats) SharedFraction() float64 {
 
 // SharedSplit computes the provenance split from the work counters.
 func (st Stats) SharedSplit() SharedSplit {
-	mem := float64(st.Work.ReplayTuples)
+	mem := float64(st.Work.ReplayTuples + st.Work.SeededRows)
 	disk := float64(st.Work.SpillRowsRead)
 	fresh := float64(st.Work.TuplesConsumed())
 	total := mem + disk + fresh
