@@ -468,6 +468,15 @@ func (rm *RankMerge) prune() []string {
 	return prunedIDs
 }
 
+func (rm *RankMerge) finish() {
+	rm.done = true
+	for _, e := range rm.Entries {
+		if e.State == Active || e.State == Pending {
+			e.State = Complete
+		}
+	}
+}
+
 // countAbove counts buffered candidates, across every entry, scoring strictly
 // above t, stopping once it reaches limit.
 func (rm *RankMerge) countAbove(t float64, limit int) int {
@@ -492,13 +501,4 @@ func (h candidateHeap) countAbove(i int, t float64, limit int) int {
 	n += h.countAbove(2*i+1, t, limit-n)
 	n += h.countAbove(2*i+2, t, limit-n)
 	return n
-}
-
-func (rm *RankMerge) finish() {
-	rm.done = true
-	for _, e := range rm.Entries {
-		if e.State == Active || e.State == Pending {
-			e.State = Complete
-		}
-	}
 }

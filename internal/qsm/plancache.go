@@ -102,7 +102,7 @@ type planEntry struct {
 
 // graftRecord is what the entry's last factorize.Build grafted, under one
 // graph scope: per canonical position the query's terminal node and endpoint
-// atom map, and per input (in the entries' input order) its source node.
+// atom map, and per input (in the entry's input order) its source node.
 // It holds detached nodes only to compare them by identity; their execution
 // state lives in the ATC and goes with them.
 type graftRecord struct {
