@@ -5,8 +5,8 @@
 // shared plan graphs (§4–§6) — the paper's middleware as an online daemon.
 //
 // Both of its modes run one fleet.Frontend — candidate expansion, rate
-// limits, shard placement (the affinity router), health-checked routing,
-// live topic migration and stats aggregation — over N engines:
+// limits, shard placement (the affinity router), health-checked routing
+// and stats aggregation — over N engines:
 //
 //   - Single-process (default): -shards engines live in this process.
 //   - Front-end (-fleet url,url,...): qsys-shard processes own the engines,
@@ -21,7 +21,7 @@
 //	           [-window 25ms] [-batch 5] [-shards 1]
 //	           [-router affinity|hash] [-k 50] [-memory-budget 0]
 //	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
-//	           [-fleet URL,URL,...] [-probe-interval 2s] [-rehome-factor 0]
+//	           [-fleet URL,URL,...] [-probe-interval 2s]
 //	           [-user-rate 0] [-total-rate 0] [-max-pending 0]
 //	           [-deadline 0] [-adaptive-window] [-max-inflight 0] [-redispatch]
 //
@@ -70,7 +70,6 @@ func main() {
 	f.Bind(flag.CommandLine, service.ServerFlags|service.FrontDeskFlags)
 	fleetList := flag.String("fleet", "", "comma-separated qsys-shard endpoints; enables front-end mode (this process runs no engine)")
 	probeEvery := flag.Duration("probe-interval", 2*time.Second, "front-end health-probe period (0 disables background probing)")
-	rehome := flag.Float64("rehome-factor", 0, "front-end live-migration hysteresis: migrate a topic when another shard's affinity mass exceeds its home's by this factor (0 disables; >= 2 sensible)")
 	redispatch := flag.Bool("redispatch", false, "front-end mode: resubmit a search to another healthy shard after confirming its shard crashed with the query in flight (process gone, or journaled as a recovered abort by the restart)")
 	if err := f.Parse(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "qsys-serve:", err)
@@ -102,7 +101,6 @@ func main() {
 		fr, err = fleet.NewFrontend(w, fleet.FrontendConfig{
 			Service:       cfg,
 			ProbeInterval: *probeEvery,
-			RehomeFactor:  *rehome,
 			Metrics:       fm,
 			Redispatch:    *redispatch,
 		}, backends)
@@ -110,8 +108,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		log.Printf("qsys-serve: front-end for %d shard endpoints (router=%s rehome=%.1f)",
-			len(backends), cfg.Router, *rehome)
+		log.Printf("qsys-serve: front-end for %d shard endpoints (router=%s)",
+			len(backends), cfg.Router)
 	} else {
 		fr, err = fleet.NewLocal(w, cfg)
 		if err != nil {

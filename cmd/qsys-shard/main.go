@@ -20,13 +20,11 @@
 //
 // Endpoints:
 //
-//	POST /rpc/search          expanded user query → ranked answers
-//	GET  /rpc/stats           engine + serving counters
-//	GET  /rpc/health          health/drain/recovery state
-//	GET  /rpc/recovered       queries journaled in flight at the last crash
-//	POST /rpc/migrate/export  serialize + discard a topic's idle state
-//	POST /rpc/migrate/import  stage a migrated topic behind the consistency gate
-//	POST /rpc/drain           stop admissions, finish in-flight, hand state off
+//	POST /rpc/search     expanded user query → ranked answers
+//	GET  /rpc/stats      engine + serving counters
+//	GET  /rpc/health     health/drain/recovery state
+//	GET  /rpc/recovered  queries journaled in flight at the last crash
+//	POST /rpc/drain      stop admissions, finish in-flight, answer with health
 //
 // -recover-dir enables the crash-recovery tier: retained plan state is
 // checkpointed there every -checkpoint-interval (atomic generation-numbered
@@ -38,8 +36,9 @@
 //
 // SIGTERM/SIGINT drains gracefully: new searches are rejected as retryable,
 // in-flight searches finish, and the engine shuts down with its state-teardown
-// error logged rather than swallowed. SIGKILL is the crash the recovery tier
-// is for.
+// error logged rather than swallowed. The drain leaves the retained state in
+// place, so the last checkpoint stays warm and a restart over the same
+// -recover-dir recovers it. SIGKILL is the crash the recovery tier is for.
 package main
 
 import (
@@ -65,7 +64,7 @@ func main() {
 		EvictPolicy: "lru", CheckpointInterval: 5 * time.Second,
 	}}
 	f.Bind(flag.CommandLine, service.ServerFlags|service.ShardFlags)
-	drainDeadline := flag.Duration("drain-deadline", 0, "bound the drain's wait for in-flight searches; past it they are aborted so the state handoff completes (0 = 60s default)")
+	drainDeadline := flag.Duration("drain-deadline", 0, "bound the drain's wait for in-flight searches; past it they are aborted (0 = 60s default)")
 	if err := f.Parse(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "qsys-shard:", err)
 		os.Exit(2)
@@ -117,7 +116,7 @@ func main() {
 	defer cancel()
 	// Drain first — new searches 503 as retryable while in-flight ones
 	// finish — then stop the listener and tear the engine down.
-	if _, err := shard.Drain(shutdownCtx); err != nil {
+	if err := shard.Drain(shutdownCtx); err != nil {
 		log.Printf("qsys-shard: drain: %v", err)
 	}
 	if err := server.Shutdown(shutdownCtx); err != nil {

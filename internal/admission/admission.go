@@ -35,7 +35,7 @@ const (
 	// canceled and unlinked from the plan graph.
 	ReasonDeadline = "deadline"
 	// ReasonDrain: the request was aborted by a drain deadline so the shard
-	// could complete its state handoff.
+	// could finish shutting down.
 	ReasonDrain = "drain"
 	// ReasonRecoveredAbort: the admission journal of a crashed-and-restarted
 	// shard proves the query was in flight when the process died. The merge

@@ -47,14 +47,6 @@ type MergeState struct {
 	// layer turns it into a failed search response instead of letting it
 	// take down the process.
 	Err error
-
-	// nodeKeys is the merge's plan-graph footprint: every node its execution
-	// can touch, captured once at submission and immutable afterwards —
-	// sound because a registered rank-merge is never extended (the state
-	// manager builds a fresh merge per user query; operator.AddEntry has no
-	// engine caller), and unlinking only ever shrinks what a merge touches.
-	// Topic migration reads it; see migrate.go.
-	nodeKeys []string
 }
 
 // Latency returns the user query's response time.
@@ -110,9 +102,9 @@ type ATC struct {
 	// re-creation can be classified as a revival from spill or from source
 	// replay (the shared-fraction split the serving stats report).
 	evictedKeys map[string]bool
-	// staged holds migrated-in segments awaiting revival (migrate.go); they
-	// are consumed by restoreStream/restoreJoin ahead of the disk tier and
-	// behind the same consistency gate.
+	// staged holds imported checkpoint segments awaiting revival
+	// (migrate.go); they are consumed by restoreStream/restoreJoin ahead of
+	// the disk tier and behind the same consistency gate.
 	staged map[string]stagedSeg
 }
 
@@ -160,10 +152,9 @@ func (a *ATC) Merges() []*MergeState { return a.merges }
 // MergeByUQ returns the merge state for a user query id, or nil.
 func (a *ATC) MergeByUQ(uqID string) *MergeState { return a.byUQ[uqID] }
 
-// AddMerge registers a user query's rank-merge and captures its plan-graph
-// footprint for topic migration.
+// AddMerge registers a user query's rank-merge.
 func (a *ATC) AddMerge(rm *operator.RankMerge, arrival time.Duration) *MergeState {
-	m := &MergeState{RM: rm, Arrival: arrival, nodeKeys: a.mergeFootprint(rm)}
+	m := &MergeState{RM: rm, Arrival: arrival}
 	a.merges = append(a.merges, m)
 	a.active = append(a.active, m)
 	a.byUQ[rm.UQ.ID] = m
@@ -257,7 +248,7 @@ func (a *ATC) restoreStream(n *plangraph.Node, x *operator.NodeExec) {
 	if seg, ok := a.takeStaged(n.Key); ok {
 		snap := seg.snap
 		if snap.Kind != int(plangraph.SourceStream) || snap.StreamPos > x.Stream.Len() {
-			// The migrated prefix does not match this shard's view of the
+			// The staged prefix does not match this shard's view of the
 			// source: it is lost, so the catalog must stop pricing it as
 			// buffered and the stream re-derives from source replay.
 			a.Env.Metrics.AddMigrationDrop()
@@ -363,7 +354,7 @@ func (a *ATC) SpillNode(n *plangraph.Node) bool {
 //
 // Recovery re-joins every row of the driving module, so it runs only when
 // the log can be missing a combination: the exec is new, its state was
-// restored from a spill or migration segment, or the top-up added a row. A
+// restored from a spill or staged segment, or the top-up added a row. A
 // node parked with complete history whose modules gained nothing still logs
 // every combination of its module rows — parking touches neither — so it
 // is only re-bound, at no join work.

@@ -235,8 +235,9 @@ func TestReviveAfterParentAdvancedRecovers(t *testing.T) {
 }
 
 // TestReviveRestoredSegmentRecovers: a node reinstalled from a spill segment
-// or a staged migration segment always runs full recovery, charging exactly
-// what the always-recover path charges.
+// or from a staged segment — a checkpoint imported into a fresh engine,
+// whose reinstalls the work counters count as migration restores — always
+// runs full recovery, charging exactly what the always-recover path charges.
 func TestReviveRestoredSegmentRecovers(t *testing.T) {
 	first := starUQ("CQ1", "", 15, []float64{1, 1, 1})
 	again := func() *cq.UQ { return starUQ("CQ2", "", 15, []float64{0.9, 1, 1}) }
@@ -276,9 +277,9 @@ func TestReviveRestoredSegmentRecovers(t *testing.T) {
 			src := newSplitHarness(t, 7, 50, 150, 40)
 			src.graft(t, first)
 			src.finish(t, first.ID)
-			exp := src.mgr.ExportNodes(nil)
+			exp := src.mgr.CheckpointExport()
 			if len(exp.Segments) == 0 {
-				t.Fatal("nothing exported")
+				t.Fatal("nothing checkpointed")
 			}
 			h := newSplitHarness(t, 7, 50, 150, 40)
 			atc.SetForceRecover(h.ctrl, force)
@@ -295,7 +296,7 @@ func TestReviveRestoredSegmentRecovers(t *testing.T) {
 			t.Fatal("no staged segment was reinstalled; the case proves nothing")
 		}
 		if rw.replay == 0 || rw != fw {
-			t.Fatalf("revival from a migrated segment charged %+v, forced recovery %+v; want equal and replaying", rw, fw)
+			t.Fatalf("revival from a staged segment charged %+v, forced recovery %+v; want equal and replaying", rw, fw)
 		}
 		sameAnswers(t, "migration", ra, fa)
 		sameLogs(t, "migration", rh.logs(), fh.logs())

@@ -314,70 +314,3 @@ func jaccard(a, b map[int]bool) float64 {
 	}
 	return float64(inter) / float64(union)
 }
-
-// Transfer moves the decayed per-keyword mass of a migrated topic from one
-// group's resident set to another's, along with the matching share of load.
-// The serving tier calls it when a topic's retained state physically moves
-// between shards, so the affinity index keeps describing where state actually
-// lives instead of re-learning the move over a half-life.
-func (a *Affinity) Transfer(from, to int, keywords []string) {
-	if from < 0 || from >= a.groups || to < 0 || to >= a.groups || from == to {
-		return
-	}
-	src, dst := a.sets[from], a.sets[to]
-	moved := 0.0
-	for _, kw := range keywords {
-		e := src[kw]
-		w := a.decayed(e)
-		if w == 0 {
-			continue
-		}
-		delete(src, kw)
-		d := dst[kw]
-		if d == nil {
-			d = &affEntry{}
-			dst[kw] = d
-		}
-		d.w = a.decayed(d) + w
-		d.tick = a.tick
-		moved += w
-	}
-	if moved == 0 {
-		return
-	}
-	fl := &a.load[from]
-	if w := a.decayed(fl) - moved; w > 0 {
-		fl.w = w
-	} else {
-		fl.w = 0
-	}
-	fl.tick = a.tick
-	tl := &a.load[to]
-	tl.w = a.decayed(tl) + moved
-	tl.tick = a.tick
-}
-
-// ShouldRehome decides whether a topic pinned to group cur has drifted: some
-// other group now holds at least factor× cur's decayed mass on the topic's
-// keywords (and a non-trivial amount of it). It returns the better group and
-// whether migrating there would follow the state. Factor > 1 adds hysteresis
-// so a topic does not oscillate between groups trading the lead.
-func (a *Affinity) ShouldRehome(cur int, keywords []string, factor float64) (int, bool) {
-	if cur < 0 || cur >= a.groups || len(keywords) == 0 || factor < 1 {
-		return cur, false
-	}
-	curMass := a.Mass(cur, keywords)
-	best, bestMass := cur, curMass
-	for g := 0; g < a.groups; g++ {
-		if g == cur {
-			continue
-		}
-		if m := a.Mass(g, keywords); m > bestMass {
-			best, bestMass = g, m
-		}
-	}
-	if best == cur || bestMass < 1 || bestMass < curMass*factor {
-		return cur, false
-	}
-	return best, true
-}

@@ -105,9 +105,6 @@ func (p *Pipeline) Drain() {
 	p.Manager.SyncCatalog()
 }
 
-// Results returns the finished user queries' rank-merge states.
-func (p *Pipeline) Results() []*atc.MergeState { return p.ATC.Merges() }
-
 // Snapshot reports accumulated work (Figure 8/10 counters).
 func (p *Pipeline) Snapshot() metrics.Snapshot { return p.Env.Metrics.Snapshot() }
 

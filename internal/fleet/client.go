@@ -17,7 +17,6 @@ import (
 	"repro/internal/cq"
 	"repro/internal/metrics"
 	"repro/internal/service"
-	"repro/internal/state"
 )
 
 // RPCError is a non-2xx response from a shard. Retryable is the shard's own
@@ -329,29 +328,4 @@ func (c *Client) Stats(ctx context.Context) (*service.Stats, error) {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// Export asks the shard to serialize and discard the topic's idle state.
-func (c *Client) Export(ctx context.Context, keywords []string) (*state.TopicExport, error) {
-	var exp state.TopicExport
-	if err := c.call(ctx, "/rpc/migrate/export", exportRequest{Keywords: keywords}, &exp); err != nil {
-		return nil, err
-	}
-	return &exp, nil
-}
-
-// Import stages a migrated export on the shard.
-func (c *Client) Import(ctx context.Context, exp *state.TopicExport) (ImportCounts, error) {
-	var counts ImportCounts
-	err := c.call(ctx, "/rpc/migrate/import", exp, &counts)
-	return counts, err
-}
-
-// Drain stops the shard's admissions and collects its resident handoff.
-func (c *Client) Drain(ctx context.Context) (*state.TopicExport, error) {
-	var exp state.TopicExport
-	if err := c.call(ctx, "/rpc/drain", struct{}{}, &exp); err != nil {
-		return nil, err
-	}
-	return &exp, nil
 }

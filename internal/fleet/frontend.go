@@ -11,7 +11,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/metrics"
 	"repro/internal/service"
-	"repro/internal/state"
 	"repro/internal/workload"
 )
 
@@ -26,11 +25,6 @@ type FrontendConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 2s).
 	ProbeTimeout time.Duration
-	// RehomeFactor enables the topic migrator when > 1: after each search the
-	// placer may suggest migrating the topic to the shard whose admission
-	// mass on its keywords exceeds its pinned home's by this factor, and the
-	// front-end then moves the state over the migrate RPCs. 0 disables.
-	RehomeFactor float64
 	// Metrics receives fleet counters; nil allocates a private set.
 	Metrics *metrics.Fleet
 	// Redispatch resubmits a search to another healthy shard when its shard
@@ -51,7 +45,7 @@ var ErrNoHealthyShard = errors.New("fleet: no healthy shard")
 
 // Frontend is the front desk of every serving mode: it owns candidate
 // expansion (per-user scoring coefficients, UQ ids), rate limiting, shard
-// placement, health, migration and stats aggregation, but no engine state —
+// placement, health and stats aggregation, but no engine state —
 // everything it holds can be rebuilt by restarting it, at the cost of
 // re-expanding and re-routing from scratch. Its backends are engines in this
 // process (NewLocal) or shard processes over HTTP (NewClient).
@@ -62,7 +56,6 @@ type Frontend struct {
 	fm         *metrics.Fleet
 	adm        *admission.Controller // nil unless rate limits are configured
 	backends   []Backend
-	rehome     float64
 	redispatch bool
 
 	mu   sync.Mutex
@@ -97,7 +90,6 @@ func NewFrontend(w *workload.Workload, cfg FrontendConfig, backends []Backend) (
 		fm:         fm,
 		adm:        admission.NewController(svcCfg.Admission),
 		backends:   backends,
-		rehome:     cfg.RehomeFactor,
 		redispatch: cfg.Redispatch,
 		down:       make([]bool, len(backends)),
 		stop:       make(chan struct{}),
@@ -171,7 +163,6 @@ func (f *Frontend) Search(ctx context.Context, user string, keywords []string, k
 			view.Shard = sh
 			f.svc.WallLatency.Observe(time.Since(start))
 			f.svc.EngineLatency.Observe(time.Duration(view.EngineLatencyNS))
-			f.maybeRehome(ctx, keywords)
 			return view, nil
 		}
 		var rpcErr *RPCError
@@ -268,79 +259,6 @@ func (f *Frontend) confirmAborted(ctx context.Context, sh int, uqID string) bool
 		}
 	}
 	return false
-}
-
-// maybeRehome migrates the topic to its affinity-suggested home when the
-// migrator is enabled. Failures only log: migration is an optimization, and
-// a failed export/import leaves correctness to the consistency gate and
-// source replay.
-func (f *Frontend) maybeRehome(ctx context.Context, keywords []string) {
-	if f.rehome <= 1 {
-		return
-	}
-	from, to, ok := f.placer.SuggestRehome(keywords, f.rehome)
-	if !ok || !f.healthy(to) {
-		return
-	}
-	if err := f.MigrateTopic(ctx, keywords, from, to); err != nil {
-		log.Printf("fleet: rehome %v %d->%d: %v", keywords, from, to, err)
-	}
-}
-
-// MigrateTopic moves a topic's retained state between shards over the
-// migrate RPCs and re-pins the placer. The export is already detached from
-// the source when import runs; segments the target's consistency gate
-// rejects are dropped there and re-derived by source replay.
-func (f *Frontend) MigrateTopic(ctx context.Context, keywords []string, from, to int) error {
-	if from == to || from < 0 || to < 0 || from >= len(f.backends) || to >= len(f.backends) {
-		return fmt.Errorf("fleet: migrate %d -> %d out of range", from, to)
-	}
-	exp, err := f.backends[from].Export(ctx, keywords)
-	if err != nil {
-		return fmt.Errorf("fleet: export from shard %d: %w", from, err)
-	}
-	counts, err := f.backends[to].Import(ctx, exp)
-	if err != nil {
-		return fmt.Errorf("fleet: import into shard %d: %w", to, err)
-	}
-	f.placer.CommitRehome(keywords, from, to)
-	f.fm.Migrations.Inc()
-	f.fm.MigrationSegs.Add(int64(len(exp.Segments)))
-	f.fm.MigrationRows.Add(int64(counts.Rows))
-	f.fm.MigrationDrops.Add(int64(counts.Dropped))
-	return nil
-}
-
-// DrainBackend drains shard i — admissions stop, in-flight searches finish —
-// and imports its resident handoff into the first healthy other shard. The
-// drained backend stays registered but unroutable until a probe sees it
-// healthy again.
-func (f *Frontend) DrainBackend(ctx context.Context, i int) (*state.TopicExport, error) {
-	if i < 0 || i >= len(f.backends) {
-		return nil, fmt.Errorf("fleet: drain of unknown backend %d", i)
-	}
-	f.setDown(i, true)
-	exp, err := f.backends[i].Drain(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if len(exp.Segments) == 0 {
-		return exp, nil
-	}
-	for j := range f.backends {
-		if j == i || !f.healthy(j) {
-			continue
-		}
-		if _, err := f.backends[j].Import(ctx, exp); err != nil {
-			log.Printf("fleet: drain handoff to shard %d: %v", j, err)
-			continue
-		}
-		return exp, nil
-	}
-	// No healthy target: the state is simply gone, and the sources replay it
-	// on demand — the same contract as a rejected segment.
-	log.Printf("fleet: drain of shard %d found no healthy handoff target; %d segments dropped", i, len(exp.Segments))
-	return exp, nil
 }
 
 // HealthzView aggregates per-shard health for the front-end's /healthz.

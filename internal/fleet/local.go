@@ -5,13 +5,12 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/service"
-	"repro/internal/state"
 	"repro/internal/workload"
 )
 
 // Backend is one shard slot as the front-end sees it: an engine that answers
-// expanded user queries and can hand topic state off. Client speaks to a
-// shard process over HTTP; LocalBackend embeds the engine in-process.
+// expanded user queries. Client speaks to a shard process over HTTP;
+// LocalBackend embeds the engine in-process.
 type Backend interface {
 	// Search executes an expanded user query.
 	Search(ctx context.Context, uq *cq.UQ) (*ResultView, error)
@@ -22,13 +21,6 @@ type Backend interface {
 	Recovered(ctx context.Context) (RecoveredView, error)
 	// Stats snapshots the shard's serving and execution counters.
 	Stats(ctx context.Context) (*service.Stats, error)
-	// Export serializes and discards the topic's idle state on the shard.
-	Export(ctx context.Context, keywords []string) (*state.TopicExport, error)
-	// Import stages a migrated export behind the shard's consistency gate.
-	Import(ctx context.Context, exp *state.TopicExport) (ImportCounts, error)
-	// Drain stops the shard's admissions and returns its full resident
-	// handoff.
-	Drain(ctx context.Context) (*state.TopicExport, error)
 	// Close releases the backend: a client's connections, or a local
 	// backend's engine. It does not stop a shard process.
 	Close() error
@@ -37,7 +29,7 @@ type Backend interface {
 // NewLocal builds cfg.Shards engines over one workload in this process —
 // engine i is service.New with Shards 1 and ShardIDOffset i, exactly what
 // qsys-shard runs for slot i — behind a Frontend of LocalBackends. The front
-// desk expands, rate-limits, places, migrates and aggregates for them.
+// desk expands, rate-limits, places and aggregates for them.
 // Closing the Frontend closes the engines. A configuration service.New
 // would panic on is returned as cfg.Validate's error instead.
 func NewLocal(w *workload.Workload, cfg service.Config) (*Frontend, error) {
@@ -85,22 +77,6 @@ func (b *LocalBackend) Recovered(ctx context.Context) (RecoveredView, error) {
 func (b *LocalBackend) Stats(ctx context.Context) (*service.Stats, error) {
 	st := b.Svc.Stats()
 	return &st, nil
-}
-
-// Export hands the topic's idle state off the wrapped engine.
-func (b *LocalBackend) Export(ctx context.Context, keywords []string) (*state.TopicExport, error) {
-	return b.Svc.ExportTopic(keywords)
-}
-
-// Import stages the export on the wrapped engine.
-func (b *LocalBackend) Import(ctx context.Context, exp *state.TopicExport) (ImportCounts, error) {
-	installed, dropped, rows, err := b.Svc.ImportTopic(exp)
-	return ImportCounts{Installed: installed, Dropped: dropped, Rows: rows}, err
-}
-
-// Drain exports everything the wrapped engine retains.
-func (b *LocalBackend) Drain(ctx context.Context) (*state.TopicExport, error) {
-	return b.Svc.ExportAll()
 }
 
 // Close shuts the wrapped engine down and returns its state-teardown error.

@@ -16,17 +16,11 @@
 //
 // RPC surface (all JSON over POST unless noted):
 //
-//	POST /rpc/search          WireUQ → ResultView
-//	GET  /rpc/stats           service.Stats
-//	GET  /rpc/health          HealthView
-//	POST /rpc/migrate/export  exportRequest → state.TopicExport
-//	POST /rpc/migrate/import  state.TopicExport → ImportCounts
-//	POST /rpc/drain           {} → state.TopicExport (full resident handoff)
-//
-// Live topic migration reuses the PR3 spill segment encoding as its wire
-// format; imports are staged behind the same consistency gate as disk
-// revival, so a mismatched segment is dropped and re-derived by source
-// replay — never served wrong.
+//	POST /rpc/search     WireUQ → ResultView
+//	GET  /rpc/stats      service.Stats
+//	GET  /rpc/health     HealthView
+//	GET  /rpc/recovered  RecoveredView
+//	POST /rpc/drain      {} → HealthView (admissions stopped, in-flight done)
 package fleet
 
 import (
@@ -296,20 +290,6 @@ type HealthView struct {
 type RecoveredView struct {
 	Count   int                    `json:"count"`
 	Queries []recovery.QueryRecord `json:"queries,omitempty"`
-}
-
-// ImportCounts reports what a migration import did with its segments:
-// installed behind the consistency gate versus dropped (re-derived by source
-// replay), plus the staged row total.
-type ImportCounts struct {
-	Installed int `json:"installed"`
-	Dropped   int `json:"dropped"`
-	Rows      int `json:"rows"`
-}
-
-// exportRequest asks a shard to serialize and discard one topic's idle state.
-type exportRequest struct {
-	Keywords []string `json:"keywords"`
 }
 
 // wireError is the RPC error envelope. Retryable marks rejections that

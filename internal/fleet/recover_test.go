@@ -17,7 +17,6 @@ import (
 	"repro/internal/fleet/chaos"
 	"repro/internal/recovery"
 	"repro/internal/service"
-	"repro/internal/state"
 	"repro/internal/workload"
 )
 
@@ -111,15 +110,6 @@ func (b *crashyBackend) Recovered(ctx context.Context) (fleet.RecoveredView, err
 
 func (b *crashyBackend) Stats(ctx context.Context) (*service.Stats, error) {
 	return &service.Stats{}, nil
-}
-func (b *crashyBackend) Export(ctx context.Context, kw []string) (*state.TopicExport, error) {
-	return &state.TopicExport{}, nil
-}
-func (b *crashyBackend) Import(ctx context.Context, exp *state.TopicExport) (fleet.ImportCounts, error) {
-	return fleet.ImportCounts{}, nil
-}
-func (b *crashyBackend) Drain(ctx context.Context) (*state.TopicExport, error) {
-	return &state.TopicExport{}, nil
 }
 func (b *crashyBackend) Close() error { return nil }
 

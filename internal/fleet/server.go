@@ -12,20 +12,19 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/service"
-	"repro/internal/state"
 )
 
 // ShardServer exposes one engine as a shard of the distributed
 // tier. It owns the drain lifecycle: once draining, searches are turned away
 // with a retryable 503 (they were rejected strictly before admission, so
-// resubmitting elsewhere is safe), in-flight searches run to completion, and
-// the resident state is exported for handoff.
+// resubmitting elsewhere is safe) and in-flight searches run to completion.
+// The engine keeps its retained state, so a checkpoint taken after the drain
+// still captures it.
 type ShardServer struct {
 	svc *service.Service
 
 	// DrainDeadline bounds how long a drain waits for in-flight searches
-	// before aborting them so the state handoff can complete (0 = the 60s
-	// default). Set before serving.
+	// before aborting them (0 = the 60s default). Set before serving.
 	DrainDeadline time.Duration
 
 	mu       sync.Mutex
@@ -54,8 +53,6 @@ func (s *ShardServer) Handler() http.Handler {
 	mux.HandleFunc("GET /rpc/stats", s.handleStats)
 	mux.HandleFunc("GET /rpc/health", s.handleHealth)
 	mux.HandleFunc("GET /rpc/recovered", s.handleRecovered)
-	mux.HandleFunc("POST /rpc/migrate/export", s.handleExport)
-	mux.HandleFunc("POST /rpc/migrate/import", s.handleImport)
 	mux.HandleFunc("POST /rpc/drain", s.handleDrain)
 	return mux
 }
@@ -149,6 +146,11 @@ func (s *ShardServer) handleStats(rw http.ResponseWriter, req *http.Request) {
 }
 
 func (s *ShardServer) handleHealth(rw http.ResponseWriter, req *http.Request) {
+	writeRPCJSON(rw, s.health())
+}
+
+// health reports the shard's lifecycle phase and recovery counters.
+func (s *ShardServer) health() HealthView {
 	s.mu.Lock()
 	draining, recovering, inflight := s.draining, s.recovering, s.inflight
 	s.mu.Unlock()
@@ -160,7 +162,7 @@ func (s *ShardServer) handleHealth(rw http.ResponseWriter, req *http.Request) {
 		st = "recovering"
 	}
 	rs := s.svc.RecoveryStats()
-	writeRPCJSON(rw, HealthView{
+	return HealthView{
 		Healthy:         !draining && !recovering,
 		Draining:        draining,
 		InFlight:        inflight,
@@ -168,7 +170,7 @@ func (s *ShardServer) handleHealth(rw http.ResponseWriter, req *http.Request) {
 		CheckpointGen:   rs.Generation,
 		RecoveredAborts: rs.JournaledAborts,
 		JournalErrors:   rs.JournalErrors,
-	})
+	}
 }
 
 func (s *ShardServer) handleRecovered(rw http.ResponseWriter, req *http.Request) {
@@ -176,41 +178,12 @@ func (s *ShardServer) handleRecovered(rw http.ResponseWriter, req *http.Request)
 	writeRPCJSON(rw, RecoveredView{Count: len(recs), Queries: recs})
 }
 
-func (s *ShardServer) handleExport(rw http.ResponseWriter, req *http.Request) {
-	var in exportRequest
-	if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-		writeRPCError(rw, http.StatusBadRequest, err.Error(), false)
-		return
-	}
-	exp, err := s.svc.ExportTopic(in.Keywords)
-	if err != nil {
-		writeRPCError(rw, http.StatusUnprocessableEntity, err.Error(), false)
-		return
-	}
-	writeRPCJSON(rw, exp)
-}
-
-func (s *ShardServer) handleImport(rw http.ResponseWriter, req *http.Request) {
-	var exp state.TopicExport
-	if err := json.NewDecoder(req.Body).Decode(&exp); err != nil {
-		writeRPCError(rw, http.StatusBadRequest, err.Error(), false)
-		return
-	}
-	installed, dropped, rows, err := s.svc.ImportTopic(&exp)
-	if err != nil {
-		writeRPCError(rw, http.StatusUnprocessableEntity, err.Error(), false)
-		return
-	}
-	writeRPCJSON(rw, ImportCounts{Installed: installed, Dropped: dropped, Rows: rows})
-}
-
 func (s *ShardServer) handleDrain(rw http.ResponseWriter, req *http.Request) {
-	exp, err := s.Drain(req.Context())
-	if err != nil {
+	if err := s.Drain(req.Context()); err != nil {
 		writeRPCError(rw, http.StatusUnprocessableEntity, err.Error(), false)
 		return
 	}
-	writeRPCJSON(rw, exp)
+	writeRPCJSON(rw, s.health())
 }
 
 // drainTimeout bounds how long a drain waits for in-flight searches.
@@ -220,17 +193,17 @@ const drainTimeout = 60 * time.Second
 // to observe their settled response channels and return.
 const drainAbortGrace = 5 * time.Second
 
-// Drain stops admissions, waits for in-flight searches to finish their
-// merges, and exports the shard's full resident state for handoff. Idempotent
-// on the flag; a second drain exports whatever (typically nothing) remains.
+// Drain stops admissions and waits for in-flight searches to finish their
+// merges. The engine's retained state stays where it is: the next checkpoint
+// captures it, and a restart over the same checkpoint directory recovers it.
+// Idempotent.
 //
 // The idle wait is bounded by DrainDeadline: a merge that never converges
 // (the engine turns non-convergent rounds into per-merge errors, but a
 // pathological one can still grind for a long time) must not wedge the drain
 // forever. Past the deadline every in-flight search is aborted with a
-// non-retryable drain shed — their merges canceled and unlinked — and the
-// export handoff proceeds over the now-quiescent engine.
-func (s *ShardServer) Drain(ctx context.Context) (*state.TopicExport, error) {
+// non-retryable drain shed — their merges canceled and unlinked.
+func (s *ShardServer) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	var idle chan struct{}
@@ -249,22 +222,22 @@ func (s *ShardServer) Drain(ctx context.Context) (*state.TopicExport, error) {
 		select {
 		case <-idle:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-time.After(deadline):
 			n := s.svc.AbortInFlight(&admission.ShedError{Reason: admission.ReasonDrain})
 			log.Printf("fleet: drain deadline after %v: aborted %d in-flight searches", deadline, n)
 			// The aborted handlers just need to deliver their 503s and
-			// return; give them a short grace before exporting regardless —
-			// the engine itself is already quiescent.
+			// return; give them a short grace — the engine itself is
+			// already quiescent.
 			select {
 			case <-idle:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return ctx.Err()
 			case <-time.After(drainAbortGrace):
 			}
 		}
 	}
-	return s.svc.ExportAll()
+	return nil
 }
 
 // SetRecovering flips the warm-restart gate. A starting shard process sets it

@@ -2,8 +2,8 @@ package metrics
 
 // Fleet aggregates the distributed-serving-tier counters of one front-end:
 // shard RPC traffic and reliability (retries, circuit breaking), health-probe
-// outcomes, routing decisions forced away from unhealthy shards, and live
-// topic migrations. All fields are safe for concurrent use.
+// outcomes, routing decisions forced away from unhealthy shards, and
+// crash re-dispatches. All fields are safe for concurrent use.
 type Fleet struct {
 	// RPCCalls counts shard RPCs issued (first attempts); RPCRetries counts
 	// re-sends after a transient failure; RPCFailures counts calls that
@@ -28,14 +28,6 @@ type Fleet struct {
 	// the front-end surfaces it without marking the shard unhealthy.
 	ShardSheds Counter
 
-	// Migrations counts topic migrations executed; MigrationSegs/Rows the
-	// segments and rows shipped; MigrationDrops the segments the target's
-	// consistency gate rejected (replayed from source there).
-	Migrations     Counter
-	MigrationSegs  Counter
-	MigrationRows  Counter
-	MigrationDrops Counter
-
 	// Redispatches counts journaled-aborted queries the front-end
 	// resubmitted to a healthy shard after confirming the original crashed.
 	// The shards' own recovery counters reach the front-end's stats through
@@ -56,11 +48,6 @@ type FleetSnapshot struct {
 	RouteUnhealthy int64 `json:"route_unhealthy"`
 	ShardSheds     int64 `json:"shard_sheds"`
 
-	Migrations     int64 `json:"migrations"`
-	MigrationSegs  int64 `json:"migration_segs"`
-	MigrationRows  int64 `json:"migration_rows"`
-	MigrationDrops int64 `json:"migration_drops"`
-
 	Redispatches int64 `json:"redispatches"`
 }
 
@@ -76,10 +63,6 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 		CircuitOpens:   f.CircuitOpens.Value(),
 		RouteUnhealthy: f.RouteUnhealthy.Value(),
 		ShardSheds:     f.ShardSheds.Value(),
-		Migrations:     f.Migrations.Value(),
-		MigrationSegs:  f.MigrationSegs.Value(),
-		MigrationRows:  f.MigrationRows.Value(),
-		MigrationDrops: f.MigrationDrops.Value(),
 		Redispatches:   f.Redispatches.Value(),
 	}
 }

@@ -39,8 +39,6 @@ type Counters struct {
 	revivalSource  int64
 	revivalRebound int64
 
-	migSegsOut  int64
-	migRowsOut  int64
 	migSegsIn   int64
 	migRowsIn   int64
 	migRestores int64
@@ -134,24 +132,18 @@ func (c *Counters) AddRevivalFromSource() { atomic.AddInt64(&c.revivalSource, 1)
 // so no history was re-joined.
 func (c *Counters) AddRevivalRebound() { atomic.AddInt64(&c.revivalRebound, 1) }
 
-// AddMigrationOut records one plan segment exported for live migration to
-// another shard (rows serialized and handed off).
-func (c *Counters) AddMigrationOut(rows int64) {
-	atomic.AddInt64(&c.migSegsOut, 1)
-	atomic.AddInt64(&c.migRowsOut, rows)
-}
-
-// AddMigrationIn records one migrated segment staged on this shard.
+// AddMigrationIn records one imported segment (a recovered checkpoint's)
+// staged on this engine.
 func (c *Counters) AddMigrationIn(rows int64) {
 	atomic.AddInt64(&c.migSegsIn, 1)
 	atomic.AddInt64(&c.migRowsIn, rows)
 }
 
-// AddMigrationRestore counts a staged migrated segment that passed the
+// AddMigrationRestore counts a staged segment that passed the
 // consistency gate and was reinstalled into a node.
 func (c *Counters) AddMigrationRestore() { atomic.AddInt64(&c.migRestores, 1) }
 
-// AddMigrationDrop counts a migrated segment rejected by the consistency gate
+// AddMigrationDrop counts a staged segment rejected by the consistency gate
 // (corrupt, structurally stale, or racing locally derived state); its node
 // re-derives by source replay instead.
 func (c *Counters) AddMigrationDrop() { atomic.AddInt64(&c.migDrops, 1) }
@@ -206,8 +198,6 @@ type Snapshot struct {
 	RevivalsFromSource int64
 	RevivalsRebound    int64
 
-	MigrationSegsOut  int64
-	MigrationRowsOut  int64
 	MigrationSegsIn   int64
 	MigrationRowsIn   int64
 	MigrationRestores int64
@@ -244,8 +234,6 @@ func (c *Counters) Snapshot() Snapshot {
 		RevivalsFromSource: atomic.LoadInt64(&c.revivalSource),
 		RevivalsRebound:    atomic.LoadInt64(&c.revivalRebound),
 
-		MigrationSegsOut:  atomic.LoadInt64(&c.migSegsOut),
-		MigrationRowsOut:  atomic.LoadInt64(&c.migRowsOut),
 		MigrationSegsIn:   atomic.LoadInt64(&c.migSegsIn),
 		MigrationRowsIn:   atomic.LoadInt64(&c.migRowsIn),
 		MigrationRestores: atomic.LoadInt64(&c.migRestores),
@@ -290,8 +278,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		RevivalsFromSource: s.RevivalsFromSource + o.RevivalsFromSource,
 		RevivalsRebound:    s.RevivalsRebound + o.RevivalsRebound,
 
-		MigrationSegsOut:  s.MigrationSegsOut + o.MigrationSegsOut,
-		MigrationRowsOut:  s.MigrationRowsOut + o.MigrationRowsOut,
 		MigrationSegsIn:   s.MigrationSegsIn + o.MigrationSegsIn,
 		MigrationRowsIn:   s.MigrationRowsIn + o.MigrationRowsIn,
 		MigrationRestores: s.MigrationRestores + o.MigrationRestores,

@@ -5,17 +5,21 @@ import (
 	"repro/internal/state"
 )
 
+// Checkpoint capture and import for the crash-recovery tier. A checkpoint
+// serializes retained plan state with the spill segment codec; a restarted
+// engine stages the decoded segments with the controller, so the normal
+// revival paths reinstall them behind the consistency gate. A segment the
+// gate rejects is dropped and re-derived by source replay, so a stale or
+// damaged checkpoint can only ever waste work, never produce wrong results.
+
 // CheckpointExport serializes the retained state of every quiescent plan
-// node WITHOUT discarding anything — the non-destructive sibling of
-// ExportNodes, used by the crash-recovery tier's periodic checkpoints. The
-// capture runs on the shard's executor goroutine between scheduling rounds,
-// so it is a single point in time: parent log lengths and module part
-// counts are mutually consistent, which is exactly what the import gate's
-// structural checks require. Nodes with pending work are skipped (their
-// state is mid-flight and would fail the gate anyway); probe nodes carry no
-// checkpointable state. Unlike migration there is no evictability
-// requirement and no fixpoint — nothing detaches, so consumer edges never
-// block a capture.
+// node WITHOUT discarding anything. The capture runs on the shard's executor
+// goroutine between scheduling rounds, so it is a single point in time:
+// parent log lengths and module part counts are mutually consistent, which
+// is exactly what the import gate's structural checks require. Nodes with
+// pending work are skipped (their state is mid-flight and would fail the
+// gate anyway); probe nodes carry no checkpointable state. Nothing detaches,
+// so consumer edges never block a capture.
 func (m *Manager) CheckpointExport() *state.TopicExport {
 	exp := &state.TopicExport{Epoch: m.ATC.Epoch()}
 	for _, n := range m.Graph.Nodes() {
@@ -44,4 +48,42 @@ func (m *Manager) CheckpointExport() *state.TopicExport {
 		exp.Segments = append(exp.Segments, seg)
 	}
 	return exp
+}
+
+// ImportSegments decodes and stages a checkpoint, returning how many
+// segments were staged, how many were dropped (decode failure, metadata
+// mismatch, or refused staging — all of which fall back to source replay),
+// and the staged row count. Stream segments also install their catalog
+// deltas — streamed prefix and exhausted-cardinality — so the optimizer here
+// prices the recovered state exactly as the checkpointed engine did and
+// picks the same input plans; without that the staged segments would sit
+// unconsumed while fresh source reads re-derive everything. If a staged
+// stream segment later fails the consume-time gate, the controller's
+// SpillLost hook forgets the prefix again.
+func (m *Manager) ImportSegments(exp *state.TopicExport) (installed, dropped, rows int) {
+	resolve := m.DefaultResolver()
+	for _, seg := range exp.Segments {
+		snap, err := state.DecodeSegment(seg.Data, resolve)
+		if err != nil || snap.Key != seg.Key || snap.Kind != seg.Kind {
+			dropped++
+			m.ATC.Env.Metrics.AddMigrationDrop()
+			continue
+		}
+		m.ATC.Env.Metrics.AddMigrationIn(int64(snap.RowCount()))
+		if !m.ATC.StageSegment(snap, len(seg.Data)) {
+			dropped++
+			m.ATC.Env.Metrics.AddMigrationDrop()
+			continue
+		}
+		installed++
+		rows += snap.RowCount()
+		if seg.Kind == int(plangraph.SourceStream) {
+			m.Cat.RecordStreamed(seg.ExprKey, seg.StreamPos)
+			if seg.Card >= 0 {
+				m.Cat.RecordExprCard(seg.ExprKey, seg.Card)
+			}
+		}
+	}
+	m.ATC.AdvanceEpochTo(exp.Epoch)
+	return installed, dropped, rows
 }

@@ -80,8 +80,8 @@ func newDiffSide(t *testing.T, w *workload.Workload, spill bool) *diffSide {
 // searches and their overlap variants, repeated, from three users whose
 // scoring coefficients evolve per search, with the CQ order sometimes
 // permuted — interleaved with every source of catalog change: §6.1 feedback
-// (SyncCatalog), eviction (discard or spill), RecordExprCard, and topic
-// export/import. Before each admission a direct mqo.Optimize on the live
+// (SyncCatalog), eviction (discard or spill) and RecordExprCard. Before each
+// admission a direct mqo.Optimize on the live
 // catalog must equal what the plan cache returns; and the engine with the
 // cache must stay indistinguishable — answers, plan-graph shape, work
 // counters, resident state — from a replay whose cache is emptied before
@@ -135,11 +135,6 @@ func TestPlanCacheDifferential(t *testing.T) {
 						m.MemoryBudget = 1 + m.StateSize()/2
 						m.EnforceBudget(m.ATC.Epoch())
 						m.MemoryBudget = 0
-					}
-					continue
-				case 2: // every idle topic leaves and comes back as staged segments
-					for _, s := range sides {
-						s.pipe.Manager.ImportSegments(s.pipe.Manager.ExportNodes(nil))
 					}
 					continue
 				}

@@ -2,14 +2,13 @@
 // checkpoint store plus an admission journal in a per-shard directory that
 // survives process death.
 //
-// Checkpoints reuse the PR3 spill segment format (already the live-migration
-// wire format): each retained plan node is one state.EncodeSegment payload,
-// written as its own file and committed by an atomically-published
-// generation-numbered manifest (temp + rename + dir fsync). A restarted
-// shard loads the newest manifest and imports its segments through the same
-// consistency gate that protects spill revival and migration — a segment
-// that does not match the rebuilt graph's structure is dropped and the state
-// is re-derived by source replay, never installed wrong.
+// Checkpoints reuse the PR3 spill segment format: each retained plan node is
+// one state.EncodeSegment payload, written as its own file and committed by
+// an atomically-published generation-numbered manifest (temp + rename + dir
+// fsync). A restarted shard loads the newest manifest and imports its
+// segments through the same consistency gate that protects spill revival —
+// a segment that does not match the rebuilt graph's structure is dropped
+// and the state is re-derived by source replay, never installed wrong.
 //
 // The admission journal records which user queries were admitted and which
 // completed, so after a crash the shard knows exactly which merges were in
@@ -66,7 +65,7 @@ type Manifest struct {
 	Segments   []SegmentMeta `json:"segments"`
 }
 
-// Checkpoint is a loaded generation, decoded back into the migration wire
+// Checkpoint is a loaded generation, decoded back into the state.TopicExport
 // shape the engine's import path consumes.
 type Checkpoint struct {
 	Generation int

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/admission"
@@ -14,7 +12,6 @@ import (
 	"repro/internal/cq"
 	"repro/internal/mqo"
 	"repro/internal/recovery"
-	"repro/internal/state"
 )
 
 // request is one enqueued search.
@@ -38,12 +35,6 @@ type response struct {
 	res *Result
 	err error
 }
-
-// maxTopicFootprints bounds the engine's topic→footprint table; the oldest
-// topic's entry falls off first (its export then finds nothing, which is
-// safe — migration degrades to not moving state, never to moving wrong
-// state).
-const maxTopicFootprints = 1024
 
 // window is the current admission-window length: the adaptive controller's
 // output when configured, the fixed BatchWindow otherwise.
@@ -341,7 +332,6 @@ func (s *Service) admit(batch []*request) {
 		r.batchSize = len(batch)
 		r.admitted = wallNow
 		waiters[r.uq.ID] = r
-		s.noteTopic(r.uq.Keywords, m.Footprint())
 	}
 }
 
@@ -403,8 +393,8 @@ func (s *Service) respond(r *request, res *Result, err error) {
 
 // abort settles every pending and admitted request with reason, canceling
 // merges and unlinking plan segments. Executor goroutine only (callers go
-// through exec); the drain deadline uses it to guarantee the export handoff
-// completes even when a merge never converges. Returns the number aborted.
+// through exec); the drain deadline uses it to guarantee the drain ends even
+// when a merge never converges. Returns the number aborted.
 func (s *Service) abort(reason error) int {
 	s.drainNonblocking()
 	n := 0
@@ -446,74 +436,6 @@ func (s *Service) snapshot() ShardStats {
 		ss.Spill = sp.Stats()
 	}
 	return ss
-}
-
-// topicKey names a topic for footprint tracking: the canonical keyword set
-// joined with NUL (the placer's memo key for the same set).
-func topicKey(keywords []string) string {
-	return strings.Join(CanonicalKeywords(keywords), "\x00")
-}
-
-// noteTopic folds a newly admitted merge's plan-graph footprint into its
-// topic's node-key set. Executor goroutine only.
-func (s *Service) noteTopic(keywords []string, nodeKeys []string) {
-	key := topicKey(keywords)
-	if key == "" || len(nodeKeys) == 0 {
-		return
-	}
-	set := s.topics[key]
-	if set == nil {
-		if len(s.topicOrder) >= maxTopicFootprints {
-			delete(s.topics, s.topicOrder[0])
-			s.topicOrder = s.topicOrder[1:]
-		}
-		set = map[string]bool{}
-		s.topics[key] = set
-		s.topicOrder = append(s.topicOrder, key)
-	}
-	for _, k := range nodeKeys {
-		set[k] = true
-	}
-}
-
-// exportTopic serializes and discards the topic's idle retained state.
-// Executor goroutine only (callers go through exec). The footprint entry is
-// consumed: the nodes it named are gone from this engine, and any that were
-// not exportable (still feeding other topics) will be re-recorded by the
-// next admission that touches them.
-func (s *Service) exportTopic(keywords []string) *state.TopicExport {
-	canon := CanonicalKeywords(keywords)
-	key := strings.Join(canon, "\x00")
-	set := s.topics[key]
-	if len(set) == 0 {
-		return &state.TopicExport{Keywords: canon, Epoch: s.ctrl.Epoch()}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	exp := s.mgr.ExportNodes(keys)
-	exp.Keywords = canon
-	delete(s.topics, key)
-	for i, k := range s.topicOrder {
-		if k == key {
-			s.topicOrder = append(s.topicOrder[:i], s.topicOrder[i+1:]...)
-			break
-		}
-	}
-	return exp
-}
-
-// exportAll serializes and discards every idle evictable node the engine
-// retains, whatever topic it belongs to — the drain handoff. Executor
-// goroutine only (callers go through exec). Topic footprints are cleared:
-// the nodes they named are gone.
-func (s *Service) exportAll() *state.TopicExport {
-	exp := s.mgr.ExportNodes(nil)
-	s.topics = map[string]map[string]bool{}
-	s.topicOrder = nil
-	return exp
 }
 
 // exec runs fn on the executor goroutine and waits for it, falling back to a

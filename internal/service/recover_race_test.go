@@ -15,15 +15,14 @@ import (
 	"repro/internal/workload"
 )
 
-// TestCheckpointRacingEvictionSpillAndMigration churns every state-moving
-// mechanism at once: a bounded-budget spill-enabled service with a fast
-// periodic checkpoint loop, concurrent searches (half racing tight
-// deadlines), explicit checkpoints, and a live topic migration bouncing the
-// same topic between the two engines. The checkpoint capture runs on the
-// executor goroutine, so none of this may corrupt the ledger, tear a
-// manifest, or leak goroutines — the invariants the race detector watches
-// (the service suite runs under -race in CI).
-func TestCheckpointRacingEvictionSpillAndMigration(t *testing.T) {
+// TestCheckpointRacingEvictionAndSpill churns every state-moving mechanism
+// at once: a bounded-budget spill-enabled service with a fast periodic
+// checkpoint loop, concurrent searches (half racing tight deadlines), and
+// explicit checkpoints. The checkpoint capture runs on the executor
+// goroutine, so none of this may corrupt the ledger, tear a manifest, or
+// leak goroutines — the invariants the race detector watches (the service
+// suite runs under -race in CI).
+func TestCheckpointRacingEvictionAndSpill(t *testing.T) {
 	w, err := workload.GUS(1, workload.GUSScaleDefault())
 	if err != nil {
 		t.Fatal(err)
@@ -71,32 +70,6 @@ func TestCheckpointRacingEvictionSpillAndMigration(t *testing.T) {
 				return
 			}
 			time.Sleep(3 * time.Millisecond)
-		}
-	}()
-
-	// Live migration bounces one topic's retained state between the shards
-	// while both are being checkpointed and evicted. Export can legitimately
-	// find nothing resident (evicted, or mid-merge); only hard errors fail.
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
-		kw := pool[0]
-		from, to := 0, 1
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			exp, err := engines[from].ExportTopic(kw)
-			if err == nil && len(exp.Segments) > 0 {
-				if _, _, _, err := engines[to].ImportTopic(exp); err != nil {
-					t.Errorf("import: %v", err)
-					return
-				}
-				from, to = to, from
-			}
-			time.Sleep(2 * time.Millisecond)
 		}
 	}()
 
@@ -170,7 +143,7 @@ func TestCheckpointRacingEvictionSpillAndMigration(t *testing.T) {
 		}
 	}
 
-	// The checkpoint loop, executors and migration helpers must all be gone.
+	// The checkpoint loops and executors must all be gone.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

@@ -18,9 +18,8 @@ import (
 // manifest, while an admission journal records which user queries were in
 // flight. A fresh Service over the same directory loads the newest
 // generation; Recover imports it through the same consistency gate that
-// protects spill revival and live migration, so a checkpoint that does not
-// match the rebuilt graph is dropped and re-derived from the sources —
-// never installed wrong.
+// protects spill revival, so a checkpoint that does not match the rebuilt
+// graph is dropped and re-derived from the sources — never installed wrong.
 
 // recStats is the engine's recovery-tier counters. Written by the checkpoint
 // loop and the startup/Recover paths, read by health/stats handlers on

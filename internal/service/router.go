@@ -40,7 +40,7 @@ func ParseRouter(name string) (string, error) {
 // distributed tier — goes through this one helper, so ["Apple", "apple"],
 // ["apple", ""] and ["apple"] are the same query as far as shard placement is
 // concerned (the sharing contract: overlapping searches must meet on one plan
-// graph). A canonical set also names a *topic* for live migration.
+// graph).
 func CanonicalKeywords(keywords []string) []string {
 	canon := make([]string, 0, len(keywords))
 	seen := make(map[string]bool, len(keywords))
@@ -249,39 +249,6 @@ func (rt *Placer) Route(keywords []string, healthy func(int) bool) (int, bool) {
 	}
 	rt.observe(memoKey, chosen, canon)
 	return chosen, redirected
-}
-
-// CommitRehome records a completed migration: exact repeats of the keyword
-// set now route to engine to, and the matching affinity mass moves with
-// them. Without the re-pin the memo would keep sending exact repeats to the
-// old engine, which no longer holds the state.
-func (rt *Placer) CommitRehome(keywords []string, from, to int) {
-	canon := CanonicalKeywords(keywords)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.memo[strings.Join(canon, "\x00")] = memoEntry{shard: to, tick: rt.tick}
-	rt.aff.Transfer(from, to, canon)
-}
-
-// SuggestRehome reports whether the keyword set's topic should migrate: it
-// is memo-pinned to engine from, yet another engine's decayed admission mass
-// on its keywords exceeds the pin's by factor (hysteresis; ≥ 2 is sensible;
-// see cluster.Affinity.ShouldRehome). Only memo-pinned sets are considered:
-// a pin is the placer's claim that exact repeats will keep landing on that
-// engine, which is exactly the claim a migration should follow.
-func (rt *Placer) SuggestRehome(keywords []string, factor float64) (from, to int, ok bool) {
-	canon := CanonicalKeywords(keywords)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	e, pinned := rt.memo[strings.Join(canon, "\x00")]
-	if !pinned || rt.tick-e.tick > routerMemoTTL {
-		return 0, 0, false
-	}
-	to, moved := rt.aff.ShouldRehome(e.shard, canon, factor)
-	if !moved {
-		return e.shard, e.shard, false
-	}
-	return e.shard, to, true
 }
 
 // observe feeds a placement back into the affinity index and the exact-set

@@ -329,20 +329,13 @@ type Service struct {
 
 	submitCh chan *request
 	statsCh  chan chan ShardStats
-	// ctrlCh delivers control closures (topic export/import, drain probes)
-	// into the executor goroutine; every select that serves statsCh serves it
-	// too, so control work interleaves between scheduling rounds and never
-	// races the engine.
+	// ctrlCh delivers control closures (checkpoint capture and import,
+	// in-flight aborts) into the executor goroutine; every select that serves
+	// statsCh serves it too, so control work interleaves between scheduling
+	// rounds and never races the engine.
 	ctrlCh chan func()
 	stopCh chan struct{}
 	doneCh chan struct{}
-
-	// topics maps a topic key (canonical keywords joined with NUL) to the
-	// plan-graph node keys its merges touched, recorded at admission from
-	// merge footprints and consumed by topic export. FIFO-bounded; executor
-	// goroutine only.
-	topics     map[string]map[string]bool
-	topicOrder []string
 
 	// Crash-recovery tier (nil/empty unless Config.CheckpointDir is set).
 	// store owns the engine's checkpoint directory; cpMu serializes its Write
@@ -396,7 +389,6 @@ func New(w *workload.Workload, cfg Config) *Service {
 		ctrlCh:   make(chan func()),
 		stopCh:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
-		topics:   map[string]map[string]bool{},
 	}
 	s.env.Metrics.TeeBatch(&s.svc.ExecBatch, &s.svc.ExecBatchFlushes, &s.svc.ExecBatchFull)
 	policy, err := state.ParsePolicy(cfg.EvictPolicy)
@@ -498,7 +490,7 @@ func (s *Service) InFlight() int { return int(s.svc.InFlight.Value()) }
 // AbortInFlight settles every queued and admitted search with reason,
 // canceling their merges and unlinking their plan segments. It is the drain
 // deadline's escape hatch: a merge that never converges (or a backlog that
-// outlives the drain budget) must not block the state handoff forever.
+// outlives the drain budget) must not block shutdown forever.
 // Returns how many requests were aborted.
 func (s *Service) AbortInFlight(reason error) int {
 	n := 0

@@ -5,15 +5,17 @@ import (
 	"fmt"
 )
 
-// This file gives the PR3 spill segment format a second life as a *wire*
-// format: EncodeSegment/DecodeSegment serialize a NodeSnapshot to and from a
-// byte slice without touching disk, and TopicExport bundles the encoded
-// segments of one topic's retained plan state for shipping between shard
-// processes. The encoding is byte-identical to the disk tier's segment files
-// (magic "QSPL1\n", varints, relation table, base-tuple refs), so the same
-// consistency gate that protects spill revival protects migration: a decoded
-// segment that does not match the receiving graph's structure is dropped and
-// the state is re-derived by source replay — never reinstalled wrong.
+// This file gives the PR3 spill segment format a second life as the
+// checkpoint format: EncodeSegment/DecodeSegment serialize a NodeSnapshot to
+// and from a byte slice, and TopicExport bundles the encoded segments of an
+// engine's retained plan state. Checkpoint recovery is the one producer of
+// staged segments: a restarted engine imports its last checkpoint's
+// TopicExport. The encoding is byte-identical to the disk tier's segment
+// files (magic "QSPL1\n", varints, relation table, base-tuple refs), so the
+// same consistency gate that protects spill revival protects recovery: a
+// decoded segment that does not match the receiving graph's structure is
+// dropped and the state is re-derived by source replay — never reinstalled
+// wrong.
 
 // EncodeSegment serializes a snapshot into a standalone segment byte slice,
 // returning the encoding together with the snapshot's row count.
@@ -44,20 +46,21 @@ func DecodeSegment(data []byte, resolve TupleResolver) (*NodeSnapshot, error) {
 	return snap, nil
 }
 
-// TopicSegment is one node's encoded state in a topic export, annotated with
-// the structural facts the receiving shard needs before it decodes anything:
+// TopicSegment is one node's encoded state in a checkpoint, annotated with
+// the structural facts the recovering engine needs before it decodes anything:
 // the node key (where it installs), the expression key (how the catalog
 // prices it), and the stream position / observed cardinality that let the
-// receiver's optimizer cost the migrated prefix as resident state.
+// recovering engine's optimizer cost the checkpointed prefix as resident
+// state.
 type TopicSegment struct {
 	// Key is the node's scoped plan-graph key; ExprKey the canonical
 	// expression key (catalog accounting); Kind the plangraph.Kind.
 	Key     string `json:"key"`
 	ExprKey string `json:"expr_key"`
 	Kind    int    `json:"kind"`
-	// StreamPos is the exported stream's delivered prefix (stream nodes);
-	// Card the expression's observed cardinality when the stream was
-	// exhausted at export, else -1.
+	// StreamPos is the stream's delivered prefix (stream nodes); Card the
+	// expression's observed cardinality when the stream was exhausted at
+	// capture, else -1.
 	StreamPos int     `json:"stream_pos"`
 	Card      float64 `json:"card"`
 	// Rows counts the segment's retained rows; Data is the EncodeSegment
@@ -66,12 +69,11 @@ type TopicSegment struct {
 	Data []byte `json:"data"`
 }
 
-// TopicExport is the retained state of one topic (or, with Keywords nil, of a
-// draining shard's whole graph), serialized for migration. Epoch is the
-// source engine's logical clock at export; the importer advances its own
-// clock past it so every migrated row is strictly historical there.
+// TopicExport is an engine's retained plan state, serialized as a
+// checkpoint. Epoch is the engine's logical clock at capture; the importer
+// advances its own clock past it so every imported row is strictly
+// historical there.
 type TopicExport struct {
-	Keywords []string       `json:"keywords,omitempty"`
 	Epoch    int            `json:"epoch"`
 	Segments []TopicSegment `json:"segments"`
 }
