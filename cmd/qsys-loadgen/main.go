@@ -120,11 +120,10 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	return o, nil
 }
 
-// config is the in-process fleet's configuration at one admission window,
-// which also bounds the adaptive window.
+// config is the in-process fleet's configuration at one admission window.
 func (o *options) config(window time.Duration) service.Config {
 	cfg := o.Config
-	cfg.BatchWindow, cfg.Admission.WindowMax = window, window
+	cfg.BatchWindow = window
 	if cfg.SpillDir != "" {
 		// Separate windows must not inherit each other's segments.
 		cfg.SpillDir = filepath.Join(cfg.SpillDir, fmt.Sprintf("w%d", window/time.Microsecond))

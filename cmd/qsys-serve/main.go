@@ -23,14 +23,14 @@
 //	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
 //	           [-fleet URL,URL,...] [-probe-interval 2s]
 //	           [-user-rate 0] [-total-rate 0] [-max-pending 0]
-//	           [-deadline 0] [-adaptive-window] [-max-inflight 0] [-redispatch]
+//	           [-deadline 0] [-max-inflight 0] [-redispatch]
 //
 // The admission flags enable overload control: per-user token buckets with
 // fair arbitration under a global rate (shed as retryable 503 + Retry-After),
 // a bounded per-shard queue, deadline shedding that cancels merges past the
-// budget, and an adaptive batch window driven by queue depth and recent
-// latency. The rate limits run at this process's front desk; queue and
-// deadline control run inside each engine.
+// budget, and a bound on concurrently executing merges. The rate limits run
+// at this process's front desk; queue and deadline control run inside each
+// engine.
 //
 // Endpoints:
 //

@@ -15,7 +15,7 @@
 //	           [-instance 1] [-seed 1] [-window 25ms] [-batch 5]
 //	           [-k 50] [-memory-budget 0]
 //	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
-//	           [-max-pending 0] [-deadline 0] [-adaptive-window] [-max-inflight 0]
+//	           [-max-pending 0] [-deadline 0] [-max-inflight 0]
 //	           [-drain-deadline 0] [-recover-dir DIR] [-checkpoint-interval 5s]
 //
 // Endpoints:

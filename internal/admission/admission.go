@@ -1,8 +1,7 @@
 // Package admission is the serving tier's overload-control layer: per-user
 // token-bucket rate limits with fair arbitration of a global admission rate,
-// bounded-queue shedding, per-request latency budgets (deadline shedding),
-// and the adaptive admission window that turns the §3 batcher's fixed window
-// knob into a control loop.
+// bounded-queue shedding, and per-request latency budgets (deadline
+// shedding).
 //
 // The package deliberately knows nothing about engines or HTTP. The service
 // layer consults a Controller before a query is expanded or enqueued and
@@ -66,28 +65,19 @@ func (e *ShedError) Retryable() bool {
 }
 
 // Config tunes the overload-control layer. The zero value disables every
-// mechanism (the pre-PR7 closed-loop behavior: senders block on the shard
-// queue until the executor drains them).
+// mechanism (the closed-loop behavior: senders block on the shard queue
+// until the executor drains them). Each token bucket holds
+// max(1, ceil(rate)) tokens.
 type Config struct {
 	// UserRate is the sustained per-user admission rate in queries/sec
 	// (0 = no fixed per-user limit; with TotalRate set each user is still
 	// bounded by their fair share of it).
 	UserRate float64
-	// UserBurst is the per-user bucket capacity (0 = max(1, ceil(rate))).
-	UserBurst int
 	// TotalRate is the sustained global admission rate in queries/sec,
 	// fair-arbitrated across the currently active users: each user may not
 	// exceed TotalRate divided by the number of users seen in the last
-	// ActiveWindow. 0 = unlimited.
+	// activeWindow. 0 = unlimited.
 	TotalRate float64
-	// TotalBurst is the global bucket capacity (0 = max(1, ceil(rate))).
-	TotalBurst int
-	// ActiveWindow is how long a user counts as active for fair arbitration
-	// after their last request (0 = 1s).
-	ActiveWindow time.Duration
-	// MaxUsers bounds the tracked per-user buckets; the least recently seen
-	// bucket is recycled first (0 = 1024).
-	MaxUsers int
 
 	// MaxPending bounds each shard's admission queue (submitted but not yet
 	// admitted); arrivals beyond it are shed with ReasonQueueFull instead of
@@ -105,61 +95,23 @@ type Config struct {
 	// it is what lets deadline shedding trim the queue's tail while the
 	// head still completes in time.
 	MaxInFlight int
-	// RetryAfter is the hint attached to pre-admission sheds (0 = 50ms).
-	RetryAfter time.Duration
-
-	// AdaptiveWindow replaces the fixed BatchWindow with a per-shard control
-	// loop over queue depth and recent latency (see WindowController);
-	// WindowMax bounds it (default 25ms).
-	AdaptiveWindow bool
-	WindowMax      time.Duration
 }
 
-// Enabled reports whether any admission mechanism is configured.
-func (c Config) Enabled() bool {
-	return c.UserRate > 0 || c.TotalRate > 0 || c.MaxPending > 0 ||
-		c.Deadline > 0 || c.MaxInFlight > 0 || c.AdaptiveWindow
-}
+// RetryAfter is the hint attached to a queue-full shed and the floor of a
+// rate shed's hint.
+const RetryAfter = 50 * time.Millisecond
 
-// RateLimited reports whether the per-user/global token buckets are in play.
-func (c Config) RateLimited() bool { return c.UserRate > 0 || c.TotalRate > 0 }
+const (
+	// activeWindow is how long a user counts as active for fair arbitration
+	// after their last request.
+	activeWindow = time.Second
+	// maxUsers bounds the tracked per-user buckets; the least recently seen
+	// bucket is recycled first.
+	maxUsers = 1024
+)
 
-// Normalized fills the zero fields with their defaults; the serving layer
-// stores the normalized form so shed hints and window clamps are concrete.
-func (c Config) Normalized() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.ActiveWindow <= 0 {
-		c.ActiveWindow = time.Second
-	}
-	if c.MaxUsers <= 0 {
-		c.MaxUsers = 1024
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 50 * time.Millisecond
-	}
-	if c.UserBurst <= 0 {
-		c.UserBurst = burstFor(c.UserRate)
-	}
-	if c.TotalBurst <= 0 {
-		c.TotalBurst = burstFor(c.TotalRate)
-	}
-	if c.WindowMax <= 0 {
-		c.WindowMax = 25 * time.Millisecond
-	}
-	return c
-}
-
-func burstFor(rate float64) int {
-	if rate <= 0 {
-		return 1
-	}
-	b := int(math.Ceil(rate))
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
+// burstFor is the capacity of a bucket refilling at rate.
+func burstFor(rate float64) int { return max(1, int(math.Ceil(rate))) }
 
 // bucket is one token bucket. Tokens refill continuously at rate/sec up to
 // burst; taking below zero is never allowed.
@@ -190,10 +142,10 @@ type Controller struct {
 	mu     sync.Mutex
 	global bucket
 	users  map[string]*bucket
-	order  []string // insertion order, for MaxUsers recycling
+	order  []string // insertion order, for maxUsers recycling
 
 	// activeUsers is the cached fair-share denominator: distinct users seen
-	// within ActiveWindow, recomputed lazily at most every activeEvery.
+	// within activeWindow, recomputed lazily at most every activeEvery.
 	activeUsers   int
 	activeScanned time.Time
 }
@@ -205,12 +157,11 @@ const activeEvery = 100 * time.Millisecond
 // rate limits — a nil Controller admits everything, so callers can hold one
 // unconditionally.
 func NewController(cfg Config) *Controller {
-	cfg = cfg.withDefaults()
-	if !cfg.RateLimited() {
+	if cfg.UserRate <= 0 && cfg.TotalRate <= 0 {
 		return nil
 	}
 	c := &Controller{cfg: cfg, users: map[string]*bucket{}}
-	c.global.tokens = float64(cfg.TotalBurst)
+	c.global.tokens = float64(burstFor(cfg.TotalRate))
 	return c
 }
 
@@ -231,7 +182,7 @@ func (c *Controller) Admit(user string, now time.Time) *ShedError {
 	// with no fixed per-user limit — the user's fair share of it. Fixed and
 	// fair limits combine by the tighter one.
 	rate := c.cfg.UserRate
-	burst := c.cfg.UserBurst
+	burst := burstFor(rate)
 	if c.cfg.TotalRate > 0 {
 		fair := c.cfg.TotalRate / float64(c.active(now))
 		if rate <= 0 || fair < rate {
@@ -245,13 +196,13 @@ func (c *Controller) Admit(user string, now time.Time) *ShedError {
 	if rate > 0 {
 		ub.refill(now, rate, burst)
 		if ub.tokens < 1 {
-			return &ShedError{Reason: ReasonUserRate, RetryAfter: c.retryAfter(rate, ub.tokens)}
+			return &ShedError{Reason: ReasonUserRate, RetryAfter: retryAfter(rate, ub.tokens)}
 		}
 	}
 	if c.cfg.TotalRate > 0 {
-		c.global.refill(now, c.cfg.TotalRate, c.cfg.TotalBurst)
+		c.global.refill(now, c.cfg.TotalRate, burstFor(c.cfg.TotalRate))
 		if c.global.tokens < 1 {
-			return &ShedError{Reason: ReasonUserRate, RetryAfter: c.retryAfter(c.cfg.TotalRate, c.global.tokens)}
+			return &ShedError{Reason: ReasonUserRate, RetryAfter: retryAfter(c.cfg.TotalRate, c.global.tokens)}
 		}
 		c.global.tokens--
 	}
@@ -262,9 +213,9 @@ func (c *Controller) Admit(user string, now time.Time) *ShedError {
 }
 
 // retryAfter sizes the hint to when the bucket next holds a whole token,
-// floored at the configured minimum.
-func (c *Controller) retryAfter(rate, tokens float64) time.Duration {
-	d := c.cfg.RetryAfter
+// floored at RetryAfter.
+func retryAfter(rate, tokens float64) time.Duration {
+	d := RetryAfter
 	if rate > 0 {
 		if wait := time.Duration((1 - tokens) / rate * float64(time.Second)); wait > d {
 			d = wait
@@ -274,29 +225,29 @@ func (c *Controller) retryAfter(rate, tokens float64) time.Duration {
 }
 
 // userBucket finds or creates the user's bucket, recycling the oldest entry
-// past MaxUsers. A recycled user starts from a full bucket — forgetting is
+// past maxUsers. A recycled user starts from a full bucket — forgetting is
 // generous, never punitive.
 func (c *Controller) userBucket(user string, now time.Time) *bucket {
 	if b, ok := c.users[user]; ok {
 		return b
 	}
-	if len(c.order) >= c.cfg.MaxUsers {
+	if len(c.order) >= maxUsers {
 		delete(c.users, c.order[0])
 		c.order = c.order[1:]
 	}
-	b := &bucket{tokens: float64(c.cfg.UserBurst), last: now}
+	b := &bucket{tokens: float64(burstFor(c.cfg.UserRate)), last: now}
 	c.users[user] = b
 	c.order = append(c.order, user)
 	return b
 }
 
-// active returns the fair-share denominator: users seen within ActiveWindow,
+// active returns the fair-share denominator: users seen within activeWindow,
 // at least 1. Rescan is amortized to every activeEvery.
 func (c *Controller) active(now time.Time) int {
 	if now.Sub(c.activeScanned) >= activeEvery || c.activeUsers == 0 {
 		n := 0
 		for _, b := range c.users {
-			if now.Sub(b.seen) <= c.cfg.ActiveWindow {
+			if now.Sub(b.seen) <= activeWindow {
 				n++
 			}
 		}

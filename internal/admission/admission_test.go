@@ -2,6 +2,7 @@ package admission
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -17,7 +18,8 @@ func TestNilControllerAdmitsEverything(t *testing.T) {
 }
 
 func TestUserRateBucket(t *testing.T) {
-	c := NewController(Config{UserRate: 10, UserBurst: 2})
+	// 2/s holds a burst of ceil(2) = 2.
+	c := NewController(Config{UserRate: 2})
 	now := time.Unix(1000, 0)
 	for i := 0; i < 2; i++ {
 		if err := c.Admit("alice", now); err != nil {
@@ -34,23 +36,25 @@ func TestUserRateBucket(t *testing.T) {
 	if !shed.Retryable() {
 		t.Fatal("rate shed must be retryable (strictly pre-admission)")
 	}
-	if shed.RetryAfter <= 0 {
-		t.Fatal("rate shed should hint Retry-After")
+	// An empty bucket at 2/s next holds a token in 500ms.
+	if shed.RetryAfter != 500*time.Millisecond {
+		t.Fatalf("rate shed hints Retry-After %v, want 500ms", shed.RetryAfter)
 	}
 	// Another user is unaffected.
 	if err := c.Admit("bob", now); err != nil {
 		t.Fatalf("bob shed by alice's bucket: %v", err)
 	}
-	// 100ms refills one token at 10/s.
-	if err := c.Admit("alice", now.Add(110*time.Millisecond)); err != nil {
+	// 500ms refills one token at 2/s.
+	if err := c.Admit("alice", now.Add(510*time.Millisecond)); err != nil {
 		t.Fatalf("refilled admit shed: %v", err)
 	}
 }
 
 func TestFairArbitrationOfTotalRate(t *testing.T) {
 	// 20/s global, no fixed per-user limit. With two active users each fair
-	// share is 10/s: one user alone cannot monopolize the global rate.
-	c := NewController(Config{TotalRate: 20, TotalBurst: 40, ActiveWindow: time.Minute})
+	// share is 10/s: one user alone cannot monopolize the global rate. The
+	// whole test spans 0.6s, so both users stay active throughout.
+	c := NewController(Config{TotalRate: 20})
 	now := time.Unix(2000, 0)
 	if err := c.Admit("greedy", now); err != nil {
 		t.Fatalf("first admit shed: %v", err)
@@ -77,20 +81,22 @@ func TestFairArbitrationOfTotalRate(t *testing.T) {
 	}
 }
 
-func TestMaxUsersRecycling(t *testing.T) {
-	c := NewController(Config{UserRate: 1, MaxUsers: 2})
+// TestUserBucketRecycling: past maxUsers tracked users the least recently
+// seen bucket is recycled.
+func TestUserBucketRecycling(t *testing.T) {
+	c := NewController(Config{UserRate: 1})
 	now := time.Unix(3000, 0)
-	c.Admit("a", now)
-	c.Admit("b", now)
-	c.Admit("c", now) // recycles a
-	if len(c.users) != 2 {
-		t.Fatalf("tracked users = %d, want 2", len(c.users))
+	for i := 0; i <= maxUsers; i++ { // the last recycles u0
+		c.Admit(fmt.Sprintf("u%d", i), now)
 	}
-	if _, ok := c.users["a"]; ok {
+	if len(c.users) != maxUsers {
+		t.Fatalf("tracked users = %d, want %d", len(c.users), maxUsers)
+	}
+	if _, ok := c.users["u0"]; ok {
 		t.Fatal("oldest user not recycled")
 	}
 	// A recycled user returns with a fresh (full) bucket, not a grudge.
-	if err := c.Admit("a", now); err != nil {
+	if err := c.Admit("u0", now); err != nil {
 		t.Fatalf("recycled user shed on return: %v", err)
 	}
 }
@@ -113,60 +119,12 @@ func TestShedErrorClassification(t *testing.T) {
 	}
 }
 
-func TestWindowWidensUnderQueuePressureAndDecaysIdle(t *testing.T) {
-	w := NewWindowController(25*time.Millisecond, 0)
-	if w.Window() != 0 {
-		t.Fatalf("initial window = %v, want 0", w.Window())
-	}
-	for i := 0; i < 50; i++ {
-		w.ObserveQueue(40, 5)
-	}
-	widened := w.Window()
-	if widened != 25*time.Millisecond {
-		t.Fatalf("window under sustained pressure = %v, want clamp at 25ms", widened)
-	}
-	for i := 0; i < 50; i++ {
-		w.ObserveQueue(0, 1)
-	}
-	if w.Window() != 0 {
-		t.Fatalf("idle window = %v, want decay to 0", w.Window())
-	}
-}
-
-func TestWindowShrinksWhenLatencyNearsDeadline(t *testing.T) {
-	deadline := 100 * time.Millisecond
-	w := NewWindowController(25*time.Millisecond, deadline)
-	for i := 0; i < 20; i++ {
-		w.ObserveQueue(40, 5)
-	}
-	if w.Window() == 0 {
-		t.Fatal("setup: window should be widened")
-	}
-	// Completions near the budget must pull the window back down even while
-	// the queue stays deep: admission wait cannot spend the engine's budget.
-	for i := 0; i < 50; i++ {
-		w.ObserveLatency(90 * time.Millisecond)
-	}
-	if w.Window() != 0 {
-		t.Fatalf("window with p99 at 90%% of deadline = %v, want 0", w.Window())
-	}
-}
-
+// TestConfigDefaults: a bucket's capacity is its rate rounded up, and never
+// less than one token.
 func TestConfigDefaults(t *testing.T) {
-	c := Config{UserRate: 3.5}.withDefaults()
-	if c.UserBurst != 4 {
-		t.Fatalf("UserBurst default = %d, want ceil(3.5)=4", c.UserBurst)
-	}
-	if c.RetryAfter != 50*time.Millisecond || c.MaxUsers != 1024 {
-		t.Fatalf("defaults: %+v", c)
-	}
-	if !c.Enabled() || !c.RateLimited() {
-		t.Fatal("UserRate config should be enabled and rate-limited")
-	}
-	if (Config{}).Enabled() {
-		t.Fatal("zero config must be disabled")
-	}
-	if !(Config{AdaptiveWindow: true}).Enabled() {
-		t.Fatal("adaptive-window config should count as enabled")
+	for rate, want := range map[float64]int{3.5: 4, 10: 10, 0.2: 1, 0: 1} {
+		if got := burstFor(rate); got != want {
+			t.Errorf("burstFor(%v) = %d, want %d", rate, got, want)
+		}
 	}
 }

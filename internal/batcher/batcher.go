@@ -31,15 +31,6 @@ type Batch struct {
 	Submissions []Submission
 }
 
-// UQs returns the batch's user queries in arrival order.
-func (b *Batch) UQs() []*cq.UQ {
-	out := make([]*cq.UQ, len(b.Submissions))
-	for i, s := range b.Submissions {
-		out[i] = s.UQ
-	}
-	return out
-}
-
 // Batcher groups submissions.
 type Batcher struct {
 	// Size releases a batch as soon as this many queries collect (0 = no

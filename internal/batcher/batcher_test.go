@@ -30,9 +30,8 @@ func TestSizeTriggeredBatches(t *testing.T) {
 	if len(batches[2].Submissions) != 1 {
 		t.Errorf("final partial batch size %d", len(batches[2].Submissions))
 	}
-	got := batches[2].UQs()
-	if len(got) != 1 || got[0].ID != "e" {
-		t.Errorf("UQs() = %v", got)
+	if got := batches[2].Submissions[0].UQ; got.ID != "e" {
+		t.Errorf("final batch holds %s, want e", got.ID)
 	}
 }
 

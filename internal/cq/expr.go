@@ -2,7 +2,6 @@ package cq
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -370,11 +369,4 @@ func renderOrdered(atoms []*Atom, perm []int) string {
 type ExprOccurrence struct {
 	CQ     *CQ
 	AtomOf []int
-}
-
-// CoveredAtoms returns the sorted CQ atom indexes covered by the occurrence.
-func (o *ExprOccurrence) CoveredAtoms() []int {
-	idx := append([]int(nil), o.AtomOf...)
-	sort.Ints(idx)
-	return idx
 }

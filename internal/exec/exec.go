@@ -142,16 +142,6 @@ func (r *Report) Total() metrics.Snapshot {
 	return t
 }
 
-// ByUQ returns the report for a user query id, or nil.
-func (r *Report) ByUQ(id string) *UQReport {
-	for _, u := range r.UQs {
-		if u.UQ.ID == id {
-			return u
-		}
-	}
-	return nil
-}
-
 // Run executes the submissions against the fleet under the options. The
 // query batcher runs first (batches of BatchSize over BatchWindow, §3); each
 // released batch is split across the strategy's plan graphs and grafted into

@@ -53,8 +53,7 @@ type Stats struct {
 }
 
 // Transport injects faults around a base RoundTripper. Safe for concurrent
-// use; SetConfig may flip the fault mix mid-flight (e.g. "healthy until wave
-// 3, then flaky").
+// use.
 type Transport struct {
 	base http.RoundTripper
 
@@ -71,14 +70,6 @@ func New(base http.RoundTripper, seed uint64, cfg Config) *Transport {
 		base = http.DefaultTransport
 	}
 	return &Transport{base: base, cfg: cfg, rng: dist.New(seed)}
-}
-
-// SetConfig replaces the fault mix; in-flight requests keep the draws they
-// already took.
-func (t *Transport) SetConfig(cfg Config) {
-	t.mu.Lock()
-	t.cfg = cfg
-	t.mu.Unlock()
 }
 
 // Stats snapshots the fault counters.

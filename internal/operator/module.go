@@ -194,17 +194,6 @@ func (l *Log) RowsFrom(i int) ([]*tuple.Row, []int) {
 	return l.rows[i:], l.epochs[i:]
 }
 
-// Identities returns the identity set of all logged rows as a string map
-// (retained for tests and callers that want a snapshot; the recovery path
-// uses IdentitySet).
-func (l *Log) Identities() map[string]bool {
-	set := make(map[string]bool, len(l.rows))
-	for _, r := range l.rows {
-		set[r.Identity()] = true
-	}
-	return set
-}
-
 // IdentitySet returns the log's resident identity set, building it on first
 // use and maintaining it incrementally afterwards (duplicate suppression
 // during state recovery, §6.2).

@@ -43,9 +43,14 @@ func TestLogEpochPartitions(t *testing.T) {
 	if len(rows) != 2 || epochs[0] != 1 || epochs[1] != 2 {
 		t.Errorf("RowsFrom(1) = %v %v", rows, epochs)
 	}
-	ids := l.Identities()
-	if len(ids) != 3 {
-		t.Errorf("identities = %d", len(ids))
+	ids := l.IdentitySet()
+	for id := 1; id <= 3; id++ {
+		if !ids.Has(mkRow(s, id, 0)) {
+			t.Errorf("identity set lacks row %d", id)
+		}
+	}
+	if ids.Len() != 3 {
+		t.Errorf("identities = %d", ids.Len())
 	}
 	l.Reset()
 	if l.Len() != 0 {

@@ -338,16 +338,6 @@ func (rm *RankMerge) Entry(cqID string) *CQEntry {
 	return nil
 }
 
-// AddEntry grafts another conjunctive query into the operator (§6.2), kept
-// sorted by nonincreasing U.
-func (rm *RankMerge) AddEntry(e *CQEntry) {
-	rm.Entries = append(rm.Entries, e)
-	for i := len(rm.Entries) - 1; i > 0 && rm.Entries[i-1].U < rm.Entries[i].U; i-- {
-		rm.Entries[i-1], rm.Entries[i] = rm.Entries[i], rm.Entries[i-1]
-	}
-	rm.done = false
-}
-
 // Advance performs one scheduling step:
 //
 //  1. if k answers are out (or nothing can produce more), finish;

@@ -74,17 +74,6 @@ type Node struct {
 // IsSplit reports whether the node fans out through a split operator.
 func (n *Node) IsSplit() bool { return len(n.Consumers) > 1 }
 
-// StreamInputs returns the non-probe input edges of a join node.
-func (n *Node) StreamInputs() []*Edge {
-	var out []*Edge
-	for _, e := range n.Inputs {
-		if !e.Probe {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Endpoint connects a conjunctive query to its terminal node.
 type Endpoint struct {
 	// CQ is the conjunctive query.

@@ -36,15 +36,6 @@ type response struct {
 	err error
 }
 
-// window is the current admission-window length: the adaptive controller's
-// output when configured, the fixed BatchWindow otherwise.
-func (s *Service) window() time.Duration {
-	if s.win != nil {
-		return s.win.Window()
-	}
-	return s.cfg.BatchWindow
-}
-
 // run is the executor loop: collect an admission window, admit it into the
 // running plan graph, drive rank-merges one round at a time, and dispatch
 // completions — all while polling for new arrivals so late queries graft onto
@@ -71,7 +62,7 @@ func (s *Service) run() {
 			}
 		case len(s.waiters) == 0 && s.windowOpen():
 			// Nothing executing; sleep until the window closes or news.
-			timer := time.NewTimer(time.Until(s.windowStart.Add(s.window())))
+			timer := time.NewTimer(time.Until(s.windowStart.Add(s.cfg.BatchWindow)))
 			select {
 			case r := <-s.submitCh:
 				s.accept(r)
@@ -105,7 +96,7 @@ func (s *Service) run() {
 		// baseline — even when arrivals queued up simultaneously.
 		if len(s.pending) > 0 && (stopping || !s.windowOpen()) {
 			chunk := 1
-			if s.window() > 0 {
+			if s.cfg.BatchWindow > 0 {
 				chunk = s.cfg.BatchSize
 				if chunk <= 0 {
 					chunk = len(s.pending)
@@ -212,14 +203,13 @@ func (s *Service) windowOpen() bool {
 	if len(s.pending) == 0 {
 		return false
 	}
-	win := s.window()
-	if win <= 0 {
+	if s.cfg.BatchWindow <= 0 {
 		return false
 	}
 	if s.cfg.BatchSize > 0 && len(s.pending) >= s.cfg.BatchSize {
 		return false
 	}
-	return time.Now().Before(s.windowStart.Add(win))
+	return time.Now().Before(s.windowStart.Add(s.cfg.BatchWindow))
 }
 
 func (s *Service) accept(r *request) {
@@ -288,12 +278,6 @@ func (s *Service) admit(batch []*request) {
 		}
 		s.depth.Add(-1)
 		s.svc.Queued.Dec()
-	}
-	if s.win != nil {
-		// Feed the control loop the backlog left behind by this release: a
-		// deep queue argues for a wider window (bigger shared batches), an
-		// empty one for snappier admission.
-		s.win.ObserveQueue(len(s.submitCh)+int(s.depth.Load()), len(batch))
 	}
 	s.mgr.SyncCatalog()
 	s.svc.Batches.Inc()
@@ -368,9 +352,6 @@ func (s *Service) respond(r *request, res *Result, err error) {
 		s.svc.Completed.Inc()
 		s.svc.WallLatency.Observe(res.WallLatency)
 		s.svc.EngineLatency.Observe(res.EngineLatency)
-		if s.win != nil {
-			s.win.ObserveLatency(res.WallLatency)
-		}
 		if !r.admitted.IsZero() {
 			d := time.Since(r.admitted)
 			s.mergeEWMA += (d - s.mergeEWMA) / 4

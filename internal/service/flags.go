@@ -29,7 +29,7 @@ const (
 // else, so a front-end over shard processes has no use for them.
 var engineOnly = map[string]bool{
 	"batch": true, "memory-budget": true, "evict-policy": true, "spill-dir": true,
-	"max-pending": true, "deadline": true, "adaptive-window": true, "max-inflight": true,
+	"max-pending": true, "deadline": true, "max-inflight": true,
 	"window": true, "realtime": true, "shards": true,
 }
 
@@ -42,14 +42,13 @@ type Flags struct {
 	Instance int
 	Config   Config
 
-	fs     *flag.FlagSet
-	groups FlagGroup
+	fs *flag.FlagSet
 }
 
 // Bind declares the workload and engine flags, and those of groups, on fs.
 // Each flag writes its field of f and defaults to the field's current value.
 func (f *Flags) Bind(fs *flag.FlagSet, groups FlagGroup) {
-	f.fs, f.groups = fs, groups
+	f.fs = fs
 	c, a := &f.Config, &f.Config.Admission
 	fs.StringVar(&f.Workload, "workload", f.Workload, "workload: bio, gus, pfam")
 	fs.IntVar(&f.Instance, "instance", f.Instance, "GUS instance (1-4)")
@@ -61,7 +60,6 @@ func (f *Flags) Bind(fs *flag.FlagSet, groups FlagGroup) {
 	fs.StringVar(&c.SpillDir, "spill-dir", c.SpillDir, "spill evicted plan segments to per-engine dirs under this path instead of discarding (removed on close)")
 	fs.IntVar(&a.MaxPending, "max-pending", a.MaxPending, "admission: bound each engine's queue, shedding beyond it as retryable 503 + Retry-After (0 = unbounded)")
 	fs.DurationVar(&a.Deadline, "deadline", a.Deadline, "admission: per-search latency budget; a search past it is canceled mid-merge and shed non-retryably (0 = off); qsys-loadgen -target also bounds each request by it")
-	fs.BoolVar(&a.AdaptiveWindow, "adaptive-window", a.AdaptiveWindow, "admission: replace the fixed batch window with a control loop over queue depth and recent latency (bounded by the window)")
 	fs.IntVar(&a.MaxInFlight, "max-inflight", a.MaxInFlight, "admission: bound concurrently executing merges per engine so deadline shedding can trim the queue while admitted searches still finish in budget (0 = unbounded)")
 	if groups&ServerFlags != 0 {
 		fs.StringVar(&f.Addr, "addr", f.Addr, "listen address")
@@ -82,13 +80,9 @@ func (f *Flags) Bind(fs *flag.FlagSet, groups FlagGroup) {
 }
 
 // Parse parses args into f and validates the configuration they describe.
-// The -window flag bounds the adaptive window as well as the fixed one.
 func (f *Flags) Parse(args []string) error {
 	if err := f.fs.Parse(args); err != nil {
 		return err
-	}
-	if f.groups&ServerFlags != 0 {
-		f.Config.Admission.WindowMax = f.Config.BatchWindow
 	}
 	return f.Config.Validate()
 }

@@ -51,7 +51,6 @@ func TestFlagsBindEveryField(t *testing.T) {
 		{"-spill-dir=" + dir, func(f *service.Flags) { f.Config.SpillDir = dir }},
 		{"-max-pending=14", func(f *service.Flags) { f.Config.Admission.MaxPending = 14 }},
 		{"-deadline=15ms", func(f *service.Flags) { f.Config.Admission.Deadline = 15 * time.Millisecond }},
-		{"-adaptive-window", func(f *service.Flags) { f.Config.Admission.AdaptiveWindow = true }},
 		{"-max-inflight=16", func(f *service.Flags) { f.Config.Admission.MaxInFlight = 16 }},
 		{"-window=17ms", func(f *service.Flags) { f.Config.BatchWindow = 17 * time.Millisecond }},
 		{"-realtime", func(f *service.Flags) { f.Config.RealTime = true }},
@@ -65,8 +64,6 @@ func TestFlagsBindEveryField(t *testing.T) {
 	}
 	check := func(arg string, got, want service.Flags) {
 		t.Helper()
-		// -window bounds the adaptive window too.
-		want.Config.Admission.WindowMax = want.Config.BatchWindow
 		if got.Addr != want.Addr || got.Workload != want.Workload || got.Instance != want.Instance ||
 			!reflect.DeepEqual(got.Config, want.Config) {
 			t.Errorf("%q bound\n%+v\nwant\n%+v", arg, got, want)

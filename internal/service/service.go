@@ -138,11 +138,11 @@ type Config struct {
 
 	// Admission configures the overload-control layer: bounded-queue
 	// shedding (MaxPending), per-request latency budgets (Deadline) that
-	// cancel merges past them, and the adaptive admission window that
-	// replaces the fixed BatchWindow with a control loop, all inside the
-	// engine; the per-user token-bucket rate limits (UserRate, TotalRate)
-	// run at the front desk (fleet.Frontend). The zero value keeps the
-	// closed-loop behavior: senders block on the queue, nothing sheds.
+	// cancel merges past them and the in-flight bound (MaxInFlight), all
+	// inside the engine; the per-user token-bucket rate limits (UserRate,
+	// TotalRate) run at the front desk (fleet.Frontend). The zero value
+	// keeps the closed-loop behavior: senders block on the queue, nothing
+	// sheds.
 	Admission admission.Config
 }
 
@@ -156,7 +156,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	c.Admission = c.Admission.Normalized()
 	return c
 }
 
@@ -314,11 +313,6 @@ type Service struct {
 	// goroutines and therefore cannot read pending directly.
 	depth atomic.Int64
 
-	// win, when non-nil, replaces the fixed BatchWindow with the adaptive
-	// admission window control loop. Only the executor goroutine reads it
-	// during scheduling; its own mutex makes the Observe calls safe.
-	win *admission.WindowController
-
 	// mergeEWMA tracks recent admission-to-completion time (EWMA/4), the
 	// executor's estimate of what starting one more merge costs. Deadline
 	// shedding uses it to drop queued requests that could no longer finish
@@ -405,9 +399,6 @@ func New(w *workload.Workload, cfg Config) *Service {
 	// Each user query is optimized on its own; sharing between them arises
 	// in the plan graph (DESIGN.md "Optimization unit").
 	s.mgr.Unit = qsm.UnitUQ
-	if cfg.Admission.AdaptiveWindow {
-		s.win = admission.NewWindowController(cfg.Admission.WindowMax, cfg.Admission.Deadline)
-	}
 	if cfg.CheckpointDir != "" {
 		s.openRecovery(filepath.Join(cfg.CheckpointDir, fmt.Sprintf("shard-%d", id)))
 	}
@@ -442,7 +433,7 @@ func (s *Service) SearchUQ(ctx context.Context, uq *cq.UQ) (*Result, error) {
 			s.svc.ShedQueueFull.Inc()
 			return nil, &admission.ShedError{
 				Reason:     admission.ReasonQueueFull,
-				RetryAfter: s.cfg.Admission.RetryAfter,
+				RetryAfter: admission.RetryAfter,
 			}
 		}
 	}

@@ -50,9 +50,6 @@ func (s *Schema) NumCols() int { return len(s.cols) }
 // Col returns the i'th column.
 func (s *Schema) Col(i int) Column { return s.cols[i] }
 
-// Columns returns a copy of the column list.
-func (s *Schema) Columns() []Column { return append([]Column(nil), s.cols...) }
-
 // Index returns the position of the named column and whether it exists.
 func (s *Schema) Index(name string) (int, bool) {
 	i, ok := s.byName[name]
