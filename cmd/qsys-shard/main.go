@@ -18,9 +18,9 @@
 //	           [-max-pending 0] [-deadline 0] [-max-inflight 0]
 //	           [-drain-deadline 0] [-recover-dir DIR] [-checkpoint-interval 5s]
 //
-// Endpoints:
+// Endpoints (a search is one binary frame each way, the rest JSON):
 //
-//	POST /rpc/search     expanded user query → ranked answers
+//	POST /rpc/search     expanded user query frame → ranked answers frame
 //	GET  /rpc/stats      engine + serving counters
 //	GET  /rpc/health     health/drain/recovery state
 //	GET  /rpc/recovered  queries journaled in flight at the last crash

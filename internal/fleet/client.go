@@ -181,9 +181,9 @@ func retryable(err error) bool {
 	return connectFailure(err)
 }
 
-// call performs one RPC with retry and breaker handling. in == nil sends a
-// GET; out == nil discards the response body.
-func (c *Client) call(ctx context.Context, path string, in, out any) error {
+// call runs roundTrip, one attempt of an RPC, with retry and breaker
+// handling.
+func (c *Client) call(ctx context.Context, roundTrip func() error) error {
 	if !c.breakerAllow() {
 		if c.cfg.Metrics != nil {
 			c.cfg.Metrics.RPCFailures.Inc()
@@ -196,7 +196,7 @@ func (c *Client) call(ctx context.Context, path string, in, out any) error {
 			c.cfg.Metrics.RPCCalls.Inc()
 		}
 		t0 := time.Now()
-		err := c.once(ctx, path, in, out)
+		err := roundTrip()
 		if c.cfg.Metrics != nil {
 			c.cfg.Metrics.RPCLatency.Observe(time.Since(t0))
 		}
@@ -252,79 +252,107 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return base + time.Duration(j)
 }
 
-func (c *Client) once(ctx context.Context, path string, in, out any) error {
-	var (
-		req *http.Request
-		err error
-	)
-	if in == nil {
-		req, err = http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	} else {
-		var body bytes.Buffer
-		if err := json.NewEncoder(&body).Encode(in); err != nil {
-			return fmt.Errorf("fleet: encode %s: %w", path, err)
-		}
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, &body)
-		if req != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
+// once makes one round trip: a POST of frame, or a GET when frame is nil. It
+// returns the body of a 2xx response; any other status becomes an RPCError
+// read from the shard's JSON error envelope.
+func (c *Client) once(ctx context.Context, path string, frame []byte) ([]byte, error) {
+	method, body := http.MethodGet, io.Reader(nil)
+	if frame != nil {
+		method, body = http.MethodPost, bytes.NewReader(frame)
 	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if frame != nil {
+		req.Header.Set("Content-Type", frameContentType)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		var we wireError
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(data, &we) != nil || we.Error == "" {
-			we.Error = strings.TrimSpace(string(data))
-		}
-		return &RPCError{
-			Status:     resp.StatusCode,
-			Msg:        we.Error,
-			Retryable:  we.Retryable,
-			Reason:     we.Reason,
-			RetryAfter: time.Duration(we.RetryAfterMS) * time.Millisecond,
-		}
+		return nil, rpcError(resp)
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		return nil
+	data, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: read %s: %w", path, err)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return data, nil
 }
 
-// Search ships an expanded user query to the shard.
+// rpcError reads a non-2xx response's error envelope.
+func rpcError(resp *http.Response) *RPCError {
+	var we wireError
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	if json.Unmarshal(data, &we) != nil || we.Error == "" {
+		we.Error = strings.TrimSpace(string(data))
+	}
+	return &RPCError{
+		Status:     resp.StatusCode,
+		Msg:        we.Error,
+		Retryable:  we.Retryable,
+		Reason:     we.Reason,
+		RetryAfter: time.Duration(we.RetryAfterMS) * time.Millisecond,
+	}
+}
+
+// get fetches a JSON view from the shard.
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	return c.call(ctx, func() error {
+		data, err := c.once(ctx, path, nil)
+		if err != nil {
+			return err
+		}
+		return json.Unmarshal(data, out)
+	})
+}
+
+// Search ships an expanded user query to the shard as one request frame and
+// decodes the response frame.
 func (c *Client) Search(ctx context.Context, uq *cq.UQ) (*ResultView, error) {
-	var view ResultView
-	if err := c.call(ctx, "/rpc/search", EncodeUQ(uq), &view); err != nil {
+	frame := AppendSearchRequest(nil, EncodeUQ(uq))
+	var view *ResultView
+	err := c.call(ctx, func() error {
+		m := c.cfg.Metrics
+		if m != nil {
+			m.SearchRequestBytes.Add(int64(len(frame)))
+		}
+		data, err := c.once(ctx, "/rpc/search", frame)
+		if err != nil {
+			return err
+		}
+		if m != nil {
+			m.SearchResponseBytes.Add(int64(len(data)))
+		}
+		view, err = DecodeSearchResponse(data)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &view, nil
+	return view, nil
 }
 
 // Health probes the shard.
 func (c *Client) Health(ctx context.Context) (HealthView, error) {
 	var hv HealthView
-	err := c.call(ctx, "/rpc/health", nil, &hv)
+	err := c.get(ctx, "/rpc/health", &hv)
 	return hv, err
 }
 
 // Recovered fetches the shard's journaled crash aborts.
 func (c *Client) Recovered(ctx context.Context) (RecoveredView, error) {
 	var rv RecoveredView
-	err := c.call(ctx, "/rpc/recovered", nil, &rv)
+	err := c.get(ctx, "/rpc/recovered", &rv)
 	return rv, err
 }
 
 // Stats snapshots the shard's counters.
 func (c *Client) Stats(ctx context.Context) (*service.Stats, error) {
 	var st service.Stats
-	if err := c.call(ctx, "/rpc/stats", nil, &st); err != nil {
+	if err := c.get(ctx, "/rpc/stats", &st); err != nil {
 		return nil, err
 	}
 	return &st, nil

@@ -312,13 +312,15 @@ func (f *Frontend) Healthz(ctx context.Context) HealthzView {
 
 // Stats aggregates the fleet, counting every search once. The front desk
 // contributes what only it sees: requests, its rate-limit sheds, placement,
-// the expansion cache, and the wall and engine latency of every search it
-// answered, each from one histogram. Every reachable backend contributes its
-// engine: the lifecycle past placement (queued, in flight, completed,
-// canceled, rejected, queue-full and deadline sheds), admission and executor
-// batches, work, per-engine detail and the recovery tier.
+// the expansion cache, its shard RPC traffic, and the wall and engine latency
+// of every search it answered, each from one histogram. Every reachable
+// backend contributes its engine: the lifecycle past placement (queued, in
+// flight, completed, canceled, rejected, queue-full and deadline sheds),
+// admission and executor batches, work, per-engine detail and the recovery
+// tier.
 func (f *Frontend) Stats(ctx context.Context) service.Stats {
-	st := service.Stats{Service: f.svc.Snapshot(), Router: f.placer.Stats(), ExpandCache: f.exp.CacheStats()}
+	fm := f.fm.Snapshot()
+	st := service.Stats{Service: f.svc.Snapshot(), Router: f.placer.Stats(), ExpandCache: f.exp.CacheStats(), Fleet: &fm}
 	for i, b := range f.backends {
 		bs, err := b.Stats(ctx)
 		if err != nil {

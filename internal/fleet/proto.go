@@ -1,6 +1,6 @@
 // Package fleet is the serving tier: one stateless front desk (Frontend)
 // over N engines, which live in this process (NewLocal, LocalBackend) or in
-// shard processes reached over a compact HTTP/JSON RPC surface (Client,
+// shard processes reached over a compact HTTP RPC surface (Client,
 // ShardServer).
 //
 // The decomposition follows the determinism contract the digest-parity gate
@@ -14,9 +14,11 @@
 // it. Both serving modes run the same Frontend; what the parity gate still
 // proves is that the HTTP hop and the wire codecs change no answer.
 //
-// RPC surface (all JSON over POST unless noted):
+// RPC surface. A search is one binary frame each way (frame.go): a WireUQ
+// in, a ResultView out, floats as their bits. Everything else, and every
+// error envelope, is JSON:
 //
-//	POST /rpc/search     WireUQ → ResultView
+//	POST /rpc/search     WireUQ frame → ResultView frame
 //	GET  /rpc/stats      service.Stats
 //	GET  /rpc/health     HealthView
 //	GET  /rpc/recovered  RecoveredView
@@ -36,9 +38,8 @@ import (
 	"repro/internal/tuple"
 )
 
-// WireValue is the JSON form of a tuple.Value. Kind strings mirror
-// tuple.Kind.String(); float payloads round-trip exactly (encoding/json emits
-// the shortest representation that parses back to the same bits).
+// WireValue is the wire form of a tuple.Value. Kind strings mirror
+// tuple.Kind.String(); the search frame carries a float payload as its bits.
 type WireValue struct {
 	Kind  string  `json:"k"`
 	Int   int64   `json:"i,omitempty"`

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
@@ -29,17 +28,13 @@ func TestWireUQRoundTrip(t *testing.T) {
 		t.Fatal("expansion produced no candidate networks")
 	}
 
-	// Encode → JSON → decode must reproduce the query exactly: same ids,
+	// Encode → frame → decode must reproduce the query exactly: same ids,
 	// atoms, constants and scoring coefficients.
-	data, err := json.Marshal(fleet.EncodeUQ(uq))
+	wire, err := fleet.DecodeSearchRequest(fleet.AppendSearchRequest(nil, fleet.EncodeUQ(uq)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire fleet.WireUQ
-	if err := json.Unmarshal(data, &wire); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fleet.DecodeUQ(&wire)
+	got, err := fleet.DecodeUQ(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +55,13 @@ func TestWireUQRoundTrip(t *testing.T) {
 		if qe.Key() != ge.Key() {
 			t.Fatalf("CQ %d canonical key changed across the wire:\n  %s\n  %s",
 				i, qe.Key(), ge.Key())
+		}
+		for j, a := range q.Atoms {
+			for k, arg := range a.Args {
+				if ga := g.Atoms[j].Args[k]; ga.Var != arg.Var || ga.Const != arg.Const {
+					t.Fatalf("CQ %d atom %d term %d changed across the wire: %+v != %+v", i, j, k, ga, arg)
+				}
+			}
 		}
 		if g.Model.AggKind != q.Model.AggKind || g.Model.Static != q.Model.Static ||
 			!reflect.DeepEqual(g.Model.Weights, q.Model.Weights) {
@@ -87,9 +89,14 @@ func TestDecodeRejectsBrokenQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := fleet.EncodeUQ(uq)
-	// Break the model arity: decode must reject, not admit a malformed query.
+	// Break the model arity: the frame carries it, and decode must reject it
+	// rather than admit a malformed query.
 	wire.CQs[0].Model.Weights = wire.CQs[0].Model.Weights[:len(wire.CQs[0].Model.Weights)-1]
-	if _, err := fleet.DecodeUQ(wire); err == nil {
+	back, err := fleet.DecodeSearchRequest(fleet.AppendSearchRequest(nil, wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.DecodeUQ(back); err == nil {
 		t.Fatal("decode accepted a CQ with broken model arity")
 	}
 }
@@ -132,19 +139,14 @@ func TestDigestViewMatchesResultBytes(t *testing.T) {
 	}
 	wantSum := sha256.Sum256(want.Bytes())
 
-	// The view must digest identically — including after a JSON round trip,
-	// which is how the bytes actually arrive at a front-end or loadgen.
-	view := fleet.ViewOf(res)
-	data, err := json.Marshal(view)
+	// The view must digest identically — including after a frame round trip,
+	// which is how the bytes actually arrive at a front-end.
+	decoded, err := fleet.DecodeSearchResponse(fleet.AppendSearchResponse(nil, fleet.ViewOf(res)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded fleet.ResultView
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
 	h := sha256.New()
-	fleet.DigestView(h, &decoded)
+	fleet.DigestView(h, decoded)
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != fmt.Sprintf("%x", wantSum) {
 		t.Fatalf("view digest %s != result digest %s", got, fmt.Sprintf("%x", wantSum))
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -108,12 +109,22 @@ func (s *ShardServer) handleSearch(rw http.ResponseWriter, req *http.Request) {
 	}
 	defer s.endSearch()
 
-	var wire WireUQ
-	if err := json.NewDecoder(req.Body).Decode(&wire); err != nil {
+	body, err := readBody(http.MaxBytesReader(rw, req.Body, maxFrameBytes), req.ContentLength)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) || errors.Is(err, errFrameTooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeRPCError(rw, code, err.Error(), false)
+		return
+	}
+	wire, err := DecodeSearchRequest(body)
+	if err != nil {
 		writeRPCError(rw, http.StatusBadRequest, err.Error(), false)
 		return
 	}
-	uq, err := DecodeUQ(&wire)
+	uq, err := DecodeUQ(wire)
 	if err != nil {
 		writeRPCError(rw, http.StatusUnprocessableEntity, err.Error(), false)
 		return
@@ -137,7 +148,12 @@ func (s *ShardServer) handleSearch(rw http.ResponseWriter, req *http.Request) {
 		}
 		return
 	}
-	writeRPCJSON(rw, ViewOf(res))
+	frame := AppendSearchResponse(nil, ViewOf(res))
+	rw.Header().Set("Content-Type", frameContentType)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	if _, err := rw.Write(frame); err != nil {
+		log.Printf("fleet: write search response: %v", err)
+	}
 }
 
 func (s *ShardServer) handleStats(rw http.ResponseWriter, req *http.Request) {

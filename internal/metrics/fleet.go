@@ -13,6 +13,10 @@ type Fleet struct {
 	RPCFailures Counter
 	// RPCLatency measures per-call wall time, successful attempts only.
 	RPCLatency LatencyHist
+	// SearchRequestBytes sums the /rpc/search request frames sent, once per
+	// attempt; SearchResponseBytes the response frames received.
+	SearchRequestBytes  Counter
+	SearchResponseBytes Counter
 
 	// HealthProbes counts probe rounds issued per shard; HealthTrips counts
 	// healthy→unhealthy transitions observed by the prober.
@@ -42,6 +46,9 @@ type FleetSnapshot struct {
 	RPCFailures int64        `json:"rpc_failures"`
 	RPCLatency  LatencyStats `json:"rpc_latency"`
 
+	SearchRequestBytes  int64 `json:"search_request_bytes"`
+	SearchResponseBytes int64 `json:"search_response_bytes"`
+
 	HealthProbes   int64 `json:"health_probes"`
 	HealthTrips    int64 `json:"health_trips"`
 	CircuitOpens   int64 `json:"circuit_opens"`
@@ -64,5 +71,8 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 		RouteUnhealthy: f.RouteUnhealthy.Value(),
 		ShardSheds:     f.ShardSheds.Value(),
 		Redispatches:   f.Redispatches.Value(),
+
+		SearchRequestBytes:  f.SearchRequestBytes.Value(),
+		SearchResponseBytes: f.SearchResponseBytes.Value(),
 	}
 }

@@ -221,6 +221,10 @@ type Stats struct {
 	// checkpoint generation, checkpoints written/loaded, segments
 	// recovered/dropped, journaled-abort count.
 	Recovery recovery.StatsSnapshot
+	// Fleet reports the front desk's shard RPC traffic: calls, retries,
+	// breaker and probe outcomes, and the bytes of the /rpc/search frames.
+	// Only a front desk sets it; its RPC counters are zero in process.
+	Fleet *metrics.FleetSnapshot `json:",omitempty"`
 }
 
 // ShardStats describes one shard's engine.
