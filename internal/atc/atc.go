@@ -106,6 +106,12 @@ type ATC struct {
 	// (migrate.go); they are consumed by restoreStream/restoreJoin ahead of
 	// the disk tier and behind the same consistency gate.
 	staged map[string]stagedSeg
+
+	// dirty lists the source-stream execs marked CatalogDirty since the last
+	// DrainDirty; streams indexes the live ones by expression key, for
+	// MarkExpr.
+	dirty   []*operator.NodeExec
+	streams map[string][]*operator.NodeExec
 }
 
 // New creates a controller for a plan graph.
@@ -120,6 +126,7 @@ func New(g *plangraph.Graph, env *operator.Env, fleet *remotedb.Fleet) *ATC {
 		byUQ:        map[string]*MergeState{},
 		attach:      map[string]attachment{},
 		evictedKeys: map[string]bool{},
+		streams:     map[string][]*operator.NodeExec{},
 	}
 }
 
@@ -227,6 +234,11 @@ func (a *ATC) Exec(n *plangraph.Node) (*operator.NodeExec, error) {
 		}
 		x.Stream = st
 		a.restoreStream(n, x)
+		// Created, or revived after an eviction with its prefix restored: the
+		// catalog may not hold this stream's position (a discard forgot it).
+		a.markDirty(x)
+		key := n.Expr.Key()
+		a.streams[key] = append(a.streams[key], x)
 	case plangraph.SourceProbe:
 		db, err := a.Fleet.DB(n.DB)
 		if err != nil {
@@ -318,9 +330,49 @@ func (a *ATC) DropExec(n *plangraph.Node) {
 			a.evictedKeys = map[string]bool{}
 		}
 		a.evictedKeys[n.Key] = true
+		if x.Stream != nil {
+			key := n.Expr.Key()
+			a.streams[key] = slices.DeleteFunc(a.streams[key], func(y *operator.NodeExec) bool { return y == x })
+			if len(a.streams[key]) == 0 {
+				delete(a.streams, key)
+			}
+		}
 	}
 	delete(a.execs, n)
 	delete(a.ras, n)
+}
+
+// markDirty puts a source-stream exec on the dirty list.
+func (a *ATC) markDirty(x *operator.NodeExec) {
+	if !x.CatalogDirty && x.Stream != nil {
+		x.CatalogDirty = true
+		a.dirty = append(a.dirty, x)
+	}
+}
+
+// MarkExpr marks every live stream exec of an expression dirty. The state
+// manager calls it when it forgets the expression's streamed count, so
+// streams of the same expression in other scopes record theirs again.
+func (a *ATC) MarkExpr(exprKey string) {
+	for _, x := range a.streams[exprKey] {
+		a.markDirty(x)
+	}
+}
+
+// DrainDirty calls fn for every stream exec marked since the last drain that
+// is still live — still the exec of a node still in the graph, which is what
+// a walk of the graph would visit — and clears the marks. An exec is marked
+// when it is created (a revival after eviction creates a new one), when a
+// read moves its position or finds it exhausted, and by MarkExpr.
+func (a *ATC) DrainDirty(fn func(*operator.NodeExec)) {
+	for i, x := range a.dirty {
+		x.CatalogDirty = false
+		if a.execs[x.Node] == x && a.Graph.Node(x.Node.Key) == x.Node {
+			fn(x)
+		}
+		a.dirty[i] = nil
+	}
+	a.dirty = a.dirty[:0]
 }
 
 // SpillNode serializes a node's retained state — log rows, stream position,
@@ -699,6 +751,7 @@ func (a *ATC) advanceMerge(m *MergeState, quantum int, horizon time.Duration) (e
 		case operator.StepActivated:
 			// Bookkeeping only; continue advancing.
 		case operator.StepRead:
+			a.markDirty(step.Source)
 			if step.Source.ReadOne(env, a.epoch) {
 				reads++
 				if reads >= quantum || env.Clock.Now() >= horizon {

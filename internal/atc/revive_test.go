@@ -323,3 +323,40 @@ func BenchmarkReviveParked(b *testing.B) {
 		b.Fatal("no revive re-bound a parked segment")
 	}
 }
+
+// TestRevivedStreamMarkedDirty pins the dirty list's marks: every stream a
+// graft revives from the disk tier, its delivered prefix restored, is on the
+// list the next catalog sync drains, before any round reads from it, so the
+// sync records the position the revival restored.
+func TestRevivedStreamMarkedDirty(t *testing.T) {
+	first := starUQ("CQ1", "", 15, []float64{1, 1, 1})
+	h := newSplitHarness(t, 7, 50, 150, 40)
+	if err := h.mgr.EnableSpill(t.TempDir(), h.mgr.DefaultResolver()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.mgr.State.Close() }) //nolint:errcheck
+	h.graft(t, first)
+	h.finish(t, first.ID)
+	h.mgr.MemoryBudget = 1
+	h.mgr.EnforceBudget(h.ctrl.Epoch())
+	h.mgr.MemoryBudget = 0
+	h.ctrl.DrainDirty(func(*operator.NodeExec) {})
+
+	h.graft(t, starUQ("CQ2", "", 15, []float64{0.9, 1, 1}))
+	marked := map[*operator.NodeExec]bool{}
+	h.ctrl.DrainDirty(func(x *operator.NodeExec) { marked[x] = true })
+	restored := 0
+	for _, n := range h.graph.Nodes() {
+		x, ok := h.ctrl.HasExec(n)
+		if !ok || x.Stream == nil || x.Stream.Pos() == 0 {
+			continue
+		}
+		restored++
+		if !marked[x] {
+			t.Errorf("stream %s revived at position %d is not on the dirty list", n.Key, x.Stream.Pos())
+		}
+	}
+	if restored == 0 || h.env.Metrics.Snapshot().RevivalsFromSpill == 0 {
+		t.Fatal("no stream was revived from spill; the case proves nothing")
+	}
+}

@@ -28,6 +28,7 @@ type Counters struct {
 	resultsEmitted int64
 	replayTuples   int64
 	seededRows     int64
+	seedPulled     int64
 
 	spillSegsOut   int64
 	spillRowsOut   int64
@@ -101,6 +102,11 @@ func (c *Counters) AddReplayTuple() { atomic.AddInt64(&c.replayTuples, 1) }
 // endpoint (§6.2): results the graph computed before the query arrived,
 // shared without re-deriving or re-reading them.
 func (c *Counters) AddSeededRows(n int) { atomic.AddInt64(&c.seededRows, int64(n)) }
+
+// AddSeedPulled counts seeded rows an endpoint's cursor materialised —
+// projected, scored and buffered — because they could be the next answer.
+// Seeded rows never pulled cost their endpoint nothing.
+func (c *Counters) AddSeedPulled(n int) { atomic.AddInt64(&c.seedPulled, int64(n)) }
 
 // AddSpillWrite records one evicted plan segment serialized to the disk
 // tier (§6.3 spill): rows and bytes written.
@@ -187,6 +193,7 @@ type Snapshot struct {
 	ResultsEmitted int64
 	ReplayTuples   int64
 	SeededRows     int64
+	SeedPulled     int64
 
 	SpillSegsWritten   int64
 	SpillRowsWritten   int64
@@ -223,6 +230,7 @@ func (c *Counters) Snapshot() Snapshot {
 		ResultsEmitted: atomic.LoadInt64(&c.resultsEmitted),
 		ReplayTuples:   atomic.LoadInt64(&c.replayTuples),
 		SeededRows:     atomic.LoadInt64(&c.seededRows),
+		SeedPulled:     atomic.LoadInt64(&c.seedPulled),
 
 		SpillSegsWritten:   atomic.LoadInt64(&c.spillSegsOut),
 		SpillRowsWritten:   atomic.LoadInt64(&c.spillRowsOut),
@@ -267,6 +275,7 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		ResultsEmitted: s.ResultsEmitted + o.ResultsEmitted,
 		ReplayTuples:   s.ReplayTuples + o.ReplayTuples,
 		SeededRows:     s.SeededRows + o.SeededRows,
+		SeedPulled:     s.SeedPulled + o.SeedPulled,
 
 		SpillSegsWritten:   s.SpillSegsWritten + o.SpillSegsWritten,
 		SpillRowsWritten:   s.SpillRowsWritten + o.SpillRowsWritten,

@@ -471,22 +471,19 @@ func TestSeenSetReleaseAndAccounting(t *testing.T) {
 	}
 }
 
-// TestLogEachBeforeMatchesBefore pins the epoch-partitioned iteration to the
-// slice-returning form, including the unsorted-epoch fallback that recovery
-// appends (epoch e-1 after live epoch e rows) can produce.
+// TestLogEachBeforeMatchesBefore pins the epoch-partitioned iteration, and
+// the partition count seeding uses, to an inline filter over the whole log,
+// including the unsorted-epoch fallback that recovery appends (epoch e-1
+// after live epoch e rows) can produce.
 func TestLogEachBeforeMatchesBefore(t *testing.T) {
 	s := rowSchema()
-	var l Log
-	epochs := []int{1, 1, 2, 3, 3, 1, 2} // out of order at index 5
-	for i, e := range epochs {
-		l.Append(mkRow(s, i, 0.5), e)
-	}
-	for e := 0; e <= 4; e++ {
-		want := l.Before(e)
+	check := func(l *Log, e int) {
+		t.Helper()
+		want := logBefore(l, e)
 		var got []*tuple.Row
 		l.EachBefore(e, func(r *tuple.Row) { got = append(got, r) })
-		if len(got) != len(want) {
-			t.Fatalf("EachBefore(%d) yielded %d rows, Before %d", e, len(got), len(want))
+		if len(got) != len(want) || l.countBefore(e) != len(want) {
+			t.Fatalf("EachBefore(%d) yielded %d rows, countBefore %d, the filter %d", e, len(got), l.countBefore(e), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
@@ -494,18 +491,21 @@ func TestLogEachBeforeMatchesBefore(t *testing.T) {
 			}
 		}
 	}
+	var l Log
+	epochs := []int{1, 1, 2, 3, 3, 1, 2} // out of order at index 5
+	for i, e := range epochs {
+		l.Append(mkRow(s, i, 0.5), e)
+	}
+	for e := 0; e <= 4; e++ {
+		check(&l, e)
+	}
 	// Sorted-epoch fast path: fresh log, nondecreasing epochs.
 	var l2 Log
 	for i, e := range []int{0, 1, 1, 2, 5} {
 		l2.Append(mkRow(s, i, 0.5), e)
 	}
 	for e := 0; e <= 6; e++ {
-		if got, want := len(l2.Before(e)), 0; true {
-			l2.EachBefore(e, func(*tuple.Row) { want++ })
-			if got != want {
-				t.Fatalf("sorted EachBefore(%d): %d vs %d", e, want, got)
-			}
-		}
+		check(&l2, e)
 	}
 }
 

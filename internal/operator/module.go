@@ -2,6 +2,7 @@ package operator
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/state"
@@ -93,6 +94,11 @@ type Log struct {
 	// by Append so repeated recovery passes stop rebuilding it from scratch.
 	// It is resident state and is counted by IdentCount / cleared by Reset.
 	idents *identSet
+	// ix, once built by the first endpoint seeded from this log, orders a
+	// prefix of the rows by score product (productIndex). Like an access
+	// module's hash chains it is an index, not resident state: the ledger does
+	// not count it.
+	ix *logIndex
 
 	// acct, when set, receives every size delta (rows + identity entries) so
 	// the state subsystem's ledger tracks resident state without rescans.
@@ -165,8 +171,7 @@ func (l *Log) Row(i int) *tuple.Row { return l.rows[i] }
 // is found by binary search and the prefix is walked with no per-row check.
 func (l *Log) EachBefore(e int, fn func(*tuple.Row)) {
 	if l.epochsSorted || len(l.epochs) == 0 {
-		hi := sort.SearchInts(l.epochs, e)
-		for _, r := range l.rows[:hi] {
+		for _, r := range l.rows[:l.countBefore(e)] {
 			fn(r)
 		}
 		return
@@ -178,11 +183,126 @@ func (l *Log) EachBefore(e int, fn func(*tuple.Row)) {
 	}
 }
 
-// Before returns the rows logged with epoch < e, in arrival order.
-func (l *Log) Before(e int) []*tuple.Row {
-	var out []*tuple.Row
-	l.EachBefore(e, func(r *tuple.Row) { out = append(out, r) })
-	return out
+// countBefore returns how many rows were logged with epoch < e.
+func (l *Log) countBefore(e int) int {
+	if l.epochsSorted || len(l.epochs) == 0 {
+		return sort.SearchInts(l.epochs, e)
+	}
+	n := 0
+	for _, ep := range l.epochs {
+		if ep < e {
+			n++
+		}
+	}
+	return n
+}
+
+// seedBlock is how many index positions share one entry of a logIndex's
+// per-atom suffix maxima.
+const seedBlock = 16
+
+// logIndex orders the first len(order) rows of a log by nonincreasing score
+// product, position ascending on ties — the order a pushed-down stream
+// delivers (§3), so for the product family it is the order of every CQ's
+// score up to rounding. caps[b*arity+a] is the largest score at node atom a
+// among the rows at order[b*seedBlock:]: per-atom maxima of every suffix,
+// at block granularity, the bound a sum-family score needs. An index is
+// never modified once built, so a cursor holding one keeps its view.
+type logIndex struct {
+	order []int32
+	caps  []float64
+	arity int
+}
+
+// productIndex returns an index over every row logged so far. The first call
+// sorts the whole log; later calls sort only the rows appended since the last
+// index and merge them into a new one. Append and AppendBatch never touch it.
+func (l *Log) productIndex() *logIndex {
+	n := len(l.rows)
+	var prev []int32
+	if l.ix != nil {
+		if len(l.ix.order) == n {
+			return l.ix
+		}
+		prev = l.ix.order
+	}
+	from := len(prev)
+	prods := make([]float64, n-from) // by position - from
+	fresh := make([]int32, n-from)
+	for i := range fresh {
+		fresh[i] = int32(from + i)
+		prods[i] = l.rows[from+i].ScoreProduct()
+	}
+	slices.SortStableFunc(fresh, func(a, b int32) int {
+		pa, pb := prods[int(a)-from], prods[int(b)-from]
+		switch {
+		case pa > pb:
+			return -1
+		case pa < pb:
+			return 1
+		}
+		return 0
+	})
+	// Merge: on a tie the earlier position — the old index's — goes first.
+	order := make([]int32, 0, n)
+	i, j := 0, 0
+	for i < len(prev) && j < len(fresh) {
+		if prods[int(fresh[j])-from] > l.rows[prev[i]].ScoreProduct() {
+			order = append(order, fresh[j])
+			j++
+		} else {
+			order = append(order, prev[i])
+			i++
+		}
+	}
+	order = append(append(order, prev[i:]...), fresh[j:]...)
+	l.ix = &logIndex{order: order}
+	if n > 0 {
+		l.ix.buildCaps(l.rows)
+	}
+	return l.ix
+}
+
+// buildCaps computes the per-block suffix maxima of an ordered index.
+func (ix *logIndex) buildCaps(rows []*tuple.Row) {
+	ix.arity = rows[ix.order[0]].Arity()
+	blocks := (len(ix.order) + seedBlock - 1) / seedBlock
+	ix.caps = make([]float64, blocks*ix.arity)
+	run := make([]float64, ix.arity)
+	for a := range run {
+		run[a] = math.Inf(-1)
+	}
+	for b := blocks - 1; b >= 0; b-- {
+		for _, pos := range ix.order[b*seedBlock : min((b+1)*seedBlock, len(ix.order))] {
+			r := rows[pos]
+			for a := range run {
+				run[a] = max(run[a], r.Part(a).Score())
+			}
+		}
+		copy(ix.caps[b*ix.arity:], run)
+	}
+}
+
+// seedView is a snapshot of a log's pre-epoch partition in product order:
+// the rows and epochs as they were when it was taken, an index over them,
+// and how many of them were logged before the epoch. Later appends, index
+// merges and a Reset of the log leave it unchanged.
+type seedView struct {
+	rows   []*tuple.Row
+	epochs []int
+	ix     *logIndex
+	epoch  int
+	n      int
+}
+
+// seedView snapshots the rows logged before epoch e, extending the log's
+// product index first if rows were appended since it was last built.
+func (l *Log) seedView(e int) seedView {
+	v := seedView{rows: l.rows, epochs: l.epochs, epoch: e, n: l.countBefore(e)}
+	if v.n > 0 {
+		v.ix = l.productIndex()
+	}
+	return v
 }
 
 // RowsFrom returns the logged rows and their epochs starting at index i —
@@ -217,6 +337,7 @@ func (l *Log) Reset() {
 	l.acct.Add(-(len(l.rows) + l.idents.Len()))
 	l.rows, l.epochs = nil, nil
 	l.idents = nil
+	l.ix = nil
 	l.epochsSorted = false
 }
 

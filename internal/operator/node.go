@@ -88,6 +88,12 @@ type NodeExec struct {
 	// before relying on it. It is ATC bookkeeping kept on the exec so it
 	// lives and dies with the node's runtime state.
 	HistoryComplete bool
+	// CatalogDirty marks a source-stream exec whose stream position or
+	// exhaustion the catalog may not reflect yet: the ATC sets it when it
+	// creates the exec, reads from it, or is told the expression's count was
+	// forgotten, and the state manager's catalog sync clears it. ATC
+	// bookkeeping, kept on the exec like HistoryComplete.
+	CatalogDirty bool
 }
 
 type consumerBinding struct {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cq"
+	"repro/internal/scoring"
 	"repro/internal/state"
 	"repro/internal/tuple"
 )
@@ -74,6 +75,9 @@ type CQEntry struct {
 
 	maxima []float64
 	buffer candidateHeap
+	// cur, when set, holds the pre-epoch log rows the entry was seeded with
+	// that are not yet in buffer; see EndpointSink.Seed.
+	cur *seedCursor
 	// seen deduplicates offered rows by identity hash (§4.1 rank-merge; it is
 	// released when the CQ is unlinked, §6.3, and counted by SeenLen).
 	seen *identSet
@@ -147,8 +151,17 @@ func (e *CQEntry) refresh() {
 	e.thCache, e.thSource, e.thValid = best, src, true
 }
 
-// BufferLen returns the number of buffered candidates (memory accounting).
-func (e *CQEntry) BufferLen() int { return len(e.buffer) }
+// BufferLen returns the number of buffered candidates (memory accounting),
+// counting the seeded rows the cursor has not pulled yet.
+func (e *CQEntry) BufferLen() int { return len(e.buffer) + e.unpulled() }
+
+// unpulled returns how many seeded rows are still behind the cursor.
+func (e *CQEntry) unpulled() int {
+	if e.cur == nil {
+		return 0
+	}
+	return e.cur.left
+}
 
 // Duplicates returns how many duplicate rows the entry rejected (tests
 // assert this stays zero — Algorithm 2's epoch partitioning must prevent
@@ -156,13 +169,20 @@ func (e *CQEntry) BufferLen() int { return len(e.buffer) }
 func (e *CQEntry) Duplicates() int { return e.dups }
 
 // SeenLen reports the duplicate-set size in entries (§6.3 memory accounting:
-// the seen set is resident state invisible to the row counts).
-func (e *CQEntry) SeenLen() int { return e.seen.Len() }
+// the seen set is resident state invisible to the row counts): the pulled
+// rows the set holds plus the unpulled seeded rows it will hold, until
+// DropSeen releases both.
+func (e *CQEntry) SeenLen() int {
+	if e.seen == nil {
+		return 0
+	}
+	return e.seen.Len() + e.unpulled()
+}
 
 // SetAccount wires the entry to a ledger account, crediting current state.
 func (e *CQEntry) SetAccount(a *state.Account) {
 	e.acct = a
-	a.Add(len(e.buffer) + e.seen.Len())
+	a.Add(e.BufferLen() + e.SeenLen())
 }
 
 // Account returns the entry's ledger account (nil outside an engine).
@@ -173,7 +193,7 @@ func (e *CQEntry) Account() *state.Account { return e.acct }
 // set — which otherwise grows with every distinct result ever offered — can
 // be reclaimed while buffered candidates stay eligible for emission.
 func (e *CQEntry) DropSeen() {
-	e.acct.Add(-e.seen.Len())
+	e.acct.Add(-e.SeenLen())
 	e.seen = nil
 }
 
@@ -202,13 +222,38 @@ func (s *EndpointSink) Offer(env *Env, r *tuple.Row) {
 	}
 }
 
-// Seed buffers every row the log holds from before epoch — results the graph
-// computed before this query arrived, reused without charging a source read
-// — walking the log in arrival order and restoring the heap once at the end.
-// That is exact: the buffer is ordered by (score, identity) and identities
-// are deduplicated, so the order rows go in cannot change the order they
-// come out.
+// Seed gives the entry every row the log holds from before epoch — results
+// the graph computed before this query arrived, reused without charging a
+// source read — as a cursor over the log's product index, not as buffered
+// candidates: the rank-merge pulls a row (projects it, scores it, adds it to
+// the seen set and the buffer) only once it could be the entry's next
+// answer, so a warm search pays for the answers it emits, not for the log.
+// The ledger is charged at once what eager seeding charges, one seen entry
+// and one buffered candidate per row, and BufferLen and SeenLen count the
+// unpulled rows the same way, so budget enforcement cannot tell the two
+// apart. A sink is seeded once, before it is attached.
+//
+// A cursor row cannot duplicate a row Offer delivers later: the cursor holds
+// rows logged before the sink was attached, Offer only rows logged after,
+// and a node's log holds each identity once (Algorithm 2's epoch
+// partitioning for live rows, the log's identity set for recovered ones).
 func (s *EndpointSink) Seed(env *Env, log *Log, epoch int) {
+	v := log.seedView(epoch)
+	env.Metrics.AddSeededRows(v.n)
+	if v.n == 0 {
+		return
+	}
+	s.Entry.cur = &seedCursor{seedView: v, sink: s, left: v.n, boundAt: -1, capsAt: -1,
+		product: s.Entry.CQ.Model.AggKind == scoring.Product}
+	s.Entry.acct.Add(2 * v.n)
+}
+
+// SeedEager buffers every pre-epoch row at once, walking the log in arrival
+// order and restoring the heap once at the end: the reference Seed is
+// checked against. That is exact: the buffer is ordered by (score, identity)
+// and identities are deduplicated, so the order rows go in cannot change the
+// order they come out.
+func (s *EndpointSink) SeedEager(env *Env, log *Log, epoch int) {
 	handed, added := 0, 0
 	if e := s.Entry; e.seen.Len() == 0 && len(e.buffer) == 0 {
 		e.seen = newIdentSet(log.Len())
@@ -236,6 +281,12 @@ func (s *EndpointSink) add(r *tuple.Row) bool {
 		e.dups++
 		return false
 	}
+	e.buffer = append(e.buffer, s.candidate(r))
+	return true
+}
+
+// candidate projects a node-order row into CQ atom order and scores it.
+func (s *EndpointSink) candidate(r *tuple.Row) candidate {
 	parts := make([]*tuple.Tuple, len(s.AtomMap))
 	for ni, ci := range s.AtomMap {
 		parts[ci] = r.Part(ni)
@@ -245,8 +296,177 @@ func (s *EndpointSink) add(r *tuple.Row) bool {
 	for i, p := range parts {
 		s.scores[i] = p.Score()
 	}
-	e.buffer = append(e.buffer, candidate{row: row, score: e.CQ.Model.Score(s.scores), id: r.Identity()})
-	return true
+	return candidate{row: row, score: s.Entry.CQ.Model.Score(s.scores), id: r.Identity()}
+}
+
+// score scores a node-order row under the entry's model without projecting
+// it.
+func (s *EndpointSink) score(r *tuple.Row) float64 {
+	for ni, ci := range s.AtomMap {
+		s.scores[ci] = r.Part(ni).Score()
+	}
+	return s.Entry.CQ.Model.Score(s.scores)
+}
+
+// seedCursor walks a seedView in index order for one endpoint. Its bound is
+// one rule for every scoring model: the model over the unpulled suffix's
+// per-atom maxima (valid for any monotone model, and computed by the same
+// floating-point expression as a row's score, so no rounding can put a row
+// above it), and for the product family also the head row's score widened
+// by the rounding error of two n-factor products, whichever is tighter. The
+// widening is what lets the bound trust the index order: rows are ordered by
+// their part-score product in node order, a CQ scores them in its own atom
+// order with its weights, and the two roundings can disagree by a few ulps.
+// For the sum family the maxima are the head's exact suffix maxima — the
+// rest of its index block scanned, then the next block's stored maxima —
+// since they are its only bound; the product family takes the head block's
+// stored maxima and leans on the widened head score.
+type seedCursor struct {
+	seedView
+	sink *EndpointSink
+	// next is the index position of the first unpulled row (rows logged at
+	// or after the epoch are skipped on the way); left counts the unpulled
+	// pre-epoch rows.
+	next, left int
+	// bound memoises the bound at index position boundAt, capsBound the
+	// model over the suffix maxima of index block capsAt.
+	bound, capsBound float64
+	boundAt, capsAt  int
+	product          bool
+}
+
+// head advances past rows logged at or after the view's epoch and returns
+// the index position of the first unpulled row; left must be positive.
+func (c *seedCursor) head() int {
+	for c.epochs[c.ix.order[c.next]] >= c.epoch {
+		c.next++
+	}
+	return c.next
+}
+
+// boundFrom returns the bound on the rows at index positions j and later,
+// given the score of the row at j; exact asks for the sum family's exact
+// suffix maxima, which cost a scan of the rest of j's block.
+func (c *seedCursor) boundFrom(j int, headScore float64, exact bool) float64 {
+	if c.product {
+		return min(c.blockBound(j/seedBlock), widenProduct(headScore, len(c.sink.AtomMap)))
+	}
+	if !exact || j%seedBlock == 0 {
+		return c.blockBound(j / seedBlock)
+	}
+	// The scratch score vector holds the maxima, in CQ atom order.
+	maxima, b := c.sink.scores, j/seedBlock
+	next := (b + 1) * c.ix.arity
+	for ni, ci := range c.sink.AtomMap {
+		maxima[ci] = math.Inf(-1)
+		if next < len(c.ix.caps) {
+			maxima[ci] = c.ix.caps[next+ni]
+		}
+	}
+	for _, pos := range c.ix.order[j:min((b+1)*seedBlock, len(c.ix.order))] {
+		if c.epochs[pos] >= c.epoch {
+			continue
+		}
+		r := c.rows[pos]
+		for ni, ci := range c.sink.AtomMap {
+			maxima[ci] = max(maxima[ci], r.Part(ni).Score())
+		}
+	}
+	return c.sink.Entry.CQ.Model.Score(maxima)
+}
+
+// blockBound returns the model over the stored suffix maxima of index block
+// b, memoised.
+func (c *seedCursor) blockBound(b int) float64 {
+	if b != c.capsAt {
+		maxima := c.sink.scores // scratch, CQ atom order
+		for ni, ci := range c.sink.AtomMap {
+			maxima[ci] = c.ix.caps[b*c.ix.arity+ni]
+		}
+		c.capsAt, c.capsBound = b, c.sink.Entry.CQ.Model.Score(maxima)
+	}
+	return c.capsBound
+}
+
+// widenProduct bounds, from the score h of the row heading a product-ordered
+// suffix of m-atom rows, the score of every row in it. With u = 2⁻⁵³, a row's
+// part-score product in node order (m-1 roundings) is within (m-1)u of its
+// exact value and a CQ's score of it (2m roundings, weights and the static
+// factor included) within 2m·u, to first order; so a later row, whose
+// computed product is no larger, scores at most h·(1 + 2(3m-1)u).
+// (4m+4)·2⁻⁵² covers that with room for the widening's own rounding. Near
+// the subnormal range rounding errors are absolute instead, and an absolute
+// term covers them (only there: subnormal operands are slow).
+func widenProduct(h float64, m int) float64 {
+	k := float64(4*m + 4)
+	if h >= 0x1p-1000 {
+		return h * (1 + k*0x1p-52)
+	}
+	return h*(1+k*0x1p-52) + k*0x1p-1074
+}
+
+// headBound returns the cursor's bound on every unpulled row's score, or
+// -Inf when none is left.
+func (c *seedCursor) headBound() float64 {
+	if c.left == 0 {
+		return math.Inf(-1)
+	}
+	j := c.head()
+	if c.boundAt != j {
+		c.bound, c.boundAt = c.boundFrom(j, c.sink.score(c.rows[c.ix.order[j]]), true), j
+	}
+	return c.bound
+}
+
+// pull materialises the head row into the entry's buffer.
+func (c *seedCursor) pull(env *Env) {
+	r := c.rows[c.ix.order[c.head()]]
+	c.next++
+	c.left--
+	env.Metrics.AddSeedPulled(1)
+	e := c.sink.Entry
+	if c.left == 0 {
+		e.cur = nil // let the snapshot go
+	}
+	if e.seen != nil && !e.seen.Add(r) {
+		e.dups++
+		e.acct.Add(-2) // charged as a candidate and a seen entry; it is neither
+		return
+	}
+	e.buffer = append(e.buffer, c.sink.candidate(r))
+	heap.Fix(&e.buffer, len(e.buffer)-1)
+}
+
+// countAbove counts the unpulled rows scoring strictly above t, up to limit,
+// scoring them in index order without materialising them and stopping where
+// the bound on the rest falls to t.
+func (c *seedCursor) countAbove(t float64, limit int) int {
+	n := 0
+	for j, visited := c.next, 0; visited < c.left && n < limit; j++ {
+		pos := c.ix.order[j]
+		if c.epochs[pos] >= c.epoch {
+			continue
+		}
+		visited++
+		score := c.sink.score(c.rows[pos])
+		if !(c.boundFrom(j, score, false) > t) {
+			break
+		}
+		if score > t {
+			n++
+		}
+	}
+	return n
+}
+
+// settle pulls seeded rows until the buffer's best candidate beats the bound
+// on every row still behind the cursor, so the buffer's top is the entry's
+// best candidate, its identity tie-break included, and the buffer is empty
+// only when the entry has no candidate at all.
+func (e *CQEntry) settle(env *Env) {
+	for c := e.cur; c != nil && c.left > 0 && (len(e.buffer) == 0 || c.headBound() >= e.buffer[0].score); {
+		c.pull(env)
+	}
 }
 
 // candidate is a buffered potential answer.
@@ -355,8 +575,12 @@ func (rm *RankMerge) Advance(env *Env) Step {
 			rm.finish()
 			return Step{Kind: StepDone}
 		}
-		// Mark active entries with nothing left as complete.
+		// Settle every cursor, and mark active entries with nothing left as
+		// complete.
 		for _, e := range rm.Entries {
+			if e.cur != nil {
+				e.settle(env)
+			}
 			if e.State == Active && math.IsInf(e.Threshold(), -1) && len(e.buffer) == 0 {
 				e.State = Complete
 			}
@@ -432,7 +656,8 @@ func (rm *RankMerge) emit(env *Env, e *CQEntry) *Result {
 // remaining top-k slots: if (k-emitted) candidates are already buffered with
 // scores above an entry's threshold, its future results cannot matter (§6.3).
 // It counts those candidates rather than ranking them, so an emission costs
-// O(need × entries) whatever the buffers hold.
+// O(need × entries) whatever the buffers hold, and seeded rows still behind a
+// cursor are scored in place, not pulled.
 func (rm *RankMerge) prune() []string {
 	need := rm.K - len(rm.emitted)
 	if need <= 0 {
@@ -440,7 +665,7 @@ func (rm *RankMerge) prune() []string {
 	}
 	buffered := 0
 	for _, e := range rm.Entries {
-		buffered += len(e.buffer)
+		buffered += e.BufferLen()
 	}
 	if buffered < need {
 		return nil
@@ -467,8 +692,9 @@ func (rm *RankMerge) finish() {
 	}
 }
 
-// countAbove counts buffered candidates, across every entry, scoring strictly
-// above t, stopping once it reaches limit.
+// countAbove counts candidates, across every entry, scoring strictly above t,
+// stopping once it reaches limit: buffered ones and seeded ones still behind
+// a cursor alike.
 func (rm *RankMerge) countAbove(t float64, limit int) int {
 	n := 0
 	for _, e := range rm.Entries {
@@ -476,6 +702,9 @@ func (rm *RankMerge) countAbove(t float64, limit int) int {
 			break
 		}
 		n += e.buffer.countAbove(0, t, limit-n)
+		if e.cur != nil && n < limit {
+			n += e.cur.countAbove(t, limit-n)
+		}
 	}
 	return n
 }

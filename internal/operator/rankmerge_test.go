@@ -19,7 +19,7 @@ import (
 // sortedBefore is the reference seeding order: the pre-epoch rows sorted by
 // nonincreasing score product, identity ascending on ties.
 func sortedBefore(l *Log, e int) []*tuple.Row {
-	out := l.Before(e)
+	out := logBefore(l, e)
 	sort.SliceStable(out, func(i, j int) bool {
 		si, sj := out[i].ScoreProduct(), out[j].ScoreProduct()
 		if si != sj {
@@ -46,11 +46,20 @@ func TestSortedBeforeByProduct(t *testing.T) {
 	}
 }
 
-// TestSeedMatchesSortedOffer pins EndpointSink.Seed — the log walked in
-// arrival order, the heap restored once — to offering the same rows one at a
-// time in score order: the same emission sequence, duplicate count, seen-set
-// size and ledger rows, on logs with repeated identities, tied scores and
-// epochs out of order.
+// popBest settles an entry's cursor and pops its best candidate, as the
+// rank-merge emits it.
+func popBest(env *Env, e *CQEntry) candidate {
+	e.settle(env)
+	return heap.Pop(&e.buffer).(candidate)
+}
+
+// TestSeedMatchesSortedOffer pins EndpointSink.Seed — a cursor over the log's
+// product index, pulled only as candidates are needed — to offering the same
+// rows one at a time in score order: the same emission sequence, duplicate
+// count, seen-set size and ledger rows, on logs with repeated identities,
+// tied scores and epochs out of order. Before anything is pulled the seen
+// set counts every seeded row (pulled + unpulled); a duplicate is found, and
+// its charge returned, when the cursor pulls it.
 func TestSeedMatchesSortedOffer(t *testing.T) {
 	s := rowSchema()
 	q := &cq.CQ{ID: "CQ1", Atoms: []*cq.Atom{
@@ -92,18 +101,26 @@ func TestSeedMatchesSortedOffer(t *testing.T) {
 			t.Fatalf("%s: SeededRows %d, want %d", what, got, len(ref))
 		}
 		a, b := seeded.Entry, offered.Entry
-		if a.Duplicates() != b.Duplicates() || a.SeenLen() != b.SeenLen() || seededAcct.Rows() != offeredAcct.Rows() {
-			t.Fatalf("%s: dups/seen/ledger %d/%d/%d, sorted offer %d/%d/%d", what,
-				a.Duplicates(), a.SeenLen(), seededAcct.Rows(), b.Duplicates(), b.SeenLen(), offeredAcct.Rows())
-		}
-		if a.BufferLen() != b.BufferLen() {
-			t.Fatalf("%s: %d buffered, sorted offer %d", what, a.BufferLen(), b.BufferLen())
+		if a.SeenLen() != len(ref) || a.BufferLen() != len(ref) || seededAcct.Rows() != int64(2*len(ref)) {
+			t.Fatalf("%s: seeded seen/buffer/ledger %d/%d/%d, want %d pulled + unpulled", what,
+				a.SeenLen(), a.BufferLen(), seededAcct.Rows(), len(ref))
 		}
 		for i := 0; b.BufferLen() > 0; i++ {
-			x, y := heap.Pop(&a.buffer).(candidate), heap.Pop(&b.buffer).(candidate)
+			if a.BufferLen() == 0 {
+				t.Fatalf("%s: seeded entry ran dry after %d emissions", what, i)
+			}
+			x, y := popBest(env, a), heap.Pop(&b.buffer).(candidate)
 			if x.id != y.id || x.score != y.score || x.row.Identity() != y.row.Identity() {
 				t.Fatalf("%s: emission %d is %s@%v, sorted offer %s@%v", what, i, x.id, x.score, y.id, y.score)
 			}
+		}
+		a.settle(env)
+		if a.BufferLen() != 0 || a.cur != nil {
+			t.Fatalf("%s: %d seeded rows left after the sorted offer ran out", what, a.BufferLen())
+		}
+		if a.Duplicates() != b.Duplicates() || a.SeenLen() != b.SeenLen() || seededAcct.Rows() != offeredAcct.Rows() {
+			t.Fatalf("%s: dups/seen/ledger %d/%d/%d, sorted offer %d/%d/%d", what,
+				a.Duplicates(), a.SeenLen(), seededAcct.Rows(), b.Duplicates(), b.SeenLen(), offeredAcct.Rows())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package qsm
 import (
 	"repro/internal/cq"
 	"repro/internal/mqo"
+	"repro/internal/plangraph"
 )
 
 // PlanCacheCap exposes the entry cap to the external tests.
@@ -23,3 +24,24 @@ func (m *Manager) PlanFor(qs []*cq.CQ, cfg mqo.Config) (res *mqo.Result, hit boo
 // SetForceBuild makes every graft of m run factorize.Build, as a reference
 // for the direct graft a live graft record allows.
 func SetForceBuild(m *Manager, on bool) { m.forceBuild = on }
+
+// SetEagerSeed makes every endpoint of m buffer its whole pre-epoch log at
+// admission (EndpointSink.SeedEager), as a reference for the seed cursor.
+func SetEagerSeed(m *Manager, on bool) { m.eagerSeed = on }
+
+// FullSyncCatalog is the catalog sync the dirty list replaced: it visits
+// every node of the graph and records every stream exec's position, and its
+// cardinality once exhausted.
+func FullSyncCatalog(m *Manager) {
+	for _, n := range m.Graph.Nodes() {
+		x, ok := m.ATC.HasExec(n)
+		if !ok || n.Kind != plangraph.SourceStream || x.Stream == nil {
+			continue
+		}
+		key := n.Expr.Key()
+		m.Cat.RecordStreamed(key, x.Stream.Pos())
+		if x.Stream.Exhausted() {
+			m.Cat.RecordExprCard(key, float64(x.Stream.Len()))
+		}
+	}
+}

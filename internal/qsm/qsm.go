@@ -104,6 +104,10 @@ type Manager struct {
 	// forceBuild makes every graft run factorize.Build, ignoring graft
 	// records (set only by tests, as the reference side of a differential).
 	forceBuild bool
+	// eagerSeed makes every endpoint buffer its whole pre-epoch log at
+	// admission (EndpointSink.SeedEager), the reference the seed cursor is
+	// tested against (set only by tests).
+	eagerSeed bool
 }
 
 // New creates a manager, wiring a fresh execution-state subsystem (ledger +
@@ -117,7 +121,7 @@ func New(g *plangraph.Graph, a *atc.ATC, cat *catalog.Catalog, cm *costmodel.Mod
 	a.BindState(m.State.Ledger, nil)
 	// A spilled stream keeps its buffered-prefix accounting (evict); if the
 	// segment later proves unrestorable the prefix is gone for real.
-	a.SpillLost = cat.ForgetStreamed
+	a.SpillLost = m.forgetStreamed
 	return m
 }
 
@@ -279,7 +283,11 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (*AdmitReport
 				return nil, fmt.Errorf("qsm: %s has no streaming groups", q.ID)
 			}
 			sink := operator.NewEndpointSink(entry, ep.AtomMap)
-			sink.Seed(m.ATC.Env, x.Log, epoch)
+			if m.eagerSeed {
+				sink.SeedEager(m.ATC.Env, x.Log, epoch)
+			} else {
+				sink.Seed(m.ATC.Env, x.Log, epoch)
+			}
 			m.ATC.AttachCQ(q.ID, x, sink)
 			entries = append(entries, entry)
 		}
@@ -460,27 +468,27 @@ func (m *Manager) groups(subs []batcher.Submission) []optGroup {
 func (m *Manager) touch(n *plangraph.Node, epoch int) { m.lastUse[n] = epoch }
 
 // SyncCatalog feeds observed execution state back into the catalog so the
-// next optimization round costs reuse correctly (§6.1).
+// next optimization round costs reuse correctly (§6.1). It visits only the
+// stream execs the controller marked since the last sync — created, revived,
+// read from, or of an expression whose count was forgotten — so it costs
+// O(changed streams), not O(graph), and writes what a walk of every graph
+// node would write: RecordStreamed keeps the largest count it is given, and
+// an expression's cardinality is the same from any exec of it.
 func (m *Manager) SyncCatalog() {
-	for _, n := range m.Graph.Nodes() {
-		x, ok := m.ATC.HasExec(n)
-		if !ok {
-			continue
+	m.ATC.DrainDirty(func(x *operator.NodeExec) {
+		key := x.Node.Expr.Key()
+		m.Cat.RecordStreamed(key, x.Stream.Pos())
+		if x.Stream.Exhausted() {
+			m.Cat.RecordExprCard(key, float64(x.Stream.Len()))
 		}
-		switch n.Kind {
-		case plangraph.SourceStream:
-			if x.Stream != nil {
-				key := n.Expr.Key()
-				m.Cat.RecordStreamed(key, x.Stream.Pos())
-				if x.Stream.Exhausted() {
-					m.Cat.RecordExprCard(key, float64(x.Stream.Len()))
-				}
-			}
-		case plangraph.Join:
-			// Completed joins whose inputs are exhausted have exact counts;
-			// partial counts would mislead the estimator, so skip them.
-		}
-	}
+	})
+}
+
+// forgetStreamed drops an expression's streamed count from the catalog, and
+// marks its remaining streams (other scopes may hold one) for the next sync.
+func (m *Manager) forgetStreamed(exprKey string) {
+	m.Cat.ForgetStreamed(exprKey)
+	m.ATC.MarkExpr(exprKey)
 }
 
 // StateSize reports total resident state in rows — node logs and modules
@@ -588,7 +596,7 @@ func (m *Manager) evict(n *plangraph.Node) {
 	spilled := m.ATC.SpillNode(n)
 	m.ATC.DropExec(n)
 	if n.Kind == plangraph.SourceStream && !spilled {
-		m.Cat.ForgetStreamed(n.Expr.Key())
+		m.forgetStreamed(n.Expr.Key())
 	}
 	m.Graph.Detach(n)
 	delete(m.lastUse, n)

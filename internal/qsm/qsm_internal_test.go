@@ -7,6 +7,7 @@ package qsm
 // StateSize-rescanning pickVictim chose, in the same order.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/atc"
@@ -191,5 +192,52 @@ func TestEnforceBudgetMatchesLegacy(t *testing.T) {
 	}
 	if got, want := m2.StateSize(), m2.AuditStateSize(); got != want {
 		t.Fatalf("post-enforcement ledger %d != audit %d", got, want)
+	}
+}
+
+// TestDirtySyncReRecordsSiblingStreams covers the one way a stream exec's
+// catalog count can be lost while nothing marks it: under ShareNone two
+// scopes stream the same expressions, and discarding one scope's streams
+// forgets the expressions' counts. The next sync must record the other
+// scope's positions again, exactly as a walk of the whole graph does.
+func TestDirtySyncReRecordsSiblingStreams(t *testing.T) {
+	m, env := internalRig(t)
+	m.Mode = ShareNone
+	runInternalUQ(t, m, env, &cq.UQ{ID: "U1", K: 40, CQs: []*cq.CQ{internalChainQ("U1.CQ1", "A", "B")}})
+	runInternalUQ(t, m, env, &cq.UQ{ID: "U2", K: 5, CQs: []*cq.CQ{internalChainQ("U2.CQ1", "A", "B")}})
+	var streams, joins []*plangraph.Node
+	for _, n := range m.Graph.Nodes() {
+		if !strings.Contains(n.Key, "U1.CQ1") {
+			continue
+		}
+		if n.Kind == plangraph.SourceStream {
+			streams = append(streams, n)
+		} else {
+			joins = append(joins, n)
+		}
+	}
+	if len(streams) != 2 {
+		t.Fatalf("scope U1.CQ1 holds %d streams, want 2", len(streams))
+	}
+	for _, n := range append(joins, streams...) {
+		m.evict(n)
+	}
+	forgotten := 0
+	for _, n := range streams {
+		if m.Cat.StreamedSoFar(n.Expr.Key()) == 0 {
+			forgotten++
+		}
+	}
+	if forgotten == 0 {
+		t.Fatal("the discard forgot no count; the case proves nothing")
+	}
+	m.SyncCatalog()
+	for _, n := range streams {
+		key := n.Expr.Key()
+		synced := m.Cat.StreamedSoFar(key)
+		FullSyncCatalog(m)
+		if full := m.Cat.StreamedSoFar(key); synced == 0 || full != synced {
+			t.Fatalf("%s: the sync recorded %d streamed, a full walk %d", key, synced, full)
+		}
 	}
 }
