@@ -103,7 +103,7 @@ type ATC struct {
 	// replay (the shared-fraction split the serving stats report).
 	evictedKeys map[string]bool
 	// staged holds imported checkpoint segments awaiting revival
-	// (migrate.go); they are consumed by restoreStream/restoreJoin ahead of
+	// (staged.go); they are consumed by restoreStream/restoreJoin ahead of
 	// the disk tier and behind the same consistency gate.
 	staged map[string]stagedSeg
 

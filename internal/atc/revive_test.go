@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/atc"
 	"repro/internal/batcher"
+	"repro/internal/core/coretest"
 	"repro/internal/cq"
 	"repro/internal/metrics"
 	"repro/internal/mqo"
@@ -13,69 +14,6 @@ import (
 	"repro/internal/plangraph"
 	"repro/internal/scoring"
 )
-
-// logRow is one log entry as the revive tests compare it.
-type logRow struct {
-	id    string
-	epoch int
-}
-
-// nodeLogs captures every node's log, in arrival order, keyed by node key.
-func nodeLogs(g *plangraph.Graph, c *atc.ATC) map[string][]logRow {
-	out := map[string][]logRow{}
-	for _, n := range g.Nodes() {
-		x, ok := c.HasExec(n)
-		if !ok {
-			continue
-		}
-		rows, epochs := x.Log.Export()
-		log := make([]logRow, len(rows))
-		for i, r := range rows {
-			log[i] = logRow{r.Identity(), epochs[i]}
-		}
-		out[n.Key] = log
-	}
-	return out
-}
-
-// sameLogs requires the same nodes to hold state with equal logs: the same
-// row identities with the same epoch stamps, row for row.
-func sameLogs(t *testing.T, what string, got, want map[string][]logRow) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d nodes hold state, want %d", what, len(got), len(want))
-	}
-	for key, w := range want {
-		g, ok := got[key]
-		if !ok {
-			t.Fatalf("%s: node %s holds no state", what, key)
-		}
-		if len(g) != len(w) {
-			t.Fatalf("%s: node %s logs %d rows, want %d", what, key, len(g), len(w))
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("%s: node %s log row %d is %v, want %v", what, key, i, g[i], w[i])
-			}
-		}
-	}
-}
-
-// sameAnswers requires equal answers in order. Emission stamps are not
-// compared: re-binding instead of re-joining moves the virtual clock.
-func sameAnswers(t *testing.T, what string, got, want []operator.Result) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d answers, want %d", what, len(got), len(want))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.Score != w.Score || g.CQID != w.CQID || g.Row.Identity() != w.Row.Identity() {
-			t.Fatalf("%s: answer %d = %v %s %s, want %v %s %s", what, i+1,
-				g.Score, g.CQID, g.Row.Identity(), w.Score, w.CQID, w.Row.Identity())
-		}
-	}
-}
 
 // reviveWork is the part of the work counters a revive can charge.
 type reviveWork struct {
@@ -116,7 +54,7 @@ func (h *harness) finish(t testing.TB, uqID string) []operator.Result {
 	return m.RM.Results()
 }
 
-func (h *harness) logs() map[string][]logRow { return nodeLogs(h.graph, h.ctrl) }
+func (h *harness) logs() map[string]coretest.NodeLog { return coretest.NodeLogs(h.graph, h.ctrl) }
 
 // starUQ is a one-CQ user query over a split star harness, whose sources
 // push no join down, so its plan is an m-join segment that can park.
@@ -172,7 +110,7 @@ func TestReviveParkedSegmentRebinds(t *testing.T) {
 		parked := h.logs()
 		w := h.graft(t, starUQ("CQ2", "", 15, []float64{0.9, 1, 1}))
 		if !force {
-			sameLogs(t, "after re-binding", h.logs(), parked)
+			coretest.SameLogs(t, "after re-binding", h.logs(), parked)
 		}
 		return outcome{h: h, graft: w, answers: h.finish(t, "U-CQ2")}
 	}
@@ -183,8 +121,8 @@ func TestReviveParkedSegmentRebinds(t *testing.T) {
 	if w := forced.graft; w.joinProbes == 0 || w.replay == 0 || w.rebound != 0 {
 		t.Fatalf("forced recovery charged %+v; the case proves nothing", w)
 	}
-	sameAnswers(t, "re-bound vs forced", rebind.answers, forced.answers)
-	sameLogs(t, "re-bound vs forced", rebind.h.logs(), forced.h.logs())
+	coretest.Same(t, "re-bound vs forced", "answers", coretest.Answers(rebind.answers, false), coretest.Answers(forced.answers, false))
+	coretest.SameLogs(t, "re-bound vs forced", rebind.h.logs(), forced.h.logs())
 }
 
 // TestReviveAfterParentAdvancedRecovers: while a segment is parked, a second
@@ -230,8 +168,8 @@ func TestReviveAfterParentAdvancedRecovers(t *testing.T) {
 	if rebind.graft.joinProbes > forced.graft.joinProbes || rebind.graft.replay > forced.graft.replay {
 		t.Fatalf("re-graft charged %+v, more than forced recovery's %+v", rebind.graft, forced.graft)
 	}
-	sameAnswers(t, "re-grafted vs forced", rebind.answers, forced.answers)
-	sameLogs(t, "re-grafted vs forced", rebind.h.logs(), forced.h.logs())
+	coretest.Same(t, "re-grafted vs forced", "answers", coretest.Answers(rebind.answers, false), coretest.Answers(forced.answers, false))
+	coretest.SameLogs(t, "re-grafted vs forced", rebind.h.logs(), forced.h.logs())
 }
 
 // TestReviveRestoredSegmentRecovers: a node reinstalled from a spill segment
@@ -268,8 +206,8 @@ func TestReviveRestoredSegmentRecovers(t *testing.T) {
 		if rw.replay == 0 || rw != fw {
 			t.Fatalf("revival from spill charged %+v, forced recovery %+v; want equal and replaying", rw, fw)
 		}
-		sameAnswers(t, "spill", ra, fa)
-		sameLogs(t, "spill", rh.logs(), fh.logs())
+		coretest.Same(t, "spill", "answers", coretest.Answers(ra, false), coretest.Answers(fa, false))
+		coretest.SameLogs(t, "spill", rh.logs(), fh.logs())
 	})
 
 	t.Run("migration", func(t *testing.T) {
@@ -298,8 +236,8 @@ func TestReviveRestoredSegmentRecovers(t *testing.T) {
 		if rw.replay == 0 || rw != fw {
 			t.Fatalf("revival from a staged segment charged %+v, forced recovery %+v; want equal and replaying", rw, fw)
 		}
-		sameAnswers(t, "migration", ra, fa)
-		sameLogs(t, "migration", rh.logs(), fh.logs())
+		coretest.Same(t, "migration", "answers", coretest.Answers(ra, false), coretest.Answers(fa, false))
+		coretest.SameLogs(t, "migration", rh.logs(), fh.logs())
 	})
 }
 

@@ -21,10 +21,6 @@ func (m *Manager) PlanFor(qs []*cq.CQ, cfg mqo.Config) (res *mqo.Result, hit boo
 	return out[0].res, report.PlanCacheHits == 1, out[0].err
 }
 
-// SetForceBuild makes every graft of m run factorize.Build, as a reference
-// for the direct graft a live graft record allows.
-func SetForceBuild(m *Manager, on bool) { m.forceBuild = on }
-
 // SetEagerSeed makes every endpoint of m buffer its whole pre-epoch log at
 // admission (EndpointSink.SeedEager), as a reference for the seed cursor.
 func SetEagerSeed(m *Manager, on bool) { m.eagerSeed = on }

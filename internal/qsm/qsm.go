@@ -101,9 +101,6 @@ type Manager struct {
 	// plans caches optimizer decisions across admissions (plancache.go); it
 	// lives exactly as long as the catalog fork its read sets refer to.
 	plans *planCache
-	// forceBuild makes every graft run factorize.Build, ignoring graft
-	// records (set only by tests, as the reference side of a differential).
-	forceBuild bool
 	// eagerSeed makes every endpoint buffer its whole pre-epoch log at
 	// admission (EndpointSink.SeedEager), the reference the seed cursor is
 	// tested against (set only by tests).
@@ -316,7 +313,7 @@ type optResult struct {
 // otherwise factorize.Build runs — the only code that creates graph
 // structure — and the entry records what it produced.
 func (m *Manager) graft(r optResult) ([]*plangraph.Node, error) {
-	if r.entry != nil && !m.forceBuild {
+	if r.entry != nil {
 		if rec := r.entry.liveGraft(m.Graph); rec != nil {
 			for pos, q := range r.order {
 				m.Graph.SetEndpoint(q, rec.terminals[pos], rec.atomMaps[pos])

@@ -38,7 +38,7 @@ func DecodeSegment(data []byte, resolve TupleResolver) (*NodeSnapshot, error) {
 	if resolve == nil {
 		return nil, fmt.Errorf("state: segment decode needs a tuple resolver")
 	}
-	r := &countReader{r: bytes.NewReader(data)}
+	r := &countReader{r: bytes.NewReader(data), size: int64(len(data))}
 	snap, err := decodeSnapshot(r, resolve)
 	if err != nil {
 		return nil, fmt.Errorf("state: segment decode: %w", err)

@@ -200,8 +200,13 @@ func (s *Spill) Take(key string) (*NodeSnapshot, int, int64, error) {
 		os.Remove(path) // never orphan an unreadable segment on disk
 		return nil, 0, 0, err
 	}
+	var snap *NodeSnapshot
 	cr := &countReader{r: bufio.NewReader(f)}
-	snap, err := decodeSnapshot(cr, s.resolve)
+	info, err := f.Stat()
+	if err == nil {
+		cr.size = info.Size()
+		snap, err = decodeSnapshot(cr, s.resolve)
+	}
 	f.Close()
 	os.Remove(path)
 	if err != nil {
@@ -270,8 +275,9 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 type countReader struct {
-	r io.ByteReader
-	n int64
+	r    io.ByteReader
+	n    int64
+	size int64 // bytes in the whole input
 }
 
 func (c *countReader) ReadByte() (byte, error) {
@@ -280,6 +286,20 @@ func (c *countReader) ReadByte() (byte, error) {
 		c.n++
 	}
 	return b, err
+}
+
+// count reads the length of a sequence whose elements take at least each
+// bytes apiece, and refuses one the rest of the input cannot hold: a corrupt
+// count never sizes an allocation.
+func (c *countReader) count(what string, each int64) (int, error) {
+	n, err := binary.ReadUvarint(c)
+	if err != nil {
+		return 0, err
+	}
+	if left := c.size - c.n; n > uint64(left/each) {
+		return 0, fmt.Errorf("%s count %d exceeds the %d bytes left", what, n, left)
+	}
+	return int(n), nil
 }
 
 func writeUvarint(w io.Writer, v uint64) error {
@@ -305,13 +325,9 @@ func writeString(w io.Writer, s string) error {
 }
 
 func readString(r *countReader) (string, error) {
-	n, err := binary.ReadUvarint(r)
+	n, err := r.count("string byte", 1)
 	if err != nil {
 		return "", err
-	}
-	const maxString = 1 << 20
-	if n > maxString {
-		return "", fmt.Errorf("string length %d exceeds limit", n)
 	}
 	buf := make([]byte, n)
 	for i := range buf {
@@ -385,13 +401,9 @@ func encodeParts(w io.Writer, t *relTable, parts []*tuple.Tuple) error {
 }
 
 func decodeParts(r *countReader, rels []string, resolve TupleResolver) ([]*tuple.Tuple, error) {
-	n, err := binary.ReadUvarint(r)
+	n, err := r.count("part", 1)
 	if err != nil {
 		return nil, err
-	}
-	const maxParts = 1 << 16
-	if n > maxParts {
-		return nil, fmt.Errorf("row arity %d exceeds limit", n)
 	}
 	parts := make([]*tuple.Tuple, n)
 	for i := range parts {
@@ -402,7 +414,7 @@ func decodeParts(r *countReader, rels []string, resolve TupleResolver) ([]*tuple
 		if ref == 0 {
 			continue
 		}
-		if int(ref) > len(rels) {
+		if ref > uint64(len(rels)) {
 			return nil, fmt.Errorf("relation ref %d out of table", ref)
 		}
 		seq, err := binary.ReadVarint(r)
@@ -434,13 +446,9 @@ func encodeRowSet(w io.Writer, t *relTable, parts [][]*tuple.Tuple, epochs []int
 }
 
 func decodeRowSet(r *countReader, rels []string, resolve TupleResolver) ([][]*tuple.Tuple, []int, error) {
-	n, err := binary.ReadUvarint(r)
+	n, err := r.count("row", 2) // an epoch and a part count
 	if err != nil {
 		return nil, nil, err
-	}
-	const maxRows = 1 << 28
-	if n > maxRows {
-		return nil, nil, fmt.Errorf("row count %d exceeds limit", n)
 	}
 	parts := make([][]*tuple.Tuple, n)
 	epochs := make([]int, n)
@@ -542,13 +550,9 @@ func decodeSnapshot(r *countReader, resolve TupleResolver) (*NodeSnapshot, error
 		return nil, err
 	}
 	snap.StreamPos = int(pos)
-	nRels, err := binary.ReadUvarint(r)
+	nRels, err := r.count("relation", 1)
 	if err != nil {
 		return nil, err
-	}
-	const maxRels = 1 << 16
-	if nRels > maxRels {
-		return nil, fmt.Errorf("relation table size %d exceeds limit", nRels)
 	}
 	rels := make([]string, nRels)
 	for i := range rels {
@@ -565,13 +569,9 @@ func decodeSnapshot(r *countReader, resolve TupleResolver) (*NodeSnapshot, error
 	for i, ps := range logParts {
 		snap.LogRows[i] = tuple.NewRow(ps...)
 	}
-	nMods, err := binary.ReadUvarint(r)
+	nMods, err := r.count("module", 4) // a key, a coverage, a probe flag, a row count
 	if err != nil {
 		return nil, err
-	}
-	const maxModules = 1 << 10
-	if nMods > maxModules {
-		return nil, fmt.Errorf("module count %d exceeds limit", nMods)
 	}
 	snap.Modules = make([]ModuleSnapshot, nMods)
 	for i := range snap.Modules {
@@ -579,13 +579,9 @@ func decodeSnapshot(r *countReader, resolve TupleResolver) (*NodeSnapshot, error
 		if m.ProducerKey, err = readString(r); err != nil {
 			return nil, err
 		}
-		nCov, err := binary.ReadUvarint(r)
+		nCov, err := r.count("coverage", 1)
 		if err != nil {
 			return nil, err
-		}
-		const maxCov = 1 << 16
-		if nCov > maxCov {
-			return nil, fmt.Errorf("coverage size %d exceeds limit", nCov)
 		}
 		m.Coverage = make([]int, nCov)
 		for j := range m.Coverage {

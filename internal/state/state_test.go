@@ -77,7 +77,7 @@ func TestParsePolicy(t *testing.T) {
 }
 
 // spillFixture builds two tiny relations and a resolver over them.
-func spillFixture(t *testing.T) (map[string][]*tuple.Tuple, TupleResolver) {
+func spillFixture(t testing.TB) (map[string][]*tuple.Tuple, TupleResolver) {
 	t.Helper()
 	mk := func(name string, n int) []*tuple.Tuple {
 		s := tuple.NewSchema(name,
