@@ -23,7 +23,7 @@
 //	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
 //	           [-fleet URL,URL,...] [-probe-interval 2s]
 //	           [-user-rate 0] [-total-rate 0] [-max-pending 0]
-//	           [-deadline 0] [-max-inflight 0] [-redispatch]
+//	           [-deadline 0] [-max-inflight 0]
 //
 // The admission flags enable overload control: per-user token buckets with
 // fair arbitration under a global rate (shed as retryable 503 + Retry-After),
@@ -70,7 +70,6 @@ func main() {
 	f.Bind(flag.CommandLine, service.ServerFlags|service.FrontDeskFlags)
 	fleetList := flag.String("fleet", "", "comma-separated qsys-shard endpoints; enables front-end mode (this process runs no engine)")
 	probeEvery := flag.Duration("probe-interval", 2*time.Second, "front-end health-probe period (0 disables background probing)")
-	redispatch := flag.Bool("redispatch", false, "front-end mode: resubmit a search to another healthy shard after confirming its shard crashed with the query in flight (process gone, or journaled as a recovered abort by the restart)")
 	if err := f.Parse(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "qsys-serve:", err)
 		os.Exit(2)
@@ -102,7 +101,6 @@ func main() {
 			Service:       cfg,
 			ProbeInterval: *probeEvery,
 			Metrics:       fm,
-			Redispatch:    *redispatch,
 		}, backends)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

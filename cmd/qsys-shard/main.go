@@ -29,10 +29,10 @@
 // -recover-dir enables the crash-recovery tier: retained plan state is
 // checkpointed there every -checkpoint-interval (atomic generation-numbered
 // manifests), admissions are journaled, and a restart over the same directory
-// warm-starts — the newest checkpoint is imported through the consistency
-// gate while /rpc/health reports "recovering", then the shard flips to
-// "ready". Queries the journal proves were in flight at the crash surface on
-// /rpc/recovered for the front-end's re-dispatch.
+// warm-starts — the engine imports the newest checkpoint through the
+// consistency gate as it is built, before the shard listens, so the shard is
+// "ready" from its first probe. Queries the journal proves were in flight at
+// the crash surface on /rpc/recovered for the front-end's re-dispatch.
 //
 // SIGTERM/SIGINT drains gracefully: new searches are rejected as retryable,
 // in-flight searches finish, and the engine shuts down with its state-teardown
@@ -80,11 +80,11 @@ func main() {
 	svc := service.New(w, cfg)
 	shard := fleet.NewShardServer(svc)
 	shard.DrainDeadline = *drainDeadline
-	if cfg.CheckpointDir != "" {
-		// Listen in the recovering state so probes observe the transition:
-		// health says "recovering" (unrouted, searches refused as retryable)
-		// until the checkpoint import lands, then flips to "ready".
-		shard.SetRecovering(true)
+	if rs := svc.RecoveryStats(); rs.CheckpointsLoaded > 0 {
+		log.Printf("qsys-shard: slot %d warm-started from checkpoint generation %d: %d segments installed, %d dropped; %d journaled aborts",
+			id, rs.Generation, rs.SegmentsRecovered, rs.SegmentsDropped, rs.JournaledAborts)
+	} else if rs.Enabled {
+		log.Printf("qsys-shard: slot %d cold start, checkpointing to %s every %v", id, cfg.CheckpointDir, cfg.CheckpointInterval)
 	}
 
 	server := &http.Server{Addr: f.Addr, Handler: shard.Handler()}
@@ -95,18 +95,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
-
-	if cfg.CheckpointDir != "" {
-		rep, err := shard.Recover()
-		if err != nil {
-			log.Printf("qsys-shard: recover: %v", err)
-		} else if rep.Generation > 0 {
-			log.Printf("qsys-shard: slot %d warm-started from checkpoint generation %d: %d segments installed, %d dropped (%d rows); %d journaled aborts",
-				id, rep.Generation, rep.Installed, rep.Dropped, rep.Rows, len(svc.RecoveredAborts()))
-		} else {
-			log.Printf("qsys-shard: slot %d cold start, checkpointing to %s every %v", id, cfg.CheckpointDir, cfg.CheckpointInterval)
-		}
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

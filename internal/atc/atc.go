@@ -103,8 +103,7 @@ type ATC struct {
 	// replay (the shared-fraction split the serving stats report).
 	evictedKeys map[string]bool
 	// staged holds imported checkpoint segments awaiting revival
-	// (staged.go); they are consumed by restoreStream/restoreJoin ahead of
-	// the disk tier and behind the same consistency gate.
+	// (staged.go); takeSegment hands them out ahead of the disk tier.
 	staged map[string]stagedSeg
 
 	// dirty lists the source-stream execs marked CatalogDirty since the last
@@ -252,51 +251,30 @@ func (a *ATC) Exec(n *plangraph.Node) (*operator.NodeExec, error) {
 	return x, nil
 }
 
-// restoreStream reinstalls a re-created stream source's spilled state: the
-// stream skips its already-delivered prefix and the log gets its rows back
-// with their original epoch stamps, all charged as local spill I/O rather
-// than remote stream reads (§6.3 disk tier).
+// restoreStream reinstalls a re-created stream source's retained state from
+// a staged or spilled segment: the stream skips its already-delivered prefix
+// and the log gets its rows back with their original epoch stamps, all
+// charged as local spill I/O rather than remote stream reads (§6.3 disk
+// tier).
 func (a *ATC) restoreStream(n *plangraph.Node, x *operator.NodeExec) {
-	if seg, ok := a.takeStaged(n.Key); ok {
-		snap := seg.snap
-		if snap.Kind != int(plangraph.SourceStream) || snap.StreamPos > x.Stream.Len() {
-			// The staged prefix does not match this shard's view of the
-			// source: it is lost, so the catalog must stop pricing it as
-			// buffered and the stream re-derives from source replay.
-			a.Env.Metrics.AddMigrationDrop()
-			if a.SpillLost != nil {
-				a.SpillLost(n.Expr.Key())
-			}
-			a.noteSourceRevival(n.Key)
-			return
-		}
-		delete(a.evictedKeys, n.Key)
-		x.Stream.Skip(snap.StreamPos)
-		x.ImportLog(snap.LogRows, snap.LogEpochs)
-		a.Env.ChargeSpillRead(snap.RowCount(), int64(seg.bytes))
-		a.Env.Metrics.AddMigrationRestore()
-		return
-	}
-	if a.spill == nil || !a.spill.Has(n.Key) {
-		a.noteSourceRevival(n.Key)
-		return
-	}
-	snap, rows, bytes, err := a.spill.Take(n.Key)
-	if err != nil || snap == nil || snap.Kind != int(plangraph.SourceStream) || snap.StreamPos > x.Stream.Len() {
-		// A segment existed but is unusable: the retained prefix is truly
-		// lost, so the catalog must stop pricing it as buffered.
-		a.spill.NoteDropped()
+	seg, ok := a.takeSegment(n.Key)
+	if ok && (seg.snap == nil || seg.snap.Kind != int(plangraph.SourceStream) || seg.snap.StreamPos > x.Stream.Len()) {
+		// The segment does not match this shard's view of the source: the
+		// retained prefix is truly lost, so the catalog must stop pricing it
+		// as buffered.
+		a.dropSegment(seg)
 		if a.SpillLost != nil {
 			a.SpillLost(n.Expr.Key())
 		}
+		ok = false
+	}
+	if !ok {
 		a.noteSourceRevival(n.Key)
 		return
 	}
-	delete(a.evictedKeys, n.Key)
-	x.Stream.Skip(snap.StreamPos)
-	x.ImportLog(snap.LogRows, snap.LogEpochs)
-	a.Env.ChargeSpillRead(rows, bytes)
-	a.Env.Metrics.AddRevivalFromSpill()
+	x.Stream.Skip(seg.snap.StreamPos)
+	x.ImportLog(seg.snap.LogRows, seg.snap.LogEpochs)
+	a.restored(n.Key, seg)
 }
 
 // noteSourceRevival classifies the re-creation of a previously evicted node
@@ -464,61 +442,41 @@ func (a *ATC) Revive(n *plangraph.Node, epoch int) (*operator.NodeExec, error) {
 	return x, nil
 }
 
-// restoreJoin reinstalls a re-grafted join node's spilled state — module
-// rows and output log, original epoch stamps — when a segment exists and is
-// structurally consistent with the new graft: same input partition (producer
-// keys, atom maps, probe flags, in order) and no parent log shorter than the
-// module rows it once fed. A mismatch (the optimizer re-partitioned the
-// expression, or a parent was discarded and restarted) drops the segment and
-// falls back to normal revival; reinstalling across it would fabricate or
-// duplicate join state. It reports whether a segment was reinstalled.
+// restoreJoin reinstalls a re-grafted join node's retained state — module
+// rows and output log, original epoch stamps — from a staged or spilled
+// segment. The gate: the node must be empty (state derived since the
+// capture makes the segment stale), and the segment must match the new
+// graft's input partition (producer keys, atom maps, probe flags, in order)
+// with no parent log shorter than the module rows it once fed. A mismatch
+// (the optimizer re-partitioned the expression, or a parent was discarded
+// and restarted) drops the segment and falls back to normal revival;
+// reinstalling across it would fabricate or duplicate join state. It
+// reports whether a segment was reinstalled.
 func (a *ATC) restoreJoin(n *plangraph.Node, x *operator.NodeExec) bool {
-	if seg, ok := a.takeStaged(n.Key); ok {
-		snap := seg.snap
-		// The gate: the node must be empty (state derived since staging makes
-		// the segment stale) and the segment must match the node's current
-		// input structure and parent logs. A failed gate drops the segment —
-		// the state re-derives by source replay, never installs wrong.
-		if x.Log.Len() > 0 || x.StateSize() > 0 || !a.joinSnapshotConsistent(n, snap) {
-			a.Env.Metrics.AddMigrationDrop()
-			a.noteSourceRevival(n.Key)
-			return false
-		}
-		delete(a.evictedKeys, n.Key)
-		for i := range snap.Modules {
-			x.ImportModuleRows(i, snap.Modules[i].Parts, snap.Modules[i].Epochs)
-		}
-		x.ImportLog(snap.LogRows, snap.LogEpochs)
-		a.Env.ChargeSpillRead(snap.RowCount(), int64(seg.bytes))
-		a.Env.Metrics.AddMigrationRestore()
-		return true
-	}
-	if a.spill == nil || !a.spill.Has(n.Key) {
-		if x.Log.Len() == 0 && x.StateSize() == 0 {
-			a.noteSourceRevival(n.Key)
-		}
+	live := x.Log.Len() > 0 || x.StateSize() > 0
+	if _, staged := a.staged[n.Key]; live && !staged {
+		// A spilled segment stays on disk for a revival that finds the node
+		// empty; a staged one is dropped below.
 		return false
 	}
-	if x.Log.Len() > 0 || x.StateSize() > 0 {
-		return false // live state present; the segment is stale
+	seg, ok := a.takeSegment(n.Key)
+	if ok && (live || seg.snap == nil || !a.joinSnapshotConsistent(n, seg.snap)) {
+		a.dropSegment(seg)
+		ok = false
 	}
-	snap, rows, bytes, err := a.spill.Take(n.Key)
-	if err != nil || snap == nil || !a.joinSnapshotConsistent(n, snap) {
-		a.spill.NoteDropped()
+	if !ok {
 		a.noteSourceRevival(n.Key)
 		return false
 	}
-	delete(a.evictedKeys, n.Key)
-	for i := range snap.Modules {
-		x.ImportModuleRows(i, snap.Modules[i].Parts, snap.Modules[i].Epochs)
+	for i := range seg.snap.Modules {
+		x.ImportModuleRows(i, seg.snap.Modules[i].Parts, seg.snap.Modules[i].Epochs)
 	}
-	x.ImportLog(snap.LogRows, snap.LogEpochs)
-	a.Env.ChargeSpillRead(rows, bytes)
-	a.Env.Metrics.AddRevivalFromSpill()
+	x.ImportLog(seg.snap.LogRows, seg.snap.LogEpochs)
+	a.restored(n.Key, seg)
 	return true
 }
 
-// joinSnapshotConsistent verifies a spilled join segment still matches the
+// joinSnapshotConsistent verifies a join segment still matches the
 // node's current input structure and its parents' logs.
 func (a *ATC) joinSnapshotConsistent(n *plangraph.Node, snap *state.NodeSnapshot) bool {
 	if snap.Kind != int(plangraph.Join) || len(snap.Modules) != len(n.Inputs) {

@@ -221,7 +221,7 @@ func TestReviveRestoredSegmentRecovers(t *testing.T) {
 			}
 			h := newSplitHarness(t, 7, 50, 150, 40)
 			atc.SetForceRecover(h.ctrl, force)
-			if installed, _, _ := h.mgr.ImportSegments(exp); installed == 0 {
+			if installed, _ := h.mgr.ImportSegments(exp); installed == 0 {
 				t.Fatal("nothing staged")
 			}
 			uq := again()

@@ -1,6 +1,9 @@
 package atc
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/operator"
 	"repro/internal/plangraph"
 	"repro/internal/state"
@@ -9,21 +12,24 @@ import (
 // Staged segments. Checkpoint recovery is their one producer: a checkpoint
 // captures retained plan state as NodeSnapshots (the same structure the §6.3
 // disk tier serializes), and a restarted engine's import parks the decoded
-// snapshots here as *staged* segments — in memory, keyed by node key, and
-// consumed by the exact revival paths — restoreStream / restoreJoin — that
-// consume disk segments, behind the exact consistency gate. A staged segment
-// that fails the gate is dropped and the node re-derives its state by source
-// replay; a checkpoint can waste work, never fabricate it.
+// snapshots here as *staged* segments — in memory, keyed by node key. A
+// revival claims a node's segment through takeSegment, which tries this
+// table before the disk tier, so both origins pass the one consistency gate
+// in restoreStream / restoreJoin. A segment that fails the gate is dropped
+// and the node re-derives its state by source replay; a checkpoint can
+// waste work, never fabricate it. Until a revival claims it, a staged
+// segment rides along in every checkpoint the engine takes.
 
 // maxStaged bounds the staged-segment table; an oversized checkpoint
 // degrades to dropped segments (source replay) rather than unbounded memory.
 const maxStaged = 4096
 
-// stagedSeg is one imported segment awaiting revival, with its encoded size
-// for the spill-read charge parity with disk revival.
+// stagedSeg is one imported segment awaiting revival: the checkpoint entry
+// it arrived as, bytes included, and its decoded snapshot. A checkpoint taken
+// before the revival carries the entry forward unchanged.
 type stagedSeg struct {
-	snap  *state.NodeSnapshot
-	bytes int
+	seg  state.TopicSegment
+	snap *state.NodeSnapshot
 }
 
 // AdvanceEpochTo raises the controller's epoch to at least e (no-op when
@@ -81,7 +87,7 @@ func (a *ATC) ExportNode(n *plangraph.Node) *state.NodeSnapshot {
 // keep them (the segment is stale relative to what the shard derived itself).
 // A refused segment is simply not installed; the caller counts it dropped and
 // the state re-derives from sources.
-func (a *ATC) StageSegment(snap *state.NodeSnapshot, bytes int) bool {
+func (a *ATC) StageSegment(seg state.TopicSegment, snap *state.NodeSnapshot) bool {
 	if snap == nil || len(a.staged) >= maxStaged {
 		return false
 	}
@@ -98,15 +104,62 @@ func (a *ATC) StageSegment(snap *state.NodeSnapshot, bytes int) bool {
 	if a.staged == nil {
 		a.staged = map[string]stagedSeg{}
 	}
-	a.staged[snap.Key] = stagedSeg{snap: snap, bytes: bytes}
+	a.staged[snap.Key] = stagedSeg{seg: seg, snap: snap}
 	return true
 }
 
-// takeStaged claims (removing) the staged segment for a node key.
-func (a *ATC) takeStaged(key string) (stagedSeg, bool) {
-	seg, ok := a.staged[key]
-	if ok {
-		delete(a.staged, key)
+// StagedSegments returns the checkpoint entries of the staged segments no
+// revival has claimed yet, in key order.
+func (a *ATC) StagedSegments() []state.TopicSegment {
+	segs := make([]state.TopicSegment, 0, len(a.staged))
+	for _, st := range a.staged {
+		segs = append(segs, st.seg)
 	}
-	return seg, ok
+	slices.SortFunc(segs, func(x, y state.TopicSegment) int { return strings.Compare(x.Key, y.Key) })
+	return segs
+}
+
+// segment is a node's retained state on its way back in, from the staged
+// table or the spill tier, with the byte count its read is charged.
+type segment struct {
+	snap   *state.NodeSnapshot // nil when a spilled segment could not be read
+	bytes  int64
+	staged bool
+}
+
+// takeSegment claims a node's segment: the staged table first, then the
+// spill tier. ok is false when neither holds one.
+func (a *ATC) takeSegment(key string) (seg segment, ok bool) {
+	if st, ok := a.staged[key]; ok {
+		delete(a.staged, key)
+		return segment{snap: st.snap, bytes: int64(len(st.seg.Data)), staged: true}, true
+	}
+	if a.spill == nil || !a.spill.Has(key) {
+		return segment{}, false
+	}
+	// An unreadable segment comes back without a snapshot, which the gate
+	// drops; Take has already removed it from disk.
+	snap, _, bytes, _ := a.spill.Take(key)
+	return segment{snap: snap, bytes: bytes}, true
+}
+
+// dropSegment counts a segment the consistency gate refused, by origin.
+func (a *ATC) dropSegment(seg segment) {
+	if seg.staged {
+		a.Env.Metrics.AddMigrationDrop()
+	} else {
+		a.spill.NoteDropped()
+	}
+}
+
+// restored counts a reinstalled segment by origin and charges its read as
+// local spill I/O.
+func (a *ATC) restored(key string, seg segment) {
+	delete(a.evictedKeys, key)
+	a.Env.ChargeSpillRead(seg.snap.RowCount(), seg.bytes)
+	if seg.staged {
+		a.Env.Metrics.AddMigrationRestore()
+	} else {
+		a.Env.Metrics.AddRevivalFromSpill()
+	}
 }

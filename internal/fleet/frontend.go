@@ -27,16 +27,6 @@ type FrontendConfig struct {
 	ProbeTimeout time.Duration
 	// Metrics receives fleet counters; nil allocates a private set.
 	Metrics *metrics.Fleet
-	// Redispatch resubmits a search to another healthy shard when its shard
-	// crashed with the query in flight. The front-end confirms the crash
-	// first — the process is provably gone, or the restarted shard's
-	// admission journal lists the query as a recovered abort — so only
-	// queries whose response can never be delivered are re-run; answers are
-	// a pure function of the query and the sources, so the re-run is
-	// byte-identical to what the crashed shard would have returned. Off by
-	// default: an unconfirmed mid-response failure is surfaced, never
-	// resubmitted.
-	Redispatch bool
 }
 
 // ErrNoHealthyShard is returned by Search when every backend has been marked
@@ -50,13 +40,12 @@ var ErrNoHealthyShard = errors.New("fleet: no healthy shard")
 // re-expanding and re-routing from scratch. Its backends are engines in this
 // process (NewLocal) or shard processes over HTTP (NewClient).
 type Frontend struct {
-	exp        *service.Expander
-	placer     *service.Placer
-	svc        *metrics.Service
-	fm         *metrics.Fleet
-	adm        *admission.Controller // nil unless rate limits are configured
-	backends   []Backend
-	redispatch bool
+	exp      *service.Expander
+	placer   *service.Placer
+	svc      *metrics.Service
+	fm       *metrics.Fleet
+	adm      *admission.Controller // nil unless rate limits are configured
+	backends []Backend
 
 	mu   sync.Mutex
 	down []bool // marked by failed probes/searches, cleared by probes
@@ -84,15 +73,14 @@ func NewFrontend(w *workload.Workload, cfg FrontendConfig, backends []Backend) (
 		fm = &metrics.Fleet{}
 	}
 	f := &Frontend{
-		exp:        service.NewExpander(w, svcCfg),
-		placer:     placer,
-		svc:        svc,
-		fm:         fm,
-		adm:        admission.NewController(svcCfg.Admission),
-		backends:   backends,
-		redispatch: cfg.Redispatch,
-		down:       make([]bool, len(backends)),
-		stop:       make(chan struct{}),
+		exp:      service.NewExpander(w, svcCfg),
+		placer:   placer,
+		svc:      svc,
+		fm:       fm,
+		adm:      admission.NewController(svcCfg.Admission),
+		backends: backends,
+		down:     make([]bool, len(backends)),
+		stop:     make(chan struct{}),
 	}
 	if cfg.ProbeInterval > 0 {
 		timeout := cfg.ProbeTimeout
@@ -128,9 +116,10 @@ func (f *Frontend) setDown(i int, down bool) {
 // Search expands the keyword query for the user and ships it to the placed
 // shard. If the shard is unreachable (connect failure, open circuit, drain
 // rejection that outlived the client's retries), the backend is marked down
-// and the search fails over to the next healthy placement; an error after
+// and the search fails over to the next healthy placement. An error after
 // the query may have been admitted is surfaced instead — resubmitting it
-// could execute the query twice. An overload shed — the front-desk rate
+// could execute the query twice — unless confirmAborted proves the shard
+// crashed with it, which re-dispatches it. An overload shed — the front-desk rate
 // limiter here, or a shard answering with a shed reason — is surfaced
 // without marking anything down: saturation is backpressure, not failure.
 func (f *Frontend) Search(ctx context.Context, user string, keywords []string, k int) (*ResultView, error) {
@@ -175,7 +164,7 @@ func (f *Frontend) Search(ctx context.Context, user string, keywords []string, k
 			return nil, err
 		}
 		if !retryable(err) && !errors.Is(err, ErrCircuitOpen) {
-			if f.redispatch && transportFailure(err) && ctx.Err() == nil &&
+			if transportFailure(err) && ctx.Err() == nil &&
 				f.confirmAborted(ctx, sh, uq.ID) {
 				// The shard crashed with the search in flight: the process is
 				// provably gone, or its restart's admission journal lists the

@@ -268,8 +268,8 @@ func DigestAnswers(h hash.Hash, v *ResultView) {
 }
 
 // HealthView is a shard's self-reported health. State is the lifecycle
-// phase: "ready", "recovering" (a warm restart is importing its checkpoint —
-// the front-end must not route searches yet), or "draining". CheckpointGen
+// phase: "ready" (a warm restart is ready as soon as it listens: the engine
+// imported its checkpoint when it was built) or "draining". CheckpointGen
 // is the newest durable checkpoint generation (0 = none / recovery
 // disabled); RecoveredAborts counts the queries the admission journal proved
 // in flight at the last crash; JournalErrors counts failed writes to that

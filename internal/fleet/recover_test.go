@@ -90,7 +90,8 @@ func (b *crashyBackend) Health(ctx context.Context) (fleet.HealthView, error) {
 	case crashDead:
 		return fleet.HealthView{}, &net.OpError{Op: "dial", Net: "tcp", Err: fmt.Errorf("connection refused")}
 	case crashJournaled:
-		return fleet.HealthView{Healthy: false, State: "recovering"}, nil
+		// A restart is ready at once, with the query in its journal.
+		return fleet.HealthView{Healthy: true, State: "ready", RecoveredAborts: 1}, nil
 	default:
 		return fleet.HealthView{Healthy: true, State: "ready"}, nil
 	}
@@ -113,7 +114,7 @@ func (b *crashyBackend) Stats(ctx context.Context) (*service.Stats, error) {
 }
 func (b *crashyBackend) Close() error { return nil }
 
-func newCrashFrontend(t *testing.T, mode crashMode, redispatch bool) (*fleet.Frontend, *crashState) {
+func newCrashFrontend(t *testing.T, mode crashMode) (*fleet.Frontend, *crashState) {
 	t.Helper()
 	w, err := workload.Bio()
 	if err != nil {
@@ -125,8 +126,7 @@ func newCrashFrontend(t *testing.T, mode crashMode, redispatch bool) (*fleet.Fro
 		&crashyBackend{st: st, idx: 1},
 	}
 	fr, err := fleet.NewFrontend(w, fleet.FrontendConfig{
-		Service:    service.Config{Seed: 7, K: 10, Router: service.RouterAffinity},
-		Redispatch: redispatch,
+		Service: service.Config{Seed: 7, K: 10, Router: service.RouterAffinity},
 	}, backends)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestRedispatchAfterConfirmedCrash(t *testing.T) {
 		{"alive-unjournaled", crashAliveUnjournaled, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fr, _ := newCrashFrontend(t, tc.mode, true)
+			fr, _ := newCrashFrontend(t, tc.mode)
 			view, err := fr.Search(context.Background(), "rec", kw, 10)
 			got := fr.Metrics().Redispatches.Value()
 			if tc.want {
@@ -177,18 +177,6 @@ func TestRedispatchAfterConfirmedCrash(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRedispatchDisabledSurfacesError pins the zero-value default: without
-// Redispatch even a provably dead shard surfaces the wire error unchanged.
-func TestRedispatchDisabledSurfacesError(t *testing.T) {
-	fr, _ := newCrashFrontend(t, crashDead, false)
-	if _, err := fr.Search(context.Background(), "rec", []string{"metabolism", "protein"}, 10); err == nil {
-		t.Fatal("redispatch disabled but the failed search was answered")
-	}
-	if n := fr.Metrics().Redispatches.Value(); n != 0 {
-		t.Fatalf("Redispatches = %d with redispatch disabled", n)
 	}
 }
 
@@ -295,7 +283,7 @@ func TestKillRecoverDigestIdentical(t *testing.T) {
 	}
 
 	// The fleet under test: two shard processes checkpointing to recover
-	// dirs, front-end with re-dispatch on.
+	// dirs, behind a front-end.
 	dirs := []string{t.TempDir(), t.TempDir()}
 	addrs := []string{freeAddr(t), freeAddr(t)}
 	urls := []string{"http://" + addrs[0], "http://" + addrs[1]}
@@ -316,7 +304,6 @@ func TestKillRecoverDigestIdentical(t *testing.T) {
 	fr, err := fleet.NewFrontend(w, fleet.FrontendConfig{
 		Service:       service.Config{Seed: 11, K: 10, Router: service.RouterAffinity},
 		ProbeInterval: 100 * time.Millisecond,
-		Redispatch:    true,
 	}, backends)
 	if err != nil {
 		t.Fatal(err)

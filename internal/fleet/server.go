@@ -30,12 +30,7 @@ type ShardServer struct {
 
 	mu       sync.Mutex
 	draining bool
-	// recovering marks a warm restart that has not yet imported its
-	// checkpoint: searches are refused (retryable — nothing was admitted) and
-	// health reports unhealthy so the front-end keeps the shard unrouted
-	// until the import finishes.
-	recovering bool
-	inflight   int
+	inflight int
 	// idle is closed when draining has been requested and the last in-flight
 	// search has finished.
 	idle chan struct{}
@@ -58,22 +53,17 @@ func (s *ShardServer) Handler() http.Handler {
 	return mux
 }
 
-// beginSearch claims an in-flight slot unless the shard is draining or still
-// recovering; the refusal reason rides back for the 503. The claim and the
-// state checks are one critical section, so no search can slip past a drain
-// that has already counted the in-flight set or reach an engine whose
-// checkpoint import has not finished.
-func (s *ShardServer) beginSearch() (bool, string) {
+// beginSearch claims an in-flight slot unless the shard is draining. The
+// claim and the check are one critical section, so no search can slip past
+// a drain that has already counted the in-flight set.
+func (s *ShardServer) beginSearch() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case s.draining:
-		return false, "shard draining"
-	case s.recovering:
-		return false, "shard recovering"
+	if s.draining {
+		return false
 	}
 	s.inflight++
-	return true, ""
+	return true
 }
 
 func (s *ShardServer) endSearch() {
@@ -101,10 +91,9 @@ func (s *ShardServer) InFlight() int {
 }
 
 func (s *ShardServer) handleSearch(rw http.ResponseWriter, req *http.Request) {
-	ok, refusal := s.beginSearch()
-	if !ok {
+	if !s.beginSearch() {
 		// Refused strictly before admission — retryable by construction.
-		writeRPCError(rw, http.StatusServiceUnavailable, refusal, true)
+		writeRPCError(rw, http.StatusServiceUnavailable, "shard draining", true)
 		return
 	}
 	defer s.endSearch()
@@ -168,18 +157,15 @@ func (s *ShardServer) handleHealth(rw http.ResponseWriter, req *http.Request) {
 // health reports the shard's lifecycle phase and recovery counters.
 func (s *ShardServer) health() HealthView {
 	s.mu.Lock()
-	draining, recovering, inflight := s.draining, s.recovering, s.inflight
+	draining, inflight := s.draining, s.inflight
 	s.mu.Unlock()
 	st := "ready"
-	switch {
-	case draining:
+	if draining {
 		st = "draining"
-	case recovering:
-		st = "recovering"
 	}
 	rs := s.svc.RecoveryStats()
 	return HealthView{
-		Healthy:         !draining && !recovering,
+		Healthy:         !draining,
 		Draining:        draining,
 		InFlight:        inflight,
 		State:           st,
@@ -254,25 +240,6 @@ func (s *ShardServer) Drain(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// SetRecovering flips the warm-restart gate. A starting shard process sets it
-// before listening when a checkpoint or journal was loaded, runs the import,
-// and clears it — the front-end's probes observe recovering→ready.
-func (s *ShardServer) SetRecovering(v bool) {
-	s.mu.Lock()
-	s.recovering = v
-	s.mu.Unlock()
-}
-
-// Recover imports the checkpoint staged at startup through the consistency
-// gate, then opens the shard for searches regardless of the outcome: a failed
-// or partial import leaves a cold-but-correct engine that re-derives state
-// from source replay.
-func (s *ShardServer) Recover() (*service.RecoverReport, error) {
-	rep, err := s.svc.Recover()
-	s.SetRecovering(false)
-	return rep, err
 }
 
 // Close stops admissions and shuts the wrapped service down, logging — not

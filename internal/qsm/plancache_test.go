@@ -104,7 +104,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			if !planOnce(t, m, 201) {
 				t.Fatal("no hit between eviction and import")
 			}
-			if installed, _, _ := m.ImportSegments(exp); installed == 0 {
+			if installed, _ := m.ImportSegments(exp); installed == 0 {
 				t.Fatal("nothing imported")
 			}
 		}, true},

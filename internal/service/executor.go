@@ -53,8 +53,6 @@ func (s *Service) run() {
 			select {
 			case r := <-s.submitCh:
 				s.accept(r)
-			case req := <-s.statsCh:
-				req <- s.snapshot()
 			case fn := <-s.ctrlCh:
 				fn()
 			case <-s.stopCh:
@@ -66,8 +64,6 @@ func (s *Service) run() {
 			select {
 			case r := <-s.submitCh:
 				s.accept(r)
-			case req := <-s.statsCh:
-				req <- s.snapshot()
 			case fn := <-s.ctrlCh:
 				fn()
 			case <-timer.C:
@@ -226,8 +222,6 @@ func (s *Service) drainNonblocking() {
 		select {
 		case r := <-s.submitCh:
 			s.accept(r)
-		case req := <-s.statsCh:
-			req <- s.snapshot()
 		case fn := <-s.ctrlCh:
 			fn()
 		default:

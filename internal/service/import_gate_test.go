@@ -68,9 +68,9 @@ func checkpointTopic(t *testing.T, dir string, topic []string) {
 }
 
 // searchTopic answers topic on a fresh engine over a fresh workload copy —
-// recovering dir's checkpoint first when dir is set — and returns the
-// digest, the recovery report and the engine's work counters.
-func searchTopic(t *testing.T, dir string, topic []string) (string, *service.RecoverReport, service.Stats) {
+// built over dir's checkpoint when dir is set — and returns the digest, the
+// engine's recovery counters and its work counters.
+func searchTopic(t *testing.T, dir string, topic []string) (string, recovery.StatsSnapshot, service.Stats) {
 	t.Helper()
 	w, err := workload.Bio()
 	if err != nil {
@@ -78,13 +78,10 @@ func searchTopic(t *testing.T, dir string, topic []string) (string, *service.Rec
 	}
 	fr, engines := localEngines(t, w, service.Config{Seed: 7, K: 10, BatchWindow: 0, CheckpointDir: dir})
 	defer fr.Close() //nolint:errcheck
-	rep, err := engines[0].Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := engines[0].RecoveryStats()
 	h := sha256.New()
 	digestSearch(t, h, fr, "gate-user", topic, 10)
-	return hex.EncodeToString(h.Sum(nil)), rep, fr.Stats(context.Background())
+	return hex.EncodeToString(h.Sum(nil)), rs, fr.Stats(context.Background())
 }
 
 // TestImportRejectsCorruptSegments pins the decode half of the consistency
@@ -115,9 +112,9 @@ func TestImportRejectsCorruptSegments(t *testing.T) {
 	}
 
 	control, _, _ := searchTopic(t, "", topic)
-	damaged, rep, st := searchTopic(t, dir, topic)
-	if rep.Installed != 0 || rep.Dropped != segs {
-		t.Fatalf("corrupt import: %d installed, %d dropped, want 0/%d", rep.Installed, rep.Dropped, segs)
+	damaged, rs, st := searchTopic(t, dir, topic)
+	if rs.SegmentsRecovered != 0 || rs.SegmentsDropped != int64(segs) {
+		t.Fatalf("corrupt import: %d installed, %d dropped, want 0/%d", rs.SegmentsRecovered, rs.SegmentsDropped, segs)
 	}
 	if st.Work.MigrationDrops < int64(segs) {
 		t.Fatalf("MigrationDrops = %d, want >= %d", st.Work.MigrationDrops, segs)
@@ -141,14 +138,46 @@ func TestCrossInstanceImportGateReplays(t *testing.T) {
 	checkpointTopic(t, dir, topic)
 
 	control, _, _ := searchTopic(t, "", topic)
-	target, rep, st := searchTopic(t, dir, topic)
-	if rep.Installed == 0 {
-		t.Fatalf("recovery staged nothing: %+v", rep)
+	target, rs, st := searchTopic(t, dir, topic)
+	if rs.SegmentsRecovered == 0 {
+		t.Fatalf("recovery staged nothing: %+v", rs)
 	}
 	if target != control {
 		t.Fatalf("foreign import changed results: imported=%s control=%s", target, control)
 	}
 	if st.Work.MigrationDrops == 0 && st.Work.MigrationRestores == 0 {
 		t.Fatal("imported segments neither restored nor dropped — the staged state was never touched")
+	}
+}
+
+// TestCheckpointCarriesStagedSegments pins the carry-forward: a checkpoint
+// taken after a warm restart but before any search has revived the staged
+// segments must still hold them, or the store's garbage collection deletes
+// the generation the restart recovered and the next restart comes up cold.
+func TestCheckpointCarriesStagedSegments(t *testing.T) {
+	dir := t.TempDir()
+	checkpointTopic(t, dir, []string{"metabolism", "protein"})
+	restart := func() int64 {
+		t.Helper()
+		w, err := workload.Bio()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, engines := localEngines(t, w, service.Config{Seed: 7, K: 10, BatchWindow: 0, CheckpointDir: dir})
+		installed := engines[0].RecoveryStats().SegmentsRecovered
+		if _, err := engines[0].Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return installed
+	}
+	first := restart()
+	if first == 0 {
+		t.Fatal("the first restart installed nothing; the case proves nothing")
+	}
+	if second := restart(); second != first {
+		t.Fatalf("second restart installed %d segments, first %d", second, first)
 	}
 }

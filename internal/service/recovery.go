@@ -16,14 +16,15 @@ import (
 // executor goroutine (qsm.CheckpointExport — non-destructive, point-in-time
 // consistent by construction) and publishes it as a generation-numbered
 // manifest, while an admission journal records which user queries were in
-// flight. A fresh Service over the same directory loads the newest
-// generation; Recover imports it through the same consistency gate that
-// protects spill revival, so a checkpoint that does not match the rebuilt
-// graph is dropped and re-derived from the sources — never installed wrong.
+// flight. New over the same directory loads the newest generation and
+// imports it, before the executor starts, through the same consistency gate
+// that protects spill revival, so a checkpoint that does not match the
+// rebuilt graph is dropped and re-derived from the sources — never installed
+// wrong.
 
 // recStats is the engine's recovery-tier counters. Written by the checkpoint
-// loop and the startup/Recover paths, read by health/stats handlers on
-// arbitrary goroutines — hence atomics.
+// loop and at startup, read by health/stats handlers on arbitrary goroutines
+// — hence atomics.
 type recStats struct {
 	generation    atomic.Int64
 	written       atomic.Int64 // checkpoint generations published
@@ -48,25 +49,13 @@ type CheckpointReport struct {
 	Generation int `json:"generation"`
 	Segments   int `json:"segments"`
 	Rows       int `json:"rows"`
-	// Skipped is true when the engine still holds an unrecovered loaded
-	// checkpoint: publishing a fresh (near-empty) generation before Recover
-	// runs would garbage-collect the very state the restart is for.
-	Skipped bool `json:"skipped"`
-}
-
-// RecoverReport summarises one warm-restart import.
-type RecoverReport struct {
-	Generation int `json:"generation"`
-	Installed  int `json:"installed"`
-	Dropped    int `json:"dropped"`
-	Rows       int `json:"rows"`
 }
 
 // openRecovery opens the engine's checkpoint store and admission journal in
-// dir. A committed generation from a previous process is staged here and
-// imported by Recover — after the engine's graph exists but before the front
-// desk routes queries at it; the journal's admits without a done are the
-// queries in flight at the crash — the recovered-abort set.
+// dir and imports the newest committed generation from a previous process,
+// staging its segments for revival. It runs in New before the executor
+// starts. The journal's admits without a done are the queries in flight at
+// the crash — the recovered-abort set.
 func (s *Service) openRecovery(dir string) {
 	store, err := recovery.Open(dir)
 	if err != nil {
@@ -75,11 +64,11 @@ func (s *Service) openRecovery(dir string) {
 	s.store = store
 	cp, err := store.Load()
 	if err == nil && cp != nil {
-		s.pendingRecover = cp.Export
-		s.pendingGen = cp.Generation
+		installed, dropped := s.mgr.ImportSegments(cp.Export)
 		s.rec.generation.Store(int64(cp.Generation))
 		s.rec.loaded.Add(1)
-		s.rec.segsDropped.Add(int64(cp.Dropped))
+		s.rec.segsRecovered.Add(int64(installed))
+		s.rec.segsDropped.Add(int64(cp.Dropped + dropped))
 	}
 	jnl, aborted, err := store.OpenJournal()
 	if err != nil {
@@ -98,16 +87,11 @@ func (s *Service) Checkpoint() (*CheckpointReport, error) {
 	if s.store == nil {
 		return nil, fmt.Errorf("service: engine %d has no checkpoint store", s.cfg.ShardIDOffset)
 	}
-	rep := &CheckpointReport{}
 	s.cpMu.Lock()
 	defer s.cpMu.Unlock()
 	var exp *state.TopicExport
 	s.exec(func() {
-		if s.pendingRecover != nil {
-			rep.Skipped = true
-			return
-		}
-		e := s.mgr.CheckpointExport()
+		exp = s.mgr.CheckpointExport()
 		// Compact the journal to the live in-flight set, sorted by UQ id so
 		// the rewrite is deterministic (waiters/pending are map/slice mix).
 		var inflight []recovery.QueryRecord
@@ -119,44 +103,15 @@ func (s *Service) Checkpoint() (*CheckpointReport, error) {
 		}
 		sort.Slice(inflight, func(i, j int) bool { return inflight[i].ID < inflight[j].ID })
 		s.countJournalErr(s.jnl.Rewrite(inflight))
-		exp = e
 	})
-	if rep.Skipped {
-		return rep, nil
-	}
 	gen, err := s.store.Write(exp)
 	if err != nil {
 		return nil, err
 	}
-	rep.Generation = gen
-	rep.Segments = len(exp.Segments)
-	rep.Rows = exp.Rows()
 	s.rec.generation.Store(int64(gen))
 	s.rec.written.Add(1)
 	s.rec.segsWritten.Add(int64(len(exp.Segments)))
-	return rep, nil
-}
-
-// Recover imports the loaded checkpoint (if any) through the consistency
-// gate, staging its segments for revival and installing the catalog's
-// streamed-prefix deltas so the optimizer re-derives the same plans the
-// crashed engine ran. Idempotent: a second call (or a call on a cold-started
-// engine) is a no-op.
-func (s *Service) Recover() (*RecoverReport, error) {
-	rep := &RecoverReport{}
-	s.exec(func() {
-		if s.pendingRecover == nil {
-			return
-		}
-		rep.Generation = s.pendingGen
-		rep.Installed, rep.Dropped, rep.Rows = s.mgr.ImportSegments(s.pendingRecover)
-		s.pendingRecover = nil
-	})
-	if rep.Installed > 0 || rep.Dropped > 0 {
-		s.rec.segsRecovered.Add(int64(rep.Installed))
-		s.rec.segsDropped.Add(int64(rep.Dropped))
-	}
-	return rep, nil
+	return &CheckpointReport{Generation: gen, Segments: len(exp.Segments), Rows: exp.Rows()}, nil
 }
 
 // RecoveredAborts returns the queries the admission journal proves were in
@@ -184,8 +139,7 @@ func (s *Service) RecoveryStats() recovery.StatsSnapshot {
 	}
 }
 
-// checkpointLoop periodically checkpoints the engine. While it still holds
-// an unrecovered checkpoint, Checkpoint itself skips.
+// checkpointLoop periodically checkpoints the engine.
 func (s *Service) checkpointLoop(interval time.Duration) {
 	defer close(s.cpDone)
 	t := time.NewTicker(interval)

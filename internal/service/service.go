@@ -326,10 +326,9 @@ type Service struct {
 	mergeEWMA time.Duration
 
 	submitCh chan *request
-	statsCh  chan chan ShardStats
-	// ctrlCh delivers control closures (checkpoint capture and import,
+	// ctrlCh delivers closures (stats snapshots, checkpoint captures,
 	// in-flight aborts) into the executor goroutine; every select that serves
-	// statsCh serves it too, so control work interleaves between scheduling
+	// submitCh serves it too, so control work interleaves between scheduling
 	// rounds and never races the engine.
 	ctrlCh chan func()
 	stopCh chan struct{}
@@ -339,16 +338,13 @@ type Service struct {
 	// store owns the engine's checkpoint directory; cpMu serializes its Write
 	// against the periodic loop. jnl is the admission journal, confined to
 	// the executor goroutine (Admit/Done in admit/respond, Rewrite inside
-	// the checkpoint exec closure). pendingRecover holds a loaded checkpoint
-	// until Recover imports it (executor goroutine via exec); recovered is
-	// the journal's replayed in-flight set, static after New.
-	store          *recovery.Store
-	cpMu           sync.Mutex
-	jnl            *recovery.Journal
-	pendingRecover *state.TopicExport
-	pendingGen     int
-	recovered      []recovery.QueryRecord
-	rec            recStats
+	// the checkpoint exec closure). recovered is the journal's replayed
+	// in-flight set, static after New.
+	store     *recovery.Store
+	cpMu      sync.Mutex
+	jnl       *recovery.Journal
+	recovered []recovery.QueryRecord
+	rec       recStats
 
 	// cpStop/cpDone bracket the periodic checkpoint loop (nil when no
 	// CheckpointInterval is configured).
@@ -383,7 +379,6 @@ func New(w *workload.Workload, cfg Config) *Service {
 		mgr:      p.Manager,
 		waiters:  map[string]*request{},
 		submitCh: make(chan *request, maxQueue),
-		statsCh:  make(chan chan ShardStats),
 		ctrlCh:   make(chan func()),
 		stopCh:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
@@ -504,13 +499,7 @@ func (s *Service) isClosed() bool {
 // executor so no lock is needed on the single-threaded engine state.
 func (s *Service) Stats() Stats {
 	var ss ShardStats
-	req := make(chan ShardStats, 1)
-	select {
-	case s.statsCh <- req:
-		ss = <-req
-	case <-s.doneCh:
-		ss = s.snapshot()
-	}
+	s.exec(func() { ss = s.snapshot() })
 	st := Stats{Service: s.svc.Snapshot(), Work: ss.Work, Shards: []ShardStats{ss}, Recovery: s.RecoveryStats()}
 	st.Shared = st.SharedSplit()
 	return st

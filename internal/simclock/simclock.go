@@ -11,7 +11,8 @@
 // paper's contention effect (§7.1) arises. Distinct plan graphs (ATC-CQ,
 // ATC-UQ, ATC-CL) get independent clocks, modelling parallel execution.
 //
-// A Real clock that actually sleeps is provided for the interactive demos.
+// A Real clock that actually sleeps is provided for the interactive demos
+// and the one test that needs wall time to pass.
 package simclock
 
 import (
@@ -68,7 +69,9 @@ func (v *Virtual) AdvanceTo(t time.Duration) {
 }
 
 // Real is a wall-clock-backed clock: Advance sleeps. Used by the demo
-// binaries to show live behaviour; never used in tests or benches.
+// binaries to show live behaviour, and by TestContextCancellationMidFlight
+// (internal/service) to keep a search in flight long enough to cancel it;
+// never used by the benchmarks.
 type Real struct {
 	start time.Time
 }
