@@ -424,9 +424,7 @@ func (a *ATC) Revive(n *plangraph.Node, epoch int) (*operator.NodeExec, error) {
 		px := a.execs[e.From]
 		// Top up this module with the parent's logged rows it has missed.
 		have := x.Module(e.InputIdx).Len()
-		rows, epochs := px.Log.RowsFrom(have)
-		x.PreloadModule(e.InputIdx, rows, epochs)
-		recover = recover || len(rows) > 0
+		recover = x.PreloadModule(e.InputIdx, px.Log, have) > 0 || recover
 	}
 	if recover {
 		x.RecoverHistory(a.Env, epoch)

@@ -3,7 +3,6 @@ package operator
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/state"
 	"repro/internal/tuple"
@@ -82,14 +81,11 @@ func (s *identSet) Len() int {
 // in for the paper's linked lists embedded in m-join hash tables, recording
 // exactly the original arrival (score) order.
 type Log struct {
-	rows   []*tuple.Row
-	epochs []int
-
-	// epochsSorted tracks whether epochs are nondecreasing in append order
-	// (they are in normal operation: recovery appends e-1 before live rows
-	// append e). While it holds, EachBefore partitions by binary search
-	// instead of scanning every row.
-	epochsSorted bool
+	rows blockList[*tuple.Row]
+	// epochs stamps the rows in runs; while the runs are nondecreasing the
+	// rows before an epoch are a prefix, which countBefore finds by binary
+	// search and EachBefore walks without a per-row check.
+	epochs epochRuns
 	// idents, once materialised by IdentitySet, is maintained incrementally
 	// by Append so repeated recovery passes stop rebuilding it from scratch.
 	// It is resident state and is counted by IdentCount / cleared by Reset.
@@ -112,18 +108,13 @@ func (l *Log) SetAccount(a *state.Account) {
 	if l.idents != nil {
 		l.idents.acct = a
 	}
-	a.Add(len(l.rows) + l.idents.Len())
+	a.Add(l.rows.n + l.idents.Len())
 }
 
 // Append records a delivered row.
 func (l *Log) Append(r *tuple.Row, epoch int) {
-	if n := len(l.epochs); n > 0 && epoch < l.epochs[n-1] {
-		l.epochsSorted = false
-	} else if n == 0 {
-		l.epochsSorted = true
-	}
-	l.rows = append(l.rows, r)
-	l.epochs = append(l.epochs, epoch)
+	l.epochs.stamp(l.rows.n, epoch)
+	l.rows.push(r)
 	l.acct.Add(1)
 	if l.idents != nil {
 		l.idents.Add(r) // accounts its own delta
@@ -131,22 +122,17 @@ func (l *Log) Append(r *tuple.Row, epoch int) {
 }
 
 // AppendBatch records a mini-batch of delivered rows in production order —
-// equivalent to appending each row alone, but the epoch-order bookkeeping
-// and the ledger delta are paid once per batch, and when the identity set is
-// materialised the batch's identity hashes are computed in one pass before
-// the set is touched.
+// equivalent to appending each row alone, but the epoch stamp and the ledger
+// delta are paid once per batch, and when the identity set is materialised
+// the batch's identity hashes are computed in one pass before the set is
+// touched.
 func (l *Log) AppendBatch(rows []*tuple.Row, epoch int) {
 	if len(rows) == 0 {
 		return
 	}
-	if n := len(l.epochs); n > 0 && epoch < l.epochs[n-1] {
-		l.epochsSorted = false
-	} else if n == 0 {
-		l.epochsSorted = true
-	}
+	l.epochs.stamp(l.rows.n, epoch)
 	for _, r := range rows {
-		l.rows = append(l.rows, r)
-		l.epochs = append(l.epochs, epoch)
+		l.rows.push(r)
 	}
 	l.acct.Add(len(rows))
 	if l.idents != nil {
@@ -160,42 +146,36 @@ func (l *Log) AppendBatch(rows []*tuple.Row, epoch int) {
 }
 
 // Len returns the number of logged rows.
-func (l *Log) Len() int { return len(l.rows) }
+func (l *Log) Len() int { return l.rows.n }
 
 // Row returns the i'th logged row.
-func (l *Log) Row(i int) *tuple.Row { return l.rows[i] }
+func (l *Log) Row(i int) *tuple.Row { return l.rows.at(i) }
 
 // EachBefore calls fn for every row logged with epoch < e, in arrival order —
 // the pre-epoch partition Algorithm 2 replays — without materialising a
-// slice. When epochs are nondecreasing (the normal case) the partition point
-// is found by binary search and the prefix is walked with no per-row check.
+// slice. When epochs are nondecreasing (the normal case) the walk stops at
+// the first run stamped e or later.
 func (l *Log) EachBefore(e int, fn func(*tuple.Row)) {
-	if l.epochsSorted || len(l.epochs) == 0 {
-		for _, r := range l.rows[:l.countBefore(e)] {
-			fn(r)
+	l.epochs.eachBefore(e, l.rows.n, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			fn(l.rows.at(i))
 		}
-		return
-	}
-	for i, r := range l.rows {
-		if l.epochs[i] < e {
-			fn(r)
+	})
+}
+
+// eachFrom calls fn for every row logged at index i or later, with its
+// epoch, in arrival order — the suffix a revived consumer missed while
+// parked.
+func (l *Log) eachFrom(i int, fn func(*tuple.Row, int)) {
+	for k, run := range l.epochs.runs {
+		for p := max(run.start, i); p < l.epochs.end(k, l.rows.n); p++ {
+			fn(l.rows.at(p), run.epoch)
 		}
 	}
 }
 
 // countBefore returns how many rows were logged with epoch < e.
-func (l *Log) countBefore(e int) int {
-	if l.epochsSorted || len(l.epochs) == 0 {
-		return sort.SearchInts(l.epochs, e)
-	}
-	n := 0
-	for _, ep := range l.epochs {
-		if ep < e {
-			n++
-		}
-	}
-	return n
-}
+func (l *Log) countBefore(e int) int { return l.epochs.countBefore(e, l.rows.n) }
 
 // seedBlock is how many index positions share one entry of a logIndex's
 // per-atom suffix maxima.
@@ -218,7 +198,7 @@ type logIndex struct {
 // sorts the whole log; later calls sort only the rows appended since the last
 // index and merge them into a new one. Append and AppendBatch never touch it.
 func (l *Log) productIndex() *logIndex {
-	n := len(l.rows)
+	n := l.rows.n
 	var prev []int32
 	if l.ix != nil {
 		if len(l.ix.order) == n {
@@ -231,7 +211,7 @@ func (l *Log) productIndex() *logIndex {
 	fresh := make([]int32, n-from)
 	for i := range fresh {
 		fresh[i] = int32(from + i)
-		prods[i] = l.rows[from+i].ScoreProduct()
+		prods[i] = l.rows.at(from + i).ScoreProduct()
 	}
 	slices.SortStableFunc(fresh, func(a, b int32) int {
 		pa, pb := prods[int(a)-from], prods[int(b)-from]
@@ -247,7 +227,7 @@ func (l *Log) productIndex() *logIndex {
 	order := make([]int32, 0, n)
 	i, j := 0, 0
 	for i < len(prev) && j < len(fresh) {
-		if prods[int(fresh[j])-from] > l.rows[prev[i]].ScoreProduct() {
+		if prods[int(fresh[j])-from] > l.rows.at(int(prev[i])).ScoreProduct() {
 			order = append(order, fresh[j])
 			j++
 		} else {
@@ -258,14 +238,14 @@ func (l *Log) productIndex() *logIndex {
 	order = append(append(order, prev[i:]...), fresh[j:]...)
 	l.ix = &logIndex{order: order}
 	if n > 0 {
-		l.ix.buildCaps(l.rows)
+		l.ix.buildCaps(&l.rows)
 	}
 	return l.ix
 }
 
 // buildCaps computes the per-block suffix maxima of an ordered index.
-func (ix *logIndex) buildCaps(rows []*tuple.Row) {
-	ix.arity = rows[ix.order[0]].Arity()
+func (ix *logIndex) buildCaps(rows *blockList[*tuple.Row]) {
+	ix.arity = rows.at(int(ix.order[0])).Arity()
 	blocks := (len(ix.order) + seedBlock - 1) / seedBlock
 	ix.caps = make([]float64, blocks*ix.arity)
 	run := make([]float64, ix.arity)
@@ -274,7 +254,7 @@ func (ix *logIndex) buildCaps(rows []*tuple.Row) {
 	}
 	for b := blocks - 1; b >= 0; b-- {
 		for _, pos := range ix.order[b*seedBlock : min((b+1)*seedBlock, len(ix.order))] {
-			r := rows[pos]
+			r := rows.at(int(pos))
 			for a := range run {
 				run[a] = max(run[a], r.Part(a).Score())
 			}
@@ -284,12 +264,13 @@ func (ix *logIndex) buildCaps(rows []*tuple.Row) {
 }
 
 // seedView is a snapshot of a log's pre-epoch partition in product order:
-// the rows and epochs as they were when it was taken, an index over them,
-// and how many of them were logged before the epoch. Later appends, index
-// merges and a Reset of the log leave it unchanged.
+// the rows and epoch runs as they were when it was taken, an index over
+// them, and how many of them were logged before the epoch. Later appends,
+// index merges and a Reset of the log leave it unchanged: appends write past
+// its rows and runs, and full blocks never move.
 type seedView struct {
-	rows   []*tuple.Row
-	epochs []int
+	rows   blockList[*tuple.Row]
+	epochs epochRuns
 	ix     *logIndex
 	epoch  int
 	n      int
@@ -305,13 +286,13 @@ func (l *Log) seedView(e int) seedView {
 	return v
 }
 
-// RowsFrom returns the logged rows and their epochs starting at index i —
-// the suffix a revived consumer missed while parked.
-func (l *Log) RowsFrom(i int) ([]*tuple.Row, []int) {
-	if i < 0 || i > len(l.rows) {
-		i = len(l.rows)
+// before reports whether the row at position pos was logged before the
+// view's epoch: with sorted epochs the first n rows were.
+func (v *seedView) before(pos int32) bool {
+	if v.epochs.sorted {
+		return int(pos) < v.n
 	}
-	return l.rows[i:], l.epochs[i:]
+	return v.epochs.runs[v.epochs.runAt(int(pos), -1)].epoch < v.epoch
 }
 
 // IdentitySet returns the log's resident identity set, building it on first
@@ -319,10 +300,10 @@ func (l *Log) RowsFrom(i int) ([]*tuple.Row, []int) {
 // during state recovery, §6.2).
 func (l *Log) IdentitySet() *identSet {
 	if l.idents == nil {
-		l.idents = newIdentSet(len(l.rows))
+		l.idents = newIdentSet(l.rows.n)
 		l.idents.acct = l.acct
-		for _, r := range l.rows {
-			l.idents.Add(r)
+		for i := 0; i < l.rows.n; i++ {
+			l.idents.Add(l.rows.at(i))
 		}
 	}
 	return l.idents
@@ -332,22 +313,25 @@ func (l *Log) IdentitySet() *identSet {
 // set was never materialised). It participates in §6.3 memory accounting.
 func (l *Log) IdentCount() int { return l.idents.Len() }
 
-// Reset discards the log and its identity set (eviction, §6.3).
+// Reset discards the log and its identity set (eviction, §6.3). The blocks
+// are dropped, never reused: a seedView may still hold them.
 func (l *Log) Reset() {
-	l.acct.Add(-(len(l.rows) + l.idents.Len()))
-	l.rows, l.epochs = nil, nil
+	l.acct.Add(-(l.rows.n + l.idents.Len()))
+	l.rows, l.epochs = blockList[*tuple.Row]{}, epochRuns{}
 	l.idents = nil
 	l.ix = nil
-	l.epochsSorted = false
 }
 
-// Export returns the log's rows and epochs in arrival order (spill
-// serialization; the caller must not mutate the slices).
-func (l *Log) Export() ([]*tuple.Row, []int) { return l.rows, l.epochs }
+// Export returns the log's rows and epochs in arrival order, one of each per
+// row, in fresh slices (spill serialization).
+func (l *Log) Export() ([]*tuple.Row, []int) {
+	return l.rows.appendTo(make([]*tuple.Row, 0, l.rows.n)), l.epochs.epochs(l.rows.n)
+}
 
 // partialRow is a row translated into a join node's atom space: parts is
 // indexed by the node expression's atom positions, nil outside the
-// originating input's coverage.
+// originating input's coverage. A stored row's parts are a capped view into
+// its module's block.
 type partialRow struct {
 	parts []*tuple.Tuple
 	epoch int
@@ -357,7 +341,10 @@ type partialRow struct {
 // on one input, stored in node-space with arrival order and epochs preserved,
 // and hash-indexed on demand by (atom position, column).
 type AccessModule struct {
-	rows []partialRow
+	// parts holds every row's node-space part vector, the rows' vectors side
+	// by side in blocks; epochs stamps them in runs.
+	parts  blockList[*tuple.Tuple]
+	epochs epochRuns
 	// indexes holds one chained index per (atom, col) probed so far; a
 	// module has one or two, so a linear scan finds them.
 	indexes []*chainIndex
@@ -375,23 +362,16 @@ type AccessModule struct {
 // chain is a map lookup and two int32 stores, and the maps' values hold no
 // pointers. Int values — the join keys of every bundled workload — are keyed
 // by their bits in ints, which the runtime hashes as one word; every other
-// kind goes through tuple.IndexKey in other.
+// kind goes through tuple.IndexKey in other, made on first use.
 type chainIndex struct {
-	atom, col   int
-	ints        map[uint64]int32
-	other       map[tuple.IndexKey]int32
-	first, last []int32
-	next        []int32
+	atom, col         int
+	ints              map[uint64]int32
+	other             map[tuple.IndexKey]int32
+	first, last, next blockList[int32]
 }
 
 func newChainIndex(atom, col, capacity int) *chainIndex {
-	return &chainIndex{
-		atom:  atom,
-		col:   col,
-		ints:  make(map[uint64]int32, capacity),
-		other: map[tuple.IndexKey]int32{},
-		next:  make([]int32, 0, capacity),
-	}
+	return &chainIndex{atom: atom, col: col, ints: make(map[uint64]int32, capacity)}
 }
 
 // chain returns the chain id of value v, if it has one.
@@ -407,32 +387,35 @@ func (ix *chainIndex) chain(v tuple.Value) (int32, bool) {
 // add links row pos, whose parts are given, onto its value's chain. Rows
 // must be added in position order.
 func (ix *chainIndex) add(pos int32, parts []*tuple.Tuple) {
-	ix.next = append(ix.next, -1)
+	ix.next.push(-1)
 	t := parts[ix.atom]
 	if t == nil {
 		return
 	}
 	v := t.Val(ix.col)
 	if c, ok := ix.chain(v); ok {
-		ix.next[ix.last[c]] = pos
-		ix.last[c] = pos
+		ix.next.set(int(ix.last.at(int(c))), pos)
+		ix.last.set(int(c), pos)
 		return
 	}
-	c := int32(len(ix.first))
+	c := int32(ix.first.n)
 	if v.Kind() == tuple.KindInt {
 		ix.ints[uint64(v.AsInt())] = c
 	} else {
+		if ix.other == nil {
+			ix.other = map[tuple.IndexKey]int32{}
+		}
 		ix.other[v.IndexKey()] = c
 	}
-	ix.first = append(ix.first, pos)
-	ix.last = append(ix.last, pos)
+	ix.first.push(pos)
+	ix.last.push(pos)
 }
 
 // SetAccount wires the module to a ledger account, crediting any rows it
 // already holds.
 func (m *AccessModule) SetAccount(a *state.Account) {
 	m.acct = a
-	a.Add(len(m.rows))
+	a.Add(m.parts.n)
 }
 
 // NewAccessModule creates a module covering the given node atom positions.
@@ -444,14 +427,38 @@ func NewAccessModule(coverage []int) *AccessModule {
 func (m *AccessModule) Coverage() []int { return m.coverage }
 
 // Len returns the number of stored rows (memory accounting).
-func (m *AccessModule) Len() int { return len(m.rows) }
+func (m *AccessModule) Len() int { return m.parts.n }
 
-// Insert stores a translated row with its epoch and maintains any built
-// indexes.
+// Insert stores a copy of a row's node-space parts with its epoch and
+// maintains any built indexes.
 func (m *AccessModule) Insert(parts []*tuple.Tuple, epoch int) {
-	pos := int32(len(m.rows))
-	m.rows = append(m.rows, partialRow{parts: parts, epoch: epoch})
+	slot := m.slot(len(parts), epoch)
+	copy(slot, parts)
+	m.link(slot)
+}
+
+// insertRow translates a producer row into node space (width atoms, through
+// the edge's atom map) straight into a new row's slot, stores it with its
+// epoch, maintains any built indexes, and returns the slot.
+func (m *AccessModule) insertRow(r *tuple.Row, atomMap []int, width, epoch int) []*tuple.Tuple {
+	slot := m.slot(width, epoch)
+	for fi, ti := range atomMap {
+		slot[ti] = r.Part(fi)
+	}
+	m.link(slot)
+	return slot
+}
+
+// slot appends an empty row of width parts stamped with epoch.
+func (m *AccessModule) slot(width, epoch int) []*tuple.Tuple {
+	m.epochs.stamp(m.parts.n, epoch)
 	m.acct.Add(1)
+	return m.parts.grow(width)
+}
+
+// link adds the last stored row, whose parts are given, to every built index.
+func (m *AccessModule) link(parts []*tuple.Tuple) {
+	pos := int32(m.parts.n - 1)
 	for _, ix := range m.indexes {
 		ix.add(pos, parts)
 	}
@@ -466,67 +473,63 @@ func (m *AccessModule) index(atom, col int) *chainIndex {
 			return ix
 		}
 	}
-	ix := newChainIndex(atom, col, len(m.rows))
-	for pos, pr := range m.rows {
-		ix.add(int32(pos), pr.parts)
+	ix := newChainIndex(atom, col, m.parts.n)
+	for pos := 0; pos < m.parts.n; pos++ {
+		ix.add(int32(pos), m.parts.row(pos))
 	}
 	m.indexes = append(m.indexes, ix)
 	return ix
 }
 
 // AppendProbe appends to dst the stored rows whose (atom, col) value equals v
-// and whose epoch is strictly below maxEpoch, in insertion order, returning
-// the extended slice. With a warm index and sufficient dst capacity it
-// performs no allocation — the m-join hot path passes a per-node scratch
-// buffer.
+// and whose epoch is strictly below maxEpoch (MaxEpochLive for live probes;
+// state recovery passes the graft epoch to see only pre-existing rows), in
+// insertion order, returning the extended slice. With a warm index and
+// sufficient dst capacity it performs no allocation — the m-join hot path
+// passes a per-node scratch buffer.
 func (m *AccessModule) AppendProbe(dst []partialRow, atom, col int, v tuple.Value, maxEpoch int) []partialRow {
 	ix := m.index(atom, col)
 	c, ok := ix.chain(v)
 	if !ok {
 		return dst
 	}
-	for pos := ix.first[c]; pos >= 0; pos = ix.next[pos] {
-		if m.rows[pos].epoch < maxEpoch {
-			dst = append(dst, m.rows[pos])
+	// Rows [start, end) are run k's, the run of the row visited last; a
+	// chain ascends, so a walk moves to a later run at most once per run.
+	runs := m.epochs.runs
+	k, e, end := 0, 0, 0
+	for pos := int(ix.first.at(int(c))); pos >= 0; pos = int(ix.next.at(pos)) {
+		if pos >= end {
+			k = m.epochs.runAt(pos, k+1)
+			e, end = runs[k].epoch, m.epochs.end(k, m.parts.n)
+		}
+		if e < maxEpoch {
+			dst = append(dst, partialRow{parts: m.parts.row(pos), epoch: e})
+		} else if m.epochs.sorted {
+			break // every later row is stamped e or later
 		}
 	}
 	return dst
 }
 
-// Probe returns the stored rows whose (atom, col) value equals v and whose
-// epoch is strictly below maxEpoch (pass math.MaxInt for live probes; state
-// recovery passes the graft epoch to see only pre-existing rows).
-func (m *AccessModule) Probe(atom, col int, v tuple.Value, maxEpoch int) []partialRow {
-	return m.AppendProbe(make([]partialRow, 0, 4), atom, col, v, maxEpoch)
-}
-
 // EachBefore calls fn for each stored row with epoch < maxEpoch in insertion
 // order (used by state recovery when no index applies), without allocating.
 func (m *AccessModule) EachBefore(maxEpoch int, fn func(partialRow)) {
-	for _, pr := range m.rows {
-		if pr.epoch < maxEpoch {
-			fn(pr)
+	m.epochs.eachBefore(maxEpoch, m.parts.n, func(lo, hi, e int) {
+		for pos := lo; pos < hi; pos++ {
+			fn(partialRow{parts: m.parts.row(pos), epoch: e})
 		}
-	}
+	})
 }
 
-// Export returns the module's rows (node-space part vectors) and epochs in
-// insertion order (spill serialization; the caller must not mutate).
+// Export returns the module's rows (node-space part vectors, views the
+// caller must not mutate) and epochs in insertion order (spill
+// serialization).
 func (m *AccessModule) Export() ([][]*tuple.Tuple, []int) {
-	parts := make([][]*tuple.Tuple, len(m.rows))
-	epochs := make([]int, len(m.rows))
-	for i, pr := range m.rows {
-		parts[i] = pr.parts
-		epochs[i] = pr.epoch
+	parts := make([][]*tuple.Tuple, m.parts.n)
+	for i := range parts {
+		parts[i] = m.parts.row(i)
 	}
-	return parts, epochs
-}
-
-// Scan returns stored rows with epoch < maxEpoch in insertion order.
-func (m *AccessModule) Scan(maxEpoch int) []partialRow {
-	var out []partialRow
-	m.EachBefore(maxEpoch, func(pr partialRow) { out = append(out, pr) })
-	return out
+	return parts, m.epochs.epochs(m.parts.n)
 }
 
 // MaxEpochLive is the epoch filter admitting every row.

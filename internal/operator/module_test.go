@@ -52,9 +52,11 @@ func TestLogEpochPartitions(t *testing.T) {
 	if l.countBefore(1) != 0 || l.countBefore(2) != 2 || l.countBefore(3) != 3 {
 		t.Error("epoch filtering wrong")
 	}
-	rows, epochs := l.RowsFrom(1)
+	var rows []*tuple.Row
+	var epochs []int
+	l.eachFrom(1, func(r *tuple.Row, e int) { rows, epochs = append(rows, r), append(epochs, e) })
 	if len(rows) != 2 || epochs[0] != 1 || epochs[1] != 2 {
-		t.Errorf("RowsFrom(1) = %v %v", rows, epochs)
+		t.Errorf("eachFrom(1) = %v %v", rows, epochs)
 	}
 	ids := l.IdentitySet()
 	for id := 1; id <= 3; id++ {
@@ -71,6 +73,14 @@ func TestLogEpochPartitions(t *testing.T) {
 	}
 }
 
+// moduleBefore collects the module's rows with epoch < maxEpoch through
+// EachBefore, in insertion order.
+func moduleBefore(m *AccessModule, maxEpoch int) []partialRow {
+	var out []partialRow
+	m.EachBefore(maxEpoch, func(pr partialRow) { out = append(out, pr) })
+	return out
+}
+
 func TestAccessModuleProbeAndEpochs(t *testing.T) {
 	s := rowSchema()
 	m := NewAccessModule([]int{0})
@@ -83,24 +93,24 @@ func TestAccessModuleProbeAndEpochs(t *testing.T) {
 	if m.Len() != 3 {
 		t.Fatalf("len = %d", m.Len())
 	}
-	all := m.Probe(0, 0, tuple.Int(1), MaxEpochLive)
+	all := m.AppendProbe(nil, 0, 0, tuple.Int(1), MaxEpochLive)
 	if len(all) != 2 {
 		t.Fatalf("live probe = %d rows", len(all))
 	}
-	old := m.Probe(0, 0, tuple.Int(1), 2)
+	old := m.AppendProbe(nil, 0, 0, tuple.Int(1), 2)
 	if len(old) != 1 || old[0].epoch != 1 {
 		t.Fatalf("epoch-filtered probe = %v", old)
 	}
-	if got := m.Probe(0, 0, tuple.Int(9), MaxEpochLive); len(got) != 0 {
+	if got := m.AppendProbe(nil, 0, 0, tuple.Int(9), MaxEpochLive); len(got) != 0 {
 		t.Error("absent key should be empty")
 	}
 	// Insert after index built must stay consistent.
 	m.Insert(mk(1, 0.2), 3)
-	if got := m.Probe(0, 0, tuple.Int(1), MaxEpochLive); len(got) != 3 {
+	if got := m.AppendProbe(nil, 0, 0, tuple.Int(1), MaxEpochLive); len(got) != 3 {
 		t.Errorf("post-index insert missing: %d", len(got))
 	}
-	if got := m.Scan(2); len(got) != 2 {
-		t.Errorf("Scan(2) = %d rows", len(got))
+	if got := moduleBefore(m, 2); len(got) != 2 {
+		t.Errorf("EachBefore(2) = %d rows", len(got))
 	}
 	if len(m.Coverage()) != 1 || m.Coverage()[0] != 0 {
 		t.Error("coverage wrong")
@@ -178,7 +188,7 @@ func TestAccessModuleIndexMatchesScan(t *testing.T) {
 					for _, v := range probes {
 						for _, maxEpoch := range []int{0, 2, 4, MaxEpochLive} {
 							var want []partialRow
-							for _, pr := range m.Scan(maxEpoch) {
+							for _, pr := range moduleBefore(m, maxEpoch) {
 								if matches(pr, atom, col, v) {
 									want = append(want, pr)
 								}

@@ -350,10 +350,10 @@ func (x *NodeExec) DeliverBatch(env *Env, rows []*tuple.Row, epoch int) {
 }
 
 // ArriveBatch handles a chunk of rows landing on one input of a join node:
-// each is translated into node space and inserted into the input's access
-// module, then the chunk is probed against the other modules following the
-// adaptive probe sequence — each compiled probeStep once over the whole
-// surviving frontier — and the complete join results are delivered
+// each is translated into node space straight into its slot in the input's
+// access module, then the chunk is probed against the other modules
+// following the adaptive probe sequence — each compiled probeStep once over
+// the whole surviving frontier — and the complete join results are delivered
 // downstream (fully pipelined, §4.1). The chunk splits at adaptation
 // boundaries so a recompile sees exactly the stats of every earlier row's
 // cascade; inserting a sub-batch ahead of its cascades is safe because
@@ -362,7 +362,7 @@ func (x *NodeExec) ArriveBatch(env *Env, rows []*tuple.Row, edge *plangraph.Edge
 	if x.Node.Kind != plangraph.Join {
 		panic("operator: ArriveBatch on non-join node " + x.Node.Key)
 	}
-	idx := edge.InputIdx
+	idx, width := edge.InputIdx, len(x.Node.Expr.Atoms)
 	for lo := 0; lo < len(rows); {
 		// The sub-batch ends where the next plan recompile would fire: the
 		// row that takes arrivals to ≡1 (mod adaptEvery) must see a plan
@@ -376,8 +376,7 @@ func (x *NodeExec) ArriveBatch(env *Env, rows []*tuple.Row, edge *plangraph.Edge
 		}
 		seeds := x.seedBuf[:0]
 		for _, r := range rows[lo:hi] {
-			parts := x.translate(r, edge.AtomMap)
-			x.modules[idx].Insert(parts, epoch)
+			parts := x.modules[idx].insertRow(r, edge.AtomMap, width, epoch)
 			env.Metrics.AddJoinInsert()
 			env.ChargeJoin()
 			x.arrivals[idx]++
@@ -653,16 +652,6 @@ func (x *NodeExec) baseColFor(edge *plangraph.Edge, nodeAtom, col int) int {
 	return col
 }
 
-// translate maps a producer row (producer atom order) into this node's atom
-// space using the edge's atom map.
-func (x *NodeExec) translate(r *tuple.Row, atomMap []int) []*tuple.Tuple {
-	parts := make([]*tuple.Tuple, len(x.Node.Expr.Atoms))
-	for fi, ti := range atomMap {
-		parts[ti] = r.Part(fi)
-	}
-	return parts
-}
-
 // probePlan returns (compiling if stale) the probe plan for a driving input:
 // a connectivity-respecting order over the other inputs — cheapest observed
 // fanout first, remote probes deferred on ties — with each step's lookup
@@ -845,14 +834,17 @@ func (x *NodeExec) RecoverHistory(env *Env, e int) int {
 	return len(results)
 }
 
-// PreloadModule bulk-inserts historical rows into input j's module with
-// their original epochs (graft-time state transfer; no stream delay is
-// charged — the rows are already in middleware memory).
-func (x *NodeExec) PreloadModule(j int, rows []*tuple.Row, epochs []int) {
-	edge := x.Node.Inputs[j]
-	for i, r := range rows {
-		x.modules[j].Insert(x.translate(r, edge.AtomMap), epochs[i])
-	}
+// PreloadModule inserts into input j's module, with their original epochs,
+// the rows its producer logged at index from or later, and returns how many
+// it inserted (graft-time state transfer; no stream delay is charged — the
+// rows are already in middleware memory).
+func (x *NodeExec) PreloadModule(j int, producer *Log, from int) int {
+	m, atomMap, width := x.modules[j], x.Node.Inputs[j].AtomMap, len(x.Node.Expr.Atoms)
+	n := m.Len()
+	producer.eachFrom(from, func(r *tuple.Row, epoch int) {
+		m.insertRow(r, atomMap, width, epoch)
+	})
+	return m.Len() - n
 }
 
 // StateSize reports the node's resident state in rows (modules + log + the

@@ -338,7 +338,7 @@ type seedCursor struct {
 // head advances past rows logged at or after the view's epoch and returns
 // the index position of the first unpulled row; left must be positive.
 func (c *seedCursor) head() int {
-	for c.epochs[c.ix.order[c.next]] >= c.epoch {
+	for !c.before(c.ix.order[c.next]) {
 		c.next++
 	}
 	return c.next
@@ -364,10 +364,10 @@ func (c *seedCursor) boundFrom(j int, headScore float64, exact bool) float64 {
 		}
 	}
 	for _, pos := range c.ix.order[j:min((b+1)*seedBlock, len(c.ix.order))] {
-		if c.epochs[pos] >= c.epoch {
+		if !c.before(pos) {
 			continue
 		}
-		r := c.rows[pos]
+		r := c.rows.at(int(pos))
 		for ni, ci := range c.sink.AtomMap {
 			maxima[ci] = max(maxima[ci], r.Part(ni).Score())
 		}
@@ -413,14 +413,14 @@ func (c *seedCursor) headBound() float64 {
 	}
 	j := c.head()
 	if c.boundAt != j {
-		c.bound, c.boundAt = c.boundFrom(j, c.sink.score(c.rows[c.ix.order[j]]), true), j
+		c.bound, c.boundAt = c.boundFrom(j, c.sink.score(c.rows.at(int(c.ix.order[j]))), true), j
 	}
 	return c.bound
 }
 
 // pull materialises the head row into the entry's buffer.
 func (c *seedCursor) pull(env *Env) {
-	r := c.rows[c.ix.order[c.head()]]
+	r := c.rows.at(int(c.ix.order[c.head()]))
 	c.next++
 	c.left--
 	env.Metrics.AddSeedPulled(1)
@@ -444,11 +444,11 @@ func (c *seedCursor) countAbove(t float64, limit int) int {
 	n := 0
 	for j, visited := c.next, 0; visited < c.left && n < limit; j++ {
 		pos := c.ix.order[j]
-		if c.epochs[pos] >= c.epoch {
+		if !c.before(pos) {
 			continue
 		}
 		visited++
-		score := c.sink.score(c.rows[pos])
+		score := c.sink.score(c.rows.at(int(pos)))
 		if !(c.boundFrom(j, score, false) > t) {
 			break
 		}
@@ -497,6 +497,30 @@ func (h *candidateHeap) Pop() interface{} {
 	return c
 }
 
+// pop removes and returns the best candidate — heap.Pop's sift, without
+// boxing the candidate into an interface.
+func (h *candidateHeap) pop() candidate {
+	n := len(*h) - 1
+	h.Swap(0, n)
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.Less(j2, j) {
+			j = j2
+		}
+		if !h.Less(j, i) {
+			break
+		}
+		h.Swap(i, j)
+		i = j
+	}
+	c := (*h)[n]
+	*h = (*h)[:n]
+	return c
+}
+
 // StepKind classifies what a rank-merge did in one scheduling step.
 type StepKind int
 
@@ -515,7 +539,6 @@ const (
 type Step struct {
 	Kind   StepKind
 	Source *NodeExec
-	Result *Result
 	// PrunedCQs lists CQ ids deactivated by this step (§6.3 unlinking).
 	PrunedCQs []string
 }
@@ -535,7 +558,7 @@ type RankMerge struct {
 
 // NewRankMerge builds the operator; entries must be in nonincreasing U order.
 func NewRankMerge(uq *cq.UQ, entries []*CQEntry) *RankMerge {
-	return &RankMerge{UQ: uq, K: uq.K, Entries: entries}
+	return &RankMerge{UQ: uq, K: uq.K, Entries: entries, emitted: make([]Result, 0, min(uq.K, 64))}
 }
 
 // Done reports completion.
@@ -614,16 +637,15 @@ func (rm *RankMerge) Advance(env *Env) Step {
 			}
 		}
 		if bestEntry != nil && bestScore >= gate {
-			res := rm.emit(env, bestEntry)
-			pruned := rm.prune()
-			return Step{Kind: StepEmitted, Result: res, PrunedCQs: pruned}
+			rm.emit(env, bestEntry)
+			return Step{Kind: StepEmitted, PrunedCQs: rm.prune()}
 		}
 		if gateEntry == nil {
 			// No candidates and nothing active or pending: finished early
 			// (fewer than k results exist).
 			if bestEntry != nil {
-				res := rm.emit(env, bestEntry)
-				return Step{Kind: StepEmitted, Result: res}
+				rm.emit(env, bestEntry)
+				return Step{Kind: StepEmitted}
 			}
 			rm.finish()
 			return Step{Kind: StepDone}
@@ -643,13 +665,12 @@ func (rm *RankMerge) Advance(env *Env) Step {
 	}
 }
 
-func (rm *RankMerge) emit(env *Env, e *CQEntry) *Result {
-	c := heap.Pop(&e.buffer).(candidate)
+// emit moves the entry's best candidate to the emitted answers.
+func (rm *RankMerge) emit(env *Env, e *CQEntry) {
+	c := e.buffer.pop()
 	e.acct.Add(-1)
-	res := Result{UQID: rm.UQ.ID, CQID: e.CQ.ID, Score: c.score, Row: c.row, At: env.Clock.Now()}
-	rm.emitted = append(rm.emitted, res)
+	rm.emitted = append(rm.emitted, Result{UQID: rm.UQ.ID, CQID: e.CQ.ID, Score: c.score, Row: c.row, At: env.Clock.Now()})
 	env.Metrics.AddResult()
-	return &res
 }
 
 // prune deactivates active entries whose threshold can no longer reach the

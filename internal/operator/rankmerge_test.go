@@ -231,3 +231,24 @@ func TestPruneCountMatchesQuickSelect(t *testing.T) {
 		t.Fatal("no entry was ever pruned; the comparison is vacuous")
 	}
 }
+
+// TestCandidateHeapPopMatchesHeapPop pins the typed pop emission uses to
+// container/heap's Pop: the same candidates in the same order, ties on score
+// broken by identity, and the same heap left behind after every pop.
+func TestCandidateHeapPopMatchesHeapPop(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		rng := dist.New(uint64(trial) + 1)
+		var typed, boxed candidateHeap
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			c := candidate{score: float64(rng.Intn(8)), id: fmt.Sprintf("r%03d", i)}
+			heap.Push(&typed, c)
+			heap.Push(&boxed, c)
+		}
+		for len(boxed) > 0 {
+			got, want := typed.pop(), heap.Pop(&boxed).(candidate)
+			if got != want || fmt.Sprint(typed) != fmt.Sprint(boxed) {
+				t.Fatalf("trial %d: pop = %v, heap.Pop = %v", trial, got, want)
+			}
+		}
+	}
+}

@@ -93,11 +93,11 @@ func checkBoundWalk(t *testing.T, what string, env *Env, sink *EndpointSink) {
 		bound := c.headBound()
 		for j, left := c.next, c.left; left > 0; j++ {
 			pos := c.ix.order[j]
-			if c.epochs[pos] >= c.epoch {
+			if !c.before(pos) {
 				continue
 			}
 			left--
-			if s := sink.score(c.rows[pos]); s > bound {
+			if s := sink.score(c.rows.at(int(pos))); s > bound {
 				t.Fatalf("%s: row at index %d scores %v above the bound %v at position %d", what, j, s, bound, c.next)
 			}
 		}
