@@ -58,6 +58,13 @@ func (s *blockList[T]) grow(w int) []T {
 	return (*b)[o : o+w : o+w]
 }
 
+// reserve gives an empty list of one-element rows room for n of them in
+// its first block, up to a block's worth, so a list whose length is known
+// ahead does not regrow on the way there.
+func (s *blockList[T]) reserve(n int) {
+	s.head = make([]T, 0, min(n, blockRows))
+}
+
 // push appends a one-element row; while the current block has room it
 // needs no call to grow.
 func (s *blockList[T]) push(v T) {

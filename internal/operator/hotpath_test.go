@@ -600,6 +600,54 @@ func BenchmarkAccessModuleProbe(b *testing.B) {
 	_ = scratch
 }
 
+// BenchmarkAccessModuleProbeWide measures the warm stored-probe path over
+// 65 536 distinct keys, one row each, probed in a scattered order: the index
+// no longer fits in cache, so each probe pays for the misses a chain lookup
+// takes.
+func BenchmarkAccessModuleProbeWide(b *testing.B) {
+	const keys = 1 << 16
+	s := tuple.NewSchema("R",
+		tuple.Column{Name: "k", Type: tuple.KindInt},
+		tuple.Column{Name: "score", Type: tuple.KindFloat, Score: true},
+	)
+	m := NewAccessModule([]int{0})
+	for i := 0; i < keys; i++ {
+		m.Insert([]*tuple.Tuple{tuple.New(s, tuple.Int(int64(i)), tuple.Float(0.5))}, 1)
+	}
+	scratch := make([]partialRow, 0, 4)
+	m.AppendProbe(scratch, 0, 0, tuple.Int(0), MaxEpochLive)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := uint32(i) * 2654435761 % keys // an odd multiplier permutes the keys
+		scratch = m.AppendProbe(scratch[:0], 0, 0, tuple.Int(int64(k)), MaxEpochLive)
+	}
+	if len(scratch) != 1 {
+		b.Fatalf("probe returned %d rows, want 1", len(scratch))
+	}
+}
+
+// BenchmarkChainIndexBuild measures building an index lazily over 4 096
+// stored rows (1 024 keys, chains of 4), the way a first probe after state
+// recovery builds one.
+func BenchmarkChainIndexBuild(b *testing.B) {
+	const rows = 4096
+	s := tuple.NewSchema("R",
+		tuple.Column{Name: "k", Type: tuple.KindInt},
+		tuple.Column{Name: "score", Type: tuple.KindFloat, Score: true},
+	)
+	m := NewAccessModule([]int{0})
+	for i := 0; i < rows; i++ {
+		m.Insert([]*tuple.Tuple{tuple.New(s, tuple.Int(int64(i%1024)), tuple.Float(0.5))}, 1)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		m.indexes = nil
+		m.index(0, 0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
 // BenchmarkModuleInsert measures storing rows into an access module with one
 // built index, in blocks of 4 096 rows per op; -benchmem shows what the
 // block storage allocates per row.

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/state"
@@ -355,60 +356,146 @@ type AccessModule struct {
 }
 
 // chainIndex indexes a module's rows by the value at (atom, col). Each
-// distinct value is a chain of row positions in insertion order: a map takes
-// the value to its chain id, first/last hold each chain's ends, and next,
-// parallel to the module's rows, links a row to the next row of its chain
-// (-1 ends a chain and marks rows with no part at atom). Appending to a known
-// chain is a map lookup and two int32 stores, and the maps' values hold no
-// pointers. Int values — the join keys of every bundled workload — are keyed
-// by their bits in ints, which the runtime hashes as one word; every other
-// kind goes through tuple.IndexKey in other, made on first use.
+// distinct value is a chain of row positions in insertion order: chains
+// holds each chain's ends and key word, and next, parallel to the module's
+// rows, links a row to the next row of its chain (-1 ends a chain and marks
+// rows with no part at atom). A value finds its chain through slots, an
+// open-addressing table probed linearly from a Fibonacci hash of the
+// value's key word. A slot is 0 when empty and otherwise a chain id + 1,
+// negated for chains of a kind other than int. An int's word is its bits,
+// so an int chain matches on its word alone, with no value set aside as a
+// sentinel; any other kind's word is tuple.IndexKey.Word, and a word match
+// is confirmed against the value in the chain's first row. The table
+// doubles when it passes half full, re-placing only slots; chains and links
+// live in blocks that are never copied, and nothing holds a pointer.
 type chainIndex struct {
-	atom, col         int
-	ints              map[uint64]int32
-	other             map[tuple.IndexKey]int32
-	first, last, next blockList[int32]
+	atom, col int
+	slots     []int32
+	shift     uint // 64 - log2(len(slots))
+	chains    blockList[chain]
+	next      blockList[int32]
 }
 
-func newChainIndex(atom, col, capacity int) *chainIndex {
-	return &chainIndex{atom: atom, col: col, ints: make(map[uint64]int32, capacity)}
+// chain is one chain of a chainIndex: its key word and the positions of its
+// first and last rows.
+type chain struct {
+	key         uint64
+	first, last int32
 }
 
-// chain returns the chain id of value v, if it has one.
-func (ix *chainIndex) chain(v tuple.Value) (int32, bool) {
-	if v.Kind() == tuple.KindInt {
-		c, ok := ix.ints[uint64(v.AsInt())]
-		return c, ok
+// fibonacci is 2^64 over the golden ratio: the top bits of a word times it
+// spread dense int keys evenly over the table.
+const fibonacci = 0x9E3779B97F4A7C15
+
+// minSlots is the smallest table, the one an index built before its
+// module's first row starts with.
+const minSlots = 8
+
+// newChainIndex makes an index sized for rows chains at load ½: a lazily
+// built index is presized from its module's row count.
+func newChainIndex(atom, col, rows int) *chainIndex {
+	size := minSlots
+	for size < 2*rows {
+		size <<= 1
 	}
-	c, ok := ix.other[v.IndexKey()]
-	return c, ok
+	ix := &chainIndex{atom: atom, col: col}
+	ix.resize(size)
+	return ix
 }
 
-// add links row pos, whose parts are given, onto its value's chain. Rows
-// must be added in position order.
-func (ix *chainIndex) add(pos int32, parts []*tuple.Tuple) {
+// resize moves the table's slots to a new table of size slots, a power of
+// two.
+func (ix *chainIndex) resize(size int) {
+	old := ix.slots
+	ix.slots = make([]int32, size)
+	ix.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for _, s := range old {
+		if s != 0 {
+			i := ix.home(ix.chains.at(chainOf(s)).key)
+			for ix.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			ix.slots[i] = s
+		}
+	}
+}
+
+// home returns the slot where the probe for word w starts.
+func (ix *chainIndex) home(w uint64) int { return int(w * fibonacci >> ix.shift) }
+
+// chainOf returns the chain id held by a nonempty slot.
+func chainOf(s int32) int {
+	if s < 0 {
+		return int(-s - 1)
+	}
+	return int(s - 1)
+}
+
+// find returns the slot holding v's chain, or the empty slot where v's
+// probe ended if v has none, and v's key word. rows are the module's rows,
+// where a chain's first row is found to confirm a match of a non-int word.
+func (ix *chainIndex) find(v tuple.Value, rows *blockList[*tuple.Tuple]) (int, uint64) {
+	mask := len(ix.slots) - 1
+	if v.Kind() == tuple.KindInt {
+		w := uint64(v.AsInt())
+		for i := ix.home(w); ; i = (i + 1) & mask {
+			if s := ix.slots[i]; s == 0 || s > 0 && ix.chains.at(int(s-1)).key == w {
+				return i, w
+			}
+		}
+	}
+	k := v.IndexKey()
+	w := k.Word()
+	for i := ix.home(w); ; i = (i + 1) & mask {
+		s := ix.slots[i]
+		if s == 0 {
+			return i, w
+		}
+		if s < 0 {
+			if c := ix.chains.at(int(-s - 1)); c.key == w && rows.row(int(c.first))[ix.atom].Val(ix.col).IndexKey() == k {
+				return i, w
+			}
+		}
+	}
+}
+
+// first returns the position of the first row whose value is v, if any.
+func (ix *chainIndex) first(v tuple.Value, rows *blockList[*tuple.Tuple]) (int, bool) {
+	i, _ := ix.find(v, rows)
+	if s := ix.slots[i]; s != 0 {
+		return int(ix.chains.at(chainOf(s)).first), true
+	}
+	return 0, false
+}
+
+// add links row pos of rows, whose parts are given, onto its value's chain.
+// Rows must be added in position order.
+func (ix *chainIndex) add(pos int32, parts []*tuple.Tuple, rows *blockList[*tuple.Tuple]) {
 	ix.next.push(-1)
 	t := parts[ix.atom]
 	if t == nil {
 		return
 	}
 	v := t.Val(ix.col)
-	if c, ok := ix.chain(v); ok {
-		ix.next.set(int(ix.last.at(int(c))), pos)
-		ix.last.set(int(c), pos)
+	i, w := ix.find(v, rows)
+	if s := ix.slots[i]; s != 0 {
+		id := chainOf(s)
+		c := ix.chains.at(id)
+		ix.next.set(int(c.last), pos)
+		c.last = pos
+		ix.chains.set(id, c)
 		return
 	}
-	c := int32(ix.first.n)
-	if v.Kind() == tuple.KindInt {
-		ix.ints[uint64(v.AsInt())] = c
-	} else {
-		if ix.other == nil {
-			ix.other = map[tuple.IndexKey]int32{}
-		}
-		ix.other[v.IndexKey()] = c
+	s := int32(ix.chains.n + 1)
+	if v.Kind() != tuple.KindInt {
+		s = -s
 	}
-	ix.first.push(pos)
-	ix.last.push(pos)
+	ix.slots[i] = s
+	ix.chains.push(chain{key: w, first: pos, last: pos})
+	if 2*ix.chains.n > len(ix.slots) {
+		ix.resize(2 * len(ix.slots))
+	}
 }
 
 // SetAccount wires the module to a ledger account, crediting any rows it
@@ -460,7 +547,7 @@ func (m *AccessModule) slot(width, epoch int) []*tuple.Tuple {
 func (m *AccessModule) link(parts []*tuple.Tuple) {
 	pos := int32(m.parts.n - 1)
 	for _, ix := range m.indexes {
-		ix.add(pos, parts)
+		ix.add(pos, parts, &m.parts)
 	}
 }
 
@@ -474,8 +561,9 @@ func (m *AccessModule) index(atom, col int) *chainIndex {
 		}
 	}
 	ix := newChainIndex(atom, col, m.parts.n)
+	ix.next.reserve(m.parts.n)
 	for pos := 0; pos < m.parts.n; pos++ {
-		ix.add(int32(pos), m.parts.row(pos))
+		ix.add(int32(pos), m.parts.row(pos), &m.parts)
 	}
 	m.indexes = append(m.indexes, ix)
 	return ix
@@ -489,7 +577,7 @@ func (m *AccessModule) index(atom, col int) *chainIndex {
 // passes a per-node scratch buffer.
 func (m *AccessModule) AppendProbe(dst []partialRow, atom, col int, v tuple.Value, maxEpoch int) []partialRow {
 	ix := m.index(atom, col)
-	c, ok := ix.chain(v)
+	first, ok := ix.first(v, &m.parts)
 	if !ok {
 		return dst
 	}
@@ -497,7 +585,7 @@ func (m *AccessModule) AppendProbe(dst []partialRow, atom, col int, v tuple.Valu
 	// chain ascends, so a walk moves to a later run at most once per run.
 	runs := m.epochs.runs
 	k, e, end := 0, 0, 0
-	for pos := int(ix.first.at(int(c))); pos >= 0; pos = int(ix.next.at(pos)) {
+	for pos := first; pos >= 0; pos = int(ix.next.at(pos)) {
 		if pos >= end {
 			k = m.epochs.runAt(pos, k+1)
 			e, end = runs[k].epoch, m.epochs.end(k, m.parts.n)

@@ -20,7 +20,45 @@ type Relation struct {
 	rows   []*tuple.Tuple
 
 	mu      sync.Mutex
-	indexes map[int]map[string][]*tuple.Tuple // column -> value key -> rows
+	indexes map[int]*colIndex
+}
+
+// colIndex is a hash index over one column: rows holds the relation's rows
+// grouped by value, first-seen value first and each group in score order,
+// and group takes a value's key to its group g, rows[starts[g]:starts[g+1]].
+type colIndex struct {
+	group  map[tuple.IndexKey]int32
+	starts []int32
+	rows   []*tuple.Tuple
+}
+
+func newColIndex(rows []*tuple.Tuple, col int) *colIndex {
+	ix := &colIndex{group: map[tuple.IndexKey]int32{}}
+	of := make([]int32, len(rows))
+	var count []int32
+	for i, t := range rows {
+		k := t.Val(col).IndexKey()
+		g, ok := ix.group[k]
+		if !ok {
+			g = int32(len(count))
+			ix.group[k] = g
+			count = append(count, 0)
+		}
+		of[i] = g
+		count[g]++
+	}
+	ix.starts = make([]int32, len(count)+1)
+	for g, c := range count {
+		ix.starts[g+1] = ix.starts[g] + c
+	}
+	next := count // reused as each group's fill position
+	copy(next, ix.starts)
+	ix.rows = make([]*tuple.Tuple, len(rows))
+	for i, t := range rows {
+		ix.rows[next[of[i]]] = t
+		next[of[i]]++
+	}
+	return ix
 }
 
 // NewRelation builds a relation from rows; the slice is re-sorted into
@@ -37,7 +75,7 @@ func NewRelation(schema *tuple.Schema, rows []*tuple.Tuple) *Relation {
 	for i, t := range sorted {
 		t.WithSeq(int64(i))
 	}
-	return &Relation{schema: schema, rows: sorted, indexes: map[int]map[string][]*tuple.Tuple{}}
+	return &Relation{schema: schema, rows: sorted, indexes: map[int]*colIndex{}}
 }
 
 // Schema returns the relation schema.
@@ -61,38 +99,33 @@ func (r *Relation) MaxScore() float64 {
 	return r.rows[0].Score()
 }
 
-// Lookup returns the rows whose col equals v, via a lazily-built hash index.
+// Lookup returns the rows whose col equals v, in score order, via a
+// lazily-built hash index. The slice is the index's: callers must not
+// mutate it.
 func (r *Relation) Lookup(col int, v tuple.Value) []*tuple.Tuple {
-	r.mu.Lock()
-	idx, ok := r.indexes[col]
+	ix := r.index(col)
+	g, ok := ix.group[v.IndexKey()]
 	if !ok {
-		idx = make(map[string][]*tuple.Tuple)
-		for _, t := range r.rows {
-			k := t.Val(col).Key()
-			idx[k] = append(idx[k], t)
-		}
-		r.indexes[col] = idx
+		return nil
 	}
-	r.mu.Unlock()
-	return idx[v.Key()]
+	lo, hi := ix.starts[g], ix.starts[g+1]
+	return ix.rows[lo:hi:hi]
 }
 
 // DistinctCount returns the number of distinct values in col (computed on
 // demand through the same index the probes use).
-func (r *Relation) DistinctCount(col int) int {
+func (r *Relation) DistinctCount(col int) int { return len(r.index(col).group) }
+
+// index returns the hash index over col, building it on first use.
+func (r *Relation) index(col int) *colIndex {
 	r.mu.Lock()
-	idx, ok := r.indexes[col]
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	ix, ok := r.indexes[col]
 	if !ok {
-		if len(r.rows) == 0 {
-			return 0
-		}
-		r.Lookup(col, r.rows[0].Val(col)) // force index build
-		r.mu.Lock()
-		idx = r.indexes[col]
-		r.mu.Unlock()
+		ix = newColIndex(r.rows, col)
+		r.indexes[col] = ix
 	}
-	return len(idx)
+	return ix
 }
 
 // Store is a named collection of relations: one simulated database instance.

@@ -1,6 +1,8 @@
 package relationdb
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -93,6 +95,79 @@ func TestDistinctCount(t *testing.T) {
 	}
 	if d := r.DistinctCount(1); d < 1 || d > 10 {
 		t.Errorf("distinct fks = %d", d)
+	}
+}
+
+// TestLookupKeepsKindsApart pins the index's keys to a value's kind and
+// payload: Int(1), Float(1), String("1") and null share a column but not a
+// key, and -0.0 is not +0.0.
+func TestLookupKeepsKindsApart(t *testing.T) {
+	s := tuple.NewSchema("M",
+		tuple.Column{Name: "id", Type: tuple.KindInt, Key: true},
+		tuple.Column{Name: "v", Type: tuple.KindInt},
+	)
+	vals := []tuple.Value{
+		tuple.Int(1), tuple.Float(1), tuple.String("1"), tuple.Null(),
+		tuple.Int(0), tuple.Float(0), tuple.Float(math.Copysign(0, -1)), tuple.String(""),
+	}
+	var rows []*tuple.Tuple
+	for i, v := range vals {
+		for c := 0; c <= i; c++ { // value i in i+1 rows, so each count is its own
+			rows = append(rows, tuple.New(s, tuple.Int(int64(len(rows))), v))
+		}
+	}
+	r := NewRelation(s, rows)
+	for i, v := range vals {
+		got := r.Lookup(1, v)
+		if len(got) != i+1 {
+			t.Errorf("Lookup(%s %s) = %d rows, want %d", v.Kind(), v.Text(), len(got), i+1)
+		}
+		for _, row := range got {
+			if row.Val(1).IndexKey() != v.IndexKey() {
+				t.Errorf("Lookup(%s %s) returned %s %s", v.Kind(), v.Text(), row.Val(1).Kind(), row.Val(1).Text())
+			}
+		}
+	}
+	if d := r.DistinctCount(1); d != len(vals) {
+		t.Errorf("distinct values = %d, want %d", d, len(vals))
+	}
+	if got := r.Lookup(1, tuple.Int(2)); len(got) != 0 {
+		t.Errorf("Lookup of absent value = %d rows", len(got))
+	}
+}
+
+// TestLookupConcurrent has several goroutines race to build and read one
+// relation's indexes; run it with -race.
+func TestLookupConcurrent(t *testing.T) {
+	r := buildRelation(500, 4)
+	want := len(r.Lookup(1, tuple.Int(3)))
+	r = buildRelation(500, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := len(r.Lookup(1, tuple.Int(3))); got != want {
+				t.Errorf("Lookup(fk=3) = %d rows, want %d", got, want)
+			}
+			if d := r.DistinctCount(0); d != 500 {
+				t.Errorf("distinct keys = %d, want 500", d)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkRelationLookup measures a warm hash lookup, the remote probe and
+// pushed-down join path; it allocates nothing.
+func BenchmarkRelationLookup(b *testing.B) {
+	r := buildRelation(4096, 1)
+	r.Lookup(1, tuple.Int(0)) // build the index
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if len(r.Lookup(1, tuple.Int(int64(i%10)))) == 0 {
+			b.Fatal("empty lookup")
+		}
 	}
 }
 

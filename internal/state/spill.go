@@ -109,16 +109,6 @@ func NewSpill(dir string, resolve TupleResolver) (*Spill, error) {
 	return &Spill{dir: dir, resolve: resolve, index: map[string]string{}}, nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry is durable. Best
-// effort: some filesystems refuse directory fsync, and the rename itself
-// already guarantees atomicity for readers.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
 // Dir returns the store's directory.
 func (s *Spill) Dir() string { return s.dir }
 
@@ -142,7 +132,12 @@ func (s *Spill) Has(key string) bool {
 // segment for the same key. It returns the rows and bytes written. The
 // segment is staged in a temp file and published by rename so a crash
 // mid-write can never leave a torn segment under the final name — readers
-// see either the old complete segment or the new one.
+// see either the old complete segment or the new one. Nothing is fsynced:
+// the index of segments lives only in this process's memory, so a segment
+// is never read by a later process, and a crash that loses unsynced pages
+// loses the only reader with them. A segment torn any other way fails to
+// decode (every count is checked against the file's size) rather than
+// being served.
 func (s *Spill) Write(snap *NodeSnapshot) (rows int, bytes int64, err error) {
 	path := filepath.Join(s.dir, segmentName(snap.Key))
 	tmp := path + ".tmp"
@@ -162,11 +157,6 @@ func (s *Spill) Write(snap *NodeSnapshot) (rows int, bytes int64, err error) {
 		os.Remove(tmp)
 		return 0, 0, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, 0, err
-	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return 0, 0, err
@@ -175,7 +165,6 @@ func (s *Spill) Write(snap *NodeSnapshot) (rows int, bytes int64, err error) {
 		os.Remove(tmp)
 		return 0, 0, err
 	}
-	syncDir(s.dir)
 	s.index[snap.Key] = path
 	rows = snap.rows()
 	s.stats.SegmentsWritten++

@@ -167,6 +167,18 @@ func (v Value) IndexKey() IndexKey {
 	}
 }
 
+// Word returns a 64-bit hash of the key: an int's or a float's bits, 0 for
+// null, the FNV-1a hash of a string. Distinct keys of one kind, strings
+// aside, have distinct words; across kinds (null and +0.0 share 0) and
+// between strings they may collide, so a table keyed by words confirms a
+// match by comparing keys.
+func (k IndexKey) Word() uint64 {
+	if k.kind == KindString {
+		return fnv1a(k.str)
+	}
+	return k.num
+}
+
 // Text renders the value for display.
 func (v Value) Text() string {
 	switch v.kind {
