@@ -2,12 +2,15 @@
 // a single engine (plan graph, ATC, query state manager) behind the fleet RPC
 // surface, fronted by a stateless qsys-serve front-end.
 //
-// The shard admits only fully expanded user queries — candidate expansion,
-// per-user scoring coefficients and UQ ids are front-end state. -shard-id
-// sets service.Config.ShardIDOffset, which seeds the engine identically to
-// engine <id> of a single-process qsys-serve -shards N with the same -seed:
-// result digests are byte-identical whether the fleet lives in one process
-// or N.
+// The shard never draws: per-user scoring coefficients and UQ ids are
+// front-end state. A search arrives as its configuration — id, keywords, k,
+// the user's generator state before the draw and a digest of the front
+// end's queries — and the shard re-instantiates the query from its own
+// expansion cache over its own -workload, refusing it (409, not retryable)
+// when the digests differ. -shard-id sets service.Config.ShardIDOffset,
+// which seeds the engine identically to engine <id> of a single-process
+// qsys-serve -shards N with the same -seed: result digests are
+// byte-identical whether the fleet lives in one process or N.
 //
 // Usage:
 //
@@ -20,7 +23,7 @@
 //
 // Endpoints (a search is one binary frame each way, the rest JSON):
 //
-//	POST /rpc/search     expanded user query frame → ranked answers frame
+//	POST /rpc/search     search configuration frame → ranked answers frame
 //	GET  /rpc/stats      engine + serving counters
 //	GET  /rpc/health     health/drain/recovery state
 //	GET  /rpc/recovered  queries journaled in flight at the last crash

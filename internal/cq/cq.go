@@ -357,4 +357,9 @@ type UQ struct {
 	K int
 	// CQs holds the member conjunctive queries in nonincreasing U(C) order.
 	CQs []*CQ
+	// DrawState is the user's coefficient generator state (dist.RNG.State)
+	// before the expansion drew this query's scoring coefficients. With the
+	// id, keywords and k it is all a shard needs to re-instantiate the query
+	// from its own expansion cache.
+	DrawState uint64
 }

@@ -18,6 +18,13 @@ type RNG struct {
 // New returns a generator seeded with seed.
 func New(seed uint64) *RNG { return &RNG{state: seed + 0x9e3779b97f4a7c15} }
 
+// State returns the generator's state, the whole of its future sequence:
+// Resume(r.State()) draws exactly what r would draw next.
+func (r *RNG) State() uint64 { return r.state }
+
+// Resume returns a generator at a state State reported.
+func Resume(state uint64) *RNG { return &RNG{state: state} }
+
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

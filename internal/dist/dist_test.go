@@ -90,3 +90,14 @@ func TestPoissonMean(t *testing.T) {
 		t.Error("nonpositive mean should draw 0")
 	}
 }
+
+func TestResumeContinuesTheSequence(t *testing.T) {
+	r := New(9)
+	r.Uint64()
+	s := Resume(r.State())
+	for i := 0; i < 100; i++ {
+		if a, b := r.Uint64(), s.Uint64(); a != b {
+			t.Fatalf("draw %d: resumed generator drew %#x, original %#x", i, b, a)
+		}
+	}
+}

@@ -309,10 +309,12 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 	})
 }
 
-// Search ships an expanded user query to the shard as one request frame and
-// decodes the response frame.
+// Search ships an expanded user query to the shard as one request frame,
+// its configuration rather than its plan (SearchRequest), and decodes the
+// response frame. A shard whose own expansion of the configuration differs
+// refuses it with a non-retryable 409.
 func (c *Client) Search(ctx context.Context, uq *cq.UQ) (*ResultView, error) {
-	frame := AppendSearchRequest(nil, EncodeUQ(uq))
+	frame := AppendRequest(nil, RequestOf(uq))
 	var view *ResultView
 	err := c.call(ctx, func() error {
 		m := c.cfg.Metrics

@@ -14,22 +14,25 @@ import (
 //	string  = uvarint length | bytes
 //	count   = uvarint
 //	int     = zigzag varint
-//	float64 = its IEEE 754 bits, 8 bytes little endian
+//	word    = 8 bytes little endian
+//	float64 = its IEEE 754 bits, as a word
 //
-// A request payload is a WireUQ, a response payload a ResultView, field by
-// field in declaration order (the field lists are in appendRequest and
-// appendResponse). Floats travel as their bits, so every weight, constant and
-// score arrives exactly as it left, -0, ±Inf, NaN and subnormals included.
+// A request payload is a SearchRequest, a response payload a ResultView,
+// field by field in declaration order (appendRequest, appendResponse).
+// Floats travel as their bits, so every score arrives exactly as it left,
+// -0, ±Inf, NaN and subnormals included.
 //
 // Decoding accepts only the canonical encoding: a varint in its shortest
-// form, a known version and value kind, no bytes past the payload. So a
-// frame the decoders accept re-encodes to the same bytes. Every count and
-// string length is checked against the bytes that remain, at the least
-// size one element encodes to, before anything is allocated: a frame of n
-// bytes allocates O(n) whatever its length prefixes claim.
+// form, a known version, no bytes past the payload. So a frame the decoders
+// accept re-encodes to the same bytes. Every count and string length is
+// checked against the bytes that remain, at the least size one element
+// encodes to, before anything is allocated: a frame of n bytes allocates
+// O(n) whatever its length prefixes claim.
 const (
-	searchRequestV1  byte = 0x01
-	searchResponseV1 byte = 0x02
+	// The version bytes. 0x01 was a request carrying the expanded plan; a
+	// shard now refuses it by its version.
+	searchRequest  byte = 0x03
+	searchResponse byte = 0x02
 
 	frameHeader = 5
 	// maxFrameBytes bounds a frame (and any RPC body) a process will read.
@@ -38,63 +41,49 @@ const (
 	frameContentType = "application/x-qsys-frame"
 )
 
-// Value kinds of a term. termVar marks a variable; the others a constant.
-const (
-	termVar byte = iota
-	termNull
-	termInt
-	termFloat
-	termString
-)
-
 // Minimum encoded sizes of the repeated elements: the bound a count is
 // checked against.
 const (
-	minString = 1                         // length
-	minCQ     = 2 + 1 + 1 + 8 + 1 + 1 + 1 // ids, atoms, agg, static, weights, label, head vars
-	minAtom   = 3                         // rel, db, args
-	minTerm   = 2                         // var, kind
-	minFloat  = 8
-	minInt    = 1
+	minString = 1             // length
 	minAnswer = 1 + 8 + 1 + 1 // rank, score, query, ids
 )
 
 var errFrameTooLarge = fmt.Errorf("fleet: frame over %d bytes", maxFrameBytes)
 
-// AppendSearchRequest appends the request frame of w to dst.
-func AppendSearchRequest(dst []byte, w *WireUQ) []byte {
-	dst, start := beginFrame(dst, searchRequestV1)
-	return endFrame(appendRequest(dst, w), start)
+// AppendRequest appends the request frame of r to dst.
+func AppendRequest(dst []byte, r *SearchRequest) []byte {
+	dst, start := beginFrame(dst, searchRequest)
+	return endFrame(appendRequest(dst, r), start)
 }
 
-// DecodeSearchRequest parses a request frame. It checks the frame, not the
-// query: DecodeUQ validates what it carries.
-func DecodeSearchRequest(b []byte) (*WireUQ, error) {
-	r, err := openFrame(b, searchRequestV1)
+// DecodeRequest parses a request frame. Its strings share one copy of the
+// payload. It checks the frame, not the query: the shard's re-instantiation
+// and digest comparison check that.
+func DecodeRequest(b []byte) (*SearchRequest, error) {
+	r, err := openFrame(b, searchRequest)
 	if err != nil {
 		return nil, err
 	}
-	w := r.request()
+	q := r.request()
 	if err := r.close(); err != nil {
 		return nil, err
 	}
-	return w, nil
+	return q, nil
 }
 
 // AppendSearchResponse appends the response frame of v to dst.
 func AppendSearchResponse(dst []byte, v *ResultView) []byte {
-	dst, start := beginFrame(dst, searchResponseV1)
+	dst, start := beginFrame(dst, searchResponse)
 	return endFrame(appendResponse(dst, v), start)
 }
 
 // DecodeSearchResponse parses a response frame. The view's strings share
 // one copy of the payload.
 func DecodeSearchResponse(b []byte) (*ResultView, error) {
-	r, err := openFrame(b, searchResponseV1)
+	r, err := openFrame(b, searchResponse)
 	if err != nil {
 		return nil, err
 	}
-	r.s = string(r.b)
 	v := r.response()
 	if err := r.close(); err != nil {
 		return nil, err
@@ -111,55 +100,12 @@ func endFrame(dst []byte, start int) []byte {
 	return dst
 }
 
-func appendRequest(b []byte, w *WireUQ) []byte {
-	b = appendString(b, w.ID)
-	b = appendStrings(b, w.Keywords)
-	b = binary.AppendVarint(b, int64(w.K))
-	b = binary.AppendUvarint(b, uint64(len(w.CQs)))
-	for i := range w.CQs {
-		q := &w.CQs[i]
-		b = appendString(b, q.ID)
-		b = appendString(b, q.UQID)
-		b = binary.AppendUvarint(b, uint64(len(q.Atoms)))
-		for _, a := range q.Atoms {
-			b = appendString(b, a.Rel)
-			b = appendString(b, a.DB)
-			b = binary.AppendUvarint(b, uint64(len(a.Args)))
-			for _, t := range a.Args {
-				b = binary.AppendVarint(b, int64(t.Var))
-				b = appendConst(b, t.Const)
-			}
-		}
-		b = append(b, q.Model.Agg)
-		b = appendFloat(b, q.Model.Static)
-		b = binary.AppendUvarint(b, uint64(len(q.Model.Weights)))
-		for _, x := range q.Model.Weights {
-			b = appendFloat(b, x)
-		}
-		b = appendString(b, q.Model.Label)
-		b = binary.AppendUvarint(b, uint64(len(q.HeadVars)))
-		for _, v := range q.HeadVars {
-			b = binary.AppendVarint(b, int64(v))
-		}
-	}
-	return b
-}
-
-// appendConst writes a term's value kind and payload. A kind the wire does
-// not name ("null", "" or unknown) travels as null.
-func appendConst(b []byte, c *WireValue) []byte {
-	switch {
-	case c == nil:
-		return append(b, termVar)
-	case c.Kind == "int":
-		return binary.AppendVarint(append(b, termInt), c.Int)
-	case c.Kind == "float":
-		return appendFloat(append(b, termFloat), c.Float)
-	case c.Kind == "string":
-		return appendString(append(b, termString), c.Str)
-	default:
-		return append(b, termNull)
-	}
+func appendRequest(b []byte, r *SearchRequest) []byte {
+	b = appendString(b, r.ID)
+	b = appendStrings(b, r.Keywords)
+	b = binary.AppendVarint(b, int64(r.K))
+	b = binary.LittleEndian.AppendUint64(b, r.DrawState)
+	return binary.LittleEndian.AppendUint64(b, r.Digest)
 }
 
 func appendResponse(b []byte, v *ResultView) []byte {
@@ -202,7 +148,7 @@ func appendFloat(b []byte, x float64) []byte {
 // returns a zero value, so a decoder reads straight through and checks once.
 type frameReader struct {
 	b   []byte
-	s   string // b as one string, when decoded strings may share it
+	s   string // b as one string, which every decoded string shares
 	off int
 	err error
 }
@@ -221,7 +167,7 @@ func openFrame(b []byte, version byte) (*frameReader, error) {
 	if got := len(b) - frameHeader; int64(n) != int64(got) {
 		return nil, fmt.Errorf("fleet: frame declares %d payload bytes, carries %d", n, got)
 	}
-	return &frameReader{b: b[frameHeader:]}, nil
+	return &frameReader{b: b[frameHeader:], s: string(b[frameHeader:])}, nil
 }
 
 // close reports the first error, or bytes left over after the last field.
@@ -287,43 +233,27 @@ func (r *frameReader) count(min int) int {
 	return int(n)
 }
 
-func (r *frameReader) byte1() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.left() < 1 {
-		r.fail("truncated")
-		return 0
-	}
-	c := r.b[r.off]
-	r.off++
-	return c
-}
-
-func (r *frameReader) float() float64 {
+func (r *frameReader) word() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	if r.left() < 8 {
-		r.fail("truncated float")
+		r.fail("truncated word")
 		return 0
 	}
-	x := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+	x := binary.LittleEndian.Uint64(r.b[r.off:])
 	r.off += 8
 	return x
 }
+
+func (r *frameReader) float() float64 { return math.Float64frombits(r.word()) }
 
 func (r *frameReader) str() string {
 	n := r.count(1)
 	if r.err != nil || n == 0 {
 		return ""
 	}
-	var s string
-	if r.s != "" {
-		s = r.s[r.off : r.off+n]
-	} else {
-		s = string(r.b[r.off : r.off+n])
-	}
+	s := r.s[r.off : r.off+n]
 	r.off += n
 	return s
 }
@@ -340,62 +270,8 @@ func (r *frameReader) strs() []string {
 	return ss
 }
 
-func (r *frameReader) request() *WireUQ {
-	w := &WireUQ{ID: r.str(), Keywords: r.strs(), K: r.int()}
-	if n := r.count(minCQ); n > 0 {
-		w.CQs = make([]WireCQ, n)
-	}
-	for i := range w.CQs {
-		q := &w.CQs[i]
-		q.ID, q.UQID = r.str(), r.str()
-		if n := r.count(minAtom); n > 0 {
-			q.Atoms = make([]WireAtom, n)
-		}
-		for j := range q.Atoms {
-			a := &q.Atoms[j]
-			a.Rel, a.DB = r.str(), r.str()
-			if n := r.count(minTerm); n > 0 {
-				a.Args = make([]WireTerm, n)
-			}
-			for k := range a.Args {
-				a.Args[k] = WireTerm{Var: r.int(), Const: r.constant()}
-			}
-		}
-		q.Model.Agg = r.byte1()
-		q.Model.Static = r.float()
-		if n := r.count(minFloat); n > 0 {
-			q.Model.Weights = make([]float64, n)
-		}
-		for k := range q.Model.Weights {
-			q.Model.Weights[k] = r.float()
-		}
-		q.Model.Label = r.str()
-		if n := r.count(minInt); n > 0 {
-			q.HeadVars = make([]int, n)
-		}
-		for k := range q.HeadVars {
-			q.HeadVars[k] = r.int()
-		}
-	}
-	return w
-}
-
-func (r *frameReader) constant() *WireValue {
-	switch kind := r.byte1(); kind {
-	case termVar:
-		return nil
-	case termNull:
-		return &WireValue{Kind: "null"}
-	case termInt:
-		return &WireValue{Kind: "int", Int: r.int64()}
-	case termFloat:
-		return &WireValue{Kind: "float", Float: r.float()}
-	case termString:
-		return &WireValue{Kind: "string", Str: r.str()}
-	default:
-		r.fail("unknown value kind %d", kind)
-		return nil
-	}
+func (r *frameReader) request() *SearchRequest {
+	return &SearchRequest{ID: r.str(), Keywords: r.strs(), K: r.int(), DrawState: r.word(), Digest: r.word()}
 }
 
 func (r *frameReader) response() *ResultView {
@@ -403,8 +279,26 @@ func (r *frameReader) response() *ResultView {
 	if n := r.count(minAnswer); n > 0 {
 		v.Answers = make([]AnswerView, n)
 	}
+	// The answers' ids share backing arrays: one sized for every answer to
+	// carry as many ids as the first (bounded by the bytes left), another
+	// only when an answer outgrows what is left of it.
+	var ids []string
 	for i := range v.Answers {
-		v.Answers[i] = AnswerView{Rank: r.int(), Score: r.float(), Query: r.str(), IDs: r.strs()}
+		a := &v.Answers[i]
+		a.Rank, a.Score, a.Query = r.int(), r.float(), r.str()
+		n := r.count(minString)
+		if n == 0 {
+			continue
+		}
+		if cap(ids)-len(ids) < n {
+			// At least n: count checked n against the bytes left.
+			ids = make([]string, 0, min(n*(len(v.Answers)-i), r.left()/minString))
+		}
+		a.IDs = ids[len(ids) : len(ids)+n : len(ids)+n]
+		ids = ids[:len(ids)+n]
+		for j := range a.IDs {
+			a.IDs[j] = r.str()
+		}
 	}
 	v.CandidateNetworks, v.ExecutedNetworks, v.Shard, v.BatchSize = r.int(), r.int(), r.int(), r.int()
 	v.EngineLatencyNS, v.WallLatencyNS = r.int64(), r.int64()

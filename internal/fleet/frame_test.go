@@ -11,34 +11,29 @@ import (
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/service"
+	"repro/internal/tuple"
+	"repro/internal/workload"
 )
 
 // The seed corpora under testdata/fuzz are the request and response frames
 // of one real bio search ("metabolism protein") and one real GUS search (the
-// suite's first query), expanded and answered at seed 3, k = 10.
+// suite's first query), expanded and answered at seed 3, k = 10. The
+// request files "bio" and "gus" are frames of the retired version 0x01,
+// which carried the expanded plan: inputs the decoder must refuse.
 
 // FuzzSearchRequestFrame: any byte string either fails to decode or decodes
-// to a query that re-encodes to the same bytes, and an accepted query still
-// passes through DecodeUQ's validation, which may refuse it but never panic.
+// to a request that re-encodes to the same bytes.
 func FuzzSearchRequestFrame(f *testing.F) {
-	f.Add(fleet.AppendSearchRequest(nil, specialRequest()))
-	f.Add(fleet.AppendSearchRequest(nil, &fleet.WireUQ{}))
+	f.Add(fleet.AppendRequest(nil, specialRequest()))
+	f.Add(fleet.AppendRequest(nil, &fleet.SearchRequest{}))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		w, err := fleet.DecodeSearchRequest(b)
+		r, err := fleet.DecodeRequest(b)
 		if err != nil {
 			return
 		}
-		if got := fleet.AppendSearchRequest(nil, w); !bytes.Equal(got, b) {
+		if got := fleet.AppendRequest(nil, r); !bytes.Equal(got, b) {
 			t.Fatalf("accepted frame re-encodes differently:\n in %x\nout %x", b, got)
-		}
-		uq, err := fleet.DecodeUQ(w)
-		if err != nil {
-			return
-		}
-		for _, q := range uq.CQs {
-			if err := q.Validate(); err != nil {
-				t.Fatalf("DecodeUQ accepted an invalid query: %v", err)
-			}
 		}
 	})
 }
@@ -69,20 +64,13 @@ var specials = []float64{
 	math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64,
 }
 
-func specialRequest() *fleet.WireUQ {
-	w := &fleet.WireUQ{ID: "UQ1", Keywords: []string{"protein"}, K: 10}
-	for i, x := range specials {
-		w.CQs = append(w.CQs, fleet.WireCQ{
-			ID:   fmt.Sprintf("UQ1.CQ%d", i),
-			UQID: "UQ1",
-			Atoms: []fleet.WireAtom{{Rel: "T", DB: "go", Args: []fleet.WireTerm{
-				{Var: 0}, {Var: -1, Const: &fleet.WireValue{Kind: "float", Float: x}},
-			}}},
-			Model:    fleet.WireModel{Agg: 1, Static: x, Weights: []float64{x}, Label: "sum"},
-			HeadVars: []int{0},
-		})
+// specialRequest fills every field, the words with their extreme bit
+// patterns.
+func specialRequest() *fleet.SearchRequest {
+	return &fleet.SearchRequest{
+		ID: "UQ1", Keywords: []string{"protein", ""}, K: -10,
+		DrawState: math.MaxUint64, Digest: 1 << 63,
 	}
-	return w
 }
 
 func specialResponse() *fleet.ResultView {
@@ -93,8 +81,11 @@ func specialResponse() *fleet.ResultView {
 	return v
 }
 
-// TestSearchFrameCarriesFloatBits pins what JSON could not: weights,
-// constants and scores of -0, ±Inf, NaN and a subnormal arrive bit for bit.
+// TestSearchFrameCarriesFloatBits pins what JSON could not: scores of -0,
+// ±Inf, NaN and a subnormal arrive bit for bit. A request carries no floats;
+// the weights and constants a shard admits are the ones it re-instantiates
+// from the request's draw state, and those match the front desk's bit for
+// bit.
 func TestSearchFrameCarriesFloatBits(t *testing.T) {
 	for _, x := range specials[1:4] {
 		if _, err := json.Marshal(x); err == nil {
@@ -107,19 +98,39 @@ func TestSearchFrameCarriesFloatBits(t *testing.T) {
 			t.Fatalf("%s: %#x arrived as %#x", what, math.Float64bits(want), math.Float64bits(got))
 		}
 	}
-	w, err := fleet.DecodeSearchRequest(fleet.AppendSearchRequest(nil, specialRequest()))
+	front, shard := bioWorkload(t), bioWorkload(t)
+	cfg := service.Config{Seed: 3, K: 10}
+	svc := service.New(shard, cfg)
+	defer svc.Close() //nolint:errcheck
+	uq, err := service.NewExpander(front, cfg).Expand("bits", []string{"metabolism", "protein"}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uq, err := fleet.DecodeUQ(w)
+	r, err := fleet.DecodeRequest(fleet.AppendRequest(nil, fleet.RequestOf(uq)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, x := range specials {
-		q := uq.CQs[i]
-		same("static", q.Model.Static, x)
-		same("weight", q.Model.Weights[0], x)
-		same("constant", q.Atoms[0].Args[1].Const.AsFloat(), x)
+	got, err := svc.Instantiate(r.ID, r.Keywords, r.K, r.DrawState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.CQs) != len(uq.CQs) || got.Digest() != r.Digest {
+		t.Fatalf("shard instantiated %d queries (digest %#x), the front desk %d (%#x)",
+			len(got.CQs), got.Digest(), len(uq.CQs), r.Digest)
+	}
+	for i, q := range uq.CQs {
+		g := got.CQs[i]
+		same("static", g.Model.Static, q.Model.Static)
+		for j, x := range q.Model.Weights {
+			same("weight", g.Model.Weights[j], x)
+		}
+		for j, a := range q.Atoms {
+			for k, arg := range a.Args {
+				if arg.IsConst() && arg.Const.Kind() == tuple.KindFloat {
+					same("constant", g.Atoms[j].Args[k].Const.AsFloat(), arg.Const.AsFloat())
+				}
+			}
+		}
 	}
 	v, err := fleet.DecodeSearchResponse(fleet.AppendSearchResponse(nil, specialResponse()))
 	if err != nil {
@@ -131,13 +142,13 @@ func TestSearchFrameCarriesFloatBits(t *testing.T) {
 }
 
 // TestSearchFrameRejectsDamage: every strict prefix of a frame, trailing
-// bytes, a foreign version, a varint in a longer form than needed and an
-// unknown value kind are refused, never decoded.
+// bytes, a foreign version (the retired plan-carrying request among them)
+// and a varint in a longer form than needed are refused, never decoded.
 func TestSearchFrameRejectsDamage(t *testing.T) {
-	req := fleet.AppendSearchRequest(nil, specialRequest())
+	req := fleet.AppendRequest(nil, specialRequest())
 	resp := fleet.AppendSearchResponse(nil, specialResponse())
 	for i := range req {
-		if _, err := fleet.DecodeSearchRequest(req[:i]); err == nil {
+		if _, err := fleet.DecodeRequest(req[:i]); err == nil {
 			t.Fatalf("request truncated to %d of %d bytes decoded", i, len(req))
 		}
 	}
@@ -146,13 +157,13 @@ func TestSearchFrameRejectsDamage(t *testing.T) {
 			t.Fatalf("response truncated to %d of %d bytes decoded", i, len(resp))
 		}
 	}
-	if _, err := fleet.DecodeSearchRequest(resp); err == nil {
+	if _, err := fleet.DecodeRequest(resp); err == nil {
 		t.Fatal("a response frame decoded as a request")
 	}
 	if _, err := fleet.DecodeSearchResponse(req); err == nil {
 		t.Fatal("a request frame decoded as a response")
 	}
-	if _, err := fleet.DecodeSearchRequest([]byte(`{"id":"UQ1","keywords":["protein"],"k":10}`)); err == nil {
+	if _, err := fleet.DecodeRequest([]byte(`{"id":"UQ1","keywords":["protein"],"k":10}`)); err == nil {
 		t.Fatal("a JSON body decoded as a frame")
 	}
 
@@ -166,15 +177,16 @@ func TestSearchFrameRejectsDamage(t *testing.T) {
 	cases := map[string][]byte{
 		"trailing byte":       edit(req, len(req), 0, 0),
 		"overlong varint":     edit(req, idLen, 1, 0x83, 0x00),
-		"unknown value kind":  bytes.Replace(req, []byte{0x00, 0x01, 0x03}, []byte{0x00, 0x01, 0x09}, 1),
+		"retired version":     append([]byte{0x01}, req[1:]...),
 		"varint overflow":     edit(req, idLen, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
 		"length past payload": edit(req, idLen, 1, 0xff, 0x7f),
+		"short digest":        edit(req, len(req)-1, 1),
 	}
 	for name, b := range cases {
 		if bytes.Equal(b, req) {
 			t.Fatalf("%s: the edit changed nothing", name)
 		}
-		if _, err := fleet.DecodeSearchRequest(b); err == nil {
+		if _, err := fleet.DecodeRequest(b); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
@@ -192,11 +204,9 @@ func TestFrameLengthPrefixesBoundAllocation(t *testing.T) {
 	str := []byte{3, 'U', 'Q', '1'}
 	none := []byte{0}
 	requests := [][]byte{
-		frame(0x01, huge),                                       // id length
-		frame(0x01, str, huge),                                  // keyword count
-		frame(0x01, str, none, none, huge),                      // CQ count
-		frame(0x01, str, none, none, []byte{1}, str, str, huge), // atom count
-		frame(0x01, str, none, none, []byte{1}, str, str, []byte{1}, str, str, huge), // term count
+		frame(0x03, huge),                 // id length
+		frame(0x03, str, huge),            // keyword count
+		frame(0x03, str, []byte{1}, huge), // keyword length
 	}
 	responses := [][]byte{
 		frame(0x02, str, huge),       // keyword count
@@ -209,7 +219,7 @@ func TestFrameLengthPrefixesBoundAllocation(t *testing.T) {
 		before := ms.TotalAlloc
 		var err error
 		if i < len(requests) {
-			_, err = fleet.DecodeSearchRequest(b)
+			_, err = fleet.DecodeRequest(b)
 		} else {
 			_, err = fleet.DecodeSearchResponse(b)
 		}
@@ -223,20 +233,13 @@ func TestFrameLengthPrefixesBoundAllocation(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchFrame is one hop's codec work: encode and decode a 4-CQ
-// request and a 50-answer response.
+// BenchmarkSearchFrame is one hop's codec work: encode and decode the
+// request of a two-keyword search and a 50-answer response, the response
+// into a reused buffer as the shard does.
 func BenchmarkSearchFrame(b *testing.B) {
-	req := &fleet.WireUQ{ID: "UQ17", Keywords: []string{"plasma membrane", "protein"}, K: 50}
-	for i := 0; i < 4; i++ {
-		q := fleet.WireCQ{ID: fmt.Sprintf("UQ17.CQ%d", i+1), UQID: "UQ17", HeadVars: []int{0, 4}}
-		for j := 0; j < 3; j++ {
-			q.Atoms = append(q.Atoms, fleet.WireAtom{Rel: "Interpro2GO", DB: "interpro", Args: []fleet.WireTerm{
-				{Var: 2 * j}, {Var: 2*j + 1}, {Var: -1, Const: &fleet.WireValue{Kind: "string", Str: "plasma membrane"}},
-			}})
-			q.Model.Weights = append(q.Model.Weights, 0.25+float64(j)/7)
-		}
-		q.Model.Static, q.Model.Label = 0.5, "sum"
-		req.CQs = append(req.CQs, q)
+	req := &fleet.SearchRequest{
+		ID: "UQ17", Keywords: []string{"plasma membrane", "protein"}, K: 50,
+		DrawState: 0x9e3779b97f4a7c15, Digest: 0xc2b2ae3d27d4eb4f,
 	}
 	resp := &fleet.ResultView{ID: "UQ17", Keywords: req.Keywords, CandidateNetworks: 4, ExecutedNetworks: 4, BatchSize: 1, EngineLatencyNS: 1e6, WallLatencyNS: 2e6}
 	for i := 0; i < 50; i++ {
@@ -245,13 +248,24 @@ func BenchmarkSearchFrame(b *testing.B) {
 			IDs: []string{fmt.Sprintf("Term:GO:%07d", i), fmt.Sprintf("Interpro2GO:%d", 1000+i), fmt.Sprintf("Entry:IPR%06d", i)},
 		})
 	}
+	var buf []byte
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := fleet.DecodeSearchRequest(fleet.AppendSearchRequest(nil, req)); err != nil {
+		if _, err := fleet.DecodeRequest(fleet.AppendRequest(nil, req)); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := fleet.DecodeSearchResponse(fleet.AppendSearchResponse(nil, resp)); err != nil {
+		buf = fleet.AppendSearchResponse(buf[:0], resp)
+		if _, err := fleet.DecodeSearchResponse(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func bioWorkload(t *testing.T) *workload.Workload {
+	t.Helper()
+	w, err := workload.Bio()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }

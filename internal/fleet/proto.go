@@ -7,18 +7,24 @@
 // pins. The front desk owns everything whose outcome depends on the *order
 // of the whole request stream* — candidate-network expansion with per-user
 // scoring coefficients, UQ id assignment, and placement (the affinity
-// Placer) — and hands fully expanded user queries to its backends. Each
-// backend is exactly one engine (plan graph, ATC, query state manager),
-// seeded by service.Config.ShardIDOffset, so slot i is the same code over
-// the same seed whether NewLocal built it in this process or qsys-shard runs
-// it. Both serving modes run the same Frontend; what the parity gate still
-// proves is that the HTTP hop and the wire codecs change no answer.
+// Placer) — and hands each expanded user query to a backend. A local
+// backend runs the query itself. A shard process is sent only its
+// configuration (SearchRequest: id, keywords, k, the user's generator state
+// before the draw and a digest of the queries) and re-instantiates the
+// query from its own expansion cache, refusing it if the digests differ.
+// Each backend is exactly one engine (plan graph, ATC, query state
+// manager), seeded by service.Config.ShardIDOffset, so slot i is the same
+// code over the same seed whether NewLocal built it in this process or
+// qsys-shard runs it. Both serving modes run the same Frontend; what the
+// parity gate still proves is that the HTTP hop, the re-instantiation and
+// the wire codecs change no answer.
 //
-// RPC surface. A search is one binary frame each way (frame.go): a WireUQ
-// in, a ResultView out, floats as their bits. Everything else, and every
-// error envelope, is JSON:
+// RPC surface. A search is one binary frame each way (frame.go): a
+// SearchRequest in, a ResultView out, floats as their bits. Everything
+// else, and every error envelope, is JSON:
 //
-//	POST /rpc/search     WireUQ frame → ResultView frame
+//	POST /rpc/search     SearchRequest frame → ResultView frame (409: the
+//	                     shard expands it differently)
 //	GET  /rpc/stats      service.Stats
 //	GET  /rpc/health     HealthView
 //	GET  /rpc/recovered  RecoveredView
@@ -38,8 +44,28 @@ import (
 	"repro/internal/tuple"
 )
 
-// WireValue is the wire form of a tuple.Value. Kind strings mirror
-// tuple.Kind.String(); the search frame carries a float payload as its bits.
+// SearchRequest is what the front desk ships a shard for one search: the
+// arrival's configuration, not its plan. A shard rebuilds the query from its
+// own expansion cache (service.Service.Instantiate) and admits it only if
+// the rebuilt query's cq.UQ.Digest equals Digest.
+type SearchRequest struct {
+	ID       string
+	Keywords []string
+	K        int
+	// DrawState is the user's coefficient generator state before the
+	// arrival's draw (cq.UQ.DrawState).
+	DrawState uint64
+	// Digest is the cq.UQ.Digest of the front desk's expansion.
+	Digest uint64
+}
+
+// RequestOf is the search request of an expanded user query.
+func RequestOf(uq *cq.UQ) *SearchRequest {
+	return &SearchRequest{ID: uq.ID, Keywords: uq.Keywords, K: uq.K, DrawState: uq.DrawState, Digest: uq.Digest()}
+}
+
+// WireValue is the JSON form of a tuple.Value. Kind strings mirror
+// tuple.Kind.String().
 type WireValue struct {
 	Kind  string  `json:"k"`
 	Int   int64   `json:"i,omitempty"`
@@ -106,7 +132,8 @@ type WireCQ struct {
 	HeadVars []int      `json:"head_vars,omitempty"`
 }
 
-// WireUQ is the fully expanded user query the front-end ships to a shard.
+// WireUQ is the JSON form of a fully expanded user query. No RPC carries it:
+// a search ships a SearchRequest.
 type WireUQ struct {
 	ID       string   `json:"id"`
 	Keywords []string `json:"keywords"`
@@ -114,7 +141,7 @@ type WireUQ struct {
 	CQs      []WireCQ `json:"cqs"`
 }
 
-// EncodeUQ converts an expanded user query to its wire form.
+// EncodeUQ converts an expanded user query to its JSON form.
 func EncodeUQ(uq *cq.UQ) *WireUQ {
 	w := &WireUQ{ID: uq.ID, Keywords: uq.Keywords, K: uq.K}
 	for _, q := range uq.CQs {
@@ -144,8 +171,8 @@ func EncodeUQ(uq *cq.UQ) *WireUQ {
 	return w
 }
 
-// DecodeUQ reconstructs the user query and validates every member CQ — a
-// shard process must never admit a structurally broken query from the wire.
+// DecodeUQ reconstructs the user query from its JSON form and validates
+// every member CQ, refusing a structurally broken one.
 func DecodeUQ(w *WireUQ) (*cq.UQ, error) {
 	if w.ID == "" {
 		return nil, fmt.Errorf("fleet: user query without id")
@@ -206,7 +233,8 @@ type ResultView struct {
 	WallLatencyNS     int64        `json:"wallLatencyNS"`
 }
 
-// ViewOf flattens a service result for the wire.
+// ViewOf flattens a service result for the wire. Every answer's ids share
+// one backing array.
 func ViewOf(res *service.Result) *ResultView {
 	v := &ResultView{
 		ID:                res.ID,
@@ -218,12 +246,23 @@ func ViewOf(res *service.Result) *ResultView {
 		EngineLatencyNS:   int64(res.EngineLatency),
 		WallLatencyNS:     int64(res.WallLatency),
 	}
+	n := 0
 	for _, a := range res.Answers {
+		n += len(a.Tuples)
+	}
+	ids := make([]string, n)
+	if len(res.Answers) > 0 {
+		v.Answers = make([]AnswerView, len(res.Answers))
+	}
+	for i, a := range res.Answers {
 		av := AnswerView{Rank: a.Rank, Score: a.Score, Query: a.Query}
-		for _, t := range a.Tuples {
-			av.IDs = append(av.IDs, t.QualifiedIdentity())
+		if len(a.Tuples) > 0 {
+			av.IDs, ids = ids[:len(a.Tuples):len(a.Tuples)], ids[len(a.Tuples):]
+			for j, t := range a.Tuples {
+				av.IDs[j] = t.QualifiedIdentity()
+			}
 		}
-		v.Answers = append(v.Answers, av)
+		v.Answers[i] = av
 	}
 	return v
 }

@@ -108,14 +108,20 @@ func (s *ShardServer) handleSearch(rw http.ResponseWriter, req *http.Request) {
 		writeRPCError(rw, code, err.Error(), false)
 		return
 	}
-	wire, err := DecodeSearchRequest(body)
+	sr, err := DecodeRequest(body)
 	if err != nil {
 		writeRPCError(rw, http.StatusBadRequest, err.Error(), false)
 		return
 	}
-	uq, err := DecodeUQ(wire)
+	uq, err := s.svc.Instantiate(sr.ID, sr.Keywords, sr.K, sr.DrawState)
+	if err == nil && uq.Digest() != sr.Digest {
+		err = errors.New("its queries differ from the front desk's")
+	}
 	if err != nil {
-		writeRPCError(rw, http.StatusUnprocessableEntity, err.Error(), false)
+		// This engine expands the configuration differently: another
+		// workload, catalog, graph generation or generation config. No
+		// retry or failover can mend that.
+		writeRPCError(rw, http.StatusConflict, fmt.Sprintf("fleet: shard cannot re-instantiate %s %q: %v", sr.ID, sr.Keywords, err), false)
 		return
 	}
 	res, err := s.svc.SearchUQ(req.Context(), uq)
@@ -137,13 +143,24 @@ func (s *ShardServer) handleSearch(rw http.ResponseWriter, req *http.Request) {
 		}
 		return
 	}
-	frame := AppendSearchResponse(nil, ViewOf(res))
+	buf := framePool.Get().(*[]byte)
+	frame := AppendSearchResponse((*buf)[:0], ViewOf(res))
 	rw.Header().Set("Content-Type", frameContentType)
 	rw.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	if _, err := rw.Write(frame); err != nil {
 		log.Printf("fleet: write search response: %v", err)
 	}
+	if cap(frame) <= maxPooledFrame {
+		*buf = frame
+		framePool.Put(buf)
+	}
 }
+
+// framePool recycles response frame buffers across searches; a frame larger
+// than maxPooledFrame is left to the collector rather than pinned.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 1 << 20
 
 func (s *ShardServer) handleStats(rw http.ResponseWriter, req *http.Request) {
 	st := s.svc.Stats()

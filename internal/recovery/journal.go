@@ -81,9 +81,11 @@ func replayJournal(path string) []QueryRecord {
 			delete(open, e.ID)
 		}
 	}
+	// An id done and admitted again (a restarted front desk numbers from
+	// UQ1 anew) has a record per admission; only the open one counts.
 	out := make([]QueryRecord, 0, len(open))
-	for _, rec := range order {
-		if _, ok := open[rec.ID]; ok {
+	for i, rec := range order {
+		if j, ok := open[rec.ID]; ok && j == i {
 			out = append(out, rec)
 		}
 	}

@@ -196,8 +196,12 @@ func (s *Store) gc(keep int) {
 // against the manifest's size and digest. A torn or corrupt segment is
 // dropped (counted in Checkpoint.Dropped) — its state re-derives from the
 // sources; the downstream structural gate re-checks everything that does
-// load. An unreadable manifest falls back to the next older generation. No
-// generation at all returns (nil, nil): a cold start.
+// load. A segment is read only from the name Write gives the manifest's
+// i-th segment, so a damaged manifest cannot point Load outside the
+// directory or at another generation's files. A manifest that is
+// unreadable, or whose generation field disagrees with its file name,
+// falls back to the next older generation. No generation at all returns
+// (nil, nil): a cold start.
 func (s *Store) Load() (*Checkpoint, error) {
 	gens := s.generations()
 	for i := len(gens) - 1; i >= 0; i-- {
@@ -207,14 +211,18 @@ func (s *Store) Load() (*Checkpoint, error) {
 			continue
 		}
 		var man Manifest
-		if err := json.Unmarshal(data, &man); err != nil {
+		if err := json.Unmarshal(data, &man); err != nil || man.Generation != gen {
 			continue
 		}
 		cp := &Checkpoint{
 			Generation: gen,
 			Export:     &state.TopicExport{Epoch: man.Epoch},
 		}
-		for _, m := range man.Segments {
+		for i, m := range man.Segments {
+			if m.File != segmentFile(gen, i) {
+				cp.Dropped++
+				continue
+			}
 			payload, err := os.ReadFile(filepath.Join(s.dir, m.File))
 			if err != nil || len(payload) != m.Bytes {
 				cp.Dropped++

@@ -16,8 +16,9 @@ import (
 // It is the only mutable state that must live in exactly one place for a
 // deterministic run: the per-user RNGs consume workload-dependent draws, so
 // whoever expands must see the whole request stream. The front desk
-// (fleet.Frontend) owns one and hands the expanded UQs to its engines, in
-// this process or in shard processes; engines never expand anything.
+// (fleet.Frontend) owns one and hands the expanded UQs to its engines. An
+// engine in a shard process receives only the keywords and the draw state
+// and rebuilds the query with Instantiate; no engine ever draws.
 //
 // Expand is safe for concurrent use and serializes only what must be: the
 // candidate networks of a keyword set come from the expansion cache (or are
@@ -67,13 +68,36 @@ func (e *Expander) Expand(user string, keywords []string, k int) (*cq.UQ, error)
 	if !ok {
 		rng = *candidates.UserRNG(e.seed, user)
 	}
+	draw := rng.State()
 	coefs := sk.Draw(&rng)
 	e.users[user] = rng
 	e.nextUQ++
 	n := e.nextUQ
 	e.mu.Unlock()
 
-	return sk.Instantiate(fmt.Sprintf("UQ%d", n), keywords, k, coefs)
+	return instantiate(sk, fmt.Sprintf("UQ%d", n), keywords, k, draw, coefs)
+}
+
+// Instantiate rebuilds a query another expander made: the one its Expand
+// returned as id for keywords and k while the user's generator stood at
+// draw (cq.UQ.DrawState). It touches no per-user state and assigns no id.
+// The rebuilt query equals the original exactly when both expanders run the
+// same workload and generation config; comparing the two Digests tells.
+func (e *Expander) Instantiate(id string, keywords []string, k int, draw uint64) (*cq.UQ, error) {
+	if k <= 0 {
+		k = e.k
+	}
+	sk := e.cache.Skeleton(e.genCfg, keywords)
+	return instantiate(sk, id, keywords, k, draw, sk.Draw(dist.Resume(draw)))
+}
+
+func instantiate(sk *candidates.Skeleton, id string, keywords []string, k int, draw uint64, coefs []float64) (*cq.UQ, error) {
+	uq, err := sk.Instantiate(id, keywords, k, coefs)
+	if err != nil {
+		return nil, err
+	}
+	uq.DrawState = draw
+	return uq, nil
 }
 
 // CacheStats reports the expansion cache's cumulative traffic and size.

@@ -351,6 +351,11 @@ type Service struct {
 	cpStop chan struct{}
 	cpDone chan struct{}
 
+	// expander serves Instantiate. Its expansion cache stays empty until
+	// the first call: an engine whose front desk shares its process is
+	// handed expanded queries and never fills it.
+	expander *Expander
+
 	mu     sync.Mutex
 	closed bool
 }
@@ -373,6 +378,7 @@ func New(w *workload.Workload, cfg Config) *Service {
 	})
 	s := &Service{
 		cfg:      cfg,
+		expander: NewExpander(w, cfg),
 		svc:      &metrics.Service{},
 		env:      p.Env,
 		ctrl:     p.ATC,
@@ -410,13 +416,24 @@ func New(w *workload.Workload, cfg Config) *Service {
 	return s
 }
 
+// Instantiate rebuilds a query a front desk expanded in another process
+// from what the search frame carries: its id, keywords, k and the user's
+// generator state before the draw (cq.UQ.DrawState). The query comes from
+// this engine's own expansion cache, so its bodies share their canonical
+// forms with every earlier arrival of the keyword set. It equals the front
+// desk's query exactly when both run the same workload, catalog, graph
+// generation and generation config; the caller compares Digests.
+func (s *Service) Instantiate(id string, keywords []string, k int, draw uint64) (*cq.UQ, error) {
+	return s.expander.Instantiate(id, keywords, k, draw)
+}
+
 // SearchUQ admits an expanded user query and blocks until its top-k answers
 // are known, the context is done, or the service closes. It is safe to call
 // from many goroutines; concurrently arriving queries are batched into
 // shared admissions. The front desk owns expansion — per-user scoring
 // coefficients and UQ ids depend on the whole request stream — so an engine
-// consumes exactly the query it is given, whether the front desk runs in
-// this process or ships the query over the wire.
+// runs exactly the query it is given: the front desk's own in this process,
+// or the one Instantiate rebuilt from its draw state in a shard process.
 func (s *Service) SearchUQ(ctx context.Context, uq *cq.UQ) (*Result, error) {
 	if s.isClosed() {
 		return nil, ErrClosed
