@@ -1,7 +1,10 @@
 // Package core assembles the paper's primary contribution — the shared,
 // pipelined, reusable top-k query processor of §3–§6 — from its component
-// packages, providing the one-call construction the public qsys facade and
-// the execution runner both build upon:
+// packages, providing the one-call construction every engine builds upon:
+// the served engine (internal/service); the qsys session, which drives one
+// pipeline synchronously behind the served engine's front desk
+// (service.Expander) with Admit and Drain; the §7 execution runner
+// (internal/exec); and the engine differentials (core/coretest):
 //
 //	mqo        multi-query optimization: AND-OR memo, pruning heuristics,
 //	           BestPlan (Algorithm 1)                              — §5.1
@@ -22,7 +25,6 @@ import (
 	"repro/internal/batcher"
 	"repro/internal/catalog"
 	"repro/internal/costmodel"
-	"repro/internal/cq"
 	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/mqo"
@@ -59,8 +61,6 @@ type Options struct {
 	RealTime bool
 	// ChargeOptimizer adds measured optimization time to the clock (§7.4).
 	ChargeOptimizer bool
-	// CostParams prices the cost model; zero value uses defaults.
-	CostParams costmodel.Params
 }
 
 // NewPipeline wires a fresh middleware thread over the fleet. The catalog is
@@ -81,11 +81,7 @@ func NewPipeline(fleet *remotedb.Fleet, cat *catalog.Catalog, opts Options) *Pip
 	graph := plangraph.New("")
 	controller := atc.New(graph, env, fleet)
 	fork := cat.Fork()
-	params := opts.CostParams
-	if params == (costmodel.Params{}) {
-		params = costmodel.DefaultParams()
-	}
-	mgr := qsm.New(graph, controller, fork, costmodel.New(fork, params), opts.Mode)
+	mgr := qsm.New(graph, controller, fork, costmodel.New(fork, costmodel.DefaultParams()), opts.Mode)
 	mgr.MemoryBudget = opts.MemoryBudget
 	mgr.ChargeOptimizer = opts.ChargeOptimizer
 	return &Pipeline{Env: env, Graph: graph, ATC: controller, Manager: mgr, Catalog: fork}
@@ -117,6 +113,3 @@ func (p *Pipeline) FindMerge(uqID string) *atc.MergeState {
 	}
 	return nil
 }
-
-// UQ re-exports the user-query type for constructors of custom pipelines.
-type UQ = cq.UQ

@@ -20,7 +20,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/cq"
 	"repro/internal/metrics"
 	"repro/internal/mqo"
@@ -69,9 +68,6 @@ type Options struct {
 	BatchWindow time.Duration
 	// Opt configures the multi-query optimizer.
 	Opt mqo.Config
-	// CostParams prices the cost model; zero value uses the defaults, which
-	// match the delay model.
-	CostParams costmodel.Params
 	// Cluster tunes §6.1 clustering (StrategyCL).
 	Cluster cluster.Config
 	// MemoryBudget bounds per-graph state in rows (0 = unbounded).
@@ -237,7 +233,6 @@ func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []bat
 		Seed:            opts.Seed + uint64(gi)*7919,
 		MemoryBudget:    opts.MemoryBudget,
 		ChargeOptimizer: opts.ChargeOptimizer,
-		CostParams:      opts.CostParams,
 	})
 	env, controller, manager := p.Env, p.ATC, p.Manager
 

@@ -17,7 +17,10 @@
 //
 //   - System: an interactive session over a database fleet. Pose keyword
 //     searches over time; every search benefits from the state earlier
-//     searches left behind. See examples/quickstart.
+//     searches left behind. A session expands each search through the
+//     served engine's front desk (service.Expander) and runs it on one
+//     pipeline, so it gives the answers a one-engine qsys-serve gives. See
+//     examples/quickstart.
 //   - the experiment drivers (Table4, Figure7 … Figure12): regenerate every
 //     table and figure of the paper's evaluation. See cmd/qsys-bench and
 //     bench_test.go.
@@ -36,19 +39,21 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/core"
 	"repro/internal/cq"
-	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/mqo"
 	"repro/internal/plangraph"
 	"repro/internal/qsm"
+	"repro/internal/service"
 	"repro/internal/tuple"
 )
 
-// Config configures a System session.
+// Config configures a System session. Each field means what the field of
+// the same name in the served engine's configuration (service.Config) means.
 type Config struct {
 	// K is the default number of answers per search (the paper uses 50).
 	K int
-	// Seed drives the deterministic delay model.
+	// Seed drives the deterministic delay model and the users' scoring
+	// coefficients.
 	Seed uint64
 	// RealTime makes delays actually sleep (live demos); the default is the
 	// deterministic virtual clock used by all experiments.
@@ -56,72 +61,34 @@ type Config struct {
 	// MemoryBudget bounds retained middleware state in rows (0 = unbounded);
 	// exceeding it triggers LRU eviction (§6.3).
 	MemoryBudget int
-	// MaxCQs caps candidate networks per search (paper workloads use ≤20).
-	MaxCQs int
-	// Model selects the scoring model family (§2.1); default QSystem.
-	Model ModelFamily
-	// ChargeOptimizer adds measured optimization time to the session clock.
-	ChargeOptimizer bool
 }
-
-// ModelFamily selects a scoring model (§2.1).
-type ModelFamily int
-
-const (
-	// ModelQSystem is the Q System product model with learned edge costs.
-	ModelQSystem ModelFamily = iota
-	// ModelDISCOVER is the DISCOVER sum model.
-	ModelDISCOVER
-	// ModelBANKS is the BANKS/BLINKS-style weighted-sum model.
-	ModelBANKS
-)
 
 // System is an interactive Q System session over a database fleet: a single
 // shared plan graph whose operators and state persist across searches, like
-// the paper's continuously running middleware.
+// the paper's continuously running middleware. Searches expand through the
+// served engine's front desk (service.Expander) and run one at a time to
+// completion, so a session answers a user's search exactly as a one-engine
+// qsys-serve over the same workload and seed does.
 type System struct {
-	genCfg candidates.Config
-	pipe   *core.Pipeline
-	// expansions holds the candidate networks of recently posed keyword sets.
-	expansions *candidates.Cache
-
-	users  map[string]*dist.RNG
-	nextUQ int
-	cfg    Config
+	exp  *service.Expander
+	pipe *core.Pipeline
 }
 
 // NewSystem opens a session over a workload's fleet, catalog and schema
 // graph. Most callers obtain those from one of the bundled workloads (Bio,
-// GUS, Pfam) or by building databases with NewDatabase.
+// GUS, Pfam) or by building databases with NewDatabase. Searches expand the
+// way the workload's bundled suite was built (w.Gen: path lengths, match
+// fan-out, scoring family, candidate-network cap).
 func NewSystem(w *Workload, cfg Config) *System {
-	if cfg.K == 0 {
-		cfg.K = 50
+	return &System{
+		exp: service.NewExpander(w, service.Config{K: cfg.K, Seed: cfg.Seed}),
+		pipe: core.NewPipeline(w.Fleet, w.Catalog, core.Options{
+			Mode:         qsm.ShareAll,
+			Seed:         cfg.Seed,
+			MemoryBudget: cfg.MemoryBudget,
+			RealTime:     cfg.RealTime,
+		}),
 	}
-	if cfg.MaxCQs == 0 {
-		cfg.MaxCQs = 20
-	}
-	pipe := core.NewPipeline(w.Fleet, w.Catalog, core.Options{
-		Mode:            qsm.ShareAll,
-		Seed:            cfg.Seed,
-		MemoryBudget:    cfg.MemoryBudget,
-		RealTime:        cfg.RealTime,
-		ChargeOptimizer: cfg.ChargeOptimizer,
-	})
-
-	// Ad hoc searches expand the way the workload's bundled suite was built
-	// (w.Gen — path lengths, match fan-out); session config overrides the CQ
-	// cap and, for non-default choices, the scoring family.
-	genCfg := w.Gen
-	genCfg.Graph = w.Schema
-	genCfg.Catalog = w.Catalog
-	genCfg.MaxCQs = cfg.MaxCQs
-	switch cfg.Model {
-	case ModelDISCOVER:
-		genCfg.Family = candidates.FamilyDiscover
-	case ModelBANKS:
-		genCfg.Family = candidates.FamilyBANKS
-	}
-	return &System{genCfg: genCfg, pipe: pipe, expansions: candidates.NewCache(), users: map[string]*dist.RNG{}, cfg: cfg}
 }
 
 // Answer is one top-k result of a search.
@@ -157,22 +124,11 @@ type SearchResult struct {
 }
 
 // Search poses a keyword query for the given user and blocks until its top-k
-// answers are known. Each distinct user gets their own scoring-function
-// coefficients (§2.1: "different users may have different scoring
-// functions"). Earlier searches' plan state is reused automatically.
+// answers are known; k <= 0 uses Config.K. Each distinct user gets their own
+// scoring-function coefficients (§2.1: "different users may have different
+// scoring functions"). Earlier searches' plan state is reused automatically.
 func (s *System) Search(user string, keywords []string, k int) (*SearchResult, error) {
-	if k <= 0 {
-		k = s.cfg.K
-	}
-	userRNG, ok := s.users[user]
-	if !ok {
-		userRNG = candidates.UserRNG(s.cfg.Seed, user)
-		s.users[user] = userRNG
-	}
-	s.nextUQ++
-	id := fmt.Sprintf("UQ%d", s.nextUQ)
-	sk := s.expansions.Skeleton(s.genCfg, keywords)
-	uq, err := sk.Instantiate(id, keywords, k, sk.Draw(userRNG))
+	uq, err := s.exp.Expand(user, keywords, k)
 	if err != nil {
 		return nil, err
 	}
@@ -180,24 +136,25 @@ func (s *System) Search(user string, keywords []string, k int) (*SearchResult, e
 }
 
 // Submit admits a pre-generated user query (advanced use: custom candidate
-// networks or scoring models) and runs it to completion.
+// networks or scoring models) and runs it to completion. The session keeps
+// the plan state the query leaves behind, not the query itself.
 func (s *System) Submit(uq *cq.UQ) (*SearchResult, error) {
-	arrival := s.pipe.Env.Clock.Now()
-	_, err := s.pipe.Manager.Admit([]batcher.Submission{{At: arrival, UQ: uq}}, mqo.Config{K: uq.K})
+	p := s.pipe
+	_, err := p.Admit([]batcher.Submission{{At: p.Env.Clock.Now(), UQ: uq}}, mqo.Config{K: uq.K})
+	merge := p.ATC.MergeByUQ(uq.ID)
+	if err == nil && merge == nil {
+		err = fmt.Errorf("qsys: submitted query %s not registered", uq.ID)
+	}
 	if err != nil {
+		p.ATC.CancelMerge(uq.ID)
+		p.ATC.Forget(uq.ID)
 		return nil, err
 	}
-	merge := s.pipe.ATC.MergeByUQ(uq.ID)
-	if merge == nil {
-		return nil, fmt.Errorf("qsys: submitted query %s not registered", uq.ID)
-	}
-	for !merge.Done {
-		s.pipe.ATC.RunRound()
-	}
+	p.Drain()
+	p.ATC.Forget(uq.ID)
 	if merge.Err != nil {
 		return nil, fmt.Errorf("qsys: query %s failed: %w", uq.ID, merge.Err)
 	}
-	s.pipe.Manager.SyncCatalog()
 	res := &SearchResult{
 		ID:                uq.ID,
 		Keywords:          uq.Keywords,
@@ -226,7 +183,7 @@ func (s *System) Stats() SessionStats {
 		StateRows:   s.pipe.Manager.StateSize(),
 		Evictions:   s.pipe.Manager.Evictions(),
 		PlanCache:   s.pipe.Manager.PlanCacheStats(),
-		ExpandCache: s.expansions.Stats(),
+		ExpandCache: s.exp.CacheStats(),
 		Now:         s.pipe.Env.Clock.Now(),
 	}
 }
