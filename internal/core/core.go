@@ -103,13 +103,3 @@ func (p *Pipeline) Drain() {
 
 // Snapshot reports accumulated work (Figure 8/10 counters).
 func (p *Pipeline) Snapshot() metrics.Snapshot { return p.Env.Metrics.Snapshot() }
-
-// FindMerge returns the merge state for a user query id, or nil.
-func (p *Pipeline) FindMerge(uqID string) *atc.MergeState {
-	for _, m := range p.ATC.Merges() {
-		if m.RM.UQ.ID == uqID {
-			return m
-		}
-	}
-	return nil
-}

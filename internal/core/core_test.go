@@ -31,7 +31,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	p.Drain()
 	for _, uq := range []string{"UQ1", "UQ2"} {
-		m := p.FindMerge(uq)
+		m := p.ATC.MergeByUQ(uq)
 		if m == nil || !m.Done || len(m.RM.Results()) == 0 {
 			t.Fatalf("%s did not finish with results", uq)
 		}
@@ -43,7 +43,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Drain()
-	m := p.FindMerge("UQ3")
+	m := p.ATC.MergeByUQ("UQ3")
 	if m == nil || len(m.RM.Results()) == 0 {
 		t.Fatal("UQ3 did not produce results")
 	}

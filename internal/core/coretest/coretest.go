@@ -79,7 +79,7 @@ type Step struct {
 
 // Merges returns both sides' merges of the batch's i-th search.
 func (s *Step) Merges(i int) [2]*atc.MergeState {
-	return [2]*atc.MergeState{s.Sides[0].Pipe.FindMerge(s.UQs[0][i].ID), s.Sides[1].Pipe.FindMerge(s.UQs[1][i].ID)}
+	return [2]*atc.MergeState{s.Sides[0].Pipe.ATC.MergeByUQ(s.UQs[0][i].ID), s.Sides[1].Pipe.ATC.MergeByUQ(s.UQs[1][i].ID)}
 }
 
 // Checks are a differential's comparisons, each optional: Admit runs after

@@ -253,9 +253,9 @@ func (c *Client) backoff(attempt int) time.Duration {
 }
 
 // once makes one round trip: a POST of frame, or a GET when frame is nil. It
-// returns the body of a 2xx response; any other status becomes an RPCError
-// read from the shard's JSON error envelope.
-func (c *Client) once(ctx context.Context, path string, frame []byte) ([]byte, error) {
+// returns a 2xx response, whose body the caller reads and closes; any other
+// status becomes an RPCError read from the shard's JSON error envelope.
+func (c *Client) once(ctx context.Context, path string, frame []byte) (*http.Response, error) {
 	method, body := http.MethodGet, io.Reader(nil)
 	if frame != nil {
 		method, body = http.MethodPost, bytes.NewReader(frame)
@@ -271,15 +271,11 @@ func (c *Client) once(ctx context.Context, path string, frame []byte) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
+		defer resp.Body.Close()
 		return nil, rpcError(resp)
 	}
-	data, err := readBody(resp.Body, resp.ContentLength)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: read %s: %w", path, err)
-	}
-	return data, nil
+	return resp, nil
 }
 
 // rpcError reads a non-2xx response's error envelope.
@@ -301,18 +297,24 @@ func rpcError(resp *http.Response) *RPCError {
 // get fetches a JSON view from the shard.
 func (c *Client) get(ctx context.Context, path string, out any) error {
 	return c.call(ctx, func() error {
-		data, err := c.once(ctx, path, nil)
+		resp, err := c.once(ctx, path, nil)
 		if err != nil {
 			return err
 		}
-		return json.Unmarshal(data, out)
+		defer resp.Body.Close()
+		data, err := readBody(resp.Body, resp.ContentLength)
+		if err != nil {
+			return fmt.Errorf("fleet: read %s: %w", path, err)
+		}
+		return json.Unmarshal([]byte(data), out)
 	})
 }
 
 // Search ships an expanded user query to the shard as one request frame,
 // its configuration rather than its plan (SearchRequest), and decodes the
-// response frame. A shard whose own expansion of the configuration differs
-// refuses it with a non-retryable 409.
+// response frame over the one copy of the body it reads. A shard whose own
+// expansion of the configuration differs refuses it with a non-retryable
+// 409.
 func (c *Client) Search(ctx context.Context, uq *cq.UQ) (*ResultView, error) {
 	frame := AppendRequest(nil, RequestOf(uq))
 	var view *ResultView
@@ -321,14 +323,16 @@ func (c *Client) Search(ctx context.Context, uq *cq.UQ) (*ResultView, error) {
 		if m != nil {
 			m.SearchRequestBytes.Add(int64(len(frame)))
 		}
-		data, err := c.once(ctx, "/rpc/search", frame)
+		resp, err := c.once(ctx, "/rpc/search", frame)
 		if err != nil {
 			return err
 		}
+		defer resp.Body.Close()
+		var n int
+		view, n, err = readSearchResponse(resp.Body, resp.ContentLength)
 		if m != nil {
-			m.SearchResponseBytes.Add(int64(len(data)))
+			m.SearchResponseBytes.Add(int64(n))
 		}
-		view, err = DecodeSearchResponse(data)
 		return err
 	})
 	if err != nil {

@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
+	"sync"
+
+	"repro/internal/service"
 )
 
 // The /rpc/search hop carries one binary frame each way:
@@ -18,9 +22,19 @@ import (
 //	float64 = its IEEE 754 bits, as a word
 //
 // A request payload is a SearchRequest, a response payload a ResultView,
-// field by field in declaration order (appendRequest, appendResponse).
-// Floats travel as their bits, so every score arrives exactly as it left,
-// -0, ±Inf, NaN and subnormals included.
+// field by field in declaration order. Floats travel as their bits, so every
+// score arrives exactly as it left, -0, ±Inf, NaN and subnormals included.
+//
+// What is built where. The front-end appends the request (AppendRequest);
+// the shard reads the body into one string and decodes over it
+// (readRequest). The shard appends the response straight from the finished
+// merge (AppendResult): each answer's ids are its tuples' cached qualified
+// identities, so no ResultView is built on the shard. The front-end reads
+// the response body into one string, grown to its Content-Length, and
+// decodes the ResultView over it (readSearchResponse): every string in the
+// view, ids included, is a slice of that one copy. AppendSearchResponse
+// writes the same bytes from a view; the two encoders share the field order
+// through appendResponseHead, appendAnswerHead and appendResponseTail.
 //
 // Decoding accepts only the canonical encoding: a varint in its shortest
 // form, a known version, no bytes past the payload. So a frame the decoders
@@ -53,18 +67,27 @@ var errFrameTooLarge = fmt.Errorf("fleet: frame over %d bytes", maxFrameBytes)
 // AppendRequest appends the request frame of r to dst.
 func AppendRequest(dst []byte, r *SearchRequest) []byte {
 	dst, start := beginFrame(dst, searchRequest)
-	return endFrame(appendRequest(dst, r), start)
+	dst = appendString(dst, r.ID)
+	dst = appendStrings(dst, r.Keywords)
+	dst = binary.AppendVarint(dst, int64(r.K))
+	dst = binary.LittleEndian.AppendUint64(dst, r.DrawState)
+	return endFrame(binary.LittleEndian.AppendUint64(dst, r.Digest), start)
 }
 
-// DecodeRequest parses a request frame. Its strings share one copy of the
-// payload. It checks the frame, not the query: the shard's re-instantiation
-// and digest comparison check that.
-func DecodeRequest(b []byte) (*SearchRequest, error) {
-	r, err := openFrame(b, searchRequest)
+// readRequest reads a request frame of declared length n (-1 when unknown)
+// and parses it. Its strings share the one copy of the body it read. It
+// checks the frame, not the query: the shard's re-instantiation and digest
+// comparison check that.
+func readRequest(body io.Reader, n int64) (*SearchRequest, error) {
+	s, err := readBody(body, n)
 	if err != nil {
 		return nil, err
 	}
-	q := r.request()
+	r, err := openFrame(s, searchRequest)
+	if err != nil {
+		return nil, err
+	}
+	q := &SearchRequest{ID: r.str(), Keywords: r.strs(), K: r.int(), DrawState: r.word(), Digest: r.word()}
 	if err := r.close(); err != nil {
 		return nil, err
 	}
@@ -74,21 +97,53 @@ func DecodeRequest(b []byte) (*SearchRequest, error) {
 // AppendSearchResponse appends the response frame of v to dst.
 func AppendSearchResponse(dst []byte, v *ResultView) []byte {
 	dst, start := beginFrame(dst, searchResponse)
-	return endFrame(appendResponse(dst, v), start)
+	dst = appendResponseHead(dst, v.ID, v.Keywords, len(v.Answers))
+	for i := range v.Answers {
+		a := &v.Answers[i]
+		dst = appendAnswerHead(dst, a.Rank, a.Score, a.Query, len(a.IDs))
+		for _, id := range a.IDs {
+			dst = appendString(dst, id)
+		}
+	}
+	dst = appendResponseTail(dst, v.CandidateNetworks, v.ExecutedNetworks, v.Shard, v.BatchSize, v.EngineLatencyNS, v.WallLatencyNS)
+	return endFrame(dst, start)
 }
 
-// DecodeSearchResponse parses a response frame. The view's strings share
-// one copy of the payload.
-func DecodeSearchResponse(b []byte) (*ResultView, error) {
-	r, err := openFrame(b, searchResponse)
+// AppendResult appends the response frame of ViewOf(res) to dst without
+// building the view: an answer's ids are its tuples' cached qualified
+// identities. Into a buffer with room for the frame it allocates nothing.
+func AppendResult(dst []byte, res *service.Result) []byte {
+	dst, start := beginFrame(dst, searchResponse)
+	dst = appendResponseHead(dst, res.ID, res.Keywords, len(res.Answers))
+	for i := range res.Answers {
+		a := &res.Answers[i]
+		dst = appendAnswerHead(dst, a.Rank, a.Score, a.Query, len(a.Tuples))
+		for _, t := range a.Tuples {
+			dst = appendString(dst, t.QualifiedIdentity())
+		}
+	}
+	dst = appendResponseTail(dst, res.CandidateNetworks, res.ExecutedNetworks, res.Shard, res.BatchSize, int64(res.EngineLatency), int64(res.WallLatency))
+	return endFrame(dst, start)
+}
+
+// readSearchResponse reads a response frame of declared length n (-1 when
+// unknown) and parses it: the front-end's whole receive path. The view's
+// strings share the one copy of the body it read. It also returns how many
+// bytes it read.
+func readSearchResponse(body io.Reader, n int64) (*ResultView, int, error) {
+	s, err := readBody(body, n)
 	if err != nil {
-		return nil, err
+		return nil, 0, fmt.Errorf("fleet: read search response: %w", err)
+	}
+	r, err := openFrame(s, searchResponse)
+	if err != nil {
+		return nil, len(s), err
 	}
 	v := r.response()
 	if err := r.close(); err != nil {
-		return nil, err
+		return nil, len(s), err
 	}
-	return v, nil
+	return v, len(s), nil
 }
 
 func beginFrame(dst []byte, version byte) ([]byte, int) {
@@ -100,29 +155,24 @@ func endFrame(dst []byte, start int) []byte {
 	return dst
 }
 
-func appendRequest(b []byte, r *SearchRequest) []byte {
-	b = appendString(b, r.ID)
-	b = appendStrings(b, r.Keywords)
-	b = binary.AppendVarint(b, int64(r.K))
-	b = binary.LittleEndian.AppendUint64(b, r.DrawState)
-	return binary.LittleEndian.AppendUint64(b, r.Digest)
+// appendResponseHead, appendAnswerHead (followed by the answer's ids, each
+// an appendString) and appendResponseTail are a response payload in field
+// order.
+func appendResponseHead(b []byte, id string, keywords []string, answers int) []byte {
+	b = appendString(b, id)
+	b = appendStrings(b, keywords)
+	return binary.AppendUvarint(b, uint64(answers))
 }
 
-func appendResponse(b []byte, v *ResultView) []byte {
-	b = appendString(b, v.ID)
-	b = appendStrings(b, v.Keywords)
-	b = binary.AppendUvarint(b, uint64(len(v.Answers)))
-	for i := range v.Answers {
-		a := &v.Answers[i]
-		b = binary.AppendVarint(b, int64(a.Rank))
-		b = appendFloat(b, a.Score)
-		b = appendString(b, a.Query)
-		b = appendStrings(b, a.IDs)
-	}
-	for _, n := range [...]int64{
-		int64(v.CandidateNetworks), int64(v.ExecutedNetworks), int64(v.Shard),
-		int64(v.BatchSize), v.EngineLatencyNS, v.WallLatencyNS,
-	} {
+func appendAnswerHead(b []byte, rank int, score float64, query string, ids int) []byte {
+	b = binary.AppendVarint(b, int64(rank))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(score))
+	b = appendString(b, query)
+	return binary.AppendUvarint(b, uint64(ids))
+}
+
+func appendResponseTail(b []byte, candidates, executed, shard, batch int, engineNS, wallNS int64) []byte {
+	for _, n := range [...]int64{int64(candidates), int64(executed), int64(shard), int64(batch), engineNS, wallNS} {
 		b = binary.AppendVarint(b, n)
 	}
 	return b
@@ -140,40 +190,36 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-func appendFloat(b []byte, x float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-}
-
-// frameReader walks one payload. The first error sticks: every later read
-// returns a zero value, so a decoder reads straight through and checks once.
+// frameReader walks one payload, held as a string that every decoded string
+// shares. The first error sticks: every later read returns a zero value, so
+// a decoder reads straight through and checks once.
 type frameReader struct {
-	b   []byte
-	s   string // b as one string, which every decoded string shares
+	s   string
 	off int
 	err error
 }
 
-func openFrame(b []byte, version byte) (*frameReader, error) {
-	if len(b) == 0 {
-		return nil, errors.New("fleet: empty frame")
+func openFrame(s string, version byte) (frameReader, error) {
+	if len(s) == 0 {
+		return frameReader{}, errors.New("fleet: empty frame")
 	}
-	if b[0] != version {
-		return nil, fmt.Errorf("fleet: frame version %#02x, want %#02x", b[0], version)
+	if s[0] != version {
+		return frameReader{}, fmt.Errorf("fleet: frame version %#02x, want %#02x", s[0], version)
 	}
-	if len(b) < frameHeader {
-		return nil, fmt.Errorf("fleet: frame header truncated at %d bytes", len(b))
+	if len(s) < frameHeader {
+		return frameReader{}, fmt.Errorf("fleet: frame header truncated at %d bytes", len(s))
 	}
-	n := binary.LittleEndian.Uint32(b[1:frameHeader])
-	if got := len(b) - frameHeader; int64(n) != int64(got) {
-		return nil, fmt.Errorf("fleet: frame declares %d payload bytes, carries %d", n, got)
+	n := uint32(s[1]) | uint32(s[2])<<8 | uint32(s[3])<<16 | uint32(s[4])<<24
+	if got := len(s) - frameHeader; int64(n) != int64(got) {
+		return frameReader{}, fmt.Errorf("fleet: frame declares %d payload bytes, carries %d", n, got)
 	}
-	return &frameReader{b: b[frameHeader:], s: string(b[frameHeader:])}, nil
+	return frameReader{s: s[frameHeader:]}, nil
 }
 
 // close reports the first error, or bytes left over after the last field.
 func (r *frameReader) close() error {
-	if r.err == nil && r.off != len(r.b) {
-		r.fail("%d bytes after the last field", len(r.b)-r.off)
+	if r.err == nil && r.off != len(r.s) {
+		r.fail("%d bytes after the last field", len(r.s)-r.off)
 	}
 	return r.err
 }
@@ -184,26 +230,35 @@ func (r *frameReader) fail(format string, args ...any) {
 	}
 }
 
-func (r *frameReader) left() int { return len(r.b) - r.off }
+func (r *frameReader) left() int { return len(r.s) - r.off }
 
+// uvarint reads an unsigned varint as binary.Uvarint would, refusing one
+// that is truncated, overflows 64 bits or is longer than it needs to be.
 func (r *frameReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	switch {
-	case n == 0:
-		r.fail("truncated varint")
-		return 0
-	case n < 0:
-		r.fail("varint overflows 64 bits")
-		return 0
-	case n > 1 && r.b[r.off+n-1] == 0:
-		r.fail("varint not in shortest form")
-		return 0
+	var v uint64
+	for i := 0; ; i++ {
+		if r.off+i == len(r.s) {
+			r.fail("truncated varint")
+			return 0
+		}
+		c := r.s[r.off+i]
+		if i == binary.MaxVarintLen64-1 && c > 1 {
+			r.fail("varint overflows 64 bits")
+			return 0
+		}
+		if c < 0x80 {
+			if i > 0 && c == 0 {
+				r.fail("varint not in shortest form")
+				return 0
+			}
+			r.off += i + 1
+			return v | uint64(c)<<(7*i)
+		}
+		v |= uint64(c&0x7f) << (7 * i)
 	}
-	r.off += n
-	return v
 }
 
 // int64 reads a zigzag varint.
@@ -241,9 +296,10 @@ func (r *frameReader) word() uint64 {
 		r.fail("truncated word")
 		return 0
 	}
-	x := binary.LittleEndian.Uint64(r.b[r.off:])
+	b := r.s[r.off : r.off+8]
 	r.off += 8
-	return x
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 func (r *frameReader) float() float64 { return math.Float64frombits(r.word()) }
@@ -268,10 +324,6 @@ func (r *frameReader) strs() []string {
 		ss[i] = r.str()
 	}
 	return ss
-}
-
-func (r *frameReader) request() *SearchRequest {
-	return &SearchRequest{ID: r.str(), Keywords: r.strs(), K: r.int(), DrawState: r.word(), Digest: r.word()}
 }
 
 func (r *frameReader) response() *ResultView {
@@ -305,22 +357,40 @@ func (r *frameReader) response() *ResultView {
 	return v
 }
 
-// readBody reads an RPC body of declared length n (-1 when unknown), refusing
-// one over maxFrameBytes.
-func readBody(body io.Reader, n int64) ([]byte, error) {
+// readBody reads an RPC body of declared length n (-1 when unknown) into one
+// string, refusing one over maxFrameBytes. A known length is one allocation,
+// the string grown to it; the body passes through a pooled read buffer.
+func readBody(body io.Reader, n int64) (string, error) {
 	if n > maxFrameBytes {
-		return nil, errFrameTooLarge
+		return "", errFrameTooLarge
 	}
-	if n >= 0 {
-		b := make([]byte, n)
-		if _, err := io.ReadFull(body, b); err != nil {
-			return nil, err
+	limit := n
+	if n < 0 {
+		limit = maxFrameBytes + 1
+	}
+	var sb strings.Builder
+	sb.Grow(int(max(n, 0)))
+	buf := readBuffers.Get().(*[]byte)
+	defer readBuffers.Put(buf)
+	for int64(sb.Len()) < limit {
+		m, err := body.Read((*buf)[:min(int64(len(*buf)), limit-int64(sb.Len()))])
+		sb.Write((*buf)[:m])
+		if err == io.EOF {
+			break
 		}
-		return b, nil
+		if err != nil {
+			return "", err
+		}
 	}
-	b, err := io.ReadAll(io.LimitReader(body, maxFrameBytes+1))
-	if err == nil && len(b) > maxFrameBytes {
-		err = errFrameTooLarge
+	switch {
+	case int64(sb.Len()) < n:
+		return "", io.ErrUnexpectedEOF
+	case sb.Len() > maxFrameBytes:
+		return "", errFrameTooLarge
 	}
-	return b, err
+	return sb.String(), nil
 }
+
+// readBuffers holds the buffers readBody reads through. They are small: a
+// search response is a few KB, and a larger body takes more reads.
+var readBuffers = sync.Pool{New: func() any { b := make([]byte, 2<<10); return &b }}

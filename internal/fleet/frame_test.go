@@ -2,13 +2,16 @@ package fleet_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/service"
@@ -18,9 +21,11 @@ import (
 
 // The seed corpora under testdata/fuzz are the request and response frames
 // of one real bio search ("metabolism protein") and one real GUS search (the
-// suite's first query), expanded and answered at seed 3, k = 10. The
-// request files "bio" and "gus" are frames of the retired version 0x01,
-// which carried the expanded plan: inputs the decoder must refuse.
+// suite's first query), expanded and answered at seed 3, k = 10, and the
+// response frame AppendResult wrote for the Pfam suite's first query at the
+// same seed and k. The request files "bio" and "gus" are frames of the
+// retired version 0x01, which carried the expanded plan: inputs the decoder
+// must refuse.
 
 // FuzzSearchRequestFrame: any byte string either fails to decode or decodes
 // to a request that re-encodes to the same bytes.
@@ -38,15 +43,24 @@ func FuzzSearchRequestFrame(f *testing.F) {
 	})
 }
 
-// FuzzSearchResponseFrame: any byte string either fails to decode or decodes
-// to a view that re-encodes to the same bytes and digests without panicking.
+// FuzzSearchResponseFrame: any byte string, read as the front-end reads a
+// response body (Client.Search's path), with its length declared and with
+// it unknown, either fails to decode both ways or decodes to a view that
+// re-encodes to the same bytes and digests without panicking.
 func FuzzSearchResponseFrame(f *testing.F) {
 	f.Add(fleet.AppendSearchResponse(nil, specialResponse()))
 	f.Add(fleet.AppendSearchResponse(nil, &fleet.ResultView{}))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		v, err := fleet.DecodeSearchResponse(b)
+		v, n, err := fleet.ReadSearchResponse(bytes.NewReader(b), int64(len(b)))
+		_, _, errUnknown := fleet.ReadSearchResponse(bytes.NewReader(b), -1)
+		if (err == nil) != (errUnknown == nil) {
+			t.Fatalf("declared length: %v; unknown length: %v", err, errUnknown)
+		}
 		if err != nil {
 			return
+		}
+		if n != len(b) {
+			t.Fatalf("read %d of %d bytes", n, len(b))
 		}
 		if got := fleet.AppendSearchResponse(nil, v); !bytes.Equal(got, b) {
 			t.Fatalf("accepted frame re-encodes differently:\n in %x\nout %x", b, got)
@@ -233,32 +247,180 @@ func TestFrameLengthPrefixesBoundAllocation(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchFrame is one hop's codec work: encode and decode the
-// request of a two-keyword search and a 50-answer response, the response
-// into a reused buffer as the shard does.
+// TestAppendResultMatchesView runs every bio, GUS and Pfam suite search on a
+// real engine, and takes a result with no answers besides. The frame the
+// shard appends from each result is byte for byte the frame of its view, and
+// the front-end's read of it digests like that view.
+func TestAppendResultMatchesView(t *testing.T) {
+	digest := func(v *fleet.ResultView) string {
+		h := sha256.New()
+		fleet.DigestView(h, v)
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	for _, name := range []string{"bio", "gus", "pfam"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workload.ByName(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := service.Config{Seed: 3, K: 10}
+			svc := service.New(w, cfg)
+			defer svc.Close() //nolint:errcheck
+			exp := service.NewExpander(w, cfg)
+			results := []*service.Result{{ID: "UQ0", Keywords: []string{"nothing"}, CandidateNetworks: 2, Shard: -1}}
+			for i, sub := range w.Submissions {
+				uq, err := exp.Expand(fmt.Sprintf("user%d", i%3), sub.UQ.Keywords, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := svc.SearchUQ(context.Background(), uq)
+				if err != nil {
+					t.Fatalf("%v: %v", sub.UQ.Keywords, err)
+				}
+				results = append(results, res)
+			}
+			answers := 0
+			for _, res := range results {
+				answers += len(res.Answers)
+				want := fleet.ViewOf(res)
+				frame := fleet.AppendResult(nil, res)
+				if viewFrame := fleet.AppendSearchResponse(nil, want); !bytes.Equal(frame, viewFrame) {
+					t.Fatalf("%s %v: AppendResult wrote\n%x\nthe view's frame is\n%x", res.ID, res.Keywords, frame, viewFrame)
+				}
+				got, n, err := fleet.ReadSearchResponse(bytes.NewReader(frame), int64(len(frame)))
+				if err != nil || n != len(frame) {
+					t.Fatalf("%s: read %d of %d bytes: %v", res.ID, n, len(frame), err)
+				}
+				if digest(got) != digest(want) {
+					t.Fatalf("%s %v: the decoded view digests differently", res.ID, res.Keywords)
+				}
+			}
+			if answers == 0 {
+				t.Fatal("no suite search answered")
+			}
+		})
+	}
+}
+
+// TestAppendResultAllocatesNothing: into a buffer with room for the frame,
+// the shard's encoder allocates nothing; the ids are the tuples' cached
+// qualified identities.
+func TestAppendResultAllocatesNothing(t *testing.T) {
+	res := frameResult(50)
+	buf := fleet.AppendResult(nil, res)
+	if got := testing.AllocsPerRun(100, func() { buf = fleet.AppendResult(buf[:0], res) }); got != 0 {
+		t.Fatalf("AppendResult allocated %v times per frame", got)
+	}
+}
+
+// TestSearchResponseReadAllocations: the front-end's read and decode of a
+// response body allocates as many times whatever the answer count, and its
+// bytes are the payload once plus the view's own slices. A second copy of
+// the payload does not fit the bound.
+func TestSearchResponseReadAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes the read buffer pool drop buffers")
+	}
+	size := func(v any) uint64 { return uint64(reflect.TypeOf(v).Size()) }
+	// classed bounds an allocation rounded up to its size class or pages: at
+	// most a quarter above what was asked for.
+	classed := func(n uint64) uint64 { return n + n/4 + 16 }
+	var rd bytes.Reader
+	allocs := -1.0
+	for _, answers := range []int{1, 8, 50, 400} {
+		v := fleet.ViewOf(frameResult(answers))
+		frame := fleet.AppendSearchResponse(nil, v)
+		read := func() {
+			rd.Reset(frame)
+			if _, _, err := fleet.ReadSearchResponse(&rd, int64(len(frame))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := testing.AllocsPerRun(100, read)
+		if allocs >= 0 && got != allocs {
+			t.Fatalf("%d answers: %v allocations, %v at fewer answers", answers, got, allocs)
+		}
+		allocs = got
+
+		ids := 0
+		for _, a := range v.Answers {
+			ids += len(a.IDs)
+		}
+		limit := classed(uint64(len(frame))) + classed(size(fleet.ResultView{})) +
+			classed(uint64(len(v.Keywords))*size("")) +
+			classed(uint64(answers)*size(fleet.AnswerView{})) + classed(uint64(ids)*size(""))
+		heap := allocatedBytes(100, read)
+		t.Logf("%d answers: a %d-byte frame reads in %v allocations, %d bytes (bound %d)", answers, len(frame), allocs, heap, limit)
+		if heap > limit {
+			t.Errorf("%d answers: %d bytes to read a %d-byte frame, over %d", answers, heap, len(frame), limit)
+		}
+	}
+}
+
+// allocatedBytes is the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up, on one processor as testing.AllocsPerRun does.
+func allocatedBytes(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// BenchmarkSearchFrame is one hop's codec work as the fleet does it: the
+// front-end appends the request of a two-keyword search and the shard reads
+// it; the shard appends a 50-answer response straight from its result into a
+// reused buffer and the front-end reads and decodes it.
 func BenchmarkSearchFrame(b *testing.B) {
 	req := &fleet.SearchRequest{
 		ID: "UQ17", Keywords: []string{"plasma membrane", "protein"}, K: 50,
 		DrawState: 0x9e3779b97f4a7c15, Digest: 0xc2b2ae3d27d4eb4f,
 	}
-	resp := &fleet.ResultView{ID: "UQ17", Keywords: req.Keywords, CandidateNetworks: 4, ExecutedNetworks: 4, BatchSize: 1, EngineLatencyNS: 1e6, WallLatencyNS: 2e6}
-	for i := 0; i < 50; i++ {
-		resp.Answers = append(resp.Answers, fleet.AnswerView{
-			Rank: i + 1, Score: 1 / float64(i+2), Query: "UQ17.CQ2",
-			IDs: []string{fmt.Sprintf("Term:GO:%07d", i), fmt.Sprintf("Interpro2GO:%d", 1000+i), fmt.Sprintf("Entry:IPR%06d", i)},
-		})
-	}
+	res := frameResult(50)
 	var buf []byte
+	var rd bytes.Reader
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := fleet.DecodeRequest(fleet.AppendRequest(nil, req)); err != nil {
+		frame := fleet.AppendRequest(nil, req)
+		rd.Reset(frame)
+		if _, err := fleet.ReadRequest(&rd, int64(len(frame))); err != nil {
 			b.Fatal(err)
 		}
-		buf = fleet.AppendSearchResponse(buf[:0], resp)
-		if _, err := fleet.DecodeSearchResponse(buf); err != nil {
+		buf = fleet.AppendResult(buf[:0], res)
+		rd.Reset(buf)
+		if _, _, err := fleet.ReadSearchResponse(&rd, int64(len(buf))); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// frameResult is a result of n answers shaped like a bio search's: three
+// keyed tuples each.
+func frameResult(n int) *service.Result {
+	key := func(name string, kind tuple.Kind) *tuple.Schema {
+		return tuple.NewSchema(name, tuple.Column{Name: "id", Type: kind, Key: true})
+	}
+	term, link, entry := key("Term", tuple.KindString), key("Interpro2GO", tuple.KindInt), key("Entry", tuple.KindString)
+	res := &service.Result{
+		ID: "UQ17", Keywords: []string{"plasma membrane", "protein"},
+		CandidateNetworks: 4, ExecutedNetworks: 4, BatchSize: 1,
+		EngineLatency: time.Millisecond, WallLatency: 2 * time.Millisecond,
+	}
+	for i := 0; i < n; i++ {
+		res.Answers = append(res.Answers, service.Answer{
+			Rank: i + 1, Score: 1 / float64(i+2), Query: "UQ17.CQ2",
+			Tuples: []*tuple.Tuple{
+				tuple.New(term, tuple.String(fmt.Sprintf("GO:%07d", i))),
+				tuple.New(link, tuple.Int(int64(1000+i))),
+				tuple.New(entry, tuple.String(fmt.Sprintf("IPR%06d", i))),
+			},
+		})
+	}
+	return res
 }
 
 func bioWorkload(t *testing.T) *workload.Workload {

@@ -98,7 +98,7 @@ func (s *ShardServer) handleSearch(rw http.ResponseWriter, req *http.Request) {
 	}
 	defer s.endSearch()
 
-	body, err := readBody(http.MaxBytesReader(rw, req.Body, maxFrameBytes), req.ContentLength)
+	sr, err := readRequest(http.MaxBytesReader(rw, req.Body, maxFrameBytes), req.ContentLength)
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -106,11 +106,6 @@ func (s *ShardServer) handleSearch(rw http.ResponseWriter, req *http.Request) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		writeRPCError(rw, code, err.Error(), false)
-		return
-	}
-	sr, err := DecodeRequest(body)
-	if err != nil {
-		writeRPCError(rw, http.StatusBadRequest, err.Error(), false)
 		return
 	}
 	uq, err := s.svc.Instantiate(sr.ID, sr.Keywords, sr.K, sr.DrawState)
@@ -144,7 +139,7 @@ func (s *ShardServer) handleSearch(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	buf := framePool.Get().(*[]byte)
-	frame := AppendSearchResponse((*buf)[:0], ViewOf(res))
+	frame := AppendResult((*buf)[:0], res)
 	rw.Header().Set("Content-Type", frameContentType)
 	rw.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	if _, err := rw.Write(frame); err != nil {

@@ -217,7 +217,7 @@ func TestPrunedCursorOutlivesEviction(t *testing.T) {
 				s.Pipe.ATC.Forget(uq.ID)
 			}
 			uq := s.Search(t, "ada", kw)
-			merges = append(merges, s.Pipe.FindMerge(uq.ID))
+			merges = append(merges, s.Pipe.ATC.MergeByUQ(uq.ID))
 			for _, q := range uq.CQs {
 				if i == 0 {
 					ends[q.ID] = s.Pipe.Graph.Endpoint(q.ID).Node

@@ -324,13 +324,12 @@ func (s *Service) result(r *request, m *atc.MergeState) *Result {
 		EngineLatency:     m.Latency(),
 		WallLatency:       time.Since(r.enqueued),
 	}
-	for i, rr := range m.RM.Results() {
-		res.Answers = append(res.Answers, Answer{
-			Rank:   i + 1,
-			Score:  rr.Score,
-			Query:  rr.CQID,
-			Tuples: rr.Row.Parts(),
-		})
+	rs := m.RM.Results()
+	if len(rs) > 0 {
+		res.Answers = make([]Answer, len(rs))
+	}
+	for i, rr := range rs {
+		res.Answers[i] = Answer{Rank: i + 1, Score: rr.Score, Query: rr.CQID, Tuples: rr.Row.Parts()}
 	}
 	return res
 }
