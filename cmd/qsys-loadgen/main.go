@@ -62,6 +62,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/dist"
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -221,9 +222,10 @@ func runClosedLoop(o *options, pool [][]string) int {
 		rep := closedLoop(o, pool, search)
 		stats := fr.Stats(context.Background())
 		fr.Close() //nolint:errcheck // the run's numbers are already taken
-		evictions := 0
+		evictions, eb := 0, metrics.SizeStats{}
 		for _, sh := range stats.Shards {
 			evictions += sh.Evictions
+			eb = eb.Add(sh.Batch)
 		}
 		split := stats.Shared
 		fmt.Printf("%-8v %8.1f %6d %9v %9v %9v %11d %11d %9d %9d %6d %7d %7d %3.0f/%-3.0f %6.2f\n",
@@ -243,10 +245,10 @@ func runClosedLoop(o *options, pool [][]string) int {
 			fmt.Printf("  router[%v]: mode=%s decisions=%d affinity=%d hash=%d missRate=%.2f kwSets=%v\n",
 				span, rt.Mode, rt.Decisions, rt.AffinityHits, rt.HashRoutes, rt.MissRate, kws)
 		}
-		if eb := stats.Service.ExecBatch; eb.Count > 0 {
+		if eb.Count > 0 {
+			full := stats.Work.BatchFullFlushes
 			fmt.Printf("  batch[%v]: flushes=%d rows/flush(mean=%.1f max=%d) full=%d partial=%d\n",
-				span, eb.Count, eb.Mean, eb.Max,
-				stats.Service.ExecBatchFull, eb.Count-stats.Service.ExecBatchFull)
+				span, eb.Count, eb.Mean, eb.Max, full, eb.Count-full)
 		}
 		rep.printDigests()
 	}

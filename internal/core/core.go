@@ -59,8 +59,6 @@ type Options struct {
 	MemoryBudget int
 	// RealTime makes delays sleep instead of advancing a virtual clock.
 	RealTime bool
-	// ChargeOptimizer adds measured optimization time to the clock (§7.4).
-	ChargeOptimizer bool
 }
 
 // NewPipeline wires a fresh middleware thread over the fleet. The catalog is
@@ -83,12 +81,12 @@ func NewPipeline(fleet *remotedb.Fleet, cat *catalog.Catalog, opts Options) *Pip
 	fork := cat.Fork()
 	mgr := qsm.New(graph, controller, fork, costmodel.New(fork, costmodel.DefaultParams()), opts.Mode)
 	mgr.MemoryBudget = opts.MemoryBudget
-	mgr.ChargeOptimizer = opts.ChargeOptimizer
 	return &Pipeline{Env: env, Graph: graph, ATC: controller, Manager: mgr, Catalog: fork}
 }
 
-// Admit optimizes a batch of user queries against the pipeline's retained
-// state and grafts them into the running plan graph (§6).
+// Admit syncs the catalog, optimizes a batch of user queries against the
+// pipeline's retained state and grafts them into the running plan graph (§6);
+// a failed batch leaves no merge registered.
 func (p *Pipeline) Admit(subs []batcher.Submission, opt mqo.Config) (*qsm.AdmitReport, error) {
 	return p.Manager.Admit(subs, opt)
 }

@@ -5,8 +5,10 @@ import (
 
 	"repro/internal/batcher"
 	"repro/internal/core"
+	"repro/internal/cq"
 	"repro/internal/mqo"
 	"repro/internal/qsm"
+	"repro/internal/remotedb"
 	"repro/internal/workload"
 )
 
@@ -53,5 +55,67 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	if p.Graph.Stats().Endpoints != 0 {
 		t.Errorf("finished queries should have unlinked endpoints, %d remain", p.Graph.Stats().Endpoints)
+	}
+}
+
+// TestFailedAdmitRegistersNothing: a two-query batch whose second query
+// reads a database the fleet lacks fails as a whole. The first query's merge,
+// registered before the second failed, is canceled and forgotten, no query
+// stays attached to the graph or holds an endpoint in it, and the pipeline
+// admits the next batch.
+func TestFailedAdmitRegistersNothing(t *testing.T) {
+	w, err := workload.Bio()
+	if err != nil {
+		t.Fatal(err)
+	}
+	databases := func(uq *cq.UQ) map[string]bool {
+		out := map[string]bool{}
+		for _, q := range uq.CQs {
+			for _, a := range q.Atoms {
+				st, err := w.Catalog.Relation(a.Rel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[st.DB] = true
+			}
+		}
+		return out
+	}
+	first, second := w.Submissions[1].UQ, w.Submissions[2].UQ
+	fleet := remotedb.NewFleet()
+	for db := range databases(first) {
+		fleet.Add(w.Fleet.MustDB(db))
+	}
+	missing := ""
+	for db := range databases(second) {
+		if _, err := fleet.DB(db); err != nil {
+			missing = db
+		}
+	}
+	if missing == "" {
+		t.Fatalf("%s reads no database %s does not", second.ID, first.ID)
+	}
+
+	p := core.NewPipeline(fleet, w.Catalog, core.Options{Mode: qsm.ShareAll, Seed: 3})
+	subs := []batcher.Submission{{At: 0, UQ: first}, {At: 0, UQ: second}}
+	if _, err := p.Admit(subs, mqo.Config{K: 50}); err == nil {
+		t.Fatalf("admitted %s without database %q", second.ID, missing)
+	}
+	if n := len(p.ATC.Merges()); n != 0 {
+		t.Errorf("%d merges registered after a failed admission", n)
+	}
+	if n := p.ATC.Attached(); n != 0 {
+		t.Errorf("%d queries attached after a failed admission", n)
+	}
+	if n := p.Graph.Stats().Endpoints; n != 0 {
+		t.Errorf("%d endpoints left in the graph after a failed admission", n)
+	}
+
+	if _, err := p.Admit(subs[:1], mqo.Config{K: 50}); err != nil {
+		t.Fatal(err)
+	}
+	p.Drain()
+	if m := p.ATC.MergeByUQ(first.ID); m == nil || m.Err != nil || len(m.RM.Results()) == 0 {
+		t.Fatalf("%s did not finish with results after the failed batch", first.ID)
 	}
 }

@@ -59,34 +59,27 @@ func (s Strategy) String() string {
 	}
 }
 
+// batchWindow is the query batcher's window: §7.1 batches queries over the
+// 6-second inter-arrival spread of its workload.
+const batchWindow = 6 * time.Second
+
 // Options configures a run.
 type Options struct {
 	Strategy Strategy
-	// BatchSize / BatchWindow configure the query batcher (§7.1 uses 5 and
-	// the 6-second inter-arrival spread).
-	BatchSize   int
-	BatchWindow time.Duration
-	// Opt configures the multi-query optimizer.
-	Opt mqo.Config
+	// BatchSize is the query batcher's batch size (§7.1 uses 5).
+	BatchSize int
 	// Cluster tunes §6.1 clustering (StrategyCL).
 	Cluster cluster.Config
 	// MemoryBudget bounds per-graph state in rows (0 = unbounded).
 	MemoryBudget int
 	// Seed drives the delay distributions.
 	Seed uint64
-	// ChargeOptimizer controls whether measured optimization wall time is
-	// added to the virtual clock (the paper's timings include it, §7.4).
-	// Disable for bit-deterministic latency tests.
-	ChargeOptimizer bool
 }
 
 // Defaults fills zero values with the paper's experimental settings.
 func (o Options) Defaults() Options {
 	if o.BatchSize == 0 {
 		o.BatchSize = 5
-	}
-	if o.BatchWindow == 0 {
-		o.BatchWindow = 6 * time.Second
 	}
 	return o
 }
@@ -139,12 +132,12 @@ func (r *Report) Total() metrics.Snapshot {
 }
 
 // Run executes the submissions against the fleet under the options. The
-// query batcher runs first (batches of BatchSize over BatchWindow, §3); each
+// query batcher runs first (batches of BatchSize over batchWindow, §3); each
 // released batch is split across the strategy's plan graphs and grafted into
 // them, exactly as Figure 3's pipeline orders the components.
 func Run(fleet *remotedb.Fleet, cat *catalog.Catalog, subs []batcher.Submission, opts Options) (*Report, error) {
 	opts = opts.Defaults()
-	b := &batcher.Batcher{Size: opts.BatchSize, Window: opts.BatchWindow}
+	b := &batcher.Batcher{Size: opts.BatchSize, Window: batchWindow}
 	globalBatches, err := b.Plan(subs)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
@@ -229,10 +222,9 @@ func shareMode(s Strategy) qsm.ShareMode {
 func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []batcher.Batch, opts Options) (*GroupReport, []*UQReport, []OptSample, error) {
 	// Each graph is its own pipeline with its own delay stream.
 	p := core.NewPipeline(fleet, cat, core.Options{
-		Mode:            shareMode(opts.Strategy),
-		Seed:            opts.Seed + uint64(gi)*7919,
-		MemoryBudget:    opts.MemoryBudget,
-		ChargeOptimizer: opts.ChargeOptimizer,
+		Mode:         shareMode(opts.Strategy),
+		Seed:         opts.Seed + uint64(gi)*7919,
+		MemoryBudget: opts.MemoryBudget,
 	})
 	env, controller, manager := p.Env, p.ATC, p.Manager
 
@@ -251,10 +243,7 @@ func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []bat
 		for i, s := range batch.Submissions {
 			released[i] = batcher.Submission{At: batch.ReleasedAt, UQ: s.UQ}
 		}
-		// Feed observed statistics back before each optimization round
-		// (§6.1 "updated cost estimates").
-		manager.SyncCatalog()
-		rep, err := manager.Admit(released, opts.Opt)
+		rep, err := manager.Admit(released, mqo.Config{})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -266,9 +255,7 @@ func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []bat
 			})
 		}
 	}
-	for controller.RunRound() {
-	}
-	manager.SyncCatalog()
+	p.Drain()
 
 	// The controller converts non-convergent rounds and operator panics
 	// into per-merge errors (so a serving process survives them); an

@@ -34,8 +34,6 @@ type Config struct {
 	Scale workload.GUSScale
 	// PfamScale sizes the real-data proxy (Figure 12).
 	PfamScale workload.PfamScale
-	// ChargeOptimizer includes measured optimization time in latencies.
-	ChargeOptimizer bool
 }
 
 // Defaults fills zero fields. Full fidelity (4 instances × 3 seeds) is what
@@ -61,25 +59,11 @@ func FullConfig() Config {
 	return Config{Instances: []int{1, 2, 3, 4}, Seeds: []uint64{1, 2, 3}}.Defaults()
 }
 
-// gusOptions builds run options for a strategy over the GUS workload.
-func gusOptions(strat exec.Strategy, seed uint64, charge bool) exec.Options {
-	return exec.Options{
-		Strategy:        strat,
-		Seed:            seed,
-		ChargeOptimizer: charge,
-	}
-}
-
 // pfamOptions builds run options for the Pfam/InterPro proxy; its small
 // schema needs the lower clustering threshold (§6.1 auto-clustering found 3
 // graphs on the paper's real data).
-func pfamOptions(strat exec.Strategy, seed uint64, charge bool) exec.Options {
-	return exec.Options{
-		Strategy:        strat,
-		Seed:            seed,
-		Cluster:         cluster.Config{Tm: 2, Tc: 0.5},
-		ChargeOptimizer: charge,
-	}
+func pfamOptions(strat exec.Strategy, seed uint64) exec.Options {
+	return exec.Options{Strategy: strat, Seed: seed, Cluster: cluster.Config{Tm: 2, Tc: 0.5}}
 }
 
 // Strategies lists the four §7.1 configurations in paper order.
@@ -95,7 +79,7 @@ func runGUS(cfg Config, instance int, seed uint64, strat exec.Strategy, subs int
 	if subs > 0 && subs < len(s) {
 		s = s[:subs]
 	}
-	return exec.Run(w.Fleet, w.Catalog, s, gusOptions(strat, seed, cfg.ChargeOptimizer))
+	return exec.Run(w.Fleet, w.Catalog, s, exec.Options{Strategy: strat, Seed: seed})
 }
 
 // --- statistics helpers ------------------------------------------------------
@@ -324,8 +308,7 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 				return nil, err
 			}
 			for _, batchSize := range []int{1, 5} {
-				opts := gusOptions(exec.StrategyFull, seed, cfg.ChargeOptimizer)
-				opts.BatchSize = batchSize
+				opts := exec.Options{Strategy: exec.StrategyFull, Seed: seed, BatchSize: batchSize}
 				rep, err := exec.Run(w.Fleet, w.Catalog, w.Submissions, opts)
 				if err != nil {
 					return nil, err
@@ -497,7 +480,7 @@ func Figure12(cfg Config) (*Figure12Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := exec.Run(w.Fleet, w.Catalog, w.Submissions, pfamOptions(strat, seed, cfg.ChargeOptimizer))
+			rep, err := exec.Run(w.Fleet, w.Catalog, w.Submissions, pfamOptions(strat, seed))
 			if err != nil {
 				return nil, err
 			}

@@ -187,7 +187,6 @@ func TestChaosFlakyConnections(t *testing.T) {
 		// healthy once a probe gets through, so refusals degrade service
 		// instead of permanently shrinking the fleet.
 		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  time.Second,
 	})
 	succeeded := 0
 	for i, kw := range chaosSeq {

@@ -23,8 +23,6 @@ type FrontendConfig struct {
 	// ProbeInterval is the health prober's period; 0 disables background
 	// probing (backends are then marked down only by failed searches).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 2s).
-	ProbeTimeout time.Duration
 	// Metrics receives fleet counters; nil allocates a private set.
 	Metrics *metrics.Fleet
 }
@@ -83,12 +81,8 @@ func NewFrontend(w *workload.Workload, cfg FrontendConfig, backends []Backend) (
 		stop:     make(chan struct{}),
 	}
 	if cfg.ProbeInterval > 0 {
-		timeout := cfg.ProbeTimeout
-		if timeout <= 0 {
-			timeout = 2 * time.Second
-		}
 		f.wg.Add(1)
-		go f.probeLoop(cfg.ProbeInterval, timeout)
+		go f.probeLoop(cfg.ProbeInterval)
 	}
 	return f, nil
 }
@@ -185,11 +179,11 @@ func (f *Frontend) Search(ctx context.Context, user string, keywords []string, k
 	}
 }
 
-// redispatchProbeTimeout bounds the crash-confirmation probes;
-// redispatchProbeRetry paces the repeats of an inconclusive one.
+// probeTimeout bounds one health probe, periodic or crash-confirming;
+// redispatchProbeRetry paces the repeats of an inconclusive confirmation.
 const (
-	redispatchProbeTimeout = 2 * time.Second
-	redispatchProbeRetry   = 20 * time.Millisecond
+	probeTimeout         = 2 * time.Second
+	redispatchProbeRetry = 20 * time.Millisecond
 )
 
 // transportFailure reports whether err is a raw transport error with no HTTP
@@ -217,9 +211,9 @@ func transportFailure(err error) bool {
 // and an open circuit breaker answers without touching the network at all.
 // Neither proves the shard alive or dead, so the probe repeats until it gets
 // a verdict — the dial is refused, or the shard answers — within
-// redispatchProbeTimeout.
+// probeTimeout.
 func (f *Frontend) confirmAborted(ctx context.Context, sh int, uqID string) bool {
-	pctx, cancel := context.WithTimeout(ctx, redispatchProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	for {
 		_, err := f.backends[sh].Health(pctx)
@@ -326,10 +320,7 @@ func (f *Frontend) Stats(ctx context.Context) service.Stats {
 		sv.Shed += e.Shed
 		sv.ShedQueueFull += e.ShedQueueFull
 		sv.DeadlineCanceled += e.DeadlineCanceled
-		sv.ExecBatchFlushes += e.ExecBatchFlushes
-		sv.ExecBatchFull += e.ExecBatchFull
 		sv.BatchOccupancy = sv.BatchOccupancy.Add(e.BatchOccupancy)
-		sv.ExecBatch = sv.ExecBatch.Add(e.ExecBatch)
 		st.Work = st.Work.Add(bs.Work)
 		st.Recovery = st.Recovery.Add(bs.Recovery)
 		for _, ss := range bs.Shards {
@@ -342,7 +333,7 @@ func (f *Frontend) Stats(ctx context.Context) service.Stats {
 }
 
 // probeLoop marks backends up/down from periodic health probes.
-func (f *Frontend) probeLoop(interval, timeout time.Duration) {
+func (f *Frontend) probeLoop(interval time.Duration) {
 	defer f.wg.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -354,7 +345,7 @@ func (f *Frontend) probeLoop(interval, timeout time.Duration) {
 		}
 		for i, b := range f.backends {
 			f.fm.HealthProbes.Inc()
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			hv, err := b.Health(ctx)
 			cancel()
 			f.setDown(i, err != nil || !hv.Healthy)

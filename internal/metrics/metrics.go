@@ -49,20 +49,6 @@ type Counters struct {
 	batchRows    int64
 	batchFull    int64
 	batchHist    SizeHist
-
-	// teeHist/teeFlushes/teeFull, when set (TeeBatch, once before traffic),
-	// mirror batch flushes into a serving-layer Service's exec-batch metrics
-	// so GET /stats aggregates occupancy across every shard's engine.
-	teeHist    *SizeHist
-	teeFlushes *Counter
-	teeFull    *Counter
-}
-
-// TeeBatch mirrors every AddBatchFlush into the given histogram and
-// counters (typically a Service's ExecBatch fields). Call once, before the
-// engine runs.
-func (c *Counters) TeeBatch(h *SizeHist, flushes, full *Counter) {
-	c.teeHist, c.teeFlushes, c.teeFull = h, flushes, full
 }
 
 // AddStreamRead records one streaming-source read of duration d.
@@ -166,13 +152,6 @@ func (c *Counters) AddBatchFlush(rows int, full bool) {
 		atomic.AddInt64(&c.batchFull, 1)
 	}
 	c.batchHist.Observe(rows)
-	if c.teeHist != nil {
-		c.teeHist.Observe(rows)
-		c.teeFlushes.Inc()
-		if full {
-			c.teeFull.Inc()
-		}
-	}
 }
 
 // BatchOccupancy returns the distribution of rows per flushed executor batch.

@@ -197,16 +197,6 @@ type Service struct {
 	Batches        Counter
 	BatchOccupancy SizeHist
 
-	// ExecBatch is the executor's mini-batch occupancy across every shard's
-	// engine: how many rows each flushed batch carried through the
-	// probe/verify/join core. ExecBatchFlushes counts flushes;
-	// ExecBatchFull counts those forced by a full batch (the remainder
-	// flushed because the producing cascade ended — the flush reason split).
-	// Engines tee into these via Counters.TeeBatch.
-	ExecBatch        SizeHist
-	ExecBatchFlushes Counter
-	ExecBatchFull    Counter
-
 	// Per-decision routing counters (multi-shard services; §6.1's clustering
 	// at serving scale). RouteAffinity counts queries placed by measured
 	// overlap with a shard's resident keyword set; RouteHash those placed by
@@ -244,11 +234,7 @@ type ServiceSnapshot struct {
 	RouteHash        int64
 	RouteSharingMiss int64
 
-	ExecBatchFlushes int64
-	ExecBatchFull    int64
-
 	BatchOccupancy SizeStats
-	ExecBatch      SizeStats
 	WallLatency    LatencyStats
 	EngineLatency  LatencyStats
 }
@@ -270,10 +256,7 @@ func (s *Service) Snapshot() ServiceSnapshot {
 		RouteAffinity:    s.RouteAffinity.Value(),
 		RouteHash:        s.RouteHash.Value(),
 		RouteSharingMiss: s.RouteSharingMiss.Value(),
-		ExecBatchFlushes: s.ExecBatchFlushes.Value(),
-		ExecBatchFull:    s.ExecBatchFull.Value(),
 		BatchOccupancy:   s.BatchOccupancy.Snapshot(),
-		ExecBatch:        s.ExecBatch.Snapshot(),
 		WallLatency:      s.WallLatency.Snapshot(),
 		EngineLatency:    s.EngineLatency.Snapshot(),
 	}

@@ -16,19 +16,21 @@ import (
 	"repro/internal/cq"
 )
 
+// The §5.1.1 utility filter: a multi-atom candidate needs minShare consuming
+// queries unless its estimated cardinality is at most lowCardThreshold
+// ("filter subexpressions by estimated utility"); the same threshold admits
+// a low-cardinality pushdown that has a relation without scores.
+const (
+	minShare         = 2
+	lowCardThreshold = 200
+)
+
 // Config tunes candidate generation and search.
 type Config struct {
 	// K is the per-query result target used for depth estimation.
 	K int
 	// MaxCandidateAtoms bounds the size of pushdown candidates.
 	MaxCandidateAtoms int
-	// MinShare is the minimum number of consuming queries for a candidate
-	// that is not low-cardinality (§5.1.1 "filter subexpressions by
-	// estimated utility").
-	MinShare int
-	// LowCardThreshold admits low-cardinality candidates regardless of
-	// sharing.
-	LowCardThreshold float64
 	// MaxCandidates caps the candidate set fed to BestPlan (the search is
 	// exponential in this number — Figure 11).
 	MaxCandidates int
@@ -44,12 +46,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.MaxCandidateAtoms == 0 {
 		c.MaxCandidateAtoms = 4
-	}
-	if c.MinShare == 0 {
-		c.MinShare = 2
-	}
-	if c.LowCardThreshold == 0 {
-		c.LowCardThreshold = 200
 	}
 	if c.MaxCandidates == 0 {
 		c.MaxCandidates = 16
@@ -219,7 +215,7 @@ func collectCandidates(qs []*cq.CQ, memo *andor.Graph, cm *costmodel.Model, cfg 
 			// attributes"): every member of a pushed-down stream must carry a
 			// scoring attribute — a score-less relation is served by random
 			// access instead — unless the whole result is small.
-			if !exprAllScored(e, cm) && cm.Cat.EstimateCard(e) > cfg.LowCardThreshold {
+			if !exprAllScored(e, cm) && cm.Cat.EstimateCard(e) > lowCardThreshold {
 				continue
 			}
 			// Expensive source joins are pruned (§5.1.1).
@@ -227,7 +223,7 @@ func collectCandidates(qs []*cq.CQ, memo *andor.Graph, cm *costmodel.Model, cfg 
 				continue
 			}
 			// Utility: shared enough, or low-cardinality (§5.1.1).
-			if len(node.Occurrences) < cfg.MinShare && cm.Cat.EstimateCard(e) > cfg.LowCardThreshold {
+			if len(node.Occurrences) < minShare && cm.Cat.EstimateCard(e) > lowCardThreshold {
 				continue
 			}
 			// Small-query rule: skip single-use subexpressions of queries

@@ -83,7 +83,7 @@ func TestBatchedExecutorUnderChurn(t *testing.T) {
 	if completed == 0 {
 		t.Fatalf("no search completed (failed=%d)", failed)
 	}
-	if st.Service.ExecBatchFlushes == 0 {
+	if st.Work.BatchFlushes == 0 {
 		t.Fatal("executor never flushed a multi-row chunk")
 	}
 	for _, sh := range st.Shards {

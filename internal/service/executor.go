@@ -273,7 +273,6 @@ func (s *Service) admit(batch []*request) {
 		s.depth.Add(-1)
 		s.svc.Queued.Dec()
 	}
-	s.mgr.SyncCatalog()
 	s.svc.Batches.Inc()
 	s.svc.BatchOccupancy.Observe(len(batch))
 	if s.jnl != nil {
@@ -291,22 +290,14 @@ func (s *Service) admit(batch []*request) {
 		s.countJournalErr(s.jnl.Admit(recs))
 	}
 	if _, err := s.mgr.Admit(subs, mqo.Config{K: maxK}); err != nil {
-		// Admit may have registered merges for earlier batch members before
-		// failing; cancel and drop them so no orphaned query keeps running.
+		// A failed Admit leaves none of the batch registered.
 		for _, r := range batch {
-			s.ctrl.CancelMerge(r.uq.ID)
-			s.ctrl.Forget(r.uq.ID)
 			s.respond(r, nil, fmt.Errorf("service: admit: %w", err))
 		}
 		return
 	}
 	wallNow := time.Now()
 	for _, r := range batch {
-		m := s.ctrl.MergeByUQ(r.uq.ID)
-		if m == nil {
-			s.respond(r, nil, fmt.Errorf("service: query %s not registered", r.uq.ID))
-			continue
-		}
 		r.batchSize = len(batch)
 		r.admitted = wallNow
 		waiters[r.uq.ID] = r

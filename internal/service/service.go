@@ -86,10 +86,10 @@ type Config struct {
 	// CheckpointDir enables the crash-recovery tier: the engine owns a
 	// durable checkpoint store and admission journal under
 	// CheckpointDir/shard-<id>. Unlike SpillDir the directory survives
-	// Close — durability across process death is the point. A Service built
-	// over a directory holding a committed checkpoint stages it; Recover
-	// imports it through the consistency gate (warm restart). New panics if
-	// the directory cannot be created.
+	// Close — durability across process death is the point. New imports a
+	// committed checkpoint found there through the consistency gate before
+	// the executor starts (warm restart), and panics if the directory
+	// cannot be created.
 	CheckpointDir string
 	// CheckpointInterval is the periodic checkpoint cadence (0 disables the
 	// loop; Checkpoint can still be called explicitly). Only meaningful with
@@ -389,7 +389,6 @@ func New(w *workload.Workload, cfg Config) *Service {
 		stopCh:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
 	}
-	s.env.Metrics.TeeBatch(&s.svc.ExecBatch, &s.svc.ExecBatchFlushes, &s.svc.ExecBatchFull)
 	policy, err := state.ParsePolicy(cfg.EvictPolicy)
 	if err != nil {
 		panic("service: " + err.Error())

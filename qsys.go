@@ -140,16 +140,10 @@ func (s *System) Search(user string, keywords []string, k int) (*SearchResult, e
 // the plan state the query leaves behind, not the query itself.
 func (s *System) Submit(uq *cq.UQ) (*SearchResult, error) {
 	p := s.pipe
-	_, err := p.Admit([]batcher.Submission{{At: p.Env.Clock.Now(), UQ: uq}}, mqo.Config{K: uq.K})
-	merge := p.ATC.MergeByUQ(uq.ID)
-	if err == nil && merge == nil {
-		err = fmt.Errorf("qsys: submitted query %s not registered", uq.ID)
-	}
-	if err != nil {
-		p.ATC.CancelMerge(uq.ID)
-		p.ATC.Forget(uq.ID)
+	if _, err := p.Admit([]batcher.Submission{{At: p.Env.Clock.Now(), UQ: uq}}, mqo.Config{K: uq.K}); err != nil {
 		return nil, err
 	}
+	merge := p.ATC.MergeByUQ(uq.ID)
 	p.Drain()
 	p.ATC.Forget(uq.ID)
 	if merge.Err != nil {
