@@ -182,6 +182,10 @@ func NewScratch() *Scratch {
 	}
 }
 
+// Depth returns the stream depth the last AssignmentCostScratch call over sc
+// priced for the streamed input with expression key key.
+func (sc *Scratch) Depth(key string) float64 { return sc.depths[key] }
+
 // AssignmentCost prices a complete, valid input assignment for query set qs
 // with per-query result target k.
 //

@@ -111,6 +111,9 @@ type body struct {
 	subKey  []byte // scratch for the sub lookup key
 	full    *Expr
 	bodyKey string
+	// connected memoizes Validate's connectivity verdict over Atoms: 0 not
+	// yet computed, 1 connected, 2 not.
+	connected atomic.Int32
 }
 
 // sharedBody returns the query's memo, creating it on first use.
@@ -140,7 +143,9 @@ func (q *CQ) Instance(id, uqID string, model *scoring.Model) *CQ {
 	return n
 }
 
-// Validate checks internal consistency (arity of model, var usage).
+// Validate checks internal consistency (arity of model, var usage). The
+// connectivity verdict is memoized on the shared body, so validating a later
+// arrival of a known body costs O(1).
 func (q *CQ) Validate() error {
 	if q.Model == nil {
 		return fmt.Errorf("cq %s: nil scoring model", q.ID)
@@ -151,10 +156,29 @@ func (q *CQ) Validate() error {
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("cq %s: empty body", q.ID)
 	}
-	if !q.Connected(allIdx(len(q.Atoms))) {
+	if !q.bodyConnected() {
 		return fmt.Errorf("cq %s: body is not connected", q.ID)
 	}
 	return nil
+}
+
+// bodyConnected reports whether all atoms form one connected join graph,
+// computed once per body: every arrival of a candidate network shares it.
+func (q *CQ) bodyConnected() bool {
+	b := q.sharedBody()
+	switch b.connected.Load() {
+	case 1:
+		return true
+	case 2:
+		return false
+	}
+	ok := q.Connected(allIdx(len(q.Atoms)))
+	verdict := int32(2)
+	if ok {
+		verdict = 1
+	}
+	b.connected.Store(verdict)
+	return ok
 }
 
 func allIdx(n int) []int {

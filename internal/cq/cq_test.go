@@ -47,6 +47,38 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// The connectivity verdict is memoized on the shared body: a later
+// instance of a known body validates without recomputing it, and every error
+// Validate returns still reaches each instance.
+func TestValidateOncePerBody(t *testing.T) {
+	tmpl := chainCQ("tmpl", 5)
+	if err := tmpl.Instance("UQ1.CQ1", "UQ1", scoring.Discover(5)).Validate(); err != nil {
+		t.Fatalf("valid body rejected: %v", err)
+	}
+	later := tmpl.Instance("UQ2.CQ1", "UQ2", scoring.Discover(5))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if later.Validate() != nil {
+			t.Fatal("valid body rejected on a later arrival")
+		}
+	}); allocs != 0 {
+		t.Errorf("validating a known body allocates %v times: the verdict was recomputed", allocs)
+	}
+	if tmpl.Instance("UQ3.CQ1", "UQ3", scoring.Discover(4)).Validate() == nil {
+		t.Error("model arity mismatch accepted on a known body")
+	}
+	if tmpl.Instance("UQ4.CQ1", "UQ4", nil).Validate() == nil {
+		t.Error("nil model accepted on a known body")
+	}
+
+	bad := chainCQ("bad", 2)
+	bad.Atoms[1].Args = []Term{V(90), V(91)} // disconnect
+	for i := 0; i < 2; i++ {
+		if bad.Instance(fmt.Sprintf("UQ%d.CQ1", i), "UQ", scoring.Discover(2)).Validate() == nil {
+			t.Errorf("arrival %d of a disconnected body accepted", i)
+		}
+	}
+}
+
 func TestSharesVarAndConnected(t *testing.T) {
 	q := chainCQ("q", 4)
 	if !q.SharesVar(0, 1) || q.SharesVar(0, 2) {
@@ -429,7 +461,7 @@ func TestSharedBodyConcurrentUse(t *testing.T) {
 						return
 					}
 				}
-				if q.FullExpr().Arity() != 6 || q.BodyKey() == "" {
+				if q.FullExpr().Arity() != 6 || q.BodyKey() == "" || q.Validate() != nil {
 					t.Errorf("goroutine %d: bad full expression", g)
 					return
 				}

@@ -98,13 +98,6 @@ type UQReport struct {
 // Latency is the user query's response time.
 func (r *UQReport) Latency() time.Duration { return r.Finished - r.Arrival }
 
-// OptSample records one optimization round for Figure 11.
-type OptSample struct {
-	Candidates  int
-	Wall        time.Duration
-	SearchNodes int
-}
-
 // GroupReport summarises one plan graph's execution.
 type GroupReport struct {
 	GroupID   int
@@ -119,7 +112,6 @@ type Report struct {
 	Strategy Strategy
 	UQs      []*UQReport
 	Groups   []*GroupReport
-	Opt      []OptSample
 }
 
 // Total sums work across groups.
@@ -161,13 +153,12 @@ func Run(fleet *remotedb.Fleet, cat *catalog.Catalog, subs []batcher.Submission,
 				gb = append(gb, batcher.Batch{ReleasedAt: batch.ReleasedAt, Submissions: part})
 			}
 		}
-		gr, uqReports, optSamples, err := runGroup(gi, fleet, cat, gb, opts)
+		gr, uqReports, err := runGroup(gi, fleet, cat, gb, opts)
 		if err != nil {
 			return nil, fmt.Errorf("exec: group %d: %w", gi, err)
 		}
 		report.Groups = append(report.Groups, gr)
 		report.UQs = append(report.UQs, uqReports...)
-		report.Opt = append(report.Opt, optSamples...)
 	}
 	sort.SliceStable(report.UQs, func(i, j int) bool { return report.UQs[i].Arrival < report.UQs[j].Arrival })
 	return report, nil
@@ -219,7 +210,7 @@ func shareMode(s Strategy) qsm.ShareMode {
 // optimizer and clusterer in Figure 3), so each submission carries its batch
 // release time: response times are measured from release, as a query cannot
 // start before its batch is handed to the optimizer.
-func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []batcher.Batch, opts Options) (*GroupReport, []*UQReport, []OptSample, error) {
+func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []batcher.Batch, opts Options) (*GroupReport, []*UQReport, error) {
 	// Each graph is its own pipeline with its own delay stream.
 	p := core.NewPipeline(fleet, cat, core.Options{
 		Mode:         shareMode(opts.Strategy),
@@ -228,7 +219,6 @@ func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []bat
 	})
 	env, controller, manager := p.Env, p.ATC, p.Manager
 
-	var optSamples []OptSample
 	for _, batch := range batches {
 		// Keep executing admitted queries until the batch's release time. The
 		// horizon stops a lone merge's read quantum at the read that reaches
@@ -243,16 +233,8 @@ func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []bat
 		for i, s := range batch.Submissions {
 			released[i] = batcher.Submission{At: batch.ReleasedAt, UQ: s.UQ}
 		}
-		rep, err := manager.Admit(released, mqo.Config{})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		for _, c := range rep.CandidatesPerGroup {
-			optSamples = append(optSamples, OptSample{
-				Candidates:  c,
-				Wall:        rep.OptimizeWall / time.Duration(len(rep.CandidatesPerGroup)),
-				SearchNodes: rep.SearchNodes,
-			})
+		if _, err := manager.Admit(released, mqo.Config{}); err != nil {
+			return nil, nil, err
 		}
 	}
 	p.Drain()
@@ -263,7 +245,7 @@ func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []bat
 	// otherwise digest into the trajectory as if it were a result.
 	for _, m := range controller.Merges() {
 		if m.Err != nil {
-			return nil, nil, nil, fmt.Errorf("exec: query %s failed: %w", m.RM.UQ.ID, m.Err)
+			return nil, nil, fmt.Errorf("exec: query %s failed: %w", m.RM.UQ.ID, m.Err)
 		}
 	}
 
@@ -290,5 +272,5 @@ func runGroup(gi int, fleet *remotedb.Fleet, cat *catalog.Catalog, batches []bat
 		Evictions: manager.Evictions(),
 		StateRows: manager.StateSize(),
 	}
-	return gr, uqReports, optSamples, nil
+	return gr, uqReports, nil
 }

@@ -409,7 +409,14 @@ func (r *Figure10Result) Format() string {
 // Figure11Result plots multiple-query-optimization time against the number of
 // candidate inputs considered for push-down.
 type Figure11Result struct {
-	Samples []exec.OptSample
+	Samples []OptSample
+}
+
+// OptSample records one optimization run of Figure 11.
+type OptSample struct {
+	Candidates  int
+	Wall        time.Duration
+	SearchNodes int
 }
 
 // Figure11 runs the experiment: the first batch of 5 user queries is
@@ -438,7 +445,7 @@ func Figure11(cfg Config) (*Figure11Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Samples = append(res.Samples, exec.OptSample{
+			res.Samples = append(res.Samples, OptSample{
 				Candidates:  opt.CandidateCount,
 				Wall:        time.Since(start),
 				SearchNodes: opt.SearchNodes,

@@ -8,8 +8,11 @@ package mqo
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/andor"
 	"repro/internal/costmodel"
@@ -69,6 +72,31 @@ type Result struct {
 	SearchNodes int
 	// Memo is the AND-OR graph (reused by the factorizer).
 	Memo *andor.Graph
+
+	// RunnerUp and Depths certify the choice against catalog row counts.
+	// Which leaves the search prices does not depend on how many rows of a
+	// stream are already buffered (Catalog.StreamedSoFar): that count only
+	// enters a leaf's cost as max(0, depth − buffered)·StreamCost. So with
+	// them a caller can bound every other leaf's cost under moved row counts
+	// without searching again.
+	//
+	// RunnerUp is the least cost of any other distinct assignment the search
+	// priced, +Inf if there is none.
+	RunnerUp float64
+	// Depths lists, in key order, every expression key some leaf priced as
+	// a stream.
+	Depths []KeyDepth
+}
+
+// KeyDepth is the range of stream depths the search's leaves priced for one
+// expression key.
+type KeyDepth struct {
+	Key string
+	// Max is the largest leaf depth.
+	Max float64
+	// Min is the smallest leaf depth if every leaf streams the key, and 0
+	// otherwise: a leaf that does not stream the key does not pay for it.
+	Min float64
 }
 
 // candidate is one searchable subexpression with its (restrictable) use set.
@@ -162,6 +190,8 @@ func Optimize(qs []*cq.CQ, cm *costmodel.Model, cfg Config) (*Result, error) {
 		budget:    cfg.SearchNodeBudget,
 		covered:   make([][]bool, len(qs)),
 		singles:   make([][]singleUse, len(qs)),
+		runnerUp:  math.Inf(1),
+		depths:    map[string]depthRange{},
 
 		inputsScratch: map[string]*costmodel.Input{},
 		costScratch:   costmodel.NewScratch(),
@@ -178,12 +208,24 @@ func Optimize(qs []*cq.CQ, cm *costmodel.Model, cfg Config) (*Result, error) {
 	if best.inputs == nil {
 		return nil, fmt.Errorf("mqo: search failed to produce a valid plan")
 	}
+	depths := make([]KeyDepth, 0, len(s.depths))
+	for k, r := range s.depths {
+		d := KeyDepth{Key: k, Max: r.max}
+		if r.leaves == s.leaves {
+			d.Min = r.min
+		}
+		//qsys:allow maporder: sorted by key just below
+		depths = append(depths, d)
+	}
+	slices.SortFunc(depths, func(a, b KeyDepth) int { return strings.Compare(a.Key, b.Key) })
 	return &Result{
 		Inputs:         best.inputs,
 		Cost:           best.cost,
 		CandidateCount: len(cands),
 		SearchNodes:    s.nodes,
 		Memo:           memo,
+		RunnerUp:       s.runnerUp,
+		Depths:         depths,
 	}, nil
 }
 
@@ -367,6 +409,21 @@ type searcher struct {
 	// values escape into the memo), so both are reused across leaves.
 	inputsScratch map[string]*costmodel.Input
 	costScratch   *costmodel.Scratch
+
+	// The certificate (Result.RunnerUp, Result.Depths), kept as leaves are
+	// priced: the cheapest leaf so far and its cost, the least cost of any
+	// other distinct assignment, and per stream-priced key its depth range
+	// and the number of leaves that stream it.
+	leaves   int
+	least    []*costmodel.Input
+	leastAt  float64
+	runnerUp float64
+	depths   map[string]depthRange
+}
+
+type depthRange struct {
+	min, max float64
+	leaves   int
 }
 
 // singleUse is one cached single-atom completion input of a query.
@@ -596,7 +653,57 @@ func (s *searcher) complete(chosen []*candidate) searchResult {
 		}
 	}
 	cost := s.cm.AssignmentCostScratch(s.qs, list, s.cfg.K, s.costScratch)
+	s.notePriced(list, cost)
 	return searchResult{inputs: list, cost: cost}
+}
+
+// notePriced folds one priced leaf into the certificate. Equal assignments
+// price equal, so two leaves are compared input by input only when their
+// costs tie exactly.
+func (s *searcher) notePriced(list []*costmodel.Input, cost float64) {
+	s.leaves++
+	for _, in := range list {
+		if in.Mode != costmodel.Stream {
+			continue
+		}
+		d := s.costScratch.Depth(in.Expr.Key())
+		r, ok := s.depths[in.Expr.Key()]
+		if !ok {
+			r = depthRange{min: d, max: d}
+		}
+		r.min, r.max = math.Min(r.min, d), math.Max(r.max, d)
+		r.leaves++
+		s.depths[in.Expr.Key()] = r
+	}
+	switch {
+	case s.least == nil || cost < s.leastAt:
+		if s.least != nil {
+			s.runnerUp = math.Min(s.runnerUp, s.leastAt)
+		}
+		s.least, s.leastAt = list, cost
+	case cost > s.leastAt || !sameAssignment(list, s.least):
+		s.runnerUp = math.Min(s.runnerUp, cost)
+	}
+}
+
+// sameAssignment reports whether two completed leaves, each in canonical
+// key order, assign the same inputs in the same modes to the same uses.
+func sameAssignment(a, b []*costmodel.Input) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.Expr.Key() != y.Expr.Key() || x.Mode != y.Mode || len(x.Uses) != len(y.Uses) {
+			return false
+		}
+		for id, occ := range x.Uses {
+			if o, ok := y.Uses[id]; !ok || !slices.Equal(occ.AtomOf, o.AtomOf) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Validate checks Definition 1: every relation occurrence (atom) of every

@@ -2,6 +2,7 @@ package mqo
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -274,5 +275,66 @@ func TestMaxCandidatesCap(t *testing.T) {
 	}
 	if multi > 3 {
 		t.Errorf("plan uses %d multi-atom inputs despite cap 3", multi)
+	}
+}
+
+// TestRunnerUpIsTheNextAssignment feeds priced leaves to the certificate in
+// several orders. The runner-up is the least cost of any assignment other
+// than the cheapest: a second leaf with the cheapest assignment leaves it
+// alone, a distinct assignment at an equal cost sets it.
+func TestRunnerUpIsTheNextAssignment(t *testing.T) {
+	q := chain("q1", 0, 2)
+	leaf := func(atom int) []*costmodel.Input { // built afresh: equal, not identical
+		e, mapping := q.SubExpr([]int{atom})
+		return []*costmodel.Input{{Expr: e, Mode: costmodel.Probe, DB: "db",
+			Uses: map[string]*cq.ExprOccurrence{q.ID: {CQ: q, AtomOf: mapping}}}}
+	}
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		atoms []int
+		costs []float64
+		want  float64
+	}{
+		{[]int{0}, []float64{10}, inf},
+		{[]int{0, 0}, []float64{10, 10}, inf},
+		{[]int{0, 1}, []float64{10, 10}, 10},
+		{[]int{0, 1, 0}, []float64{10, 12, 10}, 12},
+		{[]int{1, 0}, []float64{12, 10}, 12},
+		{[]int{1, 0, 1}, []float64{12, 10, 12}, 12},
+	} {
+		s := &searcher{runnerUp: inf, depths: map[string]depthRange{}, costScratch: costmodel.NewScratch()}
+		for i, a := range tc.atoms {
+			s.notePriced(leaf(a), tc.costs[i])
+		}
+		if s.runnerUp != tc.want {
+			t.Errorf("leaves %v at %v: runner-up %v, want %v", tc.atoms, tc.costs, s.runnerUp, tc.want)
+		}
+	}
+}
+
+// TestCertificateShape checks Optimize's certificate on a shared batch: the
+// runner-up is no cheaper than the plan, and the depth ranges are in key
+// order with 0 ≤ Min ≤ Max, Min set only where the plan itself streams.
+func TestCertificateShape(t *testing.T) {
+	cm := fixture(t, 5, 300)
+	qs := []*cq.CQ{chain("q1", 0, 3), chain("q2", 1, 3), chain("q3", 0, 4)}
+	res, err := Optimize(qs, cm, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(res.RunnerUp >= res.Cost) || len(res.Depths) == 0 {
+		t.Fatalf("cost %v, runner-up %v, %d depth ranges", res.Cost, res.RunnerUp, len(res.Depths))
+	}
+	streamed := map[string]bool{}
+	for _, in := range res.Inputs {
+		streamed[in.Expr.Key()] = in.Mode == costmodel.Stream
+	}
+	for i, d := range res.Depths {
+		if i > 0 && res.Depths[i-1].Key >= d.Key {
+			t.Errorf("depths out of key order at %s", d.Key)
+		}
+		if d.Min < 0 || d.Min > d.Max || d.Max <= 0 || d.Min > 0 && !streamed[d.Key] {
+			t.Errorf("%s: depth range [%v, %v]", d.Key, d.Min, d.Max)
+		}
 	}
 }

@@ -16,21 +16,6 @@ import (
 	"repro/internal/workload"
 )
 
-// planString renders an optimizer result completely: cost, candidate count,
-// and per input its expression, mode, database and every consumer with its
-// atom mapping. Two results that render equal graft identically.
-func planString(res *mqo.Result) string {
-	out := fmt.Sprintf("cost=%v candidates=%d\n", res.Cost, res.CandidateCount)
-	for _, in := range res.Inputs {
-		uses := map[string]string{} // printed in key order
-		for id, occ := range in.Uses {
-			uses[id] = fmt.Sprint(occ.CQ.ID, occ.AtomOf)
-		}
-		out += fmt.Sprintf("%s %v %s %v\n", in.Expr.Key(), in.Mode, in.DB, uses)
-	}
-	return out
-}
-
 // sameFeedback requires the catalog feedback on keys, just after a sync, to
 // be what a full walk of the graph writes.
 func sameFeedback(t *testing.T, what string, m *qsm.Manager, keys map[string]bool) {
@@ -70,7 +55,8 @@ func reference(ref *coretest.Side) (reset func()) {
 // TestPlanCacheDifferential runs coretest's bio and GUS schedules, where
 // eviction, feedback and injected cardinalities keep changing the catalog,
 // on the production engine and on the reference. Before each admission the plan cache must return what
-// mqo.Optimize on the live catalog returns. After each admission the plan
+// mqo.Optimize on the live catalog returns, cost included, also when it
+// serves an entry re-priced under moved row counts. After each admission the plan
 // cache's hits and misses must be the reference's lookups and the groups'
 // candidate counts the reference's. After each drain the answers with their
 // emission stamps, the ledger and the work counters but SeedPulled must be
@@ -99,7 +85,7 @@ func TestPlanCacheDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: optimize: %v", s.What, err)
 					}
-					if g, w := planString(got), planString(want); g != w {
+					if g, w := qsm.PlanString(got), qsm.PlanString(want); g != w {
 						t.Fatalf("%s: plan cache returned\n%s\nmqo.Optimize returns\n%s", s.What, g, w)
 					}
 				}
@@ -124,8 +110,8 @@ func TestPlanCacheDifferential(t *testing.T) {
 			Done: func(t *testing.T, s *coretest.Step) {
 				st := pm.PlanCacheStats()
 				t.Logf("plan cache %+v, %d hits and %d misses looked up", st, hits, misses)
-				if hits == 0 || misses == 0 || st.Stale == 0 {
-					t.Fatal("the differential is vacuous: it needs hits, misses and stale entries")
+				if hits == 0 || misses == 0 || st.Stale == 0 || st.Rechecked == 0 {
+					t.Fatal("the differential is vacuous: it needs hits, misses, stale entries and re-priced hits")
 				}
 			},
 		}

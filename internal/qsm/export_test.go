@@ -1,6 +1,8 @@
 package qsm
 
 import (
+	"fmt"
+
 	"repro/internal/cq"
 	"repro/internal/mqo"
 	"repro/internal/plangraph"
@@ -8,6 +10,21 @@ import (
 
 // PlanCacheCap exposes the entry cap to the external tests.
 const PlanCacheCap = planCacheCap
+
+// PlanString renders an optimizer result completely: cost, candidate count,
+// and per input its expression, mode, database and every consumer with its
+// atom mapping. Two results that render equal graft identically.
+func PlanString(res *mqo.Result) string {
+	out := fmt.Sprintf("cost=%v candidates=%d\n", res.Cost, res.CandidateCount)
+	for _, in := range res.Inputs {
+		uses := map[string]string{} // printed in key order
+		for id, occ := range in.Uses {
+			uses[id] = fmt.Sprint(occ.CQ.ID, occ.AtomOf)
+		}
+		out += fmt.Sprintf("%s %v %s %v\n", in.Expr.Key(), in.Mode, in.DB, uses)
+	}
+	return out
+}
 
 // ResetPlanCache empties the plan cache; calling it before every Admit gives
 // the cache-less engine the differential tests replay against.

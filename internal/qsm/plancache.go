@@ -2,6 +2,7 @@ package qsm
 
 import (
 	"container/list"
+	"math"
 	"strings"
 
 	"repro/internal/catalog"
@@ -17,11 +18,22 @@ import (
 // group in mqo.CanonicalOrder), the search configuration, and the catalog
 // feedback it reads. An entry keeps the chosen assignment position-wise over
 // the canonical order together with that feedback — its read set — and a
-// lookup serves it only while the live catalog still agrees with every value
-// read. So §6.1 feedback, a discard eviction's ForgetStreamed, a lost spill
-// segment and a topic import all force a miss by construction, and a hit
-// returns exactly what the search would: the cache changes when a plan is
-// found, never which plan.
+// lookup serves it only while the search would return it again:
+//
+//   - every value read still agrees with the live catalog; or
+//   - only row counts (Catalog.StreamedSoFar) moved, and the entry's
+//     certificate proves the search would still pick the assignment. The
+//     search's leaves do not depend on row counts, which enter a leaf's cost
+//     only as max(0, depth − buffered)·StreamCost and so move it by at most
+//     what the key's depth range allows. The lookup re-prices the assignment
+//     exactly and serves it iff that cost is strictly below a lower bound
+//     on every other leaf: the runner-up's cost carried to the live row
+//     counts (planEntry.recheck).
+//
+// Any other change — an observed cardinality, or a bound the re-priced cost
+// does not clear — forces a search. So a hit returns exactly what the search
+// would, cost included: the cache changes when a plan is found, never which
+// plan.
 //
 // An entry also remembers where its plan last went in the graph (graftRecord):
 // the plan graph is the plan cache's second half. While every node a record
@@ -41,8 +53,12 @@ type PlanCacheStats struct {
 	// either served from an entry or pays for a search.
 	Hits   int64
 	Misses int64
-	// Stale counts the misses that found an entry whose read set no longer
-	// matched the catalog.
+	// Rechecked counts the hits on an entry whose row counts had moved, served
+	// because its re-priced cost cleared the runner-up bound.
+	Rechecked int64
+	// Stale counts the misses that found an entry the catalog had moved past:
+	// an observed cardinality changed, or row counts changed and the re-priced
+	// cost did not clear the bound.
 	Stale int64
 	// Entries is the current size (at most planCacheCap).
 	Entries int
@@ -69,12 +85,14 @@ func planKeyOf(order []*cq.CQ, cfg mqo.Config) planKey {
 // planRead is one catalog value the search could consult for an expression
 // key: the buffered stream prefix and the observed cardinality (or that none
 // was observed). Relation statistics are not part of it — they are fully
-// registered before the catalog is forked and immutable after.
+// registered before the catalog is forked and immutable after. dmax and dmin
+// are the key's mqo.KeyDepth (0 when no leaf streamed it).
 type planRead struct {
-	key      string
-	streamed int
-	card     float64
-	observed bool
+	key        string
+	streamed   int
+	card       float64
+	observed   bool
+	dmax, dmin float64
 }
 
 // planUse is one consumer of a cached input: the query's position in the
@@ -97,7 +115,11 @@ type planEntry struct {
 	cost       float64
 	candidates int
 	reads      []planRead
-	graft      *graftRecord
+	// runnerUp is a lower bound on the cost of every other leaf of the
+	// search under the catalog values in reads: mqo.Result.RunnerUp, then
+	// the bound that served the last recheck.
+	runnerUp float64
+	graft    *graftRecord
 }
 
 // graftRecord is what the entry's last factorize.Build grafted, under one
@@ -142,23 +164,24 @@ func (e *planEntry) liveGraft(g *plangraph.Graph) *graftRecord {
 }
 
 // newPlanEntry captures a finished search: the assignment with query ids
-// replaced by canonical positions, and the catalog values behind every
-// expression key the search could have read — each AND-OR memo key
-// (candidates, single-atom completions, the cardinalities the pruning
+// replaced by canonical positions, the certificate, and the catalog values
+// behind every expression key the search could have read — each AND-OR memo
+// key (candidates, single-atom completions, the cardinalities the pruning
 // heuristics compare), each query's full expression (the depth estimate) and
 // the chosen inputs. It must run before anything mutates the catalog again,
 // so the values recorded are the ones the search saw.
 func newPlanEntry(key planKey, order []*cq.CQ, res *mqo.Result, cat *catalog.Catalog) *planEntry {
-	e := &planEntry{key: key, cost: res.Cost, candidates: res.CandidateCount}
-	seen := map[string]bool{}
-	read := func(k string) {
-		if seen[k] {
-			return
+	e := &planEntry{key: key, cost: res.Cost, candidates: res.CandidateCount, runnerUp: res.RunnerUp}
+	at := map[string]int{}
+	read := func(k string) int {
+		if i, ok := at[k]; ok {
+			return i
 		}
-		seen[k] = true
+		at[k] = len(e.reads)
 		r := planRead{key: k, streamed: cat.StreamedSoFar(k)}
 		r.card, r.observed = cat.ObservedCard(k)
 		e.reads = append(e.reads, r)
+		return at[k]
 	}
 	for _, k := range res.Memo.Keys() {
 		read(k)
@@ -176,21 +199,51 @@ func newPlanEntry(key planKey, order []*cq.CQ, res *mqo.Result, cat *catalog.Cat
 		}
 		e.inputs = append(e.inputs, pi)
 	}
+	for _, d := range res.Depths {
+		r := &e.reads[read(d.Key)]
+		r.dmax, r.dmin = d.Max, d.Min
+	}
 	return e
 }
 
-// fresh reports whether the catalog still holds every value the entry's
-// search read.
-func (e *planEntry) fresh(cat *catalog.Catalog) bool {
+// recheckMargin is the relative margin by which a re-priced cost must clear
+// the runner-up bound: the bound is summed in floating point, so a cost
+// within rounding of it proves nothing.
+const recheckMargin = 1e-9
+
+// recheck compares the entry's reads with the live catalog. A changed
+// observed cardinality makes it stale. Otherwise it reports whether any row
+// count moved and the runner-up bound carried to the live row counts, with
+// the rounding margin the bound is cleared by. For each key, every other
+// leaf's stream term max(0, d − f)·StreamCost moves from f to f′ by
+//
+//	−StreamCost·(min(d,f′) − min(d,f))  ≥  −StreamCost·(min(dmax,f′) − min(dmax,f))  when read deeper,
+//	 StreamCost·(min(d,f) − min(d,f′))  ≥   StreamCost·(min(dmin,f) − min(dmin,f′))  when lowered,
+//
+// since min(d,·) is monotone in d, and a leaf that does not stream the key
+// moves by 0: dmin is 0 unless every leaf streams it.
+func (e *planEntry) recheck(cat *catalog.Catalog, streamCost float64) (moved, stale bool, bound, margin float64) {
+	bound, margin = e.runnerUp, math.Abs(e.runnerUp)
 	for _, r := range e.reads {
-		if cat.StreamedSoFar(r.key) != r.streamed {
-			return false
-		}
 		if card, ok := cat.ObservedCard(r.key); ok != r.observed || card != r.card {
-			return false
+			return false, true, 0, 0
 		}
+		live := cat.StreamedSoFar(r.key)
+		if live == r.streamed {
+			continue
+		}
+		moved = true
+		f, g := float64(r.streamed), float64(live)
+		var term float64
+		if g > f {
+			term = -streamCost * (math.Min(r.dmax, g) - math.Min(r.dmax, f))
+		} else {
+			term = streamCost * (math.Min(r.dmin, f) - math.Min(r.dmin, g))
+		}
+		bound += term
+		margin += math.Abs(term)
 	}
-	return true
+	return moved, false, bound, margin * recheckMargin
 }
 
 // bind rebuilds the search result for a group with the entry's key: the
@@ -223,23 +276,45 @@ func newPlanCache() *planCache {
 	return &planCache{byKey: map[planKey]*list.Element{}, lru: list.New()}
 }
 
-// lookup returns the entry for key if the catalog still agrees with its read
-// set. A stale entry is dropped on the spot: the search that follows the miss
-// replaces it.
-func (c *planCache) lookup(key planKey, cat *catalog.Catalog) *planEntry {
+// lookup returns the entry for key with its assignment bound to order, if
+// the search would return that assignment under the live catalog: the read
+// set still holds, or only row counts moved and the exactly re-priced
+// assignment clears the runner-up bound. A served recheck moves the entry to
+// the live row counts, the new cost and the carried bound. Any other entry is
+// stale and dropped on the spot: the search that follows the miss replaces
+// it.
+func (c *planCache) lookup(key planKey, order []*cq.CQ, cm *costmodel.Model) (*planEntry, *mqo.Result) {
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	e := el.Value.(*planEntry)
-	if !e.fresh(cat) {
+	moved, stale, bound, margin := e.recheck(cm.Cat, cm.Params.StreamCost)
+	var res *mqo.Result
+	if !stale {
+		res = e.bind(order)
+	}
+	if !stale && moved {
+		res.Cost = cm.AssignmentCost(order, res.Inputs, key.cfg.K)
+		// An infinite bound (the search priced no other assignment) is
+		// cleared by any cost.
+		stale = !math.IsInf(bound, 1) && res.Cost >= bound-margin
+		if !stale {
+			for i := range e.reads {
+				e.reads[i].streamed = cm.Cat.StreamedSoFar(e.reads[i].key)
+			}
+			e.cost, e.runnerUp = res.Cost, bound
+			c.stats.Rechecked++
+		}
+	}
+	if stale {
 		c.stats.Stale++
 		c.lru.Remove(el)
 		delete(c.byKey, key)
-		return nil
+		return nil, nil
 	}
 	c.lru.MoveToFront(el)
-	return e
+	return e, res
 }
 
 // insert adds the entry of a search that followed a miss on its key (so the

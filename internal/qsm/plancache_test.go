@@ -6,12 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/batcher"
+	"repro/internal/catalog"
+	"repro/internal/costmodel"
 	"repro/internal/cq"
+	"repro/internal/dist"
 	"repro/internal/mqo"
 	"repro/internal/operator"
 	"repro/internal/plangraph"
 	"repro/internal/scoring"
 	"repro/internal/tuple"
+	"repro/internal/workload"
 )
 
 // cacheSuite is the recurring user query of the plan cache tests, rebuilt
@@ -26,7 +30,7 @@ func cacheSuite(n int) *cq.UQ {
 }
 
 // planOnce sends one arrival of the recurring query through the cache.
-func planOnce(t *testing.T, m *Manager, n int) (hit bool) {
+func planOnce(t *testing.T, m *Manager, n int) (res *mqo.Result, hit bool) {
 	t.Helper()
 	report := &AdmitReport{}
 	out := m.optimizeGroups([]optGroup{{qs: cacheSuite(n).CQs}}, mqo.Config{K: 10}, report)
@@ -36,7 +40,23 @@ func planOnce(t *testing.T, m *Manager, n int) (hit bool) {
 	if report.PlanCacheHits+report.PlanCacheMisses != 1 {
 		t.Fatalf("one group reported hits=%d misses=%d", report.PlanCacheHits, report.PlanCacheMisses)
 	}
-	return report.PlanCacheHits == 1
+	return out[0].res, report.PlanCacheHits == 1
+}
+
+// optimizeOnce is what the search returns for arrival n on the live catalog.
+func optimizeOnce(t *testing.T, m *Manager, n int) *mqo.Result {
+	t.Helper()
+	res, err := mqo.Optimize(cacheSuite(n).CQs, m.CM, mqo.Config{K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// assignment is PlanString without the cost line: the plan itself.
+func assignment(res *mqo.Result) string {
+	s := PlanString(res)
+	return s[strings.IndexByte(s, '\n')+1:]
 }
 
 // streamedKey returns the expression key of a stream source the catalog
@@ -52,17 +72,35 @@ func streamedKey(t *testing.T, m *Manager) string {
 	return ""
 }
 
+// setStreamed moves key's buffered prefix to n, down as well as up.
+func setStreamed(cat *catalog.Catalog, key string, n int) {
+	cat.ForgetStreamed(key)
+	cat.RecordStreamed(key, n)
+}
+
+// What a lookup after a catalog event must do.
+const (
+	unchanged = iota // a plain hit
+	rowCounts        // only row counts moved: re-priced and served, or searched again
+	searched         // searched again
+)
+
 // TestPlanCacheInvalidation walks every way the catalog feedback behind a
-// cached decision can change and requires the next lookup to be a miss that
-// found a stale entry — and the one after it, under the now-settled catalog,
-// to be a hit again. A spill eviction keeps the prefix accounting, so it must
-// leave the entry valid.
+// cached decision can change. A lookup after the event must serve exactly
+// what mqo.Optimize returns on the live catalog, cost included, and be the
+// kind of lookup the event allows: a change of row counts alone is either
+// re-priced and served or searched again (TestPlanCacheRowCountFlip has one
+// that must be searched again), a changed observed cardinality is searched
+// again, and a spill eviction keeps the prefix accounting, so it leaves the
+// entry as it was.
+// The arrival after that, under the now-settled catalog, must be a plain
+// hit.
 func TestPlanCacheInvalidation(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		spill bool
 		event func(t *testing.T, m *Manager, env *operator.Env)
-		stale bool
+		want  int
 	}{
 		{"section 6.1 feedback", false, func(t *testing.T, m *Manager, env *operator.Env) {
 			// A deeper query reads further into the shared streams; SyncCatalog
@@ -70,7 +108,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			uq := cacheSuite(100)
 			uq.K = 150
 			runInternalUQ(t, m, env, uq)
-		}, true},
+		}, rowCounts},
 		{"discard eviction", false, func(t *testing.T, m *Manager, env *operator.Env) {
 			m.MemoryBudget = 1
 			m.EnforceBudget(m.ATC.Epoch())
@@ -78,7 +116,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			if m.Evictions() == 0 {
 				t.Fatal("nothing evicted")
 			}
-		}, true},
+		}, rowCounts},
 		{"spill eviction", true, func(t *testing.T, m *Manager, env *operator.Env) {
 			m.MemoryBudget = 1
 			m.EnforceBudget(m.ATC.Epoch())
@@ -86,10 +124,10 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			if m.Evictions() == 0 || env.Metrics.Snapshot().SpillSegsWritten == 0 {
 				t.Fatal("nothing spilled")
 			}
-		}, false},
+		}, unchanged},
 		{"spill segment lost", false, func(t *testing.T, m *Manager, env *operator.Env) {
 			m.ATC.SpillLost(streamedKey(t, m))
-		}, true},
+		}, rowCounts},
 		{"topic import", false, func(t *testing.T, m *Manager, env *operator.Env) {
 			// Another engine's checkpoint of the same query, imported once
 			// eviction has emptied this one: its stream segments reinstall
@@ -101,16 +139,16 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			m.EnforceBudget(m.ATC.Epoch())
 			m.MemoryBudget = 0
 			planOnce(t, m, 200) // settle on the post-eviction catalog
-			if !planOnce(t, m, 201) {
+			if _, hit := planOnce(t, m, 201); !hit {
 				t.Fatal("no hit between eviction and import")
 			}
 			if installed, _ := m.ImportSegments(exp); installed == 0 {
 				t.Fatal("nothing imported")
 			}
-		}, true},
+		}, rowCounts},
 		{"observed cardinality", false, func(t *testing.T, m *Manager, env *operator.Env) {
 			m.Cat.RecordExprCard(streamedKey(t, m), 7)
-		}, true},
+		}, searched},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, env := internalRig(t)
@@ -123,27 +161,38 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			runInternalUQ(t, m, env, cacheSuite(1))
 			m.ATC.Forget("U1")
 			planOnce(t, m, 2)
-			if !planOnce(t, m, 3) {
+			if _, hit := planOnce(t, m, 3); !hit {
 				t.Fatal("the repeat of a planned query under an unchanged catalog missed")
 			}
 
 			tc.event(t, m, env)
 
+			want := optimizeOnce(t, m, 4)
 			before := m.PlanCacheStats()
-			hit := planOnce(t, m, 4)
+			got, hit := planOnce(t, m, 4)
 			after := m.PlanCacheStats()
-			if tc.stale {
-				if hit || after.Stale != before.Stale+1 {
-					t.Fatalf("lookup after the event: hit=%v stale %d -> %d; want a miss on a stale entry", hit, before.Stale, after.Stale)
-				}
-				if !planOnce(t, m, 5) {
-					t.Fatal("the replanned entry did not serve the next arrival")
-				}
-			} else if !hit || after.Stale != before.Stale {
-				t.Fatalf("lookup after the event: hit=%v stale %d -> %d; want a hit", hit, before.Stale, after.Stale)
+			if g, w := PlanString(got), PlanString(want); g != w {
+				t.Fatalf("lookup after the event served\n%s\nmqo.Optimize returns\n%s", g, w)
+			}
+			rechecked, stale := after.Rechecked-before.Rechecked, after.Stale-before.Stale
+			t.Logf("hit=%v rechecked=%d stale=%d", hit, rechecked, stale)
+			ok := false
+			switch tc.want {
+			case unchanged:
+				ok = hit && rechecked == 0 && stale == 0
+			case rowCounts:
+				ok = hit && rechecked == 1 && stale == 0 || !hit && rechecked == 0 && stale == 1
+			case searched:
+				ok = !hit && rechecked == 0 && stale == 1
+			}
+			if !ok {
+				t.Fatalf("lookup after the event: hit=%v, %d re-priced, %d stale; not what the event allows (case %d)", hit, rechecked, stale, tc.want)
 			}
 			if after.Hits+after.Misses != before.Hits+before.Misses+1 {
 				t.Fatalf("stats %+v -> %+v: one lookup must count once", before, after)
+			}
+			if _, hit := planOnce(t, m, 5); !hit || m.PlanCacheStats().Rechecked != after.Rechecked {
+				t.Fatal("the next arrival under the settled catalog was not a plain hit")
 			}
 		})
 	}
@@ -383,5 +432,118 @@ func TestDirectGraftKeepsScope(t *testing.T) {
 	}
 	if st := m.PlanCacheStats(); st.Hits == 0 || st.DirectGrafts != 0 {
 		t.Fatalf("plan cache %+v: want hits and no direct graft", st)
+	}
+}
+
+// suiteGroup is one user query of a bundled suite, planned as one group
+// over a private fork of the suite's catalog.
+type suiteGroup struct {
+	name  string
+	order []*cq.CQ
+	cfg   mqo.Config
+	cat   *catalog.Catalog
+}
+
+// fork returns a fresh catalog fork and cost model for the group.
+func (g suiteGroup) fork() (*catalog.Catalog, *costmodel.Model) {
+	cat := g.cat.Fork()
+	return cat, costmodel.New(cat, costmodel.DefaultParams())
+}
+
+func (g suiteGroup) key() planKey { return planKeyOf(g.order, g.cfg.Defaults()) }
+
+func (g suiteGroup) optimize(t *testing.T, cm *costmodel.Model) *mqo.Result {
+	t.Helper()
+	res, err := mqo.Optimize(g.order, cm, g.cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", g.name, err)
+	}
+	return res
+}
+
+// suiteGroups lists the user queries of the bio, Pfam and GUS suites.
+func suiteGroups(t *testing.T) (out []suiteGroup) {
+	t.Helper()
+	for _, name := range []string{"bio", "pfam", "gus"} {
+		w, err := workload.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, uq := range w.UQs() {
+			out = append(out, suiteGroup{name: name + "/" + uq.ID, order: mqo.CanonicalOrder(uq.CQs),
+				cfg: mqo.Config{K: uq.K}, cat: w.Catalog})
+		}
+	}
+	return out
+}
+
+// TestPlanCacheRowCountFlip buffers the whole depth of one stream-priced key
+// of a suite group at a time until the search picks another plan. The entry
+// planned before the change must then be searched again, not re-priced.
+func TestPlanCacheRowCountFlip(t *testing.T) {
+	for _, g := range suiteGroups(t) {
+		for _, d := range g.optimize(t, costmodel.New(g.cat.Fork(), costmodel.DefaultParams())).Depths {
+			cat, cm := g.fork()
+			c := newPlanCache()
+			old := g.optimize(t, cm)
+			c.insert(newPlanEntry(g.key(), g.order, old, cat))
+			cat.RecordStreamed(d.Key, int(d.Max)+1)
+			if assignment(g.optimize(t, cm)) == assignment(old) {
+				continue
+			}
+			if e, _ := c.lookup(g.key(), g.order, cm); e != nil || c.stats.Stale != 1 || c.stats.Rechecked != 0 {
+				t.Fatalf("%s: buffering %s changed the plan, yet the lookup served the old one (%+v)", g.name, d.Key, c.stats)
+			}
+			return
+		}
+	}
+	t.Fatal("no buffered prefix changes any suite group's plan")
+}
+
+// TestPlanCacheRecheckProperty plans every suite group and then, round after
+// round, moves one to three of its stream-priced keys to random row counts
+// around their depths, down as well as up. Every lookup the certificate
+// serves must be exactly what mqo.Optimize returns on the live catalog,
+// cost included, also after earlier rounds carried the bound; and both
+// outcomes, re-priced and searched again, must occur.
+func TestPlanCacheRecheckProperty(t *testing.T) {
+	rng := dist.New(46)
+	rechecked, searched := 0, 0
+	for _, g := range suiteGroups(t) {
+		cat, cm := g.fork()
+		c := newPlanCache()
+		var e *planEntry
+		for round := 0; round < 6; round++ {
+			if e == nil {
+				e = newPlanEntry(g.key(), g.order, g.optimize(t, cm), cat)
+				c.insert(e)
+			}
+			var priced []planRead
+			for _, r := range e.reads {
+				if r.dmax > 0 {
+					priced = append(priced, r)
+				}
+			}
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				r := priced[rng.Intn(len(priced))]
+				setStreamed(cat, r.key, rng.Intn(2*int(r.dmax)+2))
+			}
+			before := c.stats
+			_, got := c.lookup(g.key(), g.order, cm)
+			switch {
+			case c.stats.Rechecked > before.Rechecked:
+				rechecked++
+				if gs, ws := PlanString(got), PlanString(g.optimize(t, cm)); gs != ws {
+					t.Fatalf("%s round %d: the re-priced entry served\n%s\nmqo.Optimize returns\n%s", g.name, round, gs, ws)
+				}
+			case c.stats.Stale > before.Stale:
+				searched++
+				e = nil
+			}
+		}
+	}
+	t.Logf("%d lookups re-priced and served, %d searched again", rechecked, searched)
+	if rechecked == 0 || searched == 0 {
+		t.Fatal("the property is vacuous: it needs both outcomes")
 	}
 }

@@ -167,8 +167,8 @@ type AdmitReport struct {
 	Epoch int
 	// OptimizeWall is the real time spent in multi-query optimization — plan
 	// cache lookups and inserts plus the summed searches. It is a statistic
-	// only (exec.OptSample.Wall, the bench's mqo.optimize span): the virtual
-	// clock never sees it, so engine latencies stay a function of the inputs.
+	// only (the bench's mqo.optimize span): the virtual clock never sees it,
+	// so engine latencies stay a function of the inputs.
 	OptimizeWall time.Duration
 	// CandidatesPerGroup records Figure 11's x-axis per optimization group
 	// (one entry per group, served from the plan cache or searched).
@@ -358,8 +358,8 @@ func (m *Manager) graft(r optResult) ([]*plangraph.Node, error) {
 }
 
 // optimizeGroups produces every group's input assignment: from the plan cache
-// where an entry's read set still matches the catalog, by mqo.Optimize
-// otherwise, equal-key groups of one batch sharing a single search. Every
+// where an entry's read set still matches the catalog or its certificate
+// survives the moved row counts, by mqo.Optimize otherwise, equal-key groups of one batch sharing a single search. Every
 // lookup runs before the first search and every insert after the last, so a
 // batch's hits do not depend on what its own searches evict. Statistics fold
 // into the report in group order.
@@ -370,14 +370,14 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 	entries := make([]*planEntry, len(groups))
 	keyCfg := cfg.Defaults()
 
-	start := time.Now()            //qsys:allow wallclock: stats-only — OptimizeWall feeds exec.OptSample.Wall and the bench's mqo.optimize span, never the virtual clock
+	start := time.Now()            //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
 	searching := map[planKey]int{} // key -> the group of this batch that searches it
 	var search, follow []int
 	for i, g := range groups {
 		orders[i] = mqo.CanonicalOrder(g.qs)
 		keys[i] = planKeyOf(orders[i], keyCfg)
-		if e := m.plans.lookup(keys[i], m.Cat); e != nil {
-			out[i] = bindPlan(e, orders[i])
+		if e, res := m.plans.lookup(keys[i], orders[i], m.CM); e != nil {
+			out[i] = servePlan(e, res, orders[i])
 			report.PlanCacheHits++
 		} else if _, dup := searching[keys[i]]; dup {
 			follow = append(follow, i)
@@ -386,19 +386,19 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 			search = append(search, i)
 		}
 	}
-	report.OptimizeWall += time.Since(start) //qsys:allow wallclock: stats-only — OptimizeWall feeds exec.OptSample.Wall and the bench's mqo.optimize span, never the virtual clock
+	report.OptimizeWall += time.Since(start) //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
 
 	run := func(i int) {
-		start := time.Now() //qsys:allow wallclock: stats-only — OptimizeWall feeds exec.OptSample.Wall and the bench's mqo.optimize span, never the virtual clock
+		start := time.Now() //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
 		res, err := mqo.Optimize(orders[i], m.CM, cfg)
-		report.OptimizeWall += time.Since(start) //qsys:allow wallclock: stats-only — OptimizeWall feeds exec.OptSample.Wall and the bench's mqo.optimize span, never the virtual clock
+		report.OptimizeWall += time.Since(start) //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
 		out[i] = optResult{res: res, err: err, order: orders[i]}
 	}
 	for _, i := range search {
 		run(i)
 	}
 
-	start = time.Now() //qsys:allow wallclock: stats-only — OptimizeWall feeds exec.OptSample.Wall and the bench's mqo.optimize span, never the virtual clock
+	start = time.Now() //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
 	for _, i := range search {
 		report.PlanCacheMisses++
 		if out[i].err == nil {
@@ -407,10 +407,10 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 			out[i].entry = entries[i]
 		}
 	}
-	report.OptimizeWall += time.Since(start) //qsys:allow wallclock: stats-only — OptimizeWall feeds exec.OptSample.Wall and the bench's mqo.optimize span, never the virtual clock
+	report.OptimizeWall += time.Since(start) //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
 	for _, i := range follow {
 		if e := entries[searching[keys[i]]]; e != nil {
-			out[i] = bindPlan(e, orders[i])
+			out[i] = servePlan(e, e.bind(orders[i]), orders[i])
 			report.PlanCacheHits++
 			continue
 		}
@@ -431,16 +431,16 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 	return out
 }
 
-// bindPlan serves a group from a cache entry, after the per-query validation
-// mqo.Optimize opens with (the key covers a query's body, not its scoring
-// model).
-func bindPlan(e *planEntry, order []*cq.CQ) optResult {
+// servePlan serves a group from a cache entry's assignment bound to order,
+// after the per-query validation mqo.Optimize opens with (the key covers a
+// query's body, not its scoring model).
+func servePlan(e *planEntry, res *mqo.Result, order []*cq.CQ) optResult {
 	for _, q := range order {
 		if err := q.Validate(); err != nil {
 			return optResult{err: err}
 		}
 	}
-	return optResult{res: e.bind(order), order: order, entry: e}
+	return optResult{res: res, order: order, entry: e}
 }
 
 // groups splits the batch into optimization units per the sharing mode.

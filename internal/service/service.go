@@ -256,8 +256,9 @@ type ShardStats struct {
 	// Spill reports the shard's disk-tier traffic (zero when disabled).
 	Spill state.SpillStats
 	// PlanCache reports the optimizer work shared across admissions: groups
-	// served from a cached plan (Hits) or searched (Misses, of which Stale
-	// found an entry the catalog feedback had outdated), and the cache size.
+	// served from a cached plan (Hits, of which Rechecked re-priced it under
+	// moved row counts) or searched (Misses, of which Stale found an entry
+	// the catalog feedback had outdated), and the cache size.
 	PlanCache qsm.PlanCacheStats
 	// Now is the shard's engine-clock time.
 	Now time.Duration

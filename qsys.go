@@ -200,9 +200,9 @@ type SessionStats struct {
 
 // String renders the stats compactly.
 func (st SessionStats) String() string {
-	return fmt.Sprintf("t=%v stream=%d probes=%d (cached %d) results=%d | graph: %d sources, %d m-joins, %d splits | state=%d rows (%d evictions) | plan cache: %d hits, %d misses (%d stale), %d entries | expand cache: %d hits, %d misses (%d stale), %d entries",
+	return fmt.Sprintf("t=%v stream=%d probes=%d (cached %d) results=%d | graph: %d sources, %d m-joins, %d splits | state=%d rows (%d evictions) | plan cache: %d hits (%d re-priced), %d misses (%d stale), %d entries | expand cache: %d hits, %d misses (%d stale), %d entries",
 		st.Now.Round(time.Millisecond), st.Work.StreamTuples, st.Work.ProbeCalls, st.Work.ProbeCacheHits,
 		st.Work.ResultsEmitted, st.Graph.Sources, st.Graph.Joins, st.Graph.Splits, st.StateRows, st.Evictions,
-		st.PlanCache.Hits, st.PlanCache.Misses, st.PlanCache.Stale, st.PlanCache.Entries,
+		st.PlanCache.Hits, st.PlanCache.Rechecked, st.PlanCache.Misses, st.PlanCache.Stale, st.PlanCache.Entries,
 		st.ExpandCache.Hits, st.ExpandCache.Misses, st.ExpandCache.Stale, st.ExpandCache.Entries)
 }
