@@ -16,7 +16,7 @@
 //
 //	qsys-loadgen [-workload bio|gus|pfam] [-instance 1]
 //	             [-users 8] [-requests 12] [-k 20] [-memory-budget 500]
-//	             [-evict-policy lru|benefit] [-spill-dir DIR]
+//	             [-spill-dir DIR]
 //	             [-windows 0,25ms] [-batch 5] [-shards 1]
 //	             [-seed 1] [-router affinity|hash] [-overlap]
 //	             [-target URL] [-digest] [-rate 0] [-burst 1] [-arrivals 0]
@@ -85,7 +85,7 @@ type options struct {
 func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{Flags: service.Flags{Workload: "gus", Instance: 1, Config: service.Config{
 		K: 20, Seed: 1, BatchSize: 5, Shards: 1, Router: service.RouterAffinity,
-		MemoryBudget: 500, EvictPolicy: "lru",
+		MemoryBudget: 500,
 	}}}
 	o.Bind(fs, service.FrontDeskFlags)
 	fs.IntVar(&o.users, "users", 8, "concurrent closed-loop users")
@@ -207,8 +207,8 @@ func runClosedLoop(o *options, pool [][]string) int {
 	if cfg.SpillDir != "" {
 		mode = "spill"
 	}
-	fmt.Printf("closed-loop load: %d users x %d requests, k=%d, batch=%d, shards=%d (router=%s), budget=%d rows (%s, policy=%s), workload=%s\n\n",
-		o.users, o.requests, cfg.K, cfg.BatchSize, cfg.Shards, cfg.Router, cfg.MemoryBudget, mode, cfg.EvictPolicy, o.Workload)
+	fmt.Printf("closed-loop load: %d users x %d requests, k=%d, batch=%d, shards=%d (router=%s), budget=%d rows (%s), workload=%s\n\n",
+		o.users, o.requests, cfg.K, cfg.BatchSize, cfg.Shards, cfg.Router, cfg.MemoryBudget, mode, o.Workload)
 	fmt.Printf("%-8s %8s %6s %9s %9s %9s %11s %11s %9s %9s %6s %7s %7s %7s %6s\n",
 		"window", "qps", "err", "p50", "p95", "p99", "streamTup", "totalTup", "replayed", "spilledR", "evict", "revSp", "revSrc", "mem/dsk", "occ")
 

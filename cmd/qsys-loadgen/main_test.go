@@ -33,7 +33,7 @@ func parseTest(t *testing.T, args ...string) *options {
 func TestInProcessConfigIsTheBoundConfig(t *testing.T) {
 	dir := t.TempDir()
 	o := parseTest(t, "-k", "4", "-seed", "9", "-batch", "3", "-shards", "2", "-router", "hash",
-		"-memory-budget", "7", "-evict-policy", "benefit", "-spill-dir", dir,
+		"-memory-budget", "7", "-spill-dir", dir,
 		"-max-pending", "3", "-deadline", "2s", "-max-inflight", "1",
 		"-user-rate", "4", "-total-rate", "9", "-windows", "10ms,0")
 	for _, run := range []struct {
@@ -43,7 +43,7 @@ func TestInProcessConfigIsTheBoundConfig(t *testing.T) {
 		window := run.window
 		want := service.Config{
 			K: 4, Seed: 9, BatchSize: 3, BatchWindow: window, Shards: 2, Router: service.RouterHash,
-			MemoryBudget: 7, EvictPolicy: "benefit", SpillDir: filepath.Join(dir, run.spill),
+			MemoryBudget: 7, SpillDir: filepath.Join(dir, run.spill),
 			Admission: admission.Config{
 				MaxPending: 3, Deadline: 2 * time.Second, MaxInFlight: 1,
 				UserRate: 4, TotalRate: 9,

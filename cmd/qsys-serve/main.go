@@ -20,7 +20,7 @@
 //	qsys-serve [-addr :8080] [-workload bio|gus|pfam] [-instance 1]
 //	           [-window 25ms] [-batch 5] [-shards 1]
 //	           [-router affinity|hash] [-k 50] [-memory-budget 0]
-//	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
+//	           [-spill-dir DIR] [-realtime]
 //	           [-fleet URL,URL,...] [-probe-interval 2s]
 //	           [-user-rate 0] [-total-rate 0] [-max-pending 0]
 //	           [-deadline 0] [-max-inflight 0]
@@ -65,7 +65,7 @@ import (
 func main() {
 	f := service.Flags{Addr: ":8080", Workload: "bio", Instance: 1, Config: service.Config{
 		K: 50, Seed: 1, BatchWindow: 25 * time.Millisecond, BatchSize: 5, Shards: 1,
-		Router: service.RouterAffinity, EvictPolicy: "lru",
+		Router: service.RouterAffinity,
 	}}
 	f.Bind(flag.CommandLine, service.ServerFlags|service.FrontDeskFlags)
 	fleetList := flag.String("fleet", "", "comma-separated qsys-shard endpoints; enables front-end mode (this process runs no engine)")

@@ -16,8 +16,7 @@
 //
 //	qsys-shard [-addr :8091] [-shard-id 0] [-workload bio|gus|pfam]
 //	           [-instance 1] [-seed 1] [-window 25ms] [-batch 5]
-//	           [-k 50] [-memory-budget 0]
-//	           [-evict-policy lru|benefit] [-spill-dir DIR] [-realtime]
+//	           [-k 50] [-memory-budget 0] [-spill-dir DIR] [-realtime]
 //	           [-max-pending 0] [-deadline 0] [-max-inflight 0]
 //	           [-drain-deadline 0] [-recover-dir DIR] [-checkpoint-interval 5s]
 //
@@ -64,7 +63,7 @@ import (
 func main() {
 	f := service.Flags{Addr: ":8091", Workload: "bio", Instance: 1, Config: service.Config{
 		K: 50, Seed: 1, BatchWindow: 25 * time.Millisecond, BatchSize: 5,
-		EvictPolicy: "lru", CheckpointInterval: 5 * time.Second,
+		CheckpointInterval: 5 * time.Second,
 	}}
 	f.Bind(flag.CommandLine, service.ServerFlags|service.ShardFlags)
 	drainDeadline := flag.Duration("drain-deadline", 0, "bound the drain's wait for in-flight searches; past it they are aborted (0 = 60s default)")

@@ -148,21 +148,6 @@ func (m *Model) StreamDepth(e *cq.Expr, uses map[string]*cq.ExprOccurrence, k in
 	return math.Min(depth, card)
 }
 
-// StreamRebuildCost estimates what re-deriving an evicted stream source's
-// retained prefix would cost: every already-delivered tuple must be
-// re-streamed from the remote source (§6.3 — the loss a discard eviction
-// realizes and a spill eviction avoids).
-func (m *Model) StreamRebuildCost(tuples int) float64 {
-	return float64(tuples) * m.Params.StreamCost
-}
-
-// JoinRebuildCost estimates re-deriving an evicted m-join's retained state:
-// its module and log rows are recomputed by in-memory join work from the
-// surviving upstream logs.
-func (m *Model) JoinRebuildCost(rows int) float64 {
-	return float64(rows) * m.Params.JoinCost
-}
-
 // Scratch holds AssignmentCost's working maps so a caller that prices
 // assignments in a tight loop (the plan search calls it at every leaf) can
 // reuse them instead of allocating three maps per call. A Scratch must not

@@ -447,7 +447,6 @@ func TestNewLocalRejectsBadConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []service.Config{
-		{EvictPolicy: "bogus"},
 		{Router: "bogus"},
 		{SpillDir: filepath.Join(file, "spill")},
 		{CheckpointDir: filepath.Join(file, "recover")},

@@ -89,8 +89,7 @@ type Manager struct {
 	MemoryBudget int
 
 	// State is the execution-state subsystem: the accounting ledger every
-	// retained structure reports into, the eviction policy, and the optional
-	// spill tier.
+	// retained structure reports into and the optional spill tier.
 	State *state.Manager
 
 	lastUse map[*plangraph.Node]int // node -> last epoch referenced
@@ -103,8 +102,8 @@ type Manager struct {
 	eagerSeed bool
 }
 
-// New creates a manager, wiring a fresh execution-state subsystem (ledger +
-// LRU policy, no spill) into the controller.
+// New creates a manager, wiring a fresh execution-state subsystem (ledger,
+// no spill) into the controller.
 func New(g *plangraph.Graph, a *atc.ATC, cat *catalog.Catalog, cm *costmodel.Model, mode ShareMode) *Manager {
 	m := &Manager{Graph: g, ATC: a, Cat: cat, CM: cm, Mode: mode,
 		State:   state.NewManager(),
@@ -543,32 +542,31 @@ func (m *Manager) AuditScratchSize() int {
 	return total
 }
 
-// EnforceBudget evicts currently idle state under the active policy until
-// resident state fits MemoryBudget (§6.3); 0 means unbounded. Each round
-// costs one pass over the graph to collect candidates with their
-// ledger-tracked sizes — the per-victim O(graph) StateSize rescans of the
-// pre-subsystem loop are gone.
+// EnforceBudget evicts currently idle state until resident state fits
+// MemoryBudget (§6.3); 0 means unbounded. Each round costs one pass over the
+// graph to find the victim by its ledger-tracked size.
 func (m *Manager) EnforceBudget(epoch int) {
 	budget := m.MemoryBudget
 	if budget <= 0 {
 		return
 	}
 	for m.State.Ledger.Total() > int64(budget) {
-		cands, nodes := m.evictionCandidates()
-		pick := m.State.Policy().Pick(cands)
-		if pick < 0 || pick >= len(nodes) {
+		n := m.victim()
+		if n == nil {
 			return // everything live or pinned; nothing evictable
 		}
-		m.evict(nodes[pick])
+		m.evict(n)
 	}
 }
 
-// evictionCandidates collects the evictable nodes in plan-graph creation
-// order (the deterministic tie-break every policy inherits), with sizes from
-// their ledger accounts and re-derivation costs from the cost model.
-func (m *Manager) evictionCandidates() ([]state.Candidate, []*plangraph.Node) {
-	var cands []state.Candidate
-	var nodes []*plangraph.Node
+// victim is §6.3's least-recently-used choice: among the idle, evictable
+// nodes holding state, the one last referenced earliest, the larger on a
+// tie, then the earlier created (plan-graph order). It returns nil when no
+// node qualifies.
+func (m *Manager) victim() *plangraph.Node {
+	var best *plangraph.Node
+	var bestUse int
+	var bestRows int64
 	for _, n := range m.Graph.Nodes() {
 		x, ok := m.ATC.HasExec(n)
 		if !ok || x.HasWork() || !m.Graph.Evictable(n) {
@@ -578,25 +576,12 @@ func (m *Manager) evictionCandidates() ([]state.Candidate, []*plangraph.Node) {
 		if rows == 0 {
 			continue
 		}
-		cands = append(cands, state.Candidate{
-			Key:         n.Key,
-			LastUse:     m.lastUse[n],
-			Rows:        rows,
-			RebuildCost: m.rebuildCost(n, x),
-		})
-		nodes = append(nodes, n)
+		use := m.lastUse[n]
+		if best == nil || use < bestUse || (use == bestUse && rows > bestRows) {
+			best, bestUse, bestRows = n, use, rows
+		}
 	}
-	return cands, nodes
-}
-
-// rebuildCost estimates re-deriving the node's state after a discard: a
-// stream source re-pays one remote read per delivered tuple; an m-join
-// recomputes its rows by in-memory join work from upstream logs.
-func (m *Manager) rebuildCost(n *plangraph.Node, x *operator.NodeExec) float64 {
-	if n.Kind == plangraph.SourceStream && x.Stream != nil {
-		return m.CM.StreamRebuildCost(x.Stream.Pos())
-	}
-	return m.CM.JoinRebuildCost(int(x.Account().Rows()))
+	return best
 }
 
 // evict spills (when the disk tier is enabled) then removes a node's runtime
@@ -613,5 +598,5 @@ func (m *Manager) evict(n *plangraph.Node) {
 	}
 	m.Graph.Detach(n)
 	delete(m.lastUse, n)
-	m.State.NoteEviction(m.State.Policy().Name())
+	m.State.NoteEviction()
 }

@@ -2,9 +2,9 @@ package qsm
 
 // Internal tests pinning the state subsystem against the pre-subsystem
 // implementation: the ledger's running totals must equal the O(graph)
-// recomputation at every step, and the LRU policy over ledger-sized
-// candidates must pick exactly the victims the old
-// StateSize-rescanning pickVictim chose, in the same order.
+// recomputation at every step, and the LRU victim over ledger-sized nodes
+// must be exactly the one the old StateSize-rescanning pickVictim chose, in
+// the same order.
 
 import (
 	"strings"
@@ -155,19 +155,16 @@ func TestEnforceBudgetMatchesLegacy(t *testing.T) {
 		if steps > 1000 {
 			t.Fatal("eviction did not converge")
 		}
-		want := legacyPickVictim(m)
-		cands, nodes := m.evictionCandidates()
-		pick := m.State.Policy().Pick(cands)
+		want, got := legacyPickVictim(m), m.victim()
 		if want == nil {
-			if pick >= 0 {
-				t.Fatalf("legacy declines but subsystem picks %s", nodes[pick].Key)
+			if got != nil {
+				t.Fatalf("legacy declines but subsystem picks %s", got.Key)
 			}
 			break
 		}
-		if pick < 0 {
+		if got == nil {
 			t.Fatalf("subsystem declines but legacy picks %s", want.Key)
 		}
-		got := nodes[pick]
 		if got != want {
 			t.Fatalf("victim %d: subsystem picks %s, legacy picks %s", len(evicted), got.Key, want.Key)
 		}
@@ -192,6 +189,65 @@ func TestEnforceBudgetMatchesLegacy(t *testing.T) {
 	}
 	if got, want := m2.StateSize(), m2.AuditStateSize(); got != want {
 		t.Fatalf("post-enforcement ledger %d != audit %d", got, want)
+	}
+}
+
+// TestVictimOrder pins §6.3's order on its own terms: the oldest last use
+// wins even over larger state, the larger state wins a tie in last use, and
+// no victim is named when nothing idle holds state.
+func TestVictimOrder(t *testing.T) {
+	m, env := internalRig(t)
+	if n := m.victim(); n != nil {
+		t.Fatalf("an empty graph names victim %s", n.Key)
+	}
+	runInternalUQ(t, m, env, &cq.UQ{ID: "U1", K: 10, CQs: []*cq.CQ{internalChainQ("U1.CQ1", "A", "B")}})
+	runInternalUQ(t, m, env, &cq.UQ{ID: "U2", K: 10, CQs: []*cq.CQ{internalChainQ("U2.CQ1", "C", "D")}})
+
+	var cands []*plangraph.Node
+	rows := map[*plangraph.Node]int64{}
+	for _, n := range m.Graph.Nodes() {
+		if x, ok := m.ATC.HasExec(n); ok && !x.HasWork() && m.Graph.Evictable(n) && x.Account().Rows() > 0 {
+			cands = append(cands, n)
+			rows[n] = x.Account().Rows()
+		}
+	}
+	largest, smallest := cands[0], cands[0]
+	for _, n := range cands {
+		if rows[n] > rows[largest] {
+			largest = n
+		}
+		if rows[n] < rows[smallest] {
+			smallest = n
+		}
+	}
+	if rows[largest] == rows[smallest] {
+		t.Fatalf("the %d candidates all hold %d rows; the case proves nothing", len(cands), rows[largest])
+	}
+	for _, n := range cands {
+		m.lastUse[n] = 7
+	}
+	if got := m.victim(); got != largest {
+		t.Fatalf("tie in last use: victim %s (%d rows), want the larger %s (%d rows)", got.Key, rows[got], largest.Key, rows[largest])
+	}
+	m.lastUse[smallest] = 3
+	if got := m.victim(); got != smallest {
+		t.Fatalf("victim %s, want %s, used least recently", got.Key, smallest.Key)
+	}
+
+	for steps := 0; ; steps++ {
+		n := m.victim()
+		if n == nil {
+			break
+		}
+		if steps > 1000 {
+			t.Fatal("eviction did not converge")
+		}
+		m.evict(n)
+	}
+	for _, n := range m.Graph.Nodes() {
+		if x, ok := m.ATC.HasExec(n); ok && !x.HasWork() && m.Graph.Evictable(n) && x.Account().Rows() > 0 {
+			t.Fatalf("no victim named while %s holds %d idle rows", n.Key, x.Account().Rows())
+		}
 	}
 }
 

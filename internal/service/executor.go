@@ -384,18 +384,17 @@ func (s *Service) abort(reason error) int {
 // goroutine (or after it has exited).
 func (s *Service) snapshot() ShardStats {
 	ss := ShardStats{
-		Work:              s.env.Metrics.Snapshot(),
-		Graph:             s.ctrl.Graph.Stats(),
-		StateRows:         s.mgr.StateSize(),
-		StateRowsAudit:    s.mgr.AuditStateSize(),
-		ScratchRows:       s.mgr.ScratchSize(),
-		ScratchRowsAudit:  s.mgr.AuditScratchSize(),
-		Batch:             s.env.Metrics.BatchOccupancy(),
-		Budget:            s.cfg.MemoryBudget,
-		Evictions:         s.mgr.Evictions(),
-		EvictionsByPolicy: s.mgr.State.EvictionsByPolicy(),
-		PlanCache:         s.mgr.PlanCacheStats(),
-		Now:               s.env.Clock.Now(),
+		Work:             s.env.Metrics.Snapshot(),
+		Graph:            s.ctrl.Graph.Stats(),
+		StateRows:        s.mgr.StateSize(),
+		StateRowsAudit:   s.mgr.AuditStateSize(),
+		ScratchRows:      s.mgr.ScratchSize(),
+		ScratchRowsAudit: s.mgr.AuditScratchSize(),
+		Batch:            s.env.Metrics.BatchOccupancy(),
+		Budget:           s.cfg.MemoryBudget,
+		Evictions:        s.mgr.Evictions(),
+		PlanCache:        s.mgr.PlanCacheStats(),
+		Now:              s.env.Clock.Now(),
 	}
 	if sp := s.mgr.State.Spill(); sp != nil {
 		ss.Spill = sp.Stats()

@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-
-	"repro/internal/state"
 )
 
 // FlagGroup selects a set of the serving flags Flags.Bind declares. Every
@@ -28,7 +26,7 @@ const (
 // engineOnly names the bound flags that configure an engine and nothing
 // else, so a front-end over shard processes has no use for them.
 var engineOnly = map[string]bool{
-	"batch": true, "memory-budget": true, "evict-policy": true, "spill-dir": true,
+	"batch": true, "memory-budget": true, "spill-dir": true,
 	"max-pending": true, "deadline": true, "max-inflight": true,
 	"window": true, "realtime": true, "shards": true,
 }
@@ -56,7 +54,6 @@ func (f *Flags) Bind(fs *flag.FlagSet, groups FlagGroup) {
 	fs.Uint64Var(&c.Seed, "seed", c.Seed, "deterministic delay/scoring seed (a front-end and its shard processes must share it)")
 	fs.IntVar(&c.BatchSize, "batch", c.BatchSize, "admission batch size trigger (negative = window only)")
 	fs.IntVar(&c.MemoryBudget, "memory-budget", c.MemoryBudget, "retained-state budget in rows per engine (0 = unbounded)")
-	fs.StringVar(&c.EvictPolicy, "evict-policy", c.EvictPolicy, "eviction policy under the budget: lru or benefit")
 	fs.StringVar(&c.SpillDir, "spill-dir", c.SpillDir, "spill evicted plan segments to per-engine dirs under this path instead of discarding (removed on close)")
 	fs.IntVar(&a.MaxPending, "max-pending", a.MaxPending, "admission: bound each engine's queue, shedding beyond it as retryable 503 + Retry-After (0 = unbounded)")
 	fs.DurationVar(&a.Deadline, "deadline", a.Deadline, "admission: per-search latency budget; a search past it is canceled mid-merge and shed non-retryably (0 = off); qsys-loadgen -target also bounds each request by it")
@@ -100,13 +97,10 @@ func (f *Flags) EngineFlagsSet() []string {
 	return set
 }
 
-// Validate reports the settings New would panic on: an unknown eviction
-// policy or router, a negative shard id, and a spill or checkpoint
+// Validate reports the settings New would panic on: an unknown router, a
+// negative shard id, and a spill or checkpoint
 // directory that cannot be created (it creates them).
 func (c Config) Validate() error {
-	if _, err := state.ParsePolicy(c.EvictPolicy); err != nil {
-		return err
-	}
 	if _, err := ParseRouter(c.Router); err != nil {
 		return err
 	}

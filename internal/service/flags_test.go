@@ -17,7 +17,7 @@ const allFlagGroups = service.ServerFlags | service.FrontDeskFlags | service.Sha
 func flagDefaults() service.Flags {
 	return service.Flags{Addr: ":1", Workload: "bio", Instance: 2, Config: service.Config{
 		K: 7, Seed: 3, BatchWindow: 5 * time.Millisecond, BatchSize: 4, Shards: 1,
-		Router: service.RouterHash, MemoryBudget: 9, EvictPolicy: "lru",
+		Router: service.RouterHash, MemoryBudget: 9,
 		CheckpointInterval: time.Second,
 	}}
 }
@@ -47,7 +47,6 @@ func TestFlagsBindEveryField(t *testing.T) {
 		{"-seed=12", func(f *service.Flags) { f.Config.Seed = 12 }},
 		{"-batch=-1", func(f *service.Flags) { f.Config.BatchSize = -1 }},
 		{"-memory-budget=13", func(f *service.Flags) { f.Config.MemoryBudget = 13 }},
-		{"-evict-policy=benefit", func(f *service.Flags) { f.Config.EvictPolicy = "benefit" }},
 		{"-spill-dir=" + dir, func(f *service.Flags) { f.Config.SpillDir = dir }},
 		{"-max-pending=14", func(f *service.Flags) { f.Config.Admission.MaxPending = 14 }},
 		{"-deadline=15ms", func(f *service.Flags) { f.Config.Admission.Deadline = 15 * time.Millisecond }},
@@ -132,7 +131,6 @@ func TestFlagsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{
-		{"-evict-policy", "bogus"},
 		{"-router", "bogus"},
 		{"-shard-id", "-1"},
 		{"-spill-dir", filepath.Join(file, "spill")},

@@ -36,7 +36,6 @@ func TestCheckpointRacingEvictionAndSpill(t *testing.T) {
 		BatchWindow:        2 * time.Millisecond,
 		BatchSize:          3,
 		MemoryBudget:       600,
-		EvictPolicy:        "benefit",
 		SpillDir:           filepath.Join(t.TempDir(), "spill"),
 		CheckpointDir:      cpDir,
 		CheckpointInterval: 10 * time.Millisecond,
@@ -114,11 +113,17 @@ func TestCheckpointRacingEvictionAndSpill(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	st := svc.Stats(context.Background())
+	evictions, spilled := 0, int64(0)
 	for _, sh := range st.Shards {
 		if sh.StateRows != sh.StateRowsAudit {
 			t.Fatalf("shard %d ledger %d != audit %d — checkpoint capture corrupted accounting",
 				sh.Shard, sh.StateRows, sh.StateRowsAudit)
 		}
+		evictions += sh.Evictions
+		spilled += sh.Spill.SegmentsWritten
+	}
+	if evictions == 0 || spilled == 0 {
+		t.Fatalf("%d evictions, %d segments spilled: the budget never bit", evictions, spilled)
 	}
 	if st.Recovery.CheckpointsWritten == 0 {
 		t.Fatal("no checkpoint generation was written under churn")

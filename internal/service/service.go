@@ -68,14 +68,9 @@ type Config struct {
 	// Seed drives the deterministic delay and scoring-coefficient draws.
 	Seed uint64
 	// MemoryBudget bounds the engine's retained middleware state in rows
-	// (0 = unbounded). Exceeding it triggers eviction under EvictPolicy
-	// (§6.3). It is per engine: N engines hold up to N budgets.
+	// (0 = unbounded). Exceeding it evicts idle state, least recently used
+	// first (§6.3). It is per engine: N engines hold up to N budgets.
 	MemoryBudget int
-	// EvictPolicy selects the eviction policy: "lru" (default; the paper's
-	// least-recently-used, largest-first) or "benefit" (evict the state
-	// that is cheapest to re-derive per retained row, priced by the cost
-	// model). New panics on an unknown name; Validate reports it.
-	EvictPolicy string
 	// SpillDir, when set, turns discard eviction into spill eviction: the
 	// engine serializes evicted plan segments to SpillDir/shard-<id> (id =
 	// ShardIDOffset) and revival reads them back as local I/O instead of
@@ -251,8 +246,6 @@ type ShardStats struct {
 	// Budget is the engine's MemoryBudget (0 = unbounded).
 	Budget    int
 	Evictions int
-	// EvictionsByPolicy splits evictions by the policy that chose them.
-	EvictionsByPolicy map[string]int
 	// Spill reports the shard's disk-tier traffic (zero when disabled).
 	Spill state.SpillStats
 	// PlanCache reports the optimizer work shared across admissions: groups
@@ -363,7 +356,7 @@ type Service struct {
 
 // New builds an engine over a workload and starts its executor. It panics
 // on Shards > 1 (fleet.NewLocal builds several engines behind one front
-// desk) and on an unknown EvictPolicy or a directory it cannot create.
+// desk) and on a directory it cannot create.
 func New(w *workload.Workload, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	if cfg.Shards > 1 {
@@ -390,11 +383,6 @@ func New(w *workload.Workload, cfg Config) *Service {
 		stopCh:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
 	}
-	policy, err := state.ParsePolicy(cfg.EvictPolicy)
-	if err != nil {
-		panic("service: " + err.Error())
-	}
-	s.mgr.State.SetPolicy(policy)
 	if cfg.SpillDir != "" {
 		dir := filepath.Join(cfg.SpillDir, fmt.Sprintf("shard-%d", id))
 		if err := s.mgr.EnableSpill(dir, s.mgr.DefaultResolver()); err != nil {

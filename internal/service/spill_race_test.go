@@ -35,7 +35,6 @@ func TestCancellationRacingEvictionAndSpill(t *testing.T) {
 		BatchWindow:  2 * time.Millisecond,
 		BatchSize:    3,
 		MemoryBudget: 600,
-		EvictPolicy:  "benefit",
 		SpillDir:     spillDir,
 	})
 
@@ -87,6 +86,7 @@ func TestCancellationRacingEvictionAndSpill(t *testing.T) {
 	if completed == 0 {
 		t.Fatalf("no search completed (canceled=%d)", canceled)
 	}
+	evictions, spilled := 0, int64(0)
 	for _, sh := range st.Shards {
 		if sh.StateRows != sh.StateRowsAudit {
 			t.Fatalf("shard %d ledger %d != audit %d — accounting corrupted",
@@ -95,6 +95,11 @@ func TestCancellationRacingEvictionAndSpill(t *testing.T) {
 		if sh.StateRows < 0 {
 			t.Fatalf("shard %d negative resident state %d", sh.Shard, sh.StateRows)
 		}
+		evictions += sh.Evictions
+		spilled += sh.Spill.SegmentsWritten
+	}
+	if evictions == 0 || spilled == 0 {
+		t.Fatalf("%d evictions, %d segments spilled: the budget never bit", evictions, spilled)
 	}
 
 	svc.Close()

@@ -3,15 +3,12 @@
 // memory pressure, and how to keep evicted state recoverable at local-I/O
 // cost instead of re-paying remote source reads.
 //
-// It has three parts, each usable on its own:
+// It has two parts, each usable on its own:
 //
 //   - the accounting Ledger: every retained structure (access modules, node
 //     logs, rank-merge seen-sets, endpoint buffers) holds an Account and
 //     registers size deltas as rows arrive, so the total resident state is a
 //     running sum instead of an O(graph) rescan (§6.3 accounting);
-//   - pluggable eviction Policies: the paper's LRU-largest-first plus a
-//     benefit-aware policy scoring victims by estimated re-derivation cost
-//     per retained row;
 //   - the Spill tier: parked plan segments serialize their epoch-stamped log
 //     and module rows to per-shard disk segments on eviction, and revival
 //     (§6.2, Algorithm 2) reads them back as cheap local I/O, falling back
@@ -19,7 +16,8 @@
 //
 // The package is deliberately free of engine imports (operator, atc, qsm):
 // the engine registers deltas and extracts/reinstalls rows; state owns the
-// bookkeeping, the victim choice and the bytes on disk.
+// bookkeeping and the bytes on disk; the query state manager (internal/qsm)
+// chooses the victims.
 package state
 
 import "sync/atomic"

@@ -38,44 +38,6 @@ func TestLedgerRunningTotals(t *testing.T) {
 	}
 }
 
-func TestLRUPolicyOrder(t *testing.T) {
-	cands := []Candidate{
-		{Key: "n0", LastUse: 3, Rows: 10},
-		{Key: "n1", LastUse: 1, Rows: 5},
-		{Key: "n2", LastUse: 1, Rows: 9},
-		{Key: "n3", LastUse: 2, Rows: 50},
-	}
-	if got := (LRU{}).Pick(cands); got != 2 {
-		t.Fatalf("LRU picked %d, want 2 (oldest use, larger on tie)", got)
-	}
-	if got := (LRU{}).Pick(nil); got != -1 {
-		t.Fatalf("LRU on empty picked %d", got)
-	}
-}
-
-func TestBenefitPolicyPicksCheapestPerRow(t *testing.T) {
-	cands := []Candidate{
-		{Key: "expensive", LastUse: 1, Rows: 10, RebuildCost: 20000}, // 2000/row
-		{Key: "cheap", LastUse: 9, Rows: 100, RebuildCost: 500},      // 5/row
-		{Key: "mid", LastUse: 0, Rows: 10, RebuildCost: 1000},        // 100/row
-	}
-	if got := (Benefit{}).Pick(cands); got != 1 {
-		t.Fatalf("benefit picked %d, want 1 (lowest rebuild cost per row)", got)
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]string{"": "lru", "lru": "lru", "benefit": "benefit", "cost": "benefit"} {
-		p, err := ParsePolicy(name)
-		if err != nil || p.Name() != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", name, p, err)
-		}
-	}
-	if _, err := ParsePolicy("random"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 // spillFixture builds two tiny relations and a resolver over them.
 func spillFixture(t testing.TB) (map[string][]*tuple.Tuple, TupleResolver) {
 	t.Helper()
