@@ -1,14 +1,17 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/batcher"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/mqo"
+	"repro/internal/operator"
 	"repro/internal/qsm"
 	"repro/internal/remotedb"
+	"repro/internal/service"
 	"repro/internal/workload"
 )
 
@@ -117,5 +120,73 @@ func TestFailedAdmitRegistersNothing(t *testing.T) {
 	p.Drain()
 	if m := p.ATC.MergeByUQ(first.ID); m == nil || m.Err != nil || len(m.RM.Results()) == 0 {
 		t.Fatalf("%s did not finish with results after the failed batch", first.ID)
+	}
+}
+
+// TestWarmGraphTopKMatchesCold: a search grafted onto a plan graph an
+// overlapping search left behind returns the top-k a fresh pipeline returns
+// for the same query. The first search builds a join whose endpoint the
+// second reuses while the optimizer streams that join's expression from
+// other sides; the second search's thresholds must watch the streams that
+// really feed its endpoint, or they prune answers still to come.
+func TestWarmGraphTopKMatchesCold(t *testing.T) {
+	w, err := workload.GUS(1, workload.GUSScaleDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := service.Config{Seed: 3, K: 50}
+	run := func(p *core.Pipeline, uq *cq.UQ) []operator.Result {
+		t.Helper()
+		if _, err := p.Admit([]batcher.Submission{{At: p.Env.Clock.Now(), UQ: uq}}, mqo.Config{K: uq.K}); err != nil {
+			t.Fatal(err)
+		}
+		p.Drain()
+		m := p.ATC.MergeByUQ(uq.ID)
+		if m == nil || !m.Done || m.Err != nil {
+			t.Fatalf("%s did not finish", uq.ID)
+		}
+		return m.RM.Results()
+	}
+	pipeline := func() *core.Pipeline {
+		p := core.NewPipeline(w.Fleet, w.Catalog, core.Options{Mode: qsm.ShareAll, Seed: 3})
+		p.Manager.Unit = qsm.UnitUQ
+		return p
+	}
+	keywords := []string{"expression", "binding", "EXPRESSION"}
+
+	ex := service.NewExpander(w, cfg)
+	first, err := ex.Expand("ada", []string{"expression", "binding"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ex.Expand("grace", keywords, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := pipeline()
+	run(warm, first)
+	got := run(warm, second)
+
+	again, err := service.NewExpander(w, cfg).Expand("grace", keywords, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(pipeline(), again)
+
+	if len(got) != len(want) || len(want) != cfg.K {
+		t.Fatalf("%v (%s): warm graph answered %d, a fresh pipeline %d, want %d", keywords, second.ID, len(got), len(want), cfg.K)
+	}
+	wrong := 0
+	for i := range want {
+		if math.Abs(got[i].Score-want[i].Score) > 1e-9*math.Abs(want[i].Score) {
+			if wrong == 0 {
+				t.Errorf("%v (%s): rank %d scores %.6g from %s on the warm graph, %.6g from %s on a fresh pipeline",
+					keywords, second.ID, i+1, got[i].Score, got[i].CQID, want[i].Score, want[i].CQID)
+			}
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d ranks differ", wrong, len(want))
 	}
 }

@@ -19,20 +19,24 @@ func testCfg() Config {
 // digest changed which rows flow or when, not just what they cost. Re-record
 // one only with the reason it moved.
 //
-// fig7, fig8 and fig9 were last re-recorded when reviving a parked segment
-// whose modules gained no rows stopped re-joining its history: such a graft
-// now costs the virtual time grafting onto a live segment costs, nothing, so
-// the strategies that keep one graph across queries (ATC-FULL, ATC-CL,
-// BATCH-OPT and SINGLE-OPT) answer some queries sooner and spend a smaller
-// share on joins. Source tuples (fig10, fig9's totals) did not move.
+// fig7, fig8, fig9, fig10 and fig12 were last re-recorded when a CQ's
+// thresholds began to watch the streams that really feed its endpoint node
+// instead of the streams the optimizer chose for it. On a warm graph the
+// endpoint can land on an existing join fed by other streams; watching the
+// chosen ones let a threshold fall while the real inputs had rows to come,
+// so answers were lost, or found only by reading further. The strategies that
+// keep one graph across queries move: ATC-FULL's fig7 total 63.6 → 60.3 s
+// (it wins 8 of 15 queries, was 6), fig9's batch 18 591 → 17 601 tuples,
+// fig10's FULL 15:5 ratio 2.14 → 2.03, and fig12's ATC-CL late-query total
+// 200.7 → 288.2 s (ATC-UQ's is 342.1 s).
 var frozenOutput = map[string]string{
 	"table4": "dec2777745eee4e0d78c41bae8830967b3dd5ad285b92ff3d13ffb8ed41868bc",
-	"fig7":   "66754b29e3675fc93956499e86abc74a8ba23823513813226c3e3d99a93af8e5",
-	"fig8":   "74ed5ad64f189225627da0d94d0af953bedfa5a767df5d0bdf47e1226395a675",
-	"fig9":   "4258fd1e1db11fb4dada1aba85118042c257a549006fd3eba2341acac4e638a2",
-	"fig10":  "ee687e019b3e67c91c4f4d82f9f7e3e66051c18974d3cd179fd49a05beac8380",
+	"fig7":   "f4aa0547249be005369a71e3287836b89b3d46e2f76e89784dd309fdc4a16c4b",
+	"fig8":   "4d34da909f5315547b03040e17623f69587547ea7b91dd4fa9a57124a8f518d0",
+	"fig9":   "9ca0cb4d4fa72bb935ab0671c18ec1ebd63b965020d9a211cfdc590ff522a1f4",
+	"fig10":  "5685a3585b386e16996adb3d03c033e5e9a8d83d23bd142d2e4e2cdc71d11b37",
 	"fig11":  "ae0fb03a73a700434368c6cb0ed436069d59f275c11707f76b8ce3d05fd6ad15",
-	"fig12":  "3f6f4db0acb041d70584484768b6e0046e0c5877e53c920dea0f47cb3176d2b0",
+	"fig12":  "5d42b80033572268fda33582e6cc1d8786da8155f4c688a85d8230dec366be80",
 }
 
 // durationToken matches rendered time.Duration values ("16.29ms", "1.52s")

@@ -222,12 +222,8 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 	report := &AdmitReport{Epoch: epoch}
 
 	groups := m.groups(subs)
-	type cqInput struct {
-		node *plangraph.Node
-		mode costmodel.Mode
-		occ  *cq.ExprOccurrence
-	}
-	inputsByCQ := map[string][]cqInput{}
+	// The assignment's inputs each CQ uses: admission touches them for LRU.
+	inputsByCQ := map[string][]*plangraph.Node{}
 
 	optResults := m.optimizeGroups(groups, cfg, report)
 
@@ -247,8 +243,8 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 			return nil, fmt.Errorf("qsm: factorize %q: %w", g.scope, err)
 		}
 		for i, in := range r.res.Inputs {
-			for cqID, occ := range in.Uses {
-				inputsByCQ[cqID] = append(inputsByCQ[cqID], cqInput{node: nodes[i], mode: in.Mode, occ: occ})
+			for cqID := range in.Uses {
+				inputsByCQ[cqID] = append(inputsByCQ[cqID], nodes[i])
 			}
 		}
 	}
@@ -276,19 +272,11 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 			}
 			entry := operator.NewCQEntry(q, q.Model.MaxScore(maxima), maxima)
 			entry.SetAccount(m.State.Ledger.NewAccount("sink::" + q.ID))
-			for _, in := range inputsByCQ[q.ID] {
-				m.touch(in.node, epoch)
-				if in.mode != costmodel.Stream {
-					continue
-				}
-				sx, err := m.ATC.Exec(in.node)
-				if err != nil {
-					return nil, err
-				}
-				entry.Groups = append(entry.Groups, &operator.ThresholdGroup{
-					Atoms:  append([]int(nil), in.occ.AtomOf...),
-					Source: sx,
-				})
+			for _, n := range inputsByCQ[q.ID] {
+				m.touch(n, epoch)
+			}
+			if entry.Groups, err = m.thresholdGroups(ep); err != nil {
+				return nil, err
 			}
 			if len(entry.Groups) == 0 {
 				return nil, fmt.Errorf("qsm: %s has no streaming groups", q.ID)
@@ -310,6 +298,41 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 	report.Recovered = m.ATC.Env.Metrics.Snapshot().ReplayTuples - replayBefore
 	m.EnforceBudget(epoch)
 	return report, nil
+}
+
+// thresholdGroups returns one threshold group per stream that feeds the
+// endpoint's node through non-probe edges, with the stream's atoms mapped
+// through every edge on the way to the CQ's atom indexes. The groups come
+// from the graph, not from the admission's assignment: an endpoint can land
+// on a node that existed before, fed by other streams than the optimizer
+// chose, and a threshold must watch the streams that really feed it.
+func (m *Manager) thresholdGroups(ep *plangraph.Endpoint) ([]*operator.ThresholdGroup, error) {
+	var groups []*operator.ThresholdGroup
+	var walk func(n *plangraph.Node, atoms []int) error
+	walk = func(n *plangraph.Node, atoms []int) error {
+		if n.Kind == plangraph.SourceStream {
+			x, err := m.ATC.Exec(n)
+			if err == nil {
+				groups = append(groups, &operator.ThresholdGroup{Atoms: atoms, Source: x})
+			}
+			return err
+		}
+		for _, e := range n.Inputs {
+			if e.Probe {
+				continue
+			}
+			in := make([]int, len(e.AtomMap))
+			for i, to := range e.AtomMap {
+				in[i] = atoms[to]
+			}
+			if err := walk(e.From, in); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := walk(ep.Node, append([]int(nil), ep.AtomMap...))
+	return groups, err
 }
 
 // optResult carries one group's optimization outcome: the assignment, the

@@ -163,7 +163,6 @@ func (s *Service) run() {
 		// One scheduling round; dispatch whatever finished.
 		if len(s.waiters) > 0 {
 			s.ctrl.RunRound()
-			finished := false
 			for id, r := range s.waiters {
 				m := s.ctrl.MergeByUQ(id)
 				if m == nil || !m.Done {
@@ -179,12 +178,6 @@ func (s *Service) run() {
 					s.respond(r, s.result(r, m), nil)
 				}
 				s.ctrl.Forget(id)
-				finished = true
-			}
-			if finished {
-				// Feed observed statistics back so the next admission costs
-				// reuse correctly (§6.1).
-				s.mgr.SyncCatalog()
 			}
 		}
 

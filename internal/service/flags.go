@@ -98,8 +98,8 @@ func (f *Flags) EngineFlagsSet() []string {
 }
 
 // Validate reports the settings New would panic on: an unknown router, a
-// negative shard id, and a spill or checkpoint
-// directory that cannot be created (it creates them).
+// negative shard id, and a spill or checkpoint directory that cannot be
+// created (it creates them).
 func (c Config) Validate() error {
 	if _, err := ParseRouter(c.Router); err != nil {
 		return err

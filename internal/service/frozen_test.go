@@ -25,8 +25,8 @@ func TestFrozenServingAnswers(t *testing.T) {
 		stream int64
 	}{
 		"bio":  {"2a748deddbe1c0e37f935e9ff68e1b27ad8f63c63d60a1da2f2b79e7e9df0c8a", 15411},
-		"gus":  {"16d4b3f56e35558a15a4a2fc1bccd76bd693953c13573ebaa682515840aab50c", 13694},
-		"pfam": {"6d4d690adddd2ae1833b30a96ce702cb6e14c352f3c52f75ba71b34c8a587c4b", 55067},
+		"gus":  {"16d4b3f56e35558a15a4a2fc1bccd76bd693953c13573ebaa682515840aab50c", 13184},
+		"pfam": {"6d4d690adddd2ae1833b30a96ce702cb6e14c352f3c52f75ba71b34c8a587c4b", 54968},
 	}
 	for _, tc := range expandWorkloads {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,8 +64,8 @@ func TestFrozenServingAnswers(t *testing.T) {
 			mode           string
 			stream, misses int64
 		}{
-			{service.RouterHash, 16797, 4},
-			{service.RouterAffinity, 14730, 0},
+			{service.RouterHash, 15147, 4},
+			{service.RouterAffinity, 13475, 0},
 		} {
 			got, st := overlapTopicRun(t, tc.mode)
 			if got != digest {
