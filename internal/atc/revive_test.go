@@ -192,7 +192,7 @@ func TestReviveRestoredSegmentRecovers(t *testing.T) {
 			h.finish(t, first.ID)
 			// Evict everything idle to the disk tier.
 			h.mgr.MemoryBudget = 1
-			h.mgr.EnforceBudget(h.ctrl.Epoch())
+			h.mgr.EnforceBudget()
 			h.mgr.MemoryBudget = 0
 			uq := again()
 			w := h.graft(t, uq)
@@ -276,7 +276,7 @@ func TestRevivedStreamMarkedDirty(t *testing.T) {
 	h.graft(t, first)
 	h.finish(t, first.ID)
 	h.mgr.MemoryBudget = 1
-	h.mgr.EnforceBudget(h.ctrl.Epoch())
+	h.mgr.EnforceBudget()
 	h.mgr.MemoryBudget = 0
 	h.ctrl.DrainDirty(func(*operator.NodeExec) {})
 

@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/relationdb"
@@ -53,6 +54,8 @@ type Catalog struct {
 	exprCard map[string]float64
 	// estCache memoises pure estimates (invalidated by observations).
 	estCache map[string]float64
+	// gen counts the feedback writes that changed a value (Gen).
+	gen atomic.Uint64
 }
 
 // New creates an empty catalog.
@@ -68,8 +71,9 @@ func New() *Catalog {
 // Fork returns a catalog sharing this catalog's (read-only, fully registered)
 // relation statistics but with private execution-feedback state. Each plan
 // graph gets a fork: reuse accounting (§6.1) is middleware-state-local, so an
-// isolated graph must not see another graph's buffered-tuple counts. Callers
-// must finish registering relations before forking.
+// isolated graph must not see another graph's buffered-tuple counts. A fork
+// counts its own generations from 0. Callers must finish registering
+// relations before forking.
 func (c *Catalog) Fork() *Catalog {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -247,6 +251,7 @@ func (c *Catalog) RecordStreamed(key string, n int) {
 	c.mu.Lock()
 	if n > c.streamedSoFar[key] {
 		c.streamedSoFar[key] = n
+		c.gen.Add(1)
 	}
 	c.mu.Unlock()
 }
@@ -261,7 +266,10 @@ func (c *Catalog) StreamedSoFar(key string) int {
 // ForgetStreamed clears reuse accounting for an evicted input (§6.3).
 func (c *Catalog) ForgetStreamed(key string) {
 	c.mu.Lock()
-	delete(c.streamedSoFar, key)
+	if _, ok := c.streamedSoFar[key]; ok {
+		delete(c.streamedSoFar, key)
+		c.gen.Add(1)
+	}
 	c.mu.Unlock()
 }
 
@@ -269,10 +277,19 @@ func (c *Catalog) ForgetStreamed(key string) {
 // (and invalidates) the pure estimate.
 func (c *Catalog) RecordExprCard(key string, card float64) {
 	c.mu.Lock()
-	c.exprCard[key] = card
+	if old, ok := c.exprCard[key]; !ok || old != card {
+		c.exprCard[key] = card
+		c.gen.Add(1)
+	}
 	delete(c.estCache, key)
 	c.mu.Unlock()
 }
+
+// Gen returns the feedback generation: the number of RecordStreamed,
+// ForgetStreamed and RecordExprCard calls that changed a value the catalog
+// returns. Nothing else moves it, so while it is unchanged every
+// StreamedSoFar and ObservedCard answer is the one read at that generation.
+func (c *Catalog) Gen() uint64 { return c.gen.Load() }
 
 // ObservedCard returns the cardinality an execution recorded for the
 // expression, and whether one was recorded. Together with StreamedSoFar it is

@@ -138,6 +138,48 @@ func TestForkIsolation(t *testing.T) {
 	}
 }
 
+// TestFeedbackGeneration pins what moves Gen: each feedback write that
+// changes a value the catalog returns, and no other write.
+func TestFeedbackGeneration(t *testing.T) {
+	c := buildCatalog(t)
+	for _, step := range []struct {
+		what  string
+		write func(c *Catalog)
+		bumps bool
+	}{
+		{"first count", func(c *Catalog) { c.RecordStreamed("k", 10) }, true},
+		{"higher count", func(c *Catalog) { c.RecordStreamed("k", 20) }, true},
+		{"lower count", func(c *Catalog) { c.RecordStreamed("k", 5) }, false},
+		{"equal count", func(c *Catalog) { c.RecordStreamed("k", 20) }, false},
+		{"zero count of an absent key", func(c *Catalog) { c.RecordStreamed("j", 0) }, false},
+		{"forget a present key", func(c *Catalog) { c.ForgetStreamed("k") }, true},
+		{"forget an absent key", func(c *Catalog) { c.ForgetStreamed("k") }, false},
+		{"first card", func(c *Catalog) { c.RecordExprCard("e", 7) }, true},
+		{"same card", func(c *Catalog) { c.RecordExprCard("e", 7) }, false},
+		{"changed card", func(c *Catalog) { c.RecordExprCard("e", 8) }, true},
+		{"zero card of a new key", func(c *Catalog) { c.RecordExprCard("z", 0) }, true},
+		{"an estimate", func(c *Catalog) {
+			e, _ := joinAB().SubExpr([]int{0, 1})
+			c.EstimateCard(e)
+		}, false},
+	} {
+		before := c.Gen()
+		step.write(c)
+		if moved := c.Gen() != before; moved != step.bumps {
+			t.Fatalf("%s: generation %d -> %d, want a bump: %v", step.what, before, c.Gen(), step.bumps)
+		}
+	}
+	f := c.Fork()
+	if f.Gen() != 0 {
+		t.Fatalf("a fork starts at generation %d, want 0", f.Gen())
+	}
+	before := c.Gen()
+	f.RecordStreamed("k", 1)
+	if f.Gen() != 1 || c.Gen() != before {
+		t.Fatalf("a fork's write moved the fork to %d and its parent %d -> %d; want 1 and unchanged", f.Gen(), before, c.Gen())
+	}
+}
+
 func TestTopKDepth(t *testing.T) {
 	c := buildCatalog(t)
 	e, _ := joinAB().SubExpr([]int{1})

@@ -7,6 +7,7 @@ package coretest
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/andor"
@@ -62,7 +63,7 @@ func (s *Side) Search(t testing.TB, user string, kws []string) *cq.UQ {
 // Evict enforces a budget of budget rows on m once.
 func Evict(m *qsm.Manager, budget int) {
 	m.MemoryBudget = budget
-	m.EnforceBudget(m.ATC.Epoch())
+	m.EnforceBudget()
 	m.MemoryBudget = 0
 }
 
@@ -120,7 +121,9 @@ var suites = []struct {
 //     searches) from the suite's searches and their overlap variants,
 //     posed by three users whose scoring coefficients evolve per search,
 //     with the CQ order permuted one time in three; then calls Admit;
-//   - admits the batch on both sides; then calls Admitted;
+//   - admits the batch on both sides, checks every attached query's
+//     threshold groups against its side's graph (CheckThresholds); then
+//     calls Admitted;
 //   - drains both sides round by round, recording pruned CQs; then calls
 //     Drained, and both sides forget the batch.
 func Run(t *testing.T, setup func(prod, ref *Side) Checks, cases ...string) {
@@ -209,6 +212,7 @@ func (s *Step) step(t *testing.T, rng *dist.RNG, pool [][]string, step int, chec
 		if s.Reports[si], err = side.Pipe.Admit(subs, mqo.Config{K: 10}); err != nil {
 			t.Fatalf("%s: admit: %v", s.What, err)
 		}
+		CheckThresholds(t, s.What, side.Pipe)
 		for _, n := range side.Pipe.Graph.Nodes() {
 			if n.Kind == plangraph.SourceStream {
 				s.Streams[n.Expr.Key()] = true
@@ -230,6 +234,78 @@ func (s *Step) step(t *testing.T, rng *dist.RNG, pool [][]string, step int, chec
 			side.Pipe.ATC.Forget(uq.ID)
 		}
 	}
+}
+
+// CheckThresholds requires every query attached to p's merges to watch the
+// streams that really feed its endpoint: its threshold groups' sources are
+// exactly the stream leaves under the endpoint's node through non-probe
+// edges, and their atoms partition the query's streamed atoms — every atom
+// reached through no probe edge is in one group, and no other atom in any.
+func CheckThresholds(t testing.TB, what string, p *core.Pipeline) {
+	t.Helper()
+	for _, m := range p.ATC.Merges() {
+		for _, e := range m.RM.Entries {
+			ep := p.Graph.Endpoint(e.CQ.ID)
+			if ep == nil {
+				continue // unlinked
+			}
+			var leaves []*plangraph.Node
+			probed := make([]bool, len(e.CQ.Atoms))
+			var walk func(n *plangraph.Node, atoms []int, probe bool)
+			walk = func(n *plangraph.Node, atoms []int, probe bool) {
+				if len(n.Inputs) == 0 {
+					if !probe && n.Kind == plangraph.SourceStream {
+						leaves = append(leaves, n)
+						return
+					}
+					for _, a := range atoms {
+						probed[a] = true
+					}
+					return
+				}
+				for _, in := range n.Inputs {
+					sub := make([]int, len(in.AtomMap))
+					for i, to := range in.AtomMap {
+						sub[i] = atoms[to]
+					}
+					walk(in.From, sub, probe || in.Probe)
+				}
+			}
+			walk(ep.Node, ep.AtomMap, false)
+			var sources []*plangraph.Node
+			groups := make([]int, len(e.CQ.Atoms)) // per atom, the groups holding it
+			for _, g := range e.Groups {
+				sources = append(sources, g.Source.Node)
+				for _, a := range g.Atoms {
+					groups[a]++
+				}
+			}
+			byKey := func(a, b *plangraph.Node) int { return strings.Compare(a.Key, b.Key) }
+			slices.SortFunc(leaves, byKey)
+			slices.SortFunc(sources, byKey)
+			if !slices.Equal(sources, leaves) {
+				t.Fatalf("%s: %s's threshold groups watch %v, but the stream leaves under %s are %v",
+					what, e.CQ.ID, nodeKeys(sources), ep.Node.Key, nodeKeys(leaves))
+			}
+			for a, n := range groups {
+				want := 1
+				if probed[a] {
+					want = 0
+				}
+				if n != want {
+					t.Fatalf("%s: %s's atom %d (probed: %v) is in %d threshold groups", what, e.CQ.ID, a, probed[a], n)
+				}
+			}
+		}
+	}
+}
+
+func nodeKeys(ns []*plangraph.Node) []string {
+	keys := make([]string, len(ns))
+	for i, n := range ns {
+		keys[i] = n.Key
+	}
+	return keys
 }
 
 // weighedKeys returns the expression keys mqo.Optimize weighs for uq: its

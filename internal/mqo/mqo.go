@@ -124,15 +124,21 @@ type candidate struct {
 // rank can change which plan is found. That is the property a plan cache
 // keyed on the structures needs (qsm), since every arrival of a recurring
 // user query carries fresh ids in a freshly ranked order.
-func CanonicalOrder(qs []*cq.CQ) []*cq.CQ {
-	out := append([]*cq.CQ(nil), qs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if bi, bj := out[i].BodyKey(), out[j].BodyKey(); bi != bj {
-			return bi < bj
+func CanonicalOrder(qs []*cq.CQ) []*cq.CQ { return AppendCanonical(nil, qs) }
+
+// AppendCanonical appends the batch to dst in canonical order (see
+// CanonicalOrder) and returns the extended slice; it allocates only to grow
+// dst.
+func AppendCanonical(dst, qs []*cq.CQ) []*cq.CQ {
+	n := len(dst)
+	dst = append(dst, qs...)
+	slices.SortStableFunc(dst[n:], func(a, b *cq.CQ) int {
+		if c := strings.Compare(a.BodyKey(), b.BodyKey()); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
-	return out
+	return dst
 }
 
 // Optimize runs multi-query optimization over the batch.
@@ -709,23 +715,48 @@ func sameAssignment(a, b []*costmodel.Input) bool {
 // Validate checks Definition 1: every relation occurrence (atom) of every
 // query is covered by exactly one input that uses the query.
 func Validate(qs []*cq.CQ, inputs []*costmodel.Input) error {
-	for _, q := range qs {
-		count := make([]int, len(q.Atoms))
+	return ValidateBy(qs, len(inputs),
+		func(i int) (*cq.Expr, costmodel.Mode) { return inputs[i].Expr, inputs[i].Mode },
+		func(i, pos int) ([]int, bool) {
+			occ, ok := inputs[i].Uses[qs[pos].ID]
+			if !ok {
+				return nil, false
+			}
+			return occ.AtomOf, true
+		})
+}
+
+// ValidateBy is Validate over an assignment read through accessors, so a
+// caller that keeps one in another shape checks it without rebuilding
+// costmodel.Inputs: input(i) is the i-th of n inputs' expression and mode,
+// and use(i, pos) the atom mapping of input i into qs[pos], if it uses that
+// query.
+func ValidateBy(qs []*cq.CQ, n int, input func(i int) (*cq.Expr, costmodel.Mode), use func(i, pos int) ([]int, bool)) error {
+	var buf [16]int
+	for pos, q := range qs {
+		var count []int // per atom of q, the inputs covering it
+		if len(q.Atoms) <= len(buf) {
+			count = buf[:len(q.Atoms)]
+			clear(count)
+		} else {
+			count = make([]int, len(q.Atoms))
+		}
 		streams := 0
-		for _, in := range inputs {
-			occ, ok := in.Uses[q.ID]
+		for i := 0; i < n; i++ {
+			atomOf, ok := use(i, pos)
 			if !ok {
 				continue
 			}
-			if in.Mode == costmodel.Stream {
+			expr, mode := input(i)
+			if mode == costmodel.Stream {
 				streams++
 			}
-			for i, ai := range occ.AtomOf {
+			for ei, ai := range atomOf {
 				if ai < 0 || ai >= len(q.Atoms) {
-					return fmt.Errorf("mqo: input %s maps atom out of range for %s", in.Expr.Key(), q.ID)
+					return fmt.Errorf("mqo: input %s maps atom out of range for %s", expr.Key(), q.ID)
 				}
-				if in.Expr.Atoms[i].Rel != q.Atoms[ai].Rel {
-					return fmt.Errorf("mqo: input %s atom %d relation mismatch for %s", in.Expr.Key(), i, q.ID)
+				if expr.Atoms[ei].Rel != q.Atoms[ai].Rel {
+					return fmt.Errorf("mqo: input %s atom %d relation mismatch for %s", expr.Key(), ei, q.ID)
 				}
 				count[ai]++
 			}

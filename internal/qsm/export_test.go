@@ -35,7 +35,10 @@ func (m *Manager) ResetPlanCache() { m.plans = newPlanCache() }
 func (m *Manager) PlanFor(qs []*cq.CQ, cfg mqo.Config) (res *mqo.Result, hit bool, err error) {
 	report := &AdmitReport{}
 	out := m.optimizeGroups([]optGroup{{qs: qs}}, cfg, report)
-	return out[0].res, report.PlanCacheHits == 1, out[0].err
+	if out[0].err == nil {
+		res = out[0].result()
+	}
+	return res, report.PlanCacheHits == 1, out[0].err
 }
 
 // SetEagerSeed makes every endpoint of m buffer its whole pre-epoch log at

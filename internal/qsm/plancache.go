@@ -3,7 +3,6 @@ package qsm
 import (
 	"container/list"
 	"math"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/costmodel"
@@ -33,7 +32,10 @@ import (
 // Any other change — an observed cardinality, or a bound the re-priced cost
 // does not clear — forces a search. So a hit returns exactly what the search
 // would, cost included: the cache changes when a plan is found, never which
-// plan.
+// plan. An entry also keeps the catalog generation (catalog.Catalog.Gen) at
+// which its read set last agreed with the catalog: while the generation has
+// not moved no value can have changed, so the lookup serves the entry without
+// comparing a single read.
 //
 // An entry also remembers where its plan last went in the graph (graftRecord):
 // the plan graph is the plan cache's second half. While every node a record
@@ -74,12 +76,16 @@ type planKey struct {
 	cfg    mqo.Config
 }
 
-func planKeyOf(order []*cq.CQ, cfg mqo.Config) planKey {
-	bodies := make([]string, len(order))
+// appendBodies appends the planKey bodies of a group in canonical order to
+// buf: the query bodies, one per line.
+func appendBodies(buf []byte, order []*cq.CQ) []byte {
 	for i, q := range order {
-		bodies[i] = q.BodyKey()
+		if i > 0 {
+			buf = append(buf, '\n')
+		}
+		buf = append(buf, q.BodyKey()...)
 	}
-	return planKey{bodies: strings.Join(bodies, "\n"), cfg: cfg}
+	return buf
 }
 
 // planRead is one catalog value the search could consult for an expression
@@ -119,7 +125,10 @@ type planEntry struct {
 	// search under the catalog values in reads: mqo.Result.RunnerUp, then
 	// the bound that served the last recheck.
 	runnerUp float64
-	graft    *graftRecord
+	// gen is the catalog generation at which reads last agreed with the
+	// catalog.
+	gen   uint64
+	graft *graftRecord
 }
 
 // graftRecord is what the entry's last factorize.Build grafted, under one
@@ -171,7 +180,7 @@ func (e *planEntry) liveGraft(g *plangraph.Graph) *graftRecord {
 // the chosen inputs. It must run before anything mutates the catalog again,
 // so the values recorded are the ones the search saw.
 func newPlanEntry(key planKey, order []*cq.CQ, res *mqo.Result, cat *catalog.Catalog) *planEntry {
-	e := &planEntry{key: key, cost: res.Cost, candidates: res.CandidateCount, runnerUp: res.RunnerUp}
+	e := &planEntry{key: key, cost: res.Cost, candidates: res.CandidateCount, runnerUp: res.RunnerUp, gen: cat.Gen()}
 	at := map[string]int{}
 	read := func(k string) int {
 		if i, ok := at[k]; ok {
@@ -262,6 +271,22 @@ func (e *planEntry) bind(order []*cq.CQ) *mqo.Result {
 	return &mqo.Result{Inputs: inputs, Cost: e.cost, CandidateCount: e.candidates}
 }
 
+// validate is mqo.Validate over the entry's assignment bound to order — the
+// same checks in the same order, the same error — read off the canonical
+// positions without binding. An input holds at most one use per position.
+func (e *planEntry) validate(order []*cq.CQ) error {
+	return mqo.ValidateBy(order, len(e.inputs),
+		func(i int) (*cq.Expr, costmodel.Mode) { return e.inputs[i].expr, e.inputs[i].mode },
+		func(i, pos int) ([]int, bool) {
+			for _, u := range e.inputs[i].uses {
+				if u.pos == pos {
+					return u.atomOf, true
+				}
+			}
+			return nil, false
+		})
+}
+
 // planCache is a bounded LRU of plan entries. It is confined to the
 // goroutine that runs Admit: lookups happen before the optimizer's worker
 // fan-out and inserts after it. The map is only ever indexed, never ranged —
@@ -270,32 +295,44 @@ type planCache struct {
 	byKey map[planKey]*list.Element // of *planEntry
 	lru   *list.List                // front = most recently used
 	stats PlanCacheStats
+	// bodies and orders are scratch for one batch's lookups: the key bodies
+	// of the group being looked up (appendBodies), and every group's
+	// canonical order. A hit copies neither; a miss's key is copied into
+	// its entry.
+	bodies []byte
+	orders []*cq.CQ
 }
 
 func newPlanCache() *planCache {
 	return &planCache{byKey: map[planKey]*list.Element{}, lru: list.New()}
 }
 
-// lookup returns the entry for key with its assignment bound to order, if
-// the search would return that assignment under the live catalog: the read
-// set still holds, or only row counts moved and the exactly re-priced
-// assignment clears the runner-up bound. A served recheck moves the entry to
-// the live row counts, the new cost and the carried bound. Any other entry is
-// stale and dropped on the spot: the search that follows the miss replaces
-// it.
-func (c *planCache) lookup(key planKey, order []*cq.CQ, cm *costmodel.Model) (*planEntry, *mqo.Result) {
-	el, ok := c.byKey[key]
+// lookup returns the entry for the group with the given key bodies
+// (appendBodies) and configuration if the search would return its assignment
+// under the live catalog: the catalog is at the generation the entry last
+// agreed with, or its read set still holds, or only row counts moved and the
+// exactly re-priced assignment clears the runner-up bound. A served recheck
+// moves the entry to the live row counts, the new cost and the carried bound,
+// and returns the assignment it re-priced, bound to order; any other hit
+// returns a nil result (optResult.result binds it when needed). Any other
+// entry is stale and dropped on the spot: the search that follows the miss
+// replaces it.
+func (c *planCache) lookup(bodies []byte, cfg mqo.Config, order []*cq.CQ, cm *costmodel.Model) (*planEntry, *mqo.Result) {
+	el, ok := c.byKey[planKey{bodies: string(bodies), cfg: cfg}]
 	if !ok {
 		return nil, nil
 	}
 	e := el.Value.(*planEntry)
+	gen := cm.Cat.Gen()
+	if e.gen == gen {
+		c.lru.MoveToFront(el)
+		return e, nil
+	}
 	moved, stale, bound, margin := e.recheck(cm.Cat, cm.Params.StreamCost)
 	var res *mqo.Result
-	if !stale {
-		res = e.bind(order)
-	}
 	if !stale && moved {
-		res.Cost = cm.AssignmentCost(order, res.Inputs, key.cfg.K)
+		res = e.bind(order)
+		res.Cost = cm.AssignmentCost(order, res.Inputs, cfg.K)
 		// An infinite bound (the search priced no other assignment) is
 		// cleared by any cost.
 		stale = !math.IsInf(bound, 1) && res.Cost >= bound-margin
@@ -310,9 +347,10 @@ func (c *planCache) lookup(key planKey, order []*cq.CQ, cm *costmodel.Model) (*p
 	if stale {
 		c.stats.Stale++
 		c.lru.Remove(el)
-		delete(c.byKey, key)
+		delete(c.byKey, e.key)
 		return nil, nil
 	}
+	e.gen = gen
 	c.lru.MoveToFront(el)
 	return e, res
 }

@@ -2,6 +2,7 @@ package qsm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func planOnce(t *testing.T, m *Manager, n int) (res *mqo.Result, hit bool) {
 	if report.PlanCacheHits+report.PlanCacheMisses != 1 {
 		t.Fatalf("one group reported hits=%d misses=%d", report.PlanCacheHits, report.PlanCacheMisses)
 	}
-	return out[0].res, report.PlanCacheHits == 1
+	return out[0].result(), report.PlanCacheHits == 1
 }
 
 // optimizeOnce is what the search returns for arrival n on the live catalog.
@@ -111,7 +112,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		}, rowCounts},
 		{"discard eviction", false, func(t *testing.T, m *Manager, env *operator.Env) {
 			m.MemoryBudget = 1
-			m.EnforceBudget(m.ATC.Epoch())
+			m.EnforceBudget()
 			m.MemoryBudget = 0
 			if m.Evictions() == 0 {
 				t.Fatal("nothing evicted")
@@ -119,7 +120,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		}, rowCounts},
 		{"spill eviction", true, func(t *testing.T, m *Manager, env *operator.Env) {
 			m.MemoryBudget = 1
-			m.EnforceBudget(m.ATC.Epoch())
+			m.EnforceBudget()
 			m.MemoryBudget = 0
 			if m.Evictions() == 0 || env.Metrics.Snapshot().SpillSegsWritten == 0 {
 				t.Fatal("nothing spilled")
@@ -136,7 +137,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			runInternalUQ(t, donor, denv, cacheSuite(1))
 			exp := donor.CheckpointExport()
 			m.MemoryBudget = 1
-			m.EnforceBudget(m.ATC.Epoch())
+			m.EnforceBudget()
 			m.MemoryBudget = 0
 			planOnce(t, m, 200) // settle on the post-eviction catalog
 			if _, hit := planOnce(t, m, 201); !hit {
@@ -388,7 +389,7 @@ func TestDirectGraftNeedsLiveNodes(t *testing.T) {
 	old := entry.graft
 
 	m.MemoryBudget = 1
-	m.EnforceBudget(m.ATC.Epoch())
+	m.EnforceBudget()
 	m.MemoryBudget = 0
 	if entry.liveGraft(m.Graph) != nil {
 		t.Fatal("the record of evicted nodes still applies")
@@ -450,7 +451,19 @@ func (g suiteGroup) fork() (*catalog.Catalog, *costmodel.Model) {
 	return cat, costmodel.New(cat, costmodel.DefaultParams())
 }
 
-func (g suiteGroup) key() planKey { return planKeyOf(g.order, g.cfg.Defaults()) }
+func (g suiteGroup) key() planKey {
+	return planKey{bodies: string(appendBodies(nil, g.order)), cfg: g.cfg.Defaults()}
+}
+
+// lookup looks the group up in c the way optimizeGroups does, and returns
+// the served assignment bound to the group's queries.
+func (g suiteGroup) lookup(c *planCache, cm *costmodel.Model) (*planEntry, *mqo.Result) {
+	e, res := c.lookup(appendBodies(nil, g.order), g.cfg.Defaults(), g.order, cm)
+	if e != nil && res == nil {
+		res = e.bind(g.order)
+	}
+	return e, res
+}
 
 func (g suiteGroup) optimize(t *testing.T, cm *costmodel.Model) *mqo.Result {
 	t.Helper()
@@ -491,7 +504,7 @@ func TestPlanCacheRowCountFlip(t *testing.T) {
 			if assignment(g.optimize(t, cm)) == assignment(old) {
 				continue
 			}
-			if e, _ := c.lookup(g.key(), g.order, cm); e != nil || c.stats.Stale != 1 || c.stats.Rechecked != 0 {
+			if e, _ := g.lookup(c, cm); e != nil || c.stats.Stale != 1 || c.stats.Rechecked != 0 {
 				t.Fatalf("%s: buffering %s changed the plan, yet the lookup served the old one (%+v)", g.name, d.Key, c.stats)
 			}
 			return
@@ -529,7 +542,7 @@ func TestPlanCacheRecheckProperty(t *testing.T) {
 				setStreamed(cat, r.key, rng.Intn(2*int(r.dmax)+2))
 			}
 			before := c.stats
-			_, got := c.lookup(g.key(), g.order, cm)
+			_, got := g.lookup(c, cm)
 			switch {
 			case c.stats.Rechecked > before.Rechecked:
 				rechecked++
@@ -545,5 +558,172 @@ func TestPlanCacheRecheckProperty(t *testing.T) {
 	t.Logf("%d lookups re-priced and served, %d searched again", rechecked, searched)
 	if rechecked == 0 || searched == 0 {
 		t.Fatal("the property is vacuous: it needs both outcomes")
+	}
+}
+
+// TestPlanCacheGenerationProperty plans every suite group and then, round
+// after round, makes a few random catalog writes — to its read keys and to a
+// key it never read — that raise, lower, re-record or forget row counts and
+// re-record or change observed cardinalities, many of them leaving every
+// value as it was. Whenever the catalog is at the entry's generation (the
+// lookup serves it without comparing a read), the full recheck must find
+// nothing moved and nothing stale; and every lookup served, by the
+// generation or by the walk, must render what mqo.Optimize returns on the
+// live catalog. Both kinds of served lookup must occur.
+func TestPlanCacheGenerationProperty(t *testing.T) {
+	rng := dist.New(48)
+	byGen, walked := 0, 0
+	for _, g := range suiteGroups(t) {
+		cat, cm := g.fork()
+		c := newPlanCache()
+		var e *planEntry
+		for round := 0; round < 8; round++ {
+			if e == nil {
+				e = newPlanEntry(g.key(), g.order, g.optimize(t, cm), cat)
+				c.insert(e)
+			}
+			for n := rng.Intn(4); n > 0; n-- {
+				key := e.reads[rng.Intn(len(e.reads))].key
+				if rng.Intn(8) == 0 {
+					key = "never read"
+				}
+				f := cat.StreamedSoFar(key)
+				switch rng.Intn(7) {
+				case 0:
+					cat.RecordStreamed(key, f+1+rng.Intn(8))
+				case 1:
+					cat.RecordStreamed(key, rng.Intn(f+1)) // no higher: a no-op
+				case 2:
+					setStreamed(cat, key, f) // forgotten, then restored
+				case 3:
+					cat.ForgetStreamed(key)
+				case 4:
+					if card, ok := cat.ObservedCard(key); ok {
+						cat.RecordExprCard(key, card)
+					}
+				case 5:
+					if rng.Intn(3) == 0 {
+						cat.RecordExprCard(key, float64(1+rng.Intn(400)))
+					}
+				}
+			}
+			atGen := e.gen == cat.Gen()
+			if moved, stale, _, _ := e.recheck(cat, cm.Params.StreamCost); atGen && (moved || stale) {
+				t.Fatalf("%s round %d: the catalog is at the entry's generation, yet the recheck finds moved=%v stale=%v", g.name, round, moved, stale)
+			}
+			got, res := g.lookup(c, cm)
+			if got == nil {
+				if atGen {
+					t.Fatalf("%s round %d: an entry at the catalog's generation was dropped", g.name, round)
+				}
+				e = nil
+				continue
+			}
+			if atGen {
+				byGen++
+			} else {
+				walked++
+			}
+			if gs, ws := PlanString(res), PlanString(g.optimize(t, cm)); gs != ws {
+				t.Fatalf("%s round %d (served by the generation: %v): the cache served\n%s\nmqo.Optimize returns\n%s", g.name, round, atGen, gs, ws)
+			}
+		}
+	}
+	t.Logf("%d lookups served by the generation, %d after a walk", byGen, walked)
+	if byGen == 0 || walked == 0 {
+		t.Fatal("the property is vacuous: it needs both kinds of served lookup")
+	}
+}
+
+// TestPlanCacheHitValidatesPositionally corrupts a settled entry four ways —
+// an atom mapped out of range, onto another relation, covered twice, and no
+// streaming input — and sends the recurring query through it. The hit,
+// unbound, must fail with mqo.Validate's error over the bound assignment,
+// and an admission through it with that error, wrapped.
+func TestPlanCacheHitValidatesPositionally(t *testing.T) {
+	m, env := internalRig(t)
+	runInternalUQ(t, m, env, cacheSuite(1))
+	m.ATC.Forget("U1")
+	n := 1
+	lookup := func() optResult {
+		t.Helper()
+		n++
+		out := m.optimizeGroups([]optGroup{{qs: cacheSuite(n).CQs}}, mqo.Config{K: 10}, &AdmitReport{})
+		if out[0].err != nil {
+			t.Fatal(out[0].err)
+		}
+		return out[0]
+	}
+	for r := lookup(); r.entry == nil || r.res != nil; r = lookup() {
+		if n == 6 {
+			t.Fatal("the recurring query never settled into an unbound hit")
+		}
+	}
+	e := m.plans.lru.Front().Value.(*planEntry)
+	valid := e.inputs
+	// corrupt returns a copy of the valid inputs with the use at (i, u)
+	// mapping atom ai to to.
+	corrupt := func(i, u, ai, to int) []planInput {
+		ins := slices.Clone(valid)
+		ins[i].uses = slices.Clone(ins[i].uses)
+		ins[i].uses[u].atomOf = slices.Clone(ins[i].uses[u].atomOf)
+		ins[i].uses[u].atomOf[ai] = to
+		return ins
+	}
+	mismatch := func() []planInput {
+		order := mqo.CanonicalOrder(cacheSuite(0).CQs)
+		for i, in := range valid {
+			for u, use := range in.uses {
+				for to, a := range order[use.pos].Atoms {
+					if a.Rel != in.expr.Atoms[0].Rel {
+						return corrupt(i, u, 0, to)
+					}
+				}
+			}
+		}
+		t.Fatal("no use can be mapped onto another relation")
+		return nil
+	}
+	probes := slices.Clone(valid)
+	for i := range probes {
+		probes[i].mode = costmodel.Probe
+	}
+	for _, tc := range []struct {
+		name   string
+		inputs []planInput
+		want   string
+	}{
+		{"atom out of range", corrupt(0, 0, 0, 99), "maps atom out of range"},
+		{"relation mismatch", mismatch(), "relation mismatch"},
+		{"atom covered twice", append(slices.Clone(valid), valid[0]), "covered 2 times"},
+		{"no stream", probes, "has no streaming input"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e.inputs = tc.inputs
+			defer func() { e.inputs = valid }()
+			r := lookup()
+			if r.entry != e || r.res != nil {
+				t.Fatal("the corrupted entry was not served as an unbound hit")
+			}
+			want := mqo.Validate(r.order, e.bind(r.order).Inputs)
+			got := r.validate()
+			if want == nil || !strings.Contains(want.Error(), tc.want) {
+				t.Fatalf("mqo.Validate over the bound assignment: %v; want an error on %q", want, tc.want)
+			}
+			if got == nil || got.Error() != want.Error() {
+				t.Fatalf("the hit's validation: %v\nmqo.Validate over the bound assignment: %v", got, want)
+			}
+			n++
+			uq := cacheSuite(n)
+			order := mqo.CanonicalOrder(uq.CQs)
+			want = mqo.Validate(order, e.bind(order).Inputs)
+			_, err := m.Admit([]batcher.Submission{{At: env.Clock.Now(), UQ: uq}}, mqo.Config{K: uq.K})
+			if err == nil || want == nil || err.Error() != fmt.Sprintf("qsm: invalid assignment for %q: %v", "", want) {
+				t.Fatalf("admission through the hit: %v, want mqo.Validate's %v", err, want)
+			}
+		})
+	}
+	if r := lookup(); r.entry != e || r.validate() != nil {
+		t.Fatal("the restored entry no longer validates")
 	}
 }

@@ -228,11 +228,11 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 	optResults := m.optimizeGroups(groups, cfg, report)
 
 	for gi, g := range groups {
-		r := optResults[gi]
+		r := &optResults[gi]
 		if r.err != nil {
 			return nil, fmt.Errorf("qsm: optimize %q: %w", g.scope, r.err)
 		}
-		if err := mqo.Validate(g.qs, r.res.Inputs); err != nil {
+		if err := r.validate(); err != nil {
 			return nil, fmt.Errorf("qsm: invalid assignment for %q: %w", g.scope, err)
 		}
 		prevScope := m.Graph.Scope
@@ -242,11 +242,7 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 		if err != nil {
 			return nil, fmt.Errorf("qsm: factorize %q: %w", g.scope, err)
 		}
-		for i, in := range r.res.Inputs {
-			for cqID := range in.Uses {
-				inputsByCQ[cqID] = append(inputsByCQ[cqID], nodes[i])
-			}
-		}
+		r.eachUse(func(i int, cqID string) { inputsByCQ[cqID] = append(inputsByCQ[cqID], nodes[i]) })
 	}
 
 	// Graft each user query: revive terminal nodes (recovering history),
@@ -296,7 +292,7 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 		registered++
 	}
 	report.Recovered = m.ATC.Env.Metrics.Snapshot().ReplayTuples - replayBefore
-	m.EnforceBudget(epoch)
+	m.EnforceBudget()
 	return report, nil
 }
 
@@ -335,9 +331,10 @@ func (m *Manager) thresholdGroups(ep *plangraph.Endpoint) ([]*operator.Threshold
 	return groups, err
 }
 
-// optResult carries one group's optimization outcome: the assignment, the
-// group's queries in canonical order, and the plan-cache entry that holds the
-// assignment (nil when none does).
+// optResult carries one group's optimization outcome: the group's queries in
+// canonical order, the plan-cache entry that holds its assignment (nil when
+// none does), and the assignment as an mqo.Result — nil for a hit until
+// something needs it bound (result).
 type optResult struct {
 	res   *mqo.Result
 	err   error
@@ -345,12 +342,48 @@ type optResult struct {
 	entry *planEntry
 }
 
+// result returns the group's assignment, binding a hit's entry to the
+// group's queries on first use.
+func (r *optResult) result() *mqo.Result {
+	if r.res == nil {
+		r.res = r.entry.bind(r.order)
+	}
+	return r.res
+}
+
+// validate checks the assignment as mqo.Validate does: a bound one directly,
+// an unbound hit over its entry's positions.
+func (r *optResult) validate() error {
+	if r.res == nil {
+		return r.entry.validate(r.order)
+	}
+	return mqo.Validate(r.order, r.res.Inputs)
+}
+
+// eachUse calls f with each input's index in the assignment and the id of
+// every query that uses it, input by input.
+func (r *optResult) eachUse(f func(i int, cqID string)) {
+	if r.entry == nil {
+		for i, in := range r.res.Inputs {
+			for cqID := range in.Uses {
+				f(i, cqID)
+			}
+		}
+		return
+	}
+	for i, in := range r.entry.inputs {
+		for _, u := range in.uses {
+			f(i, r.order[u.pos].ID)
+		}
+	}
+}
+
 // graft puts one group's assignment into the graph under the current scope
 // and returns each input's node, in the assignment's input order. An entry
 // whose graft record is still live only re-points its queries' endpoints;
 // otherwise factorize.Build runs — the only code that creates graph
 // structure — and the entry records what it produced.
-func (m *Manager) graft(r optResult) ([]*plangraph.Node, error) {
+func (m *Manager) graft(r *optResult) ([]*plangraph.Node, error) {
 	if r.entry != nil {
 		if rec := r.entry.liveGraft(m.Graph); rec != nil {
 			for pos, q := range r.order {
@@ -360,11 +393,12 @@ func (m *Manager) graft(r optResult) ([]*plangraph.Node, error) {
 			return rec.inputs, nil
 		}
 	}
-	if err := factorize.Build(m.Graph, r.order, r.res.Inputs, m.Cat); err != nil {
+	inputs := r.result().Inputs
+	if err := factorize.Build(m.Graph, r.order, inputs, m.Cat); err != nil {
 		return nil, err
 	}
-	nodes := make([]*plangraph.Node, len(r.res.Inputs))
-	for i, in := range r.res.Inputs {
+	nodes := make([]*plangraph.Node, len(inputs))
+	for i, in := range inputs {
 		kind := plangraph.SourceStream
 		if in.Mode == costmodel.Probe {
 			kind = plangraph.SourceProbe
@@ -381,27 +415,38 @@ func (m *Manager) graft(r optResult) ([]*plangraph.Node, error) {
 
 // optimizeGroups produces every group's input assignment: from the plan cache
 // where an entry's read set still matches the catalog or its certificate
-// survives the moved row counts, by mqo.Optimize otherwise, equal-key groups of one batch sharing a single search. Every
-// lookup runs before the first search and every insert after the last, so a
-// batch's hits do not depend on what its own searches evict. Statistics fold
-// into the report in group order.
+// survives the moved row counts, by mqo.Optimize otherwise, equal-key groups
+// of one batch sharing a single search. Every lookup runs before the first
+// search and every insert after the last, so a batch's hits do not depend on
+// what its own searches evict. The groups' canonical orders live in the plan
+// cache's scratch until the next call. Statistics fold into the report in
+// group order.
 func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *AdmitReport) []optResult {
 	out := make([]optResult, len(groups))
-	orders := make([][]*cq.CQ, len(groups))
-	keys := make([]planKey, len(groups))
-	entries := make([]*planEntry, len(groups))
+	var keys []planKey // of the groups that missed; made at the first miss
 	keyCfg := cfg.Defaults()
+	c := m.plans
+	clear(c.orders)
+	c.orders = c.orders[:0]
 
 	start := time.Now()            //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
 	searching := map[planKey]int{} // key -> the group of this batch that searches it
 	var search, follow []int
 	for i, g := range groups {
-		orders[i] = mqo.CanonicalOrder(g.qs)
-		keys[i] = planKeyOf(orders[i], keyCfg)
-		if e, res := m.plans.lookup(keys[i], orders[i], m.CM); e != nil {
-			out[i] = servePlan(e, res, orders[i])
+		c.orders = mqo.AppendCanonical(c.orders, g.qs)
+		order := c.orders[len(c.orders)-len(g.qs) : len(c.orders) : len(c.orders)]
+		c.bodies = appendBodies(c.bodies[:0], order)
+		if e, res := c.lookup(c.bodies, keyCfg, order, m.CM); e != nil {
+			out[i] = servePlan(e, res, order)
 			report.PlanCacheHits++
-		} else if _, dup := searching[keys[i]]; dup {
+			continue
+		}
+		out[i].order = order
+		if keys == nil {
+			keys = make([]planKey, len(groups))
+		}
+		keys[i] = planKey{bodies: string(c.bodies), cfg: keyCfg}
+		if _, dup := searching[keys[i]]; dup {
 			follow = append(follow, i)
 		} else {
 			searching[keys[i]] = i
@@ -412,9 +457,9 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 
 	run := func(i int) {
 		start := time.Now() //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
-		res, err := mqo.Optimize(orders[i], m.CM, cfg)
+		res, err := mqo.Optimize(out[i].order, m.CM, cfg)
 		report.OptimizeWall += time.Since(start) //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
-		out[i] = optResult{res: res, err: err, order: orders[i]}
+		out[i] = optResult{res: res, err: err, order: out[i].order}
 	}
 	for _, i := range search {
 		run(i)
@@ -424,15 +469,14 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 	for _, i := range search {
 		report.PlanCacheMisses++
 		if out[i].err == nil {
-			entries[i] = newPlanEntry(keys[i], orders[i], out[i].res, m.Cat)
-			m.plans.insert(entries[i])
-			out[i].entry = entries[i]
+			out[i].entry = newPlanEntry(keys[i], out[i].order, out[i].res, m.Cat)
+			c.insert(out[i].entry)
 		}
 	}
 	report.OptimizeWall += time.Since(start) //qsys:allow wallclock: stats-only — OptimizeWall feeds the bench's mqo.optimize span, never the virtual clock
 	for _, i := range follow {
-		if e := entries[searching[keys[i]]]; e != nil {
-			out[i] = servePlan(e, e.bind(orders[i]), orders[i])
+		if e := out[searching[keys[i]]].entry; e != nil {
+			out[i] = servePlan(e, nil, out[i].order)
 			report.PlanCacheHits++
 			continue
 		}
@@ -441,21 +485,25 @@ func (m *Manager) optimizeGroups(groups []optGroup, cfg mqo.Config, report *Admi
 		run(i)
 		report.PlanCacheMisses++
 	}
-	m.plans.stats.Hits += int64(report.PlanCacheHits)
-	m.plans.stats.Misses += int64(report.PlanCacheMisses)
+	c.stats.Hits += int64(report.PlanCacheHits)
+	c.stats.Misses += int64(report.PlanCacheMisses)
 
-	for i := range groups {
-		if out[i].res != nil {
-			report.CandidatesPerGroup = append(report.CandidatesPerGroup, out[i].res.CandidateCount)
-			report.SearchNodes += out[i].res.SearchNodes
+	for _, r := range out {
+		switch {
+		case r.res != nil:
+			report.CandidatesPerGroup = append(report.CandidatesPerGroup, r.res.CandidateCount)
+			report.SearchNodes += r.res.SearchNodes
+		case r.entry != nil:
+			report.CandidatesPerGroup = append(report.CandidatesPerGroup, r.entry.candidates)
 		}
 	}
 	return out
 }
 
-// servePlan serves a group from a cache entry's assignment bound to order,
-// after the per-query validation mqo.Optimize opens with (the key covers a
-// query's body, not its scoring model).
+// servePlan serves a group from a cache entry, with the assignment the
+// lookup bound (nil if it bound none), after the per-query validation
+// mqo.Optimize opens with (the key covers a query's body, not its scoring
+// model).
 func servePlan(e *planEntry, res *mqo.Result, order []*cq.CQ) optResult {
 	for _, q := range order {
 		if err := q.Validate(); err != nil {
@@ -568,7 +616,7 @@ func (m *Manager) AuditScratchSize() int {
 // EnforceBudget evicts currently idle state until resident state fits
 // MemoryBudget (§6.3); 0 means unbounded. Each round costs one pass over the
 // graph to find the victim by its ledger-tracked size.
-func (m *Manager) EnforceBudget(epoch int) {
+func (m *Manager) EnforceBudget() {
 	budget := m.MemoryBudget
 	if budget <= 0 {
 		return

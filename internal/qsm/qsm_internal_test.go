@@ -183,7 +183,7 @@ func TestEnforceBudgetMatchesLegacy(t *testing.T) {
 	runInternalUQ(t, m2, env2, &cq.UQ{ID: "U2", K: 10, CQs: []*cq.CQ{internalChainQ("U2.CQ1", "B", "C")}})
 	runInternalUQ(t, m2, env2, &cq.UQ{ID: "U3", K: 10, CQs: []*cq.CQ{internalChainQ("U3.CQ1", "C", "D"), internalChainQ("U3.CQ2", "A", "B", "C")}})
 	m2.MemoryBudget = budget
-	m2.EnforceBudget(99)
+	m2.EnforceBudget()
 	if m2.Evictions() != len(evicted) {
 		t.Fatalf("EnforceBudget evicted %d, stepwise loop evicted %d", m2.Evictions(), len(evicted))
 	}

@@ -128,7 +128,7 @@ func TestEvictionUnderBudget(t *testing.T) {
 	// Trigger enforcement through the next admission.
 	uq2 := &cq.UQ{ID: "U2", K: 10, CQs: []*cq.CQ{chainQ("U2.CQ1", "B", "C")}}
 	r.runUQ(t, uq2)
-	r.mgr.EnforceBudget(99)
+	r.mgr.EnforceBudget()
 	if r.mgr.Evictions() == 0 {
 		t.Errorf("no evictions despite budget 50 (state=%d rows)", r.mgr.StateSize())
 	}
