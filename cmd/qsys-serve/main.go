@@ -20,8 +20,7 @@
 //	qsys-serve [-addr :8080] [-workload bio|gus|pfam] [-instance 1]
 //	           [-window 25ms] [-batch 5] [-shards 1]
 //	           [-router affinity|hash] [-k 50] [-memory-budget 0]
-//	           [-spill-dir DIR] [-realtime]
-//	           [-fleet URL,URL,...] [-probe-interval 2s]
+//	           [-spill-dir DIR] [-fleet URL,URL,...] [-probe-interval 2s]
 //	           [-user-rate 0] [-total-rate 0] [-max-pending 0]
 //	           [-deadline 0] [-max-inflight 0]
 //

@@ -16,7 +16,7 @@
 //
 //	qsys-shard [-addr :8091] [-shard-id 0] [-workload bio|gus|pfam]
 //	           [-instance 1] [-seed 1] [-window 25ms] [-batch 5]
-//	           [-k 50] [-memory-budget 0] [-spill-dir DIR] [-realtime]
+//	           [-k 50] [-memory-budget 0] [-spill-dir DIR]
 //	           [-max-pending 0] [-deadline 0] [-max-inflight 0]
 //	           [-drain-deadline 0] [-recover-dir DIR] [-checkpoint-interval 5s]
 //

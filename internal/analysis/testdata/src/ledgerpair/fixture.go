@@ -13,7 +13,7 @@ type leaky struct {
 
 func newLeaky(l *state.Ledger) *leaky {
 	t := &leaky{}
-	t.acct = l.NewAccount("leaky")
+	t.acct = l.NewAccount()
 	return t
 }
 
@@ -29,7 +29,7 @@ type scratchLeak struct {
 
 func newScratchLeak(l *state.Ledger) *scratchLeak {
 	s := &scratchLeak{}
-	s.acct = l.NewAccount("scratch")
+	s.acct = l.NewAccount()
 	return s
 }
 
@@ -45,7 +45,7 @@ type paired struct {
 
 func newPaired(l *state.Ledger) *paired {
 	p := &paired{}
-	p.acct = l.NewAccount("paired")
+	p.acct = l.NewAccount()
 	return p
 }
 
@@ -66,7 +66,7 @@ type exposed struct {
 }
 
 func newExposed(l *state.Ledger) *exposed {
-	return &exposed{acct: l.NewAccount("exposed")}
+	return &exposed{acct: l.NewAccount()}
 }
 
 func (e *exposed) Grow()                   { e.acct.Add(1) }
@@ -88,7 +88,7 @@ type allowedLeak struct {
 
 func newAllowedLeak(l *state.Ledger) *allowedLeak {
 	a := &allowedLeak{}
-	a.acct = l.NewAccount("allowed")
+	a.acct = l.NewAccount()
 	return a
 }
 
@@ -104,7 +104,7 @@ type emptyReason struct {
 
 func newEmptyReason(l *state.Ledger) *emptyReason {
 	e := &emptyReason{}
-	e.acct = l.NewAccount("empty")
+	e.acct = l.NewAccount()
 	return e
 }
 

@@ -219,7 +219,7 @@ func (a *ATC) Exec(n *plangraph.Node) (*operator.NodeExec, error) {
 	}
 	x := operator.NewNodeExec(n)
 	if a.ledger != nil {
-		x.SetAccount(a.ledger.NewAccount(n.Key))
+		x.SetAccount(a.ledger.NewAccount())
 	}
 	switch n.Kind {
 	case plangraph.SourceStream:

@@ -188,9 +188,6 @@ func NewAffinity(n int, halfLife float64) *Affinity {
 	return a
 }
 
-// Groups returns the number of groups the index covers.
-func (a *Affinity) Groups() int { return a.groups }
-
 // decayed folds an entry's mass forward to the current tick.
 func (a *Affinity) decayed(e *affEntry) float64 {
 	if e == nil || e.w == 0 {

@@ -57,22 +57,14 @@ type Options struct {
 	Seed uint64
 	// MemoryBudget bounds retained state in rows (0 = unbounded, §6.3).
 	MemoryBudget int
-	// RealTime makes delays sleep instead of advancing a virtual clock.
-	RealTime bool
 }
 
 // NewPipeline wires a fresh middleware thread over the fleet. The catalog is
 // forked: reuse accounting is pipeline-local (§6.1) while relation statistics
 // stay shared.
 func NewPipeline(fleet *remotedb.Fleet, cat *catalog.Catalog, opts Options) *Pipeline {
-	var clock simclock.Clock
-	if opts.RealTime {
-		clock = simclock.NewReal()
-	} else {
-		clock = simclock.NewVirtual(0)
-	}
 	env := &operator.Env{
-		Clock:   clock,
+		Clock:   simclock.NewVirtual(0),
 		Delays:  simclock.DefaultDelays(dist.New(opts.Seed + 1)),
 		Metrics: &metrics.Counters{},
 	}

@@ -53,15 +53,6 @@ func (e *Expr) SingleDB() string {
 	return db
 }
 
-// Relations returns the relation names in atom order.
-func (e *Expr) Relations() []string {
-	rels := make([]string, len(e.Atoms))
-	for i, a := range e.Atoms {
-		rels[i] = a.Rel
-	}
-	return rels
-}
-
 // RelationSet returns the set of relation names in the expression.
 func (e *Expr) RelationSet() map[string]bool {
 	s := make(map[string]bool, len(e.Atoms))

@@ -36,7 +36,8 @@ const (
 	// StrategyCQ: ATC-CQ — each user query optimized separately, no sharing
 	// even among its own conjunctive queries.
 	StrategyCQ Strategy = iota
-	// StrategyUQ: ATC-UQ — sharing within a user query only.
+	// StrategyUQ: ATC-UQ — sharing within a user query only: each user
+	// query gets a plan graph of its own, shared in full.
 	StrategyUQ
 	// StrategyFull: ATC-FULL — one plan graph shared by every query.
 	StrategyFull
@@ -195,14 +196,10 @@ func groupSubmissions(subs []batcher.Submission, opts Options) [][]batcher.Submi
 }
 
 func shareMode(s Strategy) qsm.ShareMode {
-	switch s {
-	case StrategyCQ:
+	if s == StrategyCQ {
 		return qsm.ShareNone
-	case StrategyUQ:
-		return qsm.ShareWithinUQ
-	default:
-		return qsm.ShareAll
 	}
+	return qsm.ShareAll
 }
 
 // runGroup executes one plan graph's submissions along the arrival timeline.

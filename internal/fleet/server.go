@@ -83,13 +83,6 @@ func (s *ShardServer) Draining() bool {
 	return s.draining
 }
 
-// InFlight reports the number of searches currently executing.
-func (s *ShardServer) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight
-}
-
 func (s *ShardServer) handleSearch(rw http.ResponseWriter, req *http.Request) {
 	if !s.beginSearch() {
 		// Refused strictly before admission — retryable by construction.

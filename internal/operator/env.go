@@ -16,7 +16,7 @@ import (
 // Env is the execution context shared by all operators of one plan graph:
 // one ATC thread, one clock, one delay model, one counter set.
 type Env struct {
-	Clock   simclock.Clock
+	Clock   *simclock.Virtual
 	Delays  *simclock.DelayModel
 	Metrics *metrics.Counters
 }

@@ -561,9 +561,6 @@ func NewRankMerge(uq *cq.UQ, entries []*CQEntry) *RankMerge {
 	return &RankMerge{UQ: uq, K: uq.K, Entries: entries, emitted: make([]Result, 0, min(uq.K, 64))}
 }
 
-// Done reports completion.
-func (rm *RankMerge) Done() bool { return rm.done }
-
 // Results returns the emitted answers (in emission = rank order).
 func (rm *RankMerge) Results() []Result { return rm.emitted }
 

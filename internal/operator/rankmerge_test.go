@@ -84,7 +84,7 @@ func TestSeedMatchesSortedOffer(t *testing.T) {
 		epoch := 1 + rng.Intn(5)
 		sink := func() (*EndpointSink, *state.Account) {
 			entry := NewCQEntry(q, 1, []float64{1, 1})
-			acct := state.NewLedger().NewAccount("sink")
+			acct := state.NewLedger().NewAccount()
 			entry.SetAccount(acct)
 			return NewEndpointSink(entry, []int{1, 0}), acct
 		}

@@ -79,7 +79,7 @@ func cursorSink(m *scoring.Model) (*EndpointSink, *state.Account) {
 		{Rel: "R", Args: []cq.Term{cq.V(4), cq.V(5)}},
 	}, Model: m}
 	entry := NewCQEntry(q, m.MaxScore([]float64{1, 1, 1}), []float64{1, 1, 1})
-	acct := state.NewLedger().NewAccount("sink")
+	acct := state.NewLedger().NewAccount()
 	entry.SetAccount(acct)
 	return NewEndpointSink(entry, cursorAtomMap), acct
 }

@@ -410,19 +410,19 @@ func TestDirectGraftNeedsLiveNodes(t *testing.T) {
 	}
 }
 
-// TestDirectGraftKeepsScope runs the recurring query under ATC-UQ, where
-// each user query grafts into its own scope: a plan-cache hit must still
-// build in the arrival's scope, never graft onto another query's nodes.
+// TestDirectGraftKeepsScope runs the recurring query under ATC-CQ, where
+// each conjunctive query grafts into its own scope: a plan-cache hit must
+// still build in the arrival's scope, never graft onto another query's nodes.
 func TestDirectGraftKeepsScope(t *testing.T) {
 	m, env := internalRig(t)
-	m.Mode = ShareWithinUQ
+	m.Mode = ShareNone
 	for n := 1; n <= 4; n++ {
 		uq := cacheSuite(n)
 		if _, err := m.Admit([]batcher.Submission{{At: env.Clock.Now(), UQ: uq}}, mqo.Config{K: uq.K}); err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range uq.CQs {
-			if key := m.Graph.Endpoint(q.ID).Node.Key; !strings.HasPrefix(key, uq.ID+"::") {
+			if key := m.Graph.Endpoint(q.ID).Node.Key; !strings.HasPrefix(key, q.ID+"::") {
 				t.Fatalf("%s ends at %s, outside its scope", q.ID, key)
 			}
 		}

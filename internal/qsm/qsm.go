@@ -9,8 +9,9 @@
 package qsm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/tuple"
@@ -29,7 +30,8 @@ import (
 
 // ShareMode selects how much sharing the optimizer may exploit — the four
 // experimental configurations of §7.1 map onto these modes plus the grouping
-// of user queries into plan graphs.
+// of user queries into plan graphs: ATC-UQ is ShareAll over a graph that
+// holds one user query.
 type ShareMode int
 
 const (
@@ -37,9 +39,6 @@ const (
 	// optimized alone and its plan nodes are namespaced so nothing is shared,
 	// not even base streams.
 	ShareNone ShareMode = iota
-	// ShareWithinUQ shares subexpressions among one user query's CQs but not
-	// across user queries (ATC-UQ).
-	ShareWithinUQ
 	// ShareAll shares across every query in the graph (ATC-FULL, and within
 	// each cluster of ATC-CL).
 	ShareAll
@@ -50,8 +49,6 @@ func (m ShareMode) String() string {
 	switch m {
 	case ShareNone:
 		return "atc-cq"
-	case ShareWithinUQ:
-		return "atc-uq"
 	default:
 		return "atc-full"
 	}
@@ -267,7 +264,12 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 				maxima[i] = m.Cat.MaxScoreOf(a.Rel)
 			}
 			entry := operator.NewCQEntry(q, q.Model.MaxScore(maxima), maxima)
-			entry.SetAccount(m.State.Ledger.NewAccount("sink::" + q.ID))
+			entry.SetAccount(m.State.Ledger.NewAccount())
+			// LRU recency follows the inputs the assignment chose, not every
+			// node under the endpoint: touching instead the streams
+			// thresholdGroups walks and the probe inputs kept nodes no plan
+			// chose warm, and scan_discard (10 s, seeds 1 and 2) read 1.0 %
+			// more source tuples per search.
 			for _, n := range inputsByCQ[q.ID] {
 				m.touch(n, epoch)
 			}
@@ -286,7 +288,7 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 			m.ATC.AttachCQ(q.ID, x, sink)
 			entries = append(entries, entry)
 		}
-		sort.SliceStable(entries, func(i, j int) bool { return entries[i].U > entries[j].U })
+		slices.SortStableFunc(entries, func(a, b *operator.CQEntry) int { return cmp.Compare(b.U, a.U) })
 		rm := operator.NewRankMerge(uq, entries)
 		m.ATC.AddMerge(rm, sub.At)
 		registered++
@@ -522,12 +524,6 @@ func (m *Manager) groups(subs []batcher.Submission) []optGroup {
 			for _, q := range s.UQ.CQs {
 				out = append(out, optGroup{scope: q.ID, qs: []*cq.CQ{q}})
 			}
-		}
-		return out
-	case ShareWithinUQ:
-		var out []optGroup
-		for _, s := range subs {
-			out = append(out, optGroup{scope: s.UQ.ID, qs: s.UQ.CQs})
 		}
 		return out
 	default:

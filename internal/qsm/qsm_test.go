@@ -90,7 +90,7 @@ func (r *rig) runUQ(t *testing.T, uq *cq.UQ) []operator.Result {
 
 func TestAdmitModesProduceSameAnswers(t *testing.T) {
 	var ref []operator.Result
-	for _, mode := range []qsm.ShareMode{qsm.ShareNone, qsm.ShareWithinUQ, qsm.ShareAll} {
+	for _, mode := range []qsm.ShareMode{qsm.ShareNone, qsm.ShareAll} {
 		r := newRig(t, mode, 0)
 		uq := &cq.UQ{ID: "U1", K: 12, CQs: []*cq.CQ{
 			chainQ("U1.CQ1", "A", "B"),
@@ -116,7 +116,7 @@ func TestAdmitModesProduceSameAnswers(t *testing.T) {
 }
 
 func TestShareModeString(t *testing.T) {
-	if qsm.ShareNone.String() != "atc-cq" || qsm.ShareWithinUQ.String() != "atc-uq" || qsm.ShareAll.String() != "atc-full" {
+	if qsm.ShareNone.String() != "atc-cq" || qsm.ShareAll.String() != "atc-full" {
 		t.Error("mode strings")
 	}
 }

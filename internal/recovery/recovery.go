@@ -100,9 +100,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 func manifestName(gen int) string { return fmt.Sprintf("manifest-%09d.json", gen) }
 func segmentFile(gen, i int) string {
 	return fmt.Sprintf("seg-%09d-%04d.seg", gen, i)

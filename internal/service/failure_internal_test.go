@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/workload"
@@ -80,5 +82,65 @@ func TestJournalFailureCountedAndServed(t *testing.T) {
 	}
 	if n := svc.RecoveryStats().JournalErrors; n == 0 {
 		t.Fatal("failed journal writes were not counted")
+	}
+}
+
+// midFlight is a search context that the executor cancels itself: the
+// first Err call that finds the query admitted, its merge registered and
+// unfinished and source tuples read cancels it. Only the executor calls Err
+// before it fires (the caller waits on Done), so the check reads engine
+// state on the engine's own goroutine, and the cancel lands between two
+// rounds of the running merge whatever the timing.
+type midFlight struct {
+	context.Context
+	cancel context.CancelFunc
+	svc    *Service
+	id     string
+	fired  atomic.Bool
+}
+
+func (c *midFlight) Err() error {
+	if !c.fired.Load() {
+		m := c.svc.ctrl.MergeByUQ(c.id)
+		if _, admitted := c.svc.waiters[c.id]; !admitted || m == nil || m.Done ||
+			c.svc.env.Metrics.Snapshot().StreamTuples == 0 {
+			return nil
+		}
+		c.fired.Store(true)
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestContextCancellationMidFlight cancels a search while its merge is
+// reading its sources: the engine settles it as canceled, not completed,
+// and keeps serving.
+func TestContextCancellationMidFlight(t *testing.T) {
+	w, err := workload.Bio()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 50, BatchWindow: 0}
+	svc, exp := New(w, cfg), NewExpander(w, cfg)
+	defer svc.Close()
+
+	uq, err := exp.Expand("u", []string{"metabolism", "protein"}, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &midFlight{svc: svc, id: uq.ID}
+	ctx.Context, ctx.cancel = context.WithCancel(context.Background())
+	defer ctx.cancel()
+	if _, err := svc.SearchUQ(ctx, uq); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
+	}
+	if st := svc.Stats().Service; st.Completed != 0 || st.Canceled != 1 || st.InFlight != 0 {
+		t.Fatalf("completed %d, canceled %d, in flight %d; want the search canceled mid-execution",
+			st.Completed, st.Canceled, st.InFlight)
+	}
+	// The executor keeps serving after a cancellation.
+	res, err := expandAndSearch(svc, exp, "v", []string{"gene"}, 1)
+	if err != nil || len(res.Answers) == 0 {
+		t.Fatalf("post-cancel search: res=%v err=%v", res, err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 type FlagGroup uint8
 
 const (
-	// ServerFlags are a serving process's own: -addr, -window, -realtime
+	// ServerFlags are a serving process's own: -addr, -window
 	// (qsys-serve, qsys-shard).
 	ServerFlags FlagGroup = 1 << iota
 	// FrontDeskFlags place and rate-limit searches over several engines:
@@ -28,7 +28,7 @@ const (
 var engineOnly = map[string]bool{
 	"batch": true, "memory-budget": true, "spill-dir": true,
 	"max-pending": true, "deadline": true, "max-inflight": true,
-	"window": true, "realtime": true, "shards": true,
+	"window": true, "shards": true,
 }
 
 // Flags is what the serving flags set: the listen address, the workload to
@@ -61,7 +61,6 @@ func (f *Flags) Bind(fs *flag.FlagSet, groups FlagGroup) {
 	if groups&ServerFlags != 0 {
 		fs.StringVar(&f.Addr, "addr", f.Addr, "listen address")
 		fs.DurationVar(&c.BatchWindow, "window", c.BatchWindow, "admission batch window (0 = admit immediately)")
-		fs.BoolVar(&c.RealTime, "realtime", c.RealTime, "sleep simulated delays for real (live demo pacing)")
 	}
 	if groups&FrontDeskFlags != 0 {
 		fs.IntVar(&c.Shards, "shards", c.Shards, "independent in-process engines, one goroutine each")

@@ -52,7 +52,6 @@ func TestFlagsBindEveryField(t *testing.T) {
 		{"-deadline=15ms", func(f *service.Flags) { f.Config.Admission.Deadline = 15 * time.Millisecond }},
 		{"-max-inflight=16", func(f *service.Flags) { f.Config.Admission.MaxInFlight = 16 }},
 		{"-window=17ms", func(f *service.Flags) { f.Config.BatchWindow = 17 * time.Millisecond }},
-		{"-realtime", func(f *service.Flags) { f.Config.RealTime = true }},
 		{"-shards=18", func(f *service.Flags) { f.Config.Shards = 18 }},
 		{"-router=affinity", func(f *service.Flags) { f.Config.Router = service.RouterAffinity }},
 		{"-user-rate=19.5", func(f *service.Flags) { f.Config.Admission.UserRate = 19.5 }},
@@ -97,9 +96,9 @@ func TestFlagsGroups(t *testing.T) {
 		groups service.FlagGroup
 		absent []string
 	}{
-		{0, []string{"addr", "window", "realtime", "shards", "router", "user-rate", "total-rate", "shard-id", "recover-dir", "checkpoint-interval"}},
+		{0, []string{"addr", "window", "shards", "router", "user-rate", "total-rate", "shard-id", "recover-dir", "checkpoint-interval"}},
 		{service.ServerFlags | service.ShardFlags, []string{"shards", "router", "user-rate", "total-rate"}},
-		{service.FrontDeskFlags, []string{"addr", "window", "realtime", "shard-id"}},
+		{service.FrontDeskFlags, []string{"addr", "window", "shard-id"}},
 	} {
 		_, fs, err := bindAndParse(t, c.groups)
 		if err != nil {

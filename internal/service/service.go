@@ -126,11 +126,6 @@ type Config struct {
 	// the same engine over the same seed in one process or in N.
 	ShardIDOffset int
 
-	// RealTime makes engine delays actually sleep (live serving); the default
-	// virtual clock simulates them, which is what the load generator and the
-	// tests use.
-	RealTime bool
-
 	// Admission configures the overload-control layer: bounded-queue
 	// shedding (MaxPending), per-request latency budgets (Deadline) that
 	// cancel merges past them and the in-flight bound (MaxInFlight), all
@@ -368,7 +363,6 @@ func New(w *workload.Workload, cfg Config) *Service {
 		// The seed salt keeps every engine of a fleet seeded differently.
 		Seed:         cfg.Seed + uint64(id)*7919,
 		MemoryBudget: cfg.MemoryBudget,
-		RealTime:     cfg.RealTime,
 	})
 	s := &Service{
 		cfg:      cfg,

@@ -191,59 +191,6 @@ func TestContextCancellationWhileQueued(t *testing.T) {
 	}
 }
 
-func TestContextCancellationMidFlight(t *testing.T) {
-	// RealTime makes execution slow enough (Poisson 2ms per remote op) that
-	// the search is still running when the cancel lands.
-	s := newBioService(t, service.Config{K: 50, BatchWindow: 0, RealTime: true})
-	defer s.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Search(ctx, "u", []string{"metabolism", "protein"}, 50)
-		done <- err
-	}()
-	// Cancel only once the search is admitted and reading its sources.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := s.Stats(context.Background())
-		if st.Service.Batches >= 1 && st.Service.Queued == 0 && st.Work.StreamTuples > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the search never started executing")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want Canceled or success", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("canceled search never returned")
-	}
-	// The cancel landed mid-execution: the engine settles the search as
-	// canceled, not completed.
-	for st := s.Stats(context.Background()).Service; st.InFlight > 0 || st.Canceled == 0; st = s.Stats(context.Background()).Service {
-		if time.Now().After(deadline) {
-			t.Fatalf("the engine never settled the canceled search: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := s.Stats(context.Background()).Service; st.Completed != 0 || st.Canceled != 1 {
-		t.Fatalf("completed %d, canceled %d; want the search canceled mid-execution", st.Completed, st.Canceled)
-	}
-	// Executor must keep serving after a cancellation. A one-keyword top-1
-	// search is one stream read or two, milliseconds in real time.
-	start := time.Now()
-	res, err := s.Search(context.Background(), "v", []string{"gene"}, 1)
-	if err != nil || len(res.Answers) == 0 {
-		t.Fatalf("post-cancel search: res=%v err=%v", res, err)
-	}
-	t.Logf("post-cancel search took %v", time.Since(start))
-}
-
 func TestSearchAfterCloseFails(t *testing.T) {
 	s := newBioService(t, service.Config{K: 5})
 	s.Close()

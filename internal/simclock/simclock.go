@@ -4,15 +4,14 @@
 // delays — Poisson with a 2 ms mean — for every tuple read from a data stream
 // and every join probe against a remote DBMS, and measure wall-clock response
 // times per user query. Reproducing those measurements with real sleeps would
-// make every experiment minutes long and nondeterministic, so the default
-// clock is *virtual*: delays and CPU costs advance a simulated nanosecond
-// counter. A plan graph is served by a single ATC "thread" (as in the paper),
-// so all queries sharing a graph share one clock — which is exactly how the
-// paper's contention effect (§7.1) arises. Distinct plan graphs (ATC-CQ,
-// ATC-UQ, ATC-CL) get independent clocks, modelling parallel execution.
-//
-// A Real clock that actually sleeps is provided for the interactive demos
-// and the one test that needs wall time to pass.
+// make every experiment minutes long and nondeterministic, so the clock is
+// *virtual*: delays and CPU costs advance a simulated nanosecond counter, and
+// nothing sleeps. Every engine — experiments, tests, benchmark and servers —
+// runs on it. A plan graph is served by a single ATC "thread" (as in the
+// paper), so all queries sharing a graph share one clock — which is exactly
+// how the paper's contention effect (§7.1) arises. Distinct plan graphs
+// (ATC-CQ, ATC-UQ, ATC-CL) get independent clocks, modelling parallel
+// execution.
 package simclock
 
 import (
@@ -21,16 +20,6 @@ import (
 
 	"repro/internal/dist"
 )
-
-// Clock tracks elapsed time for one execution thread (one ATC).
-type Clock interface {
-	// Now returns the current time on this clock.
-	Now() time.Duration
-	// Advance moves the clock forward by d (sleeping if the clock is real).
-	Advance(d time.Duration)
-	// AdvanceTo moves the clock forward to at least t.
-	AdvanceTo(t time.Duration)
-}
 
 // Virtual is a deterministic simulated clock. It is safe for concurrent use
 // (experiment harnesses read it while an ATC goroutine advances it).
@@ -65,34 +54,6 @@ func (v *Virtual) AdvanceTo(t time.Duration) {
 		if v.now.CompareAndSwap(cur, int64(t)) {
 			return
 		}
-	}
-}
-
-// Real is a wall-clock-backed clock: Advance sleeps. Used by the demo
-// binaries to show live behaviour, and by TestContextCancellationMidFlight
-// (internal/service) to keep a search in flight long enough to cancel it;
-// never used by the benchmarks.
-type Real struct {
-	start time.Time
-}
-
-// NewReal returns a real clock anchored at the current instant.
-func NewReal() *Real { return &Real{start: time.Now()} }
-
-// Now returns elapsed wall time since the clock was created.
-func (r *Real) Now() time.Duration { return time.Since(r.start) }
-
-// Advance sleeps for d.
-func (r *Real) Advance(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// AdvanceTo sleeps until elapsed wall time reaches t.
-func (r *Real) AdvanceTo(t time.Duration) {
-	if d := t - r.Now(); d > 0 {
-		time.Sleep(d)
 	}
 }
 

@@ -53,16 +53,6 @@ func TestVirtualClockConcurrent(t *testing.T) {
 	}
 }
 
-func TestRealClockMonotone(t *testing.T) {
-	c := NewReal()
-	a := c.Now()
-	c.Advance(2 * time.Millisecond)
-	b := c.Now()
-	if b-a < 2*time.Millisecond {
-		t.Errorf("real Advance slept %v", b-a)
-	}
-}
-
 func TestDelayModelDistributions(t *testing.T) {
 	m := DefaultDelays(dist.New(1))
 	const n = 20000

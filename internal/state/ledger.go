@@ -71,13 +71,13 @@ func (l *Ledger) Accounts() int {
 }
 
 // NewAccount opens an account for one retained structure (a node exec, an
-// endpoint entry). The label is diagnostic only.
-func (l *Ledger) NewAccount(label string) *Account {
+// endpoint entry).
+func (l *Ledger) NewAccount() *Account {
 	if l == nil {
 		return nil
 	}
 	l.accounts.Add(1)
-	return &Account{ledger: l, label: label}
+	return &Account{ledger: l}
 }
 
 // Release closes an account: its rows leave the total and all further Adds
@@ -101,7 +101,6 @@ func (l *Ledger) Release(a *Account) {
 // writes them.
 type Account struct {
 	ledger  *Ledger
-	label   string
 	rows    int64
 	scratch int64
 	dead    bool

@@ -11,8 +11,8 @@ import (
 
 func TestLedgerRunningTotals(t *testing.T) {
 	l := NewLedger()
-	a := l.NewAccount("a")
-	b := l.NewAccount("b")
+	a := l.NewAccount()
+	b := l.NewAccount()
 	a.Add(10)
 	b.Add(5)
 	a.Add(-3)

@@ -47,9 +47,6 @@ func (s *Schema) Name() string { return s.name }
 // NumCols returns the number of columns.
 func (s *Schema) NumCols() int { return len(s.cols) }
 
-// Col returns the i'th column.
-func (s *Schema) Col(i int) Column { return s.cols[i] }
-
 // Index returns the position of the named column and whether it exists.
 func (s *Schema) Index(name string) (int, bool) {
 	i, ok := s.byName[name]

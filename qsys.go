@@ -55,9 +55,6 @@ type Config struct {
 	// Seed drives the deterministic delay model and the users' scoring
 	// coefficients.
 	Seed uint64
-	// RealTime makes delays actually sleep (live demos); the default is the
-	// deterministic virtual clock used by all experiments.
-	RealTime bool
 	// MemoryBudget bounds retained middleware state in rows (0 = unbounded);
 	// exceeding it triggers LRU eviction (§6.3).
 	MemoryBudget int
@@ -86,7 +83,6 @@ func NewSystem(w *Workload, cfg Config) *System {
 			Mode:         qsm.ShareAll,
 			Seed:         cfg.Seed,
 			MemoryBudget: cfg.MemoryBudget,
-			RealTime:     cfg.RealTime,
 		}),
 	}
 }
@@ -119,7 +115,7 @@ type SearchResult struct {
 	// into; ExecutedNetworks how many the ATC actually activated (Table 4).
 	CandidateNetworks int
 	ExecutedNetworks  int
-	// Latency is the (virtual or real) response time.
+	// Latency is the response time on the engine's virtual clock.
 	Latency time.Duration
 }
 
