@@ -70,12 +70,12 @@ func Evict(m *qsm.Manager, budget int) {
 // Step is one admission as the comparisons see it; index 0 of each pair is
 // the production engine, index 1 the reference.
 type Step struct {
-	What, Suite, Mode string
-	Sides             [2]*Side
-	UQs               [2][]*cq.UQ // the batch, in submission order
-	Reports           [2]*qsm.AdmitReport
-	Pruned            [2]map[string][]string // by user query, once drained
-	Streams           map[string]bool        // every stream expression key a graph has held
+	What, Mode string
+	Sides      [2]*Side
+	UQs        [2][]*cq.UQ // the batch, in submission order
+	Reports    [2]*qsm.AdmitReport
+	Pruned     [2]map[string][]string // by user query, once drained
+	Streams    map[string]bool        // every stream expression key a graph has held
 }
 
 // Merges returns both sides' merges of the batch's i-th search.
@@ -108,8 +108,9 @@ var suites = []struct {
 
 // Run drives the bio, GUS and Pfam suites, with state unbounded and under
 // discard and spill eviction, through a fresh production engine and a fresh
-// reference in lockstep. setup gets both engines before the first step,
-// configures the reference and returns the run's comparisons. Each step
+// reference in lockstep; with cases given, only the cases so named ("bio/spill"
+// and the like). setup gets both engines before the first step, configures
+// the reference and returns the run's comparisons. Each step
 //
 //   - when state is bounded, one time in twelve, evicts both sides down to
 //     half their ledger;
@@ -125,7 +126,7 @@ var suites = []struct {
 //     calls Admitted;
 //   - drains both sides round by round, recording pruned CQs; then calls
 //     Drained, and both sides forget the batch.
-func Run(t *testing.T, setup func(prod, ref *Side) Checks) {
+func Run(t *testing.T, setup func(prod, ref *Side) Checks, cases ...string) {
 	for _, suite := range suites {
 		w, err := suite.load()
 		if err != nil {
@@ -136,8 +137,11 @@ func Run(t *testing.T, setup func(prod, ref *Side) Checks) {
 			pool = append(append(pool, s.UQ.Keywords), workload.OverlapVariants(s.UQ.Keywords)...)
 		}
 		for mi, mode := range []string{"unbounded", "discard", "spill"} {
+			if len(cases) > 0 && !slices.Contains(cases, suite.name+"/"+mode) {
+				continue
+			}
 			t.Run(suite.name+"/"+mode, func(t *testing.T) {
-				s := &Step{Suite: suite.name, Mode: mode, Streams: map[string]bool{}}
+				s := &Step{Mode: mode, Streams: map[string]bool{}}
 				s.Sides = [2]*Side{NewSide(t, w, mode == "spill"), NewSide(t, w, mode == "spill")}
 				checks := setup(s.Sides[0], s.Sides[1])
 				rng := dist.New(53)

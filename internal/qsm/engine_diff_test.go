@@ -52,24 +52,81 @@ func reference(ref *coretest.Side) (reset func()) {
 	return ref.Pipe.Manager.ResetPlanCache
 }
 
+// TestPlanCacheDifferential runs coretest's bio and GUS schedules, where
+// eviction, feedback and injected cardinalities keep changing the catalog,
+// on the production engine and on the reference. Before each admission the plan cache must return what
+// mqo.Optimize on the live catalog returns, cost included, also when it
+// serves an entry re-priced under moved row counts. After each admission the plan
+// cache's hits and misses must be the reference's lookups and the groups'
+// candidate counts the reference's. After each drain the answers with their
+// emission stamps, the ledger and the work counters but SeedPulled must be
+// equal.
+func TestPlanCacheDifferential(t *testing.T) {
+	if raceEnabled {
+		t.Skip("each engine runs on one goroutine; see raceEnabled")
+	}
+	coretest.Run(t, func(prod, ref *coretest.Side) coretest.Checks {
+		reset := reference(ref)
+		pm, rm := prod.Pipe.Manager, ref.Pipe.Manager
+		hits, misses := 0, 0
+		return coretest.Checks{
+			Admit: func(t *testing.T, s *coretest.Step) {
+				for _, uq := range s.UQs[0] {
+					got, hit, err := pm.PlanFor(uq.CQs, mqo.Config{K: 10})
+					if err != nil {
+						t.Fatalf("%s: plan cache: %v", s.What, err)
+					}
+					if !hit { // a miss returns mqo.Optimize's own result
+						misses++
+						continue
+					}
+					hits++
+					want, err := mqo.Optimize(uq.CQs, pm.CM, mqo.Config{K: 10})
+					if err != nil {
+						t.Fatalf("%s: optimize: %v", s.What, err)
+					}
+					if g, w := qsm.PlanString(got), qsm.PlanString(want); g != w {
+						t.Fatalf("%s: plan cache returned\n%s\nmqo.Optimize returns\n%s", s.What, g, w)
+					}
+				}
+				reset()
+			},
+			Admitted: func(t *testing.T, s *coretest.Step) {
+				a, b := s.Reports[0], s.Reports[1]
+				coretest.Same(t, s.What, "plan cache hits and misses; the reference's lookups, all served by PlanFor",
+					[2]int{a.PlanCacheHits, a.PlanCacheMisses}, [2]int{b.PlanCacheHits + b.PlanCacheMisses, 0})
+				coretest.Same(t, s.What, "candidates per group", a.CandidatesPerGroup, b.CandidatesPerGroup)
+			},
+			Drained: func(t *testing.T, s *coretest.Step) {
+				for i := range s.UQs[0] {
+					ms := s.Merges(i)
+					coretest.Same(t, s.What, "answers", coretest.Answers(ms[0].RM.Results(), true), coretest.Answers(ms[1].RM.Results(), true))
+				}
+				coretest.Same(t, s.What, "ledger after drain", pm.StateSize(), rm.StateSize())
+				a, b := prod.Pipe.Snapshot(), ref.Pipe.Snapshot()
+				a.SeedPulled, b.SeedPulled = 0, 0
+				coretest.Same(t, s.What, "work counters but SeedPulled", a, b)
+			},
+			Done: func(t *testing.T, s *coretest.Step) {
+				st := pm.PlanCacheStats()
+				t.Logf("plan cache %+v, %d hits and %d misses looked up", st, hits, misses)
+				if hits == 0 || misses == 0 || st.Stale == 0 || st.Rechecked == 0 {
+					t.Fatal("the differential is vacuous: it needs hits, misses, stale entries and re-priced hits")
+				}
+			},
+		}
+	}, "bio/unbounded", "bio/discard", "bio/spill", "gus/unbounded", "gus/discard", "gus/spill")
+}
+
 // TestDirectGraftDifferential runs all of coretest's schedules on the
 // production engine and on the reference, which grafts no plan-cache hit
-// directly and seeds no endpoint through a cursor.
-//
-// On bio and GUS, where eviction, feedback and injected cardinalities keep
-// changing the catalog, before each admission the plan cache must return
-// what mqo.Optimize on the live catalog returns, cost included, also when it
-// serves an entry re-priced under moved row counts; after each admission its
-// hits and misses must be the reference's lookups and the groups' candidate
-// counts the reference's.
-//
-// On every suite, after each admission the plan graph (Dump, Stats), every
-// query's endpoint and the ledger must equal the reference's, and the ledger
-// its audit. After each drain the answers with their emission stamps, each
-// merge's pruned CQs round by round, every node's log, the ledger and the
-// work counters but SeedPulled must be equal, with no duplicate dropped.
-// Before each admission and after each drain the dirty-list catalog sync
-// must have written what a full walk writes.
+// directly and seeds no endpoint through a cursor. After each admission the
+// plan graph (Dump, Stats), every query's endpoint and the ledger must equal
+// the reference's, and the ledger its audit. After each drain the answers
+// with their emission stamps, each merge's pruned CQs round by round, every
+// node's log, the ledger and the work counters but SeedPulled must be equal,
+// with no duplicate dropped. Before each admission and after each drain the
+// dirty-list catalog sync must have written what a full walk writes.
 func TestDirectGraftDifferential(t *testing.T) {
 	if raceEnabled {
 		t.Skip("each engine runs on one goroutine; see raceEnabled")
@@ -77,39 +134,13 @@ func TestDirectGraftDifferential(t *testing.T) {
 	coretest.Run(t, func(prod, ref *coretest.Side) coretest.Checks {
 		reset := reference(ref)
 		pm, rm := prod.Pipe.Manager, ref.Pipe.Manager
-		hits, misses, prunes := 0, 0, 0
+		prunes := 0
 		return coretest.Checks{
 			Admit: func(t *testing.T, s *coretest.Step) {
 				sameFeedback(t, s.What+" before admission", pm, s.Streams)
-				if s.Suite != "pfam" {
-					for _, uq := range s.UQs[0] {
-						got, hit, err := pm.PlanFor(uq.CQs, mqo.Config{K: 10})
-						if err != nil {
-							t.Fatalf("%s: plan cache: %v", s.What, err)
-						}
-						if !hit { // a miss returns mqo.Optimize's own result
-							misses++
-							continue
-						}
-						hits++
-						want, err := mqo.Optimize(uq.CQs, pm.CM, mqo.Config{K: 10})
-						if err != nil {
-							t.Fatalf("%s: optimize: %v", s.What, err)
-						}
-						if g, w := qsm.PlanString(got), qsm.PlanString(want); g != w {
-							t.Fatalf("%s: plan cache returned\n%s\nmqo.Optimize returns\n%s", s.What, g, w)
-						}
-					}
-				}
 				reset()
 			},
 			Admitted: func(t *testing.T, s *coretest.Step) {
-				if s.Suite != "pfam" {
-					a, b := s.Reports[0], s.Reports[1]
-					coretest.Same(t, s.What, "plan cache hits and misses; the reference's lookups, all served by PlanFor",
-						[2]int{a.PlanCacheHits, a.PlanCacheMisses}, [2]int{b.PlanCacheHits + b.PlanCacheMisses, 0})
-					coretest.Same(t, s.What, "candidates per group", a.CandidatesPerGroup, b.CandidatesPerGroup)
-				}
 				coretest.Same(t, s.What, "plan graph", pm.Graph.Dump(), rm.Graph.Dump())
 				coretest.Same(t, s.What, "plan graph stats", pm.Graph.Stats(), rm.Graph.Stats())
 				coretest.Same(t, s.What, "endpoints", endpoints(pm.Graph, s.UQs[0]), endpoints(rm.Graph, s.UQs[1]))
@@ -137,11 +168,8 @@ func TestDirectGraftDifferential(t *testing.T) {
 			},
 			Done: func(t *testing.T, s *coretest.Step) {
 				st, w := pm.PlanCacheStats(), prod.Pipe.Snapshot()
-				t.Logf("plan cache %+v, %d hits and %d misses looked up; reference %d direct grafts; evictions %d; seeded %d rows, pulled %d; %d CQs pruned",
-					st, hits, misses, rm.PlanCacheStats().DirectGrafts, pm.Evictions(), w.SeededRows, w.SeedPulled, prunes)
-				if s.Suite != "pfam" && (hits == 0 || misses == 0 || st.Stale == 0 || st.Rechecked == 0) {
-					t.Fatal("the differential is vacuous: it needs hits, misses, stale entries and re-priced hits")
-				}
+				t.Logf("%d direct grafts (reference %d); evictions %d; seeded %d rows, pulled %d; %d CQs pruned",
+					st.DirectGrafts, rm.PlanCacheStats().DirectGrafts, pm.Evictions(), w.SeededRows, w.SeedPulled, prunes)
 				if st.DirectGrafts == 0 || rm.PlanCacheStats().DirectGrafts != 0 ||
 					prunes == 0 || w.SeedPulled >= w.SeededRows || s.Mode != "unbounded" && pm.Evictions() == 0 {
 					t.Fatal("the differential is vacuous: it needs direct grafts (none on the reference), pruned CQs, fewer rows pulled than seeded and, when state is bounded, evictions")
