@@ -16,10 +16,17 @@
 //
 //	qsys-loadgen [-workload bio|gus|pfam] [-instance 1]
 //	             [-users 8] [-requests 12] [-k 20] [-memory-budget 500]
-//	             [-spill-dir DIR]
-//	             [-windows 0,25ms] [-batch 5] [-shards 1]
-//	             [-seed 1] [-router affinity|hash] [-overlap]
-//	             [-target URL] [-digest] [-rate 0] [-burst 1] [-arrivals 0]
+//	             [-spill-dir DIR] [-windows 0,25ms] [-batch 5]
+//	             [-shards 1] [-router affinity|hash] [-overlap]
+//	             [-user-rate 0] [-total-rate 0] [-max-pending 0]
+//	             [-deadline 0] [-max-inflight 0] [-seed 1]
+//	             [-target URL] [-digest] [-user-per-request]
+//	             [-rate 0] [-burst 1] [-arrivals 0]
+//
+// Each window's row reports throughput, wall-latency percentiles, source
+// and replayed tuples, spill reads, evictions, revivals from spill vs
+// source, the memory/disk shared-work split and the mean admission batch
+// occupancy (occ).
 //
 // With -spill-dir set, evicted plan segments spill to disk and revivals read
 // them back as local I/O; the report splits retained-state hits into memory
@@ -62,7 +69,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/dist"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -222,10 +228,9 @@ func runClosedLoop(o *options, pool [][]string) int {
 		rep := closedLoop(o, pool, search)
 		stats := fr.Stats(context.Background())
 		fr.Close() //nolint:errcheck // the run's numbers are already taken
-		evictions, eb := 0, metrics.SizeStats{}
+		evictions := 0
 		for _, sh := range stats.Shards {
 			evictions += sh.Evictions
-			eb = eb.Add(sh.Batch)
 		}
 		split := stats.Shared
 		fmt.Printf("%-8v %8.1f %6d %9v %9v %9v %11d %11d %9d %9d %6d %7d %7d %3.0f/%-3.0f %6.2f\n",
@@ -244,11 +249,6 @@ func runClosedLoop(o *options, pool [][]string) int {
 			}
 			fmt.Printf("  router[%v]: mode=%s decisions=%d affinity=%d hash=%d missRate=%.2f kwSets=%v\n",
 				span, rt.Mode, rt.Decisions, rt.AffinityHits, rt.HashRoutes, rt.MissRate, kws)
-		}
-		if eb.Count > 0 {
-			full := stats.Work.BatchFullFlushes
-			fmt.Printf("  batch[%v]: flushes=%d rows/flush(mean=%.1f max=%d) full=%d partial=%d\n",
-				span, eb.Count, eb.Mean, eb.Max, full, eb.Count-full)
 		}
 		rep.printDigests()
 	}

@@ -167,31 +167,26 @@ func (a *ATC) AddMerge(rm *operator.RankMerge, arrival time.Duration) *MergeStat
 	return m
 }
 
-// CancelMerge abandons an unfinished user query: its rank-merge is marked
-// done, and every conjunctive query it was driving is unlinked so the plan
-// segments feeding only it are parked (state retained for reuse, §6.3).
-// Canceling a finished or unknown query is a no-op.
-func (a *ATC) CancelMerge(uqID string) {
-	m := a.byUQ[uqID]
-	if m == nil || m.Done {
-		return
-	}
-	m.Done = true
-	m.Canceled = true
-	m.Finished = a.Env.Clock.Now()
-	for _, e := range m.RM.Entries {
-		a.UnlinkCQ(e.CQ.ID)
-	}
-}
-
-// Forget drops a completed user query from the controller's bookkeeping so a
-// long-running session does not accumulate per-query history. The experiment
-// drivers never call this — they read Merges() afterwards; the serving layer
-// calls it once a result has been dispatched.
+// Forget settles a user query and drops it from the controller's
+// bookkeeping so a long-running session does not accumulate per-query
+// history. An unfinished query is canceled first: its rank-merge is marked
+// done and canceled, and every conjunctive query it was driving is unlinked
+// so the plan segments feeding only it are parked (state retained for reuse,
+// §6.3). Forgetting an unknown query is a no-op. The experiment drivers never
+// call this — they read Merges() afterwards; the serving layer calls it once
+// a result has been dispatched or its search abandoned.
 func (a *ATC) Forget(uqID string) {
 	m := a.byUQ[uqID]
-	if m == nil || !m.Done {
+	if m == nil {
 		return
+	}
+	if !m.Done {
+		m.Done = true
+		m.Canceled = true
+		m.Finished = a.Env.Clock.Now()
+		for _, e := range m.RM.Entries {
+			a.UnlinkCQ(e.CQ.ID)
+		}
 	}
 	delete(a.byUQ, uqID)
 	for i, mm := range a.merges {
@@ -214,7 +209,6 @@ func (a *ATC) Forget(uqID string) {
 // opening its remote source if it is a source node.
 func (a *ATC) Exec(n *plangraph.Node) (*operator.NodeExec, error) {
 	if x, ok := a.execs[n]; ok {
-		x.SyncInputs()
 		return x, nil
 	}
 	x := operator.NewNodeExec(n)
@@ -573,7 +567,7 @@ func (a *ATC) park(x *operator.NodeExec) {
 		return
 	}
 	// A parked node runs no cascades until revival: hand its pooled scratch
-	// (free-listed part vectors, batch buffers) back and settle the ledger's
+	// (free-listed part vectors, frontier buffers) back and settle the ledger's
 	// scratch dimension so idle segments hold no hidden memory.
 	x.ReleaseScratch()
 	for _, e := range x.Node.Inputs {

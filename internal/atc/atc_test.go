@@ -387,12 +387,6 @@ func TestMergeIndexAndForget(t *testing.T) {
 		t.Fatal("MergeByUQ did not find the admitted query")
 	}
 
-	// Forget refuses while unfinished.
-	h.ctrl.Forget(uq.ID)
-	if h.ctrl.MergeByUQ(uq.ID) == nil {
-		t.Fatal("Forget removed an unfinished merge")
-	}
-
 	for h.ctrl.RunRound() {
 	}
 	if !m.Done || m.Canceled {
@@ -414,9 +408,10 @@ func TestMergeIndexAndForget(t *testing.T) {
 	}
 }
 
-// TestCancelMerge: canceling an unfinished query marks it done+canceled,
-// unlinks its conjunctive queries, and leaves the controller able to serve
-// an identical follow-up query (reusing the canceled query's state).
+// TestCancelMerge: forgetting an unfinished query cancels it — marks it
+// done+canceled and unlinks its conjunctive queries — and leaves the
+// controller able to serve an identical follow-up query (reusing the
+// canceled query's state).
 func TestCancelMerge(t *testing.T) {
 	h := newHarness(t, 78, 40, 90, 30, false)
 	model := scoring.QSystem(0.5, []float64{1, 1, 0.9})
@@ -430,27 +425,38 @@ func TestCancelMerge(t *testing.T) {
 	// read, so the merge is still mid-flight when canceled.
 	h.ctrl.RunRoundUntil(h.env.Clock.Now())
 	h.ctrl.RunRoundUntil(h.env.Clock.Now())
-	if m := h.ctrl.MergeByUQ(uq.ID); m == nil || m.Done {
+	m := h.ctrl.MergeByUQ(uq.ID)
+	if m == nil || m.Done {
 		t.Fatal("merge finished before the cancel; the test would prove nothing")
 	}
-	h.ctrl.CancelMerge(uq.ID)
-	m := h.ctrl.MergeByUQ(uq.ID)
-	if m == nil || !m.Done || !m.Canceled {
+	h.ctrl.Forget(uq.ID)
+	if !m.Done || !m.Canceled {
 		t.Fatalf("cancel did not settle the merge: %+v", m)
+	}
+	if h.ctrl.MergeByUQ(uq.ID) != nil {
+		t.Fatal("Forget left the canceled merge indexed")
 	}
 	if h.ctrl.RunRound() {
 		t.Fatal("controller still active after sole query canceled")
 	}
-	h.ctrl.Forget(uq.ID)
 
-	// Canceling unknown or finished queries is a no-op.
-	h.ctrl.CancelMerge("nope")
-	h.ctrl.CancelMerge(uq.ID)
+	// Forgetting an unknown query is a no-op.
+	finished := m.Finished
+	h.ctrl.Forget("nope")
+	h.ctrl.Forget(uq.ID)
+	if m.Finished != finished {
+		t.Fatal("forgetting a settled query touched it again")
+	}
 
 	// The same search again must complete normally on the retained state.
 	q2 := starCQ("CQcan2", "x", model, false)
 	uq2 := &cq.UQ{ID: "U-CQcan2", K: 5, CQs: []*cq.CQ{q2}}
 	res := h.run(t, uq2)
+	m2 := h.ctrl.MergeByUQ(uq2.ID)
+	h.ctrl.Forget(uq2.ID)
+	if m2.Canceled {
+		t.Fatal("forgetting a finished query canceled it")
+	}
 	if len(res) == 0 {
 		t.Fatal("follow-up query after cancellation returned nothing")
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/batcher"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/cq"
 	"repro/internal/mqo"
 	"repro/internal/operator"
@@ -125,10 +126,11 @@ func TestFailedAdmitRegistersNothing(t *testing.T) {
 
 // TestWarmGraphTopKMatchesCold: a search grafted onto a plan graph an
 // overlapping search left behind returns the top-k a fresh pipeline returns
-// for the same query. The first search builds a join whose endpoint the
-// second reuses while the optimizer streams that join's expression from
-// other sides; the second search's thresholds must watch the streams that
-// really feed its endpoint, or they prune answers still to come.
+// for the same query, and both equal the brute-force top-k. The first search
+// builds a join whose endpoint the second reuses while the optimizer streams
+// that join's expression from other sides; the second search's thresholds
+// must watch the streams that really feed its endpoint, or they prune
+// answers still to come.
 func TestWarmGraphTopKMatchesCold(t *testing.T) {
 	w, err := workload.GUS(1, workload.GUSScaleDefault())
 	if err != nil {
@@ -188,5 +190,18 @@ func TestWarmGraphTopKMatchesCold(t *testing.T) {
 	}
 	if wrong > 0 {
 		t.Errorf("%d of %d ranks differ", wrong, len(want))
+	}
+	scores := func(rs []operator.Result) []float64 {
+		out := make([]float64, len(rs))
+		for i, r := range rs {
+			out[i] = r.Score
+		}
+		return out
+	}
+	if err := coretest.CheckOracle(w, second, scores(got)); err != nil {
+		t.Errorf("warm graph: %v", err)
+	}
+	if err := coretest.CheckOracle(w, again, scores(want)); err != nil {
+		t.Errorf("fresh pipeline: %v", err)
 	}
 }

@@ -44,11 +44,6 @@ type Counters struct {
 	migRowsIn   int64
 	migRestores int64
 	migDrops    int64
-
-	batchFlushes int64
-	batchRows    int64
-	batchFull    int64
-	batchHist    SizeHist
 }
 
 // AddStreamRead records one streaming-source read of duration d.
@@ -140,23 +135,6 @@ func (c *Counters) AddMigrationRestore() { atomic.AddInt64(&c.migRestores, 1) }
 // re-derives by source replay instead.
 func (c *Counters) AddMigrationDrop() { atomic.AddInt64(&c.migDrops, 1) }
 
-// AddBatchFlush records one executor mini-batch flushed downstream: rows is
-// the batch occupancy, full marks a flush forced by the batch filling (as
-// opposed to the producing cascade ending). Batch counters describe how work
-// was grouped, not how much work was done — they are deliberately excluded
-// from the semantic work-counter contract the bench trajectory pins.
-func (c *Counters) AddBatchFlush(rows int, full bool) {
-	atomic.AddInt64(&c.batchFlushes, 1)
-	atomic.AddInt64(&c.batchRows, int64(rows))
-	if full {
-		atomic.AddInt64(&c.batchFull, 1)
-	}
-	c.batchHist.Observe(rows)
-}
-
-// BatchOccupancy returns the distribution of rows per flushed executor batch.
-func (c *Counters) BatchOccupancy() SizeStats { return c.batchHist.Snapshot() }
-
 // Snapshot is an immutable copy of the counters.
 type Snapshot struct {
 	StreamTime time.Duration
@@ -188,10 +166,6 @@ type Snapshot struct {
 	MigrationRowsIn   int64
 	MigrationRestores int64
 	MigrationDrops    int64
-
-	BatchFlushes     int64
-	BatchRowsFlushed int64
-	BatchFullFlushes int64
 }
 
 // Snapshot returns the current counter values.
@@ -225,10 +199,6 @@ func (c *Counters) Snapshot() Snapshot {
 		MigrationRowsIn:   atomic.LoadInt64(&c.migRowsIn),
 		MigrationRestores: atomic.LoadInt64(&c.migRestores),
 		MigrationDrops:    atomic.LoadInt64(&c.migDrops),
-
-		BatchFlushes:     atomic.LoadInt64(&c.batchFlushes),
-		BatchRowsFlushed: atomic.LoadInt64(&c.batchRows),
-		BatchFullFlushes: atomic.LoadInt64(&c.batchFull),
 	}
 }
 
@@ -270,9 +240,5 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		MigrationRowsIn:   s.MigrationRowsIn + o.MigrationRowsIn,
 		MigrationRestores: s.MigrationRestores + o.MigrationRestores,
 		MigrationDrops:    s.MigrationDrops + o.MigrationDrops,
-
-		BatchFlushes:     s.BatchFlushes + o.BatchFlushes,
-		BatchRowsFlushed: s.BatchRowsFlushed + o.BatchRowsFlushed,
-		BatchFullFlushes: s.BatchFullFlushes + o.BatchFullFlushes,
 	}
 }

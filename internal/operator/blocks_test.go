@@ -151,11 +151,7 @@ func (b *blockModel) insert() {
 	}
 	b.rm.parts = append(b.rm.parts, node)
 	b.rm.epochs = append(b.rm.epochs, epoch)
-	if b.rng.Intn(3) == 0 {
-		b.l.Append(row, epoch)
-	} else {
-		b.l.AppendBatch([]*tuple.Row{row}, epoch)
-	}
+	b.l.Append(row, epoch)
 	b.rl.rows = append(b.rl.rows, row)
 	b.rl.epochs = append(b.rl.epochs, epoch)
 }

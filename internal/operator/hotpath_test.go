@@ -115,19 +115,19 @@ func newChainFixture(t testing.TB, seed uint64, nA, nB, nC, keys int) *chainFixt
 // invalidate is set, every compiled plan is discarded before each arrival, so
 // each probe runs on a freshly compiled plan — the reference the cached path
 // must match.
-func (fx *chainFixture) runInterleaved(invalidate bool) { fx.runChunks(1, 1, invalidate) }
+func (fx *chainFixture) runInterleaved(invalidate bool) { fx.runTurns(1, invalidate) }
 
-// runChunks feeds A and B arrivals alternately, turns rows of A then turns
-// rows of B, each turn handed to ArriveBatch in chunks of the given size.
-func (fx *chainFixture) runChunks(turn, chunk int, invalidate bool) {
+// runTurns feeds A and B arrivals alternately, turn rows of A then turn rows
+// of B, each row handed to arrive alone.
+func (fx *chainFixture) runTurns(turn int, invalidate bool) {
 	feed := func(rows []*tuple.Row, edge *plangraph.Edge) {
-		for lo := 0; lo < len(rows); lo += chunk {
+		for _, r := range rows {
 			if invalidate {
 				for j := range fx.x.plans {
 					fx.x.plans[j] = nil
 				}
 			}
-			fx.x.ArriveBatch(fx.env, rows[lo:min(lo+chunk, len(rows))], edge, 1)
+			fx.x.arrive(fx.env, r, edge, 1)
 		}
 	}
 	for lo := 0; lo < max(len(fx.rowsA), len(fx.rowsB)); lo += turn {
@@ -324,58 +324,54 @@ func (fx *chainFixture) checkBruteForce(t *testing.T, when string, relB *relatio
 }
 
 // TestJoinResultsMatchBruteForce checks the m-join's output against an
-// exhaustive nested-loop join of the same data, fed in chunks that straddle
-// the chunk target and the adaptEvery recompile boundary, and through a
-// two-consumer fan-out node. Chunking only groups work: the same arrivals
-// handed over one row at a time must deliver the same rows in the same
-// order at the same work counters.
+// exhaustive nested-loop join of the same data, fed in turns that straddle
+// the adaptEvery recompile boundary, and through a two-consumer fan-out node.
+// A repeated run at one turn must deliver the same rows in the same order at
+// the same work counters.
 func TestJoinResultsMatchBruteForce(t *testing.T) {
 	const nA, nB, nC, keys = 260, 260, 40, 12
-	run := func(turn, chunk int) ([]string, metrics.Snapshot) {
-		when := fmt.Sprintf("turn=%d chunk=%d", turn, chunk)
+	run := func(turn int) ([]string, metrics.Snapshot) {
 		fx := newChainFixture(t, 7, nA, nB, nC, keys)
-		fx.runChunks(turn, chunk, false)
-		fx.checkBruteForce(t, when, fx.relB)
-		work := fx.env.Metrics.Snapshot()
-		work.BatchFlushes, work.BatchRowsFlushed, work.BatchFullFlushes = 0, 0, 0 // grouping, not work
-		return logValues(fx.x.Log), work
+		fx.runTurns(turn, false)
+		fx.checkBruteForce(t, fmt.Sprintf("turn=%d", turn), fx.relB)
+		return logValues(fx.x.Log), fx.env.Metrics.Snapshot()
 	}
-	for _, chunk := range []int{1, 63, 64, 65, 200} {
-		order, work := run(chunk, chunk)
-		wantOrder, wantWork := run(chunk, 1)
+	for _, turn := range []int{1, 63, 64, 65, 200} {
+		order, work := run(turn)
+		wantOrder, wantWork := run(turn)
 		if !slices.Equal(order, wantOrder) {
-			t.Fatalf("chunk=%d: delivery order differs from the row-at-a-time run", chunk)
+			t.Fatalf("turn=%d: delivery order differs between identical runs", turn)
 		}
 		if work != wantWork {
-			t.Fatalf("chunk=%d: work counters differ from the row-at-a-time run:\n%+v\n%+v", chunk, work, wantWork)
+			t.Fatalf("turn=%d: work counters differ between identical runs:\n%+v\n%+v", turn, work, wantWork)
 		}
 	}
 
 	// Fan-out: one source feeding two inputs of the join (a self-join of A).
 	// Each row must land on the first input and then the second before the
-	// next row lands on either, whatever the chunk handed to DeliverBatch —
-	// delivering the chunk whole to one input and then the other would find
-	// the same pairs from the other side, in another order.
+	// next row lands on either — delivering a run of rows whole to one input
+	// and then the other would find the same pairs from the other side, in
+	// another order.
 	fan, ref := newChainFixture(t, 7, nA, nB, nC, keys), newChainFixture(t, 7, nA, nB, nC, keys)
 	src := NewNodeExec(fan.edgeA.From)
 	src.AddConsumer(fan.edgeA, fan.x)
 	src.AddConsumer(fan.edgeB, fan.x)
-	for lo := 0; lo < nA; lo += 65 {
-		src.DeliverBatch(fan.env, fan.rowsA[lo:min(lo+65, nA)], 1)
+	for _, r := range fan.rowsA {
+		src.deliver(fan.env, r, 1)
 	}
-	for i := range ref.rowsA {
-		ref.x.ArriveBatch(ref.env, ref.rowsA[i:i+1], ref.edgeA, 1)
-		ref.x.ArriveBatch(ref.env, ref.rowsA[i:i+1], ref.edgeB, 1)
+	for _, r := range ref.rowsA {
+		ref.x.arrive(ref.env, r, ref.edgeA, 1)
+		ref.x.arrive(ref.env, r, ref.edgeB, 1)
 	}
 	if src.Log.Len() != nA {
 		t.Fatalf("fan-out source logged %d rows, want %d", src.Log.Len(), nA)
 	}
 	fan.checkBruteForce(t, "fan-out", fan.relA)
 	if !slices.Equal(logValues(fan.x.Log), logValues(ref.x.Log)) {
-		t.Fatal("fan-out: delivery order differs from the row-at-a-time run")
+		t.Fatal("fan-out: delivery order differs from arriving on each input in turn")
 	}
 	if got, want := fan.env.Metrics.Snapshot(), ref.env.Metrics.Snapshot(); got != want {
-		t.Fatalf("fan-out: work counters differ from the row-at-a-time run:\n%+v\n%+v", got, want)
+		t.Fatalf("fan-out: work counters differ from arriving on each input in turn:\n%+v\n%+v", got, want)
 	}
 }
 
@@ -566,17 +562,17 @@ func TestIdentitySetMaintainedIncrementally(t *testing.T) {
 
 // BenchmarkArrive measures the full per-tuple arrival path (translate,
 // insert, compiled probe plan, verify, merge, deliver to log) on the mixed
-// stored/remote three-input join, one-row chunks.
+// stored/remote three-input join.
 func BenchmarkArrive(b *testing.B) {
-	const batch = 512
+	const rows = 512
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fx := newChainFixture(b, uint64(i)+1, batch, batch, 64, 16)
+		fx := newChainFixture(b, uint64(i)+1, rows, rows, 64, 16)
 		b.StartTimer()
 		fx.runInterleaved(false)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*2), "ns/arrival")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*2), "ns/arrival")
 }
 
 // BenchmarkAccessModuleProbe measures the warm stored-probe path in

@@ -122,30 +122,6 @@ func (l *Log) Append(r *tuple.Row, epoch int) {
 	}
 }
 
-// AppendBatch records a mini-batch of delivered rows in production order —
-// equivalent to appending each row alone, but the epoch stamp and the ledger
-// delta are paid once per batch, and when the identity set is materialised
-// the batch's identity hashes are computed in one pass before the set is
-// touched.
-func (l *Log) AppendBatch(rows []*tuple.Row, epoch int) {
-	if len(rows) == 0 {
-		return
-	}
-	l.epochs.stamp(l.rows.n, epoch)
-	for _, r := range rows {
-		l.rows.push(r)
-	}
-	l.acct.Add(len(rows))
-	if l.idents != nil {
-		for _, r := range rows {
-			_ = r.IdentityHash() // hash the batch in one pass, then dedup
-		}
-		for _, r := range rows {
-			l.idents.Add(r) // accounts its own delta
-		}
-	}
-}
-
 // Len returns the number of logged rows.
 func (l *Log) Len() int { return l.rows.n }
 
@@ -197,7 +173,7 @@ type logIndex struct {
 
 // productIndex returns an index over every row logged so far. The first call
 // sorts the whole log; later calls sort only the rows appended since the last
-// index and merge them into a new one. Append and AppendBatch never touch it.
+// index and merge them into a new one. Append never touches it.
 func (l *Log) productIndex() *logIndex {
 	n := l.rows.n
 	var prev []int32

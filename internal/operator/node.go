@@ -42,20 +42,14 @@ type NodeExec struct {
 	arrivals []int
 
 	// scratchPartials / scratchNext are the reusable frontier buffers of
-	// joinSeeds; probeBuf is the reusable candidate buffer of probeModule and
-	// runStoredStep, with candOff marking per-partial boundaries when a step
-	// runs batched (the scratch candidate matrix). seedBuf collects one
-	// sub-batch's translated arrivals. They hold only transient per-flush
-	// state — nothing downstream retains the containers.
+	// joinSeeds; probeBuf is the reusable candidate buffer of probeModule;
+	// seedBuf collects RecoverHistory's replayed seeds. They hold only
+	// transient per-call state — nothing downstream retains the containers.
 	scratchPartials [][]*tuple.Tuple
 	scratchNext     [][]*tuple.Tuple
 	probeBuf        []partialRow
-	candOff         []int
 	seedBuf         [][]*tuple.Tuple
 
-	// oneRow is ReadOne's reusable one-row chunk, so a stream read enters
-	// DeliverBatch without a per-row allocation.
-	oneRow [1]*tuple.Row
 	// vecPool free-lists node-arity part vectors recycled from consumed
 	// intermediate join frontiers; vecAccounted is how many pooled vectors
 	// the ledger's scratch dimension currently reflects. Pooled vectors are
@@ -138,12 +132,8 @@ type probeStep struct {
 // adaptEvery is how many arrivals pass between probe-order recomputations.
 const adaptEvery = 64
 
-// chunkRows is the executor's mini-batch target: a node's output rows are
-// delivered downstream in chunks of at most this many rows.
-const chunkRows = 64
-
 // maxPooledVecs caps a node's part-vector free list so idle nodes do not pin
-// unbounded tuple references between flushes.
+// unbounded tuple references between arrivals.
 const maxPooledVecs = 256
 
 // NewNodeExec builds runtime state for a plan node. Sources are opened by
@@ -157,47 +147,18 @@ func NewNodeExec(n *plangraph.Node) *NodeExec {
 	if n.Kind == plangraph.Join {
 		x.preds = n.Expr.JoinPreds()
 		x.modules = make([]*AccessModule, len(n.Inputs))
+		x.cov = make([][]bool, len(n.Inputs))
 		for i, e := range n.Inputs {
 			x.modules[i] = NewAccessModule(e.AtomMap)
+			x.cov[i] = make([]bool, len(n.Expr.Atoms))
+			for _, a := range e.AtomMap {
+				x.cov[i][a] = true
+			}
 		}
-		x.rebuildInputState()
+		x.plans = make([][]probeStep, len(n.Inputs))
+		x.arrivals = make([]int, len(n.Inputs))
 	}
 	return x
-}
-
-// rebuildInputState sizes the per-input coverage masks, plan cache and
-// arrival counters to the current input list.
-func (x *NodeExec) rebuildInputState() {
-	n := len(x.Node.Inputs)
-	nAtoms := len(x.Node.Expr.Atoms)
-	x.cov = make([][]bool, n)
-	for i, e := range x.Node.Inputs {
-		mask := make([]bool, nAtoms)
-		for _, a := range e.AtomMap {
-			mask[a] = true
-		}
-		x.cov[i] = mask
-	}
-	x.plans = make([][]probeStep, n)
-	arrivals := make([]int, n)
-	copy(arrivals, x.arrivals)
-	x.arrivals = arrivals
-}
-
-// SyncInputs appends access modules for join inputs added after construction
-// (grafting can extend an existing join node... it does not in the current
-// state manager, but keeping modules aligned with inputs is cheap insurance).
-func (x *NodeExec) SyncInputs() {
-	if len(x.modules) == len(x.Node.Inputs) {
-		return
-	}
-	for len(x.modules) < len(x.Node.Inputs) {
-		e := x.Node.Inputs[len(x.modules)]
-		m := NewAccessModule(e.AtomMap)
-		m.SetAccount(x.acct)
-		x.modules = append(x.modules, m)
-	}
-	x.rebuildInputState()
 }
 
 // SetAccount wires the node's log and modules to a ledger account (set once
@@ -312,88 +273,52 @@ func (x *NodeExec) ReadOne(env *Env, epoch int) bool {
 		return false
 	}
 	env.ChargeStreamRead()
-	x.oneRow[0] = r
-	x.DeliverBatch(env, x.oneRow[:], epoch)
+	x.deliver(env, r, epoch)
 	return true
 }
 
-// DeliverBatch logs a node's output rows and pipelines them downstream — into
-// every endpoint sink and every consumer m-join (which may cascade) — in
-// chunks of at most chunkRows rows. Rows are logged and offered to sinks in
-// production order, and a chunk is fully cascaded before the next chunk is
-// logged. A node with more than one consumer delivers one-row chunks: the
-// split operator's cross-consumer interleave (consumer A sees row i before
-// consumer B, and B sees row i before A sees row i+1) is observable in
-// downstream adaptation stats, so it is kept row-at-a-time. One-row chunks
-// (those, and every stream read) group nothing and are not counted as batch
-// flushes, which keeps the per-tuple path free of the counters' atomics.
-func (x *NodeExec) DeliverBatch(env *Env, rows []*tuple.Row, epoch int) {
-	step := chunkRows
-	if len(x.consumers) > 1 {
-		step = 1
+// deliver logs one of the node's output rows and pipelines it downstream:
+// it is offered to every endpoint sink, then handed to every consumer m-join,
+// whose cascade completes before the next row is logged. With several
+// consumers this is the split operator's interleave — consumer A sees row i
+// before consumer B, and B sees row i before A sees row i+1 — which is
+// observable in downstream adaptation stats.
+func (x *NodeExec) deliver(env *Env, r *tuple.Row, epoch int) {
+	x.Log.Append(r, epoch)
+	for _, s := range x.sinks {
+		s.Offer(env, r)
 	}
-	for lo := 0; lo < len(rows); lo += step {
-		chunk := rows[lo:min(lo+step, len(rows))]
-		if len(chunk) > 1 {
-			env.Metrics.AddBatchFlush(len(chunk), len(chunk) == chunkRows)
-		}
-		x.Log.AppendBatch(chunk, epoch)
-		for _, s := range x.sinks {
-			for _, r := range chunk {
-				s.Offer(env, r)
-			}
-		}
-		for _, c := range x.consumers {
-			c.target.ArriveBatch(env, chunk, c.edge, epoch)
-		}
+	for _, c := range x.consumers {
+		c.target.arrive(env, r, c.edge, epoch)
 	}
 }
 
-// ArriveBatch handles a chunk of rows landing on one input of a join node:
-// each is translated into node space straight into its slot in the input's
-// access module, then the chunk is probed against the other modules
-// following the adaptive probe sequence — each compiled probeStep once over
-// the whole surviving frontier — and the complete join results are delivered
-// downstream (fully pipelined, §4.1). The chunk splits at adaptation
-// boundaries so a recompile sees exactly the stats of every earlier row's
-// cascade; inserting a sub-batch ahead of its cascades is safe because
-// cascades never probe the driving input's module.
-func (x *NodeExec) ArriveBatch(env *Env, rows []*tuple.Row, edge *plangraph.Edge, epoch int) {
+// arrive handles a row landing on one input of a join node (§4.1): it is
+// translated into node space straight into its slot in the input's access
+// module, probed against the other modules following the adaptive probe
+// sequence, and each complete join result is delivered downstream (fully
+// pipelined). Every adaptEvery arrivals on an input its probe plan is
+// recompiled from the fanout stats of every earlier cascade.
+func (x *NodeExec) arrive(env *Env, r *tuple.Row, edge *plangraph.Edge, epoch int) {
 	if x.Node.Kind != plangraph.Join {
-		panic("operator: ArriveBatch on non-join node " + x.Node.Key)
+		panic("operator: arrive on non-join node " + x.Node.Key)
 	}
-	idx, width := edge.InputIdx, len(x.Node.Expr.Atoms)
-	for lo := 0; lo < len(rows); {
-		// The sub-batch ends where the next plan recompile would fire: the
-		// row that takes arrivals to ≡1 (mod adaptEvery) must see a plan
-		// compiled from every earlier row's cascade stats.
-		hi := len(rows)
-		for k := lo + 1; k < hi; k++ {
-			if (x.arrivals[idx]+(k-lo)+1)%adaptEvery == 1 {
-				hi = k
-				break
-			}
-		}
-		seeds := x.seedBuf[:0]
-		for _, r := range rows[lo:hi] {
-			parts := x.modules[idx].insertRow(r, edge.AtomMap, width, epoch)
-			env.Metrics.AddJoinInsert()
-			env.ChargeJoin()
-			x.arrivals[idx]++
-			if x.arrivals[idx]%adaptEvery == 1 {
-				x.plans[idx] = nil // only the sub-batch's first row can trigger
-			}
-			seeds = append(seeds, parts)
-		}
-		x.seedBuf = seeds
-		x.DeliverBatch(env, x.joinSeeds(env, idx, seeds, MaxEpochLive), epoch)
-		lo = hi
+	idx := edge.InputIdx
+	seed := [1][]*tuple.Tuple{x.modules[idx].insertRow(r, edge.AtomMap, len(x.Node.Expr.Atoms), epoch)}
+	env.Metrics.AddJoinInsert()
+	env.ChargeJoin()
+	x.arrivals[idx]++
+	if x.arrivals[idx]%adaptEvery == 1 {
+		x.plans[idx] = nil
+	}
+	for _, out := range x.joinSeeds(env, idx, seed[:], MaxEpochLive) {
+		x.deliver(env, out, epoch)
 	}
 }
 
-// joinSeeds extends a mini-batch of newly arrived partial rows across all
-// other inputs, returning the complete join results seed by seed: the
-// frontier is step-major, and within every step partials are probed in
+// joinSeeds extends newly arrived partial rows across all other inputs,
+// returning the complete join results seed by seed: the frontier is
+// step-major, and within every step partials are probed one by one in
 // frontier order, so each seed's finished descendants precede the next
 // seed's at every step — the output sequence is the concatenation of the
 // per-seed outputs. maxEpoch restricts which stored rows participate
@@ -414,15 +339,11 @@ func (x *NodeExec) joinSeeds(env *Env, drive int, seeds [][]*tuple.Tuple, maxEpo
 		}
 		st := &steps[si]
 		next = next[:0]
-		if !st.probe && st.hasLookup && len(cur) > 1 {
-			next = x.runStoredStep(env, st, cur, next, maxEpoch)
-		} else {
-			for _, p := range cur {
-				before := len(next)
-				next = x.probeModule(env, st, p, maxEpoch, next)
-				st.stat.probes++
-				st.stat.outputs += float64(len(next) - before)
-			}
+		for _, p := range cur {
+			before := len(next)
+			next = x.probeModule(env, st, p, maxEpoch, next)
+			st.stat.probes++
+			st.stat.outputs += float64(len(next) - before)
 		}
 		if si > 0 {
 			// The vectors in cur were merged outputs of the previous step and
@@ -445,53 +366,6 @@ func (x *NodeExec) joinSeeds(env *Env, drive int, seeds [][]*tuple.Tuple, maxEpo
 		out[i] = tuple.NewRow(p...)
 	}
 	return out
-}
-
-// runStoredStep executes one stored-input lookup step over the whole
-// frontier: a lookup pass batches every partial's index probe into one
-// scratch candidate matrix (probeBuf segmented by candOff), then a verify
-// pass merges the survivors. Work counters, fanout stats and the output
-// order are exactly those of probing each partial alone.
-func (x *NodeExec) runStoredStep(env *Env, st *probeStep, cur, next [][]*tuple.Tuple, maxEpoch int) [][]*tuple.Tuple {
-	m := x.modules[st.j]
-	x.probeBuf = x.probeBuf[:0]
-	x.candOff = x.candOff[:0]
-	for _, p := range cur {
-		env.Metrics.AddJoinProbe()
-		env.ChargeJoin()
-		x.probeBuf = m.AppendProbe(x.probeBuf, st.lookup.AtomB, st.lookup.ColB, p[st.lookup.AtomA].Val(st.lookup.ColA), maxEpoch)
-		x.candOff = append(x.candOff, len(x.probeBuf))
-	}
-	lo := 0
-	for pi, p := range cur {
-		before := len(next)
-		for _, cand := range x.probeBuf[lo:x.candOff[pi]] {
-			ok := true
-			for _, vp := range st.verify {
-				pv := p[vp.AtomA]
-				cv := cand.parts[vp.AtomB]
-				if pv == nil || cv == nil || !pv.Val(vp.ColA).Equal(cv.Val(vp.ColB)) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			merged := x.getVec(len(p))
-			copy(merged, p)
-			for pos, t := range cand.parts {
-				if t != nil {
-					merged[pos] = t
-				}
-			}
-			next = append(next, merged)
-		}
-		lo = x.candOff[pi]
-		st.stat.probes++
-		st.stat.outputs += float64(len(next) - before)
-	}
-	return next
 }
 
 // getVec returns a node-arity part vector from the free list, or a fresh one.
@@ -519,7 +393,8 @@ func (x *NodeExec) recycleVecs(vecs [][]*tuple.Tuple) {
 }
 
 // syncScratch settles the ledger's scratch dimension with the free list's
-// current size (one delta per flush instead of two atomics per vector).
+// current size (one delta per joinSeeds call instead of two atomics per
+// vector).
 func (x *NodeExec) syncScratch() {
 	if d := len(x.vecPool) - x.vecAccounted; d != 0 {
 		x.acct.AddScratch(d)
@@ -538,7 +413,7 @@ func (x *NodeExec) ReleaseScratch() {
 	x.vecPool = nil
 	x.syncScratch()
 	x.scratchPartials, x.scratchNext = nil, nil
-	x.probeBuf, x.candOff, x.seedBuf = nil, nil, nil
+	x.probeBuf, x.seedBuf = nil, nil
 }
 
 // probeModule finds the rows of the step's input joinable with the bound
@@ -805,7 +680,7 @@ func (x *NodeExec) RecoverHistory(env *Env, e int) int {
 		return 0
 	}
 	have := x.Log.IdentitySet()
-	// Replay the driving module's pre-epoch rows as one seed batch; the
+	// Replay the driving module's pre-epoch rows as one seed list; the
 	// replay charges are hoisted ahead of the (order-insensitive) cascade
 	// charges.
 	seeds := x.seedBuf[:0]

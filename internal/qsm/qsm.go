@@ -205,7 +205,6 @@ func (m *Manager) Admit(subs []batcher.Submission, cfg mqo.Config) (_ *AdmitRepo
 		}
 		for i, sub := range subs {
 			if i < registered {
-				m.ATC.CancelMerge(sub.UQ.ID)
 				m.ATC.Forget(sub.UQ.ID)
 				continue
 			}
@@ -592,7 +591,7 @@ func (m *Manager) AuditStateSize() int {
 }
 
 // ScratchSize reports the executor's pooled scratch (free-listed part
-// vectors held between mini-batch flushes) from the running ledger, in rows.
+// vectors held between join arrivals) from the running ledger, in rows.
 // Scratch is accounted beside StateSize, never inside it: it is reclaimable
 // instantly and must not sway eviction victim choice.
 func (m *Manager) ScratchSize() int { return int(m.State.Ledger.Scratch()) }

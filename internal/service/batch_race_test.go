@@ -13,14 +13,14 @@ import (
 	"repro/internal/workload"
 )
 
-// TestBatchedExecutorUnderChurn drives the batched executor across parallel
-// shards with concurrent users, short-deadline cancellations racing mid-batch
-// delivery, and a memory budget forcing evictions between rounds. Cancellation can park a node while
-// its output batch is in flight and eviction can unlink the nodes a pooled
-// scratch row came from, so both ledger dimensions — retained state and
-// pooled scratch — must still balance against their O(graph) audits, and
-// Close must leave no goroutines behind. The service suite runs under -race
-// in CI, which is the point of this test.
+// TestBatchedExecutorUnderChurn drives admission batches across parallel
+// shards with concurrent users, short-deadline cancellations racing
+// delivery, and a memory budget forcing evictions between rounds.
+// Cancellation can park a node between rounds of its merge and eviction can
+// unlink the nodes a pooled scratch row came from, so both ledger dimensions
+// — retained state and pooled scratch — must still balance against their
+// O(graph) audits, and Close must leave no goroutines behind. The service
+// suite runs under -race in CI, which is the point of this test.
 func TestBatchedExecutorUnderChurn(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w, err := workload.GUS(1, workload.GUSScaleDefault())
@@ -82,9 +82,6 @@ func TestBatchedExecutorUnderChurn(t *testing.T) {
 	st := svc.Stats(context.Background())
 	if completed == 0 {
 		t.Fatalf("no search completed (failed=%d)", failed)
-	}
-	if st.Work.BatchFlushes == 0 {
-		t.Fatal("executor never flushed a multi-row chunk")
 	}
 	for _, sh := range st.Shards {
 		if sh.StateRows != sh.StateRowsAudit {

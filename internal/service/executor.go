@@ -138,7 +138,6 @@ func (s *Service) run() {
 		for id, r := range s.waiters {
 			switch {
 			case r.ctx.Err() != nil:
-				s.ctrl.CancelMerge(id)
 				s.ctrl.Forget(id)
 				delete(s.waiters, id)
 				s.respond(r, nil, r.ctx.Err())
@@ -153,7 +152,6 @@ func (s *Service) run() {
 						s.mergeEWMA += (d - s.mergeEWMA) / 4
 					}
 				}
-				s.ctrl.CancelMerge(id)
 				s.ctrl.Forget(id)
 				delete(s.waiters, id)
 				s.respond(r, nil, &admission.ShedError{Reason: admission.ReasonDeadline})
@@ -364,7 +362,6 @@ func (s *Service) abort(reason error) int {
 	}
 	s.pending = nil
 	for id, r := range s.waiters {
-		s.ctrl.CancelMerge(id)
 		s.ctrl.Forget(id)
 		delete(s.waiters, id)
 		s.respond(r, nil, reason)
@@ -383,7 +380,6 @@ func (s *Service) snapshot() ShardStats {
 		StateRowsAudit:   s.mgr.AuditStateSize(),
 		ScratchRows:      s.mgr.ScratchSize(),
 		ScratchRowsAudit: s.mgr.AuditScratchSize(),
-		Batch:            s.env.Metrics.BatchOccupancy(),
 		Budget:           s.cfg.MemoryBudget,
 		Evictions:        s.mgr.Evictions(),
 		PlanCache:        s.mgr.PlanCacheStats(),

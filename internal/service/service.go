@@ -228,16 +228,12 @@ type ShardStats struct {
 	StateRows      int
 	StateRowsAudit int
 	// ScratchRows is the shard's pooled executor scratch (free-listed part
-	// vectors held between mini-batch flushes) from the ledger's separate
+	// vectors held between join arrivals) from the ledger's separate
 	// scratch dimension; ScratchRowsAudit recomputes it by rescanning. It is
 	// reported beside StateRows, never inside it, so pool warmth cannot sway
 	// eviction victim choice.
 	ScratchRows      int
 	ScratchRowsAudit int
-	// Batch is the executor's batch-occupancy distribution: rows per flushed
-	// mini-batch, with full-vs-output flush counts in the Work snapshot
-	// (BatchFullFlushes / BatchFlushes).
-	Batch metrics.SizeStats
 	// Budget is the engine's MemoryBudget (0 = unbounded).
 	Budget    int
 	Evictions int

@@ -16,7 +16,7 @@ import (
 
 // TestCancellationRacingEvictionAndSpill drives a bounded-budget,
 // spill-enabled service with many concurrent users whose contexts keep
-// expiring mid-flight, so cancellations (CancelMerge → unlink → park)
+// expiring mid-flight, so cancellations (Forget → unlink → park)
 // interleave with evictions spilling and dropping the parked segments. The
 // run must not deadlock, double-release, or corrupt the ledger: every shard's
 // running total must equal the O(graph) audit at the end, and Close must

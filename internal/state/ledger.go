@@ -34,7 +34,7 @@ type Ledger struct {
 	total    atomic.Int64
 	accounts atomic.Int64
 	// scratch tracks pooled executor scratch memory (free-listed part
-	// vectors, batch buffers) in rows. It is kept out of Total on purpose:
+	// vectors) in rows. It is kept out of Total on purpose:
 	// scratch is reclaimable instantly (dropping a free list frees it) and
 	// charging it against the eviction budget would perturb victim choice —
 	// and therefore result digests — by how warm a node's pools happen to
