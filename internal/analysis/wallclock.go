@@ -21,6 +21,8 @@ var determinismDomain = map[string]bool{
 	"tuple":      true,
 	"scoring":    true,
 	"candidates": true,
+	"catalog":    true,
+	"simclock":   true,
 }
 
 // wallclockBanned maps an import path to the functions that read ambient

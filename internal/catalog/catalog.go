@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/relationdb"
@@ -42,8 +40,16 @@ type RelStats struct {
 
 // Catalog holds statistics for every relation visible to the middleware and
 // answers estimation queries about expressions.
+//
+// It carries no lock. A workload's catalog is written only while its
+// relations register (AddRelation, AddStats) and is read-only after, so any
+// number of goroutines — a front desk's included — may then read its
+// relation statistics. Everything an engine writes (the execution feedback
+// and EstimateCard's estimate cache) lives in a Fork, and one engine's
+// goroutine owns each fork: every other reader reaches it through that
+// goroutine, so a read from anywhere else is a data race. EstimateCard
+// writes its cache, so it too is called only on a fork.
 type Catalog struct {
-	mu   sync.RWMutex
 	rels map[string]*RelStats
 	// streamedSoFar tracks, per input expression key, how many result tuples
 	// earlier executions already streamed into middleware state — the §6.1
@@ -55,7 +61,7 @@ type Catalog struct {
 	// estCache memoises pure estimates (invalidated by observations).
 	estCache map[string]float64
 	// gen counts the feedback writes that changed a value (Gen).
-	gen atomic.Uint64
+	gen uint64
 }
 
 // New creates an empty catalog.
@@ -75,8 +81,6 @@ func New() *Catalog {
 // counts its own generations from 0. Callers must finish registering
 // relations before forking.
 func (c *Catalog) Fork() *Catalog {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return &Catalog{
 		rels:          c.rels,
 		streamedSoFar: map[string]int{},
@@ -100,23 +104,15 @@ func (c *Catalog) AddRelation(db string, rel *relationdb.Relation) {
 	for i := 0; i < s.NumCols(); i++ {
 		st.Distinct[i] = float64(rel.DistinctCount(i))
 	}
-	c.mu.Lock()
 	c.rels[s.Name()] = st
-	c.mu.Unlock()
 }
 
 // AddStats registers stats directly (used when relations are lazy and the
 // workload generator knows the intended shape without materialising data).
-func (c *Catalog) AddStats(st *RelStats) {
-	c.mu.Lock()
-	c.rels[st.Name] = st
-	c.mu.Unlock()
-}
+func (c *Catalog) AddStats(st *RelStats) { c.rels[st.Name] = st }
 
 // Relation returns stats for the named relation.
 func (c *Catalog) Relation(name string) (*RelStats, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	st, ok := c.rels[name]
 	if !ok {
 		return nil, fmt.Errorf("catalog: unknown relation %q", name)
@@ -135,8 +131,6 @@ func (c *Catalog) MustRelation(name string) *RelStats {
 
 // Relations returns all known relation names, sorted.
 func (c *Catalog) Relations() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	names := make([]string, 0, len(c.rels))
 	for n := range c.rels {
 		names = append(names, n)
@@ -152,16 +146,12 @@ func (c *Catalog) Relations() []string {
 // previous execution recorded the expression's true cardinality, that
 // observation wins (§3, §6.1).
 func (c *Catalog) EstimateCard(e *cq.Expr) float64 {
-	c.mu.RLock()
 	if obs, ok := c.exprCard[e.Key()]; ok {
-		c.mu.RUnlock()
 		return obs
 	}
 	if est, ok := c.estCache[e.Key()]; ok {
-		c.mu.RUnlock()
 		return est
 	}
-	c.mu.RUnlock()
 	card := 1.0
 	for _, a := range e.Atoms {
 		st, err := c.Relation(a.Rel)
@@ -184,9 +174,7 @@ func (c *Catalog) EstimateCard(e *cq.Expr) float64 {
 	if card < 0 {
 		card = 0
 	}
-	c.mu.Lock()
 	c.estCache[e.Key()] = card
-	c.mu.Unlock()
 	return card
 }
 
@@ -248,48 +236,38 @@ func (c *Catalog) TopKDepth(e *cq.Expr, k int, fanout float64) float64 {
 // RecordStreamed notes that an execution has streamed n tuples of input key
 // into middleware state; the optimizer subtracts these from future costs.
 func (c *Catalog) RecordStreamed(key string, n int) {
-	c.mu.Lock()
 	if n > c.streamedSoFar[key] {
 		c.streamedSoFar[key] = n
-		c.gen.Add(1)
+		c.gen++
 	}
-	c.mu.Unlock()
 }
 
 // StreamedSoFar returns how many tuples of the input are already buffered.
-func (c *Catalog) StreamedSoFar(key string) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.streamedSoFar[key]
-}
+func (c *Catalog) StreamedSoFar(key string) int { return c.streamedSoFar[key] }
 
 // ForgetStreamed clears reuse accounting for an evicted input (§6.3).
 func (c *Catalog) ForgetStreamed(key string) {
-	c.mu.Lock()
 	if _, ok := c.streamedSoFar[key]; ok {
 		delete(c.streamedSoFar, key)
-		c.gen.Add(1)
+		c.gen++
 	}
-	c.mu.Unlock()
 }
 
 // RecordExprCard records an observed expression cardinality, which overrides
 // (and invalidates) the pure estimate.
 func (c *Catalog) RecordExprCard(key string, card float64) {
-	c.mu.Lock()
 	if old, ok := c.exprCard[key]; !ok || old != card {
 		c.exprCard[key] = card
-		c.gen.Add(1)
+		c.gen++
 	}
 	delete(c.estCache, key)
-	c.mu.Unlock()
 }
 
 // Gen returns the feedback generation: the number of RecordStreamed,
 // ForgetStreamed and RecordExprCard calls that changed a value the catalog
 // returns. Nothing else moves it, so while it is unchanged every
 // StreamedSoFar and ObservedCard answer is the one read at that generation.
-func (c *Catalog) Gen() uint64 { return c.gen.Load() }
+func (c *Catalog) Gen() uint64 { return c.gen }
 
 // ObservedCard returns the cardinality an execution recorded for the
 // expression, and whether one was recorded. Together with StreamedSoFar it is
@@ -297,8 +275,6 @@ func (c *Catalog) Gen() uint64 { return c.gen.Load() }
 // execution feedback for a key, so a cached optimizer decision can check
 // that what it was computed under still holds.
 func (c *Catalog) ObservedCard(key string) (float64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	card, ok := c.exprCard[key]
 	return card, ok
 }

@@ -5,135 +5,105 @@
 // queries executed (Table 4).
 package metrics
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Counters aggregates execution work for one plan graph (one ATC). One
-// goroutine drives the engine that writes them, but all methods are safe for
-// concurrent use, so the serving layer's /stats and the experiment harnesses
-// may snapshot and sum counters across graphs from other goroutines.
+// Counters aggregates execution work for one plan graph (one ATC). It is
+// plain, unsynchronised state: the goroutine that drives the engine owns it,
+// and every other reader (the serving layer's /stats, a harness summing
+// graphs) reaches it through that goroutine, so a read from anywhere else is
+// a data race. Snapshot copies it; Snapshot.Add sums copies across graphs.
 type Counters struct {
-	streamTimeNS int64
-	probeTimeNS  int64
-	joinTimeNS   int64
-
-	streamTuples   int64
-	probeCalls     int64
-	probeHits      int64
-	probeTuples    int64
-	joinInserts    int64
-	joinProbes     int64
-	resultsEmitted int64
-	replayTuples   int64
-	seededRows     int64
-	seedPulled     int64
-
-	spillSegsOut   int64
-	spillRowsOut   int64
-	spillBytesOut  int64
-	spillSegsIn    int64
-	spillRowsIn    int64
-	spillBytesIn   int64
-	revivalSpill   int64
-	revivalSource  int64
-	revivalRebound int64
-
-	migSegsIn   int64
-	migRowsIn   int64
-	migRestores int64
-	migDrops    int64
+	s Snapshot
 }
 
 // AddStreamRead records one streaming-source read of duration d.
 func (c *Counters) AddStreamRead(d time.Duration) {
-	atomic.AddInt64(&c.streamTimeNS, int64(d))
-	atomic.AddInt64(&c.streamTuples, 1)
+	c.s.StreamTime += d
+	c.s.StreamTuples++
 }
 
 // AddProbe records one remote random-access probe returning n tuples.
 func (c *Counters) AddProbe(d time.Duration, n int) {
-	atomic.AddInt64(&c.probeTimeNS, int64(d))
-	atomic.AddInt64(&c.probeCalls, 1)
-	atomic.AddInt64(&c.probeTuples, int64(n))
+	c.s.ProbeTime += d
+	c.s.ProbeCalls++
+	c.s.ProbeTuples += int64(n)
 }
 
 // AddProbeCacheHit records a probe served from the middleware probe cache.
-func (c *Counters) AddProbeCacheHit() { atomic.AddInt64(&c.probeHits, 1) }
+func (c *Counters) AddProbeCacheHit() { c.s.ProbeCacheHits++ }
 
 // AddJoin records in-memory join work of duration d.
-func (c *Counters) AddJoin(d time.Duration) { atomic.AddInt64(&c.joinTimeNS, int64(d)) }
+func (c *Counters) AddJoin(d time.Duration) { c.s.JoinTime += d }
 
 // AddJoinInsert counts an access-module insert.
-func (c *Counters) AddJoinInsert() { atomic.AddInt64(&c.joinInserts, 1) }
+func (c *Counters) AddJoinInsert() { c.s.JoinInserts++ }
 
 // AddJoinProbe counts an access-module probe.
-func (c *Counters) AddJoinProbe() { atomic.AddInt64(&c.joinProbes, 1) }
+func (c *Counters) AddJoinProbe() { c.s.JoinProbes++ }
 
 // AddResult counts a result row delivered to a user.
-func (c *Counters) AddResult() { atomic.AddInt64(&c.resultsEmitted, 1) }
+func (c *Counters) AddResult() { c.s.ResultsEmitted++ }
 
 // AddReplayTuple counts a tuple re-processed from saved state (§6.2); replay
 // does not count toward tuples consumed — that is precisely the reuse saving
 // Figure 10 measures.
-func (c *Counters) AddReplayTuple() { atomic.AddInt64(&c.replayTuples, 1) }
+func (c *Counters) AddReplayTuple() { c.s.ReplayTuples++ }
 
 // AddSeededRows counts pre-epoch log rows handed to a newly attached
 // endpoint (§6.2): results the graph computed before the query arrived,
 // shared without re-deriving or re-reading them.
-func (c *Counters) AddSeededRows(n int) { atomic.AddInt64(&c.seededRows, int64(n)) }
+func (c *Counters) AddSeededRows(n int) { c.s.SeededRows += int64(n) }
 
 // AddSeedPulled counts seeded rows an endpoint's cursor materialised —
 // projected, scored and buffered — because they could be the next answer.
 // Seeded rows never pulled cost their endpoint nothing.
-func (c *Counters) AddSeedPulled(n int) { atomic.AddInt64(&c.seedPulled, int64(n)) }
+func (c *Counters) AddSeedPulled(n int) { c.s.SeedPulled += int64(n) }
 
 // AddSpillWrite records one evicted plan segment serialized to the disk
 // tier (§6.3 spill): rows and bytes written.
 func (c *Counters) AddSpillWrite(rows, bytes int64) {
-	atomic.AddInt64(&c.spillSegsOut, 1)
-	atomic.AddInt64(&c.spillRowsOut, rows)
-	atomic.AddInt64(&c.spillBytesOut, bytes)
+	c.s.SpillSegsWritten++
+	c.s.SpillRowsWritten += rows
+	c.s.SpillBytesWritten += bytes
 }
 
 // AddSpillRead records one spilled segment read back during revival. Spill
 // reads are local I/O, not source work: they count toward neither
 // TuplesConsumed nor ReplayTuples.
 func (c *Counters) AddSpillRead(rows, bytes int64) {
-	atomic.AddInt64(&c.spillSegsIn, 1)
-	atomic.AddInt64(&c.spillRowsIn, rows)
-	atomic.AddInt64(&c.spillBytesIn, bytes)
+	c.s.SpillSegsRead++
+	c.s.SpillRowsRead += rows
+	c.s.SpillBytesRead += bytes
 }
 
 // AddRevivalFromSpill counts a re-created node whose state came back from
 // the disk tier.
-func (c *Counters) AddRevivalFromSpill() { atomic.AddInt64(&c.revivalSpill, 1) }
+func (c *Counters) AddRevivalFromSpill() { c.s.RevivalsFromSpill++ }
 
 // AddRevivalFromSource counts a re-created node that had been evicted with
 // no spill segment, so its state is re-derived by fresh source reads.
-func (c *Counters) AddRevivalFromSource() { atomic.AddInt64(&c.revivalSource, 1) }
+func (c *Counters) AddRevivalFromSource() { c.s.RevivalsFromSource++ }
 
 // AddRevivalRebound counts a parked join node revived by re-binding its
 // inputs alone: its log already held every combination of its module rows,
 // so no history was re-joined.
-func (c *Counters) AddRevivalRebound() { atomic.AddInt64(&c.revivalRebound, 1) }
+func (c *Counters) AddRevivalRebound() { c.s.RevivalsRebound++ }
 
 // AddMigrationIn records one imported segment (a recovered checkpoint's)
 // staged on this engine.
 func (c *Counters) AddMigrationIn(rows int64) {
-	atomic.AddInt64(&c.migSegsIn, 1)
-	atomic.AddInt64(&c.migRowsIn, rows)
+	c.s.MigrationSegsIn++
+	c.s.MigrationRowsIn += rows
 }
 
 // AddMigrationRestore counts a staged segment that passed the
 // consistency gate and was reinstalled into a node.
-func (c *Counters) AddMigrationRestore() { atomic.AddInt64(&c.migRestores, 1) }
+func (c *Counters) AddMigrationRestore() { c.s.MigrationRestores++ }
 
 // AddMigrationDrop counts a staged segment rejected by the consistency gate
 // (corrupt, structurally stale, or racing locally derived state); its node
 // re-derives by source replay instead.
-func (c *Counters) AddMigrationDrop() { atomic.AddInt64(&c.migDrops, 1) }
+func (c *Counters) AddMigrationDrop() { c.s.MigrationDrops++ }
 
 // Snapshot is an immutable copy of the counters.
 type Snapshot struct {
@@ -168,39 +138,8 @@ type Snapshot struct {
 	MigrationDrops    int64
 }
 
-// Snapshot returns the current counter values.
-func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		StreamTime:     time.Duration(atomic.LoadInt64(&c.streamTimeNS)),
-		ProbeTime:      time.Duration(atomic.LoadInt64(&c.probeTimeNS)),
-		JoinTime:       time.Duration(atomic.LoadInt64(&c.joinTimeNS)),
-		StreamTuples:   atomic.LoadInt64(&c.streamTuples),
-		ProbeCalls:     atomic.LoadInt64(&c.probeCalls),
-		ProbeCacheHits: atomic.LoadInt64(&c.probeHits),
-		ProbeTuples:    atomic.LoadInt64(&c.probeTuples),
-		JoinInserts:    atomic.LoadInt64(&c.joinInserts),
-		JoinProbes:     atomic.LoadInt64(&c.joinProbes),
-		ResultsEmitted: atomic.LoadInt64(&c.resultsEmitted),
-		ReplayTuples:   atomic.LoadInt64(&c.replayTuples),
-		SeededRows:     atomic.LoadInt64(&c.seededRows),
-		SeedPulled:     atomic.LoadInt64(&c.seedPulled),
-
-		SpillSegsWritten:   atomic.LoadInt64(&c.spillSegsOut),
-		SpillRowsWritten:   atomic.LoadInt64(&c.spillRowsOut),
-		SpillBytesWritten:  atomic.LoadInt64(&c.spillBytesOut),
-		SpillSegsRead:      atomic.LoadInt64(&c.spillSegsIn),
-		SpillRowsRead:      atomic.LoadInt64(&c.spillRowsIn),
-		SpillBytesRead:     atomic.LoadInt64(&c.spillBytesIn),
-		RevivalsFromSpill:  atomic.LoadInt64(&c.revivalSpill),
-		RevivalsFromSource: atomic.LoadInt64(&c.revivalSource),
-		RevivalsRebound:    atomic.LoadInt64(&c.revivalRebound),
-
-		MigrationSegsIn:   atomic.LoadInt64(&c.migSegsIn),
-		MigrationRowsIn:   atomic.LoadInt64(&c.migRowsIn),
-		MigrationRestores: atomic.LoadInt64(&c.migRestores),
-		MigrationDrops:    atomic.LoadInt64(&c.migDrops),
-	}
-}
+// Snapshot returns a copy of the current counter values.
+func (c *Counters) Snapshot() Snapshot { return c.s }
 
 // TuplesConsumed is Figure 10's work measure: tuples brought into the
 // middleware from sources, by streaming or by probing.

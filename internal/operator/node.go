@@ -393,8 +393,7 @@ func (x *NodeExec) recycleVecs(vecs [][]*tuple.Tuple) {
 }
 
 // syncScratch settles the ledger's scratch dimension with the free list's
-// current size (one delta per joinSeeds call instead of two atomics per
-// vector).
+// current size (one delta per joinSeeds call instead of two per vector).
 func (x *NodeExec) syncScratch() {
 	if d := len(x.vecPool) - x.vecAccounted; d != 0 {
 		x.acct.AddScratch(d)

@@ -288,9 +288,9 @@ func (e *planEntry) validate(order []*cq.CQ) error {
 }
 
 // planCache is a bounded LRU of plan entries. It is confined to the
-// goroutine that runs Admit: lookups happen before the optimizer's worker
-// fan-out and inserts after it. The map is only ever indexed, never ranged —
-// recency order lives in the list.
+// goroutine that runs Admit: lookups happen before optimizeGroups runs the
+// missed groups' searches, one after another, and inserts after. The map is
+// only ever indexed, never ranged — recency order lives in the list.
 type planCache struct {
 	byKey map[planKey]*list.Element // of *planEntry
 	lru   *list.List                // front = most recently used

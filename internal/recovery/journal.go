@@ -172,14 +172,15 @@ func (j *Journal) Rewrite(inflight []QueryRecord) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(filepath.Dir(j.path))
-	// Swap the append handle to the new file.
+	// Swap the append handle to the renamed file before reporting a failed
+	// directory fsync: the old file is unlinked, so appends to it would be
+	// lost.
 	if j.f != nil {
 		j.f.Close()
 	}
 	j.f = f
 	j.w = bufio.NewWriter(f)
-	return nil
+	return syncDir(filepath.Dir(j.path))
 }
 
 // Close flushes and closes the journal file (the file itself persists — it
@@ -188,8 +189,10 @@ func (j *Journal) Close() error {
 	if j == nil || j.f == nil {
 		return nil
 	}
-	j.w.Flush()
-	err := j.f.Close()
+	err := j.w.Flush()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
 	j.f = nil
 	return err
 }

@@ -246,8 +246,9 @@ func (s *Store) Load() (*Checkpoint, error) {
 }
 
 // writeDurable writes data to path via a temp file, fsyncs it, renames it
-// into place, and fsyncs the directory — the same publish discipline as the
-// spill tier's segment writes.
+// into place, and fsyncs the directory. A failed directory fsync is
+// returned: the rename may not survive a crash, so the file is not
+// published.
 func writeDurable(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -272,15 +273,20 @@ func writeDurable(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(filepath.Dir(path))
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // StatsSnapshot is the recovery tier's observable state, surfaced through

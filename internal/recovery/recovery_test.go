@@ -233,3 +233,31 @@ func TestJournalRewriteCompacts(t *testing.T) {
 		t.Fatalf("post-rewrite replay = %+v, want [UQ49 UQ51]", inflight)
 	}
 }
+
+// TestDurabilityErrorsReported: a directory fsync that cannot run and a
+// journal tail that cannot be flushed are errors, not silent successes.
+func TestDurabilityErrorsReported(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Error("syncDir of a missing directory reported success")
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, _, err := st.OpenJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A buffered record over a file that refuses writes cannot be flushed,
+	// though the file closes cleanly: Close must report the flush.
+	jnl.f.Close()
+	if jnl.f, err = os.Open(jnl.path); err != nil {
+		t.Fatal(err)
+	}
+	jnl.w.Reset(jnl.f)
+	jnl.w.WriteString("{\"op\":\"d\",\"id\":\"UQ1\"}\n")
+	if err := jnl.Close(); err == nil {
+		t.Error("Close dropped the failed flush of the journal tail")
+	}
+}

@@ -300,13 +300,36 @@ func TestStatsDuringLoad(t *testing.T) {
 			}
 		}
 	}()
-	// Stats must be answerable while the executor is mid-flight.
+	// Stats must be answerable while the executor is mid-flight. The engine's
+	// clock, counters and ledger are plain state read only on its executor
+	// goroutine, so each read is one consistent cut: the ledger agrees with
+	// its audit, and work and time never run backwards between reads. Under
+	// -race, any read of that state from another goroutine is a data race.
+	prev := map[int]service.ShardStats{}
 	for i := 0; i < 20; i++ {
 		st := s.Stats(context.Background())
 		if st.Service.Requests < st.Service.Completed {
 			t.Errorf("requests %d < completed %d", st.Service.Requests, st.Service.Completed)
 		}
+		for _, sh := range st.Shards {
+			if sh.StateRows != sh.StateRowsAudit || sh.ScratchRows != sh.ScratchRowsAudit {
+				t.Errorf("read %d shard %d: ledger %d/%d scratch rows, audit %d/%d",
+					i, sh.Shard, sh.StateRows, sh.ScratchRows, sh.StateRowsAudit, sh.ScratchRowsAudit)
+			}
+			if p, ok := prev[sh.Shard]; ok {
+				if sh.Work.StreamTuples < p.Work.StreamTuples {
+					t.Errorf("read %d shard %d: stream tuples went back %d -> %d", i, sh.Shard, p.Work.StreamTuples, sh.Work.StreamTuples)
+				}
+				if sh.Now < p.Now {
+					t.Errorf("read %d shard %d: engine clock went back %v -> %v", i, sh.Shard, p.Now, sh.Now)
+				}
+			}
+			prev[sh.Shard] = sh
+		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	if len(prev) == 0 {
+		t.Error("Stats reported no shards")
 	}
 	close(stop)
 	wg.Wait()

@@ -15,45 +15,36 @@
 package simclock
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
 )
 
-// Virtual is a deterministic simulated clock. It is safe for concurrent use
-// (experiment harnesses read it while an ATC goroutine advances it).
+// Virtual is a deterministic simulated clock. It is plain, unsynchronised
+// state: one goroutine owns each engine and advances its clock, and every
+// other reader reaches it through that goroutine (the service's exec), so a
+// read from anywhere else is a data race.
 type Virtual struct {
-	now atomic.Int64 // nanoseconds
+	now time.Duration
 }
 
 // NewVirtual returns a virtual clock starting at start.
-func NewVirtual(start time.Duration) *Virtual {
-	v := &Virtual{}
-	v.now.Store(int64(start))
-	return v
-}
+func NewVirtual(start time.Duration) *Virtual { return &Virtual{now: start} }
 
 // Now returns the current virtual time.
-func (v *Virtual) Now() time.Duration { return time.Duration(v.now.Load()) }
+func (v *Virtual) Now() time.Duration { return v.now }
 
 // Advance moves the virtual clock forward by d (negative d is ignored).
 func (v *Virtual) Advance(d time.Duration) {
 	if d > 0 {
-		v.now.Add(int64(d))
+		v.now += d
 	}
 }
 
 // AdvanceTo moves the clock to t if t is in the future.
 func (v *Virtual) AdvanceTo(t time.Duration) {
-	for {
-		cur := v.now.Load()
-		if int64(t) <= cur {
-			return
-		}
-		if v.now.CompareAndSwap(cur, int64(t)) {
-			return
-		}
+	if t > v.now {
+		v.now = t
 	}
 }
 

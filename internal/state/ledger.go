@@ -20,26 +20,25 @@
 // chooses the victims.
 package state
 
-import "sync/atomic"
-
 // Ledger is the incremental accounting of all retained execution state of
 // one engine (one plan graph), in rows. It replaces the per-victim
 // StateSize() rescan of the pre-subsystem eviction loop: structures call
 // Account.Add as rows arrive and leave, and Total is a running sum.
 //
-// The ledger-wide aggregates are atomic so they can be read from any
-// goroutine while the engine goroutine writes them: the stats surface reads
-// Total and Scratch.
+// A ledger and its accounts are plain, unsynchronised state owned by the
+// engine goroutine: every other reader (the stats surface's Total and
+// Scratch) reaches them through that goroutine, so a read from anywhere
+// else is a data race.
 type Ledger struct {
-	total    atomic.Int64
-	accounts atomic.Int64
+	total    int64
+	accounts int64
 	// scratch tracks pooled executor scratch memory (free-listed part
 	// vectors) in rows. It is kept out of Total on purpose:
 	// scratch is reclaimable instantly (dropping a free list frees it) and
 	// charging it against the eviction budget would perturb victim choice —
 	// and therefore result digests — by how warm a node's pools happen to
 	// be. It is surfaced separately so operators still see true footprint.
-	scratch atomic.Int64
+	scratch int64
 }
 
 // NewLedger creates an empty ledger.
@@ -50,7 +49,7 @@ func (l *Ledger) Total() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.total.Load()
+	return l.total
 }
 
 // Scratch returns the pooled executor scratch held across all live
@@ -59,7 +58,7 @@ func (l *Ledger) Scratch() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.scratch.Load()
+	return l.scratch
 }
 
 // Accounts returns how many live accounts the ledger tracks.
@@ -67,7 +66,7 @@ func (l *Ledger) Accounts() int {
 	if l == nil {
 		return 0
 	}
-	return int(l.accounts.Load())
+	return int(l.accounts)
 }
 
 // NewAccount opens an account for one retained structure (a node exec, an
@@ -76,7 +75,7 @@ func (l *Ledger) NewAccount() *Account {
 	if l == nil {
 		return nil
 	}
-	l.accounts.Add(1)
+	l.accounts++
 	return &Account{ledger: l}
 }
 
@@ -89,16 +88,15 @@ func (l *Ledger) Release(a *Account) {
 		return
 	}
 	a.dead = true
-	l.total.Add(-a.rows)
-	l.scratch.Add(-a.scratch)
-	l.accounts.Add(-1)
+	l.total -= a.rows
+	l.scratch -= a.scratch
+	l.accounts--
 }
 
 // Account is one structure's running row count within a ledger. All methods
 // are safe on a nil receiver: operator structures created outside an engine
-// (unit tests, ad hoc use) simply go unaccounted. An account's own fields
-// are not atomic: only the engine goroutine that owns the account reads or
-// writes them.
+// (unit tests, ad hoc use) simply go unaccounted. Like its ledger, an
+// account is read and written only by the engine goroutine that owns it.
 type Account struct {
 	ledger  *Ledger
 	rows    int64
@@ -112,7 +110,7 @@ func (a *Account) Add(delta int) {
 		return
 	}
 	a.rows += int64(delta)
-	a.ledger.total.Add(int64(delta))
+	a.ledger.total += int64(delta)
 }
 
 // AddScratch registers a pooled-scratch delta in rows (free-listed part
@@ -123,7 +121,7 @@ func (a *Account) AddScratch(delta int) {
 		return
 	}
 	a.scratch += int64(delta)
-	a.ledger.scratch.Add(int64(delta))
+	a.ledger.scratch += int64(delta)
 }
 
 // ScratchRows returns the account's pooled-scratch row count.

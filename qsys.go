@@ -66,6 +66,11 @@ type Config struct {
 // served engine's front desk (service.Expander) and run one at a time to
 // completion, so a session answers a user's search exactly as a one-engine
 // qsys-serve over the same workload and seed does.
+//
+// A session is driven by one goroutine at a time: its engine state (clock,
+// counters, ledger, catalog fork) is plain and unsynchronised. Concurrent
+// callers use a served engine instead — fleet.NewLocal in process, or
+// qsys-serve.
 type System struct {
 	exp  *service.Expander
 	pipe *core.Pipeline
