@@ -57,7 +57,7 @@ func snapshotNode(n *plangraph.Node, x *operator.NodeExec) *state.NodeSnapshot {
 	if n.Kind == plangraph.Join {
 		snap.Modules = make([]state.ModuleSnapshot, len(n.Inputs))
 		for i, e := range n.Inputs {
-			parts, epochs := x.Module(i).Export()
+			parts, epochs := x.Module(i).Export(len(n.Expr.Atoms))
 			snap.Modules[i] = state.ModuleSnapshot{
 				ProducerKey: e.From.Key,
 				Coverage:    append([]int(nil), e.AtomMap...),

@@ -122,10 +122,12 @@ var suites = []struct {
 //     posed by three users whose scoring coefficients evolve per search,
 //     with the CQ order permuted one time in three; then calls Admit;
 //   - admits the batch on both sides, checks every attached query's
-//     threshold groups against its side's graph (CheckThresholds); then
-//     calls Admitted;
+//     threshold groups against its side's graph (CheckThresholds) and every
+//     streamed access module against its producer's log (CheckModules);
+//     then calls Admitted;
 //   - drains both sides round by round, recording pruned CQs; then calls
-//     Drained, and both sides forget the batch.
+//     Drained, both sides forget the batch, and their modules are checked
+//     again.
 func Run(t *testing.T, setup func(prod, ref *Side) Checks, cases ...string) {
 	for _, suite := range suites {
 		w, err := suite.load()
@@ -213,6 +215,7 @@ func (s *Step) step(t *testing.T, rng *dist.RNG, pool [][]string, step int, chec
 			t.Fatalf("%s: admit: %v", s.What, err)
 		}
 		CheckThresholds(t, s.What, side.Pipe)
+		CheckModules(t, s.What, side.Pipe)
 		for _, n := range side.Pipe.Graph.Nodes() {
 			if n.Kind == plangraph.SourceStream {
 				s.Streams[n.Expr.Key()] = true
@@ -232,6 +235,61 @@ func (s *Step) step(t *testing.T, rng *dist.RNG, pool [][]string, step int, chec
 	for si, side := range s.Sides {
 		for _, uq := range s.UQs[si] {
 			side.Pipe.ATC.Forget(uq.ID)
+		}
+		CheckModules(t, s.What, side.Pipe)
+	}
+}
+
+// CheckModules requires every streamed access module of p's join nodes to
+// hold its producer's log prefix. Live arrivals and preloads insert the
+// producer's own rows in log order; a segment restore inserts new row
+// objects in the order they were spilled, which need not be the producer's
+// current log order (DESIGN.md, "Block storage"), and only rows the
+// producer logs later follow them. So a module of n rows is its first r
+// restored rows — as a multiset of identity hashes, the producer's first r
+// logged rows — then the producer's rows r to n, row for row.
+func CheckModules(t testing.TB, what string, p *core.Pipeline) {
+	t.Helper()
+	for _, n := range p.Graph.Nodes() {
+		x, ok := p.ATC.HasExec(n)
+		if !ok || n.Kind != plangraph.Join {
+			continue
+		}
+		for i, e := range n.Inputs {
+			m := x.Module(i)
+			if e.Probe || m.Len() == 0 {
+				continue
+			}
+			px, ok := p.ATC.HasExec(e.From)
+			if !ok || px.Log.Len() < m.Len() {
+				t.Fatalf("%s: node %s input %d holds %d rows, its producer logs fewer (exec %v)", what, n.Key, i, m.Len(), ok)
+			}
+			// restored counts the rows before the first of the producer's
+			// own; sums and squares aggregate both sides' identity hashes.
+			j, restored, bad := 0, -1, -1
+			var sum, sq [2]uint64
+			m.EachBefore(operator.MaxEpochLive, func(r *tuple.Row) {
+				lr := px.Log.Row(j)
+				switch {
+				case restored < 0 && r != lr:
+					for k, h := range [2]uint64{r.IdentityHash(), lr.IdentityHash()} {
+						sum[k] += h
+						sq[k] += h * h
+					}
+				case restored < 0:
+					restored = j
+				case r != lr && bad < 0:
+					bad = j
+				}
+				j++
+			})
+			if bad >= 0 {
+				t.Fatalf("%s: node %s input %d row %d is not its producer's log row %d, after %d restored rows", what, n.Key, i, bad, bad, restored)
+			}
+			if sum[0] != sum[1] || sq[0] != sq[1] {
+				r := max(restored, j)
+				t.Fatalf("%s: node %s input %d: its first %d rows are not, as a multiset, its producer's first %d log rows", what, n.Key, i, r, r)
+			}
 		}
 	}
 }

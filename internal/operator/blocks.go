@@ -11,76 +11,55 @@ const (
 	blockMask  = blockRows - 1
 )
 
-// blockList is an append-only list of rows of w elements each (w is fixed by
-// the first row), stored in blocks of blockRows rows. A block is never
-// copied, moved or reused once full, so a view into one — a module row's
-// parts, a seedView of a log — stays valid for as long as it is held, and a
-// list that ends with n rows has allocated about n rows' worth, not the
+// blockList is an append-only list of elements — a log's or a module's rows,
+// a chain index's chains and links — stored in blocks of blockRows elements.
+// A block is never copied, moved or reused once full, so a view of the list
+// — a seedView of a log — stays valid for as long as it is held, and a list
+// that ends with n elements has allocated about n elements' worth, not the
 // several times n that regrowing one slice would. Only the first block,
-// head, grows, doubling from headRows rows, so a small list costs what a
+// head, grows, doubling from headRows elements, so a small list costs what a
 // plain slice would and needs no block directory.
 type blockList[T any] struct {
 	head []T
-	// blocks holds rows blockRows and on, one full-size block each.
+	// blocks holds elements blockRows and on, one full-size block each.
 	blocks [][]T
-	n, w   int
+	n      int
 }
 
-// headRows is the first block's initial room, in rows.
+// headRows is the first block's initial room, in elements.
 const headRows = 4
 
-// grow appends a row of w zero elements and returns it as a view capped at
-// its own w elements.
-func (s *blockList[T]) grow(w int) []T {
-	if s.w == 0 {
-		s.w = w
-	} else if w != s.w {
-		panic("operator: block list row width changed")
-	}
-	b := &s.head
-	if s.n >= blockRows {
+// reserve gives an empty list room for n elements in its first block, up to
+// a block's worth, so a list whose length is known ahead does not regrow on
+// the way there.
+func (s *blockList[T]) reserve(n int) {
+	s.head = make([]T, 0, min(n, blockRows))
+}
+
+// push appends an element.
+func (s *blockList[T]) push(v T) {
+	if s.n < blockRows {
+		if len(s.head) == cap(s.head) {
+			nb := make([]T, len(s.head), min(max(2*cap(s.head), headRows), blockRows))
+			copy(nb, s.head)
+			s.head = nb
+		}
+		s.head = append(s.head, v)
+	} else {
 		if s.n&blockMask == 0 {
 			if s.blocks == nil {
 				// Room for 16 blocks before the directory regrows.
 				s.blocks = make([][]T, 0, 16)
 			}
-			s.blocks = append(s.blocks, make([]T, 0, blockRows*w))
+			s.blocks = append(s.blocks, make([]T, 0, blockRows))
 		}
-		b = &s.blocks[len(s.blocks)-1]
-	} else if len(s.head) == cap(s.head) {
-		nb := make([]T, len(s.head), min(max(2*cap(s.head), headRows*w), blockRows*w))
-		copy(nb, s.head)
-		s.head = nb
-	}
-	o := len(*b)
-	*b = (*b)[:o+w]
-	s.n++
-	return (*b)[o : o+w : o+w]
-}
-
-// reserve gives an empty list of one-element rows room for n of them in
-// its first block, up to a block's worth, so a list whose length is known
-// ahead does not regrow on the way there.
-func (s *blockList[T]) reserve(n int) {
-	s.head = make([]T, 0, min(n, blockRows))
-}
-
-// push appends a one-element row; while the current block has room it
-// needs no call to grow.
-func (s *blockList[T]) push(v T) {
-	if s.w == 1 && s.n > blockRows && s.n&blockMask != 0 {
 		k := len(s.blocks) - 1
 		s.blocks[k] = append(s.blocks[k], v) // within the block's capacity
-	} else if s.w == 1 && s.n < blockRows && s.n < cap(s.head) {
-		s.head = append(s.head, v)
-	} else {
-		s.grow(1)[0] = v
-		return
 	}
 	s.n++
 }
 
-// at returns the element of one-element row i.
+// at returns element i.
 func (s *blockList[T]) at(i int) T {
 	if i < blockRows {
 		return s.head[i]
@@ -88,7 +67,7 @@ func (s *blockList[T]) at(i int) T {
 	return s.blocks[i>>blockShift-1][i&blockMask]
 }
 
-// set overwrites the element of one-element row i.
+// set overwrites element i.
 func (s *blockList[T]) set(i int, v T) {
 	if i < blockRows {
 		s.head[i] = v
@@ -97,17 +76,7 @@ func (s *blockList[T]) set(i int, v T) {
 	s.blocks[i>>blockShift-1][i&blockMask] = v
 }
 
-// row returns row i as a view capped at its w elements.
-func (s *blockList[T]) row(i int) []T {
-	b := s.head
-	if i >= blockRows {
-		b = s.blocks[i>>blockShift-1]
-	}
-	o := (i & blockMask) * s.w
-	return b[o : o+s.w : o+s.w]
-}
-
-// appendTo appends every element, in row order, to dst.
+// appendTo appends every element, in order, to dst.
 func (s *blockList[T]) appendTo(dst []T) []T {
 	dst = append(dst, s.head...)
 	for _, b := range s.blocks {

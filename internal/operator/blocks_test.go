@@ -3,16 +3,19 @@ package operator
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/cq"
 	"repro/internal/dist"
+	"repro/internal/plangraph"
 	"repro/internal/tuple"
 )
 
 // refModule and refLog are the plain-slice reference models of an access
 // module and a log: one entry per row, regrown by append, filtered by a scan.
 type refModule struct {
-	parts  [][]*tuple.Tuple
+	rows   []*tuple.Row
 	epochs []int
 }
 
@@ -21,22 +24,27 @@ type refLog struct {
 	epochs []int
 }
 
-// probe is AppendProbe's answer by a scan over every stored row.
-func (r *refModule) probe(atom, col int, v tuple.Value, maxEpoch int) []partialRow {
-	var out []partialRow
-	for i, ps := range r.parts {
-		if p := ps[atom]; p != nil && r.epochs[i] < maxEpoch && p.Val(col).IndexKey() == v.IndexKey() {
-			out = append(out, partialRow{parts: ps, epoch: r.epochs[i]})
+// probe is AppendProbe's answer by a scan over every stored row, reading
+// node atom atom through the model's atom map.
+func (r *refModule) probe(atom, col int, v tuple.Value, maxEpoch int) []*tuple.Row {
+	var out []*tuple.Row
+	part := slices.Index(modelAtomMap, atom)
+	for i, row := range r.rows {
+		if part < 0 || r.epochs[i] >= maxEpoch {
+			continue
+		}
+		if p := row.Part(part); p != nil && p.Val(col).IndexKey() == v.IndexKey() {
+			out = append(out, row)
 		}
 	}
 	return out
 }
 
-func (r *refModule) before(maxEpoch int) []partialRow {
-	var out []partialRow
-	for i, ps := range r.parts {
+func (r *refModule) before(maxEpoch int) []*tuple.Row {
+	var out []*tuple.Row
+	for i, row := range r.rows {
 		if r.epochs[i] < maxEpoch {
-			out = append(out, partialRow{parts: ps, epoch: r.epochs[i]})
+			out = append(out, row)
 		}
 	}
 	return out
@@ -52,23 +60,11 @@ func (r *refLog) before(e int) []*tuple.Row {
 	return out
 }
 
-// samePartials reports whether two probe answers hold the same rows, part
-// by part, with the same epochs, in the same order.
-func samePartials(got, want []partialRow) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i].epoch != want[i].epoch || len(got[i].parts) != len(want[i].parts) {
-			return false
-		}
-		for a := range got[i].parts {
-			if got[i].parts[a] != want[i].parts[a] {
-				return false
-			}
-		}
-	}
-	return true
+// sameParts reports whether two module answers hold rows of the same parts,
+// part by part, in the same order: an imported module holds new rows over
+// the parts its export held.
+func sameParts(got, want []*tuple.Row) bool {
+	return slices.EqualFunc(got, want, func(a, b *tuple.Row) bool { return slices.Equal(a.Parts(), b.Parts()) })
 }
 
 func sameRows(got, want []*tuple.Row) bool {
@@ -107,7 +103,7 @@ type heldView struct {
 	before []bool
 }
 
-// moduleWidth is the node arity the model's module rows have; its input
+// moduleWidth is the node arity the model's module exports; its input
 // covers atoms 0 and 2 (atom 1 is always nil).
 const moduleWidth = 3
 
@@ -125,9 +121,9 @@ func newBlockModel(t *testing.T, seed uint64) *blockModel {
 	return &blockModel{t: t, rng: dist.New(seed), s: s, m: NewAccessModule(modelAtomMap), l: &Log{}, epoch: 1, keys: keys}
 }
 
-// insert adds one producer row to the module (through Insert or insertRow)
-// and the log, stamped with the current epoch — or, now and then, the one
-// before it, as recovery stamps what it re-derives.
+// insert adds one producer row to the module and the log, stamped with the
+// current epoch — or, now and then, the one before it, as recovery stamps
+// what it re-derives.
 func (b *blockModel) insert() {
 	epoch := b.epoch
 	if b.disorder > 0 && b.rng.Intn(b.disorder) == 0 {
@@ -142,14 +138,8 @@ func (b *blockModel) insert() {
 		}
 	}
 	row := tuple.NewRow(parts[0], parts[1])
-	node := make([]*tuple.Tuple, moduleWidth)
-	node[0], node[2] = parts[0], parts[1]
-	if b.rng.Intn(2) == 0 {
-		b.m.Insert(node, epoch)
-	} else {
-		b.m.insertRow(row, modelAtomMap, moduleWidth, epoch)
-	}
-	b.rm.parts = append(b.rm.parts, node)
+	b.m.Insert(row, epoch)
+	b.rm.rows = append(b.rm.rows, row)
 	b.rm.epochs = append(b.rm.epochs, epoch)
 	b.l.Append(row, epoch)
 	b.rl.rows = append(b.rl.rows, row)
@@ -160,7 +150,7 @@ func (b *blockModel) insert() {
 // rebuilds from them.
 func (b *blockModel) roundTrip() {
 	x := &NodeExec{Log: &Log{}, modules: []*AccessModule{NewAccessModule(modelAtomMap)}}
-	parts, epochs := b.m.Export()
+	parts, epochs := b.m.Export(moduleWidth)
 	x.ImportModuleRows(0, parts, epochs)
 	x.ImportLog(b.l.Export())
 	b.m, b.l = x.modules[0], x.Log
@@ -171,8 +161,8 @@ func (b *blockModel) roundTrip() {
 func (b *blockModel) check(when string) {
 	t := b.t
 	t.Helper()
-	if b.m.Len() != len(b.rm.parts) || b.l.Len() != len(b.rl.rows) {
-		t.Fatalf("%s: module %d rows (want %d), log %d (want %d)", when, b.m.Len(), len(b.rm.parts), b.l.Len(), len(b.rl.rows))
+	if b.m.Len() != len(b.rm.rows) || b.l.Len() != len(b.rl.rows) {
+		t.Fatalf("%s: module %d rows (want %d), log %d (want %d)", when, b.m.Len(), len(b.rm.rows), b.l.Len(), len(b.rl.rows))
 	}
 	epochs := []int{0, b.epoch - 1, b.epoch, b.epoch + 1, MaxEpochLive}
 	if len(b.m.indexes) > 0 { // probing builds the index; keep it lazy until the model builds it
@@ -180,10 +170,10 @@ func (b *blockModel) check(when string) {
 		for i := 0; i < 6; i++ {
 			probes = append(probes, b.keys[b.rng.Intn(len(b.keys))])
 		}
-		for _, atom := range []int{0, 2} {
+		for _, atom := range []int{0, 1, 2} {
 			for _, v := range probes {
 				for _, e := range epochs {
-					if got, want := b.m.AppendProbe(nil, atom, 0, v, e), b.rm.probe(atom, 0, v, e); !samePartials(got, want) {
+					if got, want := b.m.AppendProbe(nil, atom, 0, v, e), b.rm.probe(atom, 0, v, e); !sameParts(got, want) {
 						t.Fatalf("%s: AppendProbe(%d, %s, below %d) differs from the reference (%d rows, reference %d)", when, atom, v.Text(), e, len(got), len(want))
 					}
 				}
@@ -191,7 +181,7 @@ func (b *blockModel) check(when string) {
 		}
 	}
 	for _, e := range epochs {
-		if got, want := moduleBefore(b.m, e), b.rm.before(e); !samePartials(got, want) {
+		if got, want := moduleBefore(b.m, e), b.rm.before(e); !sameParts(got, want) {
 			t.Fatalf("%s: module EachBefore(%d) differs from the reference (%d rows, reference %d)", when, e, len(got), len(want))
 		}
 		want := b.rl.before(e)
@@ -201,12 +191,13 @@ func (b *blockModel) check(when string) {
 			t.Fatalf("%s: log EachBefore(%d) differs from the reference (%d rows, countBefore %d, reference %d)", when, e, len(got), b.l.countBefore(e), len(want))
 		}
 	}
-	parts, mEpochs := b.m.Export()
-	exported := make([]partialRow, len(parts))
-	for i := range parts {
-		exported[i] = partialRow{parts: parts[i], epoch: mEpochs[i]}
+	parts, mEpochs := b.m.Export(moduleWidth)
+	for i, row := range b.rm.rows {
+		if want := []*tuple.Tuple{row.Part(0), nil, row.Part(1)}; !slices.Equal(parts[i], want) {
+			t.Fatalf("%s: module Export row %d differs from the reference", when, i)
+		}
 	}
-	if !samePartials(exported, b.rm.before(MaxEpochLive)) {
+	if len(parts) != len(b.rm.rows) || !slices.Equal(mEpochs, b.rm.epochs) {
 		t.Fatalf("%s: module Export differs from the reference", when)
 	}
 	rows, lEpochs := b.l.Export()
@@ -305,21 +296,25 @@ func TestBlockStateMatchesReference(t *testing.T) {
 // every row a new key, the index's row links and chains cost the same per
 // block and their bytes plus a quarter, and its table, which doubles, at
 // most twice its final size. (A Go map from key to chain id allocated a
-// third more than this bound, in 506 allocations.)
+// third more than this bound, in 506 allocations.) A module holds its
+// producer's rows by reference, so preloading a 1-atom input of a 4-atom
+// node costs what a 1-atom node's module does. (Node-space copies cost 4
+// times the bound.)
 func TestModuleGrowthAllocs(t *testing.T) {
 	const n = 20000
 	perBlock := float64(n/blockRows + 16)
 	s := rowSchema()
-	parts := make([][]*tuple.Tuple, n)
 	rows := make([]*tuple.Row, n)
-	for i := range parts {
-		tup := tuple.New(s, tuple.Int(int64(i%512)), tuple.Float(0.5))
-		parts[i], rows[i] = []*tuple.Tuple{tup}, tuple.NewRow(tup)
+	producer := &Log{}
+	for i := range rows {
+		rows[i] = tuple.NewRow(tuple.New(s, tuple.Int(int64(i%512)), tuple.Float(0.5)))
+		producer.Append(rows[i], 1)
 	}
-	keyed := make([][]*tuple.Tuple, n)
+	keyed := make([]*tuple.Row, n)
 	for i := range keyed {
-		keyed[i] = []*tuple.Tuple{tuple.New(s, tuple.Int(int64(i)), tuple.Float(0.5))}
+		keyed[i] = tuple.NewRow(tuple.New(s, tuple.Int(int64(i)), tuple.Float(0.5)))
 	}
+	wide := wideJoin(t)
 	var indexed *AccessModule
 	for _, c := range []struct {
 		what   string
@@ -329,9 +324,13 @@ func TestModuleGrowthAllocs(t *testing.T) {
 	}{
 		{"module inserts", perBlock, func() uint64 { return n * 8 * 5 / 4 }, func() {
 			m := NewAccessModule([]int{0})
-			for _, p := range parts {
-				m.Insert(p, 1)
+			for _, r := range rows {
+				m.Insert(r, 1)
 			}
+		}},
+		{"preloads of a 1-atom input into a 4-atom node", perBlock, func() uint64 { return n * 8 * 5 / 4 }, func() {
+			wide.modules[0] = NewAccessModule(wide.Node.Inputs[0].AtomMap)
+			wide.PreloadModule(0, producer, 0)
 		}},
 		{"log appends", perBlock, func() uint64 { return n * 8 * 5 / 4 }, func() {
 			l := &Log{}
@@ -347,8 +346,8 @@ func TestModuleGrowthAllocs(t *testing.T) {
 		}, func() {
 			indexed = NewAccessModule([]int{0})
 			indexed.index(0, 0)
-			for _, p := range keyed {
-				indexed.Insert(p, 1)
+			for _, r := range keyed {
+				indexed.Insert(r, 1)
 			}
 		}},
 	} {
@@ -363,4 +362,35 @@ func TestModuleGrowthAllocs(t *testing.T) {
 			t.Errorf("%d %s: %d bytes allocated, want at most %d", n, c.what, b, limit)
 		}
 	}
+}
+
+// wideJoin returns the exec of a 4-atom join R(a,b) ⋈ R(b,c) ⋈ R(c,d) ⋈
+// R(d,e) whose input 0 is the 1-atom stream over the third atom.
+func wideJoin(t *testing.T) *NodeExec {
+	t.Helper()
+	q := &cq.CQ{ID: "CQ-wide", Atoms: []*cq.Atom{
+		{Rel: "R", DB: "db", Args: []cq.Term{cq.V(0), cq.V(1)}},
+		{Rel: "R", DB: "db", Args: []cq.Term{cq.V(1), cq.V(2)}},
+		{Rel: "R", DB: "db", Args: []cq.Term{cq.V(2), cq.V(3)}},
+		{Rel: "R", DB: "db", Args: []cq.Term{cq.V(3), cq.V(4)}},
+	}}
+	full, mapping := q.SubExpr([]int{0, 1, 2, 3})
+	nodePos := make([]int, len(mapping))
+	for ni, qi := range mapping {
+		nodePos[qi] = ni
+	}
+	g := plangraph.New("")
+	join := g.EnsureNode(plangraph.Join, full, "db")
+	for _, atoms := range [][]int{{2}, {0, 1, 3}} {
+		expr, m := q.SubExpr(atoms)
+		atomMap := make([]int, len(m))
+		for fi, qi := range m {
+			atomMap[fi] = nodePos[qi]
+		}
+		g.Connect(g.EnsureNode(plangraph.SourceStream, expr, "db"), join, atomMap, false)
+	}
+	if len(join.Expr.Atoms) != 4 || len(join.Inputs[0].AtomMap) != 1 {
+		t.Fatalf("wide join has %d atoms, input 0 covers %d", len(join.Expr.Atoms), len(join.Inputs[0].AtomMap))
+	}
+	return NewNodeExec(join)
 }

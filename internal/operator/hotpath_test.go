@@ -419,9 +419,9 @@ func TestProbePathZeroAllocs(t *testing.T) {
 	)
 	m := NewAccessModule([]int{0})
 	for i := 0; i < 256; i++ {
-		m.Insert([]*tuple.Tuple{tuple.New(s, tuple.Int(int64(i%32)), tuple.Float(0.5))}, 1)
+		m.Insert(tuple.NewRow(tuple.New(s, tuple.Int(int64(i%32)), tuple.Float(0.5))), 1)
 	}
-	scratch := make([]partialRow, 0, 16)
+	scratch := make([]*tuple.Row, 0, 16)
 	m.AppendProbe(scratch, 0, 0, tuple.Int(3), MaxEpochLive) // warm the index
 	allocs := testing.AllocsPerRun(200, func() {
 		scratch = m.AppendProbe(scratch[:0], 0, 0, tuple.Int(3), MaxEpochLive)
@@ -431,6 +431,38 @@ func TestProbePathZeroAllocs(t *testing.T) {
 	}
 	if len(scratch) != 8 {
 		t.Fatalf("probe returned %d rows, want 8", len(scratch))
+	}
+}
+
+// TestArriveAllocs bounds what a warm arrival with no join output
+// allocates: the module holds the producer's row and the seed is built in
+// the node's own vector, and the probe plans recompiled every adaptEvery
+// arrivals reuse their slices, so 4 096 such arrivals allocate only the
+// blocks their module's rows and chain links fill — nothing per row.
+func TestArriveAllocs(t *testing.T) {
+	const n = 4096
+	fx := newChainFixture(t, 1, 128, 128, 32, 16)
+	fx.runInterleaved(false) // warm: modules, indexes, plans and stats exist
+	// A rows joining no B row: y = 99 lies outside B's key range.
+	s := fx.relA.Schema()
+	rows := make([]*tuple.Row, n+1)
+	for i := range rows {
+		rows[i] = tuple.NewRow(tuple.New(s, tuple.Int(int64(i%16)), tuple.Int(99), tuple.Float(0.5)))
+	}
+	fx.x.arrive(fx.env, rows[n], fx.edgeA, 1) // the y = 99 chain exists from here on
+	logged := fx.x.Log.Len()
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, r := range rows[:n] {
+			fx.x.arrive(fx.env, r, fx.edgeA, 1)
+		}
+	})
+	if fx.x.Log.Len() != logged {
+		t.Fatalf("the arrivals joined: log grew from %d to %d rows", logged, fx.x.Log.Len())
+	}
+	// Rows and links, one block of each per blockRows arrivals, plus the
+	// block directories regrowing.
+	if limit := float64(2*n/blockRows + 8); allocs > limit {
+		t.Fatalf("%d warm arrivals allocate %.0f times, want at most %.0f", n, allocs, limit)
 	}
 }
 
@@ -511,23 +543,23 @@ func TestModuleEachBeforeMatchesScan(t *testing.T) {
 	s := rowSchema()
 	m := NewAccessModule([]int{0})
 	for i := 0; i < 20; i++ {
-		m.Insert([]*tuple.Tuple{tuple.New(s, tuple.Int(int64(i)), tuple.Float(0.5))}, i%4)
+		m.Insert(tuple.NewRow(tuple.New(s, tuple.Int(int64(i)), tuple.Float(0.5))), i%4)
 	}
-	parts, epochs := m.Export()
+	parts, epochs := m.Export(1)
 	for e := 0; e <= 5; e++ {
-		var want []partialRow
+		var want []*tuple.Tuple
 		for i, ps := range parts {
 			if epochs[i] < e {
-				want = append(want, partialRow{parts: ps, epoch: epochs[i]})
+				want = append(want, ps[0])
 			}
 		}
-		var got []partialRow
-		m.EachBefore(e, func(pr partialRow) { got = append(got, pr) })
+		var got []*tuple.Row
+		m.EachBefore(e, func(r *tuple.Row) { got = append(got, r) })
 		if len(got) != len(want) {
 			t.Fatalf("EachBefore(%d) %d rows, the filter %d", e, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].parts[0] != want[i].parts[0] || got[i].epoch != want[i].epoch {
+			if got[i].Part(0) != want[i] {
 				t.Fatalf("EachBefore(%d) row %d differs", e, i)
 			}
 		}
@@ -584,9 +616,9 @@ func BenchmarkAccessModuleProbe(b *testing.B) {
 	)
 	m := NewAccessModule([]int{0})
 	for i := 0; i < 4096; i++ {
-		m.Insert([]*tuple.Tuple{tuple.New(s, tuple.Int(int64(i%256)), tuple.Float(0.5))}, 1)
+		m.Insert(tuple.NewRow(tuple.New(s, tuple.Int(int64(i%256)), tuple.Float(0.5))), 1)
 	}
-	scratch := make([]partialRow, 0, 32)
+	scratch := make([]*tuple.Row, 0, 32)
 	m.AppendProbe(scratch, 0, 0, tuple.Int(0), MaxEpochLive)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -608,9 +640,9 @@ func BenchmarkAccessModuleProbeWide(b *testing.B) {
 	)
 	m := NewAccessModule([]int{0})
 	for i := 0; i < keys; i++ {
-		m.Insert([]*tuple.Tuple{tuple.New(s, tuple.Int(int64(i)), tuple.Float(0.5))}, 1)
+		m.Insert(tuple.NewRow(tuple.New(s, tuple.Int(int64(i)), tuple.Float(0.5))), 1)
 	}
-	scratch := make([]partialRow, 0, 4)
+	scratch := make([]*tuple.Row, 0, 4)
 	m.AppendProbe(scratch, 0, 0, tuple.Int(0), MaxEpochLive)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -634,7 +666,7 @@ func BenchmarkChainIndexBuild(b *testing.B) {
 	)
 	m := NewAccessModule([]int{0})
 	for i := 0; i < rows; i++ {
-		m.Insert([]*tuple.Tuple{tuple.New(s, tuple.Int(int64(i%1024)), tuple.Float(0.5))}, 1)
+		m.Insert(tuple.NewRow(tuple.New(s, tuple.Int(int64(i%1024)), tuple.Float(0.5))), 1)
 	}
 	b.ReportAllocs()
 	for b.Loop() {
@@ -653,16 +685,16 @@ func BenchmarkModuleInsert(b *testing.B) {
 		tuple.Column{Name: "k", Type: tuple.KindInt},
 		tuple.Column{Name: "score", Type: tuple.KindFloat, Score: true},
 	)
-	parts := make([][]*tuple.Tuple, rows)
-	for i := range parts {
-		parts[i] = []*tuple.Tuple{tuple.New(s, tuple.Int(int64(i%256)), tuple.Float(0.5)), nil}
+	in := make([]*tuple.Row, rows)
+	for i := range in {
+		in[i] = tuple.NewRow(tuple.New(s, tuple.Int(int64(i%256)), tuple.Float(0.5)))
 	}
 	b.ReportAllocs()
 	for b.Loop() {
 		m := NewAccessModule([]int{0})
 		m.AppendProbe(nil, 0, 0, tuple.Int(0), MaxEpochLive) // index built before the rows arrive
-		for _, p := range parts {
-			m.Insert(p, 1)
+		for _, r := range in {
+			m.Insert(r, 1)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")

@@ -10,14 +10,14 @@ import (
 )
 
 // identSet is a duplicate-elimination set over row identities. Membership is
-// keyed by the row's cached 64-bit identity hash; the (rare) hash collision
-// is resolved by comparing the cached identity strings, so the set never
-// mis-identifies two distinct rows while keeping the common path free of
-// long-string hashing. The first identity under a hash is held inline; only
-// colliding ones go to a per-hash overflow list.
+// keyed by the row's cached 64-bit identity hash, and the set holds the first
+// row it saw with each identity; the (rare) hash collision is resolved by
+// Row.SameIdentity, so the set never mis-identifies two distinct rows while
+// the common path builds no identity string. The first row under a hash is
+// held inline; only colliding ones go to a per-hash overflow list.
 type identSet struct {
-	first map[uint64]string
-	more  map[uint64][]string
+	first map[uint64]*tuple.Row
+	more  map[uint64][]*tuple.Row
 	n     int
 	// acct, when set, receives +1 per newly added identity — entries reach
 	// log identity sets both through Append and directly from recovery
@@ -26,22 +26,22 @@ type identSet struct {
 }
 
 func newIdentSet(capacity int) *identSet {
-	return &identSet{first: make(map[uint64]string, capacity)}
+	return &identSet{first: make(map[uint64]*tuple.Row, capacity)}
 }
 
 // Has reports whether the row's identity is in the set.
-func (s *identSet) Has(r *tuple.Row) bool { return s.has(r.IdentityHash(), r.Identity()) }
+func (s *identSet) Has(r *tuple.Row) bool { return s.has(r.IdentityHash(), r) }
 
-func (s *identSet) has(h uint64, id string) bool {
+func (s *identSet) has(h uint64, r *tuple.Row) bool {
 	x, ok := s.first[h]
 	if !ok {
 		return false
 	}
-	if x == id {
+	if x.SameIdentity(r) {
 		return true
 	}
 	for _, x := range s.more[h] {
-		if x == id {
+		if x.SameIdentity(r) {
 			return true
 		}
 	}
@@ -49,19 +49,19 @@ func (s *identSet) has(h uint64, id string) bool {
 }
 
 // Add inserts the row's identity, reporting whether it was newly added.
-func (s *identSet) Add(r *tuple.Row) bool { return s.add(r.IdentityHash(), r.Identity()) }
+func (s *identSet) Add(r *tuple.Row) bool { return s.add(r.IdentityHash(), r) }
 
-func (s *identSet) add(h uint64, id string) bool {
+func (s *identSet) add(h uint64, r *tuple.Row) bool {
 	if _, ok := s.first[h]; !ok {
-		s.first[h] = id
+		s.first[h] = r
 	} else {
-		if s.has(h, id) {
+		if s.has(h, r) {
 			return false
 		}
 		if s.more == nil {
-			s.more = map[uint64][]string{}
+			s.more = map[uint64][]*tuple.Row{}
 		}
-		s.more[h] = append(s.more[h], id)
+		s.more[h] = append(s.more[h], r)
 	}
 	s.n++
 	s.acct.Add(1)
@@ -305,51 +305,46 @@ func (l *Log) Export() ([]*tuple.Row, []int) {
 	return l.rows.appendTo(make([]*tuple.Row, 0, l.rows.n)), l.epochs.epochs(l.rows.n)
 }
 
-// partialRow is a row translated into a join node's atom space: parts is
-// indexed by the node expression's atom positions, nil outside the
-// originating input's coverage. A stored row's parts are a capped view into
-// its module's block.
-type partialRow struct {
-	parts []*tuple.Tuple
-	epoch int
-}
-
 // AccessModule is the per-input state of an m-join (§4.1): the rows received
-// on one input, stored in node-space with arrival order and epochs preserved,
-// and hash-indexed on demand by (atom position, column).
+// on one input, held by reference — the producer's own rows, in its part
+// order, which its log also holds — with arrival order and epochs preserved,
+// and hash-indexed on demand by (node atom position, column).
 type AccessModule struct {
-	// parts holds every row's node-space part vector, the rows' vectors side
-	// by side in blocks; epochs stamps them in runs.
-	parts  blockList[*tuple.Tuple]
+	// rows holds every received row in arrival order; epochs stamps them in
+	// runs.
+	rows   blockList[*tuple.Row]
 	epochs epochRuns
 	// indexes holds one chained index per (atom, col) probed so far; a
 	// module has one or two, so a linear scan finds them.
 	indexes []*chainIndex
-	// coverage lists the node atom positions this input covers.
+	// coverage maps each producer part position to the node atom position
+	// it covers (the input edge's atom map).
 	coverage []int
 	// acct, when set, receives per-row size deltas for the state ledger.
 	acct *state.Account
 }
 
-// chainIndex indexes a module's rows by the value at (atom, col). Each
-// distinct value is a chain of row positions in insertion order: chains
-// holds each chain's ends and key word, and next, parallel to the module's
-// rows, links a row to the next row of its chain (-1 ends a chain and marks
-// rows with no part at atom). A value finds its chain through slots, an
-// open-addressing table probed linearly from a Fibonacci hash of the
-// value's key word. A slot is 0 when empty and otherwise a chain id + 1,
-// negated for chains of a kind other than int. An int's word is its bits,
-// so an int chain matches on its word alone, with no value set aside as a
-// sentinel; any other kind's word is tuple.IndexKey.Word, and a word match
-// is confirmed against the value in the chain's first row. The table
-// doubles when it passes half full, re-placing only slots; chains and links
-// live in blocks that are never copied, and nothing holds a pointer.
+// chainIndex indexes a module's rows by the value at node atom atom, column
+// col, read from each row's part at the producer position part (-1 when the
+// module does not cover atom: no row is indexed). Each distinct value is a
+// chain of row positions in insertion order: chains holds each chain's ends
+// and key word, and next, parallel to the module's rows, links a row to the
+// next row of its chain (-1 ends a chain and marks rows with no part at
+// atom). A value finds its chain through slots, an open-addressing table
+// probed linearly from a Fibonacci hash of the value's key word. A slot is 0
+// when empty and otherwise a chain id + 1, negated for chains of a kind other
+// than int. An int's word is its bits, so an int chain matches on its word
+// alone, with no value set aside as a sentinel; any other kind's word is
+// tuple.IndexKey.Word, and a word match is confirmed against the value in the
+// chain's first row. The table doubles when it passes half full, re-placing
+// only slots; chains and links live in blocks that are never copied, and
+// nothing holds a pointer.
 type chainIndex struct {
-	atom, col int
-	slots     []int32
-	shift     uint // 64 - log2(len(slots))
-	chains    blockList[chain]
-	next      blockList[int32]
+	atom, col, part int
+	slots           []int32
+	shift           uint // 64 - log2(len(slots))
+	chains          blockList[chain]
+	next            blockList[int32]
 }
 
 // chain is one chain of a chainIndex: its key word and the positions of its
@@ -367,14 +362,15 @@ const fibonacci = 0x9E3779B97F4A7C15
 // module's first row starts with.
 const minSlots = 8
 
-// newChainIndex makes an index sized for rows chains at load ½: a lazily
-// built index is presized from its module's row count.
-func newChainIndex(atom, col, rows int) *chainIndex {
+// newChainIndex makes an index on (atom, col), read at producer part
+// position part, sized for rows chains at load ½: a lazily built index is
+// presized from its module's row count.
+func newChainIndex(atom, col, part, rows int) *chainIndex {
 	size := minSlots
 	for size < 2*rows {
 		size <<= 1
 	}
-	ix := &chainIndex{atom: atom, col: col}
+	ix := &chainIndex{atom: atom, col: col, part: part}
 	ix.resize(size)
 	return ix
 }
@@ -411,7 +407,7 @@ func chainOf(s int32) int {
 // find returns the slot holding v's chain, or the empty slot where v's
 // probe ended if v has none, and v's key word. rows are the module's rows,
 // where a chain's first row is found to confirm a match of a non-int word.
-func (ix *chainIndex) find(v tuple.Value, rows *blockList[*tuple.Tuple]) (int, uint64) {
+func (ix *chainIndex) find(v tuple.Value, rows *blockList[*tuple.Row]) (int, uint64) {
 	mask := len(ix.slots) - 1
 	if v.Kind() == tuple.KindInt {
 		w := uint64(v.AsInt())
@@ -429,7 +425,7 @@ func (ix *chainIndex) find(v tuple.Value, rows *blockList[*tuple.Tuple]) (int, u
 			return i, w
 		}
 		if s < 0 {
-			if c := ix.chains.at(int(-s - 1)); c.key == w && rows.row(int(c.first))[ix.atom].Val(ix.col).IndexKey() == k {
+			if c := ix.chains.at(int(-s - 1)); c.key == w && rows.at(int(c.first)).Part(ix.part).Val(ix.col).IndexKey() == k {
 				return i, w
 			}
 		}
@@ -437,7 +433,7 @@ func (ix *chainIndex) find(v tuple.Value, rows *blockList[*tuple.Tuple]) (int, u
 }
 
 // first returns the position of the first row whose value is v, if any.
-func (ix *chainIndex) first(v tuple.Value, rows *blockList[*tuple.Tuple]) (int, bool) {
+func (ix *chainIndex) first(v tuple.Value, rows *blockList[*tuple.Row]) (int, bool) {
 	i, _ := ix.find(v, rows)
 	if s := ix.slots[i]; s != 0 {
 		return int(ix.chains.at(chainOf(s)).first), true
@@ -445,11 +441,14 @@ func (ix *chainIndex) first(v tuple.Value, rows *blockList[*tuple.Tuple]) (int, 
 	return 0, false
 }
 
-// add links row pos of rows, whose parts are given, onto its value's chain.
-// Rows must be added in position order.
-func (ix *chainIndex) add(pos int32, parts []*tuple.Tuple, rows *blockList[*tuple.Tuple]) {
+// add links row pos of rows, which is r, onto its value's chain. Rows must
+// be added in position order.
+func (ix *chainIndex) add(pos int32, r *tuple.Row, rows *blockList[*tuple.Row]) {
 	ix.next.push(-1)
-	t := parts[ix.atom]
+	if ix.part < 0 {
+		return
+	}
+	t := r.Part(ix.part)
 	if t == nil {
 		return
 	}
@@ -478,52 +477,31 @@ func (ix *chainIndex) add(pos int32, parts []*tuple.Tuple, rows *blockList[*tupl
 // already holds.
 func (m *AccessModule) SetAccount(a *state.Account) {
 	m.acct = a
-	a.Add(m.parts.n)
+	a.Add(m.rows.n)
 }
 
-// NewAccessModule creates a module covering the given node atom positions.
+// NewAccessModule creates a module whose input's part fi covers node atom
+// position coverage[fi].
 func NewAccessModule(coverage []int) *AccessModule {
 	return &AccessModule{coverage: append([]int(nil), coverage...)}
 }
 
-// Coverage returns the node atom positions this module covers.
+// Coverage returns the node atom positions this module covers, by producer
+// part position.
 func (m *AccessModule) Coverage() []int { return m.coverage }
 
 // Len returns the number of stored rows (memory accounting).
-func (m *AccessModule) Len() int { return m.parts.n }
+func (m *AccessModule) Len() int { return m.rows.n }
 
-// Insert stores a copy of a row's node-space parts with its epoch and
-// maintains any built indexes.
-func (m *AccessModule) Insert(parts []*tuple.Tuple, epoch int) {
-	slot := m.slot(len(parts), epoch)
-	copy(slot, parts)
-	m.link(slot)
-}
-
-// insertRow translates a producer row into node space (width atoms, through
-// the edge's atom map) straight into a new row's slot, stores it with its
-// epoch, maintains any built indexes, and returns the slot.
-func (m *AccessModule) insertRow(r *tuple.Row, atomMap []int, width, epoch int) []*tuple.Tuple {
-	slot := m.slot(width, epoch)
-	for fi, ti := range atomMap {
-		slot[ti] = r.Part(fi)
-	}
-	m.link(slot)
-	return slot
-}
-
-// slot appends an empty row of width parts stamped with epoch.
-func (m *AccessModule) slot(width, epoch int) []*tuple.Tuple {
-	m.epochs.stamp(m.parts.n, epoch)
+// Insert stores a producer row with its epoch and links it into every built
+// index. The row is held, not copied.
+func (m *AccessModule) Insert(r *tuple.Row, epoch int) {
+	pos := m.rows.n
+	m.epochs.stamp(pos, epoch)
+	m.rows.push(r)
 	m.acct.Add(1)
-	return m.parts.grow(width)
-}
-
-// link adds the last stored row, whose parts are given, to every built index.
-func (m *AccessModule) link(parts []*tuple.Tuple) {
-	pos := int32(m.parts.n - 1)
 	for _, ix := range m.indexes {
-		ix.add(pos, parts, &m.parts)
+		ix.add(int32(pos), r, &m.rows)
 	}
 }
 
@@ -536,24 +514,24 @@ func (m *AccessModule) index(atom, col int) *chainIndex {
 			return ix
 		}
 	}
-	ix := newChainIndex(atom, col, m.parts.n)
-	ix.next.reserve(m.parts.n)
-	for pos := 0; pos < m.parts.n; pos++ {
-		ix.add(int32(pos), m.parts.row(pos), &m.parts)
+	ix := newChainIndex(atom, col, slices.Index(m.coverage, atom), m.rows.n)
+	ix.next.reserve(m.rows.n)
+	for pos := 0; pos < m.rows.n; pos++ {
+		ix.add(int32(pos), m.rows.at(pos), &m.rows)
 	}
 	m.indexes = append(m.indexes, ix)
 	return ix
 }
 
-// AppendProbe appends to dst the stored rows whose (atom, col) value equals v
-// and whose epoch is strictly below maxEpoch (MaxEpochLive for live probes;
-// state recovery passes the graft epoch to see only pre-existing rows), in
-// insertion order, returning the extended slice. With a warm index and
-// sufficient dst capacity it performs no allocation — the m-join hot path
-// passes a per-node scratch buffer.
-func (m *AccessModule) AppendProbe(dst []partialRow, atom, col int, v tuple.Value, maxEpoch int) []partialRow {
+// AppendProbe appends to dst the stored rows whose value at node atom atom,
+// column col equals v and whose epoch is strictly below maxEpoch
+// (MaxEpochLive for live probes; state recovery passes the graft epoch to
+// see only pre-existing rows), in insertion order, returning the extended
+// slice. With a warm index and sufficient dst capacity it performs no
+// allocation — the m-join hot path passes a per-node scratch buffer.
+func (m *AccessModule) AppendProbe(dst []*tuple.Row, atom, col int, v tuple.Value, maxEpoch int) []*tuple.Row {
 	ix := m.index(atom, col)
-	first, ok := ix.first(v, &m.parts)
+	first, ok := ix.first(v, &m.rows)
 	if !ok {
 		return dst
 	}
@@ -564,10 +542,10 @@ func (m *AccessModule) AppendProbe(dst []partialRow, atom, col int, v tuple.Valu
 	for pos := first; pos >= 0; pos = int(ix.next.at(pos)) {
 		if pos >= end {
 			k = m.epochs.runAt(pos, k+1)
-			e, end = runs[k].epoch, m.epochs.end(k, m.parts.n)
+			e, end = runs[k].epoch, m.epochs.end(k, m.rows.n)
 		}
 		if e < maxEpoch {
-			dst = append(dst, partialRow{parts: m.parts.row(pos), epoch: e})
+			dst = append(dst, m.rows.at(pos))
 		} else if m.epochs.sorted {
 			break // every later row is stamped e or later
 		}
@@ -577,23 +555,34 @@ func (m *AccessModule) AppendProbe(dst []partialRow, atom, col int, v tuple.Valu
 
 // EachBefore calls fn for each stored row with epoch < maxEpoch in insertion
 // order (used by state recovery when no index applies), without allocating.
-func (m *AccessModule) EachBefore(maxEpoch int, fn func(partialRow)) {
-	m.epochs.eachBefore(maxEpoch, m.parts.n, func(lo, hi, e int) {
+func (m *AccessModule) EachBefore(maxEpoch int, fn func(*tuple.Row)) {
+	m.epochs.eachBefore(maxEpoch, m.rows.n, func(lo, hi, _ int) {
 		for pos := lo; pos < hi; pos++ {
-			fn(partialRow{parts: m.parts.row(pos), epoch: e})
+			fn(m.rows.at(pos))
 		}
 	})
 }
 
-// Export returns the module's rows (node-space part vectors, views the
-// caller must not mutate) and epochs in insertion order (spill
-// serialization).
-func (m *AccessModule) Export() ([][]*tuple.Tuple, []int) {
-	parts := make([][]*tuple.Tuple, m.parts.n)
+// Export returns the module's rows translated into the node's atom space —
+// vectors of width parts, nil outside the module's coverage, in one fresh
+// slab — and their epochs, in insertion order (spill serialization).
+func (m *AccessModule) Export(width int) ([][]*tuple.Tuple, []int) {
+	slab := make([]*tuple.Tuple, m.rows.n*width)
+	parts := make([][]*tuple.Tuple, m.rows.n)
 	for i := range parts {
-		parts[i] = m.parts.row(i)
+		parts[i] = slab[i*width : (i+1)*width : (i+1)*width]
+		toNode(parts[i], m.rows.at(i), m.coverage)
 	}
-	return parts, m.epochs.epochs(m.parts.n)
+	return parts, m.epochs.epochs(m.rows.n)
+}
+
+// toNode translates producer row r into node atom space in dst: part fi
+// goes to position atomMap[fi], and every other position is nil.
+func toNode(dst []*tuple.Tuple, r *tuple.Row, atomMap []int) {
+	clear(dst)
+	for fi, ti := range atomMap {
+		dst[ti] = r.Part(fi)
+	}
 }
 
 // MaxEpochLive is the epoch filter admitting every row.

@@ -78,19 +78,20 @@ func TestLogEpochPartitions(t *testing.T) {
 
 // moduleBefore collects the module's rows with epoch < maxEpoch through
 // EachBefore, in insertion order.
-func moduleBefore(m *AccessModule, maxEpoch int) []partialRow {
-	var out []partialRow
-	m.EachBefore(maxEpoch, func(pr partialRow) { out = append(out, pr) })
+func moduleBefore(m *AccessModule, maxEpoch int) []*tuple.Row {
+	var out []*tuple.Row
+	m.EachBefore(maxEpoch, func(r *tuple.Row) { out = append(out, r) })
 	return out
 }
 
 func TestAccessModuleProbeAndEpochs(t *testing.T) {
 	s := rowSchema()
 	m := NewAccessModule([]int{0})
-	mk := func(id int, score float64) []*tuple.Tuple {
-		return []*tuple.Tuple{tuple.New(s, tuple.Int(int64(id)), tuple.Float(score))}
+	mk := func(id int, score float64) *tuple.Row {
+		return tuple.NewRow(tuple.New(s, tuple.Int(int64(id)), tuple.Float(score)))
 	}
-	m.Insert(mk(1, 0.5), 1)
+	first := mk(1, 0.5)
+	m.Insert(first, 1)
 	m.Insert(mk(1, 0.4), 2)
 	m.Insert(mk(2, 0.3), 1)
 	if m.Len() != 3 {
@@ -101,7 +102,7 @@ func TestAccessModuleProbeAndEpochs(t *testing.T) {
 		t.Fatalf("live probe = %d rows", len(all))
 	}
 	old := m.AppendProbe(nil, 0, 0, tuple.Int(1), 2)
-	if len(old) != 1 || old[0].epoch != 1 {
+	if len(old) != 1 || old[0] != first {
 		t.Fatalf("epoch-filtered probe = %v", old)
 	}
 	if got := m.AppendProbe(nil, 0, 0, tuple.Int(9), MaxEpochLive); len(got) != 0 {
@@ -158,8 +159,8 @@ func TestAccessModuleIndexMatchesScan(t *testing.T) {
 		tuple.String("1"), tuple.String(""), tuple.String("x"), tuple.Null(),
 	}
 	probes := append([]tuple.Value{tuple.Int(99), tuple.String("absent")}, keys...)
-	matches := func(pr partialRow, atom, col int, v tuple.Value) bool {
-		p := pr.parts[atom]
+	matches := func(r *tuple.Row, atom, col int, v tuple.Value) bool {
+		p := r.Part(atom)
 		return p != nil && p.Val(col).IndexKey() == v.IndexKey()
 	}
 	for trial := 0; trial < 40; trial++ {
@@ -182,15 +183,16 @@ func TestAccessModuleIndexMatchesScan(t *testing.T) {
 				parts[atom] = tuple.New(s, keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))])
 			}
 			epoch := rng.Intn(5)
-			early.Insert(parts, epoch)
-			late.Insert(parts, epoch)
+			r := tuple.NewRow(parts...)
+			early.Insert(r, epoch)
+			late.Insert(r, epoch)
 		}
 		for _, m := range []*AccessModule{early, late} {
 			for atom := 0; atom < 2; atom++ {
 				for col := 0; col < 2; col++ {
 					for _, v := range probes {
 						for _, maxEpoch := range []int{0, 2, 4, MaxEpochLive} {
-							var want []partialRow
+							var want []*tuple.Row
 							for _, pr := range moduleBefore(m, maxEpoch) {
 								if matches(pr, atom, col, v) {
 									want = append(want, pr)
@@ -201,7 +203,7 @@ func TestAccessModuleIndexMatchesScan(t *testing.T) {
 								t.Fatalf("trial %d (%d,%d)=%s below %d: probe %d rows, scan %d", trial, atom, col, v.Text(), maxEpoch, len(got), len(want))
 							}
 							for i := range want {
-								if &got[i].parts[0] != &want[i].parts[0] || got[i].epoch != want[i].epoch {
+								if got[i] != want[i] {
 									t.Fatalf("trial %d (%d,%d)=%s below %d: row %d out of insertion order", trial, atom, col, v.Text(), maxEpoch, i)
 								}
 							}
@@ -217,6 +219,12 @@ func TestAccessModuleIndexMatchesScan(t *testing.T) {
 // once, found again, and counted, whether it landed inline or in overflow.
 func TestIdentSetCollisions(t *testing.T) {
 	s := newIdentSet(0)
+	// Each identity is offered as a new row, so a match is by identity, not
+	// by pointer.
+	schema := rowSchema()
+	row := func(id string) *tuple.Row {
+		return tuple.NewRow(tuple.New(schema, tuple.Int(int64(id[0])), tuple.Float(0.5)))
+	}
 	for _, c := range []struct {
 		h     uint64
 		id    string
@@ -225,14 +233,14 @@ func TestIdentSetCollisions(t *testing.T) {
 		{7, "a", true}, {7, "b", true}, {7, "a", false}, {7, "c", true},
 		{7, "b", false}, {7, "c", false}, {8, "a", true}, {8, "a", false},
 	} {
-		if got := s.add(c.h, c.id); got != c.added {
+		if got := s.add(c.h, row(c.id)); got != c.added {
 			t.Fatalf("add(%d, %q) = %v, want %v", c.h, c.id, got, c.added)
 		}
-		if !s.has(c.h, c.id) {
+		if !s.has(c.h, row(c.id)) {
 			t.Fatalf("has(%d, %q) after add = false", c.h, c.id)
 		}
 	}
-	if s.has(7, "d") || s.has(9, "a") {
+	if s.has(7, row("d")) || s.has(9, row("a")) {
 		t.Fatal("has reports an identity never added")
 	}
 	if s.Len() != 4 {
@@ -275,7 +283,7 @@ func checkChainTable(t *testing.T, m *AccessModule, ix *chainIndex, when string)
 			t.Fatalf("%s: chain %d in two slots", when, chainOf(s))
 		}
 		seen[chainOf(s)] = true
-		v := m.parts.row(int(c.first))[ix.atom].Val(ix.col)
+		v := m.rows.at(int(c.first)).Part(ix.part).Val(ix.col)
 		if (s > 0) != (v.Kind() == tuple.KindInt) {
 			t.Fatalf("%s: slot %d is %d for a %s chain", when, i, s, v.Kind())
 		}
@@ -304,7 +312,7 @@ func checkChainsMatch(t *testing.T, m *AccessModule, ref map[tuple.IndexKey][]in
 	}
 	for k, want := range ref {
 		v := vals[k]
-		pos, ok := ix.first(v, &m.parts)
+		pos, ok := ix.first(v, &m.rows)
 		var got []int32
 		for ; ok && pos >= 0; pos = int(ix.next.at(pos)) {
 			got = append(got, int32(pos))
@@ -317,7 +325,7 @@ func checkChainsMatch(t *testing.T, m *AccessModule, ref map[tuple.IndexKey][]in
 		if _, ok := ref[v.IndexKey()]; ok {
 			continue
 		}
-		if pos, ok := ix.first(v, &m.parts); ok {
+		if pos, ok := ix.first(v, &m.rows); ok {
 			t.Fatalf("%s: absent %s %s found at row %d", when, v.Kind(), v.Text(), pos)
 		}
 	}
@@ -344,7 +352,7 @@ func TestChainIndexMatchesMap(t *testing.T) {
 		colliding = append(colliding, tuple.Int(int64(last+j*inv)))
 	}
 	for size := minSlots; size <= 1<<16; size <<= 1 {
-		ix := newChainIndex(0, 0, size/2)
+		ix := newChainIndex(0, 0, 0, size/2)
 		for _, v := range colliding {
 			if h := ix.home(uint64(v.AsInt())); h != size-1 {
 				t.Fatalf("key %d: home %d of %d slots, want the last", v.AsInt(), h, size)
@@ -404,7 +412,7 @@ func TestChainIndexMatchesMap(t *testing.T) {
 			ref := map[tuple.IndexKey][]int32{}
 			vals := map[tuple.IndexKey]tuple.Value{}
 			for pos, tup := range order {
-				m.Insert([]*tuple.Tuple{tup}, 1)
+				m.Insert(tuple.NewRow(tup), 1)
 				if tup != nil {
 					k := tup.Val(0).IndexKey()
 					ref[k] = append(ref[k], int32(pos))

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cq"
@@ -28,13 +29,14 @@ type NodeExec struct {
 	modules []*AccessModule
 	// preds are the node expression's join predicates in node atom space.
 	preds []cq.JoinPred
-	// cov[i][a] reports whether input i covers node atom a (precomputed from
-	// the edge atom maps; edges partition the node's atoms, §4.1).
-	cov [][]bool
+	// inv[i][a] is the part position of input i's rows that covers node
+	// atom a, or -1 outside its coverage (the inverse of the edge's atom
+	// map; edges partition the node's atoms, §4.1).
+	inv [][]int
 	// plans caches the compiled probe plan per driving input: the adaptive
 	// probe sequence with each step's oriented lookup predicate, verify list
 	// and probe-source base column resolved once instead of on every probe of
-	// every tuple. A nil entry is stale and recompiled on next use.
+	// every tuple. An empty entry is stale and recompiled on next use.
 	plans [][]probeStep
 	// stats tracks per (drive, probed) fanout for adaptation [24].
 	stats map[[2]int]*probeStat
@@ -42,21 +44,26 @@ type NodeExec struct {
 	arrivals []int
 
 	// scratchPartials / scratchNext are the reusable frontier buffers of
-	// joinSeeds; probeBuf is the reusable candidate buffer of probeModule;
-	// seedBuf collects RecoverHistory's replayed seeds. They hold only
-	// transient per-call state — nothing downstream retains the containers.
+	// joinSeeds, seedVec the node-space vector it translates each seed into
+	// and outBuf its reusable result list; probeBuf is the reusable candidate
+	// buffer of probeModule; seedBuf collects RecoverHistory's replayed
+	// seeds. They hold only transient per-call state: the first probe step
+	// copies the seed vector into every vector it merges (a join has two
+	// inputs or more), so no output row aliases it, and nothing downstream
+	// retains the containers.
 	scratchPartials [][]*tuple.Tuple
 	scratchNext     [][]*tuple.Tuple
-	probeBuf        []partialRow
-	seedBuf         [][]*tuple.Tuple
+	seedVec         []*tuple.Tuple
+	outBuf          []*tuple.Row
+	probeBuf        []*tuple.Row
+	seedBuf         []*tuple.Row
 
 	// vecPool free-lists node-arity part vectors recycled from consumed
-	// intermediate join frontiers; vecAccounted is how many pooled vectors
-	// the ledger's scratch dimension currently reflects. Pooled vectors are
-	// fully overwritten before reuse (probeModule copies all positions), so
-	// they are never cleared on recycle.
-	vecPool      [][]*tuple.Tuple
-	vecAccounted int
+	// intermediate join frontiers; the ledger's scratch dimension counts
+	// each vector as it enters or leaves. Pooled vectors are fully
+	// overwritten before reuse (probeModule copies all positions), so they
+	// are never cleared on recycle.
+	vecPool [][]*tuple.Tuple
 
 	// Log is the node's output history.
 	Log *Log
@@ -121,8 +128,7 @@ type probeStep struct {
 	// baseCol is the probe source's base-relation column behind lookup
 	// (probe inputs only).
 	baseCol int
-	// inv maps node atom -> producer part position for probe inputs (inverse
-	// of edge.AtomMap; -1 outside the input's coverage).
+	// inv maps node atom -> part position of j's rows (the node's inv[j]).
 	inv []int
 	// stat is the (drive, j) fanout accumulator, resolved at compile time so
 	// the per-arrival path does no map lookups.
@@ -145,18 +151,26 @@ func NewNodeExec(n *plangraph.Node) *NodeExec {
 		stats: map[[2]int]*probeStat{},
 	}
 	if n.Kind == plangraph.Join {
+		if len(n.Inputs) < 2 {
+			// joinSeeds relies on a first probe step copying every seed.
+			panic(fmt.Sprintf("operator: join node %s has %d inputs, want 2 or more", n.Key, len(n.Inputs)))
+		}
 		x.preds = n.Expr.JoinPreds()
 		x.modules = make([]*AccessModule, len(n.Inputs))
-		x.cov = make([][]bool, len(n.Inputs))
+		x.inv = make([][]int, len(n.Inputs))
 		for i, e := range n.Inputs {
 			x.modules[i] = NewAccessModule(e.AtomMap)
-			x.cov[i] = make([]bool, len(n.Expr.Atoms))
-			for _, a := range e.AtomMap {
-				x.cov[i][a] = true
+			x.inv[i] = make([]int, len(n.Expr.Atoms))
+			for a := range x.inv[i] {
+				x.inv[i][a] = -1
+			}
+			for fi, a := range e.AtomMap {
+				x.inv[i][a] = fi
 			}
 		}
 		x.plans = make([][]probeStep, len(n.Inputs))
 		x.arrivals = make([]int, len(n.Inputs))
+		x.seedVec = make([]*tuple.Tuple, len(n.Expr.Atoms))
 	}
 	return x
 }
@@ -182,11 +196,19 @@ func (x *NodeExec) ImportLog(rows []*tuple.Row, epochs []int) {
 	}
 }
 
-// ImportModuleRows reinstalls spilled module rows — already in node atom
-// space — into input j's module with their original epochs.
+// ImportModuleRows reinstalls spilled module rows — in node atom space —
+// into input j's module with their original epochs, translating each back
+// into a producer-order row over one slab of parts.
 func (x *NodeExec) ImportModuleRows(j int, parts [][]*tuple.Tuple, epochs []int) {
+	m := x.modules[j]
+	k := len(m.coverage)
+	slab := make([]*tuple.Tuple, len(parts)*k)
 	for i, ps := range parts {
-		x.modules[j].Insert(ps, epochs[i])
+		row := slab[i*k : (i+1)*k : (i+1)*k]
+		for fi, ti := range m.coverage {
+			row[fi] = ps[ti]
+		}
+		m.Insert(tuple.NewRow(row...), epochs[i])
 	}
 }
 
@@ -294,77 +316,78 @@ func (x *NodeExec) deliver(env *Env, r *tuple.Row, epoch int) {
 }
 
 // arrive handles a row landing on one input of a join node (§4.1): it is
-// translated into node space straight into its slot in the input's access
-// module, probed against the other modules following the adaptive probe
-// sequence, and each complete join result is delivered downstream (fully
-// pipelined). Every adaptEvery arrivals on an input its probe plan is
-// recompiled from the fanout stats of every earlier cascade.
+// stored in the input's access module, probed against the other modules
+// following the adaptive probe sequence, and each complete join result is
+// delivered downstream (fully pipelined). Every adaptEvery arrivals on an input its
+// probe plan is recompiled from the fanout stats of every earlier cascade.
 func (x *NodeExec) arrive(env *Env, r *tuple.Row, edge *plangraph.Edge, epoch int) {
 	if x.Node.Kind != plangraph.Join {
 		panic("operator: arrive on non-join node " + x.Node.Key)
 	}
 	idx := edge.InputIdx
-	seed := [1][]*tuple.Tuple{x.modules[idx].insertRow(r, edge.AtomMap, len(x.Node.Expr.Atoms), epoch)}
+	x.modules[idx].Insert(r, epoch)
+	seed := [1]*tuple.Row{r}
 	env.Metrics.AddJoinInsert()
 	env.ChargeJoin()
 	x.arrivals[idx]++
 	if x.arrivals[idx]%adaptEvery == 1 {
-		x.plans[idx] = nil
+		x.plans[idx] = x.plans[idx][:0]
 	}
 	for _, out := range x.joinSeeds(env, idx, seed[:], MaxEpochLive) {
 		x.deliver(env, out, epoch)
 	}
 }
 
-// joinSeeds extends newly arrived partial rows across all other inputs,
+// joinSeeds extends rows of the driving input across all other inputs,
 // returning the complete join results seed by seed: the frontier is
 // step-major, and within every step partials are probed one by one in
 // frontier order, so each seed's finished descendants precede the next
 // seed's at every step — the output sequence is the concatenation of the
 // per-seed outputs. maxEpoch restricts which stored rows participate
 // (MaxEpochLive for live arrivals; the graft epoch during state recovery,
-// §6.2). Intermediate frontiers live in per-node scratch buffers and consumed
-// intermediate part vectors are recycled through the node's free list; only
-// the returned rows keep their vectors.
-func (x *NodeExec) joinSeeds(env *Env, drive int, seeds [][]*tuple.Tuple, maxEpoch int) []*tuple.Row {
+// §6.2). Each seed is translated into node space in the node's seed vector
+// as the first step probes it. Intermediate frontiers live in per-node
+// scratch buffers and consumed intermediate part vectors are recycled
+// through the node's free list; only the returned rows keep their vectors.
+// The returned slice is the node's reused result buffer, valid until its
+// next call.
+func (x *NodeExec) joinSeeds(env *Env, drive int, seeds []*tuple.Row, maxEpoch int) []*tuple.Row {
 	if len(seeds) == 0 {
 		return nil
 	}
 	steps := x.probePlan(drive)
-	cur := append(x.scratchPartials[:0], seeds...)
-	next := x.scratchNext[:0]
+	atomMap := x.Node.Inputs[drive].AtomMap
+	cur, next := x.scratchPartials[:0], x.scratchNext[:0]
 	for si := range steps {
-		if len(cur) == 0 {
-			break
-		}
 		st := &steps[si]
 		next = next[:0]
-		for _, p := range cur {
-			before := len(next)
-			next = x.probeModule(env, st, p, maxEpoch, next)
-			st.stat.probes++
-			st.stat.outputs += float64(len(next) - before)
-		}
-		if si > 0 {
+		if si == 0 {
+			for _, r := range seeds {
+				toNode(x.seedVec, r, atomMap)
+				next = x.probeModule(env, st, x.seedVec, maxEpoch, next)
+			}
+		} else {
+			for _, p := range cur {
+				next = x.probeModule(env, st, p, maxEpoch, next)
+			}
 			// The vectors in cur were merged outputs of the previous step and
-			// are fully consumed now: recycle them. Step-0 inputs are the
-			// seeds — owned by the driving module — and the final frontier's
-			// vectors transfer to the returned rows; neither is pooled.
+			// are fully consumed now: recycle them. The final frontier's
+			// vectors transfer to the returned rows and are not pooled.
 			x.recycleVecs(cur)
 		}
 		cur, next = next, cur
+		if len(cur) == 0 {
+			break
+		}
 	}
 	// Hand the (possibly swapped, possibly grown) buffers back for reuse; the
 	// part vectors inside cur are transferred to the returned rows.
 	x.scratchPartials, x.scratchNext = cur[:0], next[:0]
-	x.syncScratch()
-	if len(cur) == 0 {
-		return nil
+	out := x.outBuf[:0]
+	for _, p := range cur {
+		out = append(out, tuple.NewRow(p...))
 	}
-	out := make([]*tuple.Row, len(cur))
-	for i, p := range cur {
-		out[i] = tuple.NewRow(p...)
-	}
+	x.outBuf = out
 	return out
 }
 
@@ -374,6 +397,7 @@ func (x *NodeExec) getVec(n int) []*tuple.Tuple {
 		v := x.vecPool[k-1]
 		x.vecPool[k-1] = nil
 		x.vecPool = x.vecPool[:k-1]
+		x.acct.AddScratch(-1)
 		if cap(v) >= n {
 			return v[:n]
 		}
@@ -384,42 +408,35 @@ func (x *NodeExec) getVec(n int) []*tuple.Tuple {
 // recycleVecs returns consumed intermediate part vectors to the free list,
 // up to the pool cap.
 func (x *NodeExec) recycleVecs(vecs [][]*tuple.Tuple) {
-	for _, v := range vecs {
-		if len(x.vecPool) >= maxPooledVecs {
-			return
-		}
-		x.vecPool = append(x.vecPool, v)
-	}
-}
-
-// syncScratch settles the ledger's scratch dimension with the free list's
-// current size (one delta per joinSeeds call instead of two per vector).
-func (x *NodeExec) syncScratch() {
-	if d := len(x.vecPool) - x.vecAccounted; d != 0 {
-		x.acct.AddScratch(d)
-		x.vecAccounted = len(x.vecPool)
-	}
+	n := min(len(vecs), maxPooledVecs-len(x.vecPool))
+	x.vecPool = append(x.vecPool, vecs[:n]...)
+	x.acct.AddScratch(n)
 }
 
 // ScratchSize reports the node's pooled scratch in rows (ledger audit).
 func (x *NodeExec) ScratchSize() int { return len(x.vecPool) }
 
 // ReleaseScratch drops the node's pooled scratch memory — the part-vector
-// free list and the transient frontier/candidate/seed buffers — and settles
-// the ledger's scratch dimension. The ATC calls it whenever the node parks,
-// so idle or evicted nodes hold no hidden pools.
+// free list and the transient frontier/result/candidate/seed buffers — and
+// settles the ledger's scratch dimension. The ATC calls it whenever the node
+// parks, so idle or evicted nodes hold no hidden pools.
 func (x *NodeExec) ReleaseScratch() {
+	x.acct.AddScratch(-len(x.vecPool))
 	x.vecPool = nil
-	x.syncScratch()
-	x.scratchPartials, x.scratchNext = nil, nil
+	x.scratchPartials, x.scratchNext, x.outBuf = nil, nil, nil
 	x.probeBuf, x.seedBuf = nil, nil
 }
 
 // probeModule finds the rows of the step's input joinable with the bound
-// positions of p, appending merged part vectors to dst. Remote random-access
-// inputs are probed through their source (cached middleware-side); stored
-// inputs are probed through their hash index.
+// positions of p, appending merged part vectors to dst, and feeds the step's
+// fanout stat. Remote random-access inputs are probed through their source
+// (cached middleware-side); stored inputs are probed through their hash
+// index. Either way the candidates are the input's producer rows, verified
+// and merged through its atom map.
 func (x *NodeExec) probeModule(env *Env, st *probeStep, p []*tuple.Tuple, maxEpoch int, dst [][]*tuple.Tuple) [][]*tuple.Tuple {
+	st.stat.probes++
+	before := len(dst)
+	var cands []*tuple.Row
 	if st.probe {
 		// Remote random-access source.
 		if !st.hasLookup {
@@ -438,42 +455,23 @@ func (x *NodeExec) probeModule(env *Env, st *probeStep, p []*tuple.Tuple, maxEpo
 		} else {
 			env.ChargeRemoteProbe(len(rows))
 		}
-		for _, r := range rows {
-			ok := true
-			for _, vp := range st.verify {
-				pv := p[vp.AtomA]
-				cv := r.Part(st.inv[vp.AtomB])
-				if pv == nil || cv == nil || !pv.Val(vp.ColA).Equal(cv.Val(vp.ColB)) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			merged := x.getVec(len(p))
-			copy(merged, p)
-			for fi, ti := range st.edge.AtomMap {
-				merged[ti] = r.Part(fi)
-			}
-			dst = append(dst, merged)
-		}
-		return dst
-	}
-
-	env.Metrics.AddJoinProbe()
-	env.ChargeJoin()
-	x.probeBuf = x.probeBuf[:0]
-	if st.hasLookup {
-		x.probeBuf = x.modules[st.j].AppendProbe(x.probeBuf, st.lookup.AtomB, st.lookup.ColB, p[st.lookup.AtomA].Val(st.lookup.ColA), maxEpoch)
+		cands = rows
 	} else {
-		x.modules[st.j].EachBefore(maxEpoch, func(pr partialRow) { x.probeBuf = append(x.probeBuf, pr) })
+		env.Metrics.AddJoinProbe()
+		env.ChargeJoin()
+		x.probeBuf = x.probeBuf[:0]
+		if st.hasLookup {
+			x.probeBuf = x.modules[st.j].AppendProbe(x.probeBuf, st.lookup.AtomB, st.lookup.ColB, p[st.lookup.AtomA].Val(st.lookup.ColA), maxEpoch)
+		} else {
+			x.modules[st.j].EachBefore(maxEpoch, func(r *tuple.Row) { x.probeBuf = append(x.probeBuf, r) })
+		}
+		cands = x.probeBuf
 	}
-	for _, cand := range x.probeBuf {
+	for _, r := range cands {
 		ok := true
 		for _, vp := range st.verify {
 			pv := p[vp.AtomA]
-			cv := cand.parts[vp.AtomB]
+			cv := r.Part(st.inv[vp.AtomB])
 			if pv == nil || cv == nil || !pv.Val(vp.ColA).Equal(cv.Val(vp.ColB)) {
 				ok = false
 				break
@@ -484,13 +482,12 @@ func (x *NodeExec) probeModule(env *Env, st *probeStep, p []*tuple.Tuple, maxEpo
 		}
 		merged := x.getVec(len(p))
 		copy(merged, p)
-		for pos, t := range cand.parts {
-			if t != nil {
-				merged[pos] = t
-			}
+		for fi, ti := range st.edge.AtomMap {
+			merged[ti] = r.Part(fi)
 		}
 		dst = append(dst, merged)
 	}
+	st.stat.outputs += float64(len(dst) - before)
 	return dst
 }
 
@@ -529,24 +526,29 @@ func (x *NodeExec) baseColFor(edge *plangraph.Edge, nodeAtom, col int) int {
 // probePlan returns (compiling if stale) the probe plan for a driving input:
 // a connectivity-respecting order over the other inputs — cheapest observed
 // fanout first, remote probes deferred on ties — with each step's lookup
-// orientation, verify list and base column resolved.
+// orientation, verify list and base column resolved. A plan is stale when
+// empty (a join has two inputs or more, so a compiled plan never is); it is
+// recompiled into its own step and verify slices.
 func (x *NodeExec) probePlan(drive int) []probeStep {
-	if plan := x.plans[drive]; plan != nil {
+	if plan := x.plans[drive]; len(plan) > 0 {
 		return plan
 	}
 	n := len(x.Node.Inputs)
 	nAtoms := len(x.Node.Expr.Atoms)
-	bound := make([]bool, nAtoms)
+	var buf [32]bool
+	flags := buf[:]
+	if nAtoms+n > len(buf) {
+		flags = make([]bool, nAtoms+n)
+	}
+	bound, pending := flags[:nAtoms], flags[nAtoms:nAtoms+n]
 	for _, a := range x.Node.Inputs[drive].AtomMap {
 		bound[a] = true
 	}
-	remaining := n - 1
-	pending := make([]bool, n)
 	for j := 0; j < n; j++ {
 		pending[j] = j != drive
 	}
-	steps := make([]probeStep, 0, remaining)
-	for remaining > 0 {
+	steps := x.plans[drive][:0]
+	for remaining := n - 1; remaining > 0; remaining-- {
 		best := -1
 		bestKey := [3]float64{}
 		for j := 0; j < n; j++ {
@@ -568,33 +570,32 @@ func (x *NodeExec) probePlan(drive int) []probeStep {
 				best, bestKey = j, key
 			}
 		}
-		steps = append(steps, x.compileStep(drive, best, bound))
+		steps = slices.Grow(steps, 1)[:len(steps)+1] // reuses a stale step
+		x.compileStep(&steps[len(steps)-1], drive, best, bound)
 		for _, a := range x.Node.Inputs[best].AtomMap {
 			bound[a] = true
 		}
 		pending[best] = false
-		remaining--
 	}
 	x.plans[drive] = steps
 	return steps
 }
 
-// compileStep resolves one probe step against the bound-atom set in effect
-// when the step runs. The bound set at step k is exactly the union of the
-// drive input's coverage and the previously probed inputs' coverages: every
-// stored or merged partial is non-nil precisely on its inputs' coverage, so
-// the compile-time orientation matches what the per-tuple code used to
-// re-derive.
-func (x *NodeExec) compileStep(drive, j int, bound []bool) probeStep {
+// compileStep resolves one probe step into st, reusing its verify slice,
+// against the bound-atom set in effect when the step runs. The bound set at
+// step k is exactly the union of the drive input's coverage and the
+// previously probed inputs' coverages: every stored or merged partial is
+// non-nil precisely on its inputs' coverage, so the compile-time orientation
+// matches what the per-tuple code used to re-derive.
+func (x *NodeExec) compileStep(st *probeStep, drive, j int, bound []bool) {
 	edge := x.Node.Inputs[j]
-	st := probeStep{j: j, edge: edge, probe: edge.Probe, stat: x.stat(drive, j)}
-	jc := x.cov[j]
+	*st = probeStep{j: j, edge: edge, probe: edge.Probe, verify: st.verify[:0], inv: x.inv[j], stat: x.stat(drive, j)}
 	for _, p0 := range x.preds {
 		var pr cq.JoinPred
 		switch {
-		case jc[p0.AtomB] && !jc[p0.AtomA] && bound[p0.AtomA]:
+		case st.inv[p0.AtomB] >= 0 && st.inv[p0.AtomA] < 0 && bound[p0.AtomA]:
 			pr = p0
-		case jc[p0.AtomA] && !jc[p0.AtomB] && bound[p0.AtomB]:
+		case st.inv[p0.AtomA] >= 0 && st.inv[p0.AtomB] < 0 && bound[p0.AtomB]:
 			pr = cq.JoinPred{AtomA: p0.AtomB, ColA: p0.ColB, AtomB: p0.AtomA, ColB: p0.ColA}
 		default:
 			continue
@@ -605,19 +606,9 @@ func (x *NodeExec) compileStep(drive, j int, bound []bool) probeStep {
 			st.verify = append(st.verify, pr)
 		}
 	}
-	if st.probe {
-		st.inv = make([]int, len(x.Node.Expr.Atoms))
-		for i := range st.inv {
-			st.inv[i] = -1
-		}
-		for fi, ti := range edge.AtomMap {
-			st.inv[ti] = fi
-		}
-		if st.hasLookup {
-			st.baseCol = x.baseColFor(edge, st.lookup.AtomB, st.lookup.ColB)
-		}
+	if st.probe && st.hasLookup {
+		st.baseCol = x.baseColFor(edge, st.lookup.AtomB, st.lookup.ColB)
 	}
-	return st
 }
 
 func less3(a, b [3]float64) bool {
@@ -630,9 +621,9 @@ func less3(a, b [3]float64) bool {
 }
 
 func (x *NodeExec) connectsTo(j int, bound []bool) bool {
-	jc := x.cov[j]
+	inv := x.inv[j]
 	for _, p := range x.preds {
-		if (jc[p.AtomA] && bound[p.AtomB]) || (jc[p.AtomB] && bound[p.AtomA]) {
+		if (inv[p.AtomA] >= 0 && bound[p.AtomB]) || (inv[p.AtomB] >= 0 && bound[p.AtomA]) {
 			return true
 		}
 	}
@@ -683,10 +674,10 @@ func (x *NodeExec) RecoverHistory(env *Env, e int) int {
 	// replay charges are hoisted ahead of the (order-insensitive) cascade
 	// charges.
 	seeds := x.seedBuf[:0]
-	x.modules[drive].EachBefore(e, func(pr partialRow) {
+	x.modules[drive].EachBefore(e, func(r *tuple.Row) {
 		env.Metrics.AddReplayTuple()
 		env.ChargeJoin()
-		seeds = append(seeds, pr.parts)
+		seeds = append(seeds, r)
 	})
 	x.seedBuf = seeds
 	var results []*tuple.Row
@@ -713,11 +704,9 @@ func (x *NodeExec) RecoverHistory(env *Env, e int) int {
 // it inserted (graft-time state transfer; no stream delay is charged — the
 // rows are already in middleware memory).
 func (x *NodeExec) PreloadModule(j int, producer *Log, from int) int {
-	m, atomMap, width := x.modules[j], x.Node.Inputs[j].AtomMap, len(x.Node.Expr.Atoms)
+	m := x.modules[j]
 	n := m.Len()
-	producer.eachFrom(from, func(r *tuple.Row, epoch int) {
-		m.insertRow(r, atomMap, width, epoch)
-	})
+	producer.eachFrom(from, m.Insert)
 	return m.Len() - n
 }
 

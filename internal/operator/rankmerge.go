@@ -296,7 +296,7 @@ func (s *EndpointSink) candidate(r *tuple.Row) candidate {
 	for i, p := range parts {
 		s.scores[i] = p.Score()
 	}
-	return candidate{row: row, score: s.Entry.CQ.Model.Score(s.scores), id: r.Identity()}
+	return candidate{row: row, score: s.Entry.CQ.Model.Score(s.scores)}
 }
 
 // score scores a node-order row under the entry's model without projecting
@@ -473,11 +473,11 @@ func (e *CQEntry) settle(env *Env) {
 type candidate struct {
 	row   *tuple.Row
 	score float64
-	id    string
 }
 
 // candidateHeap is a max-heap by score (identity ascending on ties, for
-// deterministic output).
+// deterministic output; a row builds its identity string only when a tie
+// asks for it).
 type candidateHeap []candidate
 
 func (h candidateHeap) Len() int { return len(h) }
@@ -485,7 +485,7 @@ func (h candidateHeap) Less(i, j int) bool {
 	if h[i].score != h[j].score {
 		return h[i].score > h[j].score
 	}
-	return h[i].id < h[j].id
+	return h[i].row.Identity() < h[j].row.Identity()
 }
 func (h candidateHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *candidateHeap) Push(x interface{}) { *h = append(*h, x.(candidate)) }
@@ -613,7 +613,7 @@ func (rm *RankMerge) Advance(env *Env) Step {
 				continue
 			}
 			top := e.buffer[0]
-			if top.score > bestScore || (top.score == bestScore && bestEntry != nil && top.id < bestEntry.buffer[0].id) {
+			if top.score > bestScore || (top.score == bestScore && bestEntry != nil && top.row.Identity() < bestEntry.buffer[0].row.Identity()) {
 				bestScore, bestEntry = top.score, e
 			}
 		}

@@ -110,8 +110,8 @@ func TestSeedMatchesSortedOffer(t *testing.T) {
 				t.Fatalf("%s: seeded entry ran dry after %d emissions", what, i)
 			}
 			x, y := popBest(env, a), heap.Pop(&b.buffer).(candidate)
-			if x.id != y.id || x.score != y.score || x.row.Identity() != y.row.Identity() {
-				t.Fatalf("%s: emission %d is %s@%v, sorted offer %s@%v", what, i, x.id, x.score, y.id, y.score)
+			if x.row.Identity() != y.row.Identity() || x.score != y.score {
+				t.Fatalf("%s: emission %d is %s@%v, sorted offer %s@%v", what, i, x.row.Identity(), x.score, y.row.Identity(), y.score)
 			}
 		}
 		a.settle(env)
@@ -214,7 +214,7 @@ func TestPruneCountMatchesQuickSelect(t *testing.T) {
 				}
 				e.thValid, e.thFrontiers = true, []float64{} // a memoised threshold with no groups
 				for j, nb := 0, rng.Intn(8); j < nb; j++ {
-					heap.Push(&e.buffer, candidate{score: levels[rng.Intn(len(levels))], id: fmt.Sprintf("%d.%d", i, j)})
+					heap.Push(&e.buffer, candidate{score: levels[rng.Intn(len(levels))], row: idRow(fmt.Sprintf("%d.%d", i, j))})
 				}
 				entries = append(entries, e)
 			}
@@ -240,7 +240,7 @@ func TestCandidateHeapPopMatchesHeapPop(t *testing.T) {
 		rng := dist.New(uint64(trial) + 1)
 		var typed, boxed candidateHeap
 		for i, n := 0, rng.Intn(60); i < n; i++ {
-			c := candidate{score: float64(rng.Intn(8)), id: fmt.Sprintf("r%03d", i)}
+			c := candidate{score: float64(rng.Intn(8)), row: idRow(fmt.Sprintf("r%03d", i))}
 			heap.Push(&typed, c)
 			heap.Push(&boxed, c)
 		}
@@ -252,3 +252,10 @@ func TestCandidateHeapPopMatchesHeapPop(t *testing.T) {
 		}
 	}
 }
+
+// idSchema keys a one-column relation by a string.
+var idSchema = tuple.NewSchema("X", tuple.Column{Name: "id", Type: tuple.KindString, Key: true})
+
+// idRow returns a one-part row whose identity is "X:" + id, so rows order
+// by identity as their ids do.
+func idRow(id string) *tuple.Row { return tuple.NewRow(tuple.New(idSchema, tuple.String(id))) }

@@ -110,7 +110,7 @@ func emissions(env *Env, e *CQEntry) []string {
 	var out []string
 	for e.settle(env); len(e.buffer) > 0; e.settle(env) {
 		c := heap.Pop(&e.buffer).(candidate)
-		out = append(out, fmt.Sprintf("%v %s", c.score, c.id))
+		out = append(out, fmt.Sprintf("%v %s", c.score, c.row.Identity()))
 	}
 	return out
 }

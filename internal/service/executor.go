@@ -391,9 +391,9 @@ func (s *Service) snapshot() ShardStats {
 	return ss
 }
 
-// exec runs fn on the executor goroutine and waits for it, falling back to a
-// direct call once the executor has exited (the engine is quiescent then, so
-// the call is safe from any goroutine).
+// exec runs fn on the executor goroutine and waits for it. Once the executor
+// has exited, fn runs on the caller's goroutine under s.quiet, which also
+// holds off Close's teardown, so no two callers touch the engine at once.
 func (s *Service) exec(fn func()) {
 	done := make(chan struct{})
 	wrapped := func() { defer close(done); fn() }
@@ -401,6 +401,8 @@ func (s *Service) exec(fn func()) {
 	case s.ctrlCh <- wrapped:
 		<-done
 	case <-s.doneCh:
+		s.quiet.Lock()
+		defer s.quiet.Unlock()
 		fn()
 	}
 }

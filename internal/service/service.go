@@ -343,6 +343,9 @@ type Service struct {
 
 	mu     sync.Mutex
 	closed bool
+	// quiet serialises what touches the engine once the executor has
+	// exited: exec's closures and Close's teardown.
+	quiet sync.Mutex
 }
 
 // New builds an engine over a workload and starts its executor. It panics
@@ -524,6 +527,8 @@ func (s *Service) Close() error {
 	// The executor has exited; reclaim the spill segments so no run leaves
 	// disk state behind. The checkpoint directory, unlike the spill tier, is
 	// deliberately NOT removed — it must outlive the process.
+	s.quiet.Lock()
+	defer s.quiet.Unlock()
 	var errs []error
 	if err := s.mgr.State.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("service: engine %d state teardown: %w", s.cfg.ShardIDOffset, err))

@@ -1,7 +1,7 @@
 package tuple
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -15,19 +15,21 @@ import (
 type Row struct {
 	parts []*Tuple
 
-	// ident caches the canonical identity (and its 64-bit hash): rank-merge
-	// dedup, recovery dedup and deterministic tie-breaks all call Identity()
-	// per offered row, so it is computed at most once per row. The cache is an
-	// atomic pointer because pushed-down result rows are materialised once per
-	// expression in the remote-database view cache and then read concurrently
-	// by every shard goroutine streaming that expression.
+	// ident caches the identity hash and, once built, the identity string:
+	// rank-merge dedup, recovery dedup and deterministic tie-breaks all ask
+	// for the hash per offered row, so it is computed at most once per row,
+	// and the string only when a tie is broken or hashes collide. The cache
+	// is an atomic pointer because pushed-down result rows are materialised
+	// once per expression in the remote-database view cache and then read
+	// concurrently by every shard goroutine streaming that expression.
 	ident atomic.Pointer[rowIdent]
 }
 
-// rowIdent is the computed identity with its precomputed FNV-1a hash.
+// rowIdent is a row's FNV-1a identity hash with its lazily built identity
+// string. Rows that inherit an identity share one, string included.
 type rowIdent struct {
-	s string
 	h uint64
+	s atomic.Pointer[string]
 }
 
 // NewRow builds a row over the given parts. The slice is owned by the row.
@@ -82,15 +84,45 @@ func (r *Row) ScoreProduct() float64 {
 }
 
 // Identity returns a canonical identity for duplicate elimination: the sorted
-// identities of the row's parts, qualified by relation name. Two rows built
-// from the same base tuples (possibly in different part orders by different
-// plan shapes) share an Identity. The result is computed once and cached.
-func (r *Row) Identity() string { return r.identity().s }
+// identities of the row's parts, qualified by relation name and joined by
+// "&". Two rows built from the same base tuples (possibly in different part
+// orders by different plan shapes) share an Identity. The result is computed
+// once and cached.
+func (r *Row) Identity() string {
+	id := r.identity()
+	if s := id.s.Load(); s != nil {
+		return *s
+	}
+	var keys [maxStackParts]string
+	s := strings.Join(r.sortedKeys(keys[:0]), "&")
+	// Concurrent computations produce the identical value; last store wins.
+	id.s.Store(&s)
+	return s
+}
 
-// IdentityHash returns a 64-bit FNV-1a hash of Identity(): the cheap set-
-// membership fast path used by rank-merge seen-sets and log identity sets.
-// Like Identity it is computed at most once per row.
+// IdentityHash returns the 64-bit FNV-1a hash of Identity(), computed over
+// the sorted part identities without joining them: the cheap set-membership
+// fast path used by rank-merge seen-sets and log identity sets. Like
+// Identity it is computed at most once per row.
 func (r *Row) IdentityHash() uint64 { return r.identity().h }
+
+// SameIdentity reports whether r and o have equal identities. Unequal
+// hashes settle it, and equal sorted part identities confirm it, without
+// building either string; only a hash collision (or a part identity holding
+// the separator) compares the strings.
+func (r *Row) SameIdentity(o *Row) bool {
+	if r == o {
+		return true
+	}
+	if r.IdentityHash() != o.IdentityHash() {
+		return false
+	}
+	var ka, kb [maxStackParts]string
+	if slices.Equal(r.sortedKeys(ka[:0]), o.sortedKeys(kb[:0])) {
+		return true
+	}
+	return r.Identity() == o.Identity()
+}
 
 // InheritIdentity copies o's cached identity into r, avoiding a recompute.
 // It must only be used when r is a reordering/projection of exactly o's parts
@@ -105,33 +137,54 @@ func (r *Row) InheritIdentity(o *Row) {
 	}
 }
 
+// maxStackParts is the widest row whose part identities are sorted in a
+// stack array; wider rows sort in a heap slice.
+const maxStackParts = 8
+
+// sortedKeys appends the row's qualified part identities to dst in sorted
+// order.
+func (r *Row) sortedKeys(dst []string) []string {
+	for _, p := range r.parts {
+		dst = append(dst, p.QualifiedIdentity())
+	}
+	slices.Sort(dst)
+	return dst
+}
+
 func (r *Row) identity() *rowIdent {
 	if id := r.ident.Load(); id != nil {
 		return id
 	}
-	keys := make([]string, len(r.parts))
-	for i, p := range r.parts {
-		keys[i] = p.QualifiedIdentity()
+	var keys [maxStackParts]string
+	h := uint64(fnvOffset)
+	for i, k := range r.sortedKeys(keys[:0]) {
+		if i > 0 {
+			h = fnvByte(h, '&')
+		}
+		for j := 0; j < len(k); j++ {
+			h = fnvByte(h, k[j])
+		}
 	}
-	sort.Strings(keys)
-	s := strings.Join(keys, "&")
-	id := &rowIdent{s: s, h: fnv1a(s)}
-	// Concurrent computations produce the identical value; last store wins.
+	id := &rowIdent{h: h}
+	// Concurrent computations produce the identical hash; last store wins.
 	r.ident.Store(id)
 	return id
 }
 
-// fnv1a is the 64-bit FNV-1a hash (inlined to keep the hot path free of
-// hash.Hash allocations).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvByte folds one byte into a 64-bit FNV-1a hash.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+// fnv1a is the 64-bit FNV-1a hash of s, byte by byte, so no hash.Hash is
+// allocated on the hot path.
 func fnv1a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
+		h = fnvByte(h, s[i])
 	}
 	return h
 }
